@@ -4,8 +4,9 @@ open Jir
    certify). Nodes are method keys "Class.method" where [Class] is the
    DECLARING class of the body, so a key always resolves to one concrete
    [Ir.meth]. Virtual edges use the same class-hierarchy resolution as the
-   devirtualization pass ({!Facade_compiler.Optimize.possible_targets});
-   Special/Static edges walk the super chain to the declaring class.
+   devirtualization pass ({!Facade_compiler.Optimize.possible_targets}),
+   answered from one CHA index built with the graph; Special/Static edges
+   walk the super chain to the declaring class.
 
    Post-transform programs retain the original data classes alongside
    their generated [$Facade] twins; the originals are unreachable from the
@@ -16,6 +17,7 @@ open Jir
 
 type t = {
   program : Program.t;
+  cha : Facade_compiler.Optimize.cha;
   entry : string;
   edges : (string, string list) Hashtbl.t;
   methods : (string, Ir.cls * Ir.meth) Hashtbl.t;
@@ -36,16 +38,19 @@ let declaring p cls name =
       (fun c -> Option.is_some (Program.find_method p ~cls:c ~name))
       (Hierarchy.super_chain p cls)
 
-let call_targets p kind cls name =
+let targets p cha kind cls name =
   match (kind : Ir.call_kind) with
   | Ir.Virtual ->
-      List.map (fun c -> key ~cls:c ~name) (Facade_compiler.Optimize.possible_targets p ~cls ~name)
+      List.map (fun c -> key ~cls:c ~name) (Facade_compiler.Optimize.possible_targets cha ~cls ~name)
   | Ir.Special | Ir.Static -> (
       match declaring p cls name with
       | Some c -> [ key ~cls:c ~name ]
       | None -> [])
 
+let call_targets t kind cls name = targets t.program t.cha kind cls name
+
 let build p =
+  let cha = Facade_compiler.Optimize.cha p in
   let edges = Hashtbl.create 64 in
   let methods = Hashtbl.create 64 in
   List.iter
@@ -61,7 +66,7 @@ let build p =
                 | Ir.Call (_, kind, cls, name, _, _) ->
                     List.iter
                       (fun t -> if not (List.mem t !callees) then callees := t :: !callees)
-                      (call_targets p kind cls name)
+                      (targets p cha kind cls name)
                 | _ -> ())
               m;
             Hashtbl.replace edges k (List.rev !callees))
@@ -77,7 +82,7 @@ let build p =
     end
   in
   visit entry;
-  { program = p; entry; edges; methods; reach }
+  { program = p; cha; entry; edges; methods; reach }
 
 let program t = t.program
 

@@ -15,14 +15,17 @@ val kept_original : Jir.Program.t -> string -> bool
 (** Is this class a pre-transform original kept alongside its [$Facade]
     twin (and therefore outside the analysis universe)? *)
 
-val call_targets : Jir.Program.t -> Jir.Ir.call_kind -> string -> string -> string list
-(** Possible callee keys of one call site (CHA for virtual calls). *)
-
 val declaring : Jir.Program.t -> string -> string -> string option
 (** Declaring class of a method, starting the lookup at the given class
     and walking the super chain. *)
 
 val build : Jir.Program.t -> t
+(** Builds the program's CHA index once and answers every virtual site
+    from it. *)
+
+val call_targets : t -> Jir.Ir.call_kind -> string -> string -> string list
+(** Possible callee keys of one call site in the graph's program (CHA for
+    virtual calls). *)
 
 val program : t -> Jir.Program.t
 val entry_key : t -> string

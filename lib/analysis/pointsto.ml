@@ -231,7 +231,7 @@ let build ?cg p =
     | Ir.Array_load (d, a, _) -> var_add mkey d (heap_load (var_set mkey a) "[]")
     | Ir.Array_store (a, _, s) -> heap_store (var_set mkey a) "[]" (var_set mkey s)
     | Ir.Call (ret, kind, cls, name, recv, args) ->
-        bind_call mkey ret recv args (Callgraph.call_targets p kind cls name)
+        bind_call mkey ret recv args (Callgraph.call_targets t.cg kind cls name)
     | Ir.Intrinsic (dst, n, args) ->
         let argv j =
           match List.nth_opt args j with Some (Ir.Var v) -> Some v | _ -> None

@@ -293,7 +293,7 @@ let check (p : Program.t) =
                                       (Hashtbl.find_opt callee_open tk)
                                   in
                                   Hashtbl.replace callee_open tk (Ss.union prev s))
-                                (Callgraph.call_targets p kind cls name)
+                                (Callgraph.call_targets cg kind cls name)
                           | _ -> ())
                       | _ -> ());
                       st := step_pos b i !st ins)
@@ -359,7 +359,7 @@ let check (p : Program.t) =
                                   r := Some next;
                                   changed := true
                                 end))
-                      (Callgraph.call_targets p kind cls name)
+                      (Callgraph.call_targets cg kind cls name)
                 | _ -> ())
               m)
       done;

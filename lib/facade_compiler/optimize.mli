@@ -15,10 +15,25 @@
       evaluation path), where vertex/edge payloads are laid out inline —
       see the ablation benchmark. *)
 
-val possible_targets : Jir.Program.t -> cls:string -> name:string -> string list
+type cha
+(** A per-program class-hierarchy index: each type's concrete subtypes,
+    computed once. Immutable after {!cha} returns. *)
+
+val cha : Jir.Program.t -> cha
+
+val concrete_subtypes : cha -> string -> string list
+(** Non-interface classes assignable to the named type (subclasses,
+    itself, implementors; every concrete class for [Object]), in program
+    order. *)
+
+val possible_targets : cha -> cls:string -> name:string -> string list
 (** Concrete classes (deduped by declaring class) a virtual call on a
     [cls]-typed receiver can dispatch to — the CHA core shared with
-    [lib/opt]'s devirtualization pass. *)
+    [lib/opt]'s devirtualization pass and [Analysis.Callgraph]. *)
+
+val devirtualize_meth : ?count:int ref -> cha -> Jir.Ir.meth -> Jir.Ir.meth
+(** Turns each virtual site of the method with exactly one possible
+    target into a [Special] call, adding one to [count] per site. *)
 
 val devirtualize : Jir.Program.t -> Jir.Program.t
 

@@ -100,11 +100,13 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
      order, so static/special call sites can be pre-bound to an index. *)
   let meth_index : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
   let decls = ref [] in
+  let n_decls = ref 0 in
   List.iter
     (fun (c : Ir.cls) ->
       List.iter
         (fun (m : Ir.meth) ->
-          Hashtbl.replace meth_index (c.Ir.cname, m.Ir.mname) (List.length !decls);
+          Hashtbl.replace meth_index (c.Ir.cname, m.Ir.mname) !n_decls;
+          incr n_decls;
           decls := (c.Ir.cname, m) :: !decls)
         c.Ir.cmethods)
     (Program.classes p);
@@ -114,6 +116,7 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
   (* Static fields become a dense globals array. *)
   let gid_tbl : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
   let globals = ref [] in
+  let n_globals = ref 0 in
   List.iter
     (fun (c : Ir.cls) ->
       List.iter
@@ -124,7 +127,8 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
               | Some k -> Value.of_const k
               | None -> Value.default_of f.Ir.ftype
             in
-            Hashtbl.replace gid_tbl (c.Ir.cname, f.Ir.fname) (List.length !globals);
+            Hashtbl.replace gid_tbl (c.Ir.cname, f.Ir.fname) !n_globals;
+            incr n_globals;
             globals := ((c.Ir.cname, f.Ir.fname), v) :: !globals
           end)
         c.Ir.cfields)

@@ -186,6 +186,7 @@ type stats = {
   mutable folded : int;          (* instrs rewritten to Const / Imm operands *)
   mutable branches_folded : int;
   mutable blocks_removed : int;
+  mutable jumps : int;  (* branches with equal arms made jumps — not reported *)
 }
 
 let run_meth stats (m : Ir.meth) =
@@ -287,7 +288,9 @@ let run_meth stats (m : Ir.meth) =
               in
               let term =
                 match blk.Ir.term with
-                | Ir.Branch (_, t, e) when t = e -> Ir.Jump t
+                | Ir.Branch (_, t, e) when t = e ->
+                    stats.jumps <- stats.jumps + 1;
+                    Ir.Jump t
                 | Ir.Branch (v, t, e) as tm -> (
                     match lookup !env v with
                     | Known k ->
@@ -335,13 +338,17 @@ let run_meth stats (m : Ir.meth) =
     end
   end
 
-let run p =
-  let stats = { folded = 0; branches_folded = 0; blocks_removed = 0 } in
+let reported s = s.folded + s.branches_folded + s.blocks_removed
+
+let run ?only ?changed p =
+  let stats = { folded = 0; branches_folded = 0; blocks_removed = 0; jumps = 0 } in
+  let rewrites () = reported stats + stats.jumps in
   let p' =
-    List.fold_left
-      (fun acc (c : Ir.cls) ->
-        let c' = { c with Ir.cmethods = List.map (run_meth stats) c.Ir.cmethods } in
-        Program.replace_class acc c')
-      p (Program.classes p)
+    Pass.map_methods ?only ?changed
+      (fun ~cls:_ m ->
+        let before = rewrites () in
+        let m' = run_meth stats m in
+        (m', rewrites () <> before))
+      p
   in
-  (p', stats.folded + stats.branches_folded + stats.blocks_removed)
+  (p', reported stats)

@@ -100,13 +100,7 @@ let run_meth count (m : Ir.meth) =
     { m with Ir.body }
   end
 
-let run p =
+let run ?only ?changed p =
   let count = ref 0 in
-  let p' =
-    List.fold_left
-      (fun acc (c : Ir.cls) ->
-        let c' = { c with Ir.cmethods = List.map (run_meth count) c.Ir.cmethods } in
-        Program.replace_class acc c')
-      p (Program.classes p)
-  in
+  let p' = Pass.map_methods ?only ?changed (Pass.counted count (fun ~cls:_ -> run_meth count)) p in
   (p', !count)

@@ -4,8 +4,9 @@ open Jir
    Virtual call whose receiver hierarchy resolves to exactly one concrete
    target becomes a Special call, so the linker emits a direct Rcall and
    the VM skips vtable dispatch. Sound because the class set is closed —
-   see DESIGN §10 for the rt.runThread argument. Shares the candidate
-   enumeration with Facade_compiler.Optimize. *)
+   see DESIGN §10 for the rt.runThread argument. The rewrite is
+   Facade_compiler.Optimize's, over one CHA index built per run; this
+   pass adds the per-site count. *)
 
 (* Method names with exactly one (non-static) implementation anywhere in
    the closed program: a virtual call on such a name can only ever reach
@@ -27,36 +28,9 @@ let monomorphic_names p =
   Hashtbl.fold (fun n count acc -> if count = 1 then n :: acc else acc) impls []
   |> List.sort compare
 
-let run p =
+let run ?changed p =
+  let cha = Facade_compiler.Optimize.cha p in
   let count = ref 0 in
-  let p' =
-    List.fold_left
-      (fun acc (c : Ir.cls) ->
-        let meths =
-          List.map
-            (fun m ->
-              Ir.map_blocks
-                (fun _ (blk : Ir.block) ->
-                  let instrs =
-                    List.map
-                      (fun ins ->
-                        match ins with
-                        | Ir.Call (ret, Ir.Virtual, cls, name, recv, args) -> (
-                            match
-                              Facade_compiler.Optimize.possible_targets p ~cls ~name
-                            with
-                            | [ only ] ->
-                                incr count;
-                                Ir.Call (ret, Ir.Special, only, name, recv, args)
-                            | _ -> ins)
-                        | _ -> ins)
-                      blk.Ir.instrs
-                  in
-                  { blk with Ir.instrs })
-                m)
-            c.Ir.cmethods
-        in
-        Program.replace_class acc { c with Ir.cmethods = meths })
-      p (Program.classes p)
-  in
+  let devirt_meth ~cls:_ = Facade_compiler.Optimize.devirtualize_meth ~count cha in
+  let p' = Pass.map_methods ?changed (Pass.counted count devirt_meth) p in
   (p', !count)

@@ -5,10 +5,19 @@ module Pipeline = Facade_compiler.Pipeline
    [optimize_pipeline] wraps it for FACADE-transformed programs: it
    optimizes P′ between the facade transform and linking, restricts
    inlining to one side of the control/data boundary, and then re-proves
-   the FACADE invariants (structural verification, the PR-1 boundary-leak
+   the FACADE invariants (structural verification, the boundary-leak
    linter, and the pipeline's own post-transform validation). A pass that
    breaks an invariant raises {!Pipeline.Invalid_transform} — an
-   optimizer bug must never reach the VM. *)
+   optimizer bug must never reach the VM.
+
+   Each whole-program job runs once. Every pass reports the methods it
+   rewrote, and the post-inline cleanup round (copy_prop', const_fold',
+   dce') runs on those methods only: const_fold, copy_prop and dce are
+   functions of one method, and each already returned every untouched
+   method unchanged in round 1, so the output and the report equal those
+   of the full nine-pass composition. Devirt builds one CHA index for the
+   program. The re-proof runs only the fatal checks; def-assign, monitors
+   and races are advisory and stay in [facade_cli lint]. *)
 
 type report = {
   deltas : Delta.t list;
@@ -48,24 +57,31 @@ let run_pass name metric enabled f (p, deltas) =
 
 let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) p =
   let instrs_before = Program.total_instrs p in
+  (* (class, method) pairs some pass has rewritten so far. *)
+  let touched = Hashtbl.create 64 in
+  let changed cls name = Hashtbl.replace touched (cls, name) () in
   let acc = (p, []) in
-  let acc = run_pass "const_fold" "folded" config.Config.const_fold Const_fold.run acc in
-  let acc = run_pass "copy_prop" "copies" config.Config.copy_prop Copy_prop.run acc in
-  let acc = run_pass "dce" "removed" config.Config.dce Dce.run acc in
-  let acc = run_pass "devirt" "devirtualized" config.Config.devirt Devirt.run acc in
-  let acc = run_pass "lock_elide" "elided" config.Config.lock_elide Lock_elide.run acc in
+  let acc = run_pass "const_fold" "folded" config.Config.const_fold (Const_fold.run ~changed) acc in
+  let acc = run_pass "copy_prop" "copies" config.Config.copy_prop (Copy_prop.run ~changed) acc in
+  let acc = run_pass "dce" "removed" config.Config.dce (Dce.run ~changed) acc in
+  let acc = run_pass "devirt" "devirtualized" config.Config.devirt (Devirt.run ~changed) acc in
+  let acc = run_pass "lock_elide" "elided" config.Config.lock_elide (Lock_elide.run ~changed) acc in
   let acc =
     run_pass "inline" "inlined" config.Config.inline
-      (Inline.run ~budget:config.Config.inline_budget ~may_inline)
+      (Inline.run ~budget:config.Config.inline_budget ~may_inline ~changed)
       acc
   in
   (* Cleanup round: the inliner leaves parameter moves and constant
-     returns behind; sweep them with the same (toggle-respecting) passes. *)
+     returns behind; sweep them with the same (toggle-respecting) passes,
+     on the touched methods only. An untouched method went into every
+     enabled per-method pass above as itself and came back unchanged, so
+     each cleanup pass would return it unchanged with a zero count. *)
   let acc =
     if config.Config.inline then begin
-      let acc = run_pass "copy_prop'" "copies" config.Config.copy_prop Copy_prop.run acc in
-      let acc = run_pass "const_fold'" "folded" config.Config.const_fold Const_fold.run acc in
-      run_pass "dce'" "removed" config.Config.dce Dce.run acc
+      let only cls name = Hashtbl.mem touched (cls, name) in
+      let acc = run_pass "copy_prop'" "copies" config.Config.copy_prop (Copy_prop.run ~only) acc in
+      let acc = run_pass "const_fold'" "folded" config.Config.const_fold (Const_fold.run ~only) acc in
+      run_pass "dce'" "removed" config.Config.dce (Dce.run ~only) acc
     end
     else acc
   in
@@ -87,27 +103,20 @@ let data_side cl cls =
 
 let boundary_may_inline cl caller callee = data_side cl caller = data_side cl callee
 
+(* Only the analyses whose findings are fatal run here: def-assign,
+   monitors and races are advisory ([facade_cli lint] reports them). *)
 let invariant_findings (pl : Pipeline.t) p' =
-  let fatal (f : Analysis.Finding.t) =
-    String.equal f.Analysis.Finding.analysis "verify"
-    || String.equal f.Analysis.Finding.analysis "boundary-leak"
-  in
   let findings =
-    Analysis.Lint.verify_findings p'
-    @ Analysis.Lint.check_program ~classification:pl.Pipeline.classification p'
+    Analysis.Lint.verify_findings p' @ Analysis.Leak.check pl.Pipeline.classification p'
   in
   let lint_errs =
-    List.filter_map
+    List.map
       (fun (f : Analysis.Finding.t) ->
-        if fatal f then
-          Some
-            {
-              Pipeline.vwhere = f.Analysis.Finding.where;
-              vwhat =
-                Printf.sprintf "[%s] %s" f.Analysis.Finding.analysis
-                  f.Analysis.Finding.what;
-            }
-        else None)
+        {
+          Pipeline.vwhere = f.Analysis.Finding.where;
+          vwhat =
+            Printf.sprintf "[%s] %s" f.Analysis.Finding.analysis f.Analysis.Finding.what;
+        })
       findings
   in
   Pipeline.validate_transformed pl.Pipeline.classification pl.Pipeline.bounds p'

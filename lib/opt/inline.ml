@@ -105,22 +105,13 @@ let run_meth p ~budget ~may_inline ~caller_cls ~next_id count (m : Ir.meth) =
   in
   { m with Ir.body; Ir.locals = m.Ir.locals @ List.rev !extra_locals }
 
-let run ?(budget = 8) ?(may_inline = fun _ _ -> true) p =
+let run ?(budget = 8) ?(may_inline = fun _ _ -> true) ?changed p =
   let count = ref 0 in
   let id = ref 0 in
   let next_id () =
     incr id;
     !id
   in
-  let p' =
-    List.fold_left
-      (fun acc (c : Ir.cls) ->
-        let meths =
-          List.map
-            (run_meth p ~budget ~may_inline ~caller_cls:c.Ir.cname ~next_id count)
-            c.Ir.cmethods
-        in
-        Program.replace_class acc { c with Ir.cmethods = meths })
-      p (Program.classes p)
-  in
+  let inline_meth ~cls = run_meth p ~budget ~may_inline ~caller_cls:cls ~next_id count in
+  let p' = Pass.map_methods ?changed (Pass.counted count inline_meth) p in
   (p', !count)

@@ -26,38 +26,30 @@ let as_monitor ins =
       Some v
   | _ -> None
 
-let strip keep p =
+let strip ?changed keep p =
   let count = ref 0 in
-  let p' =
-    List.fold_left
-      (fun acc (c : Ir.cls) ->
-        let meths =
-          List.map
-            (fun (m : Ir.meth) ->
-              let mkey = A.Callgraph.key ~cls:c.Ir.cname ~name:m.Ir.mname in
-              Ir.map_blocks
-                (fun _ (blk : Ir.block) ->
-                  let instrs =
-                    List.filter
-                      (fun ins ->
-                        match as_monitor ins with
-                        | Some v when not (keep mkey v) ->
-                            incr count;
-                            false
-                        | Some _ | None -> true)
-                      blk.Ir.instrs
-                  in
-                  { blk with Ir.instrs })
-                m)
-            c.Ir.cmethods
+  let strip_meth ~cls (m : Ir.meth) =
+    let mkey = A.Callgraph.key ~cls ~name:m.Ir.mname in
+    Ir.map_blocks
+      (fun _ (blk : Ir.block) ->
+        let instrs =
+          List.filter
+            (fun ins ->
+              match as_monitor ins with
+              | Some v when not (keep mkey v) ->
+                  incr count;
+                  false
+              | Some _ | None -> true)
+            blk.Ir.instrs
         in
-        Program.replace_class acc { c with Ir.cmethods = meths })
-      p (Program.classes p)
+        { blk with Ir.instrs })
+      m
   in
+  let p' = Pass.map_methods ?changed (Pass.counted count strip_meth) p in
   (p', !count)
 
-let run p =
-  if not (A.Races.has_spawn p) then strip (fun _ _ -> false) p
+let run ?changed p =
+  if not (A.Races.has_spawn p) then strip ?changed (fun _ _ -> false) p
   else begin
     let pt = A.Pointsto.build p in
     let esc = A.Escape.build pt in
@@ -66,5 +58,5 @@ let run p =
       A.Pointsto.Iset.is_empty s
       || A.Pointsto.Iset.exists (fun o -> A.Escape.escapes esc o) s
     in
-    strip keep p
+    strip ?changed keep p
   end

@@ -331,6 +331,120 @@ let test_devirtualize_keeps_polymorphic () =
     main;
   Alcotest.(check int) "area stays virtual" 2 !virtuals
 
+(* ---------- CHA index ---------- *)
+
+(* The enumeration the index replaces: every concrete class tested with
+   the Hierarchy predicates, then deduplicated by declaring class. *)
+let brute_subtypes p cls =
+  List.rev
+    (Program.fold
+       (fun c acc ->
+         if c.Ir.cinterface then acc
+         else if
+           Hierarchy.is_subclass p ~sub:c.Ir.cname ~super:cls
+           || Hierarchy.implements p ~cls:c.Ir.cname ~intf:cls
+         then c.Ir.cname :: acc
+         else acc)
+       p [])
+
+let brute_targets p ~cls ~name =
+  let rec declaring c =
+    match Program.find_method p ~cls:c ~name with
+    | Some _ -> Some c
+    | None -> (
+        match Program.find_class p c with
+        | Some { Ir.super = Some s; _ } -> declaring s
+        | Some { Ir.super = None; _ } | None -> None)
+  in
+  brute_subtypes p cls
+  |> List.filter (fun c -> Hierarchy.resolve_method p ~cls:c ~name <> None)
+  |> List.filter_map declaring
+  |> List.sort_uniq String.compare
+
+(* Every (type, method name) pair of [p] — each class and interface plus
+   Object, against every method name declared anywhere. *)
+let check_cha_exhaustive tag p =
+  let idx = FC.Optimize.cha p in
+  let names =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (c : Ir.cls) -> List.map (fun (m : Ir.meth) -> m.Ir.mname) c.Ir.cmethods)
+         (Program.classes p))
+  in
+  let types = Jtype.object_class :: List.map (fun (c : Ir.cls) -> c.Ir.cname) (Program.classes p) in
+  List.iter
+    (fun cls ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: subtypes of %s" tag cls)
+        (brute_subtypes p cls) (FC.Optimize.concrete_subtypes idx cls);
+      List.iter
+        (fun name ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: targets of %s.%s" tag cls name)
+            (brute_targets p ~cls ~name)
+            (FC.Optimize.possible_targets idx ~cls ~name))
+        names)
+    types
+
+let test_cha_samples () =
+  List.iter
+    (fun (s : Samples.sample) ->
+      check_cha_exhaustive s.Samples.name s.Samples.program;
+      let pl = FC.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+      check_cha_exhaustive (s.Samples.name ^ "'") pl.FC.Pipeline.transformed)
+    Samples.all
+
+(* Interfaces with a super-interface, implementors reached through a
+   super class, a five-deep chain under an override, and a method that
+   only some subtrees override. *)
+let cha_hierarchy () =
+  let meth name =
+    let m = B.create name ~ret:int_t in
+    let b = B.entry m in
+    let z = B.fresh m int_t in
+    B.const_i b z 1;
+    B.ret b (Some z);
+    B.finish m
+  in
+  let deep =
+    List.init 5 (fun i ->
+        B.cls (Printf.sprintf "Deep%d" i)
+          ~super:(if i = 0 then "Leaf" else Printf.sprintf "Deep%d" (i - 1)))
+  in
+  Program.make ~entry:("Main", "main")
+    ([
+       B.cls "Shape" ~interface:true;
+       B.cls "Named" ~interface:true;
+       B.cls "Titled" ~interface:true ~interfaces:[ "Named" ];
+       B.cls "Base" ~interfaces:[ "Shape" ] ~methods:[ meth "area"; meth "size" ];
+       B.cls "Mid" ~super:"Base";
+       B.cls "Leaf" ~super:"Mid" ~interfaces:[ "Titled" ] ~methods:[ meth "area"; meth "name" ];
+       B.cls "Square" ~interfaces:[ "Shape" ] ~methods:[ meth "area" ];
+       B.cls "Main" ~methods:[ B.finish (B.create ~static:true "main") ];
+     ]
+    @ deep)
+
+let test_cha_directed () =
+  let p = cha_hierarchy () in
+  check_cha_exhaustive "directed" p;
+  let idx = FC.Optimize.cha p in
+  let targets cls name = FC.Optimize.possible_targets idx ~cls ~name in
+  Alcotest.(check (list string)) "interface implementors, deduped by declarer"
+    [ "Base"; "Leaf"; "Square" ] (targets "Shape" "area");
+  Alcotest.(check (list string)) "inherited override below the receiver"
+    [ "Base"; "Leaf" ] (targets "Mid" "area");
+  Alcotest.(check (list string)) "deep chain resolves to the override" [ "Leaf" ]
+    (targets "Deep3" "area");
+  Alcotest.(check (list string)) "inherited from above the receiver" [ "Base" ]
+    (targets "Deep4" "size");
+  Alcotest.(check (list string)) "super-interface reaches the implementor" [ "Leaf" ]
+    (targets "Named" "name");
+  Alcotest.(check (list string)) "Object admits every concrete class"
+    [ "Base"; "Mid"; "Leaf"; "Square"; "Main"; "Deep0"; "Deep1"; "Deep2"; "Deep3"; "Deep4" ]
+    (FC.Optimize.concrete_subtypes idx Jtype.object_class);
+  Alcotest.(check (list string)) "unknown type has no subtypes" []
+    (FC.Optimize.concrete_subtypes idx "Nowhere")
+
 let test_pipeline_speed_report () =
   let program, sp = Samples.synthetic ~classes:20 ~methods_per_class:5 in
   Verify.check_or_fail program;
@@ -396,6 +510,8 @@ let () =
         [
           Alcotest.test_case "devirtualize" `Quick test_devirtualize;
           Alcotest.test_case "keeps polymorphic" `Quick test_devirtualize_keeps_polymorphic;
+          Alcotest.test_case "CHA index = brute force on samples" `Quick test_cha_samples;
+          Alcotest.test_case "CHA index = brute force, directed" `Quick test_cha_directed;
         ] );
       ( "pipeline",
         [ Alcotest.test_case "speed report" `Quick test_pipeline_speed_report ]

@@ -53,7 +53,7 @@ let test_callgraph_threads () =
     (List.mem "SharedCounter.inc" (A.Callgraph.callees cg "SharedCounter.run"));
   Alcotest.(check (list string)) "CHA resolves the monomorphic virtual"
     [ "SharedCounter.inc" ]
-    (A.Callgraph.call_targets p Ir.Virtual "SharedCounter" "inc")
+    (A.Callgraph.call_targets cg Ir.Virtual "SharedCounter" "inc")
 
 let test_callgraph_kept_originals () =
   let pl = compile Samples.threads in

@@ -311,6 +311,17 @@ let prop_differential =
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
     run_differential
 
+(* The driver (cleanup round on touched methods only) against the plain
+   nine-pass composition, on P and P′: same program text, same report. *)
+let prop_opt_exact =
+  QCheck.Test.make ~name:"random programs: optimizer = nine-pass reference" ~count:80
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 60) op_gen))
+    (fun ops ->
+      Opt_reference.check ~name:"fuzz" ~spec (program_of_ops ops);
+      true)
+
 (* The tier-2 deopt fuzzer: the same random programs, each executed by
    the quickened interpreter and by the closure compiler with a hot
    threshold of 2 — low enough that [comb]/[bump] compile mid-run, so
@@ -415,6 +426,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_program;
           Alcotest.test_case "directed" `Quick test_directed_cases;
           QCheck_alcotest.to_alcotest prop_differential;
+          QCheck_alcotest.to_alcotest prop_opt_exact;
         ] );
       ( "tier",
         [

@@ -369,6 +369,76 @@ let prop_opt_differential =
       check_opt_differential_program ~name:"fuzz" program fuzz_spec;
       true)
 
+(* ---------- exactness: driver == nine-pass reference ---------- *)
+
+(* The driver runs its cleanup round only on methods an earlier pass
+   touched; {!Opt_reference} runs all nine passes over every method. Both
+   must print the same program and the same report, under the default
+   configuration and with each per-method pass switched off. *)
+let exact_configs =
+  Opt.Config.
+    [
+      default;
+      { default with const_fold = false };
+      { default with copy_prop = false };
+      { default with dce = false };
+      { default with devirt = false };
+      { default with lock_elide = false };
+      only_inline;
+    ]
+
+let test_exact_samples () =
+  List.iter
+    (fun (s : Samples.sample) ->
+      List.iter
+        (fun config ->
+          Opt_reference.check ~config ~name:s.Samples.name ~spec:s.Samples.spec
+            s.Samples.program)
+        exact_configs)
+    Samples.all
+
+let test_exact_synthetic () =
+  List.iter
+    (fun (classes, methods_per_class) ->
+      let p, spec = Samples.synthetic ~classes ~methods_per_class in
+      Opt_reference.check ~name:(Printf.sprintf "synthetic %dx%d" classes methods_per_class)
+        ~spec p)
+    [ (20, 8); (28, 12); (36, 16) ]
+
+(* A method only round-1 dce changes, where the cleanup round then finds
+   more: [x = y; y = 5; ret x] keeps its copy (the redefinition of y kills
+   it) until dce drops the dead [y = 5]; cleanup copy_prop then rewrites
+   [ret x] to [ret y] and dce' drops the move. The driver must count such
+   a method as touched although the inliner never saw it. *)
+let test_exact_dce_only_method () =
+  let f =
+    let m = B.create ~static:true "f" ~params:[ ("y", int_t) ] ~ret:int_t in
+    let b = B.entry m in
+    let x = B.fresh m int_t in
+    B.move b ~dst:x ~src:"y";
+    B.const_i b "y" 5;
+    B.ret b (Some x);
+    B.finish m
+  in
+  let main =
+    let m = B.create ~static:true "main" ~ret:int_t in
+    let b = B.entry m in
+    let seven = B.fresh m int_t and r = B.fresh m int_t in
+    B.const_i b seven 7;
+    B.call b ~ret:r ~kind:Ir.Static ~cls:"Main" ~name:"f" [ seven ];
+    B.ret b (Some r);
+    B.finish m
+  in
+  let p = Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ f; main ] ] in
+  let _, rep = Opt_reference.program p in
+  Alcotest.(check bool) "cleanup copy_prop has work" true
+    (List.exists
+       (fun (d : Opt.Delta.t) -> d.Opt.Delta.pass = "copy_prop'" && d.Opt.Delta.count > 0)
+       rep.Opt.Driver.deltas);
+  Alcotest.(check (pair string string)) "driver = reference"
+    (Opt_reference.text (Opt_reference.program p))
+    (Opt_reference.text (Opt.Driver.optimize_program p))
+
 (* ---------- invariant enforcement (Invalid_transform) ---------- *)
 
 let raises_invalid f =
@@ -457,6 +527,12 @@ let () =
         ] );
       ("sample-differential", sample_cases);
       ("fuzz-differential", [ QCheck_alcotest.to_alcotest prop_opt_differential ]);
+      ( "exact",
+        [
+          Alcotest.test_case "samples = nine-pass reference" `Quick test_exact_samples;
+          Alcotest.test_case "synthetic = nine-pass reference" `Quick test_exact_synthetic;
+          Alcotest.test_case "dce-only method is cleaned" `Quick test_exact_dce_only_method;
+        ] );
       ( "invariants",
         [
           Alcotest.test_case "rejects verifier break" `Quick test_rejects_verifier_break;
