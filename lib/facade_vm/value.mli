@@ -33,7 +33,13 @@ val of_int : int -> t
 (** [Int i], sharing one preallocated block for small non-negative [i].
     The facade data path boxes an [Int] on every integer load from a
     page (object mode returns the element's existing box), so the hot
-    loaders route through this instead of the constructor. *)
+    loaders route through this instead of the constructor. It is an
+    ordinary function call from other modules under dune's default
+    [-opaque] build; hot loops restate it over {!small_ints}. *)
+
+val small_ints : t array
+(** The shared boxes: [small_ints.(i)] is [Int i] for [0 <= i < 65536].
+    Must not be written. *)
 
 val default_of : Jir.Jtype.t -> t
 (** Java default value of a field/element of the given type. *)

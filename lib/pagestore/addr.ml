@@ -11,9 +11,12 @@ let make ~page ~offset =
   if offset < 0 || offset > offset_mask then invalid_arg "Addr.make: offset out of range";
   ((page lsl offset_bits) lor offset) + 1
 
-(* [page]/[offset] sit on the facade data path's per-access hot path;
-   [@inline always] keeps the two-instruction bodies from costing a
-   cross-module call under the non-flambda backend. *)
+(* [page]/[offset] sit on the facade data path's per-access hot path.
+   [@inline always] inlines the two-instruction bodies only where this
+   implementation is visible: under dune's default (dev) profile every
+   module is compiled with [-opaque], so callers in other modules make a
+   real call. Hot decoders elsewhere restate them over the exposed
+   [offset_bits]/[offset_mask]. *)
 let[@inline always] page a =
   assert (a <> 0);
   (a - 1) lsr offset_bits
@@ -21,13 +24,6 @@ let[@inline always] page a =
 let[@inline always] offset a =
   assert (a <> 0);
   (a - 1) land offset_mask
-
-(* Decoders for an address the caller has already null-checked (the
-   compiled templates test for null before resolving): the assert above
-   is compiled in under the dev profile, and at one-per-access it is
-   pure repetition of the caller's own check. *)
-let[@inline always] page_nn a = (a - 1) lsr offset_bits
-let[@inline always] offset_nn a = (a - 1) land offset_mask
 
 let add a k =
   if a = 0 then invalid_arg "Addr.add: null";

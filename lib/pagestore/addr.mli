@@ -9,6 +9,13 @@
 
 type t = private int
 
+val offset_bits : int
+val offset_mask : int
+(** The encoding: a non-null [a] holds page [(a - 1) lsr offset_bits]
+    and offset [(a - 1) land offset_mask]. Exposed so hot decoders in
+    other modules can inline it ({!page}/{!offset} are function calls
+    there under dune's default [-opaque] build). *)
+
 val null : t
 val is_null : t -> bool
 
@@ -17,12 +24,6 @@ val make : page:int -> offset:int -> t
 
 val page : t -> int
 val offset : t -> int
-
-val page_nn : t -> int
-val offset_nn : t -> int
-(** [page]/[offset] for an address the caller already null-checked,
-    skipping the redundant non-null assertion on the per-access hot
-    path. *)
 
 val add : t -> int -> t
 (** [add a k] is the reference [k] bytes further into the same page. *)

@@ -24,11 +24,14 @@ let[@inline always] write_u8 (p : t) i v = Bigarray.Array1.set p i (Char.chr (v 
    on little-endian hardware; big-endian targets take the (equivalent,
    slower) byte-composition path. Little-endian byte order throughout.
 
-   The wrappers are [@inline always] so the guarded single-instruction
-   path lands inline at every call site even without flambda (the
-   use-site inlining threshold does not apply to the attribute); the
-   byte fallbacks are hoisted out of line so the inlined body stays a
-   compare-and-load. *)
+   The wrappers are [@inline always], which inlines them at call sites
+   that can see this module's implementation — calls within this module,
+   and every call under [--profile release]. Dune's default (dev) profile
+   compiles each module with [-opaque], so there a call from another
+   module is an ordinary out-of-line call; the tier-2 templates, which
+   cannot afford that, issue the same primitives themselves over the
+   exposed [t] and fall back to these accessors. The byte fallbacks are
+   hoisted out of line so the inlined body stays a compare-and-load. *)
 
 external get_16u : t -> int -> int = "%caml_bigstring_get16u"
 external get_32u : t -> int -> int32 = "%caml_bigstring_get32u"

@@ -3,9 +3,16 @@
     Pages are backed by [Bigarray], whose storage lives in malloc'd memory
     outside the garbage-collected heap — the same property the paper obtains
     from the JVM's native-memory support. All multi-byte accessors are
-    little-endian and unchecked beyond bounds assertions. *)
+    little-endian and unchecked beyond bounds assertions.
 
-type t
+    The representation is exposed so that hot callers in other modules
+    can issue the bigstring load/store primitives themselves: those are
+    compiler externals and inline at any call site, whereas the accessors
+    below are ordinary functions, which dune's default (dev) profile —
+    it compiles every module with [-opaque] — never inlines across a
+    module boundary. *)
+
+type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : bytes:int -> t
 val capacity : t -> int

@@ -9,7 +9,22 @@
     lock-free Treiber stack over [Atomic]; only fresh allocation and
     oversize teardown take the table mutex. *)
 
-type t
+type t = private {
+  page_bytes : int;
+  mutex : Mutex.t;
+  mutable table : Page.t array;
+      (** Page id → backing storage; unallocated and discarded ids hold
+          {!Page.sentinel}. Exposed (read-only) so the tier-2 templates
+          can resolve a page with an inline array load: {!page_unchecked}
+          is a function call under dune's default [-opaque] build. *)
+  mutable next_id : int;
+  free : int list Atomic.t;
+  live : int Atomic.t;
+  mutable created : int;
+  recycled : int Atomic.t;
+  mutable native : int;
+  mutable peak_native : int;
+}
 
 val create : ?page_bytes:int -> unit -> t
 (** [page_bytes] defaults to 32 KiB, the paper's (database-style) page

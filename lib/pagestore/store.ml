@@ -139,15 +139,6 @@ let base t addr =
   let p = page_of t addr in
   (p, Addr.offset addr)
 
-(* Page resolution against a pre-fetched page pool: callers that resolve
-   many addresses in a row (the tier-2 compiled segments) hoist the
-   [t.pool] load out of the loop and stay independent of any particular
-   store handle. [page_in] returns the page alone — without flambda the
-   tuple [base_in] returns is a real per-access heap allocation, so the
-   hot compiled templates call [page_in] + [Addr.offset] separately. *)
-let[@inline always] page_in pool addr = Page_pool.page_unchecked pool (Addr.page_nn addr)
-let base_in pool addr = (page_in pool addr, Addr.offset addr)
-
 (* Allocation bodies shared by the global-counter and buffered ([local])
    entry points: everything except publishing to [t.records]. *)
 let alloc_record_st t st ~type_id ~data_bytes =

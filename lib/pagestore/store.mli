@@ -102,21 +102,6 @@ val base : t -> Addr.t -> Page.t * int
     (array length + element, read-modify-write) can resolve the page a
     single time; the page stays valid until its iteration is reclaimed. *)
 
-val base_in : Page_pool.t -> Addr.t -> Page.t * int
-(** As {!base}, against a pre-fetched {!pool} handle: the parameterized
-    fast path for code that resolves many addresses per store lookup —
-    tier-2 compiled segments take the pool once at segment entry, which
-    both hoists the per-access handle dereference and keeps compiled
-    code independent of the run's store. *)
-
-val page_in : Page_pool.t -> Addr.t -> Page.t
-(** The page half of {!base_in} alone. Non-flambda builds allocate the
-    pair {!base_in} returns on every call, so per-access compiled code
-    calls this and {!Addr.offset} separately instead. The address must
-    be non-null (callers null-check before resolving), and a discarded
-    page id resolves to the trap-on-use sentinel rather than raising
-    here. *)
-
 val arraycopy :
   t -> src:Addr.t -> src_pos:int -> dst:Addr.t -> dst_pos:int -> len:int -> elem_bytes:int -> unit
 (** The runtime model of [System.arraycopy] over paged arrays. *)

@@ -4,7 +4,8 @@
    pool peaks — over every shipped sample, sequentially and under every
    worker-pool size, plus directed tests that force each deopt trigger
    (polymorphic receiver, monitor region, step-budget expiry) and check
-   the interpreter resumes bit-exactly. *)
+   the interpreter resumes bit-exactly, that drive the compiled kernels
+   into their error paths, and that nest compiled activations. *)
 
 open Jir
 module B = Builder
@@ -518,6 +519,386 @@ let test_shared_facade_tier () =
   Alcotest.(check (triple string (list string) int)) "warm run == tier1" o1 (obs w1);
   Alcotest.(check (triple string (list string) int)) "second run == tier1" o1 (obs w2)
 
+(* ---------- directed error paths of the compiled kernels ---------- *)
+
+(* The tier-2 templates restate the page, frame and boxing accessors
+   inline and hand every failure to the owning module's function; these
+   facade programs drive each restated kernel into its failure branch
+   from inside a compiled segment (the entry method compiles eagerly)
+   and check tier 2 raises tier 1's exact error, or — for operands that
+   leave the inline int/float cases — computes tier 1's exact result. *)
+
+let facade_pl ~data text =
+  Facade_compiler.Pipeline.compile
+    ~spec:{ Facade_compiler.Classify.data_roots = data; boundary = [] }
+    (Text_format.parse text)
+
+(* Everything the tiers must agree on for one run, or the error text. *)
+let run_outcome ?workers ?tier ~tier2 pl =
+  match I.run_facade ~quicken:true ?workers ?tier ~tier2 ~tier2_hot:1 pl with
+  | o ->
+      Ok
+        ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
+          Stats.output_lines o.I.stats,
+          o.I.stats.Stats.steps,
+          Stats.instr_mix o.I.stats )
+  | exception I.Vm_error e -> Error e
+
+let outcome_t =
+  Alcotest.(
+    result
+      (pair (pair string (list string)) (pair int (list (pair string int))))
+      string)
+
+let flat = Result.map (fun (r, o, s, m) -> ((r, o), (s, m)))
+
+(* The quickened entry method holds an instruction [pred] accepts — the
+   kernel under test runs compiled, not delegated. *)
+let entry_has pl pred =
+  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
+  Array.exists
+    (fun (b : Facade_vm.Resolved.block) -> Array.exists pred b.Facade_vm.Resolved.code)
+    m.Facade_vm.Resolved.m_body
+
+let main_only ~locals body =
+  Printf.sprintf
+    "class Cell {\n\
+    \  field int v;\n\
+    \  method <init>() {\n\
+    \    b0:\n\
+    \      return;\n\
+    \  }\n\
+     }\n\n\
+     class Main {\n\
+    \  static method main() : int {\n\
+     %s    b0:\n\
+     %s  }\n\
+     }\n\n\
+     entry Main.main\n"
+    (String.concat "" (List.map (fun l -> "    local " ^ l ^ ";\n") locals))
+    (String.concat "" (List.map (fun l -> "      " ^ l ^ "\n") body))
+
+let int_locals = [ "n: int"; "i: int"; "j: int"; "k: int"; "x: int"; "big: int" ]
+
+let error_cases =
+  let module R = Facade_vm.Resolved in
+  [
+    ( "Raget index at the length",
+      main_only ~locals:(int_locals @ [ "arr: int[]" ])
+        [ "n = 4;"; "arr = new int[n];"; "i = 4;"; "x = arr[i];"; "return x;" ],
+      (function R.Raget _ -> true | _ -> false),
+      "ArrayIndexOutOfBoundsException: 4" );
+    ( "Raset negative index",
+      main_only ~locals:(int_locals @ [ "arr: int[]" ])
+        [ "n = 4;"; "arr = new int[n];"; "i = -1;"; "arr[i] = n;"; "x = arr[n];"; "return x;" ],
+      (function R.Raset _ -> true | _ -> false),
+      "ArrayIndexOutOfBoundsException: -1" );
+    ( "Raget_aget outer index",
+      main_only
+        ~locals:(int_locals @ [ "idx: int[]"; "vals: int[]" ])
+        [
+          "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 4;"; "j = idx[k];";
+          "x = vals[j];"; "return x;";
+        ],
+      (function R.Raget_aget _ -> true | _ -> false),
+      "ArrayIndexOutOfBoundsException: 4" );
+    ( "Raget_aget inner index",
+      main_only
+        ~locals:(int_locals @ [ "idx: int[]"; "vals: int[]" ])
+        [
+          "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 0;"; "big = 4;";
+          "idx[k] = big;"; "j = idx[k];"; "x = vals[j];"; "return x;";
+        ],
+      (function R.Raget_aget _ -> true | _ -> false),
+      "ArrayIndexOutOfBoundsException: 4" );
+    ( "null page reference",
+      main_only ~locals:(int_locals @ [ "c: Cell" ])
+        [ "c = null;"; "x = c.v;"; "return x;" ],
+      (function R.Rget _ | R.Rget_bin _ -> true | _ -> false),
+      "NullPointerException: null page reference" );
+    ( "int divide by zero",
+      main_only ~locals:(int_locals @ [ "arr: int[]" ])
+        [
+          "n = 4;"; "arr = new int[n];"; "k = 0;"; "i = arr[k];"; "x = n / i;"; "return x;";
+        ],
+      (function R.Rbinop (_, Ir.Div, _, _) -> true | _ -> false),
+      "ArithmeticException: / by zero" );
+  ]
+
+let test_kernel_errors () =
+  List.iter
+    (fun (name, text, pred, expect) ->
+      let pl = facade_pl ~data:[ "Cell"; "Main" ] text in
+      Alcotest.(check bool) (name ^ ": kernel is in the compiled entry") true
+        (entry_has pl pred);
+      let t1 = run_outcome ~tier2:false pl in
+      Alcotest.check outcome_t (name ^ ": tier 1 raises") (Error expect) (flat t1);
+      Alcotest.check outcome_t (name ^ ": tier 2 raises tier 1's error") (flat t1)
+        (flat (run_outcome ~tier2:true pl)))
+    error_cases
+
+(* Int/Float operand pairs leave the inline int and float cases of the
+   specialized Add/Sub/Mul binops and the int compare-and-branch: the
+   fallback must compute tier 1's coercions. The loop runs compiled,
+   deciding its exit on a float-vs-int compare, and prints every mixed
+   result. *)
+let mixed_program =
+  "class Main {\n\
+  \  static method main() : double {\n\
+  \    local i: int;\n\
+  \    local n: int;\n\
+  \    local one: int;\n\
+  \    local cond: int;\n\
+  \    local f: double;\n\
+  \    local half: double;\n\
+  \    local a: double;\n\
+  \    local s: double;\n\
+  \    local m: double;\n\
+  \    b0:\n\
+  \      i = 0;\n\
+  \      n = 5;\n\
+  \      one = 1;\n\
+  \      half = 0x1p-1;\n\
+  \      f = 0x0p+0;\n\
+  \      goto b1;\n\
+  \    b1:\n\
+  \      cond = f < n;\n\
+  \      if cond goto b2 else b3;\n\
+  \    b2:\n\
+  \      a = i + half;\n\
+  \      s = a - i;\n\
+  \      m = i * half;\n\
+  \      f = f + one;\n\
+  \      a = a + m;\n\
+  \      a = a + s;\n\
+  \      @sys.print(a);\n\
+  \      i = i + one;\n\
+  \      goto b1;\n\
+  \    b3:\n\
+  \      return f;\n\
+  \  }\n\
+   }\n\n\
+   entry Main.main\n"
+
+let test_mixed_operands () =
+  let module R = Facade_vm.Resolved in
+  let pl = facade_pl ~data:[ "Main" ] mixed_program in
+  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let m = rp.R.methods.(rp.R.entry) in
+  Alcotest.(check bool) "compare-and-branch is fused" true
+    (Array.exists
+       (fun (b : R.block) -> match b.R.term with R.Rcmp_branch _ -> true | _ -> false)
+       m.R.m_body);
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) "specialized binop present" true
+        (entry_has pl (function
+          | R.Rbinop (_, o, _, _) | R.Rbinop_imm (_, o, _, _) -> o = op
+          | _ -> false)))
+    [ Ir.Add; Ir.Sub; Ir.Mul ];
+  let t1 = run_outcome ~tier2:false pl in
+  (match t1 with
+  | Ok (r, out, _, _) ->
+      Alcotest.(check string) "tier 1 result" "5" r;
+      Alcotest.(check int) "tier 1 printed each round" 5 (List.length out)
+  | Error e -> Alcotest.fail e);
+  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl))
+
+(* ---------- re-entrant compiled code ---------- *)
+
+(* Every compiled-method entry allocates its own activation record; a
+   record shared between activations would let a callee's frame or
+   resolved pool leak into its caller. [sum] is recursive over a paged
+   list, so compiled activations nest dozens deep, and reads each node
+   through the single-block leaf [val], which the compiled [sum]
+   inlines on a fresh activation. Four workers run the recursion
+   concurrently over one shared list; the same program then runs on 4
+   domains against one warm tier. *)
+let reentrant_program =
+  "class Node {\n\
+  \  field int v;\n\
+  \  field Node next;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n\
+   class Worker {\n\
+  \  field Node head;\n\
+  \  field int bias;\n\
+  \  field int out;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+  \  method run() {\n\
+  \    local h: Node;\n\
+  \    local b: int;\n\
+  \    local r: int;\n\
+  \    local acc: int;\n\
+  \    local i: int;\n\
+  \    local one: int;\n\
+  \    local lim: int;\n\
+  \    local cond: int;\n\
+  \    b0:\n\
+  \      h = this.head;\n\
+  \      b = this.bias;\n\
+  \      acc = 0;\n\
+  \      i = 0;\n\
+  \      one = 1;\n\
+  \      lim = 6;\n\
+  \      goto b1;\n\
+  \    b1:\n\
+  \      cond = i < lim;\n\
+  \      if cond goto b2 else b3;\n\
+  \    b2:\n\
+  \      r = static Main.sum(h);\n\
+  \      acc = acc + r;\n\
+  \      acc = acc + b;\n\
+  \      i = i + one;\n\
+  \      goto b1;\n\
+  \    b3:\n\
+  \      this.out = acc;\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n\
+   class Main {\n\
+  \  static method val(p: Node) : int {\n\
+  \    local x: int;\n\
+  \    b0:\n\
+  \      x = p.v;\n\
+  \      return x;\n\
+  \  }\n\
+  \  static method sum(p: Node) : int {\n\
+  \    local z: Node;\n\
+  \    local cond: int;\n\
+  \    local x: int;\n\
+  \    local q: Node;\n\
+  \    local r: int;\n\
+  \    b0:\n\
+  \      z = null;\n\
+  \      cond = p == z;\n\
+  \      if cond goto b1 else b2;\n\
+  \    b1:\n\
+  \      r = 0;\n\
+  \      return r;\n\
+  \    b2:\n\
+  \      x = static Main.val(p);\n\
+  \      q = p.next;\n\
+  \      r = static Main.sum(q);\n\
+  \      r = r + x;\n\
+  \      return r;\n\
+  \  }\n\
+  \  static method main() : int {\n\
+  \    local n: int;\n\
+  \    local i: int;\n\
+  \    local one: int;\n\
+  \    local cond: int;\n\
+  \    local sq: int;\n\
+  \    local head: Node;\n\
+  \    local node: Node;\n\
+  \    local w0: Worker;\n\
+  \    local w1: Worker;\n\
+  \    local w2: Worker;\n\
+  \    local w3: Worker;\n\
+  \    local total: int;\n\
+  \    local t: int;\n\
+  \    b0:\n\
+  \      n = 40;\n\
+  \      i = 0;\n\
+  \      one = 1;\n\
+  \      head = null;\n\
+  \      goto b1;\n\
+  \    b1:\n\
+  \      cond = i < n;\n\
+  \      if cond goto b2 else b3;\n\
+  \    b2:\n\
+  \      node = new Node;\n\
+  \      special node.Node.<init>();\n\
+  \      sq = i * i;\n\
+  \      node.v = sq;\n\
+  \      node.next = head;\n\
+  \      head = node;\n\
+  \      i = i + one;\n\
+  \      goto b1;\n\
+  \    b3:\n\
+  \      w0 = new Worker;\n\
+  \      special w0.Worker.<init>();\n\
+  \      w0.head = head;\n\
+  \      t = 0;\n\
+  \      w0.bias = t;\n\
+  \      w1 = new Worker;\n\
+  \      special w1.Worker.<init>();\n\
+  \      w1.head = head;\n\
+  \      t = 1;\n\
+  \      w1.bias = t;\n\
+  \      w2 = new Worker;\n\
+  \      special w2.Worker.<init>();\n\
+  \      w2.head = head;\n\
+  \      t = 2;\n\
+  \      w2.bias = t;\n\
+  \      w3 = new Worker;\n\
+  \      special w3.Worker.<init>();\n\
+  \      w3.head = head;\n\
+  \      t = 3;\n\
+  \      w3.bias = t;\n\
+  \      iterstart;\n\
+  \      @sys.run_thread(w0);\n\
+  \      @sys.run_thread(w1);\n\
+  \      @sys.run_thread(w2);\n\
+  \      @sys.run_thread(w3);\n\
+  \      iterend;\n\
+  \      total = static Main.sum(head);\n\
+  \      t = w0.out;\n\
+  \      total = total + t;\n\
+  \      t = w1.out;\n\
+  \      total = total + t;\n\
+  \      t = w2.out;\n\
+  \      total = total + t;\n\
+  \      t = w3.out;\n\
+  \      total = total + t;\n\
+  \      @sys.print(total);\n\
+  \      return total;\n\
+  \  }\n\
+   }\n\n\
+   entry Main.main\n"
+
+let test_reentrant () =
+  let pl = facade_pl ~data:[ "Node"; "Worker"; "Main" ] reentrant_program in
+  let t1 = run_outcome ~tier2:false pl in
+  (* sum_{i<40} i^2 = 20540: one sum in main, six per worker, plus
+     6 * (0+1+2+3) of worker bias. *)
+  (match t1 with
+  | Ok (r, _, _, _) -> Alcotest.(check string) "tier 1 result" "513536" r
+  | Error e -> Alcotest.fail e);
+  Alcotest.check outcome_t "sequential tier 2 == tier 1" (flat t1)
+    (flat (run_outcome ~tier2:true pl));
+  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let tier = I.make_tier ~hot:1 rp in
+  (* P' runs the generated facade class's copy of each Main method. *)
+  let midx name =
+    let cls = Facade_compiler.Transform.facade_name "Main" in
+    let ms = rp.Facade_vm.Resolved.methods in
+    let rec find i =
+      let m = ms.(i) in
+      if m.Facade_vm.Resolved.m_name = name && m.Facade_vm.Resolved.m_cls = cls then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  Alcotest.(check bool) "the leaf inlines into sum" true
+    tier.Facade_vm.Vm_state.t_leaves.(midx "val");
+  for run = 1 to 3 do
+    Alcotest.check outcome_t
+      (Printf.sprintf "4 workers, shared warm tier, run %d == tier 1" run)
+      (flat t1)
+      (flat (run_outcome ~workers:4 ~tier ~tier2:true pl));
+    match tier.Facade_vm.Vm_state.t_code.(midx "sum") with
+    | Facade_vm.Vm_state.T_fn _ -> ()
+    | _ -> Alcotest.fail "recursive sum is not running compiled"
+  done
+
 let () =
   Alcotest.run "tier"
     [
@@ -542,5 +923,12 @@ let () =
           Alcotest.test_case "monitor region retires the method" `Quick
             test_monitor_deopt_and_retire;
           Alcotest.test_case "step budget" `Quick test_budget_deopt;
+        ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "error paths raise tier 1's errors" `Quick test_kernel_errors;
+          Alcotest.test_case "mixed int/float operands" `Quick test_mixed_operands;
+          Alcotest.test_case "re-entrant activations, 4 workers, warm tier" `Quick
+            test_reentrant;
         ] );
     ]
