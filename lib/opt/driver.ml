@@ -44,13 +44,15 @@ let report_to_json r =
           (fun (c, m) -> Printf.sprintf "[%s,%s]" (json_str c) (json_str m))
           r.tier_leaves))
 
-let run_pass name metric enabled f (p, deltas) =
-  if not enabled then (p, deltas)
+(* The accumulator carries the program's instruction count, so each pass
+   counts only its output: its input count is the previous pass's. *)
+let run_pass name metric enabled f (p, before, deltas) =
+  if not enabled then (p, before, deltas)
   else begin
-    let before = Program.total_instrs p in
     let p', count = f p in
     let after = Program.total_instrs p' in
     ( p',
+      after,
       { Delta.pass = name; instrs_before = before; instrs_after = after; metric; count }
       :: deltas )
   end
@@ -60,7 +62,7 @@ let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) 
   (* (class, method) pairs some pass has rewritten so far. *)
   let touched = Hashtbl.create 64 in
   let changed cls name = Hashtbl.replace touched (cls, name) () in
-  let acc = (p, []) in
+  let acc = (p, instrs_before, []) in
   let acc = run_pass "const_fold" "folded" config.Config.const_fold (Const_fold.run ~changed) acc in
   let acc = run_pass "copy_prop" "copies" config.Config.copy_prop (Copy_prop.run ~changed) acc in
   let acc = run_pass "dce" "removed" config.Config.dce (Dce.run ~changed) acc in
@@ -85,12 +87,12 @@ let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) 
     end
     else acc
   in
-  let p', deltas = acc in
+  let p', instrs_after, deltas = acc in
   ( p',
     {
       deltas = List.rev deltas;
       instrs_before;
-      instrs_after = Program.total_instrs p';
+      instrs_after;
       tier_mono = Devirt.monomorphic_names p';
       tier_leaves = Inline.leaf_candidates p';
     } )
@@ -129,19 +131,17 @@ let optimize_pipeline ?(config = Config.default)
     (pl : Pipeline.t) =
   let may_inline = boundary_may_inline pl.Pipeline.classification in
   let p', rep = optimize_program ~config ~may_inline pl.Pipeline.transformed in
-  let p', deltas =
+  let p', instrs_after, deltas =
     List.fold_left
       (fun acc (name, f) -> run_pass name "changed" true (fun p -> (f p, 0)) acc)
-      (p', List.rev rep.deltas) extra_passes
+      (p', rep.instrs_after, List.rev rep.deltas) extra_passes
   in
-  let rep =
-    { rep with deltas = List.rev deltas; instrs_after = Program.total_instrs p' }
-  in
+  let rep = { rep with deltas = List.rev deltas; instrs_after } in
   (match invariant_findings pl p' with
   | [] -> ()
   | errs -> raise (Pipeline.Invalid_transform errs));
   let pl' =
-    { pl with Pipeline.transformed = p'; instrs_out = Program.total_instrs p';
+    { pl with Pipeline.transformed = p'; instrs_out = instrs_after;
       artifact = None }
   in
   (pl', rep)

@@ -1,14 +1,18 @@
 let bits_per_word = 62
 
+(* The word cells are created on demand: acquisition is lowest-first, so
+   a word is needed only once every word below it is full. The array of
+   cells grows by doubling and is swapped in with a compare-and-set; a
+   grown array shares every existing cell, so a bit set through an older
+   array is the same bit in the newer one. *)
 type t = {
   n : int;
-  words : int Atomic.t array;
+  words : int Atomic.t array Atomic.t;
 }
 
 let create n =
   if n <= 0 then invalid_arg "Bitvec.create: non-positive length";
-  let nwords = (n + bits_per_word - 1) / bits_per_word in
-  { n; words = Array.init nwords (fun _ -> Atomic.make 0) }
+  { n; words = Atomic.make [| Atomic.make 0 |] }
 
 let length t = t.n
 
@@ -51,34 +55,57 @@ let lowest_clear v ~limit =
       debruijn_index.(Int64.(
         to_int (shift_right_logical (mul (of_int bit) debruijn64) 58)))
 
-let acquire_first_free t =
-  let nwords = Array.length t.words in
-  let rec try_word w =
-    if w >= nwords then None
-    else
-      let v = Atomic.get t.words.(w) in
-      match lowest_clear v ~limit:(valid_bits t w) with
-      | -1 -> try_word (w + 1)
-      | b ->
-          if Atomic.compare_and_set t.words.(w) v (v lor (1 lsl b)) then
-            Some ((w * bits_per_word) + b)
-          else try_word w (* contention: retry the same word *)
+(* Install a larger cell array than [words] (doubled, capped at the
+   length's word count) and return the current one. A lost race means
+   another domain installed a larger array already. *)
+let grow t words =
+  let n = Array.length words in
+  let nwords = (t.n + bits_per_word - 1) / bits_per_word in
+  let bigger =
+    Array.init (min nwords (2 * n)) (fun w ->
+        if w < n then words.(w) else Atomic.make 0)
   in
-  try_word 0
+  ignore (Atomic.compare_and_set t.words words bigger);
+  Atomic.get t.words
+
+let acquire_first_free t =
+  let rec try_word words w =
+    if w >= Array.length words then
+      if w * bits_per_word >= t.n then None else try_word (grow t words) w
+    else
+      let v = Atomic.get words.(w) in
+      match lowest_clear v ~limit:(valid_bits t w) with
+      | -1 -> try_word words (w + 1)
+      | b ->
+          if Atomic.compare_and_set words.(w) v (v lor (1 lsl b)) then
+            Some ((w * bits_per_word) + b)
+          else try_word words w (* contention: retry the same word *)
+  in
+  try_word (Atomic.get t.words) 0
+
+(* Word [w]'s cell, or [None] while the word has not been created (all
+   its bits clear). *)
+let cell t w =
+  let words = Atomic.get t.words in
+  if w < Array.length words then Some words.(w) else None
 
 let clear t i =
   if i < 0 || i >= t.n then invalid_arg "Bitvec.clear: index out of range";
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  let rec loop () =
-    let v = Atomic.get t.words.(w) in
+  let b = i mod bits_per_word in
+  let rec loop cell =
+    let v = Atomic.get cell in
     if v land (1 lsl b) = 0 then invalid_arg "Bitvec.clear: bit already clear";
-    if not (Atomic.compare_and_set t.words.(w) v (v land lnot (1 lsl b))) then loop ()
+    if not (Atomic.compare_and_set cell v (v land lnot (1 lsl b))) then loop cell
   in
-  loop ()
+  match cell t (i / bits_per_word) with
+  | Some c -> loop c
+  | None -> invalid_arg "Bitvec.clear: bit already clear"
 
 let is_set t i =
   if i < 0 || i >= t.n then invalid_arg "Bitvec.is_set: index out of range";
-  Atomic.get t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+  match cell t (i / bits_per_word) with
+  | Some c -> Atomic.get c land (1 lsl (i mod bits_per_word)) <> 0
+  | None -> false
 
 let count_set t =
   Array.fold_left
@@ -89,4 +116,4 @@ let count_set t =
         incr c
       done;
       acc + !c)
-    0 t.words
+    0 (Atomic.get t.words)

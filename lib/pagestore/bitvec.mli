@@ -7,7 +7,9 @@
 type t
 
 val create : int -> t
-(** [create n] is a vector of [n] clear bits. *)
+(** [create n] is a vector of [n] clear bits. It costs O(1) whatever [n]:
+    the atomic words behind the bits are created as acquisition reaches
+    them. *)
 
 val length : t -> int
 

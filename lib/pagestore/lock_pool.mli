@@ -6,12 +6,22 @@
     threads: an atomic bit vector tracks which locks are in use; a record's
     2-byte lock field stores the id (+1, so 0 means unlocked) of the lock
     currently protecting it. Locks are reentrant, count their blockers, and
-    return to the pool when the last blocker exits. *)
+    return to the pool when the last blocker exits.
+
+    Lock objects are created on first use: the table of locks starts empty
+    and grows as ids are handed out, so creating a pool costs the same
+    whatever its capacity, and a run that never locks creates no lock.
+
+    Every call releases the pool's internal registry mutex on every path,
+    including when it raises (for instance [Invalid_argument] from the
+    store on a dead or out-of-range address), so one failed call leaves
+    the pool usable by every thread. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 512 locks; 2-byte lock ids cap it at 2^15. *)
+(** [capacity] bounds how many locks can be held at once; it defaults to
+    512, and 2-byte lock ids cap it at 2^15. No lock is created here. *)
 
 val capacity : t -> int
 

@@ -311,15 +311,20 @@ let test_bitvec_exhaustion () =
   Alcotest.(check (option int)) "exhausted" None (PS.Bitvec.acquire_first_free bv)
 
 let test_bitvec_parallel_domains () =
-  (* Real parallel acquisition: every acquired index must be unique. *)
-  let bv = PS.Bitvec.create 64 in
-  let acquire_n () = List.init 16 (fun _ -> PS.Bitvec.acquire_first_free bv) in
-  let d1 = Domain.spawn acquire_n in
-  let d2 = Domain.spawn acquire_n in
-  let got = List.filter_map Fun.id (Domain.join d1 @ Domain.join d2) in
-  Alcotest.(check int) "all 32 acquired" 32 (List.length got);
-  Alcotest.(check int) "all distinct" 32 (List.length (List.sort_uniq compare got));
-  Alcotest.(check int) "count_set agrees" 32 (PS.Bitvec.count_set bv)
+  (* Real parallel acquisition: every acquired index must be unique, and
+     with no clears the indices are the lowest ones. The larger vector
+     makes the domains race through several growths of its word array. *)
+  List.iter
+    (fun (n, domains, each) ->
+      let bv = PS.Bitvec.create n in
+      let acquire_n () = List.init each (fun _ -> PS.Bitvec.acquire_first_free bv) in
+      let ds = List.init domains (fun _ -> Domain.spawn acquire_n) in
+      let got = List.filter_map Fun.id (List.concat_map Domain.join ds) in
+      let total = domains * each in
+      Alcotest.(check (list int)) "distinct lowest indices" (List.init total Fun.id)
+        (List.sort compare got);
+      Alcotest.(check int) "count_set agrees" total (PS.Bitvec.count_set bv))
+    [ (64, 2, 16); (1000, 4, 100) ]
 
 let test_lock_pool_reentrant () =
   let s = mk_store () in
@@ -367,6 +372,88 @@ let test_lock_pool_exit_errors () =
   Alcotest.check_raises "exit without enter"
     (Invalid_argument "Lock_pool.monitor_exit: record is not locked") (fun () ->
       PS.Lock_pool.monitor_exit lp s a ~thread:0)
+
+(* Locks are created on first use, so a pool's creation cost does not
+   depend on its capacity. An eager table at 32767 locks would allocate
+   megabytes; the two creations must allocate the same few words. *)
+let test_lock_pool_create_is_constant () =
+  let allocated_by f =
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.allocated_bytes () -. before
+  in
+  let small = allocated_by (fun () -> PS.Lock_pool.create ~capacity:8 ()) in
+  let large = allocated_by (fun () -> PS.Lock_pool.create ~capacity:32767 ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity 32767 allocates %.0f bytes, capacity 8 %.0f" large small)
+    true
+    (large -. small <= 64.)
+
+(* The (capacity+1)-th concurrently held lock raises [Pool_exhausted], and
+   the pool keeps working afterwards: releasing one lock lets the refused
+   record in, and every id returns to the pool. *)
+let test_lock_pool_exhaustion () =
+  List.iter
+    (fun capacity ->
+      let s = mk_store () in
+      let lp = PS.Lock_pool.create ~capacity () in
+      let recs =
+        Array.init (capacity + 1) (fun _ ->
+            Store.alloc_record s ~thread:0 ~type_id:1 ~data_bytes:8)
+      in
+      for i = 0 to capacity - 1 do
+        PS.Lock_pool.monitor_enter lp s recs.(i) ~thread:0
+      done;
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      Alcotest.check_raises (name "one more lock") PS.Lock_pool.Pool_exhausted (fun () ->
+          PS.Lock_pool.monitor_enter lp s recs.(capacity) ~thread:0);
+      Alcotest.(check int) (name "refused record unlocked") 0
+        (Store.get_lock_field s recs.(capacity));
+      Alcotest.(check int) (name "all in use") capacity (PS.Lock_pool.locks_in_use lp);
+      PS.Lock_pool.monitor_exit lp s recs.(0) ~thread:0;
+      PS.Lock_pool.monitor_enter lp s recs.(capacity) ~thread:0;
+      Alcotest.(check int) (name "freed id reused") 1 (Store.get_lock_field s recs.(capacity));
+      for i = 1 to capacity do
+        PS.Lock_pool.monitor_exit lp s recs.(i) ~thread:0
+      done;
+      Alcotest.(check int) (name "pool empty") 0 (PS.Lock_pool.locks_in_use lp);
+      Alcotest.(check int) (name "bits clear") 0 (PS.Lock_pool.bits_in_use lp);
+      Alcotest.(check int) (name "peak") capacity (PS.Lock_pool.peak_locks_in_use lp))
+    [ 1; 3; 512 ]
+
+(* A call that raises inside the pool (here the store rejects an address
+   on a page that does not exist) must release the pool's registry: the
+   next call on a valid record of the same pool has to go through rather
+   than fail with a deadlock error or block. *)
+let test_lock_pool_releases_registry_on_raise () =
+  let s = mk_store () in
+  let lp = PS.Lock_pool.create ~capacity:8 () in
+  let good = Store.alloc_record s ~thread:0 ~type_id:1 ~data_bytes:8 in
+  let bad = Addr.make ~page:40 ~offset:0 in
+  let raises_invalid what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let enter_exit_good () =
+    PS.Lock_pool.monitor_enter lp s good ~thread:0;
+    PS.Lock_pool.monitor_exit lp s good ~thread:0
+  in
+  raises_invalid "monitor_enter on a missing page" (fun () ->
+      PS.Lock_pool.monitor_enter lp s bad ~thread:0);
+  enter_exit_good ();
+  raises_invalid "monitor_exit on a missing page" (fun () ->
+      PS.Lock_pool.monitor_exit lp s bad ~thread:0);
+  enter_exit_good ();
+  (* The pool's own rejections take the same path. *)
+  raises_invalid "monitor_exit of an unlocked record" (fun () ->
+      PS.Lock_pool.monitor_exit lp s good ~thread:0);
+  PS.Lock_pool.monitor_enter lp s good ~thread:0;
+  raises_invalid "monitor_exit by a non-owner" (fun () ->
+      PS.Lock_pool.monitor_exit lp s good ~thread:1);
+  PS.Lock_pool.monitor_exit lp s good ~thread:0;
+  Alcotest.(check int) "pool empty" 0 (PS.Lock_pool.locks_in_use lp);
+  Alcotest.(check int) "bits clear" 0 (PS.Lock_pool.bits_in_use lp)
 
 let test_lock_pool_parallel_domains () =
   (* Two domains increment a shared page counter under the same record
@@ -545,6 +632,10 @@ let () =
           Alcotest.test_case "recycles ids" `Quick test_lock_pool_recycles_ids;
           Alcotest.test_case "exit errors" `Quick test_lock_pool_exit_errors;
           Alcotest.test_case "parallel domains" `Quick test_lock_pool_parallel_domains;
+          Alcotest.test_case "create is constant" `Quick test_lock_pool_create_is_constant;
+          Alcotest.test_case "exhaustion" `Quick test_lock_pool_exhaustion;
+          Alcotest.test_case "registry released on raise" `Quick
+            test_lock_pool_releases_registry_on_raise;
         ] );
       ("layout_rt", [ Alcotest.test_case "constants" `Quick test_layout_rt_constants ]);
       ("properties", qsuite);

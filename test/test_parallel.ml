@@ -78,6 +78,37 @@ let prop_lowest_clear =
     (fun (word, limit) ->
       Bitvec.lowest_clear word ~limit = Bitvec.lowest_clear_scan word ~limit)
 
+(* The bit vector creates its words as acquisition reaches them. Two
+   domains released together fill fresh vectors, so they race through
+   every growth of the word array: each bit must be handed out exactly
+   once, which fails if a growth ever drops a word another domain has
+   set bits in. *)
+let test_bitvec_growth_race () =
+  let n = 62 * 16 in
+  for round = 1 to 100 do
+    let bv = Bitvec.create n in
+    let go = Atomic.make false in
+    let fill () =
+      while not (Atomic.get go) do
+        Domain.cpu_relax ()
+      done;
+      let rec loop acc =
+        match Bitvec.acquire_first_free bv with
+        | Some i -> loop (i :: acc)
+        | None -> acc
+      in
+      loop []
+    in
+    let ds = List.init 2 (fun _ -> Domain.spawn fill) in
+    Atomic.set go true;
+    let got = List.sort compare (List.concat_map Domain.join ds) in
+    if got <> List.init n Fun.id || Bitvec.count_set bv <> n then
+      Alcotest.failf "round %d: %d bits handed out, %d distinct, %d set" round
+        (List.length got)
+        (List.length (List.sort_uniq compare got))
+        (Bitvec.count_set bv)
+  done
+
 (* ---------- satellite: Exec_stats shard merge ---------- *)
 
 let test_stats_merge_of_split () =
@@ -201,6 +232,65 @@ let test_multicore_stress () =
   Alcotest.(check int) "store saw every allocation"
     (records + (domains * allocs))
     (Store.stats store).Store.records_allocated
+
+(* The lock table is filled on demand and grows by doubling. Four domains
+   each hold [per_domain] locks at once, so the table passes several growth
+   points, while a fifth domain waits on a lock taken before any growth:
+   the wait must end normally once that lock is released, and every lock
+   must return to the pool. *)
+let test_lock_pool_growth_under_contention () =
+  let domains = 4 and per_domain = 40 and rounds = 5 in
+  let store = Store.create () in
+  let locks = Lock_pool.create ~capacity:512 () in
+  for t = 0 to domains + 1 do
+    Store.register_thread store t
+  done;
+  let held = Store.alloc_record store ~thread:0 ~type_id:1 ~data_bytes:8 in
+  let recs =
+    Array.init domains (fun _ ->
+        Array.init per_domain (fun _ ->
+            Store.alloc_record store ~thread:0 ~type_id:1 ~data_bytes:8))
+  in
+  Lock_pool.monitor_enter locks store held ~thread:0;
+  let waiting = Atomic.make false and waited = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        let thread = domains + 1 in
+        Atomic.set waiting true;
+        Lock_pool.monitor_enter locks store held ~thread;
+        Atomic.set waited true;
+        Lock_pool.monitor_exit locks store held ~thread)
+  in
+  while not (Atomic.get waiting) do
+    Domain.cpu_relax ()
+  done;
+  Thread.delay 0.02;
+  let lockers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            let thread = d + 1 in
+            for _ = 1 to rounds do
+              Array.iter (fun r -> Lock_pool.monitor_enter locks store r ~thread) recs.(d);
+              let ids = Array.map (Store.get_lock_field store) recs.(d) in
+              if Array.exists (fun id -> id = 0) ids
+                 || List.length (List.sort_uniq compare (Array.to_list ids)) <> per_domain
+              then failwith "held records do not have distinct lock ids";
+              Array.iter (fun r -> Lock_pool.monitor_exit locks store r ~thread) recs.(d)
+            done))
+  in
+  List.iter Domain.join lockers;
+  Alcotest.(check bool) "waiter still blocked while the lock is held" false
+    (Atomic.get waited);
+  Lock_pool.monitor_exit locks store held ~thread:0;
+  Domain.join waiter;
+  Alcotest.(check bool) "waiter took the lock after the growth" true (Atomic.get waited);
+  Alcotest.(check bool) "table grew past several doublings" true
+    (Lock_pool.peak_locks_in_use locks > 32);
+  Alcotest.(check int) "all locks returned to the pool" 0 (Lock_pool.locks_in_use locks);
+  Alcotest.(check int) "bit vector consistent at quiescence" 0
+    (Lock_pool.bits_in_use locks);
+  Alcotest.(check int) "held record's lock field zeroed" 0
+    (Store.get_lock_field store held)
 
 (* ---------- satellite: heap shard merge / flush-order invariance ---------- *)
 
@@ -386,6 +476,29 @@ let test_parallel_differential () =
         [ 1; 2; 4; 8 ])
     Samples.all
 
+(* The samples that take locks, pinned to their recorded results, steps
+   and lock-pool peaks: the on-demand lock table must not change what a
+   run does or how many locks it holds at once, sequentially or on 4
+   workers. *)
+let test_lock_samples_pinned () =
+  List.iter
+    (fun (name, result, steps, locks_peak) ->
+      let s = List.find (fun (s : Samples.sample) -> s.Samples.name = name) Samples.all in
+      let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+      let seq = run_fingerprint pl in
+      Alcotest.(check (list string)) (name ^ ": workers=4 matches sequential") seq
+        (run_fingerprint ~workers:4 pl);
+      let o = Facade_vm.Interp.run_facade pl in
+      Alcotest.(check string) (name ^ ": result") result
+        (Option.fold ~none:"-" ~some:Facade_vm.Value.to_string o.Facade_vm.Interp.result);
+      Alcotest.(check int) (name ^ ": steps") steps o.Facade_vm.Interp.stats.Stats.steps;
+      Alcotest.(check int) (name ^ ": locks_peak") locks_peak o.Facade_vm.Interp.locks_peak)
+    [
+      ("locking", "3", 43, 2);
+      ("locking-large", "6400", 38689, 2);
+      ("threads", "201", 2430, 1);
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -400,6 +513,8 @@ let () =
           Alcotest.test_case "lowest_clear pinned to scan" `Quick
             test_lowest_clear_pinned;
           QCheck_alcotest.to_alcotest prop_lowest_clear;
+          Alcotest.test_case "growth race hands out each bit once" `Quick
+            test_bitvec_growth_race;
         ] );
       ( "exec-stats",
         [ Alcotest.test_case "merge of split equals whole" `Quick test_stats_merge_of_split ] );
@@ -410,9 +525,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_shard_flush_order;
         ] );
       ( "stress",
-        [ Alcotest.test_case "multicore lock pool + store" `Quick test_multicore_stress ] );
+        [
+          Alcotest.test_case "multicore lock pool + store" `Quick test_multicore_stress;
+          Alcotest.test_case "lock table grows under contention" `Quick
+            test_lock_pool_growth_under_contention;
+        ] );
       ( "differential",
         [
+          Alcotest.test_case "lock samples pinned" `Quick test_lock_samples_pinned;
           Alcotest.test_case "every sample: parallel == sequential" `Quick
             test_parallel_differential;
         ] );
