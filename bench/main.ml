@@ -104,16 +104,15 @@ module VP = Facade_compiler.Pipeline
    minimum estimator discards scheduler and GC spikes the way bechamel's
    estimator does for the micro benches; step counts are deterministic,
    so only the wall clock needs the robust treatment. Returns total
-   rounds and, per candidate, the first (cold) outcome, steps per run and
-   best wall seconds per run. *)
+   rounds and, per candidate, steps per run and best wall seconds per
+   run. *)
 let vm_time_interleaved ~min_time ~min_runs (cands : (unit -> Facade_vm.Interp.outcome) array) =
   let n = Array.length cands in
-  let first = Array.map (fun run -> (run () : Facade_vm.Interp.outcome)) cands in
   let steps_per_run =
     Array.map
-      (fun (o : Facade_vm.Interp.outcome) ->
-        o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps)
-      first
+      (fun run ->
+        (run () : Facade_vm.Interp.outcome).Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps)
+      cands
   in
   let rpr = max 1 (min_runs / 5) in
   let best = Array.make n infinity in
@@ -131,7 +130,7 @@ let vm_time_interleaved ~min_time ~min_runs (cands : (unit -> Facade_vm.Interp.o
       cands;
     incr rounds
   done;
-  (!rounds * rpr, first, steps_per_run, best)
+  (!rounds * rpr, steps_per_run, best)
 
 let run_vm ~quick =
   print_endline
@@ -157,11 +156,9 @@ let run_vm ~quick =
      share a warm tier across runs (compilation is load-time, like
      pre-linking) — facade-mode compiled code takes the run's page pool
      as a parameter at segment entry, so the tier no longer binds any
-     particular store and sharing is sound there too. The osr/recompile
-     columns come from the cold (first, untimed) tier-2 run, where
-     tier-up activity happens. *)
+     particular store and sharing is sound there too. *)
   let bench_quad ~name ~mode ~baseline ~unopt ~opt ~tier2 =
-    let runs, first, steps, wall =
+    let runs, steps, wall =
       vm_time_interleaved ~min_time ~min_runs [| baseline; unopt; opt; tier2 |]
     in
     let base_sps = float_of_int steps.(0) /. wall.(0) in
@@ -170,12 +167,7 @@ let run_vm ~quick =
        the same work, so it is credited the un-optimized step count. *)
     let opt_sps = float_of_int steps.(1) /. wall.(2) in
     let tier2_sps = float_of_int steps.(1) /. wall.(3) in
-    let cold = first.(3).Facade_vm.Interp.stats in
-    results :=
-      ( name, mode, base_sps, unopt_sps, opt_sps, tier2_sps,
-        cold.Facade_vm.Exec_stats.osr_entries,
-        cold.Facade_vm.Exec_stats.tier2_recompiles, runs )
-      :: !results
+    results := (name, mode, base_sps, unopt_sps, opt_sps, tier2_sps, runs) :: !results
   in
   let feedback (r : Opt.Driver.report) =
     {
@@ -239,7 +231,7 @@ let run_vm ~quick =
           (Facade_vm.Interp.run_facade pl).Facade_vm.Interp.stats
             .Facade_vm.Exec_stats.steps
         in
-        let _, _, _, pw =
+        let _, _, pw =
           vm_time_interleaved ~min_time ~min_runs
             [|
               (fun () -> Facade_vm.Interp.run_object_linked ~tier rp_opt);
@@ -258,11 +250,10 @@ let run_vm ~quick =
         [
           "Program"; "Mode"; "baseline steps/s"; "opt-off steps/s";
           "opt-on steps/s"; "tier2 steps/s"; "opt speedup"; "tier2 speedup";
-          "osr"; "recompiles";
         ]
   in
   List.iter
-    (fun (name, mode, b, u, o, t2, osr, recs, _) ->
+    (fun (name, mode, b, u, o, t2, _) ->
       Metrics.Table.add_row table
         [
           name; mode;
@@ -272,22 +263,20 @@ let run_vm ~quick =
           Metrics.Table.cell_float ~decimals:0 t2;
           Metrics.Table.cell_float ~decimals:2 (o /. u);
           Metrics.Table.cell_float ~decimals:2 (t2 /. o);
-          Metrics.Table.cell_int osr;
-          Metrics.Table.cell_int recs;
         ])
     rows;
   Metrics.Table.print table;
   let oc = open_out "BENCH_vm.json" in
   output_string oc "{\n  \"benchmarks\": [\n";
   List.iteri
-    (fun i (name, mode, b, u, o, t2, osr, recs, runs) ->
+    (fun i (name, mode, b, u, o, t2, runs) ->
       Printf.fprintf oc
         "    {\"program\": %S, \"mode\": %S, \"runs\": %d, \
          \"baseline_steps_per_sec\": %.0f, \"opt_off_steps_per_sec\": %.0f, \
          \"opt_on_steps_per_sec\": %.0f, \"tier2_steps_per_sec\": %.0f, \
          \"resolved_speedup\": %.3f, \"opt_speedup\": %.3f, \
-         \"tier2_speedup\": %.3f, \"osr_entries\": %d, \"recompiles\": %d}%s\n"
-        name mode runs b u o t2 (u /. b) (o /. u) (t2 /. o) osr recs
+         \"tier2_speedup\": %.3f}%s\n"
+        name mode runs b u o t2 (u /. b) (o /. u) (t2 /. o)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   (* The paired-session ratio is published alongside the rows so the CI
@@ -305,11 +294,11 @@ let run_vm ~quick =
      interpreter it sits above. The timing already takes the best round
      per leg, so a failure here is a real regression, not noise. *)
   let losers =
-    List.filter (fun (_, _, _, _, o, t2, _, _, _) -> t2 < o) rows
+    List.filter (fun (_, _, _, _, o, t2, _) -> t2 < o) rows
   in
   if losers <> [] then begin
     List.iter
-      (fun (name, mode, _, _, o, t2, _, _, _) ->
+      (fun (name, mode, _, _, o, t2, _) ->
         Printf.eprintf "tier2 regression: %s (%s) %.2fx vs tier-1\n" name mode
           (t2 /. o))
       losers;

@@ -45,15 +45,6 @@ let tier2_flag =
    unless --tier2 is given explicitly. *)
 let tier2_on tier2 no_opt = match tier2 with Some b -> b | None -> not no_opt
 
-let no_osr =
-  Arg.(
-    value & flag
-    & info [ "no-osr" ]
-        ~doc:
-          "Disable on-stack replacement: hot loops in methods below the \
-           tier-2 call threshold stay on the interpreter, and back-edge \
-           counting is removed entirely.")
-
 let tier_feedback (rep : Opt.Driver.report option) =
   Option.map
     (fun (r : Opt.Driver.report) ->
@@ -65,13 +56,10 @@ let tier_feedback (rep : Opt.Driver.report option) =
 
 let print_tier_line ~tier2 (o : Facade_vm.Interp.outcome) =
   if tier2 then
-    Printf.printf
-      "tier2: %d compiled, %d entries, %d deopts, %d osr_entries, %d recompiles\n"
+    Printf.printf "tier2: %d compiled, %d entries, %d deopts\n"
       o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_compiles
       o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_entries
       o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_deopts
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.osr_entries
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_recompiles
 
 let workers_arg =
   Arg.(
@@ -213,7 +201,7 @@ let demo_cmd =
 (* ---------- run (facade mode, optional domain pool) ---------- *)
 
 let run_cmd =
-  let run name workers no_opt tier2 no_osr trace heap_mb =
+  let run name workers no_opt tier2 trace heap_mb =
     match find_sample name with
     | None -> `Error (true, "unknown sample " ^ name)
     | Some s -> (
@@ -235,8 +223,7 @@ let run_cmd =
               let t0 = Unix.gettimeofday () in
               let o =
                 Facade_vm.Interp.run_facade ?heap ?workers ~quicken:(not no_opt)
-                  ~tier2 ~osr:(not no_osr) ?tier2_feedback:(tier_feedback rep)
-                  pl
+                  ~tier2 ?tier2_feedback:(tier_feedback rep) pl
               in
               (o, Unix.gettimeofday () -. t0)
             in
@@ -305,20 +292,18 @@ let run_cmd =
          "Transform a sample, optimize it, and execute P' in facade mode \
           (quickened), optionally running its threads in parallel on real \
           OCaml domains. With $(b,--trace), record VM, GC, page-store and \
-          scheduler events to a Chrome trace file. Hot methods are compiled \
-          by the tier-2 closure compiler unless $(b,--no-tier2) (or \
-          $(b,--no-opt)) is given; hot loops in still-cold methods tier up \
-          mid-call via on-stack replacement unless $(b,--no-osr) is given.")
+          scheduler events to a Chrome trace file. Each method is compiled \
+          at its first call by the tier-2 closure compiler unless \
+          $(b,--no-tier2) (or $(b,--no-opt)) is given.")
     Term.(
       ret
-        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ no_osr
-       $ trace_arg $ heap_mb_arg))
+        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ trace_arg
+       $ heap_mb_arg))
 
 (* ---------- profile ---------- *)
 
-(* The tier-selection input, printed standalone: per-method call counts
-   and inline-cache hit rates from the Exec_stats per-method counters,
-   paired with each method's static IC site count. *)
+(* Per-method call counts and inline-cache hit rates from the Exec_stats
+   per-method counters, paired with each method's static IC site count. *)
 let method_profile ~top rp (stats : Facade_vm.Exec_stats.t) =
   let module R = Facade_vm.Resolved in
   let rows =
@@ -364,7 +349,7 @@ let profile_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Rows in the top-spans-by-self-time table.")
   in
-  let run name workers no_opt tier2 no_osr heap_mb top trace =
+  let run name workers no_opt tier2 heap_mb top trace =
     match find_sample name with
     | None -> `Error (true, "unknown sample " ^ name)
     | Some s -> (
@@ -387,8 +372,7 @@ let profile_cmd =
             let o =
               Fun.protect ~finally:Obs.Tracer.uninstall (fun () ->
                   Facade_vm.Interp.run_facade ?heap ?workers ~quicken:(not no_opt)
-                    ~tier2 ~osr:(not no_osr)
-                    ?tier2_feedback:(tier_feedback rep) pl)
+                    ~tier2 ?tier2_feedback:(tier_feedback rep) pl)
             in
             Printf.printf "%s: result=%s  steps=%d\n" name
               (match o.Facade_vm.Interp.result with
@@ -416,14 +400,13 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Run a sample under the tracer and print a plain-text profile: \
-          per-method call counts and IC hit rates (the tier-2 selection \
-          input), top spans by self time, GC pause table, scheduler and \
-          page-store event counts. $(b,--trace) additionally exports the \
-          Chrome trace.")
+          per-method call counts and IC hit rates, top spans by self time, \
+          GC pause table, scheduler and page-store event counts. \
+          $(b,--trace) additionally exports the Chrome trace.")
     Term.(
       ret
-        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ no_osr
-       $ heap_mb_arg $ top $ trace_arg))
+        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ heap_mb_arg
+       $ top $ trace_arg))
 
 (* ---------- validate-trace ---------- *)
 

@@ -1,14 +1,16 @@
-(* The tier-2 closure compiler: translates hot resolved methods out of
-   the interpreter's dispatch loop into directly-composed OCaml closures
-   — one closure per instruction, pre-composed per basic block, with
-   accessor/arith/operand dispatch hoisted to compile time. Inline
-   caches are monomorphized against their warm snapshot; leaf callees
-   are devirtualized and run through pre-compiled bodies. Every guard
-   that might fail raises {!Vm_state.Tier_deopt} *before* the faulting
-   instruction's step accounting, so the interpreter resume at (block,
-   pc) — on the same slot-indexed frame array — replays it exactly once
-   and the two tiers agree on results, output, steps, heap totals, pool
-   peaks, and the instruction mix.
+(* The tier-2 closure compiler: translates each resolved method, at its
+   first call, out of the interpreter's dispatch loop into
+   directly-composed OCaml closures — one closure per instruction,
+   pre-composed per basic block, with accessor/arith/operand dispatch
+   hoisted to compile time. Inline caches already warm at compile time
+   (a linked program that ran before) are monomorphized against their
+   snapshot; leaf callees are devirtualized and run through
+   pre-compiled bodies. Every guard that might fail raises
+   {!Vm_state.Tier_deopt} *before* the faulting instruction's step
+   accounting, so the interpreter resume at (block, pc) — on the same
+   slot-indexed frame array — replays it exactly once and the two tiers
+   agree on results, output, steps, heap totals, pool peaks, and the
+   instruction mix.
 
    Accounting identity with tier-1 (the differential contract):
    - straight-line runs of simple instructions are bulk-charged: a
@@ -243,12 +245,10 @@ let[@inline always] count_step st cat =
 (* ---------- compiled-code runner ---------- *)
 
 (* Block closures return the next block index, [-1] for a void return,
-   [-2] for a value return (parked in the per-thread [st.tret] cell).
-   [bi0] is the entry block: 0 for a normal call, a loop header for an
-   on-stack replacement. *)
-let run_blocks_from st pool (blocks : (act -> int) array) frame bi0 =
+   [-2] for a value return (parked in the per-thread [st.tret] cell). *)
+let run_blocks st pool (blocks : (act -> int) array) frame =
   let a = { st; frame; pool } in
-  let bi = ref bi0 in
+  let bi = ref 0 in
   while !bi >= 0 do
     bi := blocks.(!bi) a
   done;
@@ -265,23 +265,18 @@ let note_deopt reason =
       ~args:[ ("reason", Obs.Tracer.Astr reason) ]
       "tier_deopt"
 
-(* Entry wrapper shared by normal compilation, OSR variants, and IC-drift
-   recompiles: run the composed blocks from [bi0] and, on a guard
-   failure, count the deopt, retire the method's compiled code — entry
-   *and* every OSR variant — at the limit, and resume tier-1 at the
-   failed pc on the same frame. The two-argument entry is built as its
-   own closure, so the interpreter's call is an exact-arity one. *)
-let wrap_blocks (t : tier) mx blocks bi0 =
+(* Entry wrapper: run the composed blocks and, on a guard failure, count
+   the deopt, retire the method's compiled code at the limit, and resume
+   tier-1 at the failed pc on the same frame. The two-argument entry is
+   built as its own closure, so the interpreter's call is an exact-arity
+   one. *)
+let wrap_blocks (t : tier) mx blocks =
   let entry st frame =
-    try run_blocks_from st no_pool blocks frame bi0
+    try run_blocks st no_pool blocks frame
     with Tier_deopt (dbi, dpc, reason) ->
       st.stats.Exec_stats.tier2_deopts <- st.stats.Exec_stats.tier2_deopts + 1;
       t.t_fail.(mx) <- t.t_fail.(mx) + 1;
-      if t.t_fail.(mx) >= deopt_limit then begin
-        t.t_code.(mx) <- T_dead;
-        let osr = t.t_osr_code.(mx) in
-        Array.iteri (fun i _ -> osr.(i) <- T_dead) osr
-      end;
+      if t.t_fail.(mx) >= deopt_limit then t.t_code.(mx) <- T_dead;
       note_deopt reason;
       t.t_hooks.h_resume st mx frame dbi dpc
   in
@@ -309,7 +304,7 @@ let invoke t a midx leaf f =
   match leaf with
   | Some blocks when t.t_fail.(midx) < deopt_limit -> (
       Exec_stats.note_mcall a.st.stats midx;
-      try run_blocks_from a.st a.pool blocks f 0
+      try run_blocks a.st a.pool blocks f
       with Tier_deopt (cbi, cpc, reason) -> deopt_inline t a.st midx f cbi cpc reason)
   | _ -> t.t_hooks.h_call a.st midx f
 
@@ -497,13 +492,13 @@ let rec compile_instr t (cst : st) mx ~depth bi pc (ins : R.instr) : step =
   | R.Rcall (ret, midx, recv, args) ->
       S_self (mk_call t cst ~depth bi pc cat ret midx recv args)
   | R.Rcall_virtual_ic (ret, mid, r, args, ic) ->
-      (* Monomorphize against the warm IC snapshot; a cache still cold at
-         compile time (path not yet taken) gets a guard against the live
-         IC word instead, so it becomes a fast path once the interpreter
-         fills it. *)
-      if ic.R.ic_key < 0 then
-        S_self (mk_virtual_dyn t cst mx bi pc ret mid r args ic ins)
-      else S_self (mk_virtual_ic t cst mx ~depth bi pc ret mid r args ic ins)
+      (* Monomorphize against the IC snapshot when the linked program
+         already warmed it in an earlier run; a cache still cold at
+         compile time gets a guard against the live IC word instead, so
+         it becomes a fast path once the interpreter fills it. *)
+      let key = ic.R.ic_key in
+      if key < 0 then S_self (mk_virtual_dyn t cst mx bi pc ret mid r args ic ins)
+      else S_self (mk_virtual_ic t cst mx ~depth bi pc ret mid r args key ins)
   | R.Rcall_virtual _ -> deleg ()
   (* ---- monitors: the lock-contention deopt trigger. Contended regions
      always run in tier-1; after [deopt_limit] entries the method
@@ -676,13 +671,8 @@ and mk_call t (cst : st) ~depth bi pc cat ret midx recv args =
 (* Devirtualized call through a warm IC snapshot: the guard re-derives
    the receiver's class and compares it to the cached one. On a miss,
    CHA-monomorphic names delegate the single dispatch to the interpreter
-   (the target cannot differ); polymorphic receivers deoptimize. Either
-   way, a *drifted* live cache word — the interpreter re-warmed the site
-   on a different receiver since this snapshot was taken — triggers one
-   bounded re-snapshot recompile, so a method whose sites merely warmed
-   up late is not stuck delegating (or deopting) forever. *)
-and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args (ic : R.ic) ins =
-  let key = ic.R.ic_key in
+   (the target cannot differ); polymorphic receivers deoptimize. *)
+and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args key ins =
   let cid0 = key lsr 20 in
   let midx0 = key land R.ic_payload_mask in
   let m0 = cst.rp.R.methods.(midx0) in
@@ -710,12 +700,8 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args (ic : R.ic) ins =
       f.(0) <- recv;
       store_ret a.frame ret (invoke t a midx0 leaf f)
     end
-    else begin
-      if (not t.t_recompiled.(mx)) && ic.R.ic_key >= 0 && ic.R.ic_key <> key
-      then recompile t st mx;
-      if mono then t.t_hooks.h_exec st mx a.frame ins
-      else raise (Tier_deopt (bi, pc, "polymorphic"))
-    end
+    else if mono then t.t_hooks.h_exec st mx a.frame ins
+    else raise (Tier_deopt (bi, pc, "polymorphic"))
 
 (* Virtual call whose cache was cold at compile time: guard against the
    live IC word each execution. The first execution delegates (the
@@ -854,32 +840,6 @@ and compile_block t (cst : st) mx ~depth bi (b : R.block) : act -> int =
         done;
         term a
 
-(* IC drift: a live cache word at a compiled monomorphic site no longer
-   matches the snapshot its guard was specialized against. Re-read every
-   live IC word and compile once more — bounded by [t_recompiled], so a
-   site that keeps flapping settles into the delegate/deopt policy
-   instead of recompiling forever. OSR variants are left stale on
-   purpose: their drifted sites keep delegating the single dispatch,
-   which stays correct, and the entry code (which dominates steady
-   state) is what the fresh snapshot speeds up. *)
-and recompile t (cst : st) mx =
-  t.t_recompiled.(mx) <- true;
-  let m = cst.rp.R.methods.(mx) in
-  let trace = Obs.Trace.on () in
-  if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-  let blocks = compile_meth t cst mx m ~depth:0 in
-  cst.stats.Exec_stats.tier2_recompiles <-
-    cst.stats.Exec_stats.tier2_recompiles + 1;
-  if trace then
-    Obs.Trace.span_end
-      ~args:
-        [
-          ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name));
-          ("recompile", Obs.Tracer.Aint 1);
-        ]
-      ();
-  t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-
 (* ---------- installation ---------- *)
 
 (* Compile method [mx] and install it as [T_fn]; oversized or abstract
@@ -904,44 +864,7 @@ let compile_into (t : tier) (cst : st) mx =
           Obs.Trace.span_end
             ~args:[ ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name)) ]
             ();
-        t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-      end
-
-(* On-stack replacement: compile a loop-entry variant keyed on back-edge
-   target [hdr] — the interpreter transfers its live frame to it at the
-   loop header, mid-call. One [compile_meth] serves both entries: the
-   same composed blocks run from block [hdr] for the OSR transfer and
-   from block 0 for subsequent calls, so the method that tiered up
-   mid-call is also warm for its next invocation (and the two share
-   [t_fail] and the deopt round-trip). Racing domains are benign for the
-   same reason as [compile_into]. *)
-let compile_osr (t : tier) (cst : st) mx hdr =
-  match t.t_osr_code.(mx).(hdr) with
-  | T_fn _ | T_dead -> ()
-  | T_cold ->
-      let m = cst.rp.R.methods.(mx) in
-      if Array.length m.R.m_body = 0 || R.instr_count m > compile_limit then begin
-        t.t_osr_code.(mx).(hdr) <- T_dead;
-        t.t_code.(mx) <- T_dead
-      end
-      else begin
-        let trace = Obs.Trace.on () in
-        if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-        let blocks = compile_meth t cst mx m ~depth:0 in
-        cst.stats.Exec_stats.tier2_compiles <-
-          cst.stats.Exec_stats.tier2_compiles + 1;
-        if trace then
-          Obs.Trace.span_end
-            ~args:
-              [
-                ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name));
-                ("osr_block", Obs.Tracer.Aint hdr);
-              ]
-            ();
-        t.t_osr_code.(mx).(hdr) <- T_fn (wrap_blocks t mx blocks hdr);
-        match t.t_code.(mx) with
-        | T_cold -> t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-        | T_fn _ | T_dead -> ()
+        t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks)
       end
 
 (* ---------- tier construction ---------- *)
@@ -958,8 +881,7 @@ let is_leaf (m : R.meth) ~budget =
   && R.instr_count m <= budget
   && Array.for_all leaf_safe_instr m.R.m_body.(0).R.code
 
-let make ?(hot = 8) ?(feedback = no_feedback) ?(osr = true) ~hooks
-    (rp : R.program) : tier =
+let make ?(feedback = no_feedback) ~hooks (rp : R.program) : tier =
   let nm = Array.length rp.R.methods in
   let nn = Array.length rp.R.method_names in
   (* CHA over the linked vtables: a method-name id with exactly one
@@ -1004,36 +926,10 @@ let make ?(hot = 8) ?(feedback = no_feedback) ?(osr = true) ~hooks
         is_leaf m ~budget)
       rp.R.methods
   in
-  (* OSR slots: a counter and a code cell per loop header (back-edge
-     target), only for methods that could compile at all. Methods with
-     no slots — and every method when OSR is off — keep the zero-length
-     arrays, which the interpreter's back-edge probe rejects with a
-     single length check. *)
-  let t_osr_code = Array.make nm [||] in
-  let t_osr_calls = Array.make nm [||] in
-  if osr then
-    Array.iteri
-      (fun mx (m : R.meth) ->
-        let nb = Array.length m.R.m_body in
-        if nb > 0 && R.instr_count m <= compile_limit then begin
-          let hdrs = Quicken.loop_headers m in
-          if Array.exists Fun.id hdrs then begin
-            t_osr_code.(mx) <-
-              Array.init nb (fun bi -> if hdrs.(bi) then T_cold else T_dead);
-            t_osr_calls.(mx) <- Array.make nb 0
-          end
-        end)
-      rp.R.methods;
   {
     t_code = Array.make nm T_cold;
-    t_calls = Array.make nm 0;
     t_fail = Array.make nm 0;
-    t_threshold = max 1 hot;
     t_hooks = hooks;
     t_leaves;
     t_mono;
-    t_osr_code;
-    t_osr_calls;
-    t_osr_threshold = max 1 (hot * 16);
-    t_recompiled = Array.make nm false;
   }

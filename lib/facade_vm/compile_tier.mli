@@ -1,12 +1,13 @@
 (** The tier-2 closure compiler: the profile-guided native tier above
     the quickened interpreter.
 
-    Hot resolved methods — selected by the per-method call counters in
-    {!Exec_stats} — are translated into directly-composed OCaml
-    closures: one closure per instruction, pre-composed per basic block,
-    with operator/accessor/operand dispatch hoisted to compile time,
-    field access monomorphized against warm inline-cache snapshots, and
-    leaf callees devirtualized and inlined. Compiled code installs
+    Each resolved method is translated at its first call into
+    directly-composed OCaml closures: one closure per instruction,
+    pre-composed per basic block, with operator/accessor/operand
+    dispatch hoisted to compile time, virtual calls monomorphized
+    against inline-cache snapshots already warm at compile time (a
+    linked program that ran before), and leaf callees devirtualized and
+    inlined. Compiled code installs
     behind the interpreter's dispatch hook ({!Interp}'s [run_method])
     and is semantically identical to tier-1: results, output, step
     counts, instruction mix, heap totals, and pool peaks all match, and
@@ -37,21 +38,11 @@ val no_feedback : feedback
 val deopt_limit : int
 (** Deopts tolerated per method before its compiled code is retired. *)
 
-val make :
-  ?hot:int ->
-  ?feedback:feedback ->
-  ?osr:bool ->
-  hooks:Vm_state.hooks ->
-  Resolved.program ->
-  Vm_state.tier
+val make : ?feedback:feedback -> hooks:Vm_state.hooks -> Resolved.program -> Vm_state.tier
 (** Build the tier state for a linked program: per-method code slots
-    (all cold), trigger counters, the vtable-scan CHA table, the
-    leaf-inlining candidates, and one OSR counter/code slot per loop
-    header. [hot] (default 8) is the call count at which {!Interp}
-    compiles a method; back edges tier up at [16 * hot] trips. [osr]
-    (default [true]) allocates the back-edge slots; without them the
-    interpreter's back-edge probe is a single length check that always
-    fails, so [--no-osr] runs carry no counting overhead. *)
+    (all cold, compiled by {!Interp} at each method's first call),
+    deopt counters, the vtable-scan CHA table, and the leaf-inlining
+    candidates. *)
 
 val compile_into : Vm_state.tier -> Vm_state.st -> int -> unit
 (** [compile_into t st mx] compiles method [mx] and installs it as
@@ -60,11 +51,3 @@ val compile_into : Vm_state.tier -> Vm_state.st -> int -> unit
     compiled code is semantically identical to the interpreter, so
     correctness never depends on when — or whether — compilation
     happens. *)
-
-val compile_osr : Vm_state.tier -> Vm_state.st -> int -> int -> unit
-(** [compile_osr t st mx hdr] compiles a loop-entry variant of method
-    [mx] keyed on the back-edge target block [hdr] and installs it in
-    the tier's OSR slot; the normal entry closure is installed as a
-    by-product (one compilation serves both), so a method that tiers up
-    mid-call is also warm for its next invocation. No-op if the slot is
-    already filled or retired. *)

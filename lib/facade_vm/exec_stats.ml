@@ -36,12 +36,14 @@ type t = {
   mix : int array;
   (* Per-method profile counters, indexed by resolved method index. Sized
      by [ensure_methods] at VM setup (zero-length outside the resolved
-     interpreter); the tier-2 compiler reads them as its hotness input and
-     [facade_cli profile] reports them. *)
+     interpreter); [facade_cli profile] reports them. *)
   mutable m_calls : int array;
   mutable m_ic_hits : int array;
   mutable m_ic_misses : int array;
-  (* Tier transition counters (tier-2 closure compiler). *)
+  (* Tier transition counters (tier-2 closure compiler). The last two are
+     always 0 since tier 2 compiles each method at its first call (no
+     on-stack replacement, no IC-drift recompilation); they stay because
+     the perfbench ledger and the service wire format still carry them. *)
   mutable tier2_compiles : int;
   mutable tier2_entries : int;
   mutable tier2_deopts : int;

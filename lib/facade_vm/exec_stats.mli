@@ -44,9 +44,11 @@ type t = {
   mutable tier2_entries : int;       (** calls entering tier-2 code *)
   mutable tier2_deopts : int;        (** guard failures falling back to tier-1 *)
   mutable tier2_recompiles : int;
-      (** bounded re-compilations after inline-cache drift *)
+      (** always 0: tier 2 no longer recompiles; kept for the perfbench
+          ledger and the service wire format *)
   mutable osr_entries : int;
-      (** on-stack replacements: hot loops entered mid-call at a header *)
+      (** always 0: tier 2 has no on-stack replacement; kept for the
+          perfbench ledger and the service wire format *)
 }
 
 val create : unit -> t

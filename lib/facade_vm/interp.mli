@@ -44,9 +44,7 @@ val run_object :
   ?entry_args:Value.t list ->
   ?quicken:bool ->
   ?tier2:bool ->
-  ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   Jir.Program.t ->
   outcome
 (** Execute a program's entry point in object mode. [max_steps] defaults
@@ -57,28 +55,18 @@ val run_object :
     it off.
 
     [tier2] (default [false]) attaches the {!Compile_tier} closure
-    compiler: methods reaching [tier2_hot] calls (default 8; the entry
-    method compiles eagerly) are translated to composed closures with
-    deoptimization back to the interpreter. Observable behaviour —
-    results, output, step counts, instruction mix, heap totals — is
-    identical to tier 1. [tier2_feedback] forwards the opt pipeline's
-    CHA/inlining facts to widen what compiles.
-
-    [osr] (default [true]) enables on-stack replacement under [tier2]: a
-    loop whose back edge trips [16 * tier2_hot] times inside a method
-    that is still cold compiles a loop-entry variant and the interpreter
-    transfers its live frame to it at the loop header, mid-call.
-    Behaviour is identical either way; [~osr:false] removes even the
-    back-edge counting. *)
+    compiler: each method is translated to composed closures at its
+    first call, with deoptimization back to the interpreter. Observable
+    behaviour — results, output, step counts, instruction mix, heap
+    totals — is identical to tier 1. [tier2_feedback] forwards the opt
+    pipeline's CHA/inlining facts to widen what compiles. *)
 
 val run_object_linked :
   ?heap:Heapsim.Heap.t ->
   ?max_steps:int ->
   ?entry_args:Value.t list ->
   ?tier2:bool ->
-  ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   ?tier:Vm_state.tier ->
   Resolved.program ->
   outcome
@@ -88,17 +76,14 @@ val run_object_linked :
     of per run.
 
     [?tier] attaches a pre-built tier from {!make_tier} instead of a
-    fresh one (overriding [tier2]/[tier2_hot]/[tier2_feedback]), so
-    compiled code and call counts persist across runs the way quickened
-    inline-cache state already does in a shared linked program. The tier
-    must have been built for this same [rp]. *)
+    fresh one (overriding [tier2]/[tier2_feedback]), so compiled code
+    persists across runs the way quickened inline-cache state already
+    does in a shared linked program. The tier must have been built for
+    this same [rp]. A tier attached after the program already ran in
+    tier 1 compiles its virtual call sites against those warm inline
+    caches. *)
 
-val make_tier :
-  ?hot:int ->
-  ?feedback:Compile_tier.feedback ->
-  ?osr:bool ->
-  Resolved.program ->
-  Vm_state.tier
+val make_tier : ?feedback:Compile_tier.feedback -> Resolved.program -> Vm_state.tier
 (** A tier-2 state detached from any single run, for
     {!run_object_linked}'s and {!run_facade}'s [?tier]. Compiled code —
     facade page accesses included — threads every piece of per-run state
@@ -118,9 +103,7 @@ val run_facade :
   ?entry_args:Value.t list ->
   ?quicken:bool ->
   ?tier2:bool ->
-  ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   ?tier:Vm_state.tier ->
   Facade_compiler.Pipeline.t ->
   outcome
@@ -166,7 +149,7 @@ val run_facade :
     domains — the same mechanism (and typical scale, [5e-3]) the
     graphchi/hyracks/gps engines use for their scalability curves.
 
-    [tier2]/[tier2_hot]/[tier2_feedback]/[osr] are as for {!run_object};
+    [tier2]/[tier2_feedback] are as for {!run_object};
     the tier state is shared across worker domains (racing compilations
     are benign) and each logical thread takes the compiled code when its
     own dispatch reaches it. [?tier] attaches a pre-built tier from

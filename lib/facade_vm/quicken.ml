@@ -115,18 +115,6 @@ let succs = function
   | R.Rjump t -> [ t ]
   | R.Rbranch (_, t, e) | R.Rcmp_branch (_, _, _, t, e) -> [ t; e ]
 
-(* Loop headers, per block: targets of back edges (terminator target at
-   or before the source block — the linker lays blocks out in source
-   order, the same convention the tier-2 OSR probe keys on). *)
-let loop_headers (m : R.meth) =
-  let body = m.R.m_body in
-  let hdrs = Array.make (Array.length body) false in
-  Array.iteri
-    (fun bi (b : R.block) ->
-      List.iter (fun t -> if t <= bi then hdrs.(t) <- true) (succs b.R.term))
-    body;
-  hdrs
-
 (* Backward liveness over slots, for the compare+branch fusion: the
    condition slot's write may be dropped only where the slot is dead at
    the block exit. Slot reuse across unrelated temporaries makes any

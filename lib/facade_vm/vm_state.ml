@@ -112,32 +112,22 @@ type st = {
                                    compiled block closures *)
 }
 
-(* Tier-2 state. Installed code is indexed by resolved method index;
-   trigger and failure counters are plain ints shared across domains —
-   racy updates only skew *when* a method compiles or retires, never what
-   it computes, because compiled code is semantically identical to the
-   interpreter and any thread can safely run either tier at any moment. *)
+(* Tier-2 state. Installed code is indexed by resolved method index; a
+   method compiles at its first call. Failure counters are plain ints
+   shared across domains — racy updates only skew *when* a method
+   retires, never what it computes, because compiled code is
+   semantically identical to the interpreter and any thread can safely
+   run either tier at any moment. *)
 and tier = {
   t_code : tcode array;
-  t_calls : int array;      (* tier-up trigger counter per method *)
   t_fail : int array;       (* deopts per method; retire at the limit *)
-  t_threshold : int;        (* calls before compiling *)
   t_hooks : hooks;
   t_leaves : bool array;    (* method idx: inlinable leaf body *)
   t_mono : bool array;      (* method-name id: single implementation (CHA) *)
-  (* On-stack replacement: per method, a slot per block that is a loop
-     header (back-edge target), or [||] when the method has none — or
-     when OSR is disabled, which makes the interpreter's back-edge probe
-     a single bounds check. Entry closures run the method from the
-     header on the live tier-1 frame and share [tcode]'s protocol. *)
-  t_osr_code : tcode array array;
-  t_osr_calls : int array array;  (* back-edge trips per loop header *)
-  t_osr_threshold : int;          (* trips before compiling a loop entry *)
-  t_recompiled : bool array;      (* method idx: IC-drift recompile spent *)
 }
 
 and tcode =
-  | T_cold                  (* not compiled yet; counting calls *)
+  | T_cold                  (* not called yet *)
   | T_dead                  (* retired: failed to compile or deopted out *)
   | T_fn of (st -> Value.t array -> Value.t option)
 

@@ -52,8 +52,8 @@ type outcome = {
   oc_live_pages : int;
   oc_peak_native : int;
   oc_tier2_compiles : int;
-  oc_tier2_recompiles : int;
-  oc_osr_entries : int;
+  oc_tier2_recompiles : int;  (* always 0; kept for the wire format *)
+  oc_osr_entries : int;  (* always 0; kept for the wire format *)
   oc_queued_ns : int;
   oc_run_ns : int;
 }

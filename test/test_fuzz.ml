@@ -118,9 +118,9 @@ let program_of_ops ops =
     in
     B.cls "E" ~super:"D" ~methods:[ init; combine ]
   in
-  (* Static helpers the random ops call through: repeated calls push
-     them over the tier-2 threshold, so the virtual dispatch and the
-     monitor region execute inside compiled code. *)
+  (* Static helpers the random ops call through: each compiles at its
+     first call, so the virtual dispatch and the monitor region execute
+     inside compiled code. *)
   let comb_helper =
     let m =
       B.create ~static:true "comb" ~params:[ ("x", Jtype.Ref "D"); ("y", Jtype.Ref "D") ]
@@ -144,9 +144,9 @@ let program_of_ops ops =
     B.ret b None;
     B.finish m
   in
-  (* A real loop for the OSR fuzzer: 40 iterations tick past the 32-trip
-     back-edge threshold (hot=2), so a single Spin tiers the loop up
-     mid-call even though the method's call count stays below [hot]. *)
+  (* A real loop: a single Spin runs 40 iterations of compiled code, so
+     a later Flip or Sync deopts a method whose loop already ran in
+     tier 2. *)
   let spin_helper =
     let m =
       B.create ~static:true "spin"
@@ -322,10 +322,30 @@ let prop_opt_exact =
       Opt_reference.check ~name:"fuzz" ~spec (program_of_ops ops);
       true)
 
+(* Observables both tiers must agree on. *)
+let tier_key (o : Facade_vm.Interp.outcome) =
+  ( (match o.Facade_vm.Interp.result with
+    | Some v -> Facade_vm.Value.to_string v
+    | None -> "-"),
+    Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats,
+    o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps,
+    o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.data_objects,
+    o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.page_records )
+
+(* A fresh tier on the pipeline's cached quickened link. After a tier-1
+   [run_facade ~quicken:true] on the same pipeline, that link's inline
+   caches are warm, so every virtual site that ran compiles against the
+   tier-1 snapshot. *)
+let warm_facade ?workers pl =
+  let tier = Facade_vm.Interp.make_tier (Facade_vm.Link.facade_program ~quicken:true pl) in
+  Facade_vm.Interp.run_facade ~quicken:true ?workers ~tier pl
+
 (* The tier-2 deopt fuzzer: the same random programs, each executed by
-   the quickened interpreter and by the closure compiler with a hot
-   threshold of 2 — low enough that [comb]/[bump] compile mid-run, so
-   Flip ops invalidate warm inline caches inside compiled code and Sync
+   the quickened interpreter and by the closure compiler — once on a
+   fresh link, where every site compiles cold at its method's first
+   call, and once on a link warmed by a tier-1 run, where [comb]'s
+   virtual site compiles against the receiver class the warm-up saw
+   last, so Flip ops miss the snapshot inside compiled code and Sync
    ops hit the monitor deopt. Both modes must be bit-identical across
    tiers: result, printed output, step count, and heap/page totals. *)
 let run_tier_differential ops =
@@ -334,22 +354,12 @@ let run_tier_differential ops =
   let is_data c =
     Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
   in
-  let key (o : Facade_vm.Interp.outcome) =
-    ( (match o.Facade_vm.Interp.result with
-      | Some v -> Facade_vm.Value.to_string v
-      | None -> "-"),
-      Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats,
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps,
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.data_objects,
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.page_records )
-  in
-  let obj1 = Facade_vm.Interp.run_object ~is_data ~quicken:true program in
-  let obj2 =
-    Facade_vm.Interp.run_object ~is_data ~quicken:true ~tier2:true ~tier2_hot:2 program
-  in
-  let fac1 = Facade_vm.Interp.run_facade ~quicken:true pl in
-  let fac2 = Facade_vm.Interp.run_facade ~quicken:true ~tier2:true ~tier2_hot:2 pl in
-  key obj1 = key obj2 && key fac1 = key fac2
+  let rp = Facade_vm.Link.object_program ~is_data ~quicken:true program in
+  let obj1 = tier_key (Facade_vm.Interp.run_object_linked rp) in
+  let fac1 = tier_key (Facade_vm.Interp.run_facade ~quicken:true pl) in
+  obj1 = tier_key (Facade_vm.Interp.run_object ~is_data ~quicken:true ~tier2:true program)
+  && obj1 = tier_key (Facade_vm.Interp.run_object_linked ~tier:(Facade_vm.Interp.make_tier rp) rp)
+  && fac1 = tier_key (warm_facade pl)
 
 let prop_tier_differential =
   QCheck.Test.make ~name:"random programs: tier2 = tier1 in both modes" ~count:100
@@ -358,38 +368,23 @@ let prop_tier_differential =
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
     run_tier_differential
 
-(* The OSR fuzzer: facade mode with on-stack replacement live (Spin ops
-   put a 40-iteration loop in a once-called method, so the back-edge
-   path — compile at the loop header, transfer the live frame, deopt
-   from inside if a monitor follows — is exercised), sequentially and
-   on a 4-domain pool. Every observable must match plain tier 1. *)
-let run_osr_differential ops =
-  let program = program_of_ops ops in
-  let pl = Facade_compiler.Pipeline.compile ~spec program in
-  let key (o : Facade_vm.Interp.outcome) =
-    ( (match o.Facade_vm.Interp.result with
-      | Some v -> Facade_vm.Value.to_string v
-      | None -> "-"),
-      Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats,
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps,
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.page_records )
-  in
-  let fac1 = Facade_vm.Interp.run_facade ~quicken:true pl in
-  let seq =
-    Facade_vm.Interp.run_facade ~quicken:true ~tier2:true ~tier2_hot:2 ~osr:true pl
-  in
-  let par =
-    Facade_vm.Interp.run_facade ~quicken:true ~workers:4 ~tier2:true ~tier2_hot:2
-      ~osr:true pl
-  in
-  key fac1 = key seq && key fac1 = key par
+(* The warm-snapshot fuzzer in facade mode, sequentially and on a
+   4-domain pool: each run attaches a fresh tier to a link a tier-1 run
+   just warmed, so snapshot misses and monitor deopts happen inside
+   compiled code on every domain. Every observable must match plain
+   tier 1. *)
+let run_warm_differential ops =
+  let pl = Facade_compiler.Pipeline.compile ~spec (program_of_ops ops) in
+  let fac1 = tier_key (Facade_vm.Interp.run_facade ~quicken:true pl) in
+  fac1 = tier_key (warm_facade pl) && fac1 = tier_key (warm_facade ~workers:4 pl)
 
-let prop_osr_differential =
-  QCheck.Test.make ~name:"random programs: OSR tier2 = tier1, workers 1/4" ~count:60
+let prop_warm_differential =
+  QCheck.Test.make ~name:"random programs: warm-snapshot tier2 = tier1, workers 1/4"
+    ~count:60
     (QCheck.make
        ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
-    run_osr_differential
+    run_warm_differential
 
 let test_empty_program () =
   Alcotest.(check bool) "no ops" true (run_differential [])
@@ -407,7 +402,8 @@ let test_directed_cases () =
     ]
 
 let test_directed_tier_flip () =
-  (* Warm the cache in [comb] on D receivers, compile, then flip: the
+  (* The warm-up run leaves [comb]'s cache on a D receiver; the warm
+     tier compiles against it, then the flip misses the snapshot: the
      deopt must be invisible in the checksum, output, and step count. *)
   let warm = List.init 5 (fun _ -> Combine (0, 1)) in
   List.iter
@@ -432,6 +428,6 @@ let () =
         [
           Alcotest.test_case "directed receiver flips" `Quick test_directed_tier_flip;
           QCheck_alcotest.to_alcotest prop_tier_differential;
-          QCheck_alcotest.to_alcotest prop_osr_differential;
+          QCheck_alcotest.to_alcotest prop_warm_differential;
         ] );
     ]

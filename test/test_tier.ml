@@ -2,10 +2,13 @@
    observationally identical to the quickened interpreter — results,
    printed output, step counts, heap totals, page-store totals, facade
    pool peaks — over every shipped sample, sequentially and under every
-   worker-pool size, plus directed tests that force each deopt trigger
-   (polymorphic receiver, monitor region, step-budget expiry) and check
-   the interpreter resumes bit-exactly, that drive the compiled kernels
-   into their error paths, and that nest compiled activations. *)
+   worker-pool size, plus directed tests that pin the first-call
+   tier-up rule, that force each deopt trigger (polymorphic receiver,
+   monitor region, step-budget expiry) through both virtual-call
+   templates — sites cold at compile time and sites compiled against a
+   warm inline-cache snapshot — and check the interpreter resumes
+   bit-exactly, that drive the compiled kernels into their error paths,
+   and that nest compiled activations. *)
 
 open Jir
 module B = Builder
@@ -32,7 +35,7 @@ let big_heap () = Heap.create (Heapsim.Hconfig.make ~heap_bytes:(1 lsl 26) ())
    while everything observable stays exact. *)
 let fingerprint ?workers ?(tier2 = false) pl =
   let heap = big_heap () in
-  let o = I.run_facade ~heap ~quicken:true ?workers ~tier2 ~tier2_hot:2 pl in
+  let o = I.run_facade ~heap ~quicken:true ?workers ~tier2 pl in
   let gs = Heap.stats heap in
   let records, live =
     match o.I.store_stats with
@@ -81,13 +84,33 @@ let test_facade_differential () =
         [ 1; 2; 4; 8 ])
     Samples.all
 
+let method_index (rp : Facade_vm.Resolved.program) cls name =
+  let ms = rp.Facade_vm.Resolved.methods in
+  let rec find i =
+    let m = ms.(i) in
+    if m.Facade_vm.Resolved.m_name = name && m.Facade_vm.Resolved.m_cls = cls then i
+    else find (i + 1)
+  in
+  find 0
+
 (* Object mode: same program, both tiers, bit-equal outcome and steps. *)
-let object_outcome ?(tier2 = false) ?(tier2_hot = 2) ?(osr = true) ?max_steps ~is_data p =
-  let o = I.run_object ~is_data ?max_steps ~quicken:true ~tier2 ~tier2_hot ~osr p in
+let observe (o : I.outcome) =
   ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
     Stats.output_lines o.I.stats,
     o.I.stats.Stats.steps,
     o.I.stats )
+
+let object_outcome ?(tier2 = false) ?tier2_feedback ?max_steps ~is_data p =
+  observe (I.run_object ~is_data ?max_steps ~quicken:true ~tier2 ?tier2_feedback p)
+
+(* Tier 2 on a linked program that already ran once, unbounded, in tier
+   1: the run leaves every inline cache it reached warm, so a method
+   compiled at its first call in the tier-2 run builds its virtual sites
+   against that snapshot instead of guarding the live cache word. *)
+let warm_outcome ?feedback ?max_steps ~is_data p =
+  let rp = Facade_vm.Link.object_program ~is_data ~quicken:true p in
+  ignore (I.run_object_linked rp);
+  observe (I.run_object_linked ?max_steps ~tier:(I.make_tier ?feedback rp) rp)
 
 let test_object_differential () =
   List.iter
@@ -110,12 +133,11 @@ let test_object_differential () =
 
 (* ---------- directed deopt triggers ---------- *)
 
-(* A virtual call site warmed monomorphically on [A], compiled, then fed
-   a [B2] receiver: the compiled guard must raise, and tier-1 must
-   resume at the call with identical accounting. The call is routed
-   through a static helper so the site lives in a method that tiers up
-   (the entry method would also work, but this mirrors how profiled hot
-   methods reach the compiler in real runs). *)
+(* A virtual call site compiled against a warm snapshot, then fed a
+   receiver of the other class: the compiled guard must raise, and
+   tier-1 must resume at the call with identical accounting. The call is
+   routed through a static helper so the site lives in its own compiled
+   method. *)
 let flip_program =
   let combine_m ret_v =
     let m = B.create "combine" ~ret:int_t in
@@ -161,18 +183,17 @@ let flip_program =
 
 let test_polymorphic_deopt () =
   let is_data _ = false in
-  (* hot=4: the inline cache in [work] warms on the first interpreted
-     call, compilation snapshots it at the fourth, and the seventh call
-     flips the receiver class. *)
-  let r1, out1, steps1, _ = object_outcome ~is_data ~tier2_hot:4 flip_program in
-  let r2, out2, steps2, st2 =
-    object_outcome ~tier2:true ~tier2_hot:4 ~is_data flip_program
-  in
+  (* The tier-1 warm-up ends on the [B2] call, so [work] compiles against
+     a [B2] snapshot and each of the six [A] calls misses it inside
+     compiled code; [combine] has two implementations, so every miss
+     deopts. *)
+  let r1, out1, steps1, _ = object_outcome ~is_data flip_program in
+  let r2, out2, steps2, st2 = warm_outcome ~is_data flip_program in
   Alcotest.(check string) "result" "8" r2;
   Alcotest.(check string) "tier1 = tier2 result" r1 r2;
   Alcotest.(check (list string)) "output" out1 out2;
   Alcotest.(check int) "steps" steps1 steps2;
-  Alcotest.(check bool) "took the deopt path" true (st2.Stats.tier2_deopts > 0)
+  Alcotest.(check int) "every A call deopts" 6 st2.Stats.tier2_deopts
 
 (* A compiled method whose body holds a monitor region: tier 2 treats
    monitors as an unconditional lock-contention deopt, so every compiled
@@ -213,24 +234,22 @@ let monitor_program =
 
 let test_monitor_deopt_and_retire () =
   let is_data _ = false in
-  let r1, out1, steps1, _ = object_outcome ~is_data ~tier2_hot:4 monitor_program in
-  let r2, out2, steps2, st2 =
-    object_outcome ~tier2:true ~tier2_hot:4 ~is_data monitor_program
-  in
+  let r1, out1, steps1, _ = object_outcome ~is_data monitor_program in
+  let r2, out2, steps2, st2 = warm_outcome ~is_data monitor_program in
   Alcotest.(check string) "result" "14" r2;
   Alcotest.(check string) "tier1 = tier2 result" r1 r2;
   Alcotest.(check (list string)) "output" out1 out2;
   Alcotest.(check int) "steps" steps1 steps2;
-  (* 14 calls at hot=4: entries from the 4th on deopt until the method
-     retires at the limit. *)
-  Alcotest.(check bool)
+  (* 14 calls: every entry deopts until the method retires at the
+     limit, and the remaining calls run tier 1. *)
+  Alcotest.(check int)
     (Printf.sprintf "retired after %d deopts" Facade_vm.Compile_tier.deopt_limit)
-    true
-    (st2.Stats.tier2_deopts >= Facade_vm.Compile_tier.deopt_limit)
+    Facade_vm.Compile_tier.deopt_limit st2.Stats.tier2_deopts
 
 (* Step-budget expiry inside compiled code: the bulk-segment precheck
    deopts, tier 1 replays, and the budget error fires at exactly the
-   same instruction as a pure tier-1 run. *)
+   same instruction as a pure tier-1 run. The tier-2 runs attach to a
+   warm link, so the sample's virtual sites run the snapshot template. *)
 let test_budget_deopt () =
   let s = List.find (fun s -> s.Samples.name = "linked_list") Samples.all in
   let cl =
@@ -244,23 +263,18 @@ let test_budget_deopt () =
   Alcotest.check_raises "tier1 trips the budget" budget_err (fun () ->
       ignore (object_outcome ~is_data ~max_steps:cut s.Samples.program));
   Alcotest.check_raises "tier2 trips the budget identically" budget_err (fun () ->
-      ignore (object_outcome ~tier2:true ~tier2_hot:1 ~is_data ~max_steps:cut
-                s.Samples.program));
+      ignore (warm_outcome ~is_data ~max_steps:cut s.Samples.program));
   (* With the budget exactly at the total, both tiers complete. *)
-  let _, _, steps2, _ =
-    object_outcome ~tier2:true ~tier2_hot:1 ~is_data ~max_steps:total s.Samples.program
-  in
+  let _, _, steps2, _ = warm_outcome ~is_data ~max_steps:total s.Samples.program in
   Alcotest.(check int) "same total under the exact budget" total steps2
 
-(* ---------- on-stack replacement ---------- *)
+(* ---------- tier-up at first call ---------- *)
 
-(* A hot loop inside a method called exactly once: the call counter never
-   reaches the threshold, so the only way into compiled code is the
-   back-edge counter — the interpreter must compile a loop-entry variant
-   mid-call and transfer the live frame to it. A monitor region guarded
-   to fire on a late iteration then deopts *inside* the OSR'd loop, and
-   tier 1 must resume bit-exactly. Sum of 0..59 either way. *)
-let osr_program =
+(* A loop inside a method called exactly once: the method compiles at
+   that call and the whole loop runs compiled. A monitor region guarded
+   to fire on a late iteration then deopts *inside* the loop, and tier 1
+   must resume bit-exactly. Sum of 0..59 either way. *)
+let loop_program =
   let a_cls = B.cls "A" ~methods:[ empty_init () ] in
   let loop =
     let m =
@@ -313,48 +327,30 @@ let osr_program =
   in
   Program.make ~entry:("Main", "main") [ a_cls; B.cls "Main" ~methods:[ loop; main ] ]
 
-let test_osr_loop_entry () =
+let test_first_call_loop () =
   let is_data _ = false in
-  (* hot=2: the OSR threshold is 32 back-edge trips, reached well inside
-     the single 60-iteration call; the monitor fires at i=55, after the
-     transfer into compiled code. *)
-  let r1, out1, steps1, _ = object_outcome ~is_data osr_program in
-  let r2, out2, steps2, st2 = object_outcome ~tier2:true ~is_data osr_program in
+  let r1, out1, steps1, _ = object_outcome ~is_data loop_program in
+  let r2, out2, steps2, st2 = object_outcome ~tier2:true ~is_data loop_program in
   Alcotest.(check string) "result" "1770" r2;
   Alcotest.(check string) "tier1 = tier2 result" r1 r2;
   Alcotest.(check (list string)) "output" out1 out2;
   Alcotest.(check int) "steps" steps1 steps2;
-  Alcotest.(check bool) "entered via OSR" true (st2.Stats.osr_entries > 0);
-  Alcotest.(check bool) "deopted inside the OSR'd loop" true
-    (st2.Stats.tier2_deopts > 0);
-  (* With OSR off the method never compiles (one call < hot), so the run
-     is pure tier 1 plus the eagerly compiled entry. *)
-  let r3, out3, steps3, st3 =
-    object_outcome ~tier2:true ~osr:false ~is_data osr_program
-  in
-  Alcotest.(check string) "no-osr result" r1 r3;
-  Alcotest.(check (list string)) "no-osr output" out1 out3;
-  Alcotest.(check int) "no-osr steps" steps1 steps3;
-  Alcotest.(check int) "no-osr never OSR-enters" 0 st3.Stats.osr_entries
+  (* [main] and [loop], each entered once; the constructor is a leaf
+     that compiled [main] runs inline. *)
+  Alcotest.(check int) "loop entered compiled at its only call" 2
+    st2.Stats.tier2_entries;
+  Alcotest.(check int) "deopted once, inside the loop" 1 st2.Stats.tier2_deopts
 
-(* ROADMAP item 2 residue, pinned: an IC-drift recompile does not
-   refresh OSR variants. A loop-entry variant whose monomorphized site
-   drifts keeps its stale snapshot and *delegates* every drifted
-   dispatch to the interpreter — correct, never a deopt — while the
-   method-entry code re-snapshots exactly once. Any future OSR-refresh
-   change must keep the outcome bit-exact and can only lower the
-   delegation cost; this test is the baseline it diffs against.
-
-   One method, one virtual site, receiver selected by iteration number:
-   [A] for i<60, [B2] after. The method is called once with n=120, so
-   the only route into compiled code is OSR (back-edge threshold
-   16*hot = 32 < 60), and the variant snapshots the site warm on [A].
-   [fb_mono] marks [combine] CHA-unsafe-but-forced mono so the drifted
-   site delegates instead of deoptimizing. At i=60 the first [B2]
-   dispatch delegates and re-warms the live cache word; at i=61 the
-   drift (live word != snapshot) triggers the one bounded recompile;
-   every later dispatch keeps delegating off the stale snapshot. *)
-let drift_osr_program =
+(* One method, one virtual site, receiver selected by iteration number:
+   [A] for i<60, [B2] after; the method is called once with n=120.
+   [fb_mono] marks [combine] CHA-unsafe-but-forced mono, so a receiver
+   that misses the site's cache delegates the single dispatch instead
+   of deoptimizing. Compiled at first call on a fresh link, the site is
+   cold and guards the live cache word: the [B2] flip misses once and
+   later [B2] calls hit the re-filled word. Compiled against the warm
+   snapshot a tier-1 run leaves behind ([B2], its last receiver), every
+   [A] call misses and delegates. Neither run deopts. *)
+let flip_loop_program =
   let combine_m ret_v =
     let m = B.create "combine" ~ret:int_t in
     let b = B.entry m in
@@ -425,30 +421,28 @@ let drift_osr_program =
   Program.make ~entry:("Main", "main")
     [ a_cls; b_cls; B.cls "Main" ~methods:[ loop; main ] ]
 
-let test_osr_stale_after_ic_drift () =
+let test_first_call_mono_delegates () =
   let is_data _ = false in
-  let fb = { Facade_vm.Compile_tier.fb_mono = [ "combine" ]; fb_leaves = [] } in
-  let run ~tier2 =
-    let o =
-      I.run_object ~is_data ~quicken:true ~tier2 ~tier2_hot:2 ~tier2_feedback:fb
-        drift_osr_program
-    in
-    ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
-      Stats.output_lines o.I.stats,
-      o.I.stats.Stats.steps,
-      o.I.stats )
-  in
-  let r1, out1, steps1, _ = run ~tier2:false in
-  let r2, out2, steps2, st2 = run ~tier2:true in
-  (* 60 iterations of A.combine=1 plus 60 of B2.combine=2. *)
-  Alcotest.(check string) "result" "180" r2;
-  Alcotest.(check string) "tier1 = tier2 result" r1 r2;
-  Alcotest.(check (list string)) "output" out1 out2;
-  Alcotest.(check int) "steps" steps1 steps2;
-  Alcotest.(check bool) "entered via OSR" true (st2.Stats.osr_entries > 0);
-  Alcotest.(check int) "drift recompiles exactly once" 1 st2.Stats.tier2_recompiles;
-  Alcotest.(check int) "stale variant delegates, never deopts" 0
-    st2.Stats.tier2_deopts
+  let feedback = { Facade_vm.Compile_tier.fb_mono = [ "combine" ]; fb_leaves = [] } in
+  let r1, out1, steps1, _ = object_outcome ~is_data flip_loop_program in
+  List.iter
+    (fun warm ->
+      let label = if warm then "warm snapshot" else "cold site" in
+      let rp = Facade_vm.Link.object_program ~is_data ~quicken:true flip_loop_program in
+      if warm then ignore (I.run_object_linked rp);
+      let tier = I.make_tier ~feedback rp in
+      let r2, out2, steps2, st2 = observe (I.run_object_linked ~tier rp) in
+      (* 60 iterations of A.combine=1 plus 60 of B2.combine=2. *)
+      Alcotest.(check string) (label ^ ": result") "180" r2;
+      Alcotest.(check string) (label ^ ": tier1 = tier2 result") r1 r2;
+      Alcotest.(check (list string)) (label ^ ": output") out1 out2;
+      Alcotest.(check int) (label ^ ": steps") steps1 steps2;
+      Alcotest.(check int) (label ^ ": misses delegate, never deopt") 0
+        st2.Stats.tier2_deopts;
+      match tier.Facade_vm.Vm_state.t_code.(method_index rp "Main" "loop") with
+      | Facade_vm.Vm_state.T_fn _ -> ()
+      | _ -> Alcotest.fail (label ^ ": loop is not compiled"))
+    [ false; true ]
 
 (* A tier built with [make_tier] persists compiled code across runs of
    the same linked program — the warm-service pattern the benchmarks
@@ -469,30 +463,26 @@ let test_shared_tier () =
       o.I.stats.Stats.steps )
   in
   let o1 = obs (I.run_object_linked rp) in
-  let tier = I.make_tier ~hot:2 rp in
+  let tier = I.make_tier rp in
   let w1 = I.run_object_linked ~tier rp in
-  (* Call counters persist in the tier, so run 2 may still tip late
-     methods over the threshold; by run 3 every reachable method has
-     either compiled or retired and the tier is steady-state. *)
+  (* Every method the program reaches compiled (or retired) at its first
+     call in run 1, so run 2 is steady state. *)
   let w2 = I.run_object_linked ~tier rp in
-  let w3 = I.run_object_linked ~tier rp in
   Alcotest.(check bool) "first warm run compiles" true
     (w1.I.stats.Stats.tier2_compiles > 0);
-  Alcotest.(check int) "steady-state run compiles nothing" 0
-    w3.I.stats.Stats.tier2_compiles;
-  Alcotest.(check bool) "steady-state run enters compiled code" true
-    (w3.I.stats.Stats.tier2_entries > 0);
+  Alcotest.(check int) "second run compiles nothing" 0
+    w2.I.stats.Stats.tier2_compiles;
+  Alcotest.(check bool) "second run enters compiled code" true
+    (w2.I.stats.Stats.tier2_entries > 0);
   Alcotest.(check (triple string (list string) int)) "warm run == tier1" o1 (obs w1);
-  Alcotest.(check (triple string (list string) int)) "second run == tier1" o1 (obs w2);
-  Alcotest.(check (triple string (list string) int)) "steady run == tier1" o1 (obs w3)
+  Alcotest.(check (triple string (list string) int)) "second run == tier1" o1 (obs w2)
 
 (* The same warm-service pattern in facade mode: compiled facade
    segments take the page pool from the running [st] at segment entry
    instead of capturing one run's store, so a [make_tier] tier is
-   shareable across [run_facade] runs of the same linked pipeline. With
-   hot=1 every called method compiles during the first warm run, and
-   the second run must compile and recompile nothing while staying
-   observably identical to tier 1. *)
+   shareable across [run_facade] runs of the same linked pipeline. Every
+   called method compiles during the first warm run, and the second run
+   must compile nothing while staying observably identical to tier 1. *)
 let test_shared_facade_tier () =
   let s = List.find (fun s -> s.Samples.name = "collections") Samples.all in
   let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
@@ -505,15 +495,13 @@ let test_shared_facade_tier () =
   (* The pipeline's quickened link is cached, so this resolved program
      is the one [run_facade ~quicken:true] executes. *)
   let rp = Facade_vm.Link.facade_program ~quicken:true pl in
-  let tier = I.make_tier ~hot:1 rp in
+  let tier = I.make_tier rp in
   let w1 = I.run_facade ~quicken:true ~tier pl in
   let w2 = I.run_facade ~quicken:true ~tier pl in
   Alcotest.(check bool) "first warm run compiles" true
     (w1.I.stats.Stats.tier2_compiles > 0);
   Alcotest.(check int) "second run compiles nothing" 0
     w2.I.stats.Stats.tier2_compiles;
-  Alcotest.(check int) "second run recompiles nothing" 0
-    w2.I.stats.Stats.tier2_recompiles;
   Alcotest.(check bool) "second run enters compiled code" true
     (w2.I.stats.Stats.tier2_entries > 0);
   Alcotest.(check (triple string (list string) int)) "warm run == tier1" o1 (obs w1);
@@ -524,7 +512,7 @@ let test_shared_facade_tier () =
 (* The tier-2 templates restate the page, frame and boxing accessors
    inline and hand every failure to the owning module's function; these
    facade programs drive each restated kernel into its failure branch
-   from inside a compiled segment (the entry method compiles eagerly)
+   from inside a compiled segment (the entry method compiles at its call)
    and check tier 2 raises tier 1's exact error, or — for operands that
    leave the inline int/float cases — computes tier 1's exact result. *)
 
@@ -535,7 +523,7 @@ let facade_pl ~data text =
 
 (* Everything the tiers must agree on for one run, or the error text. *)
 let run_outcome ?workers ?tier ~tier2 pl =
-  match I.run_facade ~quicken:true ?workers ?tier ~tier2 ~tier2_hot:1 pl with
+  match I.run_facade ~quicken:true ?workers ?tier ~tier2 pl with
   | o ->
       Ok
         ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
@@ -875,18 +863,9 @@ let test_reentrant () =
   Alcotest.check outcome_t "sequential tier 2 == tier 1" (flat t1)
     (flat (run_outcome ~tier2:true pl));
   let rp = Facade_vm.Link.facade_program ~quicken:true pl in
-  let tier = I.make_tier ~hot:1 rp in
+  let tier = I.make_tier rp in
   (* P' runs the generated facade class's copy of each Main method. *)
-  let midx name =
-    let cls = Facade_compiler.Transform.facade_name "Main" in
-    let ms = rp.Facade_vm.Resolved.methods in
-    let rec find i =
-      let m = ms.(i) in
-      if m.Facade_vm.Resolved.m_name = name && m.Facade_vm.Resolved.m_cls = cls then i
-      else find (i + 1)
-    in
-    find 0
-  in
+  let midx = method_index rp (Facade_compiler.Transform.facade_name "Main") in
   Alcotest.(check bool) "the leaf inlines into sum" true
     tier.Facade_vm.Vm_state.t_leaves.(midx "val");
   for run = 1 to 3 do
@@ -915,10 +894,10 @@ let () =
         ] );
       ( "deopt",
         [
-          Alcotest.test_case "osr: loop entry mid-call, deopt inside" `Quick
-            test_osr_loop_entry;
-          Alcotest.test_case "osr: stale variant delegates after IC-drift recompile"
-            `Quick test_osr_stale_after_ic_drift;
+          Alcotest.test_case "first call: loop compiles, deopts inside" `Quick
+            test_first_call_loop;
+          Alcotest.test_case "first call: mono misses delegate, cold and warm" `Quick
+            test_first_call_mono_delegates;
           Alcotest.test_case "polymorphic receiver" `Quick test_polymorphic_deopt;
           Alcotest.test_case "monitor region retires the method" `Quick
             test_monitor_deopt_and_retire;
