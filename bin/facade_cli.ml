@@ -55,11 +55,15 @@ let tier_feedback (rep : Opt.Driver.report option) =
     rep
 
 let print_tier_line ~tier2 (o : Facade_vm.Interp.outcome) =
-  if tier2 then
+  if tier2 then begin
+    let s = o.Facade_vm.Interp.stats in
     Printf.printf "tier2: %d compiled, %d entries, %d deopts\n"
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_compiles
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_entries
-      o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.tier2_deopts
+      s.Facade_vm.Exec_stats.tier2_compiles s.Facade_vm.Exec_stats.tier2_entries
+      s.Facade_vm.Exec_stats.tier2_deopts;
+    Printf.printf "tier2 slots: %d int, %d float, %d boxed\n"
+      s.Facade_vm.Exec_stats.tier2_int_slots s.Facade_vm.Exec_stats.tier2_float_slots
+      s.Facade_vm.Exec_stats.tier2_boxed_slots
+  end
 
 let workers_arg =
   Arg.(

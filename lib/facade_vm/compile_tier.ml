@@ -12,6 +12,17 @@
    agree on results, output, steps, heap totals, pool peaks, and the
    instruction mix.
 
+   Typed frame slots: a local whose every value is provably an int (or
+   a float), and which only typed-capable templates touch, lives
+   unboxed in the activation's [ints] (or [flts]) array instead of the
+   [Value.t] frame, so compiled code reads and writes it with no
+   allocation and no write barrier. The frame is therefore
+   materialized at deopt: tier 1 never sees a pinned slot until the
+   deopt handler writes every pinned value back, and a value return
+   boxes its operand. Everything else — call arguments and results,
+   delegated instructions, IC sites, object and array accesses — keeps
+   using the boxed frame, exactly as tier 1 does.
+
    Accounting identity with tier-1 (the differential contract):
    - straight-line runs of simple instructions are bulk-charged: a
      segment precheck deopts with reason "budget" if the step budget
@@ -54,10 +65,11 @@ let compile_limit = 4096
 (* ---------- activations ---------- *)
 
 (* Everything a compiled instruction reads besides its compile-time
-   constants: the running thread's state, the method's frame, and the
-   run's page pool. Instructions, segments, blocks and terminators all
-   take this one record, allocated once per compiled-method entry by
-   [run_blocks_from]. One argument keeps each call between composed
+   constants: the running thread's state, the method's boxed frame, its
+   pinned int and float slots, and the run's page pool. Instructions,
+   segments, blocks and terminators all take this one record, allocated
+   once per compiled-method entry by [run_blocks]. One argument keeps
+   each call between composed
    closures a plain indirect call: OCaml applies a closure of unknown
    arity to two or more arguments through [caml_applyN], which re-checks
    the arity on every call, and a compiled block makes several such
@@ -65,7 +77,13 @@ let compile_limit = 4096
    segment an activation runs resolves it from the run's store, so
    compiled code stays store-independent and a warm tier can be shared
    across facade runs exactly like object-mode tiers. *)
-type act = { st : st; frame : Value.t array; mutable pool : Page_pool.t }
+type act = {
+  st : st;
+  frame : Value.t array;
+  mutable pool : Page_pool.t;
+  ints : int array;
+  flts : floatarray;
+}
 
 (* A pool no run uses: every table slot is the dead-page sentinel, so an
    access through an unresolved activation would trap, never read. *)
@@ -151,6 +169,12 @@ let[@inline always] write_i64 p i v =
 let[@inline always] write_f64 p i v =
   if fits p i 8 then set_64u p i (Int64.bits_of_float v) else Page.write_f64 p i v
 
+let[@inline always] read_f32 p i =
+  if fits p i 4 then Int32.float_of_bits (get_32u p i) else Page.read_f32 p i
+
+let[@inline always] write_f32 p i v =
+  if fits p i 4 then set_32u p i (Int32.bits_of_float v) else Page.write_f32 p i v
+
 (* The bounds test of a facade array access against its length header. *)
 let[@inline always] check_index pg b i =
   if i < 0 || i >= read_i32 pg (b + LR.length_offset) then oob i
@@ -163,16 +187,35 @@ let[@inline always] pg_read (a : R.acc) p i =
   | R.A_i32 -> of_int (read_i32 p i)
   | R.A_i8 -> of_int (Page.read_u8 p i)
   | R.A_i16 -> of_int (Page.read_u16 p i)
-  | R.A_f32 -> Value.Float (Page.read_f32 p i)
+  | R.A_f32 -> Value.Float (read_f32 p i)
 
 let[@inline always] pg_write (a : R.acc) p i v =
   match a with
   | R.A_i64 -> write_i64 p i (as_int v)
-  | R.A_f64 -> write_f64 p i (as_float v)
+  | R.A_f64 ->
+      let x = as_float v in
+      write_f64 p i x
   | R.A_i32 -> write_i32 p i (as_int v)
   | R.A_i8 -> Page.write_u8 p i (as_int v land 0xff)
   | R.A_i16 -> Page.write_u16 p i (as_int v)
-  | R.A_f32 -> Page.write_f32 p i (as_float v)
+  | R.A_f32 ->
+      let x = as_float v in
+      write_f32 p i x
+
+(* The same reads, unboxed: an int access as an int, any access as a
+   float (int widths converted as [arith]'s mixed cases do). *)
+let[@inline always] pg_read_i (a : R.acc) p i =
+  match a with
+  | R.A_i64 -> read_i64 p i
+  | R.A_i32 -> read_i32 p i
+  | R.A_i8 -> Page.read_u8 p i
+  | _ -> Page.read_u16 p i
+
+let[@inline always] pg_read_f (a : R.acc) p i =
+  match a with
+  | R.A_f64 -> read_f64 p i
+  | R.A_f32 -> read_f32 p i
+  | _ -> float_of_int (pg_read_i a p i)
 
 (* [arith] with the int and float cases of Add/Sub/Mul inline. Mixed or
    invalid operands go to [arith]: same coercions, same errors. *)
@@ -242,17 +285,310 @@ let[@inline always] count_step st cat =
   stats.Exec_stats.steps <- stats.Exec_stats.steps + 1;
   stats.Exec_stats.mix.(cat) <- stats.Exec_stats.mix.(cat) + 1
 
+(* ---------- typed frame slots ---------- *)
+
+(* What a slot can hold, over the lattice ⊥ < int, float < boxed: the
+   join of its template value and of every value any instruction writes
+   to it. A slot of kind int only ever holds a [Value.Int]. *)
+type kind = K_bot | K_int | K_flt | K_box
+
+let join a b =
+  match a, b with
+  | K_bot, k | k, K_bot -> k
+  | K_int, K_int -> K_int
+  | K_flt, K_flt -> K_flt
+  | _ -> K_box
+
+let kind_of_value = function Value.Int _ -> K_int | Value.Float _ -> K_flt | _ -> K_box
+
+let acc_kind = function
+  | R.A_f32 | R.A_f64 -> K_flt
+  | R.A_i8 | R.A_i16 | R.A_i32 | R.A_i64 -> K_int
+
+let is_num k = k = K_int || k = K_flt
+let is_cmp = function Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne -> true | _ -> false
+
+(* The kind of [arith op x y], case by case: every int op on two ints
+   gives an int; Add/Sub/Mul/Div/Rem with a float operand give a float;
+   a comparison either raises or gives 0/1; anything else may be
+   anything (or raise). *)
+let binop_kind op kx ky =
+  match kx, ky with
+  | K_bot, _ | _, K_bot -> K_bot
+  | _ when is_cmp op -> K_int
+  | K_int, K_int -> K_int
+  | (K_int | K_flt), (K_int | K_flt) when is_float_op op -> K_flt
+  | _ -> K_box
+
+(* The kind an instruction writes to its destination. *)
+let def_kind (k : kind array) = function
+  | R.Rconst (_, v) -> kind_of_value v
+  | R.Rmove (_, s) | R.Rneg (_, s) -> k.(s)
+  | R.Rnot _ -> K_int
+  | R.Rbinop (_, op, x, y) -> binop_kind op k.(x) k.(y)
+  | R.Rbinop_imm (_, op, x, v) -> binop_kind op k.(x) (kind_of_value v)
+  | R.Rmul_add (_, x, y, z) -> binop_kind Ir.Add (binop_kind Ir.Mul k.(x) k.(y)) k.(z)
+  | R.Rmul_add_imm (_, x, v, z) ->
+      binop_kind Ir.Add (binop_kind Ir.Mul k.(x) (kind_of_value v)) k.(z)
+  | R.Rget (_, acc, _, _)
+  | R.Raget (_, acc, _, _, _)
+  | R.Raget_get (_, _, _, _, acc, _)
+  | R.Raget_aget (_, acc, _, _, _, _, _) ->
+      acc_kind acc
+  | R.Rget_bin (_, acc, _, _, op, s) ->
+      binop_kind op (acc_kind acc)
+        (match s with R.Oslot s -> k.(s) | R.Oconst v -> kind_of_value v)
+  | _ -> K_box
+
+(* The templates that can read and write a slot unboxed. Facade page
+   templates delegate in object mode, so there they cannot. *)
+let typed_capable ~object_mode = function
+  | R.Rconst _ | R.Rmove _ | R.Rbinop _ | R.Rbinop_imm _ | R.Rmul_add _ | R.Rmul_add_imm _
+  | R.Rneg _ | R.Rnot _ ->
+      true
+  | R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _ | R.Rget_bin _ | R.Rrmw _ | R.Raget_get _
+  | R.Raget_aget _ ->
+      not object_mode
+  | _ -> false
+
+(* Where compiled code finds an operand. *)
+type loc =
+  | L_int of int  (* pinned int slot: index into [act.ints] *)
+  | L_flt of int  (* pinned float slot: index into [act.flts] *)
+  | L_box of int  (* frame slot *)
+  | L_imm of Value.t  (* constant operand *)
+
+type layout = {
+  locs : loc array;  (* frame slot -> location *)
+  kinds : kind array;  (* frame slot -> inferred kind *)
+  int_slots : int array;  (* [ints] index -> frame slot *)
+  flt_slots : int array;  (* [flts] index -> frame slot *)
+  mutable int_init : int array;
+      (* entry values of [ints]: the pinned slots' template values, then
+         the int constants {!icode} interned *)
+  mutable flt_init : floatarray;
+}
+
+let no_flts = Float.Array.create 0
+
+(* Slot-kind inference and pinning. Kinds start from the frame template
+   (params and [this] are boxed: arguments overwrite them) and rise to
+   a fixpoint over every definition. A slot is pinned when its kind is
+   int or float and every instruction touching it is typed-capable;
+   terminators all are. *)
+let infer_layout ~object_mode (m : R.meth) =
+  let n = Array.length m.R.m_frame in
+  let k = Array.map kind_of_value m.R.m_frame in
+  for s = 0 to min (n - 1) m.R.m_nparams do
+    k.(s) <- K_box
+  done;
+  let instrs = Array.concat (List.map (fun (b : R.block) -> b.R.code) (Array.to_list m.R.m_body)) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun ins ->
+        match Quicken.rdef ins with
+        | Some d ->
+            let j = join k.(d) (def_kind k ins) in
+            if j <> k.(d) then begin
+              k.(d) <- j;
+              changed := true
+            end
+        | None -> ())
+      instrs
+  done;
+  (* 0: untouched, 1: touched by typed-capable code only, 2: otherwise *)
+  let touched = Array.make n 0 in
+  let touch ok s = touched.(s) <- max touched.(s) (if ok then 1 else 2) in
+  Array.iter
+    (fun ins ->
+      let ok = typed_capable ~object_mode ins in
+      Option.iter (touch ok) (Quicken.rdef ins);
+      List.iter (touch ok) (Quicken.ruses ins))
+    instrs;
+  Array.iter (fun (b : R.block) -> List.iter (touch true) (Quicken.term_uses b.R.term)) m.R.m_body;
+  let ni = ref 0 and nf = ref 0 in
+  let locs =
+    Array.init n (fun s ->
+        match k.(s) with
+        | K_int when touched.(s) = 1 ->
+            incr ni;
+            L_int (!ni - 1)
+        | K_flt when touched.(s) = 1 ->
+            incr nf;
+            L_flt (!nf - 1)
+        | _ -> L_box s)
+  in
+  let int_slots = Array.make !ni 0 and flt_slots = Array.make !nf 0 in
+  Array.iteri
+    (fun s -> function L_int i -> int_slots.(i) <- s | L_flt i -> flt_slots.(i) <- s | _ -> ())
+    locs;
+  {
+    locs;
+    kinds = k;
+    int_slots;
+    flt_slots;
+    int_init = Array.map (fun s -> as_int m.R.m_frame.(s)) int_slots;
+    flt_init =
+      (if !nf = 0 then no_flts
+       else Float.Array.map_from_array (fun s -> as_float m.R.m_frame.(s)) flt_slots);
+  }
+
+let layout_for (cst : st) m =
+  infer_layout ~object_mode:(match cst.mode with Object_mode -> true | Facade_mode _ -> false) m
+
+let loc_of (l : layout) s = l.locs.(s)
+let oloc (l : layout) = function R.Oslot s -> l.locs.(s) | R.Oconst v -> L_imm v
+let okind (l : layout) = function R.Oslot s -> l.kinds.(s) | R.Oconst v -> kind_of_value v
+let pinned = function L_int _ | L_flt _ -> true | L_box _ | L_imm _ -> false
+
+(* Generic location access: a pinned slot read through [rd_v] boxes,
+   and [wr_v] unboxes into a pinned destination. The templates use
+   these only where kinds leave [arith]'s case open. *)
+let[@inline always] rd_v a = function
+  | L_box s -> fg a.frame s
+  | L_int k -> of_int (Array.unsafe_get a.ints k)
+  | L_flt k -> Value.Float (Float.Array.unsafe_get a.flts k)
+  | L_imm v -> v
+
+let[@inline always] wr_v a d v =
+  match d with
+  | L_box s -> fs a.frame s v
+  | L_int k -> Array.unsafe_set a.ints k (as_int v)
+  | L_flt k -> Float.Array.unsafe_set a.flts k (as_float v)
+  | L_imm _ -> assert false
+
+(* Direct codes: a typed template addresses an operand by one int, an
+   index into [ints] (or [flts]) when [>= 0] and the boxed frame slot
+   [-1 - c] otherwise, so a read costs one sign test on a constant
+   where a {!loc} match costs a jump table. Constants are interned into
+   the arrays after the pinned slots; only the pinned slots are copied
+   per activation, so a method with none shares its constants. A
+   location with no direct code — a pinned float read as an int, a
+   constant of the other kind — takes the generic path. *)
+let icode lay = function
+  | L_int k -> Some k
+  | L_box s -> Some (-1 - s)
+  | L_imm (Value.Int n) ->
+      lay.int_init <- Array.append lay.int_init [| n |];
+      Some (Array.length lay.int_init - 1)
+  | L_flt _ | L_imm _ -> None
+
+let fcode lay = function
+  | L_flt k -> Some k
+  | L_box s -> Some (-1 - s)
+  | L_imm (Value.Float x) ->
+      lay.flt_init <- Float.Array.append lay.flt_init (Float.Array.make 1 x);
+      Some (Float.Array.length lay.flt_init - 1)
+  | L_int _ | L_imm _ -> None
+
+(* The code of an operand whose kind is numeric, read as a float:
+   [(true, c)] is an int code to convert, [(false, c)] a float code. *)
+let ncode lay k l =
+  if k = K_int then (true, Option.get (icode lay l)) else (false, Option.get (fcode lay l))
+
+(* Reads are exact on operands of the read kind; a boxed slot of any
+   other kind coerces and raises exactly as tier 1's [as_int] and
+   [as_float] do. A float handed to an inlined helper is let-bound
+   first: inlining binds a non-trivial argument without its float type,
+   and such a binding stays boxed — one allocation per execution — when
+   a branch of the bound expression is a call. *)
+let[@inline always] ri a c =
+  if c >= 0 then Array.unsafe_get a.ints c else as_int (fg a.frame (-1 - c))
+
+let[@inline always] rf a c =
+  if c >= 0 then Float.Array.unsafe_get a.flts c else as_float (fg a.frame (-1 - c))
+
+let[@inline always] rn a i c = if i then float_of_int (ri a c) else rf a c
+
+(* A page reference: [addr_nn] of the slot's value. *)
+let[@inline always] raddr a c =
+  if c >= 0 then begin
+    let ad = Array.unsafe_get a.ints c in
+    if ad <> 0 then ad else bad_ref (Value.Int 0)
+  end
+  else addr_nn (fg a.frame (-1 - c))
+
+let[@inline always] wi a c n =
+  if c >= 0 then Array.unsafe_set a.ints c n else fs a.frame (-1 - c) (of_int n)
+
+let[@inline always] wf a c x =
+  if c >= 0 then Float.Array.unsafe_set a.flts c x else fs a.frame (-1 - c) (Value.Float x)
+
+(* [arith] on two ints, every op: Div/Rem by zero raise through [arith]
+   itself, so the text is tier 1's. *)
+let[@inline never] div_zero op = as_int (arith op (Value.Int 0) (Value.Int 0))
+
+let[@inline always] iarith (op : Ir.binop) p q =
+  match op with
+  | Ir.Add -> p + q
+  | Ir.Sub -> p - q
+  | Ir.Mul -> p * q
+  | Ir.Div -> if q = 0 then div_zero op else p / q
+  | Ir.Rem -> if q = 0 then div_zero op else p mod q
+  | Ir.And -> p land q
+  | Ir.Or -> p lor q
+  | Ir.Xor -> p lxor q
+  | Ir.Shl -> p lsl q
+  | Ir.Shr -> p asr q
+  | Ir.Lt -> if p < q then 1 else 0
+  | Ir.Le -> if p <= q then 1 else 0
+  | Ir.Gt -> if p > q then 1 else 0
+  | Ir.Ge -> if p >= q then 1 else 0
+  | Ir.Eq -> if p = q then 1 else 0
+  | Ir.Ne -> if p <> q then 1 else 0
+
+(* A comparison with at least one float operand, after [cmp_num]'s
+   promotion; Eq/Ne here only ever see two floats. *)
+let[@inline always] fcmp (op : Ir.binop) (x : float) (y : float) =
+  match op with
+  | Ir.Lt -> x < y
+  | Ir.Le -> x <= y
+  | Ir.Gt -> x > y
+  | Ir.Ge -> x >= y
+  | Ir.Eq -> x = y
+  | _ -> x <> y
+
 (* ---------- compiled-code runner ---------- *)
 
-(* Block closures return the next block index, [-1] for a void return,
-   [-2] for a value return (parked in the per-thread [st.tret] cell). *)
-let run_blocks st pool (blocks : (act -> int) array) frame =
-  let a = { st; frame; pool } in
-  let bi = ref 0 in
-  while !bi >= 0 do
-    bi := blocks.(!bi) a
-  done;
-  if !bi = -1 then None
+(* A compiled method: its composed blocks and its slot layout. Block
+   closures return the next block index, [-1] for a void return, [-2]
+   for a value return (parked in the per-thread [st.tret] cell). *)
+type code = { blocks : (act -> int) array; lay : layout }
+
+(* Write every pinned slot back into the frame, so tier 1 resumes on
+   the frame an all-boxed run would have built. *)
+let materialize (l : layout) a =
+  Array.iteri (fun i s -> a.frame.(s) <- of_int a.ints.(i)) l.int_slots;
+  Array.iteri (fun i s -> a.frame.(s) <- Value.Float (Float.Array.get a.flts i)) l.flt_slots
+
+let rec run_from (blocks : (act -> int) array) a bi =
+  if bi < 0 then bi else run_from blocks a (blocks.(bi) a)
+
+(* Entry is always block 0 of a fresh frame, so the pinned slots start
+   from the template. A method with no pinned slot has nothing to write
+   back and runs without a handler. *)
+let run_blocks st pool (c : code) frame =
+  let l = c.lay in
+  let a =
+    {
+      st;
+      frame;
+      pool;
+      ints = (if Array.length l.int_slots = 0 then l.int_init else Array.copy l.int_init);
+      flts = (if Array.length l.flt_slots = 0 then l.flt_init else Float.Array.copy l.flt_init);
+    }
+  in
+  let r =
+    if Array.length l.int_slots + Array.length l.flt_slots = 0 then run_from c.blocks a 0
+    else
+      try run_from c.blocks a 0
+      with Tier_deopt _ as e ->
+        materialize l a;
+        raise e
+  in
+  if r = -1 then None
   else begin
     let v = st.tret in
     st.tret <- Value.Null;
@@ -265,14 +601,14 @@ let note_deopt reason =
       ~args:[ ("reason", Obs.Tracer.Astr reason) ]
       "tier_deopt"
 
-(* Entry wrapper: run the composed blocks and, on a guard failure, count
+(* Entry wrapper: run the compiled method and, on a guard failure, count
    the deopt, retire the method's compiled code at the limit, and resume
-   tier-1 at the failed pc on the same frame. The two-argument entry is
-   built as its own closure, so the interpreter's call is an exact-arity
-   one. *)
-let wrap_blocks (t : tier) mx blocks =
+   tier-1 at the failed pc on the frame [run_blocks] materialized. The
+   two-argument entry is built as its own closure, so the interpreter's
+   call is an exact-arity one. *)
+let wrap_blocks (t : tier) mx code =
   let entry st frame =
-    try run_blocks st no_pool blocks frame
+    try run_blocks st no_pool code frame
     with Tier_deopt (dbi, dpc, reason) ->
       st.stats.Exec_stats.tier2_deopts <- st.stats.Exec_stats.tier2_deopts + 1;
       t.t_fail.(mx) <- t.t_fail.(mx) + 1;
@@ -302,9 +638,9 @@ let deopt_inline t st midx frame bi pc reason =
    *callee* in tier-1. *)
 let invoke t a midx leaf f =
   match leaf with
-  | Some blocks when t.t_fail.(midx) < deopt_limit -> (
+  | Some code when t.t_fail.(midx) < deopt_limit -> (
       Exec_stats.note_mcall a.st.stats midx;
-      try run_blocks a.st a.pool blocks f
+      try run_blocks a.st a.pool code f
       with Tier_deopt (cbi, cpc, reason) -> deopt_inline t a.st midx f cbi cpc reason)
   | _ -> t.t_hooks.h_call a.st midx f
 
@@ -316,56 +652,94 @@ let callee_frame (m : R.meth) (args : R.slot array) frame =
   done;
   f
 
-let compile_term (term : R.term) : act -> int =
+(* Int compare-and-branch over direct codes, one closure per
+   operator. *)
+let int_branch (op : Ir.binop) x y t e : act -> int =
+  match op with
+  | Ir.Lt -> fun a -> if ri a x < ri a y then t else e
+  | Ir.Le -> fun a -> if ri a x <= ri a y then t else e
+  | Ir.Gt -> fun a -> if ri a x > ri a y then t else e
+  | Ir.Ge -> fun a -> if ri a x >= ri a y then t else e
+  | Ir.Eq -> fun a -> if ri a x = ri a y then t else e
+  | _ -> fun a -> if ri a x <> ri a y then t else e
+
+(* Compare-and-branch on operands no pinned slot is among: int
+   compares inline, one closure per operator; everything else, floats
+   included, takes [arith]'s comparison as tier-1 does. *)
+let boxed_branch (op : Ir.binop) x y t e : act -> int =
+  match op with
+  | Ir.Lt -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p < q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | Ir.Le -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p <= q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | Ir.Gt -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p > q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | Ir.Ge -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p >= q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | Ir.Eq -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p = q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | Ir.Ne -> (
+      fun a ->
+        match opv a.frame x, opv a.frame y with
+        | Value.Int p, Value.Int q -> if p <> q then t else e
+        | p, q -> cmp_slow op p q t e)
+  | _ -> fun a -> cmp_slow op (opv a.frame x) (opv a.frame y) t e
+
+let compile_term lay (term : R.term) : act -> int =
   match term with
   | R.Rret_void -> fun _ -> -1
-  | R.Rret s ->
-      fun a ->
-        a.st.tret <- fg a.frame s;
-        -2
+  | R.Rret s -> (
+      match loc_of lay s with
+      | L_box s ->
+          fun a ->
+            a.st.tret <- fg a.frame s;
+            -2
+      | l ->
+          fun a ->
+            a.st.tret <- rd_v a l;
+            -2)
   | R.Rjump t -> fun _ -> t
-  | R.Rbranch (s, t, e) -> fun a -> if truthy (fg a.frame s) then t else e
-  | R.Rcmp_branch (op, x, y, t, e) -> (
-      (* Int compares inline; everything else, floats included, takes
-         [arith]'s comparison as tier-1 does. *)
-      match op with
-      | Ir.Lt -> (
+  | R.Rbranch (s, t, e) -> (
+      match loc_of lay s with
+      | L_int k -> fun a -> if Array.unsafe_get a.ints k <> 0 then t else e
+      | L_flt _ -> fun _ -> t (* every float is truthy, 0.0 included *)
+      | L_box s -> fun a -> if truthy (fg a.frame s) then t else e
+      | L_imm v -> if truthy v then fun _ -> t else fun _ -> e)
+  | R.Rcmp_branch (op, x, y, t, e) ->
+      let kx = okind lay x and ky = okind lay y in
+      let lx = oloc lay x and ly = oloc lay y in
+      if not (pinned lx || pinned ly) then boxed_branch op x y t e
+      else if is_cmp op && kx = K_int && ky = K_int then
+        int_branch op (Option.get (icode lay lx)) (Option.get (icode lay ly)) t e
+      else if is_cmp op && is_num kx && is_num ky then
+        if (op = Ir.Eq || op = Ir.Ne) && kx <> ky then
+          (* an int never equals a float *)
+          let r = if op = Ir.Eq then e else t in
+          fun _ -> r
+        else
+          let xi, x = ncode lay kx lx and yi, y = ncode lay ky ly in
           fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p < q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | Ir.Le -> (
-          fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p <= q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | Ir.Gt -> (
-          fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p > q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | Ir.Ge -> (
-          fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p >= q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | Ir.Eq -> (
-          fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p = q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | Ir.Ne -> (
-          fun a ->
-            let f = a.frame in
-            match opv f x, opv f y with
-            | Value.Int p, Value.Int q -> if p <> q then t else e
-            | p, q -> cmp_slow op p q t e)
-      | _ -> fun a -> cmp_slow op (opv a.frame x) (opv a.frame y) t e)
+            let p = rn a xi x in
+            let q = rn a yi y in
+            if fcmp op p q then t else e
+      else
+        (* a pinned operand against one of unknown kind *)
+        fun a -> cmp_slow op (rd_v a lx) (rd_v a ly) t e
 
 (* One compiled instruction: either bulk-chargeable straight-line work
    (step/mix accounting hoisted into the enclosing segment) or a
@@ -381,54 +755,189 @@ type step =
 
 (* ---------- the instruction templates ---------- *)
 
-let rec compile_instr t (cst : st) mx ~depth bi pc (ins : R.instr) : step =
+(* A page read into destination code [d] — an int code for the int
+   widths, a float code for the float ones. *)
+let[@inline always] pg_load a (acc : R.acc) d p i =
+  match acc with
+  | R.A_i64 -> wi a d (read_i64 p i)
+  | R.A_f64 ->
+      let x = read_f64 p i in
+      wf a d x
+  | R.A_i32 -> wi a d (read_i32 p i)
+  | R.A_i8 -> wi a d (Page.read_u8 p i)
+  | R.A_i16 -> wi a d (Page.read_u16 p i)
+  | R.A_f32 ->
+      let x = read_f32 p i in
+      wf a d x
+
+(* [pg_write] of the operand at code [c], of the access's kind. *)
+let[@inline always] pg_store a (acc : R.acc) p i c =
+  match acc with
+  | R.A_i64 -> write_i64 p i (ri a c)
+  | R.A_f64 ->
+      let x = rf a c in
+      write_f64 p i x
+  | R.A_i32 -> write_i32 p i (ri a c)
+  | R.A_i8 -> Page.write_u8 p i (ri a c land 0xff)
+  | R.A_i16 -> Page.write_u16 p i (ri a c)
+  | R.A_f32 ->
+      let x = rf a c in
+      write_f32 p i x
+
+(* The direct code of a value of access [acc]'s kind at [l]. *)
+let acode lay (acc : R.acc) l = if acc_kind acc = K_flt then fcode lay l else icode lay l
+
+(* [d = x op y] through [arith] on boxed operands. With no pinned slot
+   involved — the common case in object mode — the frame is read
+   directly, which beats the unboxed path's per-operand kind tests. *)
+let boxed_binop op d x y : act -> unit =
+  match d, x, y with
+  | L_box d, L_box x, L_box y -> (
+      match op with
+      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) (fg a.frame y))
+      | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) (fg a.frame y))
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) (fg a.frame y))
+      | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) (fg a.frame y)))
+  | L_box d, L_box x, L_imm v -> (
+      match op with
+      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) v)
+      | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) v)
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) v)
+      | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) v))
+  | _ -> (
+      match op with
+      | Ir.Add -> fun a -> wr_v a d (add_v (rd_v a x) (rd_v a y))
+      | Ir.Sub -> fun a -> wr_v a d (sub_v (rd_v a x) (rd_v a y))
+      | Ir.Mul -> fun a -> wr_v a d (mul_v (rd_v a x) (rd_v a y))
+      | _ -> fun a -> wr_v a d (arith op (rd_v a x) (rd_v a y)))
+
+(* [d = x op y] over operands of kinds [kx] and [ky]: unboxed whenever
+   the kinds decide which case of [arith] runs, through [arith] on
+   boxed operands otherwise — so anything unusual stays exact by
+   construction. *)
+let binop_code lay op d x kx y ky : act -> unit =
+  match binop_kind op kx ky with
+  | _ when not (pinned d || pinned x || pinned y) -> boxed_binop op d x y
+  | K_int when kx = K_int && ky = K_int -> (
+      let d = Option.get (icode lay d) in
+      let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
+      match op with
+      | Ir.Add -> fun a -> wi a d (ri a x + ri a y)
+      | Ir.Sub -> fun a -> wi a d (ri a x - ri a y)
+      | Ir.Mul -> fun a -> wi a d (ri a x * ri a y)
+      | _ -> fun a -> wi a d (iarith op (ri a x) (ri a y)))
+  | K_int when is_num kx && is_num ky ->
+      (* a comparison with a float operand; an int never equals a float *)
+      let d = Option.get (icode lay d) in
+      if (op = Ir.Eq || op = Ir.Ne) && kx <> ky then
+        let r = if op = Ir.Eq then 0 else 1 in
+        fun a -> wi a d r
+      else
+        let xi, x = ncode lay kx x and yi, y = ncode lay ky y in
+        fun a ->
+          let p = rn a xi x in
+          let q = rn a yi y in
+          wi a d (if fcmp op p q then 1 else 0)
+  | K_flt -> (
+      let d = Option.get (fcode lay d) in
+      let xi, x = ncode lay kx x and yi, y = ncode lay ky y in
+      match op with
+      | Ir.Add -> fun a -> wf a d (rn a xi x +. rn a yi y)
+      | Ir.Sub -> fun a -> wf a d (rn a xi x -. rn a yi y)
+      | Ir.Mul -> fun a -> wf a d (rn a xi x *. rn a yi y)
+      | Ir.Div -> fun a -> wf a d (rn a xi x /. rn a yi y)
+      | _ -> fun a -> wf a d (Float.rem (rn a xi x) (rn a yi y)))
+  | _ -> boxed_binop op d x y
+
+(* [d = x*y + z], the product rounded before the sum as tier 1's two
+   [arith] calls do. *)
+let mul_add_code lay d x kx y ky z kz : act -> unit =
+  let km = binop_kind Ir.Mul kx ky in
+  match binop_kind Ir.Add km kz with
+  | _ when not (pinned d || pinned x || pinned y || pinned z) -> (
+      fun a ->
+        match rd_v a x, rd_v a y, rd_v a z with
+        | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
+        | vx, vy, vz -> wr_v a d (arith Ir.Add (arith Ir.Mul vx vy) vz))
+  | K_int ->
+      let d = Option.get (icode lay d) in
+      let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
+      let z = Option.get (icode lay z) in
+      fun a -> wi a d ((ri a x * ri a y) + ri a z)
+  | K_flt when km = K_int ->
+      let d = Option.get (fcode lay d) and z = Option.get (fcode lay z) in
+      let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
+      fun a -> wf a d (float_of_int (ri a x * ri a y) +. rf a z)
+  | K_flt ->
+      let d = Option.get (fcode lay d) in
+      let xi, x = ncode lay kx x and yi, y = ncode lay ky y in
+      let zi, z = ncode lay kz z in
+      fun a -> wf a d ((rn a xi x *. rn a yi y) +. rn a zi z)
+  | _ -> (
+      fun a ->
+        match rd_v a x, rd_v a y, rd_v a z with
+        | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
+        | vx, vy, vz -> wr_v a d (arith Ir.Add (arith Ir.Mul vx vy) vz))
+
+let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   let cat = R.category ins in
   let bulk f = S_bulk (f, cat) in
   let bulk_s f = S_store (f, cat) in
   let deleg () = S_self (fun a -> t.t_hooks.h_exec a.st mx a.frame ins) in
   let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
+  let loc = loc_of lay and kind s = lay.kinds.(s) in
   match ins with
-  | R.Rconst (d, v) -> bulk (fun a -> fs a.frame d v)
-  | R.Rmove (d, s) -> bulk (fun a -> fs a.frame d (fg a.frame s))
-  | R.Rbinop (d, op, x, y) -> (
-      match op with
-      | Ir.Add -> bulk (fun a -> fs a.frame d (add_v (fg a.frame x) (fg a.frame y)))
-      | Ir.Sub -> bulk (fun a -> fs a.frame d (sub_v (fg a.frame x) (fg a.frame y)))
-      | Ir.Mul -> bulk (fun a -> fs a.frame d (mul_v (fg a.frame x) (fg a.frame y)))
-      | _ -> bulk (fun a -> fs a.frame d (arith op (fg a.frame x) (fg a.frame y))))
-  | R.Rbinop_imm (d, op, x, v) -> (
-      match op with
-      | Ir.Add -> bulk (fun a -> fs a.frame d (add_v (fg a.frame x) v))
-      | Ir.Sub -> bulk (fun a -> fs a.frame d (sub_v (fg a.frame x) v))
-      | Ir.Mul -> bulk (fun a -> fs a.frame d (mul_v (fg a.frame x) v))
-      | _ -> bulk (fun a -> fs a.frame d (arith op (fg a.frame x) v)))
+  | R.Rconst (d, v) -> (
+      match loc d, v with
+      | L_box d, _ -> bulk (fun a -> fs a.frame d v)
+      | L_int k, Value.Int n -> bulk (fun a -> Array.unsafe_set a.ints k n)
+      | L_flt k, Value.Float x -> bulk (fun a -> Float.Array.unsafe_set a.flts k x)
+      | dl, _ -> bulk (fun a -> wr_v a dl v))
+  | R.Rmove (d, s) -> (
+      match loc d, loc s, kind s with
+      | L_box d, L_box s, _ -> bulk (fun a -> fs a.frame d (fg a.frame s))
+      | dl, sl, K_int ->
+          let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
+          bulk (fun a -> wi a d (ri a s))
+      | dl, sl, K_flt ->
+          let d = Option.get (fcode lay dl) and s = Option.get (fcode lay sl) in
+          bulk (fun a ->
+              let x = rf a s in
+              wf a d x)
+      | dl, sl, (K_bot | K_box) -> bulk (fun a -> wr_v a dl (rd_v a sl)))
+  | R.Rbinop (d, op, x, y) -> bulk (binop_code lay op (loc d) (loc x) (kind x) (loc y) (kind y))
+  | R.Rbinop_imm (d, op, x, v) ->
+      bulk (binop_code lay op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
   | R.Rmul_add (d, x, y, z) ->
-      bulk (fun a ->
-          let f = a.frame in
-          match fg f x, fg f y, fg f z with
-          | Value.Int p, Value.Int q, Value.Int r -> fs f d (of_int ((p * q) + r))
-          | vx, vy, vz -> fs f d (arith Ir.Add (arith Ir.Mul vx vy) vz))
-  | R.Rmul_add_imm (d, x, v, z) -> (
-      match v with
-      | Value.Int k ->
+      bulk (mul_add_code lay (loc d) (loc x) (kind x) (loc y) (kind y) (loc z) (kind z))
+  | R.Rmul_add_imm (d, x, v, z) ->
+      bulk
+        (mul_add_code lay (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v) (loc z) (kind z))
+  | R.Rneg (d, s) -> (
+      match kind s with
+      | K_int ->
+          let d = Option.get (icode lay (loc d)) and s = Option.get (icode lay (loc s)) in
+          bulk (fun a -> wi a d (-ri a s))
+      | K_flt ->
+          let d = Option.get (fcode lay (loc d)) and s = Option.get (fcode lay (loc s)) in
+          bulk (fun a -> wf a d (-.rf a s))
+      | K_bot | K_box ->
+          let dl = loc d and sl = loc s in
           bulk (fun a ->
-              let f = a.frame in
-              match fg f x, fg f z with
-              | Value.Int p, Value.Int r -> fs f d (of_int ((p * k) + r))
-              | vx, vz -> fs f d (arith Ir.Add (arith Ir.Mul vx v) vz))
-      | _ ->
-          bulk (fun a ->
-              let f = a.frame in
-              fs f d (arith Ir.Add (arith Ir.Mul (fg f x) v) (fg f z))))
-  | R.Rneg (d, s) ->
-      bulk (fun a ->
-          let f = a.frame in
-          match fg f s with
-          | Value.Int n -> fs f d (of_int (-n))
-          | Value.Float x -> fs f d (Value.Float (-.x))
-          | w -> vm_err "neg of %s" (Value.to_string w))
-  | R.Rnot (d, s) ->
-      bulk (fun a -> fs a.frame d (of_int (if truthy (fg a.frame s) then 0 else 1)))
+              match rd_v a sl with
+              | Value.Int n -> wr_v a dl (of_int (-n))
+              | Value.Float x -> wr_v a dl (Value.Float (-.x))
+              | w -> vm_err "neg of %s" (Value.to_string w)))
+  | R.Rnot (d, s) -> (
+      let d = Option.get (icode lay (loc d)) in
+      match kind s with
+      | K_flt -> bulk (fun a -> wi a d 0) (* every float is truthy *)
+      | K_int ->
+          let s = Option.get (icode lay (loc s)) in
+          bulk (fun a -> wi a d (if ri a s <> 0 then 0 else 1))
+      | K_bot | K_box ->
+          let sl = loc s in
+          bulk (fun a -> wi a d (if truthy (rd_v a sl) then 0 else 1)))
   | R.Rnew (d, cid) -> bulk (fun a -> fs a.frame d (alloc_obj a.st cid))
   | R.Rnew_array (d, na, len) ->
       bulk (fun a -> fs a.frame d (alloc_arr a.st na (as_int (fg a.frame len))))
@@ -542,112 +1051,177 @@ let rec compile_instr t (cst : st) mx ~depth bi pc (ins : R.instr) : step =
   | R.Raget_aget _
     when object_mode ->
       deleg ()
-  | R.Rget (d, acc, p, off) ->
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad = addr_nn (fg f p) in
-          fs f d (pg_read acc (page_in a.pool ad) (offset ad + off)))
-  | R.Rset (acc, p, off, src) ->
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad = addr_nn (fg f p) in
-          pg_write acc (page_in a.pool ad) (offset ad + off) (opv f src))
-  | R.Raget (d, acc, p, eb, idx) ->
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad = addr_nn (fg f p) in
-          let pg = page_in a.pool ad in
-          let b = offset ad in
-          let i = as_int (opv f idx) in
-          check_index pg b i;
-          fs f d (pg_read acc pg (b + LR.array_header_bytes + (eb * i))))
-  | R.Raset (acc, p, eb, idx, src) ->
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad = addr_nn (fg f p) in
-          let pg = page_in a.pool ad in
-          let b = offset ad in
-          let i = as_int (opv f idx) in
-          check_index pg b i;
-          pg_write acc pg (b + LR.array_header_bytes + (eb * i)) (opv f src))
-  | R.Rget_bin (d, acc, p, off, op, s) ->
-      if acc = R.A_f64 && is_float_op op then
-        (* Unboxed load-op: no intermediate Value for the loaded number;
-           mixed operands fall back to [arith] so error text matches
-           tier-1. *)
-        bulk_s (fun a ->
-            let f = a.frame in
-            let ad = addr_nn (fg f p) in
-            let x = read_f64 (page_in a.pool ad) (offset ad + off) in
-            fs f d
-              (match opv f s with
-              | Value.Float y -> Value.Float (fop op x y)
-              | Value.Int y -> Value.Float (fop op x (float_of_int y))
-              | v -> arith op (Value.Float x) v))
-      else
-        bulk_s (fun a ->
-            let f = a.frame in
-            let ad = addr_nn (fg f p) in
-            fs f d (arith op (pg_read acc (page_in a.pool ad) (offset ad + off)) (opv f s)))
-  | R.Rrmw (acc, p, off, op, s) ->
-      if acc = R.A_f64 && is_float_op op then
-        bulk_s (fun a ->
-            let f = a.frame in
-            let ad = addr_nn (fg f p) in
-            let pg = page_in a.pool ad in
-            let i = offset ad + off in
-            let x = read_f64 pg i in
-            write_f64 pg i
-              (match opv f s with
-              | Value.Float y -> fop op x y
-              | Value.Int y -> fop op x (float_of_int y)
-              | v -> as_float (arith op (Value.Float x) v)))
-      else if acc = R.A_i64 && is_int_op op then
-        bulk_s (fun a ->
-            let f = a.frame in
-            let ad = addr_nn (fg f p) in
-            let pg = page_in a.pool ad in
-            let i = offset ad + off in
-            let x = read_i64 pg i in
-            write_i64 pg i
-              (match opv f s with
-              | Value.Int y -> iop op x y
-              | v -> as_int (arith op (Value.Int x) v)))
-      else
-        bulk_s (fun a ->
-            let f = a.frame in
-            let ad = addr_nn (fg f p) in
-            let pg = page_in a.pool ad in
-            let i = offset ad + off in
-            pg_write acc pg i (arith op (pg_read acc pg i) (opv f s)))
-  | R.Raget_get (d, arr, eb, idx, acc, off) ->
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad = addr_nn (fg f arr) in
-          let pg = page_in a.pool ad in
-          let b = offset ad in
-          let i = as_int (opv f idx) in
-          check_index pg b i;
-          let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
-          let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
-          fs f d (pg_read acc (page_in a.pool ad2) (offset ad2 + off)))
-  | R.Raget_aget (d, acc, arr1, eb1, idx, arr2, eb2) ->
+  | R.Rget (d, acc, p, off) -> (
+      match icode lay (loc p), acode lay acc (loc d) with
+      | Some p, Some d ->
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              pg_load a acc d (page_in a.pool ad) (offset ad + off))
+      | _ ->
+          let pl = loc p and dl = loc d in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              wr_v a dl (pg_read acc (page_in a.pool ad) (offset ad + off))))
+  | R.Rset (acc, p, off, src) -> (
+      match icode lay (loc p), acode lay acc (oloc lay src) with
+      | Some p, Some c ->
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              pg_store a acc (page_in a.pool ad) (offset ad + off) c)
+      | _ ->
+          let pl = loc p and sl = oloc lay src in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              pg_write acc (page_in a.pool ad) (offset ad + off) (rd_v a sl)))
+  | R.Raget (d, acc, p, eb, idx) -> (
+      match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (loc d) with
+      | Some p, Some ix, Some d ->
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = ri a ix in
+              check_index pg b i;
+              pg_load a acc d pg (b + LR.array_header_bytes + (eb * i)))
+      | _ ->
+          let pl = loc p and il = oloc lay idx and dl = loc d in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = as_int (rd_v a il) in
+              check_index pg b i;
+              wr_v a dl (pg_read acc pg (b + LR.array_header_bytes + (eb * i)))))
+  | R.Raset (acc, p, eb, idx, src) -> (
+      match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (oloc lay src) with
+      | Some p, Some ix, Some c ->
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = ri a ix in
+              check_index pg b i;
+              pg_store a acc pg (b + LR.array_header_bytes + (eb * i)) c)
+      | _ ->
+          let pl = loc p and il = oloc lay idx and sl = oloc lay src in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = as_int (rd_v a il) in
+              check_index pg b i;
+              pg_write acc pg (b + LR.array_header_bytes + (eb * i)) (rd_v a sl)))
+  | R.Rget_bin (d, acc, p, off, op, s) -> (
+      let ka = acc_kind acc and ks = okind lay s in
+      let dl = loc d and sl = oloc lay s in
+      match icode lay (loc p), binop_kind op ka ks with
+      | Some p, K_flt ->
+          let d = Option.get (fcode lay dl) and si, s = ncode lay ks sl in
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let x = pg_read_f acc (page_in a.pool ad) (offset ad + off) in
+              let y = rn a si s in
+              let r = fop op x y in
+              wf a d r)
+      | Some p, K_int when ka = K_int && ks = K_int ->
+          let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let x = pg_read_i acc (page_in a.pool ad) (offset ad + off) in
+              wi a d (iarith op x (ri a s)))
+      | _ ->
+          let pl = loc p in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              wr_v a dl (arith op (pg_read acc (page_in a.pool ad) (offset ad + off)) (rd_v a sl))))
+  | R.Rrmw (acc, p, off, op, s) -> (
+      let ks = okind lay s and sl = oloc lay s in
+      match icode lay (loc p) with
+      | Some p when acc = R.A_f64 && is_float_op op && is_num ks ->
+          let si, s = ncode lay ks sl in
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let pg = page_in a.pool ad in
+              let i = offset ad + off in
+              let x = read_f64 pg i in
+              let y = rn a si s in
+              let r = fop op x y in
+              write_f64 pg i r)
+      | Some p when acc = R.A_i64 && is_int_op op && ks = K_int ->
+          let s = Option.get (icode lay sl) in
+          bulk_s (fun a ->
+              let ad = raddr a p in
+              let pg = page_in a.pool ad in
+              let i = offset ad + off in
+              let x = read_i64 pg i in
+              write_i64 pg i (iop op x (ri a s)))
+      | _ ->
+          let pl = loc p in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a pl) in
+              let pg = page_in a.pool ad in
+              let i = offset ad + off in
+              pg_write acc pg i (arith op (pg_read acc pg i) (rd_v a sl))))
+  | R.Raget_get (d, arr, eb, idx, acc, off) -> (
+      match icode lay (loc arr), icode lay (oloc lay idx), acode lay acc (loc d) with
+      | Some arr, Some ix, Some d ->
+          bulk_s (fun a ->
+              let ad = raddr a arr in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = ri a ix in
+              check_index pg b i;
+              let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
+              let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
+              pg_load a acc d (page_in a.pool ad2) (offset ad2 + off))
+      | _ ->
+          let al = loc arr and il = oloc lay idx and dl = loc d in
+          bulk_s (fun a ->
+              let ad = addr_nn (rd_v a al) in
+              let pg = page_in a.pool ad in
+              let b = offset ad in
+              let i = as_int (rd_v a il) in
+              check_index pg b i;
+              let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
+              let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
+              wr_v a dl (pg_read acc (page_in a.pool ad2) (offset ad2 + off))))
+  | R.Raget_aget (d, acc, arr1, eb1, idx, arr2, eb2) -> (
       (* [arr2[arr1[idx]]]: the ref-chasing shape ([edges[k]] indexing
          [verts]) is the hottest superinstruction on the graph
          workloads. *)
-      bulk_s (fun a ->
-          let f = a.frame in
-          let ad1 = addr_nn (fg f arr1) in
-          let pg1 = page_in a.pool ad1 in
-          let b1 = offset ad1 in
-          let i = as_int (opv f idx) in
-          check_index pg1 b1 i;
-          let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
-          let ad2 = addr_nn (fg f arr2) in
-          let pg2 = page_in a.pool ad2 in
-          let b2 = offset ad2 in
-          check_index pg2 b2 j;
-          fs f d (pg_read acc pg2 (b2 + LR.array_header_bytes + (eb2 * j))))
+      match
+        ( icode lay (loc arr1),
+          icode lay (oloc lay idx),
+          icode lay (loc arr2),
+          acode lay acc (loc d) )
+      with
+      | Some a1, Some ix, Some a2, Some d ->
+          bulk_s (fun a ->
+              let ad1 = raddr a a1 in
+              let pg1 = page_in a.pool ad1 in
+              let b1 = offset ad1 in
+              let i = ri a ix in
+              check_index pg1 b1 i;
+              let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
+              let ad2 = raddr a a2 in
+              let pg2 = page_in a.pool ad2 in
+              let b2 = offset ad2 in
+              check_index pg2 b2 j;
+              pg_load a acc d pg2 (b2 + LR.array_header_bytes + (eb2 * j)))
+      | _ ->
+          let l1 = loc arr1 and il = oloc lay idx and l2 = loc arr2 and dl = loc d in
+          bulk_s (fun a ->
+              let ad1 = addr_nn (rd_v a l1) in
+              let pg1 = page_in a.pool ad1 in
+              let b1 = offset ad1 in
+              let i = as_int (rd_v a il) in
+              check_index pg1 b1 i;
+              let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
+              let ad2 = addr_nn (rd_v a l2) in
+              let pg2 = page_in a.pool ad2 in
+              let b2 = offset ad2 in
+              check_index pg2 b2 j;
+              wr_v a dl (pg_read acc pg2 (b2 + LR.array_header_bytes + (eb2 * j)))))
   (* ---- everything stateful or rare runs through the interpreter,
      which self-accounts ---- *)
   | R.Riter_start | R.Riter_end | R.Rrun_thread _ | R.Rintrinsic _ | R.Rerror _ ->
@@ -745,19 +1319,19 @@ and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
 and leaf_body t (cst : st) ~depth midx =
   let m = cst.rp.R.methods.(midx) in
   if depth = 0 && t.t_leaves.(midx) && Array.length m.R.m_body > 0 then
-    Some (compile_meth t cst midx m ~depth:(depth + 1))
+    Some (compile_meth t cst midx m ~depth:(depth + 1) (layout_for cst m))
   else None
 
-and compile_meth t (cst : st) mx (m : R.meth) ~depth =
-  Array.mapi (fun bi b -> compile_block t cst mx ~depth bi b) m.R.m_body
+and compile_meth t (cst : st) mx (m : R.meth) ~depth lay =
+  { blocks = Array.mapi (fun bi b -> compile_block t cst mx ~depth lay bi b) m.R.m_body; lay }
 
 (* Pre-compose a basic block: compile each instruction, then fuse
    maximal runs of bulk-chargeable steps into segments whose accounting
    (step count, mix deltas, intrinsic dispatches) is precomputed and
    applied in O(1) per segment after a single budget precheck. *)
-and compile_block t (cst : st) mx ~depth bi (b : R.block) : act -> int =
+and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
   let code = b.R.code in
-  let steps = Array.mapi (fun pc ins -> compile_instr t cst mx ~depth bi pc ins) code in
+  let steps = Array.mapi (fun pc ins -> compile_instr t cst mx ~depth lay bi pc ins) code in
   let acts = ref [] in
   let group = ref [] in
   let group_start = ref 0 in
@@ -825,7 +1399,7 @@ and compile_block t (cst : st) mx ~depth bi (b : R.block) : act -> int =
     steps;
   flush ();
   let actions = Array.of_list (List.rev !acts) in
-  let term = compile_term b.R.term in
+  let term = compile_term lay b.R.term in
   match actions with
   | [||] -> term
   | [| a0 |] ->
@@ -857,14 +1431,20 @@ let compile_into (t : tier) (cst : st) mx =
       else begin
         let trace = Obs.Trace.on () in
         if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-        let blocks = compile_meth t cst mx m ~depth:0 in
-        cst.stats.Exec_stats.tier2_compiles <-
-          cst.stats.Exec_stats.tier2_compiles + 1;
+        let lay = layout_for cst m in
+        let code = compile_meth t cst mx m ~depth:0 lay in
+        let stats = cst.stats in
+        let ni = Array.length lay.int_slots and nf = Array.length lay.flt_slots in
+        stats.Exec_stats.tier2_compiles <- stats.Exec_stats.tier2_compiles + 1;
+        stats.Exec_stats.tier2_int_slots <- stats.Exec_stats.tier2_int_slots + ni;
+        stats.Exec_stats.tier2_float_slots <- stats.Exec_stats.tier2_float_slots + nf;
+        stats.Exec_stats.tier2_boxed_slots <-
+          stats.Exec_stats.tier2_boxed_slots + Array.length m.R.m_frame - ni - nf;
         if trace then
           Obs.Trace.span_end
             ~args:[ ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name)) ]
             ();
-        t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks)
+        t.t_code.(mx) <- T_fn (wrap_blocks t mx code)
       end
 
 (* ---------- tier construction ---------- *)

@@ -7,7 +7,9 @@
     dispatch hoisted to compile time, virtual calls monomorphized
     against inline-cache snapshots already warm at compile time (a
     linked program that ran before), and leaf callees devirtualized and
-    inlined. Compiled code installs
+    inlined. Locals that provably hold only ints (or only floats) and
+    that only typed templates touch live unboxed in the activation, not
+    in the [Value.t] frame. Compiled code installs
     behind the interpreter's dispatch hook ({!Interp}'s [run_method])
     and is semantically identical to tier-1: results, output, step
     counts, instruction mix, heap totals, and pool peaks all match, and
@@ -16,9 +18,10 @@
     When a compiled assumption breaks — polymorphic receiver, monitor
     (lock-contention) region, or the step budget expiring inside
     compiled code — the guard raises {!Vm_state.Tier_deopt} {e before}
-    the faulting instruction's accounting, and the handler reconstructs
-    tier-1 execution at the equivalent (block, pc) on the very same
-    slot-indexed frame array, recording a [tier_deopt] obs instant. A
+    the faulting instruction's accounting; the compiled activation
+    writes its unboxed locals back into the slot-indexed frame array,
+    and the handler resumes tier-1 execution at the equivalent (block,
+    pc) on that frame, recording a [tier_deopt] obs instant. A
     method that deopts {!deopt_limit} times retires to tier-1. *)
 
 type feedback = {
@@ -47,7 +50,8 @@ val make : ?feedback:feedback -> hooks:Vm_state.hooks -> Resolved.program -> Vm_
 val compile_into : Vm_state.tier -> Vm_state.st -> int -> unit
 (** [compile_into t st mx] compiles method [mx] and installs it as
     [T_fn] (abstract or oversized methods retire to [T_dead]); no-op if
-    already installed. Racing installs from several domains are benign:
+    already installed. Adds the method's unboxed int, unboxed float and
+    boxed frame slots to [st]'s [tier2_*_slots] counters. Racing installs from several domains are benign:
     compiled code is semantically identical to the interpreter, so
     correctness never depends on when — or whether — compilation
     happens. *)

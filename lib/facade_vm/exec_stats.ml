@@ -47,6 +47,9 @@ type t = {
   mutable tier2_compiles : int;
   mutable tier2_entries : int;
   mutable tier2_deopts : int;
+  mutable tier2_int_slots : int;
+  mutable tier2_float_slots : int;
+  mutable tier2_boxed_slots : int;
   mutable tier2_recompiles : int;
   mutable osr_entries : int;
 }
@@ -72,6 +75,9 @@ let create () =
     tier2_compiles = 0;
     tier2_entries = 0;
     tier2_deopts = 0;
+    tier2_int_slots = 0;
+    tier2_float_slots = 0;
+    tier2_boxed_slots = 0;
     tier2_recompiles = 0;
     osr_entries = 0;
   }
@@ -130,6 +136,9 @@ let zero t =
   t.tier2_compiles <- 0;
   t.tier2_entries <- 0;
   t.tier2_deopts <- 0;
+  t.tier2_int_slots <- 0;
+  t.tier2_float_slots <- 0;
+  t.tier2_boxed_slots <- 0;
   t.tier2_recompiles <- 0;
   t.osr_entries <- 0
 
@@ -178,6 +187,9 @@ let merge dst src =
   dst.tier2_compiles <- dst.tier2_compiles + src.tier2_compiles;
   dst.tier2_entries <- dst.tier2_entries + src.tier2_entries;
   dst.tier2_deopts <- dst.tier2_deopts + src.tier2_deopts;
+  dst.tier2_int_slots <- dst.tier2_int_slots + src.tier2_int_slots;
+  dst.tier2_float_slots <- dst.tier2_float_slots + src.tier2_float_slots;
+  dst.tier2_boxed_slots <- dst.tier2_boxed_slots + src.tier2_boxed_slots;
   dst.tier2_recompiles <- dst.tier2_recompiles + src.tier2_recompiles;
   dst.osr_entries <- dst.osr_entries + src.osr_entries
 

@@ -43,6 +43,11 @@ type t = {
   mutable tier2_compiles : int;      (** methods compiled to tier-2 closures *)
   mutable tier2_entries : int;       (** calls entering tier-2 code *)
   mutable tier2_deopts : int;        (** guard failures falling back to tier-1 *)
+  mutable tier2_int_slots : int;
+      (** frame slots of the methods compiled this run that tier 2 keeps
+          unboxed as ints *)
+  mutable tier2_float_slots : int;   (** the same, unboxed as floats *)
+  mutable tier2_boxed_slots : int;   (** the same, left in the boxed frame *)
   mutable tier2_recompiles : int;
       (** always 0: tier 2 no longer recompiles; kept for the perfbench
           ledger and the service wire format *)

@@ -137,7 +137,9 @@ and tcode =
    accounting, attributing IC events to method [mx]; [h_resume st mx
    frame bi pc] resumes method [mx]'s body in tier-1 from block [bi],
    instruction [pc], on the compiled frame (the deopt handoff — valid
-   because both tiers use the same slot-indexed frame array); [h_call st
+   because both tiers use the same slot-indexed frame array, into which
+   compiled code writes its unboxed locals back before raising past
+   its activation); [h_call st
    mx frame] invokes method [mx] on a ready frame through the normal
    tier dispatch. *)
 and hooks = {

@@ -324,9 +324,7 @@ let prop_opt_exact =
 
 (* Observables both tiers must agree on. *)
 let tier_key (o : Facade_vm.Interp.outcome) =
-  ( (match o.Facade_vm.Interp.result with
-    | Some v -> Facade_vm.Value.to_string v
-    | None -> "-"),
+  ( Exact.exact_result o.Facade_vm.Interp.result,
     Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats,
     o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps,
     o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.data_objects,
@@ -386,6 +384,166 @@ let prop_warm_differential =
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
     run_warm_differential
 
+(* ---------- mixed-kind arithmetic ---------- *)
+
+(* Random arithmetic over int and double locals, inside a bounded loop,
+   for tier 2's typed frame slots. Locals i0-i2 are ints and d0-d2
+   doubles; most ops keep a local to its declared kind, so tier 2 pins
+   it unboxed, while [m] (declared int) takes doubles and a rare op
+   writes any kind anywhere, so those locals must stay boxed. Every
+   binop appears, comparisons and Eq/Ne across kinds, Div/Rem by values
+   that are often zero, Not/Neg, and branches on double locals (every
+   double is truthy, 0.0 included). [p] carries values to sys.print. *)
+let mvars = [| "i0"; "i1"; "i2"; "d0"; "d1"; "d2"; "m" |]
+let is_dbl v = v >= 3 && v <= 5
+
+type mop =
+  | Mbin of int * Ir.binop * int * int  (* d = x op y *)
+  | Mconst of int * Ir.const
+  | Mneg of int * int
+  | Mnot of int * int
+  | Mmove of int * int
+  | Mif of int * int * int  (* if c then d = d + x *)
+  | Mprint of int
+
+let mop_gen =
+  let open QCheck.Gen in
+  let ivar = int_bound 2 and dvar = map (fun i -> 3 + i) (int_bound 2) in
+  let any = int_bound 6 in
+  let num = oneof [ ivar; dvar ] in
+  let int_op =
+    frequencyl Ir.[ (3, Add); (3, Sub); (3, Mul); (1, Div); (1, Rem); (1, And); (1, Or);
+                    (1, Xor); (1, Shl); (1, Shr) ]
+  in
+  let flt_op = oneofl Ir.[ Add; Sub; Mul; Div; Rem ] in
+  let cmp_op = oneofl Ir.[ Lt; Le; Gt; Ge; Eq; Ne ] in
+  let all_op =
+    oneofl Ir.[ Add; Sub; Mul; Div; Rem; Lt; Le; Gt; Ge; Eq; Ne; And; Or; Xor; Shl; Shr ]
+  in
+  let iconst = oneofl [ 0; 1; -1; 3; 7; 62; max_int / 3; min_int + 5; 123456789 ] in
+  let fconst = oneofl [ 0.0; -0.0; 0.5; -2.25; 3.0; 1e308; 1e-300; 0.1 ] in
+  let bin d op x y = map3 (fun d op (x, y) -> Mbin (d, op, x, y)) d op (pair x y) in
+  frequency
+    [
+      (6, bin ivar int_op ivar ivar);
+      (6, bin dvar flt_op num num);
+      (3, bin ivar cmp_op any any);
+      (2, map2 (fun d c -> Mconst (d, Ir.Cint c)) ivar iconst);
+      (2, map2 (fun d c -> Mconst (d, Ir.Cfloat c)) dvar fconst);
+      (1, bin (return 6) flt_op num dvar);
+      (1, map (fun s -> Mmove (6, s)) any);
+      (1, bin any all_op any any);
+      (1, map2 (fun d s -> Mneg (d, s)) ivar ivar);
+      (1, map2 (fun d s -> Mneg (d, s)) dvar dvar);
+      (1, map2 (fun d s -> Mnot (d, s)) ivar any);
+      (1, map2 (fun d s -> Mmove (d, s)) ivar ivar);
+      (1, map2 (fun d s -> Mmove (d, s)) dvar num);
+      (2, map3 (fun c d x -> Mif (c, d, x)) any ivar ivar);
+      (2, map3 (fun c d x -> Mif (c, d, x)) any dvar num);
+      (1, map (fun v -> Mprint v) any);
+    ]
+
+let mixed_program (ops, iters, ret) =
+  let m = B.create ~static:true "main" ~ret:(if is_dbl ret then double_t else int_t) in
+  Array.iteri (fun i v -> B.declare m v (if is_dbl i then double_t else int_t)) mvars;
+  let c = B.fresh m int_t and n = B.fresh m int_t and one = B.fresh m int_t in
+  let cond = B.fresh m int_t and p = B.fresh m double_t in
+  let b0 = B.entry m in
+  List.iteri (fun i k -> B.const_i b0 mvars.(i) k) [ 3; -7; 0 ];
+  List.iteri (fun i x -> B.const_f b0 mvars.(3 + i) x) [ 0.0; 2.5; -1.0 ];
+  B.const_i b0 mvars.(6) 5;
+  B.const_f b0 p 0.0;
+  B.const_i b0 c 0;
+  B.const_i b0 n iters;
+  B.const_i b0 one 1;
+  let hdr = B.block m and body = B.block m and exit_ = B.block m in
+  B.jump b0 hdr;
+  B.binop hdr cond Ir.Lt c n;
+  B.branch hdr cond ~then_:body ~else_:exit_;
+  let cur = ref body in
+  let v i = mvars.(i) in
+  List.iter
+    (function
+      | Mbin (d, op, x, y) -> B.binop !cur (v d) op (v x) (v y)
+      | Mconst (d, k) -> B.add !cur (Ir.Const (v d, k))
+      | Mneg (d, s) -> B.add !cur (Ir.Unop (v d, Ir.Neg, v s))
+      | Mnot (d, s) -> B.add !cur (Ir.Unop (v d, Ir.Not, v s))
+      | Mmove (d, s) -> B.move !cur ~dst:(v d) ~src:(v s)
+      | Mif (cv, d, x) ->
+          let t = B.block m and j = B.block m in
+          B.branch !cur (v cv) ~then_:t ~else_:j;
+          B.binop t (v d) Ir.Add (v d) (v x);
+          B.jump t j;
+          cur := j
+      | Mprint s ->
+          B.move !cur ~dst:p ~src:(v s);
+          B.add !cur (Ir.Intrinsic (None, Facade_compiler.Rt_names.print, [ Ir.Var p ])))
+    ops;
+  B.binop !cur c Ir.Add c one;
+  B.jump !cur hdr;
+  B.ret exit_ (Some (v ret));
+  Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ B.finish m ] ]
+
+(* Result (bit-exact), output and steps, or the error text. *)
+let mixed_outcome run =
+  match run () with
+  | (o : Facade_vm.Interp.outcome) ->
+      Ok
+        ( Exact.exact_result o.Facade_vm.Interp.result,
+          Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats,
+          o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps )
+  | exception Facade_vm.Interp.Vm_error e -> Error e
+
+(* The name-based baseline, tier 1 and tier 2 agree exactly: result,
+   output, steps and error text, on the plain link, the quickened link
+   and the facade transform's program. Across those forms steps differ
+   (quickening fuses pairs) and so may the operand order in a
+   bad-operands message (quickening swaps a commutative op's constant to
+   the right), so there only results, output and failing-or-not must
+   agree. *)
+let run_mixed case =
+  let module I = Facade_vm.Interp in
+  let p = mixed_program case in
+  Verify.check_or_fail p;
+  let pl =
+    Facade_compiler.Pipeline.compile
+      ~spec:{ Facade_compiler.Classify.data_roots = [ "Main" ]; boundary = [] }
+      p
+  in
+  let base = mixed_outcome (fun () -> Facade_vm.Interp_baseline.run_object p) in
+  let t1 = mixed_outcome (fun () -> I.run_object p) in
+  let t2 = mixed_outcome (fun () -> I.run_object ~tier2:true p) in
+  let q1 = mixed_outcome (fun () -> I.run_object ~quicken:true p) in
+  let q2 = mixed_outcome (fun () -> I.run_object ~quicken:true ~tier2:true p) in
+  let f1 = mixed_outcome (fun () -> I.run_facade ~quicken:true pl) in
+  let f2 = mixed_outcome (fun () -> I.run_facade ~quicken:true ~tier2:true pl) in
+  let seen = function Ok (r, out, _) -> Ok (r, out) | Error _ -> Error () in
+  base = t1 && t1 = t2 && q1 = q2 && f1 = f2 && seen base = seen q1 && seen base = seen f1
+  ||
+  let show = function
+    | Ok (r, out, steps) -> Printf.sprintf "%s [%s] steps=%d" r (String.concat "; " out) steps
+    | Error e -> "error: " ^ e
+  in
+  QCheck.Test.fail_reportf "%s\n%s"
+    (Text_format.to_string p)
+    (String.concat "\n"
+       (List.map
+          (fun (n, o) -> n ^ ": " ^ show o)
+          [ ("baseline", base); ("tier1", t1); ("tier2", t2); ("quickened tier1", q1);
+            ("quickened tier2", q2); ("facade tier1", f1); ("facade tier2", f2) ]))
+
+let prop_mixed_kinds =
+  QCheck.Test.make ~name:"mixed int/double arithmetic: baseline = tier1 = tier2" ~count:300
+    (QCheck.make
+       ~print:(fun (ops, iters, ret) ->
+         Printf.sprintf "<%d ops, %d iterations, return %s>" (List.length ops) iters mvars.(ret))
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 24) mop_gen)
+           (int_range 1 4)
+           (frequency [ (3, map (fun i -> 3 + i) (int_bound 2)); (1, int_bound 6) ])))
+    run_mixed
+
 let test_empty_program () =
   Alcotest.(check bool) "no ops" true (run_differential [])
 
@@ -429,5 +587,6 @@ let () =
           Alcotest.test_case "directed receiver flips" `Quick test_directed_tier_flip;
           QCheck_alcotest.to_alcotest prop_tier_differential;
           QCheck_alcotest.to_alcotest prop_warm_differential;
+          QCheck_alcotest.to_alcotest prop_mixed_kinds;
         ] );
     ]

@@ -431,11 +431,7 @@ let run_fingerprint ?workers pl =
     | Some st -> (st.Store.records_allocated, st.Store.live_pages)
     | None -> (0, 0)
   in
-  let result =
-    match o.Facade_vm.Interp.result with
-    | Some v -> Facade_vm.Value.to_string v
-    | None -> "-"
-  in
+  let result = Exact.exact_result o.Facade_vm.Interp.result in
   let pool_peaks =
     Hashtbl.fold
       (fun tid idx acc -> (tid, idx) :: acc)
@@ -490,7 +486,7 @@ let test_lock_samples_pinned () =
         (run_fingerprint ~workers:4 pl);
       let o = Facade_vm.Interp.run_facade pl in
       Alcotest.(check string) (name ^ ": result") result
-        (Option.fold ~none:"-" ~some:Facade_vm.Value.to_string o.Facade_vm.Interp.result);
+        (Exact.exact_result o.Facade_vm.Interp.result);
       Alcotest.(check int) (name ^ ": steps") steps o.Facade_vm.Interp.stats.Stats.steps;
       Alcotest.(check int) (name ^ ": locks_peak") locks_peak o.Facade_vm.Interp.locks_peak)
     [

@@ -42,9 +42,7 @@ let fingerprint ?workers ?(tier2 = false) pl =
     | Some st -> (st.Store.records_allocated, st.Store.live_pages)
     | None -> (0, 0)
   in
-  let result =
-    match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"
-  in
+  let result = Exact.exact_result o.I.result in
   let pool_peaks =
     Hashtbl.fold (fun tid idx acc -> (tid, idx) :: acc) o.I.stats.Stats.max_pool_index []
     |> List.sort compare
@@ -95,7 +93,7 @@ let method_index (rp : Facade_vm.Resolved.program) cls name =
 
 (* Object mode: same program, both tiers, bit-equal outcome and steps. *)
 let observe (o : I.outcome) =
-  ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
+  ( Exact.exact_result o.I.result,
     Stats.output_lines o.I.stats,
     o.I.stats.Stats.steps,
     o.I.stats )
@@ -458,7 +456,7 @@ let test_shared_tier () =
   let is_data c = Facade_compiler.Classify.is_data_class cl c in
   let rp = Facade_vm.Link.object_program ~is_data ~quicken:true s.Samples.program in
   let obs (o : I.outcome) =
-    ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
+    ( Exact.exact_result o.I.result,
       Stats.output_lines o.I.stats,
       o.I.stats.Stats.steps )
   in
@@ -487,7 +485,7 @@ let test_shared_facade_tier () =
   let s = List.find (fun s -> s.Samples.name = "collections") Samples.all in
   let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
   let obs (o : I.outcome) =
-    ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
+    ( Exact.exact_result o.I.result,
       Stats.output_lines o.I.stats,
       o.I.stats.Stats.steps )
   in
@@ -526,7 +524,7 @@ let run_outcome ?workers ?tier ~tier2 pl =
   match I.run_facade ~quicken:true ?workers ?tier ~tier2 pl with
   | o ->
       Ok
-        ( (match o.I.result with Some v -> Facade_vm.Value.to_string v | None -> "-"),
+        ( Exact.exact_result o.I.result,
           Stats.output_lines o.I.stats,
           o.I.stats.Stats.steps,
           Stats.instr_mix o.I.stats )
@@ -688,7 +686,7 @@ let test_mixed_operands () =
   let t1 = run_outcome ~tier2:false pl in
   (match t1 with
   | Ok (r, out, _, _) ->
-      Alcotest.(check string) "tier 1 result" "5" r;
+      Alcotest.(check string) "tier 1 result" "0x1.4p+2" r;
       Alcotest.(check int) "tier 1 printed each round" 5 (List.length out)
   | Error e -> Alcotest.fail e);
   Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl))
@@ -878,6 +876,367 @@ let test_reentrant () =
     | _ -> Alcotest.fail "recursive sum is not running compiled"
   done
 
+(* ---------- typed frame slots ---------- *)
+
+(* Tier 2 keeps a local unboxed in an int or float array when every
+   value it can hold is an int (or a float) and only typed templates
+   touch it; the frame slot is written back only at a deopt. These
+   programs pin such slots and drive them through each place where the
+   unboxed templates could part from tier 1. *)
+
+let main_blocks ?(classes = "") ~ret ~locals blocks =
+  Printf.sprintf "%sclass Main {\n  static method main() : %s {\n%s%s  }\n}\n\nentry Main.main\n"
+    classes ret
+    (String.concat "" (List.map (fun l -> "    local " ^ l ^ ";\n") locals))
+    (String.concat ""
+       (List.map
+          (fun (label, lines) ->
+            Printf.sprintf "    %s:\n%s" label
+              (String.concat "" (List.map (fun l -> "      " ^ l ^ "\n") lines)))
+          blocks))
+
+let cell_f32 =
+  "class Cell {\n\
+  \  field float x;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n"
+
+(* One case per way an unboxed template could part from [arith] and
+   [truthy]: name, program, data classes, tier 1's exact outcome. *)
+let trap_cases =
+  [
+    ( "a float 0.0 is truthy",
+      main_blocks ~ret:"int"
+        ~locals:[ "f: double"; "r: int"; "n: int" ]
+        [
+          ("b0", [ "f = 0x0p+0;"; "r = 1;"; "if f goto b1 else b2;" ]);
+          ("b1", [ "n = !f;"; "r = r + n;"; "r = r + r;"; "return r;" ]);
+          ("b2", [ "return r;" ]);
+        ],
+      [ "Main" ],
+      Ok "2" );
+    ( "Eq/Ne across int and float are false/true, Lt promotes",
+      main_blocks ~ret:"int"
+        ~locals:
+          [ "i: int"; "f: double"; "g: double"; "e: int"; "n: int"; "l: int"; "c: int"; "r: int";
+            "k: int" ]
+        [
+          ( "b0",
+            [
+              "i = 1;"; "i = i + i;"; "f = 0x1p+0;"; "f = f + f;"; "g = 0x1.4p+1;"; "e = i == f;";
+              "n = i != f;"; "l = i < g;";
+              "k = 10;"; "r = e * k;"; "r = r * k;"; "n = n * k;"; "r = r + n;"; "r = r + l;";
+              "c = f == i;"; "if c goto b1 else b2;";
+            ] );
+          ("b1", [ "return i;" ]);
+          ("b2", [ "c = i < g;"; "if c goto b3 else b1;" ]);
+          ("b3", [ "return r;" ]);
+        ],
+      [ "Main" ],
+      Ok "11" );
+    ( "float division rounds once (%g cannot tell)",
+      main_blocks ~ret:"double"
+        ~locals:[ "x: double"; "y: double"; "z: double" ]
+        [ ("b0", [ "x = 0x1.4p+2;"; "y = 0x1.8p+1;"; "z = x / y;"; "return z;" ]) ],
+      [ "Main" ],
+      Ok "0x1.aaaaaaaaaaaabp+0" );
+    ( "int Div by zero raises arith's text",
+      main_blocks ~ret:"int"
+        ~locals:[ "i: int"; "z: int"; "r: int" ]
+        [ ("b0", [ "i = 7;"; "z = i - i;"; "r = i / z;"; "return r;" ]) ],
+      [ "Main" ],
+      Error "ArithmeticException: / by zero" );
+    ( "int Rem by a zero constant raises arith's text",
+      main_blocks ~ret:"int"
+        ~locals:[ "i: int"; "z: int"; "r: int" ]
+        [ ("b0", [ "i = 7;"; "z = 0;"; "r = i % z;"; "return r;" ]) ],
+      [ "Main" ],
+      Error "ArithmeticException: % by zero" );
+    ( "int arithmetic wraps at 63 bits",
+      main_blocks ~ret:"int"
+        ~locals:[ "big: int"; "one: int"; "r: int"; "s: int" ]
+        [
+          ( "b0",
+            [ "big = 4611686018427387903;"; "one = 1;"; "r = big + one;"; "s = big * big;";
+              "r = r + s;"; "return r;" ] );
+        ],
+      [ "Main" ],
+      Ok "-4611686018427387903" );
+    ( "f32 page reads round as Page.read_f32",
+      main_blocks ~classes:cell_f32 ~ret:"double"
+        ~locals:[ "c: Cell"; "d: double"; "y: double"; "z: double" ]
+        [
+          ( "b0",
+            [
+              "c = new Cell;"; "special c.Cell.<init>();"; "d = 0x1.999999999999ap-4;"; "c.x = d;";
+              "y = c.x;"; "z = y * d;"; "z = z + y;"; "return z;";
+            ] );
+        ],
+      [ "Cell"; "Main" ],
+      Ok (Printf.sprintf "%h" ((Int32.float_of_bits (Int32.bits_of_float 0.1) *. 0.1)
+                               +. Int32.float_of_bits (Int32.bits_of_float 0.1))) );
+    ( "mixed rare operands box and take arith's error",
+      main_blocks ~ret:"int"
+        ~locals:[ "i: int"; "f: double"; "r: int" ]
+        [ ("b0", [ "i = 2;"; "f = 0x1.4p+1;"; "r = i & f;"; "return r;" ]) ],
+      [ "Main" ],
+      Error "bad operands for binop: 2, 2.5" );
+  ]
+
+let slots_pinned (o : I.outcome) =
+  o.I.stats.Stats.tier2_int_slots + o.I.stats.Stats.tier2_float_slots
+
+let test_typed_traps () =
+  List.iter
+    (fun (name, text, data, expect) ->
+      let pl = facade_pl ~data text in
+      let t1 = run_outcome ~tier2:false pl in
+      Alcotest.(check (result string string))
+        (name ^ ": tier 1") expect
+        (Result.map (fun (r, _, _, _) -> r) t1);
+      Alcotest.check outcome_t (name ^ ": tier 2 == tier 1") (flat t1)
+        (flat (run_outcome ~tier2:true pl));
+      if Result.is_ok expect then
+        Alcotest.(check bool) (name ^ ": slots pinned") true
+          (slots_pinned (I.run_facade ~quicken:true ~tier2:true pl) > 0))
+    trap_cases
+
+(* A loop whose int and float accumulators are pinned (the int one
+   wraps, the float one carries full-precision bits), called once, so
+   it runs compiled from its first instruction. On iteration [trip] a
+   monitor region deopts: the deopt handler must write every pinned
+   slot back so tier 1 finishes the loop from the live values. With
+   [~fail:true] the exit divides by a zero derived from the loop
+   counter, so the run ends in an error at a fixed step. *)
+let pinned_loop_program ~trip ~fail =
+  Text_format.parse
+    (Printf.sprintf
+       "class A {\n\
+       \  method <init>() {\n\
+       \    b0:\n\
+       \      return;\n\
+       \  }\n\
+        }\n\n\
+        class Main {\n\
+       \  static method loop(x: A, n: int) : double {\n\
+       \    local i: int;\n\
+       \    local acc: int;\n\
+       \    local f: double;\n\
+       \    local g: double;\n\
+       \    local c: int;\n\
+       \    local t: int;\n\
+       \    local z: int;\n\
+       \    local one: int;\n\
+       \    local trip: int;\n\
+       \    local mul: int;\n\
+       \    local m: int;\n\
+       \    local grow: double;\n\
+       \    local step: double;\n\
+       \    b0:\n\
+       \      i = 0;\n\
+       \      acc = 1;\n\
+       \      f = 0x1p-3;\n\
+       \      one = 1;\n\
+       \      trip = %d;\n\
+       \      mul = 1000003;\n\
+       \      m = %s;\n\
+       \      grow = 0x1.0000001p+0;\n\
+       \      step = 0x1.999999999999ap-4;\n\
+       \      goto b1;\n\
+       \    b1:\n\
+       \      c = i < n;\n\
+       \      if c goto b2 else b5;\n\
+       \    b2:\n\
+       \      t = i == trip;\n\
+       \      if t goto b3 else b4;\n\
+       \    b3:\n\
+       \      monitorenter x;\n\
+       \      monitorexit x;\n\
+       \      goto b4;\n\
+       \    b4:\n\
+       \      acc = acc * mul;\n\
+       \      acc = acc + i;\n\
+       \      f = f * grow;\n\
+       \      g = i * step;\n\
+       \      f = f + g;\n\
+       \      i = i + one;\n\
+       \      goto b1;\n\
+       \    b5:\n\
+       \      z = i - n;\n\
+       \      m = m + z;\n\
+       \      t = acc %% m;\n\
+       \      f = f + t;\n\
+       \      return f;\n\
+       \  }\n\
+       \  static method main() : double {\n\
+       \    local a: A;\n\
+       \    local n: int;\n\
+       \    local r: double;\n\
+       \    b0:\n\
+       \      a = new A;\n\
+       \      special a.A.<init>();\n\
+       \      n = 40;\n\
+       \      r = static Main.loop(a, n);\n\
+       \      return r;\n\
+       \  }\n\
+        }\n\n\
+        entry Main.main\n"
+       trip
+       (if fail then "0" else "1000"))
+
+let test_monitor_deopt_pinned () =
+  let is_data _ = false in
+  let p = pinned_loop_program ~trip:23 ~fail:false in
+  let r1, out1, steps1, _ = object_outcome ~is_data p in
+  let r2, out2, steps2, st2 = object_outcome ~tier2:true ~is_data p in
+  Alcotest.(check string) "tier1 = tier2 result, bit for bit" r1 r2;
+  Alcotest.(check (list string)) "output" out1 out2;
+  Alcotest.(check int) "steps" steps1 steps2;
+  Alcotest.(check int) "deopted once, inside the loop" 1 st2.Stats.tier2_deopts;
+  Alcotest.(check bool) "int slots pinned" true (st2.Stats.tier2_int_slots >= 3);
+  Alcotest.(check bool) "float slots pinned" true (st2.Stats.tier2_float_slots >= 2)
+
+(* Every step budget across a pinned-slot loop that ends in an error:
+   below the erroring step both tiers raise the budget error, from it on
+   the division error, so the two tiers must flip at the same budget —
+   tier 2's segment prechecks and deopts land on tier 1's exact step. *)
+let test_pinned_budget_sweep () =
+  let is_data _ = false in
+  let p = pinned_loop_program ~trip:1000 ~fail:true in
+  let rp1 = Facade_vm.Link.object_program ~is_data ~quicken:true p in
+  let run ?tier budget =
+    match I.run_object_linked ~max_steps:budget ?tier rp1 with
+    | o -> Ok (Exact.exact_result o.I.result)
+    | exception I.Vm_error e -> Error e
+  in
+  let budget_err = Error "step budget exceeded" in
+  let div_err = Error "ArithmeticException: % by zero" in
+  let flip = ref 0 in
+  for budget = 1 to 400 do
+    let t1 = run budget in
+    Alcotest.(check (result string string))
+      (Printf.sprintf "budget %d" budget)
+      t1
+      (run ~tier:(I.make_tier rp1) budget);
+    if !flip = 0 && t1 = div_err then flip := budget;
+    Alcotest.(check (result string string)) "one error point"
+      (if !flip = 0 then budget_err else div_err)
+      t1
+  done;
+  (* 40 iterations of 5 counted steps (the accumulator update fuses
+     into one multiply-add), then the exit *)
+  Alcotest.(check bool) "the error point lies after the loop" true (!flip > 200)
+
+(* A single-block leaf with pinned slots, inlined into its compiled
+   caller; then the same program with the leaf retired from inlining —
+   as its own deopts would retire it — so the leaf runs through its own
+   compiled entry. Both must match tier 1 bit for bit, and so must
+   every budget that expires inside the inlined leaf. *)
+let leaf_program =
+  "class Node {\n\
+  \  field int v;\n\
+  \  field double w;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n\
+   class Main {\n\
+  \  static method val(p: Node) : double {\n\
+  \    local x: int;\n\
+  \    local y: double;\n\
+  \    local z: double;\n\
+  \    local h: double;\n\
+  \    b0:\n\
+  \      x = p.v;\n\
+  \      y = p.w;\n\
+  \      h = 0x1.8p+0;\n\
+  \      z = y * x;\n\
+  \      z = z + h;\n\
+  \      return z;\n\
+  \  }\n\
+  \  static method main() : double {\n\
+  \    local n: Node;\n\
+  \    local i: int;\n\
+  \    local c: int;\n\
+  \    local f: double;\n\
+  \    local r: double;\n\
+  \    local s: double;\n\
+  \    local k: double;\n\
+  \    local lim: int;\n\
+  \    local one: int;\n\
+  \    b0:\n\
+  \      n = new Node;\n\
+  \      special n.Node.<init>();\n\
+  \      s = 0x0p+0;\n\
+  \      i = 0;\n\
+  \      k = 0x1.555p-2;\n\
+  \      lim = 12;\n\
+  \      one = 1;\n\
+  \      goto b1;\n\
+  \    b1:\n\
+  \      c = i < lim;\n\
+  \      if c goto b2 else b3;\n\
+  \    b2:\n\
+  \      n.v = i;\n\
+  \      f = i * k;\n\
+  \      n.w = f;\n\
+  \      r = static Main.val(n);\n\
+  \      s = s + r;\n\
+  \      i = i + one;\n\
+  \      goto b1;\n\
+  \    b3:\n\
+  \      @sys.print(s);\n\
+  \      return s;\n\
+  \  }\n\
+   }\n\n\
+   entry Main.main\n"
+
+let test_leaf_pinned () =
+  let pl = facade_pl ~data:[ "Node"; "Main" ] leaf_program in
+  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let val_ = method_index rp (Facade_compiler.Transform.facade_name "Main") "val" in
+  let t1 = run_outcome ~tier2:false pl in
+  let tier = I.make_tier rp in
+  Alcotest.(check bool) "val is an inline leaf" true tier.Facade_vm.Vm_state.t_leaves.(val_);
+  Alcotest.check outcome_t "inlined leaf == tier 1" (flat t1) (flat (run_outcome ~tier ~tier2:true pl));
+  let retired = I.make_tier rp in
+  retired.Facade_vm.Vm_state.t_fail.(val_) <- Facade_vm.Compile_tier.deopt_limit;
+  Alcotest.check outcome_t "retired leaf == tier 1" (flat t1)
+    (flat (run_outcome ~tier:retired ~tier2:true pl));
+  (match retired.Facade_vm.Vm_state.t_code.(val_) with
+  | Facade_vm.Vm_state.T_fn _ -> ()
+  | _ -> Alcotest.fail "the retired leaf did not run its own compiled code");
+  let steps = match t1 with Ok (_, _, s, _) -> s | Error e -> Alcotest.fail e in
+  let run ?tier budget =
+    match I.run_facade ~quicken:true ~max_steps:budget ?tier pl with
+    | o -> Ok (Exact.exact_result o.I.result)
+    | exception I.Vm_error e -> Error e
+  in
+  for budget = steps / 2 to steps do
+    Alcotest.(check (result string string))
+      (Printf.sprintf "budget %d" budget)
+      (run budget)
+      (run ~tier:(I.make_tier rp) budget)
+  done
+
+(* The benchmark's PageRank: which of [Main$Facade.main]'s slots tier 2
+   pins, through the same optimize-then-quicken path as facade_cli run. *)
+let test_pagerank_slots () =
+  let s = List.find (fun s -> s.Samples.name = "pagerank") Samples.all in
+  let pl, _ =
+    Opt.Driver.optimize_pipeline
+      (Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program)
+  in
+  let st = (I.run_facade ~quicken:true ~tier2:true pl).I.stats in
+  Alcotest.(check int) "only main compiles" 1 st.Stats.tier2_compiles;
+  Alcotest.(check (triple int int int))
+    "int, float, boxed slots" (16, 5, 12)
+    (st.Stats.tier2_int_slots, st.Stats.tier2_float_slots, st.Stats.tier2_boxed_slots)
+
 let () =
   Alcotest.run "tier"
     [
@@ -909,5 +1268,15 @@ let () =
           Alcotest.test_case "mixed int/float operands" `Quick test_mixed_operands;
           Alcotest.test_case "re-entrant activations, 4 workers, warm tier" `Quick
             test_reentrant;
+        ] );
+      ( "typed-slots",
+        [
+          Alcotest.test_case "unboxed templates keep tier 1's traps" `Quick test_typed_traps;
+          Alcotest.test_case "monitor deopt writes pinned slots back" `Quick
+            test_monitor_deopt_pinned;
+          Alcotest.test_case "budget sweep over a pinned-slot loop" `Quick
+            test_pinned_budget_sweep;
+          Alcotest.test_case "pinned leaf, inlined and retired" `Quick test_leaf_pinned;
+          Alcotest.test_case "pagerank main's pinned slots" `Quick test_pagerank_slots;
         ] );
     ]
