@@ -62,7 +62,8 @@ let print_tier_line ~tier2 (o : Facade_vm.Interp.outcome) =
       s.Facade_vm.Exec_stats.tier2_deopts;
     Printf.printf "tier2 slots: %d int, %d float, %d boxed\n"
       s.Facade_vm.Exec_stats.tier2_int_slots s.Facade_vm.Exec_stats.tier2_float_slots
-      s.Facade_vm.Exec_stats.tier2_boxed_slots
+      s.Facade_vm.Exec_stats.tier2_boxed_slots;
+    Printf.printf "tier2 delegated: %d\n" s.Facade_vm.Exec_stats.tier2_delegated
   end
 
 let workers_arg =

@@ -21,7 +21,11 @@
    deopt handler writes every pinned value back, and a value return
    boxes its operand. Everything else — call arguments and results,
    delegated instructions, IC sites, object and array accesses — keeps
-   using the boxed frame, exactly as tier 1 does.
+   using the boxed frame, exactly as tier 1 does. The allocation and
+   facade-pool intrinsics (rt.alloc, rt.alloc_array(_oversize),
+   pool.receiver, facade.bind, facade.read) run here, through the
+   {!Vm_state} bodies tier 1 runs, and an address they produce is an
+   int, so the page references a facade loop builds stay unboxed.
 
    Accounting identity with tier-1 (the differential contract):
    - straight-line runs of simple instructions are bulk-charged: a
@@ -32,7 +36,16 @@
    - guards and calls charge one step themselves after their own budget
      precheck;
    - anything else is delegated, instruction by instruction, to the
-     interpreter's [h_exec], which self-accounts.
+     interpreter's [h_exec], which self-accounts, and counted in
+     [Exec_stats.tier2_delegated]: iteration start/end,
+     sys.run_thread, [Rerror], unquickened virtual calls, every
+     intrinsic but the five above (rt.free_oversize, rt.array_length,
+     rt.type_id/is_type/checkcast, rt.string_literal,
+     pool.param/pool.resolve, lock.enter/exit, convert.to/from,
+     sys.print and the other sys.* calls, and the page accessors
+     quickening did not specialize), IC misses at monomorphic sites,
+     field-IC misses, and the first execution of a virtual site whose
+     cache was cold at compile time.
    The only divergence is unobservable: a [Vm_error] thrown mid-segment
    (bad cast, division by zero) leaves the whole segment charged, but
    the run's stats are discarded when the error propagates. *)
@@ -218,12 +231,14 @@ let[@inline always] pg_read_f (a : R.acc) p i =
   | _ -> float_of_int (pg_read_i a p i)
 
 (* [arith] with the int and float cases of Add/Sub/Mul inline. Mixed or
-   invalid operands go to [arith]: same coercions, same errors. *)
-let[@inline] add_v p q =
+   invalid operands go to [arith]: same coercions, same errors — in
+   source order for the commutative ones, which quickening may have
+   [sw]apped. *)
+let[@inline] add_v sw p q =
   match p, q with
   | Value.Int x, Value.Int y -> of_int (x + y)
   | Value.Float x, Value.Float y -> Value.Float (x +. y)
-  | _ -> arith Ir.Add p q
+  | _ -> arith_src sw Ir.Add p q
 
 let[@inline] sub_v p q =
   match p, q with
@@ -231,11 +246,11 @@ let[@inline] sub_v p q =
   | Value.Float x, Value.Float y -> Value.Float (x -. y)
   | _ -> arith Ir.Sub p q
 
-let[@inline] mul_v p q =
+let[@inline] mul_v sw p q =
   match p, q with
   | Value.Int x, Value.Int y -> of_int (x * y)
   | Value.Float x, Value.Float y -> Value.Float (x *. y)
-  | _ -> arith Ir.Mul p q
+  | _ -> arith_src sw Ir.Mul p q
 
 let[@inline never] cmp_slow op p q t e = if truthy (arith op p q) then t else e
 
@@ -285,6 +300,20 @@ let[@inline always] count_step st cat =
   stats.Exec_stats.steps <- stats.Exec_stats.steps + 1;
   stats.Exec_stats.mix.(cat) <- stats.Exec_stats.mix.(cat) + 1
 
+(* An intrinsic's accounting, as tier 1's [exec] does it: the step and
+   its mix category, then one intrinsic dispatch. *)
+let[@inline always] charge_intrinsic st bi pc =
+  precheck st bi pc;
+  count_step st Exec_stats.cat_intrinsic;
+  let stats = st.stats in
+  stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1
+
+(* Hand one instruction to tier 1, which self-accounts; counted so a run
+   shows what its compiled code still leaves to the interpreter. *)
+let delegate (t : tier) st mx frame ins =
+  st.stats.Exec_stats.tier2_delegated <- st.stats.Exec_stats.tier2_delegated + 1;
+  t.t_hooks.h_exec st mx frame ins
+
 (* ---------- typed frame slots ---------- *)
 
 (* What a slot can hold, over the lattice ⊥ < int, float < boxed: the
@@ -326,22 +355,33 @@ let def_kind (k : kind array) = function
   | R.Rmove (_, s) | R.Rneg (_, s) -> k.(s)
   | R.Rnot _ -> K_int
   | R.Rbinop (_, op, x, y) -> binop_kind op k.(x) k.(y)
-  | R.Rbinop_imm (_, op, x, v) -> binop_kind op k.(x) (kind_of_value v)
+  | R.Rbinop_imm (_, op, x, v, _) -> binop_kind op k.(x) (kind_of_value v)
   | R.Rmul_add (_, x, y, z) -> binop_kind Ir.Add (binop_kind Ir.Mul k.(x) k.(y)) k.(z)
-  | R.Rmul_add_imm (_, x, v, z) ->
+  | R.Rmul_add_imm (_, x, v, z, _, _) ->
       binop_kind Ir.Add (binop_kind Ir.Mul k.(x) (kind_of_value v)) k.(z)
   | R.Rget (_, acc, _, _)
   | R.Raget (_, acc, _, _, _)
   | R.Raget_get (_, _, _, _, acc, _)
   | R.Raget_aget (_, acc, _, _, _, _, _) ->
       acc_kind acc
-  | R.Rget_bin (_, acc, _, _, op, s) ->
+  | R.Rget_bin (_, acc, _, _, op, s, _) ->
       binop_kind op (acc_kind acc)
         (match s with R.Oslot s -> k.(s) | R.Oconst v -> kind_of_value v)
+  | R.Rintrinsic
+      (_, (R.I_alloc | R.I_alloc_array | R.I_alloc_array_oversize | R.I_facade_read), _) ->
+      K_int (* a page address *)
   | _ -> K_box
 
+(* The allocation and facade-pool intrinsics tier 2 runs itself. *)
+let native_intrinsic = function
+  | R.I_alloc | R.I_alloc_array | R.I_alloc_array_oversize | R.I_pool_receiver | R.I_facade_bind
+  | R.I_facade_read ->
+      true
+  | _ -> false
+
 (* The templates that can read and write a slot unboxed. Facade page
-   templates delegate in object mode, so there they cannot. *)
+   templates delegate in object mode, and the native intrinsics only
+   raise there, so in object mode neither can. *)
 let typed_capable ~object_mode = function
   | R.Rconst _ | R.Rmove _ | R.Rbinop _ | R.Rbinop_imm _ | R.Rmul_add _ | R.Rmul_add_imm _
   | R.Rneg _ | R.Rnot _ ->
@@ -349,6 +389,7 @@ let typed_capable ~object_mode = function
   | R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _ | R.Rget_bin _ | R.Rrmw _ | R.Raget_get _
   | R.Raget_aget _ ->
       not object_mode
+  | R.Rintrinsic (_, i, _) -> native_intrinsic i && not object_mode
   | _ -> false
 
 (* Where compiled code finds an operand. *)
@@ -550,6 +591,76 @@ let[@inline always] fcmp (op : Ir.binop) (x : float) (y : float) =
   | Ir.Eq -> x = y
   | _ -> x <> y
 
+(* ---------- allocation and facade-pool intrinsics ---------- *)
+
+(* An int operand of an intrinsic: its direct code, or [no_code] and
+   its location when it has none (a pinned float, a non-int constant),
+   read then as tier 1 reads it, through [as_int]. *)
+let no_code = min_int
+
+let int_arg lay op =
+  let l = oloc lay op in
+  match icode lay l with Some c -> (c, l) | None -> (no_code, l)
+
+let[@inline always] rint a (c, l) = if c <> no_code then ri a c else as_int (rd_v a l)
+
+(* The int destination of an intrinsic, [no_code] for none. An address
+   result makes its slot's kind int or boxed, never float. *)
+let int_dest lay = function
+  | Some d -> Option.get (icode lay (loc_of lay d))
+  | None -> no_code
+
+let[@inline always] set_int a d n = if d <> no_code then wi a d n
+
+(* [rt.alloc], [rt.alloc_array(_oversize)], [pool.receiver],
+   [facade.bind] and [facade.read], each charged like tier 1's [exec]
+   (a deopt before any accounting, then one step and one intrinsic
+   dispatch) and run by {!Vm_state}'s body. Operands coerce last to
+   first, as in tier 1. *)
+let intrinsic_code lay bi pc ret (i : R.intrinsic) (ops : R.operand array) : act -> unit =
+  match i with
+  | R.I_alloc ->
+      let d = int_dest lay ret and x0 = int_arg lay ops.(0) and x1 = int_arg lay ops.(1) in
+      fun a ->
+        let st = a.st in
+        charge_intrinsic st bi pc;
+        let rt = the_rt st in
+        let data_bytes = rint a x1 in
+        let type_id = rint a x0 in
+        set_int a d (rt_alloc st rt ~type_id ~data_bytes)
+  | R.I_alloc_array | R.I_alloc_array_oversize ->
+      let oversize = i = R.I_alloc_array_oversize in
+      let d = int_dest lay ret and x0 = int_arg lay ops.(0) in
+      let x1 = int_arg lay ops.(1) and x2 = int_arg lay ops.(2) in
+      fun a ->
+        let st = a.st in
+        charge_intrinsic st bi pc;
+        let rt = the_rt st in
+        let length = rint a x2 in
+        let elem_bytes = rint a x1 in
+        let type_id = rint a x0 in
+        set_int a d (rt_alloc_array st rt ~oversize ~type_id ~elem_bytes ~length)
+  | R.I_pool_receiver ->
+      let dl = Option.map (loc_of lay) ret and x0 = int_arg lay ops.(0) in
+      fun a ->
+        let st = a.st in
+        charge_intrinsic st bi pc;
+        let rt = the_rt st in
+        let f = pool_receiver st rt ~type_id:(rint a x0) in
+        (match dl with Some l -> wr_v a l (Value.Facade f) | None -> ())
+  | R.I_facade_bind ->
+      let f = oloc lay ops.(0) and x1 = int_arg lay ops.(1) in
+      fun a ->
+        charge_intrinsic a.st bi pc;
+        let addr = rint a x1 in
+        facade_bind (rd_v a f) addr
+  | R.I_facade_read ->
+      let d = int_dest lay ret and f = oloc lay ops.(0) in
+      fun a ->
+        charge_intrinsic a.st bi pc;
+        set_int a d (facade_read (rd_v a f))
+  | _ -> invalid_arg "Compile_tier.intrinsic_code"
+
 (* ---------- compiled-code runner ---------- *)
 
 (* A compiled method: its composed blocks and its slot layout. Block
@@ -743,7 +854,8 @@ let compile_term lay (term : R.term) : act -> int =
 
 (* One compiled instruction: either bulk-chargeable straight-line work
    (step/mix accounting hoisted into the enclosing segment) or a
-   self-charging action (guards, calls, delegations) that runs its own
+   self-charging action (guards, calls, allocation intrinsics,
+   delegations) that runs its own
    budget precheck so a deopt lands before its accounting. The int
    payload is the mix category. [S_store] is a facade page access: it
    also counts one intrinsic dispatch and reads the activation's page
@@ -789,35 +901,38 @@ let acode lay (acc : R.acc) l = if acc_kind acc = K_flt then fcode lay l else ic
 
 (* [d = x op y] through [arith] on boxed operands. With no pinned slot
    involved — the common case in object mode — the frame is read
-   directly, which beats the unboxed path's per-operand kind tests. *)
-let boxed_binop op d x y : act -> unit =
+   directly, which beats the unboxed path's per-operand kind tests.
+   [sw]: a commutative op quickening swapped (see [arith_src]). *)
+let boxed_binop ~sw op d x y : act -> unit =
   match d, x, y with
   | L_box d, L_box x, L_box y -> (
       match op with
-      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) (fg a.frame y))
+      | Ir.Add -> fun a -> fs a.frame d (add_v sw (fg a.frame x) (fg a.frame y))
       | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) (fg a.frame y))
-      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) (fg a.frame y))
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v sw (fg a.frame x) (fg a.frame y))
+      | _ when sw -> fun a -> fs a.frame d (arith_src true op (fg a.frame x) (fg a.frame y))
       | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) (fg a.frame y)))
   | L_box d, L_box x, L_imm v -> (
       match op with
-      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) v)
+      | Ir.Add -> fun a -> fs a.frame d (add_v sw (fg a.frame x) v)
       | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) v)
-      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) v)
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v sw (fg a.frame x) v)
+      | _ when sw -> fun a -> fs a.frame d (arith_src true op (fg a.frame x) v)
       | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) v))
   | _ -> (
       match op with
-      | Ir.Add -> fun a -> wr_v a d (add_v (rd_v a x) (rd_v a y))
+      | Ir.Add -> fun a -> wr_v a d (add_v sw (rd_v a x) (rd_v a y))
       | Ir.Sub -> fun a -> wr_v a d (sub_v (rd_v a x) (rd_v a y))
-      | Ir.Mul -> fun a -> wr_v a d (mul_v (rd_v a x) (rd_v a y))
-      | _ -> fun a -> wr_v a d (arith op (rd_v a x) (rd_v a y)))
+      | Ir.Mul -> fun a -> wr_v a d (mul_v sw (rd_v a x) (rd_v a y))
+      | _ -> fun a -> wr_v a d (arith_src sw op (rd_v a x) (rd_v a y)))
 
 (* [d = x op y] over operands of kinds [kx] and [ky]: unboxed whenever
    the kinds decide which case of [arith] runs, through [arith] on
    boxed operands otherwise — so anything unusual stays exact by
    construction. *)
-let binop_code lay op d x kx y ky : act -> unit =
+let binop_code lay ~sw op d x kx y ky : act -> unit =
   match binop_kind op kx ky with
-  | _ when not (pinned d || pinned x || pinned y) -> boxed_binop op d x y
+  | _ when not (pinned d || pinned x || pinned y) -> boxed_binop ~sw op d x y
   | K_int when kx = K_int && ky = K_int -> (
       let d = Option.get (icode lay d) in
       let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
@@ -847,18 +962,18 @@ let binop_code lay op d x kx y ky : act -> unit =
       | Ir.Mul -> fun a -> wf a d (rn a xi x *. rn a yi y)
       | Ir.Div -> fun a -> wf a d (rn a xi x /. rn a yi y)
       | _ -> fun a -> wf a d (Float.rem (rn a xi x) (rn a yi y)))
-  | _ -> boxed_binop op d x y
+  | _ -> boxed_binop ~sw op d x y
 
 (* [d = x*y + z], the product rounded before the sum as tier 1's two
-   [arith] calls do. *)
-let mul_add_code lay d x kx y ky z kz : act -> unit =
+   [arith] calls do; [sw] holds the product's and the sum's swaps. *)
+let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> unit =
   let km = binop_kind Ir.Mul kx ky in
   match binop_kind Ir.Add km kz with
   | _ when not (pinned d || pinned x || pinned y || pinned z) -> (
       fun a ->
         match rd_v a x, rd_v a y, rd_v a z with
         | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
-        | vx, vy, vz -> wr_v a d (arith Ir.Add (arith Ir.Mul vx vy) vz))
+        | vx, vy, vz -> wr_v a d (mul_add_src ~mul_swapped ~add_swapped vx vy vz))
   | K_int ->
       let d = Option.get (icode lay d) in
       let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
@@ -877,13 +992,13 @@ let mul_add_code lay d x kx y ky z kz : act -> unit =
       fun a ->
         match rd_v a x, rd_v a y, rd_v a z with
         | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
-        | vx, vy, vz -> wr_v a d (arith Ir.Add (arith Ir.Mul vx vy) vz))
+        | vx, vy, vz -> wr_v a d (mul_add_src ~mul_swapped ~add_swapped vx vy vz))
 
 let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   let cat = R.category ins in
   let bulk f = S_bulk (f, cat) in
   let bulk_s f = S_store (f, cat) in
-  let deleg () = S_self (fun a -> t.t_hooks.h_exec a.st mx a.frame ins) in
+  let deleg () = S_self (fun a -> delegate t a.st mx a.frame ins) in
   let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
   let loc = loc_of lay and kind s = lay.kinds.(s) in
   match ins with
@@ -905,14 +1020,18 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               let x = rf a s in
               wf a d x)
       | dl, sl, (K_bot | K_box) -> bulk (fun a -> wr_v a dl (rd_v a sl)))
-  | R.Rbinop (d, op, x, y) -> bulk (binop_code lay op (loc d) (loc x) (kind x) (loc y) (kind y))
-  | R.Rbinop_imm (d, op, x, v) ->
-      bulk (binop_code lay op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
+  | R.Rbinop (d, op, x, y) ->
+      bulk (binop_code lay ~sw:false op (loc d) (loc x) (kind x) (loc y) (kind y))
+  | R.Rbinop_imm (d, op, x, v, sw) ->
+      bulk (binop_code lay ~sw op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
   | R.Rmul_add (d, x, y, z) ->
-      bulk (mul_add_code lay (loc d) (loc x) (kind x) (loc y) (kind y) (loc z) (kind z))
-  | R.Rmul_add_imm (d, x, v, z) ->
       bulk
-        (mul_add_code lay (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v) (loc z) (kind z))
+        (mul_add_code lay ~sw:(false, false) (loc d) (loc x) (kind x) (loc y) (kind y) (loc z)
+           (kind z))
+  | R.Rmul_add_imm (d, x, v, z, msw, asw) ->
+      bulk
+        (mul_add_code lay ~sw:(msw, asw) (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v)
+           (loc z) (kind z))
   | R.Rneg (d, s) -> (
       match kind s with
       | K_int ->
@@ -1030,7 +1149,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               count_step st cat;
               note_ic_hit st.stats mx;
               fs f d ob.Value.fields.(key land R.ic_payload_mask)
-          | _ -> t.t_hooks.h_exec st mx f ins)
+          | _ -> delegate t st mx f ins)
   | R.Rfield_store_ic (o, _fid, s, ic) ->
       S_self
         (fun a ->
@@ -1042,7 +1161,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               count_step st cat;
               note_ic_hit st.stats mx;
               ob.Value.fields.(key land R.ic_payload_mask) <- fg f s
-          | _ -> t.t_hooks.h_exec st mx f ins)
+          | _ -> delegate t st mx f ins)
   (* ---- offset-specialized page access (facade mode): each template
      resolves the backing page once and works relative to it; the fused
      forms look a page up once where the interpreter's Store calls look
@@ -1111,7 +1230,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               let i = as_int (rd_v a il) in
               check_index pg b i;
               pg_write acc pg (b + LR.array_header_bytes + (eb * i)) (rd_v a sl)))
-  | R.Rget_bin (d, acc, p, off, op, s) -> (
+  | R.Rget_bin (d, acc, p, off, op, s, sw) -> (
       let ka = acc_kind acc and ks = okind lay s in
       let dl = loc d and sl = oloc lay s in
       match icode lay (loc p), binop_kind op ka ks with
@@ -1133,8 +1252,9 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           let pl = loc p in
           bulk_s (fun a ->
               let ad = addr_nn (rd_v a pl) in
-              wr_v a dl (arith op (pg_read acc (page_in a.pool ad) (offset ad + off)) (rd_v a sl))))
-  | R.Rrmw (acc, p, off, op, s) -> (
+              let x = pg_read acc (page_in a.pool ad) (offset ad + off) in
+              wr_v a dl (arith_src sw op x (rd_v a sl))))
+  | R.Rrmw (acc, p, off, op, s, sw) -> (
       let ks = okind lay s and sl = oloc lay s in
       match icode lay (loc p) with
       | Some p when acc = R.A_f64 && is_float_op op && is_num ks ->
@@ -1161,7 +1281,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
-              pg_write acc pg i (arith op (pg_read acc pg i) (rd_v a sl))))
+              pg_write acc pg i (arith_src sw op (pg_read acc pg i) (rd_v a sl))))
   | R.Raget_get (d, arr, eb, idx, acc, off) -> (
       match icode lay (loc arr), icode lay (oloc lay idx), acode lay acc (loc d) with
       | Some arr, Some ix, Some d ->
@@ -1222,6 +1342,8 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               let b2 = offset ad2 in
               check_index pg2 b2 j;
               wr_v a dl (pg_read acc pg2 (b2 + LR.array_header_bytes + (eb2 * j)))))
+  | R.Rintrinsic (ret, i, ops) when native_intrinsic i ->
+      S_self (intrinsic_code lay bi pc ret i ops)
   (* ---- everything stateful or rare runs through the interpreter,
      which self-accounts ---- *)
   | R.Riter_start | R.Riter_end | R.Rrun_thread _ | R.Rintrinsic _ | R.Rerror _ ->
@@ -1274,7 +1396,7 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args key ins =
       f.(0) <- recv;
       store_ret a.frame ret (invoke t a midx0 leaf f)
     end
-    else if mono then t.t_hooks.h_exec st mx a.frame ins
+    else if mono then delegate t st mx a.frame ins
     else raise (Tier_deopt (bi, pc, "polymorphic"))
 
 (* Virtual call whose cache was cold at compile time: guard against the
@@ -1292,7 +1414,7 @@ and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
     let st = a.st in
     precheck st bi pc;
     let key = ic.R.ic_key in
-    if key < 0 then t.t_hooks.h_exec st mx a.frame ins
+    if key < 0 then delegate t st mx a.frame ins
     else begin
       let recv = fg a.frame r in
       let cid =
@@ -1310,7 +1432,7 @@ and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
         f.(0) <- recv;
         store_ret a.frame ret (t.t_hooks.h_call st midx f)
       end
-      else if mono then t.t_hooks.h_exec st mx a.frame ins
+      else if mono then delegate t st mx a.frame ins
       else raise (Tier_deopt (bi, pc, "polymorphic"))
     end
 

@@ -50,6 +50,7 @@ type t = {
   mutable tier2_int_slots : int;
   mutable tier2_float_slots : int;
   mutable tier2_boxed_slots : int;
+  mutable tier2_delegated : int;
   mutable tier2_recompiles : int;
   mutable osr_entries : int;
 }
@@ -78,6 +79,7 @@ let create () =
     tier2_int_slots = 0;
     tier2_float_slots = 0;
     tier2_boxed_slots = 0;
+    tier2_delegated = 0;
     tier2_recompiles = 0;
     osr_entries = 0;
   }
@@ -139,6 +141,7 @@ let zero t =
   t.tier2_int_slots <- 0;
   t.tier2_float_slots <- 0;
   t.tier2_boxed_slots <- 0;
+  t.tier2_delegated <- 0;
   t.tier2_recompiles <- 0;
   t.osr_entries <- 0
 
@@ -190,6 +193,7 @@ let merge dst src =
   dst.tier2_int_slots <- dst.tier2_int_slots + src.tier2_int_slots;
   dst.tier2_float_slots <- dst.tier2_float_slots + src.tier2_float_slots;
   dst.tier2_boxed_slots <- dst.tier2_boxed_slots + src.tier2_boxed_slots;
+  dst.tier2_delegated <- dst.tier2_delegated + src.tier2_delegated;
   dst.tier2_recompiles <- dst.tier2_recompiles + src.tier2_recompiles;
   dst.osr_entries <- dst.osr_entries + src.osr_entries
 

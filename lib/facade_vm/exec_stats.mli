@@ -48,6 +48,9 @@ type t = {
           unboxed as ints *)
   mutable tier2_float_slots : int;   (** the same, unboxed as floats *)
   mutable tier2_boxed_slots : int;   (** the same, left in the boxed frame *)
+  mutable tier2_delegated : int;
+      (** instructions compiled code handed to tier 1's [h_exec], one
+          per execution *)
   mutable tier2_recompiles : int;
       (** always 0: tier 2 no longer recompiles; kept for the perfbench
           ledger and the service wire format *)

@@ -508,13 +508,13 @@ and exec st mx (frame : Value.t array) ins =
           ob.Value.fields.(slot) <- frame.(s)
       | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
       | w -> vm_err "field store to %s" (Value.to_string w))
-  | R.Rbinop_imm (d, op, x, v) -> frame.(d) <- arith op frame.(x) v
+  | R.Rbinop_imm (d, op, x, v, sw) -> frame.(d) <- arith_src sw op frame.(x) v
   | R.Rmul_add (d, x, y, z) ->
       (* z <> d is guaranteed by the fuser, so reading z after the
          intermediate product would see the same value either way. *)
       frame.(d) <- arith Ir.Add (arith Ir.Mul frame.(x) frame.(y)) frame.(z)
-  | R.Rmul_add_imm (d, x, v, z) ->
-      frame.(d) <- arith Ir.Add (arith Ir.Mul frame.(x) v) frame.(z)
+  | R.Rmul_add_imm (d, x, v, z, mul_swapped, add_swapped) ->
+      frame.(d) <- mul_add_src ~mul_swapped ~add_swapped frame.(x) v frame.(z)
   | R.Rget (d, a, p, off) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
@@ -542,17 +542,17 @@ and exec st mx (frame : Value.t array) ins =
       store_set rt a addr
         ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
         (operand frame src)
-  | R.Rget_bin (d, a, p, off, op, s) ->
+  | R.Rget_bin (d, a, p, off, op, s, sw) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let x = store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off in
-      frame.(d) <- arith op x (operand frame s)
-  | R.Rrmw (a, p, off, op, s) ->
+      frame.(d) <- arith_src sw op x (operand frame s)
+  | R.Rrmw (a, p, off, op, s, sw) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(p)) in
       let x = store_get rt a addr ~offset:off in
-      store_set rt a addr ~offset:off (arith op x (operand frame s))
+      store_set rt a addr ~offset:off (arith_src sw op x (operand frame s))
   | R.Raget_get (d, arr, eb, idx, a, off) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
@@ -750,26 +750,16 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
   match i with
   | R.I_alloc ->
       let rt = the_rt st in
-      let addr =
-        st_alloc_record st rt ~type_id:(as_int (v 0)) ~data_bytes:(as_int (v 1))
-      in
-      Exec_stats.note_record st.stats;
-      sync_native st;
-      set (Value.Int (Addr.to_int addr))
+      let data_bytes = as_int (v 1) in
+      let type_id = as_int (v 0) in
+      set (Value.Int (rt_alloc st rt ~type_id ~data_bytes))
   | R.I_alloc_array | R.I_alloc_array_oversize ->
       let rt = the_rt st in
-      let alloc =
-        match i with
-        | R.I_alloc_array -> st_alloc_array
-        | _ -> st_alloc_array_oversize
-      in
-      let addr =
-        alloc st rt ~type_id:(as_int (v 0)) ~elem_bytes:(as_int (v 1))
-          ~length:(as_int (v 2))
-      in
-      Exec_stats.note_record st.stats;
-      sync_native st;
-      set (Value.Int (Addr.to_int addr))
+      let length = as_int (v 2) in
+      let elem_bytes = as_int (v 1) in
+      let type_id = as_int (v 0) in
+      let oversize = i = R.I_alloc_array_oversize in
+      set (Value.Int (rt_alloc_array st rt ~oversize ~type_id ~elem_bytes ~length))
   | R.I_free_oversize ->
       let rt = the_rt st in
       (match st.ctx with
@@ -821,7 +811,7 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
       set (Value.Facade (FP.param (pools_of st rt) ~type_id:tid ~index:idx))
   | R.I_pool_receiver ->
       let rt = the_rt st in
-      set (Value.Facade (FP.receiver (pools_of st rt) ~type_id:(as_int (v 0))))
+      set (Value.Facade (pool_receiver st rt ~type_id:(as_int (v 0))))
   | R.I_pool_resolve ->
       let rt = the_rt st in
       let r = v 0 in
@@ -829,8 +819,10 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
       let f = FP.receiver (pools_of st rt) ~type_id:tid in
       FP.bind f (addr_of r);
       set (Value.Facade f)
-  | R.I_facade_bind -> FP.bind (as_facade (v 0)) (Addr.of_int (as_int (v 1)))
-  | R.I_facade_read -> set (Value.Int (Addr.to_int (FP.read (as_facade (v 0)))))
+  | R.I_facade_bind ->
+      let addr = as_int (v 1) in
+      facade_bind (v 0) addr
+  | R.I_facade_read -> set (Value.Int (facade_read (v 0)))
   | R.I_lock_enter ->
       let rt = the_rt st in
       Pagestore.Lock_pool.monitor_enter rt.locks rt.store

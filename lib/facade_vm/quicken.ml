@@ -20,7 +20,11 @@
    bit-identical to {!Interp_baseline}, which the differential suite
    relies on. Rewrites never reorder effects — fused pairs evaluate their
    operands in the original order, so faults (null page, bad operands,
-   bounds) fire at the same program point with the same message. *)
+   bounds) fire at the same program point with the same message. Where
+   a commutative op ends up holding its operands the other way round (a
+   constant moved to the right, a page read fused from either side),
+   the instruction carries a [swapped] flag and its error path re-runs
+   the op in source order ({!Vm_state.arith_src}). *)
 
 open Jir
 module R = Resolved
@@ -40,12 +44,12 @@ let rdef = function
   | R.Rarray_length (d, _)
   | R.Rinstance_of (d, _, _)
   | R.Rcast (d, _, _)
-  | R.Rbinop_imm (d, _, _, _)
+  | R.Rbinop_imm (d, _, _, _, _)
   | R.Rmul_add (d, _, _, _)
-  | R.Rmul_add_imm (d, _, _, _)
+  | R.Rmul_add_imm (d, _, _, _, _, _)
   | R.Rget (d, _, _, _)
   | R.Raget (d, _, _, _, _)
-  | R.Rget_bin (d, _, _, _, _, _) ->
+  | R.Rget_bin (d, _, _, _, _, _, _) ->
       Some d
   | R.Raget_get (d, _, _, _, _, _) | R.Raget_aget (d, _, _, _, _, _, _) -> Some d
   | R.Rcall (ret, _, _, _) | R.Rcall_virtual (ret, _, _, _)
@@ -75,7 +79,7 @@ let ruses = function
   | R.Rcast (_, s, _)
   | R.Rmonitor_enter s
   | R.Rmonitor_exit s
-  | R.Rbinop_imm (_, _, s, _)
+  | R.Rbinop_imm (_, _, s, _, _)
   | R.Rget (_, _, s, _) ->
       [ s ]
   | R.Rbinop (_, _, x, y) | R.Rfield_store (x, _, y) | R.Rfield_store_ic (x, _, y, _)
@@ -84,7 +88,7 @@ let ruses = function
   | R.Rarray_load (_, a, i) -> [ a; i ]
   | R.Rarray_store (a, i, s) -> [ a; i; s ]
   | R.Rmul_add (_, x, y, z) -> [ x; y; z ]
-  | R.Rmul_add_imm (_, x, _, z) -> [ x; z ]
+  | R.Rmul_add_imm (_, x, _, z, _, _) -> [ x; z ]
   | R.Rcall (_, _, recv, args) ->
       Option.to_list recv @ Array.to_list args
   | R.Rcall_virtual (_, _, r, args) | R.Rcall_virtual_ic (_, _, r, args, _) ->
@@ -94,8 +98,8 @@ let ruses = function
   | R.Rset (_, p, _, src) -> p :: op_slots src
   | R.Raget (_, _, p, _, idx) -> p :: op_slots idx
   | R.Raset (_, p, _, idx, src) -> p :: (op_slots idx @ op_slots src)
-  | R.Rget_bin (_, _, p, _, _, s) -> p :: op_slots s
-  | R.Rrmw (_, p, _, _, s) -> p :: op_slots s
+  | R.Rget_bin (_, _, p, _, _, s, _) -> p :: op_slots s
+  | R.Rrmw (_, p, _, _, s, _) -> p :: op_slots s
   | R.Raget_get (_, arr, _, idx, _, _) -> arr :: op_slots idx
   | R.Raget_aget (_, _, arr1, _, idx, arr2, _) -> arr1 :: arr2 :: op_slots idx
 
@@ -210,8 +214,8 @@ let quicken_meth (m : R.meth) =
                   match ins with
                   | R.Rbinop (d, op, x, y) -> (
                       match cval x, cval y with
-                      | _, Some v -> R.Rbinop_imm (d, op, x, v)
-                      | Some v, None when commutative op -> R.Rbinop_imm (d, op, y, v)
+                      | _, Some v -> R.Rbinop_imm (d, op, x, v, false)
+                      | Some v, None when commutative op -> R.Rbinop_imm (d, op, y, v, true)
                       | _ -> ins)
                   | R.Rintrinsic
                       (Some d, R.I_get a, [| R.Oslot p; R.Oconst (Value.Int off) |])
@@ -258,18 +262,18 @@ let quicken_meth (m : R.meth) =
             | R.Rbinop (d, Ir.Mul, x, y) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
               when d2 = d && a2 = d && b2 <> d ->
                 R.Rmul_add (d, x, y, b2) :: fuse rest
-            | R.Rbinop_imm (d, Ir.Mul, x, v) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
+            | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
               when d2 = d && a2 = d && b2 <> d ->
-                R.Rmul_add_imm (d, x, v, b2) :: fuse rest
-            | R.Rbinop_imm (d, Ir.Mul, x, v) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
+                R.Rmul_add_imm (d, x, v, b2, sw, false) :: fuse rest
+            | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
               when d2 = d && b2 = d && a2 <> d ->
-                R.Rmul_add_imm (d, x, v, a2) :: fuse rest
+                R.Rmul_add_imm (d, x, v, a2, sw, true) :: fuse rest
             | R.Rget (d, acc, p, off) :: R.Rbinop (d2, op, a2, b2) :: rest
               when d2 = d && a2 = d && b2 <> d ->
-                R.Rget_bin (d, acc, p, off, op, R.Oslot b2) :: fuse rest
-            | R.Rget (d, acc, p, off) :: R.Rbinop_imm (d2, op, x2, v) :: rest
+                R.Rget_bin (d, acc, p, off, op, R.Oslot b2, false) :: fuse rest
+            | R.Rget (d, acc, p, off) :: R.Rbinop_imm (d2, op, x2, v, sw) :: rest
               when d2 = d && x2 = d ->
-                R.Rget_bin (d, acc, p, off, op, R.Oconst v) :: fuse rest
+                R.Rget_bin (d, acc, p, off, op, R.Oconst v, sw) :: fuse rest
             | i :: rest -> i :: fuse rest
             | [] -> []
           in
@@ -301,12 +305,13 @@ let quicken_meth (m : R.meth) =
                 term =
                   R.Rcmp_branch (op, promote_g (R.Oslot x), promote_g (R.Oslot y), t, e);
               }
-          | Some (R.Rbinop_imm (c, op, x, v)), R.Rbranch (c', t, e)
+          | Some (R.Rbinop_imm (c, op, x, v, sw)), R.Rbranch (c', t, e)
             when c' = c && not live_out.(bi).(c) ->
-              {
-                R.code = Array.sub b.R.code 0 (n - 1);
-                term = R.Rcmp_branch (op, promote_g (R.Oslot x), R.Oconst v, t, e);
-              }
+              (* both operands may be constants here, so the source order
+                 comes back *)
+              let x = promote_g (R.Oslot x) and v = R.Oconst v in
+              let x, y = if sw then (v, x) else (x, v) in
+              { R.code = Array.sub b.R.code 0 (n - 1); term = R.Rcmp_branch (op, x, y, t, e) }
           | _ -> b)
         body
     in
@@ -341,11 +346,11 @@ let quicken_meth (m : R.meth) =
                 (* d = page[off] op s; page[off] = d; d dead after. The
                    page slot must differ from d, else the store would
                    have addressed the freshly computed value. *)
-                | ( R.Rget_bin (d, a, p, off, op, s),
+                | ( R.Rget_bin (d, a, p, off, op, s, sw),
                     R.Rset (a2, p2, off2, R.Oslot sd) )
                   when a2 = a && p2 = p && off2 = off && sd = d && p <> d
                        && not live_after.(i + 1).(d) ->
-                    fuse (i + 2) (R.Rrmw (a, p, off, op, s) :: acc)
+                    fuse (i + 2) (R.Rrmw (a, p, off, op, s, sw) :: acc)
                 (* w = arr[idx] (ref read); d = w[off]; w dead after. *)
                 | ( R.Raget (w, R.A_i64, arr, eb, idx),
                     R.Rget (d, a, w2, off) )
@@ -365,14 +370,14 @@ let quicken_meth (m : R.meth) =
                 | R.Rget (d, a, p, off), R.Rbinop (d2, op, x, y)
                   when x = d && y <> d
                        && (d2 = d || not live_after.(i + 1).(d)) ->
-                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot y) :: acc)
+                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot y, false) :: acc)
                 | R.Rget (d, a, p, off), R.Rbinop (d2, op, x, y)
                   when y = d && x <> d && commutative op
                        && (d2 = d || not live_after.(i + 1).(d)) ->
-                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot x) :: acc)
-                | R.Rget (d, a, p, off), R.Rbinop_imm (d2, op, x, v)
+                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot x, true) :: acc)
+                | R.Rget (d, a, p, off), R.Rbinop_imm (d2, op, x, v, sw)
                   when x = d && (d2 = d || not live_after.(i + 1).(d)) ->
-                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oconst v) :: acc)
+                    fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oconst v, sw) :: acc)
                 | ins, _ -> fuse (i + 1) (ins :: acc)
             in
             { b with R.code = Array.of_list (fuse 0 []) }

@@ -114,22 +114,26 @@ type instr =
   | Rfield_load_ic of slot * slot * int * ic
       (* field access caching (cid, field slot) *)
   | Rfield_store_ic of slot * int * slot * ic
-  | Rbinop_imm of slot * Ir.binop * slot * Value.t
-      (* right operand promoted from a once-assigned constant slot *)
+  | Rbinop_imm of slot * Ir.binop * slot * Value.t * bool
+      (* right operand promoted from a once-assigned constant slot; the
+         flag marks a commutative op whose constant was the source's
+         left operand, so an error names the operands in source order *)
   | Rmul_add of slot * slot * slot * slot
       (* fused [d = x*y; d = d+z] — the array-indexing idiom *)
-  | Rmul_add_imm of slot * slot * Value.t * slot
+  | Rmul_add_imm of slot * slot * Value.t * slot * bool * bool
       (* [d = x*imm + z], the same idiom after the stride was promoted
-         to an immediate *)
+         to an immediate; the flags mark the product's and the sum's
+         operands as held in the other order than the source's *)
   | Rget of slot * acc * slot * int
       (* offset-specialized rt.get_*: dst, access, page slot, byte offset *)
   | Rset of acc * slot * int * operand
   | Raget of slot * acc * slot * int * operand
       (* dst, access, page slot, elem bytes, index *)
   | Raset of acc * slot * int * operand * operand
-  | Rget_bin of slot * acc * slot * int * Ir.binop * operand
-      (* fused getfield+arith: d = get(page, off) op operand *)
-  | Rrmw of acc * slot * int * Ir.binop * operand
+  | Rget_bin of slot * acc * slot * int * Ir.binop * operand * bool
+      (* fused getfield+arith: d = get(page, off) op operand; the flag
+         marks a commutative op the source wrote [operand op get] *)
+  | Rrmw of acc * slot * int * Ir.binop * operand * bool
       (* fused accumulate: page[off] = page[off] op operand, from a
          get_bin+set pair over the same page and offset whose destination
          slot is dead *)

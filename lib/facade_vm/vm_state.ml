@@ -315,6 +315,22 @@ and cmp_num fi ff a b =
   | Value.Float x, Value.Int y -> Value.Int (if ff x (float_of_int y) then 1 else 0)
   | x, y -> vm_err "bad comparison operands: %s, %s" (Value.to_string x) (Value.to_string y)
 
+(* Quickening may hold a commutative op's operands in the other order
+   than the source's — a constant moved to the right, a fused pair read
+   the other way round — and marks such an instruction [swapped]. The
+   value is the same either way; a failure re-runs the op in source
+   order, so its error names the operands as the unquickened link does.
+   The flag is read only on that path. *)
+let arith_src swapped op x y = try arith op x y with Vm_error _ when swapped -> arith op y x
+
+(* [x*y + z] with the product rounded before the sum, as two [arith]
+   calls; the flags are the product's and the sum's [swapped]. *)
+let mul_add_src ~mul_swapped ~add_swapped x y z =
+  try arith Ir.Add (arith Ir.Mul x y) z
+  with Vm_error _ when mul_swapped || add_swapped ->
+    let p = if mul_swapped then arith Ir.Mul y x else arith Ir.Mul x y in
+    if add_swapped then arith Ir.Add z p else arith Ir.Add p z
+
 (* ---------- coercions ---------- *)
 
 let as_int = function
@@ -362,9 +378,10 @@ let pools_of st rt =
           | None -> ());
           p)
   | None -> (
-      match Hashtbl.find_opt rt.pools st.thread with
-      | Some p -> p
-      | None ->
+      (* [find], not [find_opt]: a hit allocates no option *)
+      match Hashtbl.find rt.pools st.thread with
+      | p -> p
+      | exception Not_found ->
           let p = FP.create ~bounds:rt.bounds in
           Hashtbl.replace rt.pools st.thread p;
           (match st.heap with
@@ -373,6 +390,36 @@ let pools_of st rt =
                 ~count:(FP.total_facades p)
           | None -> ());
           p)
+
+(* ---------- allocation and facade-pool intrinsics ----------
+
+   The bodies of rt.alloc, rt.alloc_array(_oversize), pool.receiver,
+   facade.bind and facade.read, shared by tier 1's [exec_intrinsic] and
+   tier 2's templates: both allocate through the same per-thread path
+   (the buffered [dc_local] handle in parallel runs) and fail with the
+   same quota and operand errors. Callers resolve [rt] with [the_rt]
+   first and then coerce the operands last to first, the order tier 1's
+   argument evaluation has always had. Addresses travel as plain ints,
+   so compiled code keeps them unboxed. *)
+
+let rt_alloc st rt ~type_id ~data_bytes =
+  let addr = st_alloc_record st rt ~type_id ~data_bytes in
+  Exec_stats.note_record st.stats;
+  sync_native st;
+  Addr.to_int addr
+
+let rt_alloc_array st rt ~oversize ~type_id ~elem_bytes ~length =
+  let addr =
+    if oversize then st_alloc_array_oversize st rt ~type_id ~elem_bytes ~length
+    else st_alloc_array st rt ~type_id ~elem_bytes ~length
+  in
+  Exec_stats.note_record st.stats;
+  sync_native st;
+  Addr.to_int addr
+
+let pool_receiver st rt ~type_id = FP.receiver (pools_of st rt) ~type_id
+let facade_bind f addr = FP.bind (as_facade f) (Addr.of_int addr)
+let facade_read f = Addr.to_int (FP.read (as_facade f))
 
 (* ---------- dispatch ---------- *)
 

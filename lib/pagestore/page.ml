@@ -140,4 +140,8 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
   let d = Bigarray.Array1.sub dst dst_off len in
   Bigarray.Array1.blit s d
 
-let fill p ~off ~len c = Bigarray.Array1.fill (Bigarray.Array1.sub p off len) c
+(* A whole-page fill (the pool zeroing a recycled page) skips [sub],
+   which allocates a bigarray header. *)
+let fill p ~off ~len c =
+  if off = 0 && len = Bigarray.Array1.dim p then Bigarray.Array1.fill p c
+  else Bigarray.Array1.fill (Bigarray.Array1.sub p off len) c

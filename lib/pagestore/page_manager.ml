@@ -3,7 +3,11 @@ type current = { mutable page_id : int; mutable next : int }
 type t = {
   pool : Page_pool.t;
   current : current array;  (* one bump cursor per size class *)
-  mutable owned : int list;
+  mutable owned : int array;
+      (* standard pages held, in [owned.(0 .. n_owned - 1)]: a growable
+         array rather than a list, so taking a page allocates nothing
+         until a manager outgrows the initial capacity *)
+  mutable n_owned : int;
   mutable oversize : int list;
   mutable children : t list;
   mutable is_released : bool;
@@ -15,7 +19,8 @@ let create pool =
   {
     pool;
     current = Array.init Size_class.count (fun _ -> { page_id = -1; next = 0 });
-    owned = [];
+    owned = Array.make 4 0;
+    n_owned = 0;
     oversize = [];
     children = [];
     is_released = false;
@@ -33,7 +38,13 @@ let check_live t fn = if t.is_released then invalid_arg (fn ^ ": released manage
 
 let fresh_page t =
   let id = Page_pool.acquire t.pool in
-  t.owned <- id :: t.owned;
+  if t.n_owned = Array.length t.owned then begin
+    let a = Array.make (2 * t.n_owned) 0 in
+    Array.blit t.owned 0 a 0 t.n_owned;
+    t.owned <- a
+  end;
+  t.owned.(t.n_owned) <- id;
+  t.n_owned <- t.n_owned + 1;
   id
 
 let note t ~bytes =
@@ -62,12 +73,8 @@ let alloc t ~bytes =
     Addr.make ~page:id ~offset:0
   end
   else begin
-    let cls =
-      match Size_class.of_bytes bytes with
-      | Some c -> c
-      | None -> assert false (* bytes <= page_bytes/2 is always classed *)
-    in
-    let cur = t.current.(cls) in
+    (* bytes <= page_bytes/2 is always classed, so [index] is >= 0 *)
+    let cur = t.current.(Size_class.index bytes) in
     if cur.page_id < 0 || cur.next + bytes > page_bytes then begin
       cur.page_id <- fresh_page t;
       cur.next <- 0
@@ -93,14 +100,18 @@ let rec release_all t =
       Obs.Trace.instant ~cat:"store"
         ~args:
           [
-            ("pages", Obs.Tracer.Aint (List.length t.owned + List.length t.oversize));
+            ("pages", Obs.Tracer.Aint (t.n_owned + List.length t.oversize));
             ("records", Obs.Tracer.Aint t.records);
           ]
         "bulk_reclaim";
     List.iter release_all t.children;
     t.children <- [];
-    List.iter (Page_pool.release t.pool) t.owned;
-    t.owned <- [];
+    (* newest first, so the free list hands pages back in the order a
+       manager took them *)
+    for i = t.n_owned - 1 downto 0 do
+      Page_pool.release t.pool t.owned.(i)
+    done;
+    t.n_owned <- 0;
     List.iter (Page_pool.release_oversize t.pool) t.oversize;
     t.oversize <- [];
     Array.iter
@@ -113,4 +124,4 @@ let rec release_all t =
 let released t = t.is_released
 let records_allocated t = t.records
 let bytes_allocated t = t.bytes
-let pages_owned t = List.length t.owned + List.length t.oversize
+let pages_owned t = t.n_owned + List.length t.oversize

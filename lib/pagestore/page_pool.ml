@@ -71,11 +71,11 @@ let fresh_page t ~bytes =
   if t.native > t.peak_native then t.peak_native <- t.native;
   id
 
+(* A recycled page id, or -1 when the free list is empty. *)
 let rec pop_free t =
   match Atomic.get t.free with
-  | [] -> None
-  | id :: rest as old ->
-      if Atomic.compare_and_set t.free old rest then Some id else pop_free t
+  | [] -> -1
+  | id :: rest as old -> if Atomic.compare_and_set t.free old rest then id else pop_free t
 
 let rec push_free t id =
   let old = Atomic.get t.free in
@@ -90,19 +90,21 @@ let trace_page name id =
 
 let acquire t =
   Atomic.incr t.live;
-  match pop_free t with
-  | Some id ->
-      let p = t.table.(id) in
-      Page.fill p ~off:0 ~len:(Page.capacity p) '\000';
-      Atomic.incr t.recycled;
-      trace_page "page_recycled" id;
-      id
-  | None ->
-      let id = with_lock t (fun () -> fresh_page t ~bytes:t.page_bytes) in
-      trace_page "page_fresh" id;
-      if Obs.Trace.on () then
-        Obs.Trace.counter ~name:"live_pages" (float_of_int (Atomic.get t.live));
-      id
+  let id = pop_free t in
+  if id >= 0 then begin
+    let p = t.table.(id) in
+    Page.fill p ~off:0 ~len:(Page.capacity p) '\000';
+    Atomic.incr t.recycled;
+    trace_page "page_recycled" id;
+    id
+  end
+  else begin
+    let id = with_lock t (fun () -> fresh_page t ~bytes:t.page_bytes) in
+    trace_page "page_fresh" id;
+    if Obs.Trace.on () then
+      Obs.Trace.counter ~name:"live_pages" (float_of_int (Atomic.get t.live));
+    id
+  end
 
 let acquire_oversize t ~bytes =
   if bytes <= t.page_bytes then

@@ -2,11 +2,10 @@ let boundaries = [| 16; 64; 256; 1024; 8192; 32768 |]
 
 let count = Array.length boundaries
 
-let of_bytes bytes =
-  if bytes < 0 then invalid_arg "Size_class.of_bytes: negative size";
-  let rec go i =
-    if i >= count then None
-    else if bytes <= boundaries.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
+let index bytes =
+  if bytes < 0 then invalid_arg "Size_class.index: negative size";
+  let i = ref 0 in
+  while !i < count && bytes > Array.unsafe_get boundaries !i do
+    incr i
+  done;
+  if !i < count then !i else -1

@@ -11,6 +11,7 @@ val boundaries : int array
 
 val count : int
 
-val of_bytes : int -> int option
-(** Class index for a record of the given size, or [None] when the record
-    exceeds the largest class and must go to an oversize page. *)
+val index : int -> int
+(** Class index for a record of the given size, or [-1] when the record
+    exceeds the largest class and must go to an oversize page. Allocates
+    nothing: this is the record allocator's per-call class choice. *)

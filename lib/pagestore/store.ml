@@ -9,10 +9,16 @@ type thread_state = {
 
 type thread_totals = { thread_records : int; thread_bytes : int }
 
+module Imap = Map.Make (Int)
+
 type t = {
   pool : Page_pool.t;
-  mu : Mutex.t;  (* guards [threads] and [retired] against concurrent registration *)
-  threads : (thread, thread_state) Hashtbl.t;
+  mu : Mutex.t;  (* serializes registration: [threads] updates and [retired] *)
+  threads : thread_state Imap.t Atomic.t;
+      (* The live threads, as an immutable map: writers build the next
+         map while holding [mu] and publish it with [Atomic.set], so the
+         allocation path finds its thread with one atomic read and a
+         map descent — no mutex, no allocation. *)
   retired : (thread, thread_totals) Hashtbl.t;
   records : int Atomic.t;
   (* Resource limits for multi-tenant runs; 0 means unlimited. Plain int
@@ -38,7 +44,7 @@ let create ?page_bytes () =
   {
     pool = Page_pool.create ?page_bytes ();
     mu = Mutex.create ();
-    threads = Hashtbl.create 16;
+    threads = Atomic.make Imap.empty;
     retired = Hashtbl.create 16;
     records = Atomic.make 0;
     max_live_pages = 0;
@@ -83,10 +89,13 @@ let with_mu t f =
       Mutex.unlock t.mu;
       raise e
 
+let[@inline never] not_registered id =
+  invalid_arg (Printf.sprintf "Store: thread %d not registered" id)
+
 let thread_state t id =
-  match with_mu t (fun () -> Hashtbl.find_opt t.threads id) with
-  | Some st -> st
-  | None -> invalid_arg (Printf.sprintf "Store: thread %d not registered" id)
+  match Imap.find id (Atomic.get t.threads) with
+  | st -> st
+  | exception Not_found -> not_registered id
 
 let current_mgr st =
   match st.stack with [] -> st.default_mgr | m :: _ -> m
@@ -96,14 +105,16 @@ let register_thread ?parent t id =
     match parent with None -> None | Some p -> Some (current_mgr (thread_state t p))
   in
   with_mu t (fun () ->
-      if Hashtbl.mem t.threads id then
+      let threads = Atomic.get t.threads in
+      if Imap.mem id threads then
         invalid_arg (Printf.sprintf "Store.register_thread: thread %d already registered" id);
       let default_mgr =
         match parent_mgr with
         | None -> Page_manager.create t.pool
         | Some m -> Page_manager.create_child m
       in
-      Hashtbl.replace t.threads id { default_mgr; stack = []; t_records = 0; t_bytes = 0 })
+      Atomic.set t.threads
+        (Imap.add id { default_mgr; stack = []; t_records = 0; t_bytes = 0 } threads))
 
 let release_thread t id =
   let st = thread_state t id in
@@ -111,11 +122,11 @@ let release_thread t id =
   with_mu t (fun () ->
       Hashtbl.replace t.retired id
         { thread_records = st.t_records; thread_bytes = st.t_bytes };
-      Hashtbl.remove t.threads id)
+      Atomic.set t.threads (Imap.remove id (Atomic.get t.threads)))
 
 let thread_totals t ~thread =
   with_mu t (fun () ->
-      match Hashtbl.find_opt t.threads thread with
+      match Imap.find_opt thread (Atomic.get t.threads) with
       | Some st -> Some { thread_records = st.t_records; thread_bytes = st.t_bytes }
       | None -> Hashtbl.find_opt t.retired thread)
 
@@ -135,10 +146,6 @@ let iteration_depth t ~thread = List.length (thread_state t thread).stack
 
 let[@inline always] page_of t addr = Page_pool.page_unchecked t.pool (Addr.page addr)
 
-let base t addr =
-  let p = page_of t addr in
-  (p, Addr.offset addr)
-
 (* Allocation bodies shared by the global-counter and buffered ([local])
    entry points: everything except publishing to [t.records]. *)
 let alloc_record_st t st ~type_id ~data_bytes =
@@ -149,8 +156,7 @@ let alloc_record_st t st ~type_id ~data_bytes =
   check_limits t;
   st.t_records <- st.t_records + 1;
   st.t_bytes <- st.t_bytes + bytes;
-  let p, off = base t addr in
-  Page.write_u16 p (off + Layout_rt.type_id_offset) type_id;
+  Page.write_u16 (page_of t addr) (Addr.offset addr + Layout_rt.type_id_offset) type_id;
   addr
 
 let alloc_array_st alloc t st ~type_id ~elem_bytes ~length =
@@ -160,7 +166,7 @@ let alloc_array_st alloc t st ~type_id ~elem_bytes ~length =
   check_limits t;
   st.t_records <- st.t_records + 1;
   st.t_bytes <- st.t_bytes + bytes;
-  let p, off = base t addr in
+  let p = page_of t addr and off = Addr.offset addr in
   Page.write_u16 p (off + Layout_rt.type_id_offset) type_id;
   Page.write_i32 p (off + Layout_rt.length_offset) length;
   addr
@@ -241,10 +247,10 @@ let local_iteration_end l =
       Page_manager.release_all m;
       st.stack <- rest
 
-(* The accessors below resolve page and offset separately rather than
-   through [base]: without flambda, a cross-function tuple return
-   allocates on every call, and these are the interpreter's per-access
-   hot path. *)
+(* The accessors below, like the allocation paths above, resolve page
+   and offset separately rather than as a pair: without flambda, a
+   cross-function tuple return allocates on every call, and these are
+   the interpreter's per-access hot path. *)
 
 let type_id t addr =
   Page.read_u16 (page_of t addr) (Addr.offset addr + Layout_rt.type_id_offset)
@@ -296,12 +302,10 @@ let array_elem_offset ~elem_bytes ~index =
 
 let arraycopy t ~src ~src_pos ~dst ~dst_pos ~len ~elem_bytes =
   if len < 0 then invalid_arg "Store.arraycopy: negative length";
-  let sp, soff = base t src in
-  let dp, doff = base t dst in
-  Page.blit ~src:sp
-    ~src_off:(soff + array_elem_offset ~elem_bytes ~index:src_pos)
-    ~dst:dp
-    ~dst_off:(doff + array_elem_offset ~elem_bytes ~index:dst_pos)
+  Page.blit ~src:(page_of t src)
+    ~src_off:(Addr.offset src + array_elem_offset ~elem_bytes ~index:src_pos)
+    ~dst:(page_of t dst)
+    ~dst_off:(Addr.offset dst + array_elem_offset ~elem_bytes ~index:dst_pos)
     ~len:(len * elem_bytes)
 
 let get_lock_field t addr =

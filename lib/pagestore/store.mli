@@ -13,8 +13,10 @@ type thread = int
 (** Logical thread id. Frameworks use deterministic logical threads; the
     runtime itself is also safe under real Domains because page managers
     are thread-local, the page pool recycles lock-free, and the thread
-    registry is mutex-guarded. A given logical thread must only ever be
-    driven by one domain at a time. *)
+    registry is an immutable map that registration replaces atomically
+    under a mutex, so allocation finds its thread without locking. A
+    given logical thread must only ever be driven by one domain at a
+    time. *)
 
 val create : ?page_bytes:int -> unit -> t
 val pool : t -> Page_pool.t
@@ -60,7 +62,9 @@ val iteration_depth : t -> thread:thread -> int
 
 val alloc_record : t -> thread:thread -> type_id:int -> data_bytes:int -> Addr.t
 (** A record with a 4-byte header (type id + lock) and [data_bytes] of
-    fields. The type id is written; the lock field starts empty. *)
+    fields. The type id is written; the lock field starts empty. Takes
+    no lock, and allocates nothing on the OCaml heap unless it must
+    create a fresh page or grow its manager's page list. *)
 
 val alloc_array : t -> thread:thread -> type_id:int -> elem_bytes:int -> length:int -> Addr.t
 (** An array record: 8-byte header (type id, lock, length) + elements. *)
@@ -94,13 +98,6 @@ val set_ref : t -> Addr.t -> offset:int -> Addr.t -> unit
 
 val array_elem_offset : elem_bytes:int -> index:int -> int
 (** Byte offset of element [index] relative to the record start. *)
-
-val base : t -> Addr.t -> Page.t * int
-(** Resolve an address to its backing page and record-start byte offset —
-    the page-table lookup every accessor above performs once per call.
-    Exposed so compiled code that touches several fields of one record
-    (array length + element, read-modify-write) can resolve the page a
-    single time; the page stays valid until its iteration is reclaimed. *)
 
 val arraycopy :
   t -> src:Addr.t -> src_pos:int -> dst:Addr.t -> dst_pos:int -> len:int -> elem_bytes:int -> unit

@@ -497,10 +497,10 @@ let mixed_outcome run =
 (* The name-based baseline, tier 1 and tier 2 agree exactly: result,
    output, steps and error text, on the plain link, the quickened link
    and the facade transform's program. Across those forms steps differ
-   (quickening fuses pairs) and so may the operand order in a
-   bad-operands message (quickening swaps a commutative op's constant to
-   the right), so there only results, output and failing-or-not must
-   agree. *)
+   (quickening fuses pairs), so there results, output and error text
+   must agree — a bad-operands message names the operands in source
+   order even where quickening swapped a commutative op's constant to
+   the right. *)
 let run_mixed case =
   let module I = Facade_vm.Interp in
   let p = mixed_program case in
@@ -517,7 +517,7 @@ let run_mixed case =
   let q2 = mixed_outcome (fun () -> I.run_object ~quicken:true ~tier2:true p) in
   let f1 = mixed_outcome (fun () -> I.run_facade ~quicken:true pl) in
   let f2 = mixed_outcome (fun () -> I.run_facade ~quicken:true ~tier2:true pl) in
-  let seen = function Ok (r, out, _) -> Ok (r, out) | Error _ -> Error () in
+  let seen = function Ok (r, out, _) -> Ok (r, out) | Error e -> Error e in
   base = t1 && t1 = t2 && q1 = q2 && f1 = f2 && seen base = seen q1 && seen base = seen f1
   ||
   let show = function

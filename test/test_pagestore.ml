@@ -65,11 +65,10 @@ let test_page_blit () =
   Alcotest.(check int) "copied 2" 222 (Page.read_i32 b 12)
 
 let test_size_class () =
-  Alcotest.(check (option int)) "tiny" (Some 0) (PS.Size_class.of_bytes 8);
-  Alcotest.(check (option int)) "boundary inclusive" (Some 0) (PS.Size_class.of_bytes 16);
-  Alcotest.(check (option int)) "page-sized" (Some (PS.Size_class.count - 1))
-    (PS.Size_class.of_bytes 32768);
-  Alcotest.(check (option int)) "oversize" None (PS.Size_class.of_bytes 32769)
+  Alcotest.(check int) "tiny" 0 (PS.Size_class.index 8);
+  Alcotest.(check int) "boundary inclusive" 0 (PS.Size_class.index 16);
+  Alcotest.(check int) "page-sized" (PS.Size_class.count - 1) (PS.Size_class.index 32768);
+  Alcotest.(check int) "oversize" (-1) (PS.Size_class.index 32769)
 
 let test_pool_recycling () =
   let pool = Pool.create () in
@@ -505,6 +504,76 @@ let test_store_parallel_domain_alloc () =
   Alcotest.(check int) "all records counted" (4000 + 0)
     ((Store.stats s).Store.records_allocated)
 
+(* Registration publishes a new thread map while other domains allocate
+   through the one they read: two domains register, allocate on and
+   release short-lived threads in a loop while two others allocate 3000
+   records each. No allocation may miss its thread or lose a record. *)
+let test_store_register_while_allocating () =
+  let s = mk_store () in
+  Store.register_thread s 1;
+  Store.register_thread s 2;
+  let stop = Atomic.make false in
+  let alloc_n thread () =
+    Array.init 3000 (fun i ->
+        let a = Store.alloc_record s ~thread ~type_id:thread ~data_bytes:8 in
+        Store.set_i32 s a ~offset:4 ((thread * 100000) + i);
+        a)
+  in
+  let churn base () =
+    let n = ref 0 in
+    while not (Atomic.get stop) do
+      let id = base + !n in
+      Store.register_thread s id;
+      let a = Store.alloc_record s ~thread:id ~type_id:3 ~data_bytes:8 in
+      Store.set_i32 s a ~offset:4 id;
+      if Store.get_i32 s a ~offset:4 <> id then failwith "churned record overwritten";
+      Store.release_thread s id;
+      incr n
+    done;
+    !n
+  in
+  let c1 = Domain.spawn (churn 1_000) and c2 = Domain.spawn (churn 1_000_000) in
+  let d1 = Domain.spawn (alloc_n 1) and d2 = Domain.spawn (alloc_n 2) in
+  let a1 = Domain.join d1 and a2 = Domain.join d2 in
+  Atomic.set stop true;
+  let n1 = Domain.join c1 and n2 = Domain.join c2 in
+  List.iter
+    (fun (thread, addrs) ->
+      Array.iteri
+        (fun i a ->
+          Alcotest.(check int) "record intact" ((thread * 100000) + i)
+            (Store.get_i32 s a ~offset:4))
+        addrs;
+      Alcotest.(check (option int)) "per-thread total" (Some 3000)
+        (Option.map (fun t -> t.Store.thread_records) (Store.thread_totals s ~thread)))
+    [ (1, a1); (2, a2) ];
+  Alcotest.(check (option int)) "a churned thread retired with its record" (Some 1)
+    (Option.map (fun t -> t.Store.thread_records) (Store.thread_totals s ~thread:1_000));
+  Alcotest.(check int) "all records counted" (6000 + n1 + n2)
+    (Store.stats s).Store.records_allocated
+
+(* The record path allocates nothing on the OCaml heap: once a first
+   round has created the pages, a round of 4096 records (or arrays)
+   takes recycled pages and allocates 0 minor words. *)
+let test_store_alloc_allocates_nothing () =
+  let s = mk_store () in
+  let round alloc =
+    Store.iteration_start s ~thread:0;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 4096 do
+      alloc ()
+    done;
+    let w = Gc.minor_words () -. w0 in
+    Store.iteration_end s ~thread:0;
+    w
+  in
+  let record () = ignore (Store.alloc_record s ~thread:0 ~type_id:1 ~data_bytes:24) in
+  let array () = ignore (Store.alloc_array s ~thread:0 ~type_id:2 ~elem_bytes:8 ~length:3) in
+  ignore (round record);
+  ignore (round array);
+  Alcotest.(check (float 0.)) "alloc_record" 0. (round record);
+  Alcotest.(check (float 0.)) "alloc_array" 0. (round array)
+
 let test_layout_rt_constants () =
   Alcotest.(check int) "record header is 4 bytes" 4 PS.Layout_rt.record_header_bytes;
   Alcotest.(check int) "array header is 8 bytes" 8 PS.Layout_rt.array_header_bytes;
@@ -616,6 +685,9 @@ let () =
           Alcotest.test_case "thread parenting" `Quick test_store_thread_parenting;
           Alcotest.test_case "unregistered thread" `Quick test_store_unregistered_thread;
           Alcotest.test_case "parallel domain alloc" `Quick test_store_parallel_domain_alloc;
+          Alcotest.test_case "register/release while allocating" `Quick
+            test_store_register_while_allocating;
+          Alcotest.test_case "alloc allocates nothing" `Quick test_store_alloc_allocates_nothing;
         ] );
       ( "facade_pool",
         [

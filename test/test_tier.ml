@@ -54,6 +54,9 @@ let fingerprint ?workers ?(tier2 = false) pl =
     Printf.sprintf "facades=%d locks_peak=%d" o.I.facades_allocated o.I.locks_peak;
     Printf.sprintf "page_records=%d steps=%d" o.I.stats.Stats.page_records
       o.I.stats.Stats.steps;
+    Printf.sprintf "dispatches static=%d virtual=%d intrinsic=%d"
+      o.I.stats.Stats.static_dispatches o.I.stats.Stats.virtual_dispatches
+      o.I.stats.Stats.intrinsic_dispatches;
     Printf.sprintf "store_records=%d live_pages=%d" records live;
     Printf.sprintf "heap_objects=%d heap_bytes=%d" gs.Heapsim.Gc_stats.objects_allocated
       gs.Heapsim.Gc_stats.bytes_allocated;
@@ -680,7 +683,7 @@ let test_mixed_operands () =
     (fun op ->
       Alcotest.(check bool) "specialized binop present" true
         (entry_has pl (function
-          | R.Rbinop (_, o, _, _) | R.Rbinop_imm (_, o, _, _) -> o = op
+          | R.Rbinop (_, o, _, _) | R.Rbinop_imm (_, o, _, _, _) -> o = op
           | _ -> false)))
     [ Ir.Add; Ir.Sub; Ir.Mul ];
   let t1 = run_outcome ~tier2:false pl in
@@ -1234,8 +1237,251 @@ let test_pagerank_slots () =
   let st = (I.run_facade ~quicken:true ~tier2:true pl).I.stats in
   Alcotest.(check int) "only main compiles" 1 st.Stats.tier2_compiles;
   Alcotest.(check (triple int int int))
-    "int, float, boxed slots" (16, 5, 12)
+    "int, float, boxed slots" (20, 5, 8)
     (st.Stats.tier2_int_slots, st.Stats.tier2_float_slots, st.Stats.tier2_boxed_slots)
+
+(* ---------- operands quickening swapped ----------
+
+   Quickening moves a commutative op's constant operand to the right,
+   and fuses a page read into the op that reads it from either side.
+   The value is the same; a bad-operands error must still name the
+   operands in source order, as the unquickened link does, in tier 1
+   and in tier 2. One case per form that carries a swap. *)
+
+let cell_f64 =
+  "class Cell {\n\
+  \  field double w;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n"
+
+let new_cell = [ "p = new Cell;"; "special p.Cell.<init>();"; "c = 5;"; "goto b1;" ]
+let swap_locals = [ "p: Cell"; "c: int"; "k: int"; "f: double"; "x: double"; "r: int" ]
+
+let swap_cases =
+  let module R = Facade_vm.Resolved in
+  let in_code pred (b : R.block) = Array.exists pred b.R.code in
+  [
+    ( "a constant left operand (Rbinop_imm)",
+      [ ("b0", new_cell); ("b1", [ "f = 0x1.4p+1;"; "r = c & f;"; "return r;" ]) ],
+      in_code (function R.Rbinop_imm (_, Ir.And, _, _, true) -> true | _ -> false),
+      "bad operands for binop: 5, 2.5" );
+    ( "a constant left operand of a fused branch (Rcmp_branch)",
+      [
+        ("b0", new_cell);
+        ("b1", [ "f = 0x1.4p+1;"; "r = c & f;"; "if r goto b2 else b3;" ]);
+        ("b2", [ "return c;" ]);
+        ("b3", [ "k = 3;"; "return k;" ]);
+      ],
+      (fun (b : R.block) ->
+        match b.R.term with
+        | R.Rcmp_branch (Ir.And, R.Oconst _, R.Oslot _, _, _) -> true
+        | _ -> false),
+      "bad operands for binop: 5, 2.5" );
+    ( "a page read as the right operand (Rget_bin)",
+      [ ("b0", new_cell); ("b1", [ "k = 3;"; "x = p.w;"; "r = k & x;"; "return r;" ]) ],
+      in_code (function R.Rget_bin (_, _, _, _, Ir.And, R.Oslot _, true) -> true | _ -> false),
+      "bad operands for binop: 3, 0" );
+    ( "a constant left operand of a page read (Rget_bin)",
+      [ ("b0", new_cell); ("b1", [ "x = p.w;"; "x = c & x;"; "return c;" ]) ],
+      in_code (function R.Rget_bin (_, _, _, _, Ir.And, R.Oconst _, true) -> true | _ -> false),
+      "bad operands for binop: 5, 0" );
+    ( "a constant left operand of a read-modify-write (Rrmw)",
+      [ ("b0", new_cell); ("b1", [ "x = p.w;"; "x = c & x;"; "p.w = x;"; "return c;" ]) ],
+      in_code (function R.Rrmw (_, _, _, Ir.And, R.Oconst _, true) -> true | _ -> false),
+      "bad operands for binop: 5, 0" );
+  ]
+
+let test_swapped_operands () =
+  List.iter
+    (fun (name, blocks, pred, expect) ->
+      let pl =
+        facade_pl ~data:[ "Cell"; "Main" ]
+          (main_blocks ~classes:cell_f64 ~ret:"int" ~locals:swap_locals blocks)
+      in
+      let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+      let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
+      Alcotest.(check bool) (name ^ ": the swapped form is linked") true
+        (Array.exists pred m.Facade_vm.Resolved.m_body);
+      let plain =
+        match I.run_facade pl with _ -> Ok () | exception I.Vm_error e -> Error e
+      in
+      Alcotest.(check (result unit string)) (name ^ ": unquickened tier 1") (Error expect) plain;
+      let t1 = run_outcome ~tier2:false pl in
+      Alcotest.check outcome_t (name ^ ": quickened tier 1") (Error expect) (flat t1);
+      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1) (flat (run_outcome ~tier2:true pl)))
+    swap_cases
+
+(* ---------- allocation and facade-pool intrinsics ----------
+
+   Tier 2 runs rt.alloc, rt.alloc_array, pool.receiver, facade.bind and
+   facade.read itself, through the same {!Vm_state} bodies tier 1 runs.
+   A loop allocating a record per iteration (its constructor reads the
+   facade back) exercises all five; each differential below holds it to
+   tier 1's steps, results, errors and page-store effects. *)
+
+let node_class =
+  "class Node {\n\
+  \  field int v;\n\
+  \  field double w;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n"
+
+let alloc_loop n =
+  main_blocks ~classes:node_class ~ret:"int"
+    ~locals:
+      [ "p: Node"; "xs: int[]"; "i: int"; "n: int"; "one: int"; "s: int"; "x: int"; "c: int" ]
+    [
+      ( "b0",
+        [
+          Printf.sprintf "n = %d;" n; "i = 0;"; "one = 1;"; "s = 0;"; "xs = new int[n];";
+          "goto b1;";
+        ] );
+      ("b1", [ "c = i < n;"; "if c goto b2 else b3;" ]);
+      ( "b2",
+        [
+          "p = new Node;"; "special p.Node.<init>();"; "p.v = i;"; "x = p.v;"; "xs[i] = x;";
+          "s = s + x;"; "i = i + one;"; "goto b1;";
+        ] );
+      ("b3", [ "return s;" ]);
+    ]
+
+let alloc_pl n = facade_pl ~data:[ "Node"; "Main" ] (alloc_loop n)
+
+(* Result or error text of one run; quota trips are reported with their
+   payload, as the service reports them. *)
+let bounded ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl =
+  match
+    I.run_facade ~quicken:true ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl
+  with
+  | o -> Ok (Exact.exact_result o.I.result)
+  | exception I.Vm_error e -> Error e
+  | exception (Store.Quota_exceeded _ as e) -> Error (Option.get (Store.quota_message e))
+
+let test_alloc_native () =
+  let module R = Facade_vm.Resolved in
+  let pl = alloc_pl 12 in
+  List.iter
+    (fun (name, i) ->
+      Alcotest.(check bool) (name ^ " is in the compiled entry") true
+        (entry_has pl (function R.Rintrinsic (_, j, _) -> i = j | _ -> false)))
+    [ ("rt.alloc", R.I_alloc); ("rt.alloc_array", R.I_alloc_array);
+      ("pool.receiver", R.I_pool_receiver); ("facade.bind", R.I_facade_bind) ];
+  let t1 = run_outcome ~tier2:false pl in
+  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl));
+  Alcotest.(check (list string)) "same dispatches, records and heap" (fingerprint pl)
+    (fingerprint ~tier2:true pl);
+  let o = I.run_facade ~quicken:true ~tier2:true pl in
+  Alcotest.(check int) "nothing delegated" 0 o.I.stats.Stats.tier2_delegated;
+  Alcotest.(check bool) "the loop's page references are pinned" true
+    (o.I.stats.Stats.tier2_int_slots >= 2);
+  (* Every budget that expires inside the loop, on either side of each
+     allocation, stops both tiers at the same instruction. *)
+  let steps = match t1 with Ok (_, _, s, _) -> s | Error e -> Alcotest.fail e in
+  for budget = 0 to steps do
+    Alcotest.(check (result string string))
+      (Printf.sprintf "budget %d" budget)
+      (bounded ~max_steps:budget ~tier2:false pl)
+      (bounded ~max_steps:budget ~tier2:true pl)
+  done
+
+(* A quota trips at the allocation that needs a page past it. The
+   40-int array takes an oversize page of 168 bytes, and each Node
+   record, over half of a 24-byte page, a page of its own, so the heap's
+   native total counts the records allocated before the trip; the
+   budget sweep pins the step the trip happens at. *)
+let test_alloc_quotas () =
+  let pl = alloc_pl 40 in
+  let heap_effects ?page_quota ?heap_budget ~tier2 () =
+    let heap = big_heap () in
+    let r = bounded ~page_bytes:24 ?page_quota ?heap_budget ~heap ~tier2 pl in
+    (r, Heap.native_bytes heap, (Heap.stats heap).Heapsim.Gc_stats.objects_allocated)
+  in
+  let effects_t = Alcotest.(triple (result string string) int int) in
+  List.iter
+    (fun (name, page_quota, heap_budget, expect, records) ->
+      let t1 = heap_effects ?page_quota ?heap_budget ~tier2:false () in
+      let (r, native, _) = t1 in
+      Alcotest.(check (result string string)) (name ^ ": tier 1 trips") (Error expect) r;
+      Alcotest.(check int) (name ^ ": records before the trip") records ((native - 168) / 24);
+      Alcotest.check effects_t (name ^ ": tier 2 == tier 1") t1
+        (heap_effects ?page_quota ?heap_budget ~tier2:true ());
+      for budget = 0 to 200 do
+        let run tier2 =
+          bounded ~max_steps:budget ~page_bytes:24 ?page_quota ?heap_budget ~tier2 pl
+        in
+        Alcotest.(check (result string string))
+          (Printf.sprintf "%s: budget %d" name budget)
+          (run false) (run true)
+      done;
+      Alcotest.(check (result string string))
+        (name ^ ": the sweep reaches the trip")
+        (Error expect)
+        (bounded ~max_steps:200 ~page_bytes:24 ?page_quota ?heap_budget ~tier2:false pl))
+    [
+      ("page_quota", Some 9, None, "quota exceeded: pages used=10 limit=9", 8);
+      ("heap_budget", None, Some 340, "quota exceeded: heap_bytes used=360 limit=340", 7);
+    ]
+
+(* The intrinsics' operands coerce as tier 1's do, last to first. *)
+let bad_operand_cases =
+  [
+    ( "facade.bind of an int",
+      [ "i = 5;"; "@facade.bind(i, i);"; "return i;" ],
+      "expected a facade, got 5" );
+    ( "facade.bind to a double address",
+      [ "i = 5;"; "f = 0x1.4p+1;"; "@facade.bind(i, f);"; "return i;" ],
+      "expected an int, got 2.5" );
+    ( "facade.read of an int",
+      [ "i = 3;"; "i = @facade.read(i);"; "return i;" ],
+      "expected a facade, got 3" );
+  ]
+
+let test_intrinsic_operands () =
+  List.iter
+    (fun (name, body, expect) ->
+      let pl =
+        facade_pl ~data:[ "Main" ]
+          (main_blocks ~ret:"int" ~locals:[ "i: int"; "f: double" ] [ ("b0", body) ])
+      in
+      let t1 = run_outcome ~tier2:false pl in
+      Alcotest.check outcome_t (name ^ ": tier 1") (Error expect) (flat t1);
+      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1) (flat (run_outcome ~tier2:true pl)))
+    bad_operand_cases
+
+(* Spawned threads allocate through their own buffered store handle;
+   tier 2's allocation templates must take that path too. *)
+let test_parallel_alloc () =
+  let s = List.find (fun s -> s.Samples.name = "pagerank-par") Samples.all in
+  let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+  List.iter
+    (fun w ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "workers=%d: tier 2 == tier 1" w)
+        (fingerprint ~workers:w pl)
+        (fingerprint ~workers:w ~tier2:true pl))
+    [ 2; 4 ]
+
+(* The benchmark's warm facade job hands tier 1 only what tier 2 does
+   not compile: its iteration callbacks and the final print. *)
+let test_pagerank_delegated () =
+  let iters = 4 in
+  let s = Samples.pagerank_sized ~n:2048 ~iters in
+  let pl, _ =
+    Opt.Driver.optimize_pipeline
+      (Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program)
+  in
+  let tier = I.make_tier (Facade_vm.Link.facade_program ~quicken:true pl) in
+  ignore (I.run_facade ~quicken:true ~tier pl);
+  let st = (I.run_facade ~quicken:true ~tier pl).I.stats in
+  Alcotest.(check int) "warm: nothing compiles" 0 st.Stats.tier2_compiles;
+  Alcotest.(check int) "iteration start/end per round, and the print" ((2 * iters) + 1)
+    st.Stats.tier2_delegated
 
 let () =
   Alcotest.run "tier"
@@ -1278,5 +1524,19 @@ let () =
             test_pinned_budget_sweep;
           Alcotest.test_case "pinned leaf, inlined and retired" `Quick test_leaf_pinned;
           Alcotest.test_case "pagerank main's pinned slots" `Quick test_pagerank_slots;
+        ] );
+      ( "swapped-ops",
+        [
+          Alcotest.test_case "errors name operands in source order" `Quick
+            test_swapped_operands;
+        ] );
+      ( "intrinsics",
+        [
+          Alcotest.test_case "allocating loop: native, budget sweep" `Quick test_alloc_native;
+          Alcotest.test_case "page and heap quota trips" `Quick test_alloc_quotas;
+          Alcotest.test_case "bad facade.bind/facade.read operands" `Quick
+            test_intrinsic_operands;
+          Alcotest.test_case "pagerank-par, 2 and 4 workers" `Quick test_parallel_alloc;
+          Alcotest.test_case "warm pagerank job delegates" `Quick test_pagerank_delegated;
         ] );
     ]
