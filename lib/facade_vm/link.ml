@@ -186,18 +186,25 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
 
   let lower_meth cname (m : Ir.meth) : R.meth =
     (* Slot assignment: this = 0, params next, then remaining variables by
-       descending static use count (hot locals get low slots — the order
-       also makes frames deterministic for debugging). *)
-    let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.replace slots "this" 0;
-    List.iteri (fun i (v, _) -> if not (Hashtbl.mem slots v) then Hashtbl.replace slots v (i + 1)) m.Ir.params;
-    let counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
+       descending static use count, ties in first-occurrence order (hot
+       locals get low slots — the order also makes frames deterministic
+       for debugging). One table maps each variable to a cell, so an
+       occurrence costs one lookup: [this] and the params are pinned with
+       minus their slot and never counted; any other variable's cell holds
+       its use count, then its slot once the counts are sorted. *)
+    let vars : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
+    Hashtbl.replace vars "this" (ref 0);
+    List.iteri
+      (fun i (v, _) -> if not (Hashtbl.mem vars v) then Hashtbl.replace vars v (ref (-(i + 1))))
+      m.Ir.params;
     let order = ref [] in
     let touch v =
-      if not (Hashtbl.mem slots v) then begin
-        if not (Hashtbl.mem counts v) then order := v :: !order;
-        Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
-      end
+      match Hashtbl.find_opt vars v with
+      | Some n -> if !n > 0 then incr n
+      | None ->
+          let n = ref 1 in
+          Hashtbl.add vars v n;
+          order := n :: !order
     in
     Array.iter
       (fun (b : Ir.block) ->
@@ -209,25 +216,14 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
         List.iter touch (Analysis.Defuse.term_uses b.Ir.term))
       m.Ir.body;
     List.iter (fun (v, _) -> touch v) m.Ir.locals;
-    let rest =
-      List.stable_sort
-        (fun a b -> compare (Hashtbl.find counts b) (Hashtbl.find counts a))
-        (List.rev !order)
-    in
-    List.iteri (fun i v -> Hashtbl.replace slots v (1 + List.length m.Ir.params + i)) rest;
-    let nslots = 1 + List.length m.Ir.params + List.length rest in
+    let rest = List.stable_sort (fun a b -> Int.compare !b !a) (List.rev !order) in
+    let nparams = List.length m.Ir.params in
+    List.iteri (fun i n -> n := 1 + nparams + i) rest;
+    let nslots = 1 + nparams + List.length rest in
+    (* Every variable was collected above. *)
+    let slot v = abs !(Hashtbl.find vars v) in
     let frame = Array.make nslots Value.Null in
-    List.iter
-      (fun (v, ty) ->
-        match Hashtbl.find_opt slots v with
-        | Some s -> frame.(s) <- Value.default_of ty
-        | None -> ())
-      m.Ir.locals;
-    let slot v =
-      match Hashtbl.find_opt slots v with
-      | Some s -> s
-      | None -> (* unreachable: every var was collected above *) assert false
-    in
+    List.iter (fun (v, ty) -> frame.(slot v) <- Value.default_of ty) m.Ir.locals;
     let operand = function
       | Ir.Var v -> R.Oslot (slot v)
       | Ir.Imm c -> R.Oconst (Value.of_const c)

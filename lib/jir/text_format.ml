@@ -148,12 +148,13 @@ let is_ident_start ch =
 let is_ident_char ch =
   is_ident_start ch || (ch >= '0' && ch <= '9') || ch = '.'
 
-let tokenize ~line s =
+(* Tokenize [s.[pos .. stop - 1]], one source line, in place: indices
+   stay absolute into [s], so no line is copied out of the source. *)
+let tokenize ~line s ~pos ~stop:n =
   let fail message = raise (Parse_error { line; message }) in
-  let n = String.length s in
   let toks = ref [] in
   let push t = toks := t :: !toks in
-  let i = ref 0 in
+  let i = ref pos in
   while !i < n do
     let ch = s.[!i] in
     if ch = ' ' || ch = '\t' then incr i
@@ -540,22 +541,41 @@ type line = {
   toks : tok list;
 }
 
+(* The source as a stream of its non-blank lines. Each line is tokenized
+   only when the parser reaches it, so a line's tokens die as soon as its
+   statement is built instead of living until the whole file has been
+   tokenized; it also makes errors come out in source order. [scanned]
+   counts the lines read so far, blank ones included. *)
+type lines = {
+  src : string;
+  mutable off : int;
+  mutable scanned : int;
+}
+
+let rec read_line ls =
+  let n = String.length ls.src in
+  if ls.off > n then None
+  else begin
+    let stop = Option.value ~default:n (String.index_from_opt ls.src ls.off '\n') in
+    let num = ls.scanned + 1 in
+    let toks = tokenize ~line:num ls.src ~pos:ls.off ~stop in
+    ls.scanned <- num;
+    ls.off <- stop + 1;
+    match toks with [] -> read_line ls | _ -> Some { num; toks }
+  end
+
+(* The source's last line, for errors at end of input: a final newline
+   ends the last line rather than starting another. *)
+let last_line ls =
+  if String.ends_with ~suffix:"\n" ls.src then ls.scanned - 1 else ls.scanned
+
 let parse source =
-  let raw_lines = String.split_on_char '\n' source in
-  let lines =
-    List.filteri (fun _ _ -> true) raw_lines
-    |> List.mapi (fun i s -> { num = i + 1; toks = tokenize ~line:(i + 1) s })
-    |> List.filter (fun l -> l.toks <> [])
-  in
-  let pos = ref lines in
+  let ls = { src = source; off = 0; scanned = 0 } in
   let fail_at num message = raise (Parse_error { line = num; message }) in
-  let peek_line () = match !pos with [] -> None | l :: _ -> Some l in
   let next_line () =
-    match !pos with
-    | [] -> raise (Parse_error { line = 0; message = "unexpected end of input" })
-    | l :: rest ->
-        pos := rest;
-        l
+    match read_line ls with
+    | Some l -> l
+    | None -> fail_at (last_line ls) "unexpected end of input"
   in
   let strip_semi l =
     match List.rev l.toks with
@@ -726,10 +746,9 @@ let parse source =
   in
   let finished = ref false in
   while not !finished do
-    match peek_line () with
+    match read_line ls with
     | None -> finished := true
     | Some l -> (
-        ignore (next_line ());
         match l.toks with
         | Tid "class" :: rest -> classes := parse_class l ~interface:false rest :: !classes
         | Tid "interface" :: rest -> classes := parse_class l ~interface:true rest :: !classes

@@ -39,4 +39,13 @@ val to_string : Program.t -> string
 val parse : string -> Program.t
 (** Parse the textual format. Raises {!Parse_error} with a 1-based line
     number on malformed input. The result is *not* verified; run
-    {!Verify.check_program} separately. *)
+    {!Verify.check_program} separately.
+
+    Parsing streams: the source is scanned by offset and each line is
+    tokenized only when the parser reaches it, so no line is copied out
+    of the source and a line's tokens are garbage once its declaration or
+    statement is built. Errors therefore come out in source order: the
+    first malformed line is the one reported, whether the fault is a bad
+    character or a bad statement. Input that ends inside a class or a
+    method body is reported at the source's last line (a final newline
+    does not start a new line). *)

@@ -340,15 +340,18 @@ let run_meth stats (m : Ir.meth) =
 
 let reported s = s.folded + s.branches_folded + s.blocks_removed
 
-let run ?only ?changed p =
+(* Equal-arm branches made jumps are rewrites too, though not reported:
+   the method changed iff any counter moved. *)
+let pass () =
   let stats = { folded = 0; branches_folded = 0; blocks_removed = 0; jumps = 0 } in
   let rewrites () = reported stats + stats.jumps in
-  let p' =
-    Pass.map_methods ?only ?changed
+  {
+    Pass.rewrite =
       (fun ~cls:_ m ->
         let before = rewrites () in
         let m' = run_meth stats m in
-        (m', rewrites () <> before))
-      p
-  in
-  (p', reported stats)
+        (m', rewrites () <> before));
+    count = (fun () -> reported stats);
+  }
+
+let run ?only ?changed p = Pass.run ?only ?changed (pass ()) p

@@ -100,7 +100,8 @@ let run_meth count (m : Ir.meth) =
     { m with Ir.body }
   end
 
-let run ?only ?changed p =
+let pass () =
   let count = ref 0 in
-  let p' = Pass.map_methods ?only ?changed (Pass.counted count (fun ~cls:_ -> run_meth count)) p in
-  (p', !count)
+  Pass.counted count (fun ~cls:_ -> run_meth count)
+
+let run ?only ?changed p = Pass.run ?only ?changed (pass ()) p

@@ -28,9 +28,9 @@ let monomorphic_names p =
   Hashtbl.fold (fun n count acc -> if count = 1 then n :: acc else acc) impls []
   |> List.sort compare
 
-let run ?changed p =
+let pass p =
   let cha = Facade_compiler.Optimize.cha p in
   let count = ref 0 in
-  let devirt_meth ~cls:_ = Facade_compiler.Optimize.devirtualize_meth ~count cha in
-  let p' = Pass.map_methods ?changed (Pass.counted count devirt_meth) p in
-  (p', !count)
+  Pass.counted count (fun ~cls:_ -> Facade_compiler.Optimize.devirtualize_meth ~count cha)
+
+let run ?changed p = Pass.run ?changed (pass p) p

@@ -105,13 +105,16 @@ let run_meth p ~budget ~may_inline ~caller_cls ~next_id count (m : Ir.meth) =
   in
   { m with Ir.body; Ir.locals = m.Ir.locals @ List.rev !extra_locals }
 
-let run ?(budget = 8) ?(may_inline = fun _ _ -> true) ?changed p =
+(* Callees are looked up in [p], the pass's input, and inlined copies are
+   numbered in the order the methods are rewritten. *)
+let pass ?(budget = 8) ?(may_inline = fun _ _ -> true) p =
   let count = ref 0 in
   let id = ref 0 in
   let next_id () =
     incr id;
     !id
   in
-  let inline_meth ~cls = run_meth p ~budget ~may_inline ~caller_cls:cls ~next_id count in
-  let p' = Pass.map_methods ?changed (Pass.counted count inline_meth) p in
-  (p', !count)
+  Pass.counted count (fun ~cls ->
+      run_meth p ~budget ~may_inline ~caller_cls:cls ~next_id count)
+
+let run ?budget ?may_inline ?changed p = Pass.run ?changed (pass ?budget ?may_inline p) p

@@ -26,7 +26,8 @@ let as_monitor ins =
       Some v
   | _ -> None
 
-let strip ?changed keep p =
+(* Drops every monitor whose (method, variable) pair [keep] rejects. *)
+let strip keep =
   let count = ref 0 in
   let strip_meth ~cls (m : Ir.meth) =
     let mkey = A.Callgraph.key ~cls ~name:m.Ir.mname in
@@ -45,11 +46,10 @@ let strip ?changed keep p =
         { blk with Ir.instrs })
       m
   in
-  let p' = Pass.map_methods ?changed (Pass.counted count strip_meth) p in
-  (p', !count)
+  Pass.counted count strip_meth
 
-let run ?changed p =
-  if not (A.Races.has_spawn p) then strip ?changed (fun _ _ -> false) p
+let pass p =
+  if not (A.Races.has_spawn p) then strip (fun _ _ -> false)
   else begin
     let pt = A.Pointsto.build p in
     let esc = A.Escape.build pt in
@@ -58,5 +58,7 @@ let run ?changed p =
       A.Pointsto.Iset.is_empty s
       || A.Pointsto.Iset.exists (fun o -> A.Escape.escapes esc o) s
     in
-    strip ?changed keep p
+    strip keep
   end
+
+let run ?changed p = Pass.run ?changed (pass p) p

@@ -1,40 +1,60 @@
-(* The optimizer as a plain composition of its nine program-level passes,
-   each run over every method, in the driver's order — the reference the
-   driver's incremental cleanup round must reproduce byte for byte. The
-   report is rebuilt the same way, so [report_to_json] compares too. *)
+(* The optimizer as a plain composition of its nine passes, in the
+   driver's order, each applied to every method with no sharing: the
+   reference the driver must reproduce byte for byte. It calls each
+   pass's per-method rewrite itself rather than going through
+   [Pass.map_methods], and keeps the rewrite's output whatever the pass
+   says about it, so a rewrite the pass fails to report (which the driver
+   would drop, keeping the input method) shows up as a difference. A
+   method reported unchanged must also come back equal to its input,
+   checked directly. The report is rebuilt the same way, so
+   [report_to_json] compares too. *)
 
 open Jir
 module D = Opt.Driver
+
+let apply ~pass (t : Opt.Pass.t) p =
+  let rewrite_cls (c : Ir.cls) =
+    let rewrite (m : Ir.meth) =
+      let m', did = t.Opt.Pass.rewrite ~cls:c.Ir.cname m in
+      (* [compare], not [=]: a NaN constant must equal itself. *)
+      if (not did) && compare m m' <> 0 then
+        Alcotest.failf "%s rewrote %s.%s without reporting it" pass c.Ir.cname m.Ir.mname;
+      m'
+    in
+    { c with Ir.cmethods = List.map rewrite c.Ir.cmethods }
+  in
+  let p' = Program.make ~entry:(Program.entry p) (List.map rewrite_cls (Program.classes p)) in
+  (p', t.Opt.Pass.count ())
 
 let program ?(config = Opt.Config.default) ?(may_inline = fun _ _ -> true) p =
   let c = config in
   let passes =
     [
-      ("const_fold", "folded", c.Opt.Config.const_fold, (fun p -> Opt.Const_fold.run p));
-      ("copy_prop", "copies", c.Opt.Config.copy_prop, (fun p -> Opt.Copy_prop.run p));
-      ("dce", "removed", c.Opt.Config.dce, (fun p -> Opt.Dce.run p));
-      ("devirt", "devirtualized", c.Opt.Config.devirt, (fun p -> Opt.Devirt.run p));
-      ("lock_elide", "elided", c.Opt.Config.lock_elide, (fun p -> Opt.Lock_elide.run p));
+      ("const_fold", "folded", c.Opt.Config.const_fold, fun _ -> Opt.Const_fold.pass ());
+      ("copy_prop", "copies", c.Opt.Config.copy_prop, fun _ -> Opt.Copy_prop.pass ());
+      ("dce", "removed", c.Opt.Config.dce, fun _ -> Opt.Dce.pass ());
+      ("devirt", "devirtualized", c.Opt.Config.devirt, Opt.Devirt.pass);
+      ("lock_elide", "elided", c.Opt.Config.lock_elide, Opt.Lock_elide.pass);
       ( "inline",
         "inlined",
         c.Opt.Config.inline,
-        fun p -> Opt.Inline.run ~budget:c.Opt.Config.inline_budget ~may_inline p );
+        Opt.Inline.pass ~budget:c.Opt.Config.inline_budget ~may_inline );
     ]
     @
     if c.Opt.Config.inline then
       [
-        ("copy_prop'", "copies", c.Opt.Config.copy_prop, (fun p -> Opt.Copy_prop.run p));
-        ("const_fold'", "folded", c.Opt.Config.const_fold, (fun p -> Opt.Const_fold.run p));
-        ("dce'", "removed", c.Opt.Config.dce, (fun p -> Opt.Dce.run p));
+        ("copy_prop'", "copies", c.Opt.Config.copy_prop, fun _ -> Opt.Copy_prop.pass ());
+        ("const_fold'", "folded", c.Opt.Config.const_fold, fun _ -> Opt.Const_fold.pass ());
+        ("dce'", "removed", c.Opt.Config.dce, fun _ -> Opt.Dce.pass ());
       ]
     else []
   in
   let p', deltas =
     List.fold_left
-      (fun (p, deltas) (pass, metric, enabled, run) ->
+      (fun (p, deltas) (pass, metric, enabled, make) ->
         if not enabled then (p, deltas)
         else begin
-          let p', count = run p in
+          let p', count = apply ~pass (make p) p in
           ( p',
             {
               Opt.Delta.pass;

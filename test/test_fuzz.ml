@@ -28,6 +28,7 @@ type op =
   | Combine of int * int         (* Main.comb(vi, vj): virtual vi.combine(vj) *)
   | Sync of int                  (* Main.bump(vi): monitored vi.a += 1 *)
   | Spin of int                  (* Main.spin(vi, 40): loop vi.a += 1, 40x *)
+  | Nudge of int                 (* Main.nudge(vi): vi.a += 3 past a two-way goto *)
 
 let nvars = 4
 
@@ -49,6 +50,7 @@ let op_gen =
       (2, map2 (fun i j -> Combine (i, j)) var var);
       (1, map (fun i -> Sync i) var);
       (1, map (fun i -> Spin i) var);
+      (1, map (fun i -> Nudge i) var);
       (1, map2 (fun i j -> Follow (i, j)) var var);
     ]
 
@@ -173,6 +175,29 @@ let program_of_ops ops =
     B.ret exit_ None;
     B.finish m
   in
+  (* A branch whose arms are the same block: const_fold's only rewrite
+     here is turning it into a jump, a rewrite it counts but does not
+     report, so the optimizer-exactness property sees whether the pass
+     still tells the driver the method changed. *)
+  let nudge_helper =
+    let m = B.create ~static:true "nudge" ~params:[ ("x", Jtype.Ref "D") ] in
+    let b0 = B.entry m in
+    let b1 = B.block m in
+    let t = B.fresh m int_t in
+    let lim = B.fresh m int_t in
+    let c = B.fresh m int_t in
+    let three = B.fresh m int_t in
+    B.fload b0 ~dst:t ~obj:"x" ~field:"a";
+    B.const_i b0 lim 500;
+    B.binop b0 c Ir.Lt t lim;
+    B.branch b0 c ~then_:b1 ~else_:b1;
+    B.const_i b1 three 3;
+    B.fload b1 ~dst:t ~obj:"x" ~field:"a";
+    B.binop b1 t Ir.Add t three;
+    B.fstore b1 ~obj:"x" ~field:"a" ~src:t;
+    B.ret b1 None;
+    B.finish m
+  in
   let main =
     let m = B.create ~static:true "main" ~ret:int_t in
     let b = B.entry m in
@@ -231,6 +256,7 @@ let program_of_ops ops =
       | Spin i ->
           B.const_i b tmp_j 40;
           B.call b ~kind:Ir.Static ~cls:"Main" ~name:"spin" [ v i; tmp_j ]
+      | Nudge i -> B.call b ~kind:Ir.Static ~cls:"Main" ~name:"nudge" [ v i ]
     in
     List.iter emit ops;
     (* Checksum over every variable: ints, array slots, a float signal. *)
@@ -258,7 +284,7 @@ let program_of_ops ops =
   Program.make ~entry:("Main", "main")
     [
       data_cls; sub_cls;
-      B.cls "Main" ~methods:[ comb_helper; bump_helper; spin_helper; main ];
+      B.cls "Main" ~methods:[ comb_helper; bump_helper; spin_helper; nudge_helper; main ];
     ]
 
 let spec =

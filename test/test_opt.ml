@@ -439,6 +439,45 @@ let test_exact_dce_only_method () =
     (Opt_reference.text (Opt_reference.program p))
     (Opt_reference.text (Opt.Driver.optimize_program p))
 
+(* A method whose only rewrite is const_fold turning a branch with equal
+   arms into a jump, a rewrite the pass counts but leaves out of its
+   reported "folded" count. The driver keeps a method a pass reports
+   unchanged as itself, so the jump reaches the output only if the pass
+   reports the rewrite. *)
+let test_exact_equal_arm_branch () =
+  let f =
+    let m = B.create ~static:true "f" ~params:[ ("y", int_t) ] ~ret:int_t in
+    let b0 = B.entry m in
+    let b1 = B.block m in
+    B.branch b0 "y" ~then_:b1 ~else_:b1;
+    B.ret b1 (Some "y");
+    B.finish m
+  in
+  let main =
+    let m = B.create ~static:true "main" ~ret:int_t in
+    let b = B.entry m in
+    let seven = B.fresh m int_t and r = B.fresh m int_t in
+    B.const_i b seven 7;
+    B.call b ~ret:r ~kind:Ir.Static ~cls:"Main" ~name:"f" [ seven ];
+    B.ret b (Some r);
+    B.finish m
+  in
+  let p = Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ f; main ] ] in
+  let p', rep = Opt.Driver.optimize_program p in
+  Alcotest.(check int) "nothing folded is reported" 0
+    (List.fold_left
+       (fun acc (d : Opt.Delta.t) -> if d.Opt.Delta.metric = "folded" then acc + d.Opt.Delta.count else acc)
+       0 rep.Opt.Driver.deltas);
+  (match Program.find_method p' ~cls:"Main" ~name:"f" with
+  | Some m -> (
+      match m.Ir.body.(0).Ir.term with
+      | Ir.Jump 1 -> ()
+      | _ -> Alcotest.fail "f's equal-arm branch survived the optimizer")
+  | None -> Alcotest.fail "f is gone");
+  Alcotest.(check (pair string string)) "driver = reference"
+    (Opt_reference.text (Opt_reference.program p))
+    (Opt_reference.text (p', rep))
+
 (* ---------- invariant enforcement (Invalid_transform) ---------- *)
 
 let raises_invalid f =
@@ -532,6 +571,8 @@ let () =
           Alcotest.test_case "samples = nine-pass reference" `Quick test_exact_samples;
           Alcotest.test_case "synthetic = nine-pass reference" `Quick test_exact_synthetic;
           Alcotest.test_case "dce-only method is cleaned" `Quick test_exact_dce_only_method;
+          Alcotest.test_case "equal-arm branch is a reported rewrite" `Quick
+            test_exact_equal_arm_branch;
         ] );
       ( "invariants",
         [

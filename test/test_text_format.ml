@@ -44,12 +44,35 @@ let test_parsed_program_runs () =
     | Some (Facade_vm.Value.Int 8) -> true
     | _ -> false)
 
-let test_parse_error_reports_line () =
-  let bad = "class A {\n  field int x\n}\nentry A.main\n" in
-  (* missing ';' on line 2 *)
-  match TF.parse bad with
+let parse_error src =
+  match TF.parse src with
   | _ -> Alcotest.fail "expected a parse error"
-  | exception TF.Parse_error { line; _ } -> Alcotest.(check int) "line number" 2 line
+  | exception TF.Parse_error { line; message } -> (line, message)
+
+let test_parse_error_reports_line () =
+  (* missing ';' on line 2 *)
+  Alcotest.(check int) "line number" 2
+    (fst (parse_error "class A {\n  field int x\n}\nentry A.main\n"))
+
+(* A truncated file fails at its last line, whether or not a newline ends
+   it, not at a line 0 no editor shows. *)
+let test_end_of_input_reports_last_line () =
+  let check name src line =
+    Alcotest.(check (pair int string)) name (line, "unexpected end of input") (parse_error src)
+  in
+  check "class cut after a field" "class A {\n  field int x;\n" 2;
+  check "no final newline" "class A {\n  field int x;" 2;
+  check "method body cut" "class A {\n  method m() {\n    b0:\n      return;\n\n" 5
+
+(* Lines are tokenized as the parser reaches them, so the first error in
+   the source is the one reported: the missing ';' on line 3 wins over the
+   bad character on line 5. *)
+let test_errors_in_source_order () =
+  let src =
+    "class A {\n  field int x;\n  field int y\n  method m() {\n    local z: int ~;\n"
+    ^ "    b0:\n      return;\n  }\n}\nentry A.m\n"
+  in
+  Alcotest.(check (pair int string)) "first error" (3, "missing ';'") (parse_error src)
 
 let test_parse_minimal () =
   let src =
@@ -134,6 +157,9 @@ let () =
       ( "parsing",
         [
           Alcotest.test_case "error line numbers" `Quick test_parse_error_reports_line;
+          Alcotest.test_case "end of input names the last line" `Quick
+            test_end_of_input_reports_last_line;
+          Alcotest.test_case "errors in source order" `Quick test_errors_in_source_order;
           Alcotest.test_case "hand-written source" `Quick test_parse_minimal;
         ] );
     ]

@@ -4,6 +4,7 @@
 
 module P = Facade_compiler.Pipeline
 module I = Facade_vm.Interp
+module R = Facade_vm.Resolved
 
 let compile (s : Samples.sample) = P.compile ~spec:s.Samples.spec s.Samples.program
 
@@ -356,6 +357,48 @@ let verify_cases =
       Alcotest.test_case ("P' verifies " ^ s.Samples.name) `Quick (check_transformed_verifies s))
     Samples.all
 
+(* The linker's frame layout: [this] = 0, the params next, then the other
+   variables by descending use count (definitions, uses and the local
+   declaration each count once), ties broken by first occurrence in the
+   body — not by declaration order. Here c is used 4 times; a, b and d 3
+   times each, first met in that order; e only in its declaration; the
+   hot param p stays pinned at 1. *)
+let test_link_slot_order () =
+  let src =
+    {|class Main {
+  method m(p: int, q: int) : int {
+    local d: int;
+    local e: int;
+    local c: int;
+    local b: int;
+    local a: int;
+    b0:
+      a = 1;
+      b = p + q;
+      c = b + a;
+      d = c + c;
+      p = p + p;
+      return d;
+  }
+}
+|}
+  in
+  let rp = Facade_vm.Link.object_program (Jir.Text_format.parse src) in
+  let m = Option.get (Array.find_opt (fun (m : R.meth) -> m.R.m_name = "m") rp.R.methods) in
+  (* [this] holds slot 0 and e slot 7. *)
+  let p, q, c, a, b, d = (1, 2, 3, 4, 5, 6) in
+  Alcotest.(check int) "frame size" 8 (Array.length m.R.m_frame);
+  let blk = m.R.m_body.(0) in
+  let shape = function
+    | R.Rconst (dst, _) -> [ dst ]
+    | R.Rbinop (dst, _, x, y) -> [ dst; x; y ]
+    | _ -> Alcotest.fail "unexpected instruction"
+  in
+  Alcotest.(check (list (list int))) "slots"
+    [ [ a ]; [ b; p; q ]; [ c; b; a ]; [ d; c; c ]; [ p; p; p ] ]
+    (List.map shape (Array.to_list blk.R.code));
+  Alcotest.(check bool) "return d" true (blk.R.term = R.Rret d)
+
 let () =
   Alcotest.run "facade_vm"
     [
@@ -368,6 +411,7 @@ let () =
             test_string_interning_roundtrip;
           Alcotest.test_case "step budget exhaustion" `Quick test_max_steps_exhaustion;
           Alcotest.test_case "div and rem by zero" `Quick test_arith_by_zero;
+          Alcotest.test_case "link slot order" `Quick test_link_slot_order;
         ] );
       ("transformed-verifies", verify_cases);
       ( "object-bounds",
