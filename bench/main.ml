@@ -98,7 +98,7 @@ module VP = Facade_compiler.Pipeline
 
 (* Time whole executions, interleaved: the candidates take turns in small
    rounds and each is credited its minimum round time. The first run of
-   each (outside timing) pays for linking, quickening, and cache fills.
+   each (outside timing) pays for linking and cache fills.
    Interleaving matters on shared machines — background load varies
    slowly, so back-to-back legs would see different CPU weather — and the
    minimum estimator discards scheduler and GC spikes the way bechamel's
@@ -146,7 +146,7 @@ let run_vm ~quick =
   in
   let results = ref [] in
   (* The optimized run executes fewer steps for the same work (folding,
-     fusion), so raw steps/sec would under-credit it. Both columns are
+     inlining), so raw steps/sec would under-credit it. Both columns are
      work-normalized: the un-optimized program's steps-per-run is the
      work unit, divided by each side's wall time per run. The opt-off
      column equals plain steps/sec; the opt-on column is effective
@@ -188,14 +188,14 @@ let run_vm ~quick =
       let is_data c = Facade_compiler.Classify.is_data_class pl.VP.classification c in
       let opt_p, orep = Opt.Driver.optimize_program s.Samples.program in
       let fb = feedback orep in
-      (* Pre-link (and pre-quicken) outside the timed loop: linking is a
-         load-time cost, and the un-optimized leg gets the same
-         treatment so the columns compare pure interpretation. *)
+      (* Pre-link outside the timed loop: linking is a load-time cost,
+         and the un-optimized leg gets the same treatment so the columns
+         compare pure interpretation. *)
       let rp_unopt = Facade_vm.Link.object_program ~is_data s.Samples.program in
-      let rp_opt = Facade_vm.Link.object_program ~is_data ~quicken:true opt_p in
+      let rp_opt = Facade_vm.Link.object_program ~is_data opt_p in
       (* The tier is shared across runs of the pre-linked program, the
-         same way the quickened inline-cache words in [rp_opt] stay warm
-         from run to run: compilation is a load-time cost for a warm
+         same way the inline-cache words in [rp_opt] stay warm from run
+         to run: compilation is a load-time cost for a warm
          service, so it happens outside the timed rounds. *)
       let tier = Facade_vm.Interp.make_tier ~feedback:fb rp_opt in
       bench_quad ~name:s.Samples.name ~mode:"object"
@@ -208,19 +208,18 @@ let run_vm ~quick =
         let opt_pl, prep = Opt.Driver.optimize_pipeline pl in
         let pfb = feedback prep in
         (* The facade tier is warm across runs exactly like the object
-           one: [make_tier] over the pipeline's cached quickened link
-           (the same resolved program [run_facade ~quicken:true]
-           executes), attached via [?tier]. Compiled facade segments
+           one: [make_tier] over the pipeline's cached link (the same
+           resolved program [run_facade] executes), attached via
+           [?tier]. Compiled facade segments
            resolve the page pool from the running [st] at segment entry,
            so none of this code is tied to any single run's store. *)
-        let rp_facade = Facade_vm.Link.facade_program ~quicken:true opt_pl in
+        let rp_facade = Facade_vm.Link.facade_program opt_pl in
         let ftier = Facade_vm.Interp.make_tier ~feedback:pfb rp_facade in
         bench_quad ~name:s.Samples.name ~mode:"facade"
           ~baseline:(fun () -> Facade_vm.Interp_baseline.run_facade pl)
           ~unopt:(fun () -> Facade_vm.Interp.run_facade pl)
-          ~opt:(fun () -> Facade_vm.Interp.run_facade ~quicken:true opt_pl)
-          ~tier2:(fun () ->
-            Facade_vm.Interp.run_facade ~quicken:true ~tier:ftier opt_pl);
+          ~opt:(fun () -> Facade_vm.Interp.run_facade opt_pl)
+          ~tier2:(fun () -> Facade_vm.Interp.run_facade ~tier:ftier opt_pl);
         (* Both tiers are warm from the quads; each side keeps its own
            work unit (its un-optimized program's step count), matching
            the work-normalized tier-2 columns. *)
@@ -235,8 +234,7 @@ let run_vm ~quick =
           vm_time_interleaved ~min_time ~min_runs
             [|
               (fun () -> Facade_vm.Interp.run_object_linked ~tier rp_opt);
-              (fun () ->
-                Facade_vm.Interp.run_facade ~quicken:true ~tier:ftier opt_pl);
+              (fun () -> Facade_vm.Interp.run_facade ~tier:ftier opt_pl);
             |]
         in
         gate_ratio :=
@@ -290,7 +288,7 @@ let run_vm ~quick =
   | None -> output_string oc "  ]\n}\n");
   close_out oc;
   print_endline "wrote BENCH_vm.json";
-  (* Regression gate: the closure tier must never lose to the quickened
+  (* Regression gate: the closure tier must never lose to the
      interpreter it sits above. The timing already takes the best round
      per leg, so a failure here is a real regression, not noise. *)
   let losers =

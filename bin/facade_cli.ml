@@ -22,28 +22,14 @@ let no_opt =
     value & flag
     & info [ "no-opt" ]
         ~doc:
-          "Disable the JIR optimizer pipeline and the post-link quickening \
-           tier; execute the facade transform's output verbatim.")
+          "Disable the JIR optimizer pipeline; link and execute the facade \
+           transform's output as it is.")
 
-let tier2_flag =
+let no_tier2 =
   Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "tier2" ]
-              ~doc:
-                "Force the tier-2 closure compiler on (it is on by default \
-                 whenever the optimizer runs)." );
-          ( Some false,
-            info [ "no-tier2" ]
-              ~doc:"Keep execution on the quickened interpreter (tier 1) only."
-          );
-        ])
-
-(* Tier-2 defaults to following the optimizer: --no-opt implies tier 1
-   unless --tier2 is given explicitly. *)
-let tier2_on tier2 no_opt = match tier2 with Some b -> b | None -> not no_opt
+    value & flag
+    & info [ "no-tier2" ]
+        ~doc:"Keep execution on the interpreter (tier 1): no tier-2 closure compiler.")
 
 let tier_feedback (rep : Opt.Driver.report option) =
   Option.map
@@ -206,7 +192,7 @@ let demo_cmd =
 (* ---------- run (facade mode, optional domain pool) ---------- *)
 
 let run_cmd =
-  let run name workers no_opt tier2 trace heap_mb =
+  let run name workers no_opt no_tier2 trace heap_mb =
     match find_sample name with
     | None -> `Error (true, "unknown sample " ^ name)
     | Some s -> (
@@ -222,13 +208,13 @@ let run_cmd =
                 let pl', r = Opt.Driver.optimize_pipeline pl0 in
                 (pl', Some r)
             in
-            let tier2 = tier2_on tier2 no_opt in
+            let tier2 = not no_tier2 in
             let heap = heap_of_mb heap_mb in
             let exec () =
               let t0 = Unix.gettimeofday () in
               let o =
-                Facade_vm.Interp.run_facade ?heap ?workers ~quicken:(not no_opt)
-                  ~tier2 ?tier2_feedback:(tier_feedback rep) pl
+                Facade_vm.Interp.run_facade ?heap ?workers ~tier2
+                  ?tier2_feedback:(tier_feedback rep) pl
               in
               (o, Unix.gettimeofday () -. t0)
             in
@@ -294,15 +280,15 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Transform a sample, optimize it, and execute P' in facade mode \
-          (quickened), optionally running its threads in parallel on real \
-          OCaml domains. With $(b,--trace), record VM, GC, page-store and \
-          scheduler events to a Chrome trace file. Each method is compiled \
-          at its first call by the tier-2 closure compiler unless \
-          $(b,--no-tier2) (or $(b,--no-opt)) is given.")
+         "Transform a sample, optimize it unless $(b,--no-opt) is given, and \
+          execute P' in facade mode, optionally running its threads in \
+          parallel on real OCaml domains. With $(b,--trace), record VM, GC, \
+          page-store and scheduler events to a Chrome trace file. Each \
+          method is compiled at its first call by the tier-2 closure \
+          compiler unless $(b,--no-tier2) is given.")
     Term.(
       ret
-        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ trace_arg
+        (const run $ sample_arg $ workers_arg $ no_opt $ no_tier2 $ trace_arg
        $ heap_mb_arg))
 
 (* ---------- profile ---------- *)
@@ -354,7 +340,7 @@ let profile_cmd =
       value & opt int 15
       & info [ "top" ] ~docv:"N" ~doc:"Rows in the top-spans-by-self-time table.")
   in
-  let run name workers no_opt tier2 heap_mb top trace =
+  let run name workers no_opt no_tier2 heap_mb top trace =
     match find_sample name with
     | None -> `Error (true, "unknown sample " ^ name)
     | Some s -> (
@@ -370,14 +356,14 @@ let profile_cmd =
                 let pl', r = Opt.Driver.optimize_pipeline pl in
                 (pl', Some r)
             in
-            let tier2 = tier2_on tier2 no_opt in
+            let tier2 = not no_tier2 in
             let heap = heap_of_mb heap_mb in
             let tr = Obs.Tracer.create () in
             Obs.Tracer.install tr;
             let o =
               Fun.protect ~finally:Obs.Tracer.uninstall (fun () ->
-                  Facade_vm.Interp.run_facade ?heap ?workers ~quicken:(not no_opt)
-                    ~tier2 ?tier2_feedback:(tier_feedback rep) pl)
+                  Facade_vm.Interp.run_facade ?heap ?workers ~tier2
+                    ?tier2_feedback:(tier_feedback rep) pl)
             in
             Printf.printf "%s: result=%s  steps=%d\n" name
               (match o.Facade_vm.Interp.result with
@@ -386,11 +372,10 @@ let profile_cmd =
               o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps;
             print_tier_line ~tier2 o;
             print_newline ();
-            (* The quickened link is cached per pipeline, so this is the
-               same resolved program the run above executed — method
-               indices line up with the per-method stat arrays. *)
-            method_profile ~top
-              (Facade_vm.Link.facade_program ~quicken:(not no_opt) pl)
+            (* The link is cached per pipeline, so this is the same
+               resolved program the run above executed — method indices
+               line up with the per-method stat arrays. *)
+            method_profile ~top (Facade_vm.Link.facade_program pl)
               o.Facade_vm.Interp.stats;
             print_string (Obs.Export.profile_report ~top tr);
             print_gc_lines heap (Some tr);
@@ -410,7 +395,7 @@ let profile_cmd =
           $(b,--trace) additionally exports the Chrome trace.")
     Term.(
       ret
-        (const run $ sample_arg $ workers_arg $ no_opt $ tier2_flag $ heap_mb_arg
+        (const run $ sample_arg $ workers_arg $ no_opt $ no_tier2 $ heap_mb_arg
        $ top $ trace_arg))
 
 (* ---------- validate-trace ---------- *)
@@ -661,7 +646,7 @@ let opt_report_cmd =
           Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program
         in
         let pl', rep = Opt.Driver.optimize_pipeline pl in
-        let rp = Facade_vm.Link.facade_program ~quicken:true pl' in
+        let rp = Facade_vm.Link.facade_program pl' in
         let c = Facade_vm.Quicken.counts rp in
         if json then
           Printf.printf
@@ -705,8 +690,8 @@ let opt_report_cmd =
        ~doc:
          "Compile a sample, run the optimizer pipeline over P', and print the \
           per-pass IR deltas (instructions removed, copies propagated, sites \
-          devirtualized, calls inlined) plus the post-link quickening site \
-          counts.")
+          devirtualized, calls inlined) plus the linked program's quickening \
+          site counts.")
     Term.(ret (const run $ sample_arg $ json_flag))
 
 let serve_cmd =

@@ -32,14 +32,18 @@
      segment precheck deopts with reason "budget" if the step budget
      would expire inside the run, so tier-1 reproduces the exact error
      point; otherwise steps/mix/intrinsic-dispatch counters advance by
-     precomputed deltas and the closures run;
+     precomputed deltas and the closures run. The step delta is the sum
+     of the instructions' weights ({!Resolved.weight}: a fused form
+     charges the source instructions it replaced), plus a fused
+     compare's step when the segment ends its block;
    - guards and calls charge one step themselves after their own budget
-     precheck;
+     precheck, and so does a fused compare after a block's last
+     self-charging action;
    - anything else is delegated, instruction by instruction, to the
      interpreter's [h_exec], which self-accounts, and counted in
      [Exec_stats.tier2_delegated]: iteration start/end,
-     sys.run_thread, [Rerror], unquickened virtual calls, every
-     intrinsic but the five above (rt.free_oversize, rt.array_length,
+     sys.run_thread, [Rerror], every intrinsic but the five above
+     (rt.free_oversize, rt.array_length,
      rt.type_id/is_type/checkcast, rt.string_literal,
      pool.param/pool.resolve, lock.enter/exit, convert.to/from,
      sys.print and the other sys.* calls, and the page accessors
@@ -973,7 +977,9 @@ let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> un
       fun a ->
         match rd_v a x, rd_v a y, rd_v a z with
         | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
-        | vx, vy, vz -> wr_v a d (mul_add_src ~mul_swapped ~add_swapped vx vy vz))
+        | vx, vy, vz ->
+            let p = arith_src mul_swapped Ir.Mul vx vy in
+            wr_v a d (arith_src add_swapped Ir.Add p vz))
   | K_int ->
       let d = Option.get (icode lay d) in
       let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
@@ -992,7 +998,9 @@ let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> un
       fun a ->
         match rd_v a x, rd_v a y, rd_v a z with
         | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
-        | vx, vy, vz -> wr_v a d (mul_add_src ~mul_swapped ~add_swapped vx vy vz))
+        | vx, vy, vz ->
+            let p = arith_src mul_swapped Ir.Mul vx vy in
+            wr_v a d (arith_src add_swapped Ir.Add p vz))
 
 let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   let cat = R.category ins in
@@ -1060,20 +1068,6 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Rnew (d, cid) -> bulk (fun a -> fs a.frame d (alloc_obj a.st cid))
   | R.Rnew_array (d, na, len) ->
       bulk (fun a -> fs a.frame d (alloc_arr a.st na (as_int (fg a.frame len))))
-  | R.Rfield_load (d, o, fid) ->
-      bulk (fun a ->
-          let st = a.st and f = a.frame in
-          match fg f o with
-          | Value.Obj ob -> fs f d ob.Value.fields.(field_slot st ob fid)
-          | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
-          | w -> vm_err "field load from %s" (Value.to_string w))
-  | R.Rfield_store (o, fid, s) ->
-      bulk (fun a ->
-          let st = a.st and f = a.frame in
-          match fg f o with
-          | Value.Obj ob -> ob.Value.fields.(field_slot st ob fid) <- fg f s
-          | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
-          | w -> vm_err "field store to %s" (Value.to_string w))
   | R.Rstatic_load (d, g) -> bulk (fun a -> fs a.frame d a.st.globals.(g))
   | R.Rstatic_store (g, s) -> bulk (fun a -> a.st.globals.(g) <- fg a.frame s)
   | R.Rarray_load (d, r, i) ->
@@ -1127,7 +1121,6 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       let key = ic.R.ic_key in
       if key < 0 then S_self (mk_virtual_dyn t cst mx bi pc ret mid r args ic ins)
       else S_self (mk_virtual_ic t cst mx ~depth bi pc ret mid r args key ins)
-  | R.Rcall_virtual _ -> deleg ()
   (* ---- monitors: the lock-contention deopt trigger. Contended regions
      always run in tier-1; after [deopt_limit] entries the method
      retires there for good. ---- *)
@@ -1450,20 +1443,33 @@ and compile_meth t (cst : st) mx (m : R.meth) ~depth lay =
 (* Pre-compose a basic block: compile each instruction, then fuse
    maximal runs of bulk-chargeable steps into segments whose accounting
    (step count, mix deltas, intrinsic dispatches) is precomputed and
-   applied in O(1) per segment after a single budget precheck. *)
+   applied in O(1) per segment after a single budget precheck. A fused
+   compare's step goes into the segment that ends the block, if there
+   is one: nothing runs between it and the branch, so a budget expiring
+   at the compare deopts to the segment's start and tier 1 replays the
+   block up to the compare. Charged in an earlier segment, it would
+   let a call in between run one step ahead. Otherwise the terminator
+   charges it after its own precheck. The fold spares a typical loop
+   block that second precheck on every trip. *)
 and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
   let code = b.R.code in
   let steps = Array.mapi (fun pc ins -> compile_instr t cst mx ~depth lay bi pc ins) code in
+  let cmp_step = match b.R.term with R.Rcmp_branch _ -> 1 | _ -> 0 in
   let acts = ref [] in
   let group = ref [] in
   let group_start = ref 0 in
-  let flush () =
+  let flush ~extra =
     match !group with
     | [] -> ()
     | g ->
         let items = Array.of_list (List.rev g) in
-        let k = Array.length items in
+        let n = Array.length items in
         let start_pc = !group_start in
+        let k = ref extra in
+        for pc = start_pc to start_pc + n - 1 do
+          k := !k + R.weight code.(pc)
+        done;
+        let k = !k in
         let mixd = Array.make (Array.length Exec_stats.mix_labels) 0 in
         let intr = ref 0 in
         Array.iter
@@ -1502,7 +1508,7 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
               stats.Exec_stats.intrinsic_dispatches + intr;
             if a.pool == no_pool then resolve_pool a
           end;
-          for i = 0 to k - 1 do
+          for i = 0 to n - 1 do
             (Array.unsafe_get fns i) a
           done
         in
@@ -1516,12 +1522,21 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
           if !group = [] then group_start := pc;
           group := s :: !group
       | S_self f ->
-          flush ();
+          flush ~extra:0;
           acts := f :: !acts)
     steps;
-  flush ();
+  let trailing = !group <> [] in
+  flush ~extra:cmp_step;
   let actions = Array.of_list (List.rev !acts) in
   let term = compile_term lay b.R.term in
+  let term =
+    if cmp_step = 0 || trailing then term
+    else fun a ->
+      let st = a.st in
+      precheck st bi (Array.length code);
+      st.stats.Exec_stats.steps <- st.stats.Exec_stats.steps + 1;
+      term a
+  in
   match actions with
   | [||] -> term
   | [| a0 |] ->
@@ -1572,7 +1587,7 @@ let compile_into (t : tier) (cst : st) mx =
 (* ---------- tier construction ---------- *)
 
 let leaf_safe_instr = function
-  | R.Rcall _ | R.Rcall_virtual _ | R.Rcall_virtual_ic _ | R.Rmonitor_enter _
+  | R.Rcall _ | R.Rcall_virtual_ic _ | R.Rmonitor_enter _
   | R.Rmonitor_exit _ | R.Riter_start | R.Riter_end | R.Rrun_thread _
   | R.Rerror _ ->
       false

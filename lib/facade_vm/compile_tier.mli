@@ -1,5 +1,5 @@
 (** The tier-2 closure compiler: the profile-guided native tier above
-    the quickened interpreter.
+    the interpreter (tier 1).
 
     Each resolved method is translated at its first call into
     directly-composed OCaml closures: one closure per instruction,

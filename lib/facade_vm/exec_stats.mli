@@ -34,8 +34,8 @@ type t = {
   mutable static_dispatches : int;   (** static/special calls executed *)
   mutable virtual_dispatches : int;  (** vtable dispatches executed *)
   mutable intrinsic_dispatches : int;  (** pre-bound intrinsic invocations *)
-  mutable ic_hits : int;             (** quickened inline-cache hits *)
-  mutable ic_misses : int;           (** quickened inline-cache misses/refills *)
+  mutable ic_hits : int;             (** inline-cache hits *)
+  mutable ic_misses : int;           (** inline-cache misses/refills *)
   mix : int array;                   (** per-category instruction counts *)
   mutable m_calls : int array;       (** per-method call counts (by method index) *)
   mutable m_ic_hits : int array;     (** per-method IC hits *)

@@ -210,6 +210,13 @@ and read_slot st rt visited addr ~offset ~jty =
 
 (* ---------- the interpreter loop ---------- *)
 
+(* One step: the source instruction about to run is counted, and the
+   budget is checked before it runs. *)
+let[@inline] charge (st : st) =
+  let stats = st.stats in
+  stats.Exec_stats.steps <- stats.Exec_stats.steps + 1;
+  if stats.Exec_stats.steps > st.max_steps then vm_err "step budget exceeded"
+
 (* Entry at an arbitrary (block, pc) is what tier-2 deopt resumes
    through: the compiled code raised {!Vm_state.Tier_deopt} before the
    faulting instruction's accounting, so replaying from exactly there on
@@ -229,6 +236,7 @@ let rec run_body_from st mx (m : R.meth) (frame : Value.t array) bi0 pc0 :
     | R.Rjump t -> go t 0
     | R.Rbranch (s, t, e) -> go (if Value.truthy frame.(s) then t else e) 0
     | R.Rcmp_branch (op, x, y, t, e) ->
+        charge st;
         go
           (if Value.truthy (arith op (operand frame x) (operand frame y)) then t
            else e)
@@ -278,8 +286,7 @@ and run_tier2 (st : st) midx f frame =
 
 and exec st mx (frame : Value.t array) ins =
   let stats = st.stats in
-  stats.Exec_stats.steps <- stats.Exec_stats.steps + 1;
-  if stats.Exec_stats.steps > st.max_steps then vm_err "step budget exceeded";
+  charge st;
   stats.Exec_stats.mix.(R.category ins) <- stats.Exec_stats.mix.(R.category ins) + 1;
   match ins with
   | R.Rconst (d, v) -> frame.(d) <- v
@@ -293,20 +300,6 @@ and exec st mx (frame : Value.t array) ins =
   | R.Rnot (d, s) -> frame.(d) <- Value.Int (if Value.truthy frame.(s) then 0 else 1)
   | R.Rnew (d, cid) -> frame.(d) <- alloc_obj st cid
   | R.Rnew_array (d, na, len) -> frame.(d) <- alloc_arr st na (as_int frame.(len))
-  | R.Rfield_load (d, o, fid) -> (
-      match frame.(o) with
-      | Value.Obj ob ->
-          let slot = field_slot st ob fid in
-          frame.(d) <- ob.Value.fields.(slot)
-      | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
-      | w -> vm_err "field load from %s" (Value.to_string w))
-  | R.Rfield_store (o, fid, s) -> (
-      match frame.(o) with
-      | Value.Obj ob ->
-          let slot = field_slot st ob fid in
-          ob.Value.fields.(slot) <- frame.(s)
-      | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
-      | w -> vm_err "field store to %s" (Value.to_string w))
   | R.Rstatic_load (d, g) -> frame.(d) <- st.globals.(g)
   | R.Rstatic_store (g, s) -> st.globals.(g) <- frame.(s)
   | R.Rarray_load (d, a, i) -> (
@@ -337,24 +330,6 @@ and exec st mx (frame : Value.t array) ins =
       let m = st.rp.R.methods.(midx) in
       let f = Array.copy m.R.m_frame in
       (match recv with Some s -> f.(0) <- frame.(s) | None -> ());
-      Array.iteri (fun i s -> f.(i + 1) <- frame.(s)) args;
-      store_ret frame ret (run_method st midx f)
-  | R.Rcall_virtual (ret, mid, r, args) ->
-      st.stats.Exec_stats.virtual_dispatches <- st.stats.Exec_stats.virtual_dispatches + 1;
-      let recv = frame.(r) in
-      let cid = dispatch_cid st recv st.rp.R.method_names.(mid) in
-      let c = st.rp.R.classes.(cid) in
-      let midx = c.R.c_vtable.(mid) in
-      if midx < 0 then
-        vm_err "NoSuchMethodError: %s.%s" c.R.c_name st.rp.R.method_names.(mid);
-      let m = st.rp.R.methods.(midx) in
-      if Array.length m.R.m_body = 0 then
-        vm_err "AbstractMethodError: %s.%s" c.R.c_name m.R.m_name;
-      if Array.length args <> m.R.m_nparams then
-        vm_err "arity mismatch calling %s.%s (%d args)" c.R.c_name m.R.m_name
-          (Array.length args);
-      let f = Array.copy m.R.m_frame in
-      f.(0) <- recv;
       Array.iteri (fun i s -> f.(i + 1) <- frame.(s)) args;
       store_ret frame ret (run_method st midx f)
   | R.Rinstance_of (d, s, t) ->
@@ -430,7 +405,6 @@ and exec st mx (frame : Value.t array) ins =
       st.stats.Exec_stats.intrinsic_dispatches <- st.stats.Exec_stats.intrinsic_dispatches + 1;
       exec_intrinsic st frame ret i ops
   | R.Rerror msg -> raise (Vm_error msg)
-  (* ---- quickened forms ---- *)
   | R.Rcall_virtual_ic (ret, mid, r, args, ic) ->
       stats.Exec_stats.virtual_dispatches <- stats.Exec_stats.virtual_dispatches + 1;
       let recv = frame.(r) in
@@ -509,12 +483,19 @@ and exec st mx (frame : Value.t array) ins =
       | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
       | w -> vm_err "field store to %s" (Value.to_string w))
   | R.Rbinop_imm (d, op, x, v, sw) -> frame.(d) <- arith_src sw op frame.(x) v
+  (* A fused form charges each further source instruction it stands for
+     just before running that instruction's part, so the budget expires
+     and faults fire at the baseline's exact step. *)
   | R.Rmul_add (d, x, y, z) ->
       (* z <> d is guaranteed by the fuser, so reading z after the
          intermediate product would see the same value either way. *)
-      frame.(d) <- arith Ir.Add (arith Ir.Mul frame.(x) frame.(y)) frame.(z)
+      let p = arith Ir.Mul frame.(x) frame.(y) in
+      charge st;
+      frame.(d) <- arith Ir.Add p frame.(z)
   | R.Rmul_add_imm (d, x, v, z, mul_swapped, add_swapped) ->
-      frame.(d) <- mul_add_src ~mul_swapped ~add_swapped frame.(x) v frame.(z)
+      let p = arith_src mul_swapped Ir.Mul frame.(x) v in
+      charge st;
+      frame.(d) <- arith_src add_swapped Ir.Add p frame.(z)
   | R.Rget (d, a, p, off) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
@@ -546,13 +527,17 @@ and exec st mx (frame : Value.t array) ins =
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let x = store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off in
+      charge st;
       frame.(d) <- arith_src sw op x (operand frame s)
   | R.Rrmw (a, p, off, op, s, sw) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(p)) in
       let x = store_get rt a addr ~offset:off in
-      store_set rt a addr ~offset:off (arith_src sw op x (operand frame s))
+      charge st;
+      let v = arith_src sw op x (operand frame s) in
+      charge st;
+      store_set rt a addr ~offset:off v
   | R.Raget_get (d, arr, eb, idx, a, off) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
@@ -564,6 +549,7 @@ and exec st mx (frame : Value.t array) ins =
         store_get rt R.A_i64 addr
           ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
       in
+      charge st;
       frame.(d) <- store_get rt a (addr_of (check_nonnull w)) ~offset:off
   | R.Raget_aget (d, a, arr1, eb1, idx, arr2, eb2) ->
       stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
@@ -576,6 +562,7 @@ and exec st mx (frame : Value.t array) ins =
         store_get rt R.A_i32 addr1
           ~offset:(Store.array_elem_offset ~elem_bytes:eb1 ~index:i)
       in
+      charge st;
       let addr2 = addr_of (check_nonnull frame.(arr2)) in
       let j = as_int t in
       if j < 0 || j >= Store.array_length rt.store addr2 then
@@ -978,8 +965,8 @@ let setup_tier st ~tier2 ~tier2_feedback =
    program: compiled closures thread all per-run state through their [st]
    argument — facade page accesses resolve the run's page pool at segment
    entry instead of capturing a store — so warm code carries over
-   exactly like the quickened inline-cache words already do in a shared
-   [rp], in facade mode as well as object mode. *)
+   exactly like the inline-cache words already do in a shared [rp], in
+   facade mode as well as object mode. *)
 let make_tier ?feedback rp = Compile_tier.make ?feedback ~hooks rp
 
 (* Intern every string constant the linker collected, before execution
@@ -1014,14 +1001,14 @@ let run_object_linked ?heap ?(max_steps = default_max_steps) ?(entry_args = [])
   run_entry st ~entry_args
 
 let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = default_max_steps)
-    ?(entry_args = []) ?(quicken = false) ?(tier2 = false) ?tier2_feedback p =
+    ?(entry_args = []) ?(tier2 = false) ?tier2_feedback p =
   run_object_linked ?heap ~max_steps ~entry_args ~tier2 ?tier2_feedback
-    (Link.object_program ~is_data ~quicken p)
+    (Link.object_program ~is_data p)
 
 let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
-    ?page_quota ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?(quicken = false)
+    ?page_quota ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?quicken:_
     ?(tier2 = false) ?tier2_feedback ?tier (pl : Facade_compiler.Pipeline.t) =
-  let rp = Link.facade_program ~quicken pl in
+  let rp = Link.facade_program pl in
   let store = Store.create ?page_bytes () in
   (* Tenant resource caps: enforced by the store on every allocation. *)
   (match (page_quota, heap_budget) with

@@ -1,9 +1,12 @@
 (** The jir virtual machine, running on the {!Resolved} execution form.
 
     Programs are first lowered by {!Link} — names interned to integer
-    ids, frames slot-indexed, vtables and field layouts precomputed — and
-    the interpreter executes that form with no string lookup on the
-    per-instruction path. The original tree-walking interpreter survives
+    ids, frames slot-indexed, vtables and field layouts precomputed,
+    then quickened — and the interpreter executes that one form with no
+    string lookup on the per-instruction path. Every instruction charges
+    the steps of the source instructions it stands for, so step counts
+    and [max_steps] mean the same here, in tier 2 and in
+    {!Interp_baseline}. The original tree-walking interpreter survives
     as {!Interp_baseline} for differential testing and benchmarking.
 
     One interpreter runs both sides of the paper's comparison:
@@ -42,17 +45,12 @@ val run_object :
   ?is_data:(string -> bool) ->
   ?max_steps:int ->
   ?entry_args:Value.t list ->
-  ?quicken:bool ->
   ?tier2:bool ->
   ?tier2_feedback:Compile_tier.feedback ->
   Jir.Program.t ->
   outcome
 (** Execute a program's entry point in object mode. [max_steps] defaults
-    to 50 million. [quicken] (default [false]) runs the {!Quicken}
-    rewrite — inline caches, specialized accessors, superinstructions —
-    over the linked form first; results and output are unchanged but step
-    counts shrink, so differential tests against {!Interp_baseline} keep
-    it off.
+    to 50 million.
 
     [tier2] (default [false]) attaches the {!Compile_tier} closure
     compiler: each method is translated to composed closures at its
@@ -70,15 +68,14 @@ val run_object_linked :
   ?tier:Vm_state.tier ->
   Resolved.program ->
   outcome
-(** As {!run_object} on an already-linked (and possibly quickened)
-    program, so callers that execute the same program repeatedly — the
-    benchmarks, warm services — pay {!Link.object_program} once instead
-    of per run.
+(** As {!run_object} on an already-linked program, so callers that
+    execute the same program repeatedly — the benchmarks, warm services —
+    pay {!Link.object_program} once instead of per run.
 
     [?tier] attaches a pre-built tier from {!make_tier} instead of a
     fresh one (overriding [tier2]/[tier2_feedback]), so compiled code
-    persists across runs the way quickened inline-cache state already
-    does in a shared linked program. The tier must have been built for
+    persists across runs the way inline-cache state already does in a
+    shared linked program. The tier must have been built for
     this same [rp]. A tier attached after the program already ran in
     tier 1 compiles its virtual call sites against those warm inline
     caches. *)
@@ -107,9 +104,10 @@ val run_facade :
   ?tier:Vm_state.tier ->
   Facade_compiler.Pipeline.t ->
   outcome
-(** Execute a compiled pipeline's transformed program in facade mode.
-    [quicken] is as for {!run_object}; the quickened form is derived once
-    per pipeline and cached beside the base link.
+(** Execute a compiled pipeline's transformed program in facade mode,
+    on the resolved program {!Link.facade_program} caches on the
+    pipeline. [quicken] is ignored, as on {!Link.facade_program}: it stays
+    only until the benchmark harness stops passing it.
 
     With [?workers:n], a pool of [n] OCaml domains executes spawned
     logical threads in parallel: each [run_thread] enqueues the runnable

@@ -1,8 +1,9 @@
 (* The linker: one pass over a jir program that interns every name to a
    dense integer id and lowers method bodies to the resolved form the
-   interpreter executes. Anything that cannot be resolved statically
-   becomes an [Rerror] that raises only if reached, so linking never
-   rejects a program the name-based interpreter would have run. *)
+   interpreter executes, each then quickened ({!Quicken}): there is no
+   other form. Anything that cannot be resolved statically becomes an
+   [Rerror] that raises only if reached, so linking never rejects a
+   program the name-based interpreter would have run. *)
 
 open Jir
 module R = Resolved
@@ -305,8 +306,10 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
                 na_cls = Jtype.to_string (Jtype.Array ety);
               },
               slot len )
-      | Ir.Field_load (b, a, f) -> R.Rfield_load (slot b, slot a, intern fids f)
-      | Ir.Field_store (a, f, b) -> R.Rfield_store (slot a, intern fids f, slot b)
+      | Ir.Field_load (b, a, f) ->
+          R.Rfield_load_ic (slot b, slot a, intern fids f, R.ic_empty ())
+      | Ir.Field_store (a, f, b) ->
+          R.Rfield_store_ic (slot a, intern fids f, slot b, R.ic_empty ())
       | Ir.Static_load (b, c, f) -> (
           match Hashtbl.find_opt gid_tbl (c, f) with
           | Some g -> R.Rstatic_load (slot b, g)
@@ -323,11 +326,12 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
           | None ->
               R.Rerror (Printf.sprintf "virtual call %s.%s without a receiver" cls mname)
           | Some r ->
-              R.Rcall_virtual
+              R.Rcall_virtual_ic
                 ( Option.map slot ret,
                   intern mids mname,
                   slot r,
-                  Array.of_list (List.map slot args) ))
+                  Array.of_list (List.map slot args),
+                  R.ic_empty () ))
       | Ir.Call (ret, (Ir.Static | Ir.Special), cls, mname, recv, args) -> (
           match resolve_static cls mname with
           | None -> R.Rerror (Printf.sprintf "NoSuchMethodError: %s.%s" cls mname)
@@ -371,14 +375,15 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
           })
         m.Ir.body
     in
-    {
-      R.m_cls = cname;
-      m_name = m.Ir.mname;
-      m_has_this = not m.Ir.mstatic;
-      m_nparams = List.length m.Ir.params;
-      m_frame = frame;
-      m_body = body;
-    }
+    Quicken.quicken_meth
+      {
+        R.m_cls = cname;
+        m_name = m.Ir.mname;
+        m_has_this = not m.Ir.mstatic;
+        m_nparams = List.length m.Ir.params;
+        m_frame = frame;
+        m_body = body;
+      }
   in
 
   let methods = Array.map (fun (cname, m) -> lower_meth cname m) decls in
@@ -540,34 +545,16 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
     n_tids;
   }
 
-let object_program ?is_data ?(quicken = false) p =
-  let rp = link ?is_data p in
-  if quicken then Quicken.program rp else rp
+let object_program ?is_data ?quicken:_ p = link ?is_data p
 
 (* The pipeline owns P′, so it also caches the linked form: the first run
-   links, later runs reuse. The quickened tier is derived lazily from the
-   base form and cached beside it — both can coexist because quickening
-   never mutates the base program's arrays. *)
-type cache = { base : R.program; mutable quick : R.program option }
+   links, later runs reuse. *)
+type Pipeline.artifact += Linked of R.program
 
-type Pipeline.artifact += Linked of cache
-
-let facade_cache (pl : Pipeline.t) =
+let facade_program ?quicken:_ (pl : Pipeline.t) =
   match Pipeline.artifact pl with
-  | Some (Linked c) -> c
+  | Some (Linked rp) -> rp
   | Some _ | None ->
       let rp = link ~layout:pl.Pipeline.layout pl.Pipeline.transformed in
-      let c = { base = rp; quick = None } in
-      Pipeline.set_artifact pl (Linked c);
-      c
-
-let facade_program ?(quicken = false) (pl : Pipeline.t) =
-  let c = facade_cache pl in
-  if not quicken then c.base
-  else
-    match c.quick with
-    | Some q -> q
-    | None ->
-        let q = Quicken.program c.base in
-        c.quick <- Some q;
-        q
+      Pipeline.set_artifact pl (Linked rp);
+      rp

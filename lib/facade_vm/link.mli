@@ -1,9 +1,10 @@
 (** The linker: lowers a jir program to the {!Resolved} execution form —
     names interned to dense ids, method bodies as instruction arrays over
     slot-indexed frames, vtables / field layouts / type-test outcomes /
-    intrinsic bindings precomputed. Unresolvable references lower to
-    [Rerror] instructions that raise only when executed, so linking
-    accepts everything the name-based interpreter would have run. *)
+    intrinsic bindings precomputed, each method then rewritten by
+    {!Quicken}. Unresolvable references lower to [Rerror] instructions
+    that raise only when executed, so linking accepts everything the
+    name-based interpreter would have run. *)
 
 val string_constants : Jir.Program.t -> string array
 (** Every [rt.string_literal] payload in the program, deduplicated in
@@ -13,14 +14,15 @@ val object_program :
   ?is_data:(string -> bool) -> ?quicken:bool -> Jir.Program.t -> Resolved.program
 (** Link a program for object-mode execution. The [is_data] predicate is
     baked into allocation sites (it drives heap-lifetime charging), so a
-    fresh link is produced per predicate. [quicken] (default [false])
-    additionally runs the {!Quicken} rewrite over the linked form. *)
+    fresh link is produced per predicate. [quicken] is ignored: there is
+    one link form, and it is always {!Quicken}ed. The argument stays only
+    until the benchmark harness stops passing it. *)
 
 val facade_program :
   ?quicken:bool -> Facade_compiler.Pipeline.t -> Resolved.program
 (** Link a pipeline's transformed program P′ for facade-mode execution,
     including the layout-derived tables (tid → class, element widths, the
     record-cast matrix). The result is memoized on the pipeline via
-    {!Facade_compiler.Pipeline.set_artifact}; with [quicken:true]
-    (default [false]) the {!Quicken}-rewritten form is returned, derived
-    once from the cached base link and cached beside it. *)
+    {!Facade_compiler.Pipeline.set_artifact}, so every run of the
+    pipeline executes the same resolved program. [quicken] is ignored,
+    as for {!object_program}. *)

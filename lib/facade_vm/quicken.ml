@@ -1,9 +1,7 @@
-(* The post-link quickening tier: rewrites resolved method bodies into
-   the quickened opcodes of {!Resolved} —
+(* Quickening, the last step of linking: {!Link} hands every lowered
+   method body to [quicken_meth], which rewrites it into the quickened
+   opcodes of {!Resolved} —
 
-   - monomorphic inline caches on virtual-call and field-access sites
-     (cid+payload packed in one mutable int, so instruction arrays stay
-     safe to share across domains);
    - offset-specialized page accessors ([Rget]/[Rset]/[Raget]/[Raset])
      for rt.get_*/set_*/aget_*/aset_* intrinsics whose offset or element
      width is a link-time constant (the facade transform always emits
@@ -13,18 +11,21 @@
    - fused superinstructions for the hot pairs the instruction-mix
      counters surface: mul+add ([Rmul_add], array indexing),
      getfield+arith ([Rget_bin]) and compare+branch ([Rcmp_branch], when
-     the condition slot is read nowhere else).
+     the condition slot is read nowhere else);
+   - jump threading through empty blocks.
 
-   Quickening is opt-in (the [?quicken] flag on {!Interp}/{!Link}): the
-   default path keeps the un-quickened form whose step counts are
-   bit-identical to {!Interp_baseline}, which the differential suite
-   relies on. Rewrites never reorder effects — fused pairs evaluate their
-   operands in the original order, so faults (null page, bad operands,
-   bounds) fire at the same program point with the same message. Where
-   a commutative op ends up holding its operands the other way round (a
-   constant moved to the right, a page read fused from either side),
-   the instruction carries a [swapped] flag and its error path re-runs
-   the op in source order ({!Vm_state.arith_src}). *)
+   (The linker itself emits virtual calls and field accesses with their
+   inline caches.) There is one link form, this one; the [?quicken]
+   argument left on {!Link} and {!Interp.run_facade} is ignored. Every
+   form charges the steps of the source instructions it replaced
+   ({!Resolved.weight}, and one for a fused compare), so step counts equal
+   {!Interp_baseline}'s. Rewrites never reorder effects — fused pairs
+   evaluate their operands in the original order, so faults (null page,
+   bad operands, bounds) fire at the same program point with the same
+   message. Where a commutative op ends up holding its operands the
+   other way round (a constant moved to the right, a page read fused
+   from either side), the instruction carries a [swapped] flag and its
+   error path re-runs the op in source order ({!Vm_state.arith_src}). *)
 
 open Jir
 module R = Resolved
@@ -37,7 +38,6 @@ let rdef = function
   | R.Rnot (d, _)
   | R.Rnew (d, _)
   | R.Rnew_array (d, _, _)
-  | R.Rfield_load (d, _, _)
   | R.Rfield_load_ic (d, _, _, _)
   | R.Rstatic_load (d, _)
   | R.Rarray_load (d, _, _)
@@ -52,11 +52,11 @@ let rdef = function
   | R.Rget_bin (d, _, _, _, _, _, _) ->
       Some d
   | R.Raget_get (d, _, _, _, _, _) | R.Raget_aget (d, _, _, _, _, _, _) -> Some d
-  | R.Rcall (ret, _, _, _) | R.Rcall_virtual (ret, _, _, _)
+  | R.Rcall (ret, _, _, _)
   | R.Rcall_virtual_ic (ret, _, _, _, _)
   | R.Rintrinsic (ret, _, _) ->
       ret
-  | R.Rfield_store _ | R.Rfield_store_ic _ | R.Rstatic_store _ | R.Rarray_store _
+  | R.Rfield_store_ic _ | R.Rstatic_store _ | R.Rarray_store _
   | R.Rmonitor_enter _ | R.Rmonitor_exit _ | R.Riter_start | R.Riter_end
   | R.Rrun_thread _ | R.Rset _ | R.Raset _ | R.Rrmw _ | R.Rerror _ ->
       None
@@ -71,7 +71,6 @@ let ruses = function
   | R.Rneg (_, s)
   | R.Rnot (_, s)
   | R.Rnew_array (_, _, s)
-  | R.Rfield_load (_, s, _)
   | R.Rfield_load_ic (_, s, _, _)
   | R.Rstatic_store (_, s)
   | R.Rarray_length (_, s)
@@ -82,17 +81,14 @@ let ruses = function
   | R.Rbinop_imm (_, _, s, _, _)
   | R.Rget (_, _, s, _) ->
       [ s ]
-  | R.Rbinop (_, _, x, y) | R.Rfield_store (x, _, y) | R.Rfield_store_ic (x, _, y, _)
-    ->
-      [ x; y ]
+  | R.Rbinop (_, _, x, y) | R.Rfield_store_ic (x, _, y, _) -> [ x; y ]
   | R.Rarray_load (_, a, i) -> [ a; i ]
   | R.Rarray_store (a, i, s) -> [ a; i; s ]
   | R.Rmul_add (_, x, y, z) -> [ x; y; z ]
   | R.Rmul_add_imm (_, x, _, z, _, _) -> [ x; z ]
   | R.Rcall (_, _, recv, args) ->
       Option.to_list recv @ Array.to_list args
-  | R.Rcall_virtual (_, _, r, args) | R.Rcall_virtual_ic (_, _, r, args, _) ->
-      r :: Array.to_list args
+  | R.Rcall_virtual_ic (_, _, r, args, _) -> r :: Array.to_list args
   | R.Rrun_thread op -> op_slots op
   | R.Rintrinsic (_, _, ops) -> Array.to_list ops |> List.concat_map op_slots
   | R.Rset (_, p, _, src) -> p :: op_slots src
@@ -194,7 +190,7 @@ let quicken_meth (m : R.meth) =
               Hashtbl.replace const_val d v
           | _ -> ())
         m.R.m_body.(0).R.code;
-    (* Pass 1: immediates, specialized accessors, inline caches. *)
+    (* Pass 1: immediates and specialized accessors. *)
     let body =
       Array.mapi
         (fun bi (b : R.block) ->
@@ -234,12 +230,6 @@ let quicken_meth (m : R.meth) =
                         R.I_aset a,
                         [| R.Oslot p; R.Oconst (Value.Int eb); idx; src |] ) ->
                       R.Raset (a, p, eb, promote idx, promote src)
-                  | R.Rcall_virtual (ret, mid, r, args) ->
-                      R.Rcall_virtual_ic (ret, mid, r, args, R.ic_empty ())
-                  | R.Rfield_load (d, o, fid) ->
-                      R.Rfield_load_ic (d, o, fid, R.ic_empty ())
-                  | R.Rfield_store (o, fid, s) ->
-                      R.Rfield_store_ic (o, fid, s, R.ic_empty ())
                   | _ -> ins
                 in
                 (match ins with
@@ -389,9 +379,9 @@ let quicken_meth (m : R.meth) =
        routinely leaves loop headers as empty blocks holding only a
        fused compare+branch. Copying the terminator up (and skipping
        chains of empty jumps) removes one block transition per loop
-       iteration. Terminators are uncounted, so step counts are
-       unchanged; a copied compare reads the same slots at the same
-       state, since the bypassed block executed nothing. *)
+       iteration. Step counts are unchanged: the bypassed blocks held
+       no instructions, and a copied compare charges the step its block
+       would have, reading the same slots at the same state. *)
     let body =
       let resolve_jump t0 =
         let rec go t seen =
@@ -423,10 +413,7 @@ let quicken_meth (m : R.meth) =
     { m with R.m_body = body }
   end
 
-let program (p : R.program) =
-  { p with R.methods = Array.map quicken_meth p.R.methods }
-
-(* Site counts over a (quickened) program, for `facade_cli opt-report`. *)
+(* Site counts over a linked program, for `facade_cli opt-report`. *)
 type counts = {
   ic_virtual_sites : int;
   ic_field_sites : int;

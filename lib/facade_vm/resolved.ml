@@ -46,12 +46,12 @@ type intrinsic =
 
 type operand = Oslot of slot | Oconst of Value.t
 
-(* A monomorphic inline cache (the quickening tier). The cached class id
-   and its payload (method index or field slot) are packed into ONE
-   mutable immediate int — [(cid lsl 20) lor payload], -1 when empty — so
-   concurrent domains executing the same shared instruction array can
-   never observe a torn cid/payload pair: reads and writes of an
-   immediate record field are single-word. *)
+(* A monomorphic inline cache, one per virtual-call and field site. The
+   cached class id and its payload (method index or field slot) are
+   packed into ONE mutable immediate int — [(cid lsl 20) lor payload],
+   -1 when empty — so concurrent domains executing the same shared
+   instruction array can never observe a torn cid/payload pair: reads
+   and writes of an immediate record field are single-word. *)
 type ic = { mutable ic_key : int }
 
 let ic_empty () = { ic_key = -1 }
@@ -84,8 +84,6 @@ type instr =
   | Rnot of slot * slot
   | Rnew of slot * int                      (* dst, cid *)
   | Rnew_array of slot * newarr * slot      (* dst, site, length *)
-  | Rfield_load of slot * slot * int        (* dst, obj, fid *)
-  | Rfield_store of slot * int * slot       (* obj, fid, src *)
   | Rstatic_load of slot * int              (* dst, gid *)
   | Rstatic_store of int * slot
   | Rarray_load of slot * slot * slot
@@ -93,8 +91,6 @@ type instr =
   | Rarray_length of slot * slot
   | Rcall of slot option * int * slot option * slot array
       (* static/special: pre-resolved method index, receiver, args *)
-  | Rcall_virtual of slot option * int * slot * slot array
-      (* vtable dispatch: method-name id, receiver, args *)
   | Rinstance_of of slot * slot * rtest
   | Rcast of slot * slot * rtest
   | Rmonitor_enter of slot
@@ -108,12 +104,13 @@ type instr =
          intrinsic, arity mismatch). Raises only if actually executed, so
          lowering preserves the lazy failure semantics of the name-based
          interpreter. *)
-  (* ---- quickened forms (emitted by {!Quicken}, never by the linker) ---- *)
   | Rcall_virtual_ic of slot option * int * slot * slot array * ic
-      (* vtable dispatch with a monomorphic inline cache on (cid, midx) *)
+      (* vtable dispatch: method-name id, receiver, args, and a
+         monomorphic inline cache on (cid, midx) *)
   | Rfield_load_ic of slot * slot * int * ic
-      (* field access caching (cid, field slot) *)
-  | Rfield_store_ic of slot * int * slot * ic
+      (* dst, obj, fid, caching (cid, field slot) *)
+  | Rfield_store_ic of slot * int * slot * ic  (* obj, fid, src *)
+  (* ---- quickened forms, rewritten by {!Quicken} while linking ---- *)
   | Rbinop_imm of slot * Ir.binop * slot * Value.t * bool
       (* right operand promoted from a once-assigned constant slot; the
          flag marks a commutative op whose constant was the source's
@@ -152,7 +149,8 @@ type term =
   | Rjump of int
   | Rbranch of slot * int * int
   | Rcmp_branch of Ir.binop * operand * operand * int * int
-      (* fused compare+branch over a dead condition slot (quickened) *)
+      (* fused compare+branch over a dead condition slot (quickened);
+         charges the one step of the compare it absorbed *)
 
 type block = {
   code : instr array;
@@ -238,12 +236,11 @@ let category = function
   | Rbinop _ | Rneg _ | Rnot _ | Rbinop_imm _ | Rmul_add _ | Rmul_add_imm _ ->
       Exec_stats.cat_arith
   | Rnew _ | Rnew_array _ -> Exec_stats.cat_alloc
-  | Rfield_load _ | Rfield_store _ | Rfield_load_ic _ | Rfield_store_ic _ ->
-      Exec_stats.cat_field
+  | Rfield_load_ic _ | Rfield_store_ic _ -> Exec_stats.cat_field
   | Rstatic_load _ | Rstatic_store _ -> Exec_stats.cat_static
   | Rarray_load _ | Rarray_store _ | Rarray_length _ -> Exec_stats.cat_array
   | Rcall _ -> Exec_stats.cat_call_direct
-  | Rcall_virtual _ | Rcall_virtual_ic _ -> Exec_stats.cat_call_virtual
+  | Rcall_virtual_ic _ -> Exec_stats.cat_call_virtual
   | Rinstance_of _ | Rcast _ -> Exec_stats.cat_typetest
   | Rmonitor_enter _ | Rmonitor_exit _ -> Exec_stats.cat_monitor
   | Riter_start | Riter_end -> Exec_stats.cat_iter
@@ -251,3 +248,11 @@ let category = function
   | Rget_bin _ | Rrmw _ | Raget_get _ | Raget_aget _ ->
       Exec_stats.cat_intrinsic
   | Rerror _ -> Exec_stats.cat_other
+
+(* Source instructions an instruction stands for: a fused form charges
+   every step of the pair (or triple) it replaced, so step counts, and
+   with them [max_steps], do not depend on what quickening fused. *)
+let weight = function
+  | Rmul_add _ | Rmul_add_imm _ | Rget_bin _ | Raget_get _ | Raget_aget _ -> 2
+  | Rrmw _ -> 3
+  | _ -> 1

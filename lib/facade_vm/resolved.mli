@@ -47,11 +47,11 @@ type intrinsic =
 
 type operand = Oslot of slot | Oconst of Value.t
 
-(** A monomorphic inline cache (the quickening tier). The cached class
-    id and its payload (method index or field slot) are packed into one
-    mutable immediate int — [(cid lsl 20) lor payload], [-1] when empty —
-    so concurrent domains sharing an instruction array can never observe
-    a torn cid/payload pair. *)
+(** A monomorphic inline cache, one per virtual-call and field site.
+    The cached class id and its payload (method index or field slot) are
+    packed into one mutable immediate int — [(cid lsl 20) lor payload],
+    [-1] when empty — so concurrent domains sharing an instruction array
+    can never observe a torn cid/payload pair. *)
 type ic = { mutable ic_key : int }
 
 val ic_empty : unit -> ic
@@ -85,8 +85,6 @@ type instr =
   | Rnot of slot * slot
   | Rnew of slot * int  (** dst, cid *)
   | Rnew_array of slot * newarr * slot  (** dst, site, length slot *)
-  | Rfield_load of slot * slot * int  (** dst, obj, fid *)
-  | Rfield_store of slot * int * slot  (** obj, fid, src *)
   | Rstatic_load of slot * int  (** dst, gid *)
   | Rstatic_store of int * slot
   | Rarray_load of slot * slot * slot
@@ -94,8 +92,6 @@ type instr =
   | Rarray_length of slot * slot
   | Rcall of slot option * int * slot option * slot array
       (** static/special: pre-resolved method index, receiver, args *)
-  | Rcall_virtual of slot option * int * slot * slot array
-      (** vtable dispatch: method-name id, receiver, args *)
   | Rinstance_of of slot * slot * rtest
   | Rcast of slot * slot * rtest
   | Rmonitor_enter of slot
@@ -109,13 +105,13 @@ type instr =
           static, intrinsic, arity mismatch). Raises only if actually
           executed, preserving the lazy failure semantics of the
           name-based interpreter. *)
-  (* quickened forms, emitted by {!Quicken} and never by the linker: *)
   | Rcall_virtual_ic of slot option * int * slot * slot array * ic
-      (** vtable dispatch with a monomorphic inline cache on
-          (cid, method index) *)
+      (** vtable dispatch: method-name id, receiver, args, and a
+          monomorphic inline cache on (cid, method index) *)
   | Rfield_load_ic of slot * slot * int * ic
-      (** field access caching (cid, field slot) *)
-  | Rfield_store_ic of slot * int * slot * ic
+      (** dst, obj, fid, caching (cid, field slot) *)
+  | Rfield_store_ic of slot * int * slot * ic  (** obj, fid, src *)
+  (* quickened forms, rewritten by {!Quicken} while linking: *)
   | Rbinop_imm of slot * Ir.binop * slot * Value.t * bool
       (** right operand promoted from a once-assigned constant slot; the
           flag marks a commutative op whose constant was the source's
@@ -155,7 +151,8 @@ type term =
   | Rjump of int
   | Rbranch of slot * int * int
   | Rcmp_branch of Ir.binop * operand * operand * int * int
-      (** fused compare+branch over a dead condition slot (quickened) *)
+      (** fused compare+branch over a dead condition slot (quickened);
+          charges the one step of the compare it absorbed *)
 
 type block = { code : instr array; term : term }
 
@@ -224,3 +221,8 @@ val instr_count : meth -> int
 
 val category : instr -> int
 (** Instruction-mix category ({!Exec_stats.cat_const} etc.). *)
+
+val weight : instr -> int
+(** Source instructions [instr] stands for, and so the steps it charges:
+    2 for [Rmul_add], [Rmul_add_imm], [Rget_bin], [Raget_get] and
+    [Raget_aget], 3 for [Rrmw], 1 for everything else. *)

@@ -319,17 +319,9 @@ and cmp_num fi ff a b =
    than the source's — a constant moved to the right, a fused pair read
    the other way round — and marks such an instruction [swapped]. The
    value is the same either way; a failure re-runs the op in source
-   order, so its error names the operands as the unquickened link does.
+   order, so its error names the operands as {!Interp_baseline} does.
    The flag is read only on that path. *)
 let arith_src swapped op x y = try arith op x y with Vm_error _ when swapped -> arith op y x
-
-(* [x*y + z] with the product rounded before the sum, as two [arith]
-   calls; the flags are the product's and the sum's [swapped]. *)
-let mul_add_src ~mul_swapped ~add_swapped x y z =
-  try arith Ir.Add (arith Ir.Mul x y) z
-  with Vm_error _ when mul_swapped || add_swapped ->
-    let p = if mul_swapped then arith Ir.Mul y x else arith Ir.Mul x y in
-    if add_swapped then arith Ir.Add z p else arith Ir.Add p z
 
 (* ---------- coercions ---------- *)
 

@@ -1,10 +1,10 @@
 (* Compile-once program registry plus the shared execution resources.
 
    The first submission of a program pays for the whole pipeline —
-   classify/transform, the optimizer, linking, quickening — and builds
-   one detached warm tier ({!Facade_vm.Interp.make_tier}); every later
-   run of that program reuses the cached pipeline and tier, so repeat
-   submissions see zero tier-2 compiles. The domain pool is created once
+   classify/transform, the optimizer, linking — and builds one detached
+   warm tier ({!Facade_vm.Interp.make_tier}); every later run of that
+   program reuses the cached pipeline and tier, so repeat submissions
+   see zero tier-2 compiles. The domain pool is created once
    at server start and handed to every parallel run ([?pool]), which is
    what amortizes [Domain.spawn] to zero across submissions. *)
 
@@ -55,11 +55,11 @@ let build_entry name =
           fb_leaves = rep.Opt.Driver.tier_leaves;
         }
       in
-      (* Link (and quicken) eagerly, under the registry lock, so the
-         per-pipeline link cache is filled before any runner touches it
-         and the tier is built against the exact resolved program every
-         run will execute. *)
-      let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+      (* Link eagerly, under the registry lock, so the per-pipeline link
+         cache is filled before any runner touches it and the tier is
+         built against the exact resolved program every run will
+         execute. *)
+      let rp = Facade_vm.Link.facade_program pl in
       let tier = I.make_tier ~feedback rp in
       let cls, meth = Jir.Program.entry s.Samples.program in
       Some { e_name = name; e_pl = pl; e_tier = tier; e_entry_method = cls ^ "." ^ meth }
@@ -94,14 +94,14 @@ let run t entry ~workers ~pages ~heap ~max_steps =
   let o =
     match (workers, t.pool) with
     | 0, _ ->
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps entry.e_pl
+        I.run_facade ~tier:entry.e_tier ~page_quota:pages ~heap_budget:heap ~max_steps
+          entry.e_pl
     | w, Some pool ->
         ignore w;
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
+        I.run_facade ~tier:entry.e_tier ~page_quota:pages
           ~heap_budget:heap ~max_steps ~pool entry.e_pl
     | w, None ->
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
+        I.run_facade ~tier:entry.e_tier ~page_quota:pages
           ~heap_budget:heap ~max_steps ~workers:w entry.e_pl
   in
   let run_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in

@@ -356,17 +356,17 @@ let tier_key (o : Facade_vm.Interp.outcome) =
     o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.data_objects,
     o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.page_records )
 
-(* A fresh tier on the pipeline's cached quickened link. After a tier-1
-   [run_facade ~quicken:true] on the same pipeline, that link's inline
-   caches are warm, so every virtual site that ran compiles against the
-   tier-1 snapshot. *)
+(* A fresh tier on the pipeline's cached link. After a tier-1
+   [run_facade] on the same pipeline, that link's inline caches are
+   warm, so every virtual site that ran compiles against the tier-1
+   snapshot. *)
 let warm_facade ?workers pl =
-  let tier = Facade_vm.Interp.make_tier (Facade_vm.Link.facade_program ~quicken:true pl) in
-  Facade_vm.Interp.run_facade ~quicken:true ?workers ~tier pl
+  let tier = Facade_vm.Interp.make_tier (Facade_vm.Link.facade_program pl) in
+  Facade_vm.Interp.run_facade ?workers ~tier pl
 
 (* The tier-2 deopt fuzzer: the same random programs, each executed by
-   the quickened interpreter and by the closure compiler — once on a
-   fresh link, where every site compiles cold at its method's first
+   the interpreter and by the closure compiler — once on a fresh
+   link, where every site compiles cold at its method's first
    call, and once on a link warmed by a tier-1 run, where [comb]'s
    virtual site compiles against the receiver class the warm-up saw
    last, so Flip ops miss the snapshot inside compiled code and Sync
@@ -378,10 +378,10 @@ let run_tier_differential ops =
   let is_data c =
     Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
   in
-  let rp = Facade_vm.Link.object_program ~is_data ~quicken:true program in
+  let rp = Facade_vm.Link.object_program ~is_data program in
   let obj1 = tier_key (Facade_vm.Interp.run_object_linked rp) in
-  let fac1 = tier_key (Facade_vm.Interp.run_facade ~quicken:true pl) in
-  obj1 = tier_key (Facade_vm.Interp.run_object ~is_data ~quicken:true ~tier2:true program)
+  let fac1 = tier_key (Facade_vm.Interp.run_facade pl) in
+  obj1 = tier_key (Facade_vm.Interp.run_object ~is_data ~tier2:true program)
   && obj1 = tier_key (Facade_vm.Interp.run_object_linked ~tier:(Facade_vm.Interp.make_tier rp) rp)
   && fac1 = tier_key (warm_facade pl)
 
@@ -399,7 +399,7 @@ let prop_tier_differential =
    tier 1. *)
 let run_warm_differential ops =
   let pl = Facade_compiler.Pipeline.compile ~spec (program_of_ops ops) in
-  let fac1 = tier_key (Facade_vm.Interp.run_facade ~quicken:true pl) in
+  let fac1 = tier_key (Facade_vm.Interp.run_facade pl) in
   fac1 = tier_key (warm_facade pl) && fac1 = tier_key (warm_facade ~workers:4 pl)
 
 let prop_warm_differential =
@@ -520,13 +520,14 @@ let mixed_outcome run =
           o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps )
   | exception Facade_vm.Interp.Vm_error e -> Error e
 
-(* The name-based baseline, tier 1 and tier 2 agree exactly: result,
-   output, steps and error text, on the plain link, the quickened link
-   and the facade transform's program. Across those forms steps differ
-   (quickening fuses pairs), so there results, output and error text
-   must agree — a bad-operands message names the operands in source
-   order even where quickening swapped a commutative op's constant to
-   the right. *)
+(* The name-based baseline, tier 1 and tier 2 agree exactly — result,
+   output, steps and error text — on the program and on the facade
+   transform's program. The linked form fuses pairs, but a fused form
+   charges every step it replaced, and a bad-operands message names the
+   operands in source order even where quickening swapped a commutative
+   op's constant to the right. The program and its facade transform
+   (P and P') agree on result, output and error text; their steps
+   differ, since the transform adds instructions. *)
 let run_mixed case =
   let module I = Facade_vm.Interp in
   let p = mixed_program case in
@@ -539,12 +540,11 @@ let run_mixed case =
   let base = mixed_outcome (fun () -> Facade_vm.Interp_baseline.run_object p) in
   let t1 = mixed_outcome (fun () -> I.run_object p) in
   let t2 = mixed_outcome (fun () -> I.run_object ~tier2:true p) in
-  let q1 = mixed_outcome (fun () -> I.run_object ~quicken:true p) in
-  let q2 = mixed_outcome (fun () -> I.run_object ~quicken:true ~tier2:true p) in
-  let f1 = mixed_outcome (fun () -> I.run_facade ~quicken:true pl) in
-  let f2 = mixed_outcome (fun () -> I.run_facade ~quicken:true ~tier2:true pl) in
+  let fbase = mixed_outcome (fun () -> Facade_vm.Interp_baseline.run_facade pl) in
+  let f1 = mixed_outcome (fun () -> I.run_facade pl) in
+  let f2 = mixed_outcome (fun () -> I.run_facade ~tier2:true pl) in
   let seen = function Ok (r, out, _) -> Ok (r, out) | Error e -> Error e in
-  base = t1 && t1 = t2 && q1 = q2 && f1 = f2 && seen base = seen q1 && seen base = seen f1
+  (base = t1 && t1 = t2 && fbase = f1 && f1 = f2 && seen base = seen fbase)
   ||
   let show = function
     | Ok (r, out, steps) -> Printf.sprintf "%s [%s] steps=%d" r (String.concat "; " out) steps
@@ -555,8 +555,8 @@ let run_mixed case =
     (String.concat "\n"
        (List.map
           (fun (n, o) -> n ^ ": " ^ show o)
-          [ ("baseline", base); ("tier1", t1); ("tier2", t2); ("quickened tier1", q1);
-            ("quickened tier2", q2); ("facade tier1", f1); ("facade tier2", f2) ]))
+          [ ("baseline", base); ("tier1", t1); ("tier2", t2); ("facade baseline", fbase);
+            ("facade tier1", f1); ("facade tier2", f2) ]))
 
 let prop_mixed_kinds =
   QCheck.Test.make ~name:"mixed int/double arithmetic: baseline = tier1 = tier2" ~count:300

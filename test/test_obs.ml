@@ -59,10 +59,10 @@ let named_span_count tr name =
 let check_golden (s : Samples.sample) () =
   let pl = compile s in
   (* Untraced reference run first. *)
-  let ref_o = I.run_facade ~heap:(fresh_heap ()) ~quicken:true pl in
+  let ref_o = I.run_facade ~heap:(fresh_heap ()) pl in
   let tr = T.create ~ring_capacity:(1 lsl 20) () in
   let heap = fresh_heap () in
-  let o = traced tr (fun () -> I.run_facade ~heap ~quicken:true pl) in
+  let o = traced tr (fun () -> I.run_facade ~heap pl) in
   let st = o.I.stats in
   (* Tracing changed nothing observable. *)
   Alcotest.(check int) "steps unchanged" ref_o.I.stats.ES.steps st.ES.steps;
@@ -157,7 +157,7 @@ let test_profile_report () =
   let tr = T.create () in
   let heap = fresh_heap ~bytes:(1 lsl 16) () in
   traced tr (fun () ->
-      ignore (I.run_facade ~heap ~quicken:true (compile Samples.pagerank)));
+      ignore (I.run_facade ~heap (compile Samples.pagerank)));
   let report = Obs.Export.profile_report ~top:5 tr in
   let contains needle =
     let nh = String.length report and nn = String.length needle in
@@ -304,10 +304,10 @@ let check_determinism (s : Samples.sample) () =
   (* Sequential: trace-off vs trace-on must agree on everything,
      including heapsim GC counts and full store stats. *)
   let heap_off = fresh_heap () in
-  let off = I.run_facade ~heap:heap_off ~quicken:true pl in
+  let off = I.run_facade ~heap:heap_off pl in
   let tr = T.create ~ring_capacity:(1 lsl 12) () in
   let heap_on = fresh_heap () in
-  let on = traced tr (fun () -> I.run_facade ~heap:heap_on ~quicken:true pl) in
+  let on = traced tr (fun () -> I.run_facade ~heap:heap_on pl) in
   check_outcomes_match (s.Samples.name ^ " seq") off on;
   let g_off = Heapsim.Heap.stats heap_off and g_on = Heapsim.Heap.stats heap_on in
   Alcotest.(check int)
@@ -319,9 +319,9 @@ let check_determinism (s : Samples.sample) () =
     (g_off.Heapsim.Gc_stats.gc_seconds = g_on.Heapsim.Gc_stats.gc_seconds);
   (* Parallel: page counts may legitimately vary across domains, but the
      program-visible outcome and record totals must not. *)
-  let off_p = I.run_facade ~workers:4 ~quicken:true pl in
+  let off_p = I.run_facade ~workers:4 pl in
   let tr_p = T.create ~ring_capacity:(1 lsl 12) () in
-  let on_p = traced tr_p (fun () -> I.run_facade ~workers:4 ~quicken:true pl) in
+  let on_p = traced tr_p (fun () -> I.run_facade ~workers:4 pl) in
   check_outcomes_match (s.Samples.name ^ " par") ~full_store:false off_p on_p
 
 let () =

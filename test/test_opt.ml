@@ -5,8 +5,7 @@
    2. differential equivalence — every shipped sample and a qcheck fuzz
       population run optimized-vs-unoptimized (and the optimized program
       through the name-based baseline interpreter) with bit-identical
-      results, output, and heapsim/pagestore metrics, with and without
-      the VM's quickening tier;
+      results, output, and heapsim/pagestore metrics;
    3. invariant enforcement — a deliberately broken extra pass (verifier
       break, boundary leak) makes [Opt.Driver.optimize_pipeline] raise
       {!Pipeline.Invalid_transform} instead of shipping bad JIR. *)
@@ -188,14 +187,11 @@ let check_opt_differential_program ~name program spec =
   (* facade mode: unoptimized is the reference *)
   let h_ref = heap () in
   let f_ref = I.run_facade ~heap:h_ref pl in
-  List.iter
-    (fun (leg, quicken) ->
-      let h = heap () in
-      let o = I.run_facade ~heap:h ~quicken pl_opt in
-      agree (Printf.sprintf "%s/facade/%s" name leg) f_ref h_ref o h)
-    [ ("opt", false); ("opt+quicken", true) ];
+  let h = heap () in
+  let o = I.run_facade ~heap:h pl_opt in
+  agree (Printf.sprintf "%s/facade/opt" name) f_ref h_ref o h;
   (* the name-based baseline must agree with the resolved VM on the
-     optimized program — including step counts (quickening off) *)
+     optimized program — including step counts *)
   let b = Facade_vm.Interp_baseline.run_facade pl_opt in
   let r = I.run_facade pl_opt in
   Alcotest.(check bool) (name ^ ": baseline result on optimized P'") true
@@ -208,12 +204,9 @@ let check_opt_differential_program ~name program spec =
   let p_opt, _ = Opt.Driver.optimize_program program in
   let h_ref = heap () in
   let o_ref = I.run_object ~heap:h_ref ~is_data program in
-  List.iter
-    (fun (leg, quicken) ->
-      let h = heap () in
-      let o = I.run_object ~heap:h ~is_data ~quicken p_opt in
-      agree (Printf.sprintf "%s/object/%s" name leg) o_ref h_ref o h)
-    [ ("opt", false); ("opt+quicken", true) ]
+  let h = heap () in
+  let o = I.run_object ~heap:h ~is_data p_opt in
+  agree (Printf.sprintf "%s/object/opt" name) o_ref h_ref o h
 
 let check_opt_differential (s : Samples.sample) () =
   check_opt_differential_program ~name:s.Samples.name s.Samples.program

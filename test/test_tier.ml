@@ -1,7 +1,7 @@
 (* Tier-2 vs tier-1 differential: the closure compiler must be
-   observationally identical to the quickened interpreter — results,
-   printed output, step counts, heap totals, page-store totals, facade
-   pool peaks — over every shipped sample, sequentially and under every
+   observationally identical to the interpreter — results, printed
+   output, step counts, heap totals, page-store totals, facade pool
+   peaks — over every shipped sample, sequentially and under every
    worker-pool size, plus directed tests that pin the first-call
    tier-up rule, that force each deopt trigger (polymorphic receiver,
    monitor region, step-budget expiry) through both virtual-call
@@ -35,7 +35,7 @@ let big_heap () = Heap.create (Heapsim.Hconfig.make ~heap_bytes:(1 lsl 26) ())
    while everything observable stays exact. *)
 let fingerprint ?workers ?(tier2 = false) pl =
   let heap = big_heap () in
-  let o = I.run_facade ~heap ~quicken:true ?workers ~tier2 pl in
+  let o = I.run_facade ~heap ?workers ~tier2 pl in
   let gs = Heap.stats heap in
   let records, live =
     match o.I.store_stats with
@@ -102,14 +102,14 @@ let observe (o : I.outcome) =
     o.I.stats )
 
 let object_outcome ?(tier2 = false) ?tier2_feedback ?max_steps ~is_data p =
-  observe (I.run_object ~is_data ?max_steps ~quicken:true ~tier2 ?tier2_feedback p)
+  observe (I.run_object ~is_data ?max_steps ~tier2 ?tier2_feedback p)
 
 (* Tier 2 on a linked program that already ran once, unbounded, in tier
    1: the run leaves every inline cache it reached warm, so a method
    compiled at its first call in the tier-2 run builds its virtual sites
    against that snapshot instead of guarding the live cache word. *)
 let warm_outcome ?feedback ?max_steps ~is_data p =
-  let rp = Facade_vm.Link.object_program ~is_data ~quicken:true p in
+  let rp = Facade_vm.Link.object_program ~is_data p in
   ignore (I.run_object_linked rp);
   observe (I.run_object_linked ?max_steps ~tier:(I.make_tier ?feedback rp) rp)
 
@@ -429,7 +429,7 @@ let test_first_call_mono_delegates () =
   List.iter
     (fun warm ->
       let label = if warm then "warm snapshot" else "cold site" in
-      let rp = Facade_vm.Link.object_program ~is_data ~quicken:true flip_loop_program in
+      let rp = Facade_vm.Link.object_program ~is_data flip_loop_program in
       if warm then ignore (I.run_object_linked rp);
       let tier = I.make_tier ~feedback rp in
       let r2, out2, steps2, st2 = observe (I.run_object_linked ~tier rp) in
@@ -457,7 +457,7 @@ let test_shared_tier () =
       .Facade_compiler.Pipeline.classification
   in
   let is_data c = Facade_compiler.Classify.is_data_class cl c in
-  let rp = Facade_vm.Link.object_program ~is_data ~quicken:true s.Samples.program in
+  let rp = Facade_vm.Link.object_program ~is_data s.Samples.program in
   let obs (o : I.outcome) =
     ( Exact.exact_result o.I.result,
       Stats.output_lines o.I.stats,
@@ -492,13 +492,13 @@ let test_shared_facade_tier () =
       Stats.output_lines o.I.stats,
       o.I.stats.Stats.steps )
   in
-  let o1 = obs (I.run_facade ~quicken:true pl) in
-  (* The pipeline's quickened link is cached, so this resolved program
-     is the one [run_facade ~quicken:true] executes. *)
-  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let o1 = obs (I.run_facade pl) in
+  (* The pipeline's link is cached, so this resolved program is the one
+     [run_facade] executes. *)
+  let rp = Facade_vm.Link.facade_program pl in
   let tier = I.make_tier rp in
-  let w1 = I.run_facade ~quicken:true ~tier pl in
-  let w2 = I.run_facade ~quicken:true ~tier pl in
+  let w1 = I.run_facade ~tier pl in
+  let w2 = I.run_facade ~tier pl in
   Alcotest.(check bool) "first warm run compiles" true
     (w1.I.stats.Stats.tier2_compiles > 0);
   Alcotest.(check int) "second run compiles nothing" 0
@@ -524,7 +524,7 @@ let facade_pl ~data text =
 
 (* Everything the tiers must agree on for one run, or the error text. *)
 let run_outcome ?workers ?tier ~tier2 pl =
-  match I.run_facade ~quicken:true ?workers ?tier ~tier2 pl with
+  match I.run_facade ?workers ?tier ~tier2 pl with
   | o ->
       Ok
         ( Exact.exact_result o.I.result,
@@ -541,10 +541,10 @@ let outcome_t =
 
 let flat = Result.map (fun (r, o, s, m) -> ((r, o), (s, m)))
 
-(* The quickened entry method holds an instruction [pred] accepts — the
+(* The linked entry method holds an instruction [pred] accepts — the
    kernel under test runs compiled, not delegated. *)
 let entry_has pl pred =
-  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let rp = Facade_vm.Link.facade_program pl in
   let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
   Array.exists
     (fun (b : Facade_vm.Resolved.block) -> Array.exists pred b.Facade_vm.Resolved.code)
@@ -673,7 +673,7 @@ let mixed_program =
 let test_mixed_operands () =
   let module R = Facade_vm.Resolved in
   let pl = facade_pl ~data:[ "Main" ] mixed_program in
-  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let rp = Facade_vm.Link.facade_program pl in
   let m = rp.R.methods.(rp.R.entry) in
   Alcotest.(check bool) "compare-and-branch is fused" true
     (Array.exists
@@ -863,7 +863,7 @@ let test_reentrant () =
   | Error e -> Alcotest.fail e);
   Alcotest.check outcome_t "sequential tier 2 == tier 1" (flat t1)
     (flat (run_outcome ~tier2:true pl));
-  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let rp = Facade_vm.Link.facade_program pl in
   let tier = I.make_tier rp in
   (* P' runs the generated facade class's copy of each Main method. *)
   let midx = method_index rp (Facade_compiler.Transform.facade_name "Main") in
@@ -1004,7 +1004,7 @@ let test_typed_traps () =
         (flat (run_outcome ~tier2:true pl));
       if Result.is_ok expect then
         Alcotest.(check bool) (name ^ ": slots pinned") true
-          (slots_pinned (I.run_facade ~quicken:true ~tier2:true pl) > 0))
+          (slots_pinned (I.run_facade ~tier2:true pl) > 0))
     trap_cases
 
 (* A loop whose int and float accumulators are pinned (the int one
@@ -1109,7 +1109,7 @@ let test_monitor_deopt_pinned () =
 let test_pinned_budget_sweep () =
   let is_data _ = false in
   let p = pinned_loop_program ~trip:1000 ~fail:true in
-  let rp1 = Facade_vm.Link.object_program ~is_data ~quicken:true p in
+  let rp1 = Facade_vm.Link.object_program ~is_data p in
   let run ?tier budget =
     match I.run_object_linked ~max_steps:budget ?tier rp1 with
     | o -> Ok (Exact.exact_result o.I.result)
@@ -1129,8 +1129,9 @@ let test_pinned_budget_sweep () =
       (if !flip = 0 then budget_err else div_err)
       t1
   done;
-  (* 40 iterations of 5 counted steps (the accumulator update fuses
-     into one multiply-add), then the exit *)
+  (* 40 iterations of 8 steps (the body's 6, its accumulator update
+     fused into one multiply-add that charges both, and the two loop
+     tests, each fused into its branch), then the exit *)
   Alcotest.(check bool) "the error point lies after the loop" true (!flip > 200)
 
 (* A single-block leaf with pinned slots, inlined into its compiled
@@ -1200,7 +1201,7 @@ let leaf_program =
 
 let test_leaf_pinned () =
   let pl = facade_pl ~data:[ "Node"; "Main" ] leaf_program in
-  let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+  let rp = Facade_vm.Link.facade_program pl in
   let val_ = method_index rp (Facade_compiler.Transform.facade_name "Main") "val" in
   let t1 = run_outcome ~tier2:false pl in
   let tier = I.make_tier rp in
@@ -1215,7 +1216,7 @@ let test_leaf_pinned () =
   | _ -> Alcotest.fail "the retired leaf did not run its own compiled code");
   let steps = match t1 with Ok (_, _, s, _) -> s | Error e -> Alcotest.fail e in
   let run ?tier budget =
-    match I.run_facade ~quicken:true ~max_steps:budget ?tier pl with
+    match I.run_facade ~max_steps:budget ?tier pl with
     | o -> Ok (Exact.exact_result o.I.result)
     | exception I.Vm_error e -> Error e
   in
@@ -1227,14 +1228,14 @@ let test_leaf_pinned () =
   done
 
 (* The benchmark's PageRank: which of [Main$Facade.main]'s slots tier 2
-   pins, through the same optimize-then-quicken path as facade_cli run. *)
+   pins, through the same optimize-then-link path as facade_cli run. *)
 let test_pagerank_slots () =
   let s = List.find (fun s -> s.Samples.name = "pagerank") Samples.all in
   let pl, _ =
     Opt.Driver.optimize_pipeline
       (Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program)
   in
-  let st = (I.run_facade ~quicken:true ~tier2:true pl).I.stats in
+  let st = (I.run_facade ~tier2:true pl).I.stats in
   Alcotest.(check int) "only main compiles" 1 st.Stats.tier2_compiles;
   Alcotest.(check (triple int int int))
     "int, float, boxed slots" (20, 5, 8)
@@ -1245,7 +1246,7 @@ let test_pagerank_slots () =
    Quickening moves a commutative op's constant operand to the right,
    and fuses a page read into the op that reads it from either side.
    The value is the same; a bad-operands error must still name the
-   operands in source order, as the unquickened link does, in tier 1
+   operands in source order, as the name-based baseline does, in tier 1
    and in tier 2. One case per form that carries a swap. *)
 
 let cell_f64 =
@@ -1301,16 +1302,18 @@ let test_swapped_operands () =
         facade_pl ~data:[ "Cell"; "Main" ]
           (main_blocks ~classes:cell_f64 ~ret:"int" ~locals:swap_locals blocks)
       in
-      let rp = Facade_vm.Link.facade_program ~quicken:true pl in
+      let rp = Facade_vm.Link.facade_program pl in
       let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
       Alcotest.(check bool) (name ^ ": the swapped form is linked") true
         (Array.exists pred m.Facade_vm.Resolved.m_body);
-      let plain =
-        match I.run_facade pl with _ -> Ok () | exception I.Vm_error e -> Error e
+      let baseline =
+        match Facade_vm.Interp_baseline.run_facade pl with
+        | _ -> Ok ()
+        | exception I.Vm_error e -> Error e
       in
-      Alcotest.(check (result unit string)) (name ^ ": unquickened tier 1") (Error expect) plain;
+      Alcotest.(check (result unit string)) (name ^ ": baseline") (Error expect) baseline;
       let t1 = run_outcome ~tier2:false pl in
-      Alcotest.check outcome_t (name ^ ": quickened tier 1") (Error expect) (flat t1);
+      Alcotest.check outcome_t (name ^ ": tier 1") (Error expect) (flat t1);
       Alcotest.check outcome_t (name ^ ": tier 2") (flat t1) (flat (run_outcome ~tier2:true pl)))
     swap_cases
 
@@ -1357,7 +1360,7 @@ let alloc_pl n = facade_pl ~data:[ "Node"; "Main" ] (alloc_loop n)
    payload, as the service reports them. *)
 let bounded ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl =
   match
-    I.run_facade ~quicken:true ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl
+    I.run_facade ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl
   with
   | o -> Ok (Exact.exact_result o.I.result)
   | exception I.Vm_error e -> Error e
@@ -1376,7 +1379,7 @@ let test_alloc_native () =
   Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl));
   Alcotest.(check (list string)) "same dispatches, records and heap" (fingerprint pl)
     (fingerprint ~tier2:true pl);
-  let o = I.run_facade ~quicken:true ~tier2:true pl in
+  let o = I.run_facade ~tier2:true pl in
   Alcotest.(check int) "nothing delegated" 0 o.I.stats.Stats.tier2_delegated;
   Alcotest.(check bool) "the loop's page references are pinned" true
     (o.I.stats.Stats.tier2_int_slots >= 2);
@@ -1476,12 +1479,185 @@ let test_pagerank_delegated () =
     Opt.Driver.optimize_pipeline
       (Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program)
   in
-  let tier = I.make_tier (Facade_vm.Link.facade_program ~quicken:true pl) in
-  ignore (I.run_facade ~quicken:true ~tier pl);
-  let st = (I.run_facade ~quicken:true ~tier pl).I.stats in
+  let tier = I.make_tier (Facade_vm.Link.facade_program pl) in
+  ignore (I.run_facade ~tier pl);
+  let st = (I.run_facade ~tier pl).I.stats in
   Alcotest.(check int) "warm: nothing compiles" 0 st.Stats.tier2_compiles;
   Alcotest.(check int) "iteration start/end per round, and the print" ((2 * iters) + 1)
     st.Stats.tier2_delegated
+
+(* ---------- step budgets against the baseline ----------
+
+   Every instruction charges the source instructions it stands for, so
+   a budget stops the linked form where it stops the name-based
+   baseline. From budget 0 to a run's total steps, tier 1 and tier 2
+   must each end with the baseline's result or error text. *)
+
+let budget_outcome run budget =
+  match (run budget : I.outcome) with
+  | o -> Ok (Exact.exact_result o.I.result)
+  | exception I.Vm_error e -> Error e
+
+(* Tier 1 and tier 2 end with [expect budget] at every budget up to
+   [upto]. *)
+let sweep ~label ~upto ~expect ~tier1 ~tier2 =
+  for budget = 0 to upto do
+    let e = expect budget in
+    let check leg run =
+      Alcotest.(check (result string string))
+        (Printf.sprintf "%s: %s at budget %d" label leg budget)
+        e (budget_outcome run budget)
+    in
+    check "tier 1" tier1;
+    check "tier 2" tier2
+  done
+
+(* The baseline counts each instruction before running it, and these
+   samples raise no other error, so one unbounded run gives its outcome
+   at every budget: the budget error below its total, its result from
+   there on. Runs at both sides of that edge confirm it; running the
+   baseline at every budget would take minutes. *)
+let sweep_against_baseline ~label ~base ~tier1 ~tier2 =
+  let full = base I.default_max_steps in
+  let total = full.I.stats.Stats.steps in
+  let expect budget =
+    if budget < total then Error "step budget exceeded"
+    else Ok (Exact.exact_result full.I.result)
+  in
+  List.iter
+    (fun budget ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "%s: baseline at budget %d" label budget)
+        (expect budget) (budget_outcome base budget))
+    [ 0; total - 1; total ];
+  sweep ~label ~upto:total ~expect ~tier1 ~tier2
+
+let test_budget_sweep_baseline name () =
+  let s = List.find (fun s -> s.Samples.name = name) Samples.all in
+  let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+  let is_data c =
+    Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
+  in
+  let p = s.Samples.program in
+  let rp = Facade_vm.Link.object_program ~is_data p in
+  sweep_against_baseline ~label:(name ^ "/object")
+    ~base:(fun max_steps -> Facade_vm.Interp_baseline.run_object ~is_data ~max_steps p)
+    ~tier1:(fun max_steps -> I.run_object_linked ~max_steps rp)
+    ~tier2:(fun max_steps -> I.run_object_linked ~max_steps ~tier:(I.make_tier rp) rp);
+  sweep_against_baseline ~label:(name ^ "/facade")
+    ~base:(fun max_steps -> Facade_vm.Interp_baseline.run_facade ~max_steps pl)
+    ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
+    ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier2:true pl)
+
+(* Every budget up to [upto], against the baseline run at each; the
+   last one must already reach the run's fault [expect]. *)
+let sweep_each ~label ~upto ~expect ~base ~tier1 ~tier2 =
+  Alcotest.(check (result string string)) (label ^ ": the sweep reaches the fault")
+    (Error expect) (budget_outcome base upto);
+  sweep ~label ~upto ~expect:(budget_outcome base) ~tier1 ~tier2
+
+(* A fused form whose second source instruction faults: one budget
+   short of that instruction, the baseline stops with the budget error,
+   so tier 1 must charge the second step before running the second
+   half, and tier 2's deopt must land there too. *)
+let fused_fault_cases =
+  let module R = Facade_vm.Resolved in
+  let cell = [ "c = new Cell;"; "special c.Cell.<init>();" ] in
+  [
+    ( "Rget_bin",
+      main_only ~locals:(int_locals @ [ "c: Cell" ])
+        (cell @ [ "k = 0;"; "x = c.v;"; "x = x / k;"; "return x;" ]),
+      (function R.Rget_bin (_, _, _, _, Ir.Div, _, _) -> true | _ -> false),
+      "ArithmeticException: / by zero" );
+    ( "Rrmw",
+      main_only ~locals:(int_locals @ [ "c: Cell" ])
+        (cell @ [ "k = 0;"; "x = c.v;"; "x = x / k;"; "c.v = x;"; "return k;" ]),
+      (function R.Rrmw (_, _, _, Ir.Div, _, _) -> true | _ -> false),
+      "ArithmeticException: / by zero" );
+    ( "Raget_get",
+      main_only ~locals:(int_locals @ [ "c: Cell"; "cs: Cell[]" ])
+        [ "n = 4;"; "cs = new Cell[n];"; "k = 0;"; "c = cs[k];"; "x = c.v;"; "return x;" ],
+      (function R.Raget_get _ -> true | _ -> false),
+      "NullPointerException: null page reference" );
+    ( "Raget_aget",
+      main_only
+        ~locals:(int_locals @ [ "idx: int[]"; "vals: int[]" ])
+        [
+          "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 0;"; "big = 4;";
+          "idx[k] = big;"; "j = idx[k];"; "x = vals[j];"; "return x;";
+        ],
+      (function R.Raget_aget _ -> true | _ -> false),
+      "ArrayIndexOutOfBoundsException: 4" );
+  ]
+
+let test_fused_fault_budgets () =
+  List.iter
+    (fun (name, text, pred, expect) ->
+      let pl = facade_pl ~data:[ "Cell"; "Main" ] text in
+      Alcotest.(check bool) (name ^ ": fused in the linked entry") true (entry_has pl pred);
+      let base max_steps = Facade_vm.Interp_baseline.run_facade ~max_steps pl in
+      sweep_each ~label:name ~upto:40 ~expect ~base
+        ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
+        ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier2:true pl))
+    fused_fault_cases
+
+(* A loop block of [segment; call; segment] ending in a fused compare:
+   tier 2 charges the compare in the trailing segment, after the call.
+   Charged any earlier, the callee would run one step ahead of the
+   baseline, and the budget that reaches its division by zero on the
+   fourth trip would stop it one step early. *)
+let call_in_loop_program =
+  "class Main {\n\
+  \  static method g(x: int) : int {\n\
+  \    local z: int;\n\
+  \    local r: int;\n\
+  \    local six: int;\n\
+  \    local hundred: int;\n\
+  \    b0:\n\
+  \      six = 6;\n\
+  \      hundred = 100;\n\
+  \      z = x - six;\n\
+  \      r = hundred / z;\n\
+  \      return r;\n\
+  \  }\n\
+  \  static method main() : int {\n\
+  \    local i: int;\n\
+  \    local n: int;\n\
+  \    local one: int;\n\
+  \    local s: int;\n\
+  \    local t: int;\n\
+  \    local c: int;\n\
+  \    b0:\n\
+  \      i = 0;\n\
+  \      n = 5;\n\
+  \      one = 1;\n\
+  \      s = 0;\n\
+  \      goto b1;\n\
+  \    b1:\n\
+  \      s = s + i;\n\
+  \      t = static Main.g(s);\n\
+  \      i = i + one;\n\
+  \      c = i < n;\n\
+  \      if c goto b1 else b2;\n\
+  \    b2:\n\
+  \      return t;\n\
+  \  }\n\
+   }\n\n\
+   entry Main.main\n"
+
+let test_call_in_loop_budgets () =
+  let module R = Facade_vm.Resolved in
+  let p = Text_format.parse call_in_loop_program in
+  let rp = Facade_vm.Link.object_program p in
+  let loop = rp.R.methods.(method_index rp "Main" "main").R.m_body.(1) in
+  Alcotest.(check bool) "segment, call, segment, fused compare" true
+    (match loop.R.code, loop.R.term with
+    | [| R.Rbinop _; R.Rcall _; R.Rbinop_imm _ |], R.Rcmp_branch _ -> true
+    | _ -> false);
+  let base max_steps = Facade_vm.Interp_baseline.run_object ~max_steps p in
+  sweep_each ~label:"call in loop" ~upto:60 ~expect:"ArithmeticException: / by zero" ~base
+    ~tier1:(fun max_steps -> I.run_object_linked ~max_steps rp)
+    ~tier2:(fun max_steps -> I.run_object_linked ~max_steps ~tier:(I.make_tier rp) rp)
 
 let () =
   Alcotest.run "tier"
@@ -1539,4 +1715,16 @@ let () =
           Alcotest.test_case "pagerank-par, 2 and 4 workers" `Quick test_parallel_alloc;
           Alcotest.test_case "warm pagerank job delegates" `Quick test_pagerank_delegated;
         ] );
+      ( "budget-sweep",
+        List.map
+          (fun name ->
+            Alcotest.test_case (name ^ ": every budget, baseline = tier 1 = tier 2") `Quick
+              (test_budget_sweep_baseline name))
+          [ "pagerank"; "prim_arrays"; "iteration" ]
+        @ [
+            Alcotest.test_case "fused forms faulting in their second half" `Quick
+              test_fused_fault_budgets;
+            Alcotest.test_case "a call between a loop's segments" `Quick
+              test_call_in_loop_budgets;
+          ] );
     ]
