@@ -8,12 +8,11 @@ open Jir
    answered from one CHA index built with the graph; Special/Static edges
    walk the super chain to the declaring class.
 
-   Post-transform programs retain the original data classes alongside
-   their generated [$Facade] twins; the originals are unreachable from the
-   new entry and must not contribute edges (or spurious aliasing) to the
-   analysis, so any class with a [$Facade] sibling is excluded from the
-   analysis universe — the same convention the boundary-leak linter
-   uses. *)
+   The universe is every method of the program. In a post-transform
+   program P′ that includes the original data classes kept next to their
+   [$Facade] twins: the transform leaves them only the methods control
+   code can call on a converted heap instance, so their bodies are code
+   facade mode can run, and their edges are real. *)
 
 type t = {
   program : Program.t;
@@ -26,24 +25,12 @@ type t = {
 
 let key ~cls ~name = cls ^ "." ^ name
 
-let kept_original p cname =
-  (not (String.ends_with ~suffix:"$Facade" cname))
-  && Program.mem p (cname ^ "$Facade")
-
-(* Declaring class of [name] starting the lookup at [cls]. *)
-let declaring p cls name =
-  if Option.is_some (Program.find_method p ~cls ~name) then Some cls
-  else
-    List.find_opt
-      (fun c -> Option.is_some (Program.find_method p ~cls:c ~name))
-      (Hierarchy.super_chain p cls)
-
 let targets p cha kind cls name =
   match (kind : Ir.call_kind) with
   | Ir.Virtual ->
       List.map (fun c -> key ~cls:c ~name) (Facade_compiler.Optimize.possible_targets cha ~cls ~name)
   | Ir.Special | Ir.Static -> (
-      match declaring p cls name with
+      match Facade_compiler.Optimize.declaring p ~name cls with
       | Some c -> [ key ~cls:c ~name ]
       | None -> [])
 
@@ -55,22 +42,21 @@ let build p =
   let methods = Hashtbl.create 64 in
   List.iter
     (fun (c : Ir.cls) ->
-      if not (kept_original p c.Ir.cname) then
-        List.iter
-          (fun (m : Ir.meth) ->
-            let k = key ~cls:c.Ir.cname ~name:m.Ir.mname in
-            Hashtbl.replace methods k (c, m);
-            let callees = ref [] in
-            Ir.iter_instrs
-              (function
-                | Ir.Call (_, kind, cls, name, _, _) ->
-                    List.iter
-                      (fun t -> if not (List.mem t !callees) then callees := t :: !callees)
-                      (targets p cha kind cls name)
-                | _ -> ())
-              m;
-            Hashtbl.replace edges k (List.rev !callees))
-          c.Ir.cmethods)
+      List.iter
+        (fun (m : Ir.meth) ->
+          let k = key ~cls:c.Ir.cname ~name:m.Ir.mname in
+          Hashtbl.replace methods k (c, m);
+          let callees = ref [] in
+          Ir.iter_instrs
+            (function
+              | Ir.Call (_, kind, cls, name, _, _) ->
+                  List.iter
+                    (fun t -> if not (List.mem t !callees) then callees := t :: !callees)
+                    (targets p cha kind cls name)
+              | _ -> ())
+            m;
+          Hashtbl.replace edges k (List.rev !callees))
+        c.Ir.cmethods)
     (Program.classes p);
   let entry_cls, entry_m = Program.entry p in
   let entry = key ~cls:entry_cls ~name:entry_m in

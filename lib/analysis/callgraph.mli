@@ -3,21 +3,14 @@
     Nodes are ["Class.method"] keys where the class is the {e declaring}
     class of the body. Virtual call edges reuse the devirtualization
     pass's class-hierarchy resolution; Special/Static edges walk the super
-    chain. Classes that have a [$Facade] sibling in the same program are
-    retained pre-transform originals, unreachable from the transformed
-    entry, and are excluded from the graph. *)
+    chain. The graph covers every method of the program; in P′ that
+    includes the methods the transform keeps on a data class's original,
+    which are exactly those control-side code can call on a converted
+    heap instance ({!Facade_compiler.Transform.is_kept_original}). *)
 
 type t
 
 val key : cls:string -> name:string -> string
-
-val kept_original : Jir.Program.t -> string -> bool
-(** Is this class a pre-transform original kept alongside its [$Facade]
-    twin (and therefore outside the analysis universe)? *)
-
-val declaring : Jir.Program.t -> string -> string -> string option
-(** Declaring class of a method, starting the lookup at the given class
-    and walking the super chain. *)
 
 val build : Jir.Program.t -> t
 (** Builds the program's CHA index once and answers every virtual site

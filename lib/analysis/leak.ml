@@ -137,14 +137,13 @@ let check_method cl ~where ~declaring (m : Ir.meth) =
   end
 
 let check cl (p : Program.t) =
-  let skip_kept_original cname =
-    Classify.is_data_class cl cname
-    && Program.mem p (cname ^ facade_suffix)
-  in
   List.concat_map
     (fun (c : Ir.cls) ->
       let cname = c.Ir.cname in
-      if c.Ir.cinterface || (not (is_data_path cl cname)) || skip_kept_original cname
+      if
+        c.Ir.cinterface
+        || (not (is_data_path cl cname))
+        || Facade_compiler.Transform.is_kept_original cl p cname
       then []
       else
         List.concat_map

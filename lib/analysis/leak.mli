@@ -14,10 +14,11 @@
     copies.
 
     Data-path methods are those of data classes, boundary classes, and
-    facade classes of data classes. A data class whose facade counterpart
-    exists in the same program (i.e. transformed output P′ keeping the
-    original class for control-path use, §3.1) is the heap copy and is
-    skipped: its data-typed values are converted heap instances. *)
+    facade classes of data classes. In P′, a data class kept next to its
+    facade ({!Facade_compiler.Transform.is_kept_original}) is control-side
+    code and is skipped: the methods it keeps are those control code calls
+    on converted heap instances, so its data-typed values are heap
+    objects, and handing [this] back to control code is no leak. *)
 
 val check : Facade_compiler.Classify.t -> Jir.Program.t -> Finding.t list
 

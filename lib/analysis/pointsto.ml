@@ -178,7 +178,7 @@ let build ?cg p =
   in
   let run_keys v_pts decl_ty =
     let of_class c =
-      match Callgraph.declaring p c "run" with
+      match Facade_compiler.Optimize.declaring p ~name:"run" c with
       | Some d -> [ Callgraph.key ~cls:d ~name:"run" ]
       | None -> []
     in
@@ -340,7 +340,7 @@ let run_targets t ~mkey v =
   let p = Callgraph.program t.cg in
   let pv = pts t ~mkey v in
   let of_class c =
-    match Callgraph.declaring p c "run" with
+    match Facade_compiler.Optimize.declaring p ~name:"run" c with
     | Some d -> [ Callgraph.key ~cls:d ~name:"run" ]
     | None -> []
   in

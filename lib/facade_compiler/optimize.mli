@@ -26,6 +26,11 @@ val concrete_subtypes : cha -> string -> string list
     itself, implementors; every concrete class for [Object]), in program
     order. *)
 
+val declaring : Jir.Program.t -> name:string -> string -> string option
+(** The class that declares the body of method [name] found from the given
+    class up its super chain — the body [Jir.Hierarchy.resolve_method]
+    returns; the resolution of a special or static call. *)
+
 val possible_targets : cha -> cls:string -> name:string -> string list
 (** Concrete classes (deduped by declaring class) a virtual call on a
     [cls]-typed receiver can dispatch to — the CHA core shared with

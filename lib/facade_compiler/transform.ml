@@ -4,6 +4,9 @@ let facade_name c = c ^ "$Facade"
 let init_name = "facade$init"
 let constructor_name = "<init>"
 
+let is_kept_original cl p c =
+  Classify.is_data_class cl c && Program.mem p (facade_name c)
+
 type error = {
   where : string;
   what : string;
@@ -571,6 +574,66 @@ let transform_boundary ctx (c : Ir.cls) : Ir.cls =
   in
   { c with Ir.cfields = fields; cmethods = methods }
 
+(* The class a [sys.run_thread] operand is declared at, as the receiver
+   class of the virtual [run] the runtime dispatches; [None] for a
+   primitive or array operand, which holds a page reference or an array
+   and never an original's heap instance. An undeclared or unknown type
+   counts as [Object], so every [run] stays a possible target. *)
+let spawn_class p ~declaring (m : Ir.meth) op =
+  let declared =
+    match op with
+    | Ir.Var "this" when not m.Ir.mstatic -> Some (Jtype.Ref declaring)
+    | Ir.Var v -> Ir.var_type m v
+    | Ir.Imm _ -> None
+  in
+  match declared with
+  | Some (Jtype.Ref c) when Program.mem p c -> Some c
+  | Some (Jtype.Prim _ | Jtype.Array _) -> None
+  | Some (Jtype.Ref _) | None -> Some Jtype.object_class
+
+(* The methods of the kept originals [kept] that facade-mode code can run
+   (§3.1): one CHA closure over P′. Seeds are the call sites of every
+   class that is not a kept original: virtual calls through
+   {!Optimize.possible_targets}, special and static calls at their
+   declaring class, and each [sys.run_thread], which the runtime dispatches
+   as a virtual [run] with no [Call] instruction. The closure follows the
+   calls inside the kept methods themselves. Returns the live
+   (class, method) pairs. *)
+let live_original_methods p ~kept =
+  let cha = Optimize.cha p in
+  let live = Hashtbl.create 16 in
+  let work = Stack.create () in
+  let note name cls =
+    if Hashtbl.mem kept cls && not (Hashtbl.mem live (cls, name)) then begin
+      Hashtbl.replace live (cls, name) ();
+      Stack.push (cls, name) work
+    end
+  in
+  let call kind cls name =
+    match (kind : Ir.call_kind) with
+    | Ir.Virtual -> List.iter (note name) (Optimize.possible_targets cha ~cls ~name)
+    | Ir.Special | Ir.Static -> Option.iter (note name) (Optimize.declaring p ~name cls)
+  in
+  let scan ~declaring m =
+    Ir.iter_instrs
+      (function
+        | Ir.Call (_, kind, cls, name, _, _) -> call kind cls name
+        | Ir.Intrinsic (_, n, [ op ]) when String.equal n Rt_names.run_thread ->
+            Option.iter (fun c -> call Ir.Virtual c "run") (spawn_class p ~declaring m op)
+        | _ -> ())
+      m
+  in
+  List.iter
+    (fun (c : Ir.cls) ->
+      if not (Hashtbl.mem kept c.Ir.cname) then
+        List.iter (scan ~declaring:c.Ir.cname) c.Ir.cmethods)
+    (Program.classes p);
+  while not (Stack.is_empty work) do
+    let cls, name = Stack.pop work in
+    Option.iter (scan ~declaring:cls) (Program.find_method p ~cls ~name)
+  done;
+  live
+
 let run p cl layout bounds ?(oversize_static_threshold = 32 * 1024) () =
   let ctx =
     { p; cl; layout; bounds; oversize = oversize_static_threshold; conversions = Hashtbl.create 8 }
@@ -595,6 +658,7 @@ let run p cl layout bounds ?(oversize_static_threshold = 32 * 1024) () =
   let instrs_out = ref 0 in
   let transformed = ref 0 in
   let out = ref [] in
+  let kept = Hashtbl.create 16 in
   List.iter
     (fun (c : Ir.cls) ->
       if c.Ir.cinterface then begin
@@ -612,8 +676,11 @@ let run p cl layout bounds ?(oversize_static_threshold = 32 * 1024) () =
         instrs_in := !instrs_in + Ir.method_instr_count c;
         let fc = facade_of_class ctx c in
         instrs_out := !instrs_out + Ir.method_instr_count fc;
-        (* The original class is kept: the control path still uses it, and
-           conversion functions build its heap instances (§3.1). *)
+        (* The original class is kept, because conversion functions build
+           its heap instances for the control path (§3.1). It keeps its
+           fields and layout; {!live_original_methods} below drops every
+           method control-side code cannot call. *)
+        Hashtbl.replace kept c.Ir.cname ();
         out := fc :: c :: !out
       end
       else if Classify.is_boundary_class cl c.Ir.cname then begin
@@ -631,6 +698,16 @@ let run p cl layout bounds ?(oversize_static_threshold = 32 * 1024) () =
     else (entry_cls, entry_m)
   in
   let program = Program.make ~entry (List.rev !out) in
+  let live = live_original_methods program ~kept in
+  let program =
+    Hashtbl.fold
+      (fun cname () prog ->
+        let c = Program.get_class prog cname in
+        let live_m (m : Ir.meth) = Hashtbl.mem live (cname, m.Ir.mname) in
+        if List.for_all live_m c.Ir.cmethods then prog
+        else Program.replace_class prog { c with Ir.cmethods = List.filter live_m c.Ir.cmethods })
+      kept program
+  in
   {
     program;
     conversions = List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) ctx.conversions []);

@@ -32,6 +32,13 @@ val init_name : string
 val constructor_name : string
 (** The source-program constructor, ["<init>"]. *)
 
+val is_kept_original : Classify.t -> Jir.Program.t -> string -> bool
+(** Is this class of P′ a data class's original, kept next to its [$Facade]
+    twin? Conversion functions build its heap instances, so its fields
+    and layout stay whole; of its methods, {!run} keeps only those that
+    control-side code can call on such an instance. Its code runs on heap
+    objects: it is control-side code, however its class is classified. *)
+
 type error = {
   where : string;
   what : string;  (** e.g. a case-3.4 assumption violation *)
@@ -58,7 +65,9 @@ val run :
   result
 (** Transform the data path of a verified program. The output program
     contains facade classes, rewritten boundary classes, generated facade
-    interfaces, and untouched control classes; the entry point is remapped
-    when it lives in a transformed class. [oversize_static_threshold]
+    interfaces, untouched control classes, and each data class's original
+    with its fields and only the methods control-side code can call (see
+    {!is_kept_original}); the entry point is remapped when it lives in a
+    transformed class. [oversize_static_threshold]
     (default: the 32 KiB page size) routes statically-large array
     allocations to oversize pages. *)

@@ -1998,6 +1998,139 @@ let locking_sized ~name ~nw ~rounds ~io_units =
 let locking_large =
   locking_sized ~name:"locking-large" ~nw:8 ~rounds:400 ~io_units:10_000
 
+(* ---------- original methods called from control code ---------- *)
+
+(* Original methods in P′: control code reads a [Circle] through an
+   interaction point ([Ctl.measure] receives a [convert.to] copy) and calls
+   [area] on it typed at [Shape], whose override lives in the data subclass
+   [Circle]; that override calls a second original method, [r2], and hands
+   its heap [this] back to control code ([Ctl.log]). Control code also
+   spawns a data class's [run] ([Ctl.spawn] on a converted [Worker]), which
+   the runtime dispatches with no [Call] instruction. [perimeter] and every
+   constructor are called only from data code. *)
+let original_calls =
+  let int_m ?(static = false) ?(params = []) name body =
+    let m = B.create ~static ~params ~ret:int_t name in
+    let b = B.entry m in
+    let r = body m b in
+    B.ret b (Some r);
+    B.finish m
+  in
+  let load m b obj field =
+    let v = B.fresh m int_t in
+    B.fload b ~dst:v ~obj ~field;
+    v
+  in
+  let binop_k m b op x k =
+    let c = B.fresh m int_t and v = B.fresh m int_t in
+    B.const_i b c k;
+    B.binop b v op x c;
+    v
+  in
+  let call m b ?recv ~kind ~cls ~name args =
+    let v = B.fresh m int_t in
+    B.call b ~ret:v ?recv ~kind ~cls ~name args;
+    v
+  in
+  let sum m b x y =
+    let v = B.fresh m int_t in
+    B.binop b v Ir.Add x y;
+    v
+  in
+  let print b v = B.add b (Ir.Intrinsic (None, Facade_compiler.Rt_names.print, [ Ir.Var v ])) in
+  let shape =
+    B.cls "Shape"
+      ~fields:[ B.field "side" int_t ]
+      ~methods:
+        [
+          empty_init ();
+          int_m "area" (fun m b ->
+              let s = load m b "this" "side" in
+              let v = B.fresh m int_t in
+              B.binop b v Ir.Mul s s;
+              v);
+        ]
+  in
+  let circle =
+    B.cls "Circle" ~super:"Shape"
+      ~fields:[ B.field "r" int_t ]
+      ~methods:
+        [
+          empty_init ();
+          int_m "area" (fun m b ->
+              let q = call m b ~recv:"this" ~kind:Ir.Special ~cls:"Circle" ~name:"r2" [] in
+              let a = binop_k m b Ir.Mul q 3 in
+              let logged = call m b ~kind:Ir.Static ~cls:"Ctl" ~name:"log" [ "this" ] in
+              sum m b a logged);
+          int_m "r2" (fun m b ->
+              let r = load m b "this" "r" in
+              let v = B.fresh m int_t in
+              B.binop b v Ir.Mul r r;
+              v);
+          int_m "perimeter" (fun m b -> binop_k m b Ir.Mul (load m b "this" "r") 6);
+        ]
+  in
+  let worker =
+    let run =
+      let m = B.create "run" in
+      let b = B.entry m in
+      let n = load m b "this" "n" in
+      print b (binop_k m b Ir.Mul n 2);
+      B.ret b None;
+      B.finish m
+    in
+    B.cls "Worker" ~fields:[ B.field "n" int_t ] ~methods:[ empty_init (); run ]
+  in
+  let ctl =
+    let spawn =
+      let m = B.create ~static:true ~params:[ ("w", Jtype.Ref "Worker") ] "spawn" in
+      let b = B.entry m in
+      B.add b (Ir.Intrinsic (None, Facade_compiler.Rt_names.run_thread, [ Ir.Var "w" ]));
+      B.ret b None;
+      B.finish m
+    in
+    B.cls "Ctl"
+      ~methods:
+        [
+          int_m ~static:true ~params:[ ("s", Jtype.Ref "Shape") ] "measure" (fun m b ->
+              call m b ~recv:"s" ~kind:Ir.Virtual ~cls:"Shape" ~name:"area" []);
+          int_m ~static:true ~params:[ ("s", Jtype.Ref "Shape") ] "log" (fun m b ->
+              load m b "s" "side");
+          spawn;
+        ]
+  in
+  let main =
+    int_m ~static:true "main" (fun m b ->
+        let obj cls fields =
+          let o = B.fresh m (Jtype.Ref cls) in
+          B.new_obj b o cls;
+          B.call b ~recv:o ~kind:Ir.Special ~cls ~name:ctor_name [];
+          List.iter
+            (fun (field, k) ->
+              let v = B.fresh m int_t in
+              B.const_i b v k;
+              B.fstore b ~obj:o ~field ~src:v)
+            fields;
+          o
+        in
+        let c = obj "Circle" [ ("side", 2); ("r", 5) ] in
+        let p = call m b ~recv:c ~kind:Ir.Virtual ~cls:"Circle" ~name:"perimeter" [] in
+        let a = call m b ~kind:Ir.Static ~cls:"Ctl" ~name:"measure" [ c ] in
+        let w = obj "Worker" [ ("n", 7) ] in
+        B.call b ~kind:Ir.Static ~cls:"Ctl" ~name:"spawn" [ w ];
+        print b a;
+        print b p;
+        sum m b a p)
+  in
+  {
+    name = "original_calls";
+    program =
+      Program.make ~entry:("Main", "main")
+        [ shape; circle; worker; ctl; B.cls "Main" ~methods:[ main ] ];
+    spec = spec [ "Shape"; "Worker"; "Main" ];
+    expected = Some (Ir.Cint 107);  (* area 25 * 3 + side 2, perimeter 30 *)
+  }
+
 let all =
   [
     fig2;

@@ -141,6 +141,14 @@ val locking_large : sample
     per worker — the lock pool under contention from every pool domain
     (6400 enter/exit pairs), still I/O-overlappable for the bench. *)
 
+val original_calls : sample
+(** Control code calling data-class methods on converted heap instances:
+    a virtual call typed at a data superclass whose override lives in a
+    data subclass and calls a second original method, and a data class's
+    [run] spawned from control code. The facade transform must keep
+    exactly those methods on the originals. Not in {!all}: [all] is also
+    the compile benchmark's program set, which stays fixed. *)
+
 val all : sample list
 (** Every sample above — the equivalence test sweep. *)
 

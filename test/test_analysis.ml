@@ -330,6 +330,24 @@ let test_leak_data_path_flows_are_clean () =
 
 let compile s = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program
 
+let test_leak_kept_original_is_control_side () =
+  (* A kept original's methods run on converted heap instances. Circle.area
+     survives in P' because control code calls it, and it hands its heap
+     [this] back to control code (Ctl.log): checked as data-path code it
+     would be a leak, so Leak counts kept originals as control side. *)
+  let s = Samples.original_calls in
+  let pl = compile s in
+  let cl = pl.Facade_compiler.Pipeline.classification in
+  let p' = pl.Facade_compiler.Pipeline.transformed in
+  Alcotest.(check bool) "Circle is a kept original" true
+    (Facade_compiler.Transform.is_kept_original cl p' "Circle");
+  Alcotest.(check bool) "its facade is not" false
+    (Facade_compiler.Transform.is_kept_original cl p' "Circle$Facade");
+  let area = Option.get (Program.find_method p' ~cls:"Circle" ~name:"area") in
+  Alcotest.(check int) "as a data method, the handback is a leak" 1
+    (List.length (A.Leak.check_method cl ~where:"Circle.area" ~declaring:"Circle" area));
+  check_clean "original_calls transformed" (A.Leak.check cl p')
+
 let test_samples_original_clean () =
   (* The classification-independent analyses hold on every sample as
      written: no use-before-def, no unpaired monitor. *)
@@ -341,7 +359,8 @@ let test_samples_original_clean () =
 let test_samples_transformed_clean () =
   (* The acceptance pin: the transformed P' of every sample lints clean,
      boundary-leak detector included — the transform inserted a conversion
-     at every interaction point. *)
+     at every interaction point. [original_calls] adds original methods
+     that control code calls, one of them handing its heap [this] back. *)
   List.iter
     (fun (s : Samples.sample) ->
       let pl = compile s in
@@ -350,7 +369,7 @@ let test_samples_transformed_clean () =
         (A.Lint.check_program
            ~classification:pl.Facade_compiler.Pipeline.classification
            pl.Facade_compiler.Pipeline.transformed))
-    Samples.all
+    (Samples.all @ [ Samples.original_calls ])
 
 let test_samples_roundtrip_lint_clean () =
   (* The facade_cli lint path: serialize P' to the textual format, parse
@@ -364,7 +383,7 @@ let test_samples_roundtrip_lint_clean () =
       check_clean
         (s.Samples.name ^ " roundtrip")
         (A.Lint.check_program ~classification:cl p'))
-    Samples.all
+    (Samples.all @ [ Samples.original_calls ])
 
 let test_pipeline_validation_catches_surviving_new () =
   (* Hand-corrupt a transformed program: a facade method that still heap-
@@ -479,6 +498,8 @@ let () =
           Alcotest.test_case "through move" `Quick test_leak_flows_through_move;
           Alcotest.test_case "conversion clean" `Quick test_leak_conversion_is_clean;
           Alcotest.test_case "data-path clean" `Quick test_leak_data_path_flows_are_clean;
+          Alcotest.test_case "kept original is control side" `Quick
+            test_leak_kept_original_is_control_side;
         ] );
       ( "samples",
         [

@@ -237,6 +237,65 @@ let test_transform_originals_kept () =
   let pl = compile Samples.fig2 in
   Alcotest.(check bool) "Professor kept" true (Program.mem pl.FC.Pipeline.transformed "Professor")
 
+let original_methods p' cls =
+  List.map (fun (m : Ir.meth) -> m.Ir.mname) (Program.get_class p' cls).Ir.cmethods
+
+let test_transform_keeps_control_called_originals () =
+  let pl = compile Samples.original_calls in
+  let p' = pl.FC.Pipeline.transformed in
+  let has cls name = List.mem name (original_methods p' cls) in
+  Alcotest.(check bool) "Circle is data" true
+    (FC.Classify.is_data_class pl.FC.Pipeline.classification "Circle");
+  Alcotest.(check bool) "Shape.area: virtual target typed at the superclass" true
+    (has "Shape" "area");
+  Alcotest.(check bool) "Circle.area: the CHA subtype override" true (has "Circle" "area");
+  Alcotest.(check bool) "Circle.r2: called from a kept original" true (has "Circle" "r2");
+  Alcotest.(check bool) "Worker.run: spawned from control code" true (has "Worker" "run");
+  Alcotest.(check bool) "Circle.perimeter: called only from data code" false
+    (has "Circle" "perimeter");
+  Alcotest.(check bool) "constructors: called only from data code" false
+    (has "Circle" FC.Transform.constructor_name || has "Worker" FC.Transform.constructor_name);
+  Alcotest.(check bool) "the facade keeps every method" true
+    (List.mem "perimeter" (original_methods p' "Circle$Facade"));
+  (* fields and layout stay whole: conversion builds the heap copies *)
+  Alcotest.(check int) "Circle keeps its field" 1
+    (List.length (Program.get_class p' "Circle").Ir.cfields);
+  Verify.check_or_fail p'
+
+(* Result and output, or the error text: a pruned method that control
+   code does call shows up as a NoSuchMethodError or a changed result. *)
+let run_outcome run =
+  match run () with
+  | (o : Facade_vm.Interp.outcome) ->
+      Ok
+        ( Exact.exact_result o.Facade_vm.Interp.result,
+          Facade_vm.Exec_stats.output_lines o.Facade_vm.Interp.stats )
+  | exception Facade_vm.Interp.Vm_error e -> Error e
+
+let test_transform_pruned_originals_agree () =
+  let module I = Facade_vm.Interp in
+  let p = Samples.original_calls.Samples.program in
+  Verify.check_or_fail p;
+  let pl = compile Samples.original_calls in
+  let pl_opt, _ = Opt.Driver.optimize_pipeline pl in
+  let is_data = FC.Classify.is_data_class pl.FC.Pipeline.classification in
+  let show = function
+    | Ok (r, out) -> Printf.sprintf "%s [%s]" r (String.concat "; " out)
+    | Error e -> "error: " ^ e
+  in
+  let expected = run_outcome (fun () -> I.run_object ~is_data p) in
+  Alcotest.(check string) "P's own answer" "107 [14; 77; 30]" (show expected);
+  List.iter
+    (fun (what, run) -> Alcotest.(check string) what (show expected) (show (run_outcome run)))
+    [
+      ("P tier 2", fun () -> I.run_object ~is_data ~tier2:true p);
+      ("P' tier 1", fun () -> I.run_facade pl);
+      ("P' tier 2", fun () -> I.run_facade ~tier2:true pl);
+      ("optimized P' tier 1", fun () -> I.run_facade pl_opt);
+      ("optimized P' tier 2", fun () -> I.run_facade ~tier2:true pl_opt);
+      ("P' baseline", fun () -> Facade_vm.Interp_baseline.run_facade pl);
+    ]
+
 let test_transform_super_preserved () =
   let pl = compile Samples.dispatch in
   let fc = Program.get_class pl.FC.Pipeline.transformed "Square$Facade" in
@@ -500,6 +559,10 @@ let () =
           Alcotest.test_case "constructor renamed" `Quick test_transform_constructor_renamed;
           Alcotest.test_case "entry remapped" `Quick test_transform_entry_remapped;
           Alcotest.test_case "originals kept" `Quick test_transform_originals_kept;
+          Alcotest.test_case "control-called originals kept" `Quick
+            test_transform_keeps_control_called_originals;
+          Alcotest.test_case "pruned originals: P and P' agree" `Quick
+            test_transform_pruned_originals_agree;
           Alcotest.test_case "super preserved" `Quick test_transform_super_preserved;
           Alcotest.test_case "no raw data access" `Quick test_transform_no_data_field_access_left;
           Alcotest.test_case "counts" `Quick test_transform_counts;

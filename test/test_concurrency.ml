@@ -1,7 +1,7 @@
 (* The interprocedural concurrency analyses end to end:
 
-   1. call graph — CHA edges, entry reachability, kept-original exclusion
-      on transformed programs;
+   1. call graph — CHA edges, entry reachability, and the originals P'
+      keeps for control code inside the graph;
    2. points-to — spawn sites, run-target resolution, summary objects;
    3. static race detection — zero findings on every shipped sample in
       both P and P' forms, the seeded [racy_counter] flagged in both,
@@ -55,18 +55,30 @@ let test_callgraph_threads () =
     [ "SharedCounter.inc" ]
     (A.Callgraph.call_targets cg Ir.Virtual "SharedCounter" "inc")
 
-let test_callgraph_kept_originals () =
-  let pl = compile Samples.threads in
+(* P′ is one analysis universe: the transform keeps on a data class's
+   original only the methods control code can call on a converted heap
+   instance, so those are graph nodes reachable from the entry, and the
+   rest are gone from P′ altogether. *)
+let test_callgraph_control_called_originals () =
+  let pl = compile Samples.original_calls in
   let p' = pl.P.transformed in
-  Alcotest.(check bool) "original excluded" true
-    (A.Callgraph.kept_original p' "SharedCounter");
-  Alcotest.(check bool) "facade twin included" false
-    (A.Callgraph.kept_original p' "SharedCounter$Facade");
   let cg = A.Callgraph.build p' in
-  Alcotest.(check bool) "no pre-transform key reachable" true
-    (List.for_all
-       (fun k -> not (String.length k > 14 && String.sub k 0 14 = "SharedCounter."))
-       (A.Callgraph.reachable cg))
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " in the graph") true
+        (Option.is_some (A.Callgraph.method_of_key cg k));
+      Alcotest.(check bool) (k ^ " reachable") true (A.Callgraph.is_reachable cg k))
+    [ "Shape.area"; "Circle.area"; "Circle.r2" ];
+  Alcotest.(check bool) "Circle.r2 called from Circle.area" true
+    (List.mem "Circle.r2" (A.Callgraph.callees cg "Circle.area"));
+  (* [run] has no call edge: only [sys.run_thread] reaches it. *)
+  Alcotest.(check bool) "spawned Worker.run in the graph" true
+    (Option.is_some (A.Callgraph.method_of_key cg "Worker.run"));
+  Alcotest.(check bool) "uncalled Circle.perimeter absent from P'" true
+    (Jir.Program.find_method p' ~cls:"Circle" ~name:"perimeter" = None
+    && Option.is_none (A.Callgraph.method_of_key cg "Circle.perimeter"));
+  Alcotest.(check bool) "its facade twin reachable" true
+    (A.Callgraph.is_reachable cg "Circle$Facade.perimeter")
 
 (* ---------- points-to ---------- *)
 
@@ -423,8 +435,8 @@ let () =
       ( "callgraph",
         [
           Alcotest.test_case "threads edges" `Quick test_callgraph_threads;
-          Alcotest.test_case "kept originals excluded" `Quick
-            test_callgraph_kept_originals;
+          Alcotest.test_case "control-called originals in graph" `Quick
+            test_callgraph_control_called_originals;
         ] );
       ( "pointsto",
         [

@@ -46,6 +46,10 @@ let check_equivalence (s : Samples.sample) () =
         true (max_idx < b))
     o_fac.I.stats.Facade_vm.Exec_stats.max_pool_index
 
+(* Every bundled sample, plus the program whose control code calls
+   original data-class methods on converted heap instances. *)
+let vm_samples = Samples.all @ [ Samples.original_calls ]
+
 let check_transformed_verifies (s : Samples.sample) () =
   let pl = compile s in
   Jir.Verify.check_or_fail pl.P.transformed
@@ -174,7 +178,7 @@ let differential_cases =
     (fun s ->
       Alcotest.test_case ("baseline agrees " ^ s.Samples.name) `Quick
         (check_differential s))
-    Samples.all
+    vm_samples
 
 (* ---------- resolved-layer regression programs ---------- *)
 
@@ -363,13 +367,13 @@ let test_arith_by_zero () =
 let equivalence_cases =
   List.map
     (fun s -> Alcotest.test_case ("equiv " ^ s.Samples.name) `Quick (check_equivalence s))
-    Samples.all
+    vm_samples
 
 let verify_cases =
   List.map
     (fun s ->
       Alcotest.test_case ("P' verifies " ^ s.Samples.name) `Quick (check_transformed_verifies s))
-    Samples.all
+    vm_samples
 
 (* The linker's frame layout: [this] = 0, the params next, then the other
    variables by descending use count (definitions, uses and the local
