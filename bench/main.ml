@@ -450,7 +450,10 @@ let run_scalability ~quick =
         let best_wall = ref infinity and last = ref None in
         for _ = 1 to reps do
           let t0 = Unix.gettimeofday () in
-          let o = Facade_vm.Interp.run_facade ~workers:w ~io_scale pl in
+          let o =
+            Parallel.Pool.with_pool ~workers:w (fun pool ->
+                Facade_vm.Interp.run_facade ~pool ~io_scale pl)
+          in
           let wall = Unix.gettimeofday () -. t0 in
           if wall < !best_wall then best_wall := wall;
           last := Some o

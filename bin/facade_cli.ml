@@ -40,6 +40,23 @@ let tier_feedback (rep : Opt.Driver.report option) =
       })
     rep
 
+(* P' as [run] and [profile] execute it: in tier 2 unless [no_tier2],
+   with the tier built for the pipeline's cached link (the program
+   [run_facade] executes), and on a private pool of [workers] domains
+   when given. *)
+let run_facade_sample ?heap ~workers ~no_tier2 ~rep pl =
+  let tier =
+    if no_tier2 then None
+    else
+      Some
+        (Facade_vm.Interp.make_tier ?feedback:(tier_feedback rep)
+           (Facade_vm.Link.facade_program pl))
+  in
+  let run pool = Facade_vm.Interp.run_facade ?heap ?pool ?tier pl in
+  match workers with
+  | None -> run None
+  | Some n -> Parallel.Pool.with_pool ~workers:n (fun p -> run (Some p))
+
 let print_tier_line ~tier2 (o : Facade_vm.Interp.outcome) =
   if tier2 then begin
     let s = o.Facade_vm.Interp.stats in
@@ -123,8 +140,14 @@ let experiments_cmd =
 
 (* ---------- samples ---------- *)
 
+(* Every bundled sample a command can name: [Samples.all] (the program set
+   the benchmarks and [samples] list) plus the two kept out of it —
+   [racy_counter], whose threads really race with --workers, and
+   [original_calls]. *)
 let find_sample name =
-  List.find_opt (fun s -> String.equal s.Samples.name name) Samples.all
+  List.find_opt
+    (fun s -> String.equal s.Samples.name name)
+    (Samples.racy_counter :: Samples.original_calls :: Samples.all)
 
 let samples_cmd =
   let run () =
@@ -162,7 +185,9 @@ let demo_cmd =
         let is_data c =
           Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
         in
-        let o_p = Facade_vm.Interp.run_object ~is_data s.Samples.program in
+        let o_p =
+          Facade_vm.(Interp.run_object_linked (Link.object_program ~is_data s.Samples.program))
+        in
         let o_p' = Facade_vm.Interp.run_facade pl in
         let v o =
           match o.Facade_vm.Interp.result with
@@ -208,14 +233,10 @@ let run_cmd =
                 let pl', r = Opt.Driver.optimize_pipeline pl0 in
                 (pl', Some r)
             in
-            let tier2 = not no_tier2 in
             let heap = heap_of_mb heap_mb in
             let exec () =
               let t0 = Unix.gettimeofday () in
-              let o =
-                Facade_vm.Interp.run_facade ?heap ?workers ~tier2
-                  ?tier2_feedback:(tier_feedback rep) pl
-              in
+              let o = run_facade_sample ?heap ~workers ~no_tier2 ~rep pl in
               (o, Unix.gettimeofday () -. t0)
             in
             let tracer, (o, wall) =
@@ -245,7 +266,7 @@ let run_cmd =
                   st.Pagestore.Store.records_allocated
                   st.Pagestore.Store.pages_created st.Pagestore.Store.live_pages
             | None -> ());
-            print_tier_line ~tier2 o;
+            print_tier_line ~tier2:(not no_tier2) o;
             print_gc_lines heap tracer;
             (match (tracer, trace) with
             | Some tr, Some path ->
@@ -356,21 +377,19 @@ let profile_cmd =
                 let pl', r = Opt.Driver.optimize_pipeline pl in
                 (pl', Some r)
             in
-            let tier2 = not no_tier2 in
             let heap = heap_of_mb heap_mb in
             let tr = Obs.Tracer.create () in
             Obs.Tracer.install tr;
             let o =
               Fun.protect ~finally:Obs.Tracer.uninstall (fun () ->
-                  Facade_vm.Interp.run_facade ?heap ?workers ~tier2
-                    ?tier2_feedback:(tier_feedback rep) pl)
+                  run_facade_sample ?heap ~workers ~no_tier2 ~rep pl)
             in
             Printf.printf "%s: result=%s  steps=%d\n" name
               (match o.Facade_vm.Interp.result with
               | Some x -> Facade_vm.Value.to_string x
               | None -> "-")
               o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps;
-            print_tier_line ~tier2 o;
+            print_tier_line ~tier2:(not no_tier2) o;
             print_newline ();
             (* The link is cached per pipeline, so this is the same
                resolved program the run above executed — method indices
@@ -439,16 +458,7 @@ let inspect_cmd =
           ~doc:"Emit the parseable textual format (compose with $(b,transform)).")
   in
   let run name original as_text =
-    (* [racy_counter] is inspectable (it seeds the race-detector CI job)
-       but deliberately not runnable: with workers it is a real race. *)
-    let sample =
-      match find_sample name with
-      | Some _ as s -> s
-      | None when String.equal name Samples.racy_counter.Samples.name ->
-          Some Samples.racy_counter
-      | None -> None
-    in
-    match sample with
+    match find_sample name with
     | None -> `Error (true, "unknown sample " ^ name)
     | Some s ->
         let program =
@@ -531,7 +541,9 @@ let transform_cmd =
                     Facade_compiler.Classify.is_data_class
                       pl.Facade_compiler.Pipeline.classification c
                   in
-                  let o_p = Facade_vm.Interp.run_object ~is_data program in
+                  let o_p =
+                    Facade_vm.(Interp.run_object_linked (Link.object_program ~is_data program))
+                  in
                   let o_p' = Facade_vm.Interp.run_facade pl in
                   let v o =
                     match o.Facade_vm.Interp.result with

@@ -153,7 +153,7 @@ let () =
   Printf.printf "conversion functions synthesized: %s\n"
     (match pl.FC.Pipeline.conversions with [] -> "(none)" | cs -> String.concat ", " cs);
   let is_data c = FC.Classify.is_data_class cl c in
-  let o_p = Facade_vm.Interp.run_object ~is_data program in
+  let o_p = Facade_vm.(Interp.run_object_linked (Link.object_program ~is_data program)) in
   let o_p' = Facade_vm.Interp.run_facade pl in
   let v = function
     | Some x -> Facade_vm.Value.to_string x

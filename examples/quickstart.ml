@@ -30,7 +30,9 @@ let () =
   let is_data c =
     Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
   in
-  let o_p = Facade_vm.Interp.run_object ~is_data sample.Samples.program in
+  let o_p =
+    Facade_vm.(Interp.run_object_linked (Link.object_program ~is_data sample.Samples.program))
+  in
   let o_p' = Facade_vm.Interp.run_facade pl in
   let show name (o : Facade_vm.Interp.outcome) =
     Printf.printf "%-3s result=%s  data heap objects=%d  page records=%d  facades=%d\n" name

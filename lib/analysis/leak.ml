@@ -4,20 +4,11 @@ module Rt_names = Facade_compiler.Rt_names
 
 let analysis = "boundary-leak"
 
-let facade_suffix = "$Facade"
-
-(* "C$Facade" -> Some "C" *)
-let facade_base name =
-  let n = String.length name and k = String.length facade_suffix in
-  if n > k && String.equal (String.sub name (n - k) k) facade_suffix then
-    Some (String.sub name 0 (n - k))
-  else None
-
 let is_data_path cl cname =
   Classify.is_data_class cl cname
   || Classify.is_boundary_class cl cname
   ||
-  match facade_base cname with
+  match Facade_compiler.Transform.facade_base cname with
   | Some base -> Classify.is_data_class cl base
   | None -> false
 

@@ -50,7 +50,9 @@ let run ?(quick = false) () =
   let is_data c =
     Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
   in
-  let o_obj = Facade_vm.Interp.run_object ~is_data s.Samples.program in
+  let o_obj =
+    Facade_vm.(Interp.run_object_linked (Link.object_program ~is_data s.Samples.program))
+  in
   let o_fac = Facade_vm.Interp.run_facade pl in
   Printf.printf
     "VM check (iteration sample): P data objects = %d; P' data objects = %d, records = %d, facades = %d\n"

@@ -12,17 +12,10 @@ exception Invalid_transform of validation_error list
 let validate_transformed cl bounds (p' : Jir.Program.t) =
   let errs = ref [] in
   let err vwhere vwhat = errs := { vwhere; vwhat } :: !errs in
-  let facade_suffix = "$Facade" in
-  let facade_base name =
-    let n = String.length name and k = String.length facade_suffix in
-    if n > k && String.equal (String.sub name (n - k) k) facade_suffix then
-      Some (String.sub name 0 (n - k))
-    else None
-  in
   let in_data_path cname =
     Classify.is_boundary_class cl cname
     ||
-    match facade_base cname with
+    match Transform.facade_base cname with
     | Some base -> Classify.is_data_class cl base
     | None -> false
   in

@@ -1,6 +1,14 @@
 open Jir
 
-let facade_name c = c ^ "$Facade"
+let facade_suffix = "$Facade"
+let facade_name c = c ^ facade_suffix
+
+let facade_base name =
+  let n = String.length name and k = String.length facade_suffix in
+  if n > k && String.equal (String.sub name (n - k) k) facade_suffix then
+    Some (String.sub name 0 (n - k))
+  else None
+
 let init_name = "facade$init"
 let constructor_name = "<init>"
 

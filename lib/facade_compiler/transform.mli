@@ -26,6 +26,10 @@
 val facade_name : string -> string
 (** ["D"] ↦ ["D$Facade"]. *)
 
+val facade_base : string -> string option
+(** The inverse of {!facade_name}: ["D$Facade"] ↦ [Some "D"], and [None]
+    for a name that is not a facade class's. *)
+
 val init_name : string
 (** The renamed constructor, ["facade$init"]. *)
 

@@ -958,9 +958,6 @@ let make_st ?par ?(io_scale = 0.0) rp mode heap max_steps thread =
     tret = Value.Null;
   }
 
-let setup_tier st ~tier2 ~tier2_feedback =
-  if tier2 then st.tier <- Some (Compile_tier.make ?feedback:tier2_feedback ~hooks st.rp)
-
 (* A tier detached from any run, for reuse across runs of the same linked
    program: compiled closures thread all per-run state through their [st]
    argument — facade page accesses resolve the run's page pool at segment
@@ -992,22 +989,14 @@ let pre_intern_strings st rt =
             end)
           st.rp.R.string_consts
 
-let run_object_linked ?heap ?(max_steps = default_max_steps) ?(entry_args = [])
-    ?(tier2 = false) ?tier2_feedback ?tier rp =
+let run_object_linked ?heap ?(max_steps = default_max_steps) ?(entry_args = []) ?tier rp =
   let st = make_st rp Object_mode heap max_steps 0 in
-  (match tier with
-  | Some t -> st.tier <- Some t
-  | None -> setup_tier st ~tier2 ~tier2_feedback);
+  st.tier <- tier;
   run_entry st ~entry_args
 
-let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = default_max_steps)
-    ?(entry_args = []) ?(tier2 = false) ?tier2_feedback p =
-  run_object_linked ?heap ~max_steps ~entry_args ~tier2 ?tier2_feedback
-    (Link.object_program ~is_data p)
-
-let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
-    ?page_quota ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?quicken:_
-    ?(tier2 = false) ?tier2_feedback ?tier (pl : Facade_compiler.Pipeline.t) =
+let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?pool ?page_quota
+    ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?quicken:_ ?tier
+    (pl : Facade_compiler.Pipeline.t) =
   let rp = Link.facade_program pl in
   let store = Store.create ?page_bytes () in
   (* Tenant resource caps: enforced by the store on every allocation. *)
@@ -1035,35 +1024,25 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
       last_pages = 0;
     }
   in
-  (* A caller-provided [?pool] selects the parallel path on a shared,
-     long-lived domain pool (the service daemon's): the run borrows it —
+  (* [?pool] selects the parallel path. The run borrows the pool —
      external waiters park without helping, so concurrent runs coexist —
-     and never shuts it down. Without it, [?workers] keeps the historical
-     behavior of a private pool owned (and torn down) by this run. *)
-  let owned_pool, par =
-    let shared p =
-      Some
+     and never shuts it down. *)
+  let par =
+    Option.map
+      (fun p ->
         {
           pool = p;
           pools_mu = Mutex.create ();
           mon_mu = Mutex.create ();
           heap_mu = Mutex.create ();
-        }
-    in
-    match (pool, workers) with
-    | Some p, _ -> (None, shared p)
-    | None, Some w ->
-        let p = Parallel.Pool.create ~workers:(max 1 w) in
-        (Some p, shared p)
-    | None, None -> (None, None)
+        })
+      pool
   in
   let st = make_st ?par ~io_scale rp (Facade_mode rt) heap max_steps thread in
   (* Tier-2 facade code is store-independent (every page access resolves
      the pool through [st]), so a pre-built warm tier from {!make_tier}
      is as sound here as in object mode. *)
-  (match tier with
-  | Some t -> st.tier <- Some t
-  | None -> setup_tier st ~tier2 ~tier2_feedback);
+  st.tier <- tier;
   (* The facade pools themselves are heap objects — the paper's O(t·n). *)
   (match heap with
   | Some h ->
@@ -1074,21 +1053,14 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
   (* Setup is still sequential (ctx unset), so these charges sync exactly
      as in a sequential run. *)
   pre_intern_strings st rt;
-  match par with
-  | None -> run_entry st ~entry_args
-  | Some _ ->
-      st.ctx <-
-        Some
-          {
-            dc_pools = Some (Hashtbl.find pools 0);
-            dc_local = Store.local store ~thread;
-            dc_shard = Heap.Shard.create ();
-            dc_strings = Hashtbl.create 16;
-            dc_intern = Hashtbl.create 16;
-          };
-      (match owned_pool with
-      | Some p ->
-          Fun.protect
-            ~finally:(fun () -> Parallel.Pool.shutdown p)
-            (fun () -> run_entry st ~entry_args)
-      | None -> run_entry st ~entry_args)
+  if Option.is_some par then
+    st.ctx <-
+      Some
+        {
+          dc_pools = Some (Hashtbl.find pools 0);
+          dc_local = Store.local store ~thread;
+          dc_shard = Heap.Shard.create ();
+          dc_strings = Hashtbl.create 16;
+          dc_intern = Hashtbl.create 16;
+        };
+  run_entry st ~entry_args

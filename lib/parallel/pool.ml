@@ -152,3 +152,7 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- []
+
+let with_pool ~workers f =
+  let t = create ~workers in
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

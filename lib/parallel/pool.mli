@@ -11,6 +11,10 @@ type t
 val create : workers:int -> t
 (** Spawn [workers] ≥ 1 domains. Callers must eventually {!shutdown}. *)
 
+val with_pool : workers:int -> (t -> 'a) -> 'a
+(** [with_pool ~workers f] runs [f] on a fresh pool of [workers] domains
+    and shuts the pool down when [f] returns or raises. *)
+
 val size : t -> int
 (** Number of worker domains. *)
 

@@ -4,9 +4,10 @@
    classify/transform, the optimizer, linking — and builds one detached
    warm tier ({!Facade_vm.Interp.make_tier}); every later run of that
    program reuses the cached pipeline and tier, so repeat submissions
-   see zero tier-2 compiles. The domain pool is created once
-   at server start and handed to every parallel run ([?pool]), which is
-   what amortizes [Domain.spawn] to zero across submissions. *)
+   see zero tier-2 compiles. A job asking for workers runs on the domain
+   pool created once at server start ([?pool]), which is what amortizes
+   [Domain.spawn] to zero across submissions; with [pool_workers = 0]
+   each such job gets a private pool for its run instead. *)
 
 module I = Facade_vm.Interp
 module ES = Facade_vm.Exec_stats
@@ -91,18 +92,15 @@ type run_result = {
    failed job. *)
 let run t entry ~workers ~pages ~heap ~max_steps =
   let t0 = Unix.gettimeofday () in
+  let exec pool =
+    I.run_facade ~tier:entry.e_tier ~page_quota:pages ~heap_budget:heap ~max_steps ?pool
+      entry.e_pl
+  in
   let o =
     match (workers, t.pool) with
-    | 0, _ ->
-        I.run_facade ~tier:entry.e_tier ~page_quota:pages ~heap_budget:heap ~max_steps
-          entry.e_pl
-    | w, Some pool ->
-        ignore w;
-        I.run_facade ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps ~pool entry.e_pl
-    | w, None ->
-        I.run_facade ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps ~workers:w entry.e_pl
+    | 0, _ -> exec None
+    | _, (Some _ as pool) -> exec pool
+    | w, None -> Parallel.Pool.with_pool ~workers:(max 1 w) (fun p -> exec (Some p))
   in
   let run_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   let st = o.I.stats in

@@ -283,16 +283,17 @@ let test_transform_pruned_originals_agree () =
     | Ok (r, out) -> Printf.sprintf "%s [%s]" r (String.concat "; " out)
     | Error e -> "error: " ^ e
   in
-  let expected = run_outcome (fun () -> I.run_object ~is_data p) in
+  let expected = run_outcome (fun () -> Vm_runs.run_object ~is_data p) in
   Alcotest.(check string) "P's own answer" "107 [14; 77; 30]" (show expected);
   List.iter
     (fun (what, run) -> Alcotest.(check string) what (show expected) (show (run_outcome run)))
     [
-      ("P tier 2", fun () -> I.run_object ~is_data ~tier2:true p);
+      ("P tier 2", fun () -> Vm_runs.run_object ~is_data ~tier2:true p);
       ("P' tier 1", fun () -> I.run_facade pl);
-      ("P' tier 2", fun () -> I.run_facade ~tier2:true pl);
+      ("P' tier 2", fun () -> I.run_facade ~tier:(Vm_runs.facade_tier pl) pl);
       ("optimized P' tier 1", fun () -> I.run_facade pl_opt);
-      ("optimized P' tier 2", fun () -> I.run_facade ~tier2:true pl_opt);
+      ( "optimized P' tier 2",
+        fun () -> I.run_facade ~tier:(Vm_runs.facade_tier pl_opt) pl_opt );
       ("P' baseline", fun () -> Facade_vm.Interp_baseline.run_facade pl);
     ]
 

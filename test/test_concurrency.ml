@@ -327,7 +327,7 @@ let certificate_case (s : Samples.sample) =
       in
       let o_seq = I.run_facade pl in
       check_run "seq" o_seq;
-      let o_par = I.run_facade ~workers:4 pl in
+      let o_par = Parallel.Pool.with_pool ~workers:4 (fun pool -> I.run_facade ~pool pl) in
       check_run "par4" o_par;
       Alcotest.(check (list (pair int int)))
         (s.Samples.name ^ ": pool peaks bit-exact, seq vs 4 domains")
@@ -348,7 +348,7 @@ let test_certificate_8_domains () =
         (s.Samples.name ^ ": static cross-check") []
         (A.Certify.static_errors pl cert);
       let o_seq = I.run_facade pl in
-      let o8 = I.run_facade ~workers:8 pl in
+      let o8 = Parallel.Pool.with_pool ~workers:8 (fun pool -> I.run_facade ~pool pl) in
       (match Facade_vm.Cert_check.validate pl o8 with
       | Ok () -> ()
       | Error es ->
@@ -401,7 +401,9 @@ let elision_case (s : Samples.sample) =
         (o_e.I.locks_peak <= o_n.I.locks_peak);
       (* The elided program stays deterministic under real parallelism:
          outcome AND step count identical to the sequential engine. *)
-      let o_p = I.run_facade ~workers:4 with_elide in
+      let o_p =
+        Parallel.Pool.with_pool ~workers:4 (fun pool -> I.run_facade ~pool with_elide)
+      in
       Alcotest.(check bool) "par: same result" true
         (value_eq o_e.I.result o_p.I.result);
       Alcotest.(check (list string)) "par: same output"

@@ -318,7 +318,7 @@ let run_differential ops =
   let is_data c =
     Facade_compiler.Classify.is_data_class pl.Facade_compiler.Pipeline.classification c
   in
-  let o1 = Facade_vm.Interp.run_object ~is_data program in
+  let o1 = Vm_runs.run_object ~is_data program in
   let o2 = Facade_vm.Interp.run_facade pl in
   let same_result =
     match o1.Facade_vm.Interp.result, o2.Facade_vm.Interp.result with
@@ -361,8 +361,8 @@ let tier_key (o : Facade_vm.Interp.outcome) =
    warm, so every virtual site that ran compiles against the tier-1
    snapshot. *)
 let warm_facade ?workers pl =
-  let tier = Facade_vm.Interp.make_tier (Facade_vm.Link.facade_program pl) in
-  Facade_vm.Interp.run_facade ?workers ~tier pl
+  let tier = Vm_runs.facade_tier pl in
+  Vm_runs.with_workers workers (fun pool -> Facade_vm.Interp.run_facade ?pool ~tier pl)
 
 (* The tier-2 deopt fuzzer: the same random programs, each executed by
    the interpreter and by the closure compiler — once on a fresh
@@ -381,7 +381,7 @@ let run_tier_differential ops =
   let rp = Facade_vm.Link.object_program ~is_data program in
   let obj1 = tier_key (Facade_vm.Interp.run_object_linked rp) in
   let fac1 = tier_key (Facade_vm.Interp.run_facade pl) in
-  obj1 = tier_key (Facade_vm.Interp.run_object ~is_data ~tier2:true program)
+  obj1 = tier_key (Vm_runs.run_object ~is_data ~tier2:true program)
   && obj1 = tier_key (Facade_vm.Interp.run_object_linked ~tier:(Facade_vm.Interp.make_tier rp) rp)
   && fac1 = tier_key (warm_facade pl)
 
@@ -538,11 +538,11 @@ let run_mixed case =
       p
   in
   let base = mixed_outcome (fun () -> Facade_vm.Interp_baseline.run_object p) in
-  let t1 = mixed_outcome (fun () -> I.run_object p) in
-  let t2 = mixed_outcome (fun () -> I.run_object ~tier2:true p) in
+  let t1 = mixed_outcome (fun () -> Vm_runs.run_object p) in
+  let t2 = mixed_outcome (fun () -> Vm_runs.run_object ~tier2:true p) in
   let fbase = mixed_outcome (fun () -> Facade_vm.Interp_baseline.run_facade pl) in
   let f1 = mixed_outcome (fun () -> I.run_facade pl) in
-  let f2 = mixed_outcome (fun () -> I.run_facade ~tier2:true pl) in
+  let f2 = mixed_outcome (fun () -> I.run_facade ~tier:(Vm_runs.facade_tier pl) pl) in
   let seen = function Ok (r, out, _) -> Ok (r, out) | Error e -> Error e in
   (base = t1 && t1 = t2 && fbase = f1 && f1 = f2 && seen base = seen fbase)
   ||

@@ -319,9 +319,12 @@ let check_determinism (s : Samples.sample) () =
     (g_off.Heapsim.Gc_stats.gc_seconds = g_on.Heapsim.Gc_stats.gc_seconds);
   (* Parallel: page counts may legitimately vary across domains, but the
      program-visible outcome and record totals must not. *)
-  let off_p = I.run_facade ~workers:4 pl in
+  let off_p = Parallel.Pool.with_pool ~workers:4 (fun pool -> I.run_facade ~pool pl) in
   let tr_p = T.create ~ring_capacity:(1 lsl 12) () in
-  let on_p = traced tr_p (fun () -> I.run_facade ~workers:4 pl) in
+  let on_p =
+    traced tr_p (fun () ->
+        Parallel.Pool.with_pool ~workers:4 (fun pool -> I.run_facade ~pool pl))
+  in
   check_outcomes_match (s.Samples.name ^ " par") ~full_store:false off_p on_p
 
 let () =

@@ -33,10 +33,10 @@ let int_result (o : I.outcome) =
    unchanged. *)
 
 let check_pass name pass expect p =
-  let o1 = I.run_object p in
+  let o1 = Vm_runs.run_object p in
   let p', count = pass p in
   Verify.check_or_fail p';
-  let o2 = I.run_object p' in
+  let o2 = Vm_runs.run_object p' in
   Alcotest.(check bool) (name ^ " fired") true (count > 0);
   Alcotest.(check bool) (name ^ " preserves result") true
     (value_eq o1.I.result o2.I.result);
@@ -203,9 +203,9 @@ let check_opt_differential_program ~name program spec =
   let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
   let p_opt, _ = Opt.Driver.optimize_program program in
   let h_ref = heap () in
-  let o_ref = I.run_object ~heap:h_ref ~is_data program in
+  let o_ref = Vm_runs.run_object ~heap:h_ref ~is_data program in
   let h = heap () in
-  let o = I.run_object ~heap:h ~is_data p_opt in
+  let o = Vm_runs.run_object ~heap:h ~is_data p_opt in
   agree (Printf.sprintf "%s/object/opt" name) o_ref h_ref o h
 
 let check_opt_differential (s : Samples.sample) () =

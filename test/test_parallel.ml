@@ -47,6 +47,21 @@ let test_sched_exception () =
       Alcotest.check_raises "first task exception re-raised at join"
         (Failure "boom") (fun () -> Sched.wait g))
 
+(* [with_pool] shuts its pool down and re-raises when the body raises.
+   More raising bodies than OCaml's 128-domain cap, then a pool that
+   still runs every task, show each pool's domains were joined. *)
+let test_with_pool_raise () =
+  for _ = 1 to 130 do
+    Alcotest.check_raises "body's exception re-raised" (Failure "body") (fun () ->
+        Pool.with_pool ~workers:1 (fun pool ->
+            Sched.run_list pool [ (fun () -> ()) ];
+            failwith "body"))
+  done;
+  let hits = Atomic.make 0 in
+  Pool.with_pool ~workers:2 (fun pool ->
+      Sched.run_list pool (List.init 64 (fun _ () -> Atomic.incr hits)));
+  Alcotest.(check int) "a later pool runs every task" 64 (Atomic.get hits)
+
 (* ---------- satellite: constant-time lowest_clear vs the scan ---------- *)
 
 let test_lowest_clear_pinned () =
@@ -424,7 +439,9 @@ let test_shard_merge_of_split () =
    contract only makes the totals exact. *)
 let run_fingerprint ?workers pl =
   let heap = big_heap () in
-  let o = Facade_vm.Interp.run_facade ~heap ?workers pl in
+  let o =
+    Vm_runs.with_workers workers (fun pool -> Facade_vm.Interp.run_facade ~heap ?pool pl)
+  in
   let gs = Heap.stats heap in
   let records, live =
     match o.Facade_vm.Interp.store_stats with
@@ -503,6 +520,7 @@ let () =
           Alcotest.test_case "tasks all run" `Quick test_pool_runs_tasks;
           Alcotest.test_case "nested spawn on 1 worker" `Quick test_sched_nested_spawn;
           Alcotest.test_case "exception re-raised at join" `Quick test_sched_exception;
+          Alcotest.test_case "with_pool re-raises and joins" `Quick test_with_pool_raise;
         ] );
       ( "bitvec",
         [

@@ -474,6 +474,30 @@ let test_socket_end_to_end () =
   Srv.wait srv;
   Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists path)
 
+(* The engine's three ways to run a job — sequentially, on the server's
+   shared pool, and on a private pool when the server has none — reply
+   with the same result, steps, page records and live pages (the
+   [Proto.outcome] fields the parallel differential compares). *)
+let test_engine_run_paths () =
+  let reply ~pool_workers ~workers =
+    let engine = Eng.create ~pool_workers in
+    Fun.protect ~finally:(fun () -> Eng.shutdown engine) @@ fun () ->
+    let entry = Option.get (Eng.lookup engine "pagerank-par") in
+    let o =
+      (Eng.run engine entry ~workers ~pages:0 ~heap:0 ~max_steps:50_000_000).Eng.r_outcome
+    in
+    [
+      "result=" ^ o.P.oc_result;
+      Printf.sprintf "steps=%d page_records=%d live_pages=%d" o.P.oc_steps
+        o.P.oc_page_records o.P.oc_live_pages;
+    ]
+  in
+  let seq = reply ~pool_workers:0 ~workers:0 in
+  Alcotest.(check (list string)) "shared pool == sequential" seq
+    (reply ~pool_workers:2 ~workers:2);
+  Alcotest.(check (list string)) "private pool == sequential" seq
+    (reply ~pool_workers:0 ~workers:2)
+
 let () =
   Random.self_init ();
   Alcotest.run "service"
@@ -501,6 +525,8 @@ let () =
           Alcotest.test_case "co-tenant load leaves runs bit-exact" `Quick
             test_cotenant_isolation;
           QCheck_alcotest.to_alcotest prop_interleaved_tenants;
+          Alcotest.test_case "sequential, shared and private pools agree" `Quick
+            test_engine_run_paths;
         ] );
       ( "daemon",
         [

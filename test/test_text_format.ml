@@ -38,7 +38,7 @@ let test_transformed_roundtrip () =
 let test_parsed_program_runs () =
   let s = Samples.fig2 in
   let p2 = TF.parse (TF.to_string s.Samples.program) in
-  let o = Facade_vm.Interp.run_object p2 in
+  let o = Vm_runs.run_object p2 in
   Alcotest.(check bool) "same result after round-trip" true
     (match o.Facade_vm.Interp.result with
     | Some (Facade_vm.Value.Int 8) -> true
@@ -93,7 +93,7 @@ entry Main.main
   in
   let p = TF.parse src in
   Jir.Verify.check_or_fail p;
-  let o = Facade_vm.Interp.run_object p in
+  let o = Vm_runs.run_object p in
   Alcotest.(check bool) "hand-written source runs" true
     (match o.Facade_vm.Interp.result with
     | Some (Facade_vm.Value.Int 42) -> true

@@ -35,7 +35,8 @@ let big_heap () = Heap.create (Heapsim.Hconfig.make ~heap_bytes:(1 lsl 26) ())
    while everything observable stays exact. *)
 let fingerprint ?workers ?(tier2 = false) pl =
   let heap = big_heap () in
-  let o = I.run_facade ~heap ?workers ~tier2 pl in
+  let tier = if tier2 then Some (Vm_runs.facade_tier pl) else None in
+  let o = Vm_runs.with_workers workers (fun pool -> I.run_facade ~heap ?pool ?tier pl) in
   let gs = Heap.stats heap in
   let records, live =
     match o.I.store_stats with
@@ -101,8 +102,8 @@ let observe (o : I.outcome) =
     o.I.stats.Stats.steps,
     o.I.stats )
 
-let object_outcome ?(tier2 = false) ?tier2_feedback ?max_steps ~is_data p =
-  observe (I.run_object ~is_data ?max_steps ~tier2 ?tier2_feedback p)
+let object_outcome ?tier2 ?max_steps ~is_data p =
+  observe (Vm_runs.run_object ~is_data ?max_steps ?tier2 p)
 
 (* Tier 2 on a linked program that already ran once, unbounded, in tier
    1: the run leaves every inline cache it reached warm, so a method
@@ -523,8 +524,8 @@ let facade_pl ~data text =
     (Text_format.parse text)
 
 (* Everything the tiers must agree on for one run, or the error text. *)
-let run_outcome ?workers ?tier ~tier2 pl =
-  match I.run_facade ?workers ?tier ~tier2 pl with
+let run_outcome ?workers ?tier pl =
+  match Vm_runs.with_workers workers (fun pool -> I.run_facade ?pool ?tier pl) with
   | o ->
       Ok
         ( Exact.exact_result o.I.result,
@@ -621,10 +622,10 @@ let test_kernel_errors () =
       let pl = facade_pl ~data:[ "Cell"; "Main" ] text in
       Alcotest.(check bool) (name ^ ": kernel is in the compiled entry") true
         (entry_has pl pred);
-      let t1 = run_outcome ~tier2:false pl in
+      let t1 = run_outcome pl in
       Alcotest.check outcome_t (name ^ ": tier 1 raises") (Error expect) (flat t1);
       Alcotest.check outcome_t (name ^ ": tier 2 raises tier 1's error") (flat t1)
-        (flat (run_outcome ~tier2:true pl)))
+        (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl)))
     error_cases
 
 (* Int/Float operand pairs leave the inline int and float cases of the
@@ -686,13 +687,14 @@ let test_mixed_operands () =
           | R.Rbinop (_, o, _, _) | R.Rbinop_imm (_, o, _, _, _) -> o = op
           | _ -> false)))
     [ Ir.Add; Ir.Sub; Ir.Mul ];
-  let t1 = run_outcome ~tier2:false pl in
+  let t1 = run_outcome pl in
   (match t1 with
   | Ok (r, out, _, _) ->
       Alcotest.(check string) "tier 1 result" "0x1.4p+2" r;
       Alcotest.(check int) "tier 1 printed each round" 5 (List.length out)
   | Error e -> Alcotest.fail e);
-  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl))
+  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1)
+    (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl))
 
 (* ---------- re-entrant compiled code ---------- *)
 
@@ -855,14 +857,14 @@ let reentrant_program =
 
 let test_reentrant () =
   let pl = facade_pl ~data:[ "Node"; "Worker"; "Main" ] reentrant_program in
-  let t1 = run_outcome ~tier2:false pl in
+  let t1 = run_outcome pl in
   (* sum_{i<40} i^2 = 20540: one sum in main, six per worker, plus
      6 * (0+1+2+3) of worker bias. *)
   (match t1 with
   | Ok (r, _, _, _) -> Alcotest.(check string) "tier 1 result" "513536" r
   | Error e -> Alcotest.fail e);
   Alcotest.check outcome_t "sequential tier 2 == tier 1" (flat t1)
-    (flat (run_outcome ~tier2:true pl));
+    (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
   let rp = Facade_vm.Link.facade_program pl in
   let tier = I.make_tier rp in
   (* P' runs the generated facade class's copy of each Main method. *)
@@ -873,7 +875,7 @@ let test_reentrant () =
     Alcotest.check outcome_t
       (Printf.sprintf "4 workers, shared warm tier, run %d == tier 1" run)
       (flat t1)
-      (flat (run_outcome ~workers:4 ~tier ~tier2:true pl));
+      (flat (run_outcome ~workers:4 ~tier pl));
     match tier.Facade_vm.Vm_state.t_code.(midx "sum") with
     | Facade_vm.Vm_state.T_fn _ -> ()
     | _ -> Alcotest.fail "recursive sum is not running compiled"
@@ -996,15 +998,15 @@ let test_typed_traps () =
   List.iter
     (fun (name, text, data, expect) ->
       let pl = facade_pl ~data text in
-      let t1 = run_outcome ~tier2:false pl in
+      let t1 = run_outcome pl in
       Alcotest.(check (result string string))
         (name ^ ": tier 1") expect
         (Result.map (fun (r, _, _, _) -> r) t1);
       Alcotest.check outcome_t (name ^ ": tier 2 == tier 1") (flat t1)
-        (flat (run_outcome ~tier2:true pl));
+        (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
       if Result.is_ok expect then
         Alcotest.(check bool) (name ^ ": slots pinned") true
-          (slots_pinned (I.run_facade ~tier2:true pl) > 0))
+          (slots_pinned (I.run_facade ~tier:(Vm_runs.facade_tier pl) pl) > 0))
     trap_cases
 
 (* A loop whose int and float accumulators are pinned (the int one
@@ -1203,14 +1205,14 @@ let test_leaf_pinned () =
   let pl = facade_pl ~data:[ "Node"; "Main" ] leaf_program in
   let rp = Facade_vm.Link.facade_program pl in
   let val_ = method_index rp (Facade_compiler.Transform.facade_name "Main") "val" in
-  let t1 = run_outcome ~tier2:false pl in
+  let t1 = run_outcome pl in
   let tier = I.make_tier rp in
   Alcotest.(check bool) "val is an inline leaf" true tier.Facade_vm.Vm_state.t_leaves.(val_);
-  Alcotest.check outcome_t "inlined leaf == tier 1" (flat t1) (flat (run_outcome ~tier ~tier2:true pl));
+  Alcotest.check outcome_t "inlined leaf == tier 1" (flat t1) (flat (run_outcome ~tier pl));
   let retired = I.make_tier rp in
   retired.Facade_vm.Vm_state.t_fail.(val_) <- Facade_vm.Compile_tier.deopt_limit;
   Alcotest.check outcome_t "retired leaf == tier 1" (flat t1)
-    (flat (run_outcome ~tier:retired ~tier2:true pl));
+    (flat (run_outcome ~tier:retired pl));
   (match retired.Facade_vm.Vm_state.t_code.(val_) with
   | Facade_vm.Vm_state.T_fn _ -> ()
   | _ -> Alcotest.fail "the retired leaf did not run its own compiled code");
@@ -1235,7 +1237,7 @@ let test_pagerank_slots () =
     Opt.Driver.optimize_pipeline
       (Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program)
   in
-  let st = (I.run_facade ~tier2:true pl).I.stats in
+  let st = (I.run_facade ~tier:(Vm_runs.facade_tier pl) pl).I.stats in
   Alcotest.(check int) "only main compiles" 1 st.Stats.tier2_compiles;
   Alcotest.(check (triple int int int))
     "int, float, boxed slots" (20, 5, 8)
@@ -1312,9 +1314,10 @@ let test_swapped_operands () =
         | exception I.Vm_error e -> Error e
       in
       Alcotest.(check (result unit string)) (name ^ ": baseline") (Error expect) baseline;
-      let t1 = run_outcome ~tier2:false pl in
+      let t1 = run_outcome pl in
       Alcotest.check outcome_t (name ^ ": tier 1") (Error expect) (flat t1);
-      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1) (flat (run_outcome ~tier2:true pl)))
+      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1)
+        (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl)))
     swap_cases
 
 (* ---------- allocation and facade-pool intrinsics ----------
@@ -1360,7 +1363,9 @@ let alloc_pl n = facade_pl ~data:[ "Node"; "Main" ] (alloc_loop n)
    payload, as the service reports them. *)
 let bounded ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl =
   match
-    I.run_facade ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap ~tier2 pl
+    I.run_facade ?max_steps ?page_bytes ?page_quota ?heap_budget ?heap
+      ?tier:(if tier2 then Some (Vm_runs.facade_tier pl) else None)
+      pl
   with
   | o -> Ok (Exact.exact_result o.I.result)
   | exception I.Vm_error e -> Error e
@@ -1375,11 +1380,12 @@ let test_alloc_native () =
         (entry_has pl (function R.Rintrinsic (_, j, _) -> i = j | _ -> false)))
     [ ("rt.alloc", R.I_alloc); ("rt.alloc_array", R.I_alloc_array);
       ("pool.receiver", R.I_pool_receiver); ("facade.bind", R.I_facade_bind) ];
-  let t1 = run_outcome ~tier2:false pl in
-  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1) (flat (run_outcome ~tier2:true pl));
+  let t1 = run_outcome pl in
+  Alcotest.check outcome_t "tier 2 == tier 1" (flat t1)
+    (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
   Alcotest.(check (list string)) "same dispatches, records and heap" (fingerprint pl)
     (fingerprint ~tier2:true pl);
-  let o = I.run_facade ~tier2:true pl in
+  let o = I.run_facade ~tier:(Vm_runs.facade_tier pl) pl in
   Alcotest.(check int) "nothing delegated" 0 o.I.stats.Stats.tier2_delegated;
   Alcotest.(check bool) "the loop's page references are pinned" true
     (o.I.stats.Stats.tier2_int_slots >= 2);
@@ -1452,9 +1458,10 @@ let test_intrinsic_operands () =
         facade_pl ~data:[ "Main" ]
           (main_blocks ~ret:"int" ~locals:[ "i: int"; "f: double" ] [ ("b0", body) ])
       in
-      let t1 = run_outcome ~tier2:false pl in
+      let t1 = run_outcome pl in
       Alcotest.check outcome_t (name ^ ": tier 1") (Error expect) (flat t1);
-      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1) (flat (run_outcome ~tier2:true pl)))
+      Alcotest.check outcome_t (name ^ ": tier 2") (flat t1)
+        (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl)))
     bad_operand_cases
 
 (* Spawned threads allocate through their own buffered store handle;
@@ -1547,7 +1554,7 @@ let test_budget_sweep_baseline name () =
   sweep_against_baseline ~label:(name ^ "/facade")
     ~base:(fun max_steps -> Facade_vm.Interp_baseline.run_facade ~max_steps pl)
     ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
-    ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier2:true pl)
+    ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier:(Vm_runs.facade_tier pl) pl)
 
 (* Every budget up to [upto], against the baseline run at each; the
    last one must already reach the run's fault [expect]. *)
@@ -1598,7 +1605,7 @@ let test_fused_fault_budgets () =
       let base max_steps = Facade_vm.Interp_baseline.run_facade ~max_steps pl in
       sweep_each ~label:name ~upto:40 ~expect ~base
         ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
-        ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier2:true pl))
+        ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier:(Vm_runs.facade_tier pl) pl))
     fused_fault_cases
 
 (* A loop block of [segment; call; segment] ending in a fused compare:

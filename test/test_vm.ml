@@ -18,7 +18,7 @@ let run_both (s : Samples.sample) =
   Jir.Verify.check_or_fail s.Samples.program;
   let pl = compile s in
   let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
-  let o_obj = I.run_object ~is_data s.Samples.program in
+  let o_obj = Vm_runs.run_object ~is_data s.Samples.program in
   let o_fac = I.run_facade pl in
   (pl, o_obj, o_fac)
 
@@ -96,7 +96,7 @@ let test_iteration_object_heap () =
     Heapsim.Heap.create (Heapsim.Hconfig.make ~heap_bytes:(1 lsl 20) ())
   in
   let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
-  let (_ : I.outcome) = I.run_object ~heap:heap_o ~is_data s.Samples.program in
+  let (_ : I.outcome) = Vm_runs.run_object ~heap:heap_o ~is_data s.Samples.program in
   let heap_f =
     Heapsim.Heap.create (Heapsim.Hconfig.make ~heap_bytes:(1 lsl 20) ())
   in
@@ -136,15 +136,15 @@ let check_differential (s : Samples.sample) () =
   let object_legs label p =
     let b = Facade_vm.Interp_baseline.run_object ~is_data p in
     [
-      (label ^ "object", I.run_object ~is_data p, b);
-      (label ^ "object tier 2", I.run_object ~is_data ~tier2:true p, b);
+      (label ^ "object", Vm_runs.run_object ~is_data p, b);
+      (label ^ "object tier 2", Vm_runs.run_object ~is_data ~tier2:true p, b);
     ]
   in
   let facade_legs label pl =
     let b = Facade_vm.Interp_baseline.run_facade pl in
     [
       (label ^ "facade", I.run_facade pl, b);
-      (label ^ "facade tier 2", I.run_facade ~tier2:true pl, b);
+      (label ^ "facade tier 2", I.run_facade ~tier:(Vm_runs.facade_tier pl) pl, b);
     ]
   in
   let pairs =
@@ -200,7 +200,7 @@ let run_everywhere ?max_steps ~roots program =
   let spec = { Facade_compiler.Classify.data_roots = roots; boundary = [] } in
   let pl = P.compile ~spec program in
   let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
-  let o1 = I.run_object ?max_steps ~is_data program in
+  let o1 = Vm_runs.run_object ?max_steps ~is_data program in
   let o2 = Facade_vm.Interp_baseline.run_object ?max_steps ~is_data program in
   let o3 = I.run_facade ?max_steps pl in
   let o4 = Facade_vm.Interp_baseline.run_facade ?max_steps pl in
@@ -321,7 +321,7 @@ let test_max_steps_exhaustion () =
   let pl = P.compile ~spec program in
   let budget = I.Vm_error "step budget exceeded" in
   Alcotest.check_raises "resolved object" budget (fun () ->
-      ignore (I.run_object ~max_steps:1_000 program));
+      ignore (Vm_runs.run_object ~max_steps:1_000 program));
   Alcotest.check_raises "baseline object" budget (fun () ->
       ignore (Facade_vm.Interp_baseline.run_object ~max_steps:1_000 program));
   Alcotest.check_raises "resolved facade" budget (fun () ->
@@ -352,7 +352,7 @@ let test_arith_by_zero () =
       let pl = P.compile ~spec program in
       let exn = I.Vm_error msg in
       Alcotest.check_raises (msg ^ " resolved object") exn (fun () ->
-          ignore (I.run_object program));
+          ignore (Vm_runs.run_object program));
       Alcotest.check_raises (msg ^ " baseline object") exn (fun () ->
           ignore (Facade_vm.Interp_baseline.run_object program));
       Alcotest.check_raises (msg ^ " resolved facade") exn (fun () ->
