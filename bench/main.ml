@@ -97,40 +97,57 @@ let run_micro () =
 module VP = Facade_compiler.Pipeline
 
 (* Time whole executions, interleaved: the candidates take turns in small
-   rounds and each is credited its minimum round time. The first run of
-   each (outside timing) pays for linking and cache fills.
+   rounds and each is credited its median block time per run. The first
+   run of each (outside timing) pays for linking and cache fills, and
+   sizes the candidate's timed block: enough runs that a block lasts
+   [block_s], so the clock's microsecond resolution stays under 0.1% of
+   a reading even for a run of a few microseconds.
    Interleaving matters on shared machines — background load varies
-   slowly, so back-to-back legs would see different CPU weather — and the
-   minimum estimator discards scheduler and GC spikes the way bechamel's
-   estimator does for the micro benches; step counts are deterministic,
-   so only the wall clock needs the robust treatment. Returns total
-   rounds and, per candidate, steps per run and best wall seconds per
-   run. *)
+   slowly, so back-to-back legs would see different CPU weather. Blocks
+   this long nearly all hold a timer tick or a collection, so the
+   fastest block depends on where those land; the median of a few
+   hundred blocks does not, and scheduler spikes fall in its upper half.
+   Step counts are deterministic, so only the wall clock needs the
+   robust treatment. Returns the runs of the candidate that ran fewest
+   and, per candidate, steps per run and median wall seconds per run. *)
+let block_s = 1e-3
+
 let vm_time_interleaved ~min_time ~min_runs (cands : (unit -> Facade_vm.Interp.outcome) array) =
   let n = Array.length cands in
-  let steps_per_run =
+  let first =
     Array.map
       (fun run ->
-        (run () : Facade_vm.Interp.outcome).Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps)
+        let t0 = Unix.gettimeofday () in
+        let o : Facade_vm.Interp.outcome = run () in
+        (o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps, Unix.gettimeofday () -. t0))
       cands
   in
-  let rpr = max 1 (min_runs / 5) in
-  let best = Array.make n infinity in
+  let steps_per_run = Array.map fst first in
+  let rpr =
+    Array.map (fun (_, dt) -> max 1 (int_of_float (Float.ceil (block_s /. Float.max dt 1e-6)))) first
+  in
+  let fewest = Array.fold_left min max_int rpr in
+  let times = Array.make n [] in
   let total = ref 0. and rounds = ref 0 in
-  while !rounds * rpr < min_runs * 5 || !total < min_time *. float_of_int n do
+  while !rounds * fewest < min_runs * 5 || !total < min_time *. float_of_int n do
     Array.iteri
       (fun k run ->
         let t0 = Unix.gettimeofday () in
-        for _ = 1 to rpr do
+        for _ = 1 to rpr.(k) do
           ignore (run () : Facade_vm.Interp.outcome)
         done;
         let dt = Unix.gettimeofday () -. t0 in
-        best.(k) <- Float.min best.(k) (dt /. float_of_int rpr);
+        times.(k) <- (dt /. float_of_int rpr.(k)) :: times.(k);
         total := !total +. dt)
       cands;
     incr rounds
   done;
-  (!rounds * rpr, steps_per_run, best)
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  (!rounds * fewest, steps_per_run, Array.map median times)
 
 let run_vm ~quick =
   print_endline
@@ -289,8 +306,9 @@ let run_vm ~quick =
   close_out oc;
   print_endline "wrote BENCH_vm.json";
   (* Regression gate: the closure tier must never lose to the
-     interpreter it sits above. The timing already takes the best round
-     per leg, so a failure here is a real regression, not noise. *)
+     interpreter it sits above. The timing already takes each leg's
+     median over interleaved rounds, so a failure here is a real
+     regression, not noise. *)
   let losers =
     List.filter (fun (_, _, _, _, o, t2, _) -> t2 < o) rows
   in

@@ -9,8 +9,8 @@
    {!Vm_state.Tier_deopt} *before* the faulting instruction's step
    accounting, so the interpreter resume at (block, pc) — on the same
    slot-indexed frame array — replays it exactly once and the two tiers
-   agree on results, output, steps, heap totals, pool peaks, and the
-   instruction mix.
+   agree on results, output, steps, dispatch counts, heap totals, and
+   pool peaks.
 
    Typed frame slots: a local whose every value is provably an int (or
    a float), and which only typed-capable templates touch, lives
@@ -31,11 +31,12 @@
    - straight-line runs of simple instructions are bulk-charged: a
      segment precheck deopts with reason "budget" if the step budget
      would expire inside the run, so tier-1 reproduces the exact error
-     point; otherwise steps/mix/intrinsic-dispatch counters advance by
-     precomputed deltas and the closures run. The step delta is the sum
-     of the instructions' weights ({!Resolved.weight}: a fused form
-     charges the source instructions it replaced), plus a fused
-     compare's step when the segment ends its block;
+     point; otherwise the step count advances by its precomputed delta
+     and the closures run, straight-line for a segment of up to eight
+     (see [segment]). The step delta is the sum of the instructions'
+     weights ({!Resolved.weight}: a fused form charges the source
+     instructions it replaced), plus a fused compare's step when the
+     segment ends its block;
    - guards and calls charge one step themselves after their own budget
      precheck, and so does a fused compare after a block's last
      self-charging action;
@@ -299,18 +300,14 @@ let[@inline always] note_ic_hit (s : Exec_stats.t) mx =
 let[@inline always] precheck st bi pc =
   if st.stats.Exec_stats.steps + 1 > st.max_steps then raise (Tier_deopt (bi, pc, "budget"))
 
-let[@inline always] count_step st cat =
+let[@inline always] count_step st =
   let stats = st.stats in
-  stats.Exec_stats.steps <- stats.Exec_stats.steps + 1;
-  stats.Exec_stats.mix.(cat) <- stats.Exec_stats.mix.(cat) + 1
+  stats.Exec_stats.steps <- stats.Exec_stats.steps + 1
 
-(* An intrinsic's accounting, as tier 1's [exec] does it: the step and
-   its mix category, then one intrinsic dispatch. *)
+(* An intrinsic's accounting, as tier 1's [exec] does it. *)
 let[@inline always] charge_intrinsic st bi pc =
   precheck st bi pc;
-  count_step st Exec_stats.cat_intrinsic;
-  let stats = st.stats in
-  stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1
+  count_step st
 
 (* Hand one instruction to tier 1, which self-accounts; counted so a run
    shows what its compiled code still leaves to the interpreter. *)
@@ -857,17 +854,97 @@ let compile_term lay (term : R.term) : act -> int =
         fun a -> cmp_slow op (rd_v a lx) (rd_v a ly) t e
 
 (* One compiled instruction: either bulk-chargeable straight-line work
-   (step/mix accounting hoisted into the enclosing segment) or a
+   (step accounting hoisted into the enclosing segment) or a
    self-charging action (guards, calls, allocation intrinsics,
-   delegations) that runs its own
-   budget precheck so a deopt lands before its accounting. The int
-   payload is the mix category. [S_store] is a facade page access: it
-   also counts one intrinsic dispatch and reads the activation's page
-   pool, which its segment resolves on entry. *)
-type step =
-  | S_bulk of (act -> unit) * int
-  | S_store of (act -> unit) * int
-  | S_self of (act -> unit)
+   delegations) that runs its own budget precheck so a deopt lands
+   before its accounting. [S_store] is bulk work that reads the
+   activation's page pool (a facade page access), which its segment
+   resolves on entry. *)
+type step = S_bulk of (act -> unit) | S_store of (act -> unit) | S_self of (act -> unit)
+
+(* A segment's entry: the budget precheck, which deopts to the
+   segment's start [pc] before anything is charged, its [k] steps at
+   once, and the page-pool resolve when a body reads pages. *)
+let[@inline always] seg_enter a k bi pc pages =
+  let st = a.st in
+  let stats = st.stats in
+  if stats.Exec_stats.steps + k > st.max_steps then raise (Tier_deopt (bi, pc, "budget"));
+  stats.Exec_stats.steps <- stats.Exec_stats.steps + k;
+  if pages && a.pool == no_pool then resolve_pool a
+
+(* A segment as one closure: its entry, then its bodies in order. Up to
+   eight bodies are called straight-line, which spares the loop and its
+   array loads; all but one of the segments a warm facade PageRank job
+   runs have 1 to 7. *)
+let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
+  match fs with
+  | [| f0 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a
+  | [| f0; f1 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a
+  | [| f0; f1; f2 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a
+  | [| f0; f1; f2; f3 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a;
+        f3 a
+  | [| f0; f1; f2; f3; f4 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a;
+        f3 a;
+        f4 a
+  | [| f0; f1; f2; f3; f4; f5 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a;
+        f3 a;
+        f4 a;
+        f5 a
+  | [| f0; f1; f2; f3; f4; f5; f6 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a;
+        f3 a;
+        f4 a;
+        f5 a;
+        f6 a
+  | [| f0; f1; f2; f3; f4; f5; f6; f7 |] ->
+      fun a ->
+        seg_enter a k bi pc pages;
+        f0 a;
+        f1 a;
+        f2 a;
+        f3 a;
+        f4 a;
+        f5 a;
+        f6 a;
+        f7 a
+  | _ ->
+      let n = Array.length fs in
+      fun a ->
+        seg_enter a k bi pc pages;
+        for i = 0 to n - 1 do
+          (Array.unsafe_get fs i) a
+        done
 
 (* ---------- the instruction templates ---------- *)
 
@@ -1003,54 +1080,51 @@ let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> un
             wr_v a d (arith_src add_swapped Ir.Add p vz))
 
 let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
-  let cat = R.category ins in
-  let bulk f = S_bulk (f, cat) in
-  let bulk_s f = S_store (f, cat) in
   let deleg () = S_self (fun a -> delegate t a.st mx a.frame ins) in
   let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
   let loc = loc_of lay and kind s = lay.kinds.(s) in
   match ins with
   | R.Rconst (d, v) -> (
       match loc d, v with
-      | L_box d, _ -> bulk (fun a -> fs a.frame d v)
-      | L_int k, Value.Int n -> bulk (fun a -> Array.unsafe_set a.ints k n)
-      | L_flt k, Value.Float x -> bulk (fun a -> Float.Array.unsafe_set a.flts k x)
-      | dl, _ -> bulk (fun a -> wr_v a dl v))
+      | L_box d, _ -> S_bulk (fun a -> fs a.frame d v)
+      | L_int k, Value.Int n -> S_bulk (fun a -> Array.unsafe_set a.ints k n)
+      | L_flt k, Value.Float x -> S_bulk (fun a -> Float.Array.unsafe_set a.flts k x)
+      | dl, _ -> S_bulk (fun a -> wr_v a dl v))
   | R.Rmove (d, s) -> (
       match loc d, loc s, kind s with
-      | L_box d, L_box s, _ -> bulk (fun a -> fs a.frame d (fg a.frame s))
+      | L_box d, L_box s, _ -> S_bulk (fun a -> fs a.frame d (fg a.frame s))
       | dl, sl, K_int ->
           let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
-          bulk (fun a -> wi a d (ri a s))
+          S_bulk (fun a -> wi a d (ri a s))
       | dl, sl, K_flt ->
           let d = Option.get (fcode lay dl) and s = Option.get (fcode lay sl) in
-          bulk (fun a ->
+          S_bulk (fun a ->
               let x = rf a s in
               wf a d x)
-      | dl, sl, (K_bot | K_box) -> bulk (fun a -> wr_v a dl (rd_v a sl)))
+      | dl, sl, (K_bot | K_box) -> S_bulk (fun a -> wr_v a dl (rd_v a sl)))
   | R.Rbinop (d, op, x, y) ->
-      bulk (binop_code lay ~sw:false op (loc d) (loc x) (kind x) (loc y) (kind y))
+      S_bulk (binop_code lay ~sw:false op (loc d) (loc x) (kind x) (loc y) (kind y))
   | R.Rbinop_imm (d, op, x, v, sw) ->
-      bulk (binop_code lay ~sw op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
+      S_bulk (binop_code lay ~sw op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
   | R.Rmul_add (d, x, y, z) ->
-      bulk
+      S_bulk
         (mul_add_code lay ~sw:(false, false) (loc d) (loc x) (kind x) (loc y) (kind y) (loc z)
            (kind z))
   | R.Rmul_add_imm (d, x, v, z, msw, asw) ->
-      bulk
+      S_bulk
         (mul_add_code lay ~sw:(msw, asw) (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v)
            (loc z) (kind z))
   | R.Rneg (d, s) -> (
       match kind s with
       | K_int ->
           let d = Option.get (icode lay (loc d)) and s = Option.get (icode lay (loc s)) in
-          bulk (fun a -> wi a d (-ri a s))
+          S_bulk (fun a -> wi a d (-ri a s))
       | K_flt ->
           let d = Option.get (fcode lay (loc d)) and s = Option.get (fcode lay (loc s)) in
-          bulk (fun a -> wf a d (-.rf a s))
+          S_bulk (fun a -> wf a d (-.rf a s))
       | K_bot | K_box ->
           let dl = loc d and sl = loc s in
-          bulk (fun a ->
+          S_bulk (fun a ->
               match rd_v a sl with
               | Value.Int n -> wr_v a dl (of_int (-n))
               | Value.Float x -> wr_v a dl (Value.Float (-.x))
@@ -1058,20 +1132,20 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Rnot (d, s) -> (
       let d = Option.get (icode lay (loc d)) in
       match kind s with
-      | K_flt -> bulk (fun a -> wi a d 0) (* every float is truthy *)
+      | K_flt -> S_bulk (fun a -> wi a d 0) (* every float is truthy *)
       | K_int ->
           let s = Option.get (icode lay (loc s)) in
-          bulk (fun a -> wi a d (if ri a s <> 0 then 0 else 1))
+          S_bulk (fun a -> wi a d (if ri a s <> 0 then 0 else 1))
       | K_bot | K_box ->
           let sl = loc s in
-          bulk (fun a -> wi a d (if truthy (rd_v a sl) then 0 else 1)))
-  | R.Rnew (d, cid) -> bulk (fun a -> fs a.frame d (alloc_obj a.st cid))
+          S_bulk (fun a -> wi a d (if truthy (rd_v a sl) then 0 else 1)))
+  | R.Rnew (d, cid) -> S_bulk (fun a -> fs a.frame d (alloc_obj a.st cid))
   | R.Rnew_array (d, na, len) ->
-      bulk (fun a -> fs a.frame d (alloc_arr a.st na (as_int (fg a.frame len))))
-  | R.Rstatic_load (d, g) -> bulk (fun a -> fs a.frame d a.st.globals.(g))
-  | R.Rstatic_store (g, s) -> bulk (fun a -> a.st.globals.(g) <- fg a.frame s)
+      S_bulk (fun a -> fs a.frame d (alloc_arr a.st na (as_int (fg a.frame len))))
+  | R.Rstatic_load (d, g) -> S_bulk (fun a -> fs a.frame d a.st.globals.(g))
+  | R.Rstatic_store (g, s) -> S_bulk (fun a -> a.st.globals.(g) <- fg a.frame s)
   | R.Rarray_load (d, r, i) ->
-      bulk (fun a ->
+      S_bulk (fun a ->
           let f = a.frame in
           match fg f r with
           | Value.Arr arr ->
@@ -1081,7 +1155,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           | Value.Null -> vm_err "NullPointerException: array load"
           | w -> vm_err "array load from %s" (Value.to_string w))
   | R.Rarray_store (r, i, s) ->
-      bulk (fun a ->
+      S_bulk (fun a ->
           let f = a.frame in
           match fg f r with
           | Value.Arr arr ->
@@ -1091,17 +1165,17 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           | Value.Null -> vm_err "NullPointerException: array store"
           | w -> vm_err "array store to %s" (Value.to_string w))
   | R.Rarray_length (d, r) ->
-      bulk (fun a ->
+      S_bulk (fun a ->
           let f = a.frame in
           match fg f r with
           | Value.Arr arr -> fs f d (of_int (Array.length arr.Value.elems))
           | Value.Null -> vm_err "NullPointerException: array length"
           | w -> vm_err "length of %s" (Value.to_string w))
   | R.Rinstance_of (d, s, ts) ->
-      bulk (fun a ->
+      S_bulk (fun a ->
           fs a.frame d (of_int (if instance_of a.st ts (fg a.frame s) then 1 else 0)))
   | R.Rcast (d, s, ts) ->
-      bulk (fun a ->
+      S_bulk (fun a ->
           let v = fg a.frame s in
           (match v with
           | Value.Null -> ()
@@ -1112,7 +1186,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           fs a.frame d v)
   (* ---- calls ---- *)
   | R.Rcall (ret, midx, recv, args) ->
-      S_self (mk_call t cst ~depth bi pc cat ret midx recv args)
+      S_self (mk_call t cst ~depth bi pc ret midx recv args)
   | R.Rcall_virtual_ic (ret, mid, r, args, ic) ->
       (* Monomorphize against the IC snapshot when the linked program
          already warmed it in an earlier run; a cache still cold at
@@ -1139,7 +1213,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           let key = ic.R.ic_key in
           match fg f o with
           | Value.Obj ob when key >= 0 && ob.Value.ocid = key lsr 20 ->
-              count_step st cat;
+              count_step st;
               note_ic_hit st.stats mx;
               fs f d ob.Value.fields.(key land R.ic_payload_mask)
           | _ -> delegate t st mx f ins)
@@ -1151,7 +1225,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           let key = ic.R.ic_key in
           match fg f o with
           | Value.Obj ob when key >= 0 && ob.Value.ocid = key lsr 20 ->
-              count_step st cat;
+              count_step st;
               note_ic_hit st.stats mx;
               ob.Value.fields.(key land R.ic_payload_mask) <- fg f s
           | _ -> delegate t st mx f ins)
@@ -1166,29 +1240,29 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Rget (d, acc, p, off) -> (
       match icode lay (loc p), acode lay acc (loc d) with
       | Some p, Some d ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               pg_load a acc d (page_in a.pool ad) (offset ad + off))
       | _ ->
           let pl = loc p and dl = loc d in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               wr_v a dl (pg_read acc (page_in a.pool ad) (offset ad + off))))
   | R.Rset (acc, p, off, src) -> (
       match icode lay (loc p), acode lay acc (oloc lay src) with
       | Some p, Some c ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               pg_store a acc (page_in a.pool ad) (offset ad + off) c)
       | _ ->
           let pl = loc p and sl = oloc lay src in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               pg_write acc (page_in a.pool ad) (offset ad + off) (rd_v a sl)))
   | R.Raget (d, acc, p, eb, idx) -> (
       match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (loc d) with
       | Some p, Some ix, Some d ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1197,7 +1271,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               pg_load a acc d pg (b + LR.array_header_bytes + (eb * i)))
       | _ ->
           let pl = loc p and il = oloc lay idx and dl = loc d in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1207,7 +1281,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Raset (acc, p, eb, idx, src) -> (
       match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (oloc lay src) with
       | Some p, Some ix, Some c ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1216,7 +1290,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               pg_store a acc pg (b + LR.array_header_bytes + (eb * i)) c)
       | _ ->
           let pl = loc p and il = oloc lay idx and sl = oloc lay src in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1229,7 +1303,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       match icode lay (loc p), binop_kind op ka ks with
       | Some p, K_flt ->
           let d = Option.get (fcode lay dl) and si, s = ncode lay ks sl in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let x = pg_read_f acc (page_in a.pool ad) (offset ad + off) in
               let y = rn a si s in
@@ -1237,13 +1311,13 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               wf a d r)
       | Some p, K_int when ka = K_int && ks = K_int ->
           let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let x = pg_read_i acc (page_in a.pool ad) (offset ad + off) in
               wi a d (iarith op x (ri a s)))
       | _ ->
           let pl = loc p in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let x = pg_read acc (page_in a.pool ad) (offset ad + off) in
               wr_v a dl (arith_src sw op x (rd_v a sl))))
@@ -1252,7 +1326,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       match icode lay (loc p) with
       | Some p when acc = R.A_f64 && is_float_op op && is_num ks ->
           let si, s = ncode lay ks sl in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
@@ -1262,7 +1336,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               write_f64 pg i r)
       | Some p when acc = R.A_i64 && is_int_op op && ks = K_int ->
           let s = Option.get (icode lay sl) in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a p in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
@@ -1270,7 +1344,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               write_i64 pg i (iop op x (ri a s)))
       | _ ->
           let pl = loc p in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
@@ -1278,7 +1352,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Raget_get (d, arr, eb, idx, acc, off) -> (
       match icode lay (loc arr), icode lay (oloc lay idx), acode lay acc (loc d) with
       | Some arr, Some ix, Some d ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = raddr a arr in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1289,7 +1363,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               pg_load a acc d (page_in a.pool ad2) (offset ad2 + off))
       | _ ->
           let al = loc arr and il = oloc lay idx and dl = loc d in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad = addr_nn (rd_v a al) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1309,7 +1383,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           acode lay acc (loc d) )
       with
       | Some a1, Some ix, Some a2, Some d ->
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad1 = raddr a a1 in
               let pg1 = page_in a.pool ad1 in
               let b1 = offset ad1 in
@@ -1323,7 +1397,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               pg_load a acc d pg2 (b2 + LR.array_header_bytes + (eb2 * j)))
       | _ ->
           let l1 = loc arr1 and il = oloc lay idx and l2 = loc arr2 and dl = loc d in
-          bulk_s (fun a ->
+          S_store (fun a ->
               let ad1 = addr_nn (rd_v a l1) in
               let pg1 = page_in a.pool ad1 in
               let b1 = offset ad1 in
@@ -1345,12 +1419,12 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
 (* Static/special call: frame construction and return plumbing are the
    interpreter's, but the target runs through [invoke] — compiled,
    inlined, or tiered as appropriate. *)
-and mk_call t (cst : st) ~depth bi pc cat ret midx recv args =
+and mk_call t (cst : st) ~depth bi pc ret midx recv args =
   let m = cst.rp.R.methods.(midx) in
   let leaf = leaf_body t cst ~depth midx in
   fun a ->
     precheck a.st bi pc;
-    count_step a.st cat;
+    count_step a.st;
     let stats = a.st.stats in
     stats.Exec_stats.static_dispatches <- stats.Exec_stats.static_dispatches + 1;
     let f = callee_frame m args a.frame in
@@ -1368,7 +1442,6 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args key ins =
   let mname = cst.rp.R.method_names.(mid) in
   let mono = t.t_mono.(mid) in
   let leaf = leaf_body t cst ~depth midx0 in
-  let cat = Exec_stats.cat_call_virtual in
   fun a ->
     let st = a.st in
     precheck st bi pc;
@@ -1381,7 +1454,7 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args key ins =
          below with tier-1's exact accounting. *)
     in
     if cid = cid0 then begin
-      count_step st cat;
+      count_step st;
       let stats = st.stats in
       stats.Exec_stats.virtual_dispatches <- stats.Exec_stats.virtual_dispatches + 1;
       note_ic_hit stats mx;
@@ -1402,7 +1475,6 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args key ins =
 and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
   let mname = cst.rp.R.method_names.(mid) in
   let mono = t.t_mono.(mid) in
-  let cat = Exec_stats.cat_call_virtual in
   fun a ->
     let st = a.st in
     precheck st bi pc;
@@ -1416,7 +1488,7 @@ and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
         | _ -> ( try dispatch_cid st recv mname with Vm_error _ -> -1)
       in
       if cid = key lsr 20 then begin
-        count_step st cat;
+        count_step st;
         let stats = st.stats in
         stats.Exec_stats.virtual_dispatches <- stats.Exec_stats.virtual_dispatches + 1;
         note_ic_hit stats mx;
@@ -1441,16 +1513,17 @@ and compile_meth t (cst : st) mx (m : R.meth) ~depth lay =
   { blocks = Array.mapi (fun bi b -> compile_block t cst mx ~depth lay bi b) m.R.m_body; lay }
 
 (* Pre-compose a basic block: compile each instruction, then fuse
-   maximal runs of bulk-chargeable steps into segments whose accounting
-   (step count, mix deltas, intrinsic dispatches) is precomputed and
-   applied in O(1) per segment after a single budget precheck. A fused
+   maximal runs of bulk-chargeable steps into segments whose step count
+   is precomputed and charged at once after a single budget precheck. A fused
    compare's step goes into the segment that ends the block, if there
    is one: nothing runs between it and the branch, so a budget expiring
    at the compare deopts to the segment's start and tier 1 replays the
    block up to the compare. Charged in an earlier segment, it would
    let a call in between run one step ahead. Otherwise the terminator
    charges it after its own precheck. The fold spares a typical loop
-   block that second precheck on every trip. *)
+   block that second precheck on every trip. A block of up to four
+   actions (segments and self-charging instructions) calls them and its
+   terminator straight-line, as [segment] does its bodies. *)
 and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
   let code = b.R.code in
   let steps = Array.mapi (fun pc ins -> compile_instr t cst mx ~depth lay bi pc ins) code in
@@ -1463,56 +1536,14 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
     | [] -> ()
     | g ->
         let items = Array.of_list (List.rev g) in
-        let n = Array.length items in
         let start_pc = !group_start in
         let k = ref extra in
-        for pc = start_pc to start_pc + n - 1 do
+        for pc = start_pc to start_pc + Array.length items - 1 do
           k := !k + R.weight code.(pc)
         done;
-        let k = !k in
-        let mixd = Array.make (Array.length Exec_stats.mix_labels) 0 in
-        let intr = ref 0 in
-        Array.iter
-          (function
-            | S_bulk (_, c) -> mixd.(c) <- mixd.(c) + 1
-            | S_store (_, c) ->
-                mixd.(c) <- mixd.(c) + 1;
-                incr intr
-            | S_self _ -> assert false)
-          items;
-        let fns =
-          Array.map
-            (function S_bulk (f, _) | S_store (f, _) -> f | S_self _ -> assert false)
-            items
-        in
-        (* Every facade page access counts one intrinsic dispatch, so
-           [intr > 0] exactly when the segment needs the page pool. *)
-        let intr = !intr in
-        let mixp = ref [] in
-        Array.iteri (fun c cnt -> if cnt > 0 then mixp := (c, cnt) :: !mixp) mixd;
-        let mcats = Array.of_list (List.map fst !mixp) in
-        let mcnts = Array.of_list (List.map snd !mixp) in
-        let nm = Array.length mcats in
-        let seg a =
-          let st = a.st in
-          let stats = st.stats in
-          if stats.Exec_stats.steps + k > st.max_steps then
-            raise (Tier_deopt (bi, start_pc, "budget"));
-          stats.Exec_stats.steps <- stats.Exec_stats.steps + k;
-          for ci = 0 to nm - 1 do
-            let c = Array.unsafe_get mcats ci in
-            stats.Exec_stats.mix.(c) <- stats.Exec_stats.mix.(c) + Array.unsafe_get mcnts ci
-          done;
-          if intr > 0 then begin
-            stats.Exec_stats.intrinsic_dispatches <-
-              stats.Exec_stats.intrinsic_dispatches + intr;
-            if a.pool == no_pool then resolve_pool a
-          end;
-          for i = 0 to n - 1 do
-            (Array.unsafe_get fns i) a
-          done
-        in
-        acts := seg :: !acts;
+        let pages = Array.exists (function S_store _ -> true | _ -> false) items in
+        let fns = Array.map (function S_bulk f | S_store f -> f | S_self _ -> assert false) items in
+        acts := segment !k bi start_pc pages fns :: !acts;
         group := []
   in
   Array.iteri
@@ -1542,6 +1573,24 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
   | [| a0 |] ->
       fun a ->
         a0 a;
+        term a
+  | [| a0; a1 |] ->
+      fun a ->
+        a0 a;
+        a1 a;
+        term a
+  | [| a0; a1; a2 |] ->
+      fun a ->
+        a0 a;
+        a1 a;
+        a2 a;
+        term a
+  | [| a0; a1; a2; a3 |] ->
+      fun a ->
+        a0 a;
+        a1 a;
+        a2 a;
+        a3 a;
         term a
   | _ ->
       let n = Array.length actions in

@@ -12,7 +12,7 @@
     in the [Value.t] frame. Compiled code installs
     behind the interpreter's dispatch hook ({!Interp}'s [run_method])
     and is semantically identical to tier-1: results, output, step
-    counts, instruction mix, heap totals, and pool peaks all match, and
+    counts, dispatch counts, heap totals, and pool peaks all match, and
     the differential suite asserts it over every sample.
 
     When a compiled assumption breaks — polymorphic receiver, monitor

@@ -1,39 +1,14 @@
-let mix_labels =
-  [|
-    "const"; "move"; "arith"; "alloc"; "field"; "static"; "array";
-    "call_direct"; "call_virtual"; "typetest"; "monitor"; "iter"; "intrinsic";
-    "other";
-  |]
-
-let cat_const = 0
-let cat_move = 1
-let cat_arith = 2
-let cat_alloc = 3
-let cat_field = 4
-let cat_static = 5
-let cat_array = 6
-let cat_call_direct = 7
-let cat_call_virtual = 8
-let cat_typetest = 9
-let cat_monitor = 10
-let cat_iter = 11
-let cat_intrinsic = 12
-let cat_other = 13
-
 type t = {
   mutable heap_objects : int;
   mutable data_objects : int;
   mutable page_records : int;
-  by_class : (string, int) Hashtbl.t;
   max_pool_index : (int, int) Hashtbl.t;
   mutable steps : int;
   mutable output : string list;
   mutable static_dispatches : int;
   mutable virtual_dispatches : int;
-  mutable intrinsic_dispatches : int;
   mutable ic_hits : int;
   mutable ic_misses : int;
-  mix : int array;
   (* Per-method profile counters, indexed by resolved method index. Sized
      by [ensure_methods] at VM setup (zero-length outside the resolved
      interpreter); [facade_cli profile] reports them. *)
@@ -60,16 +35,13 @@ let create () =
     heap_objects = 0;
     data_objects = 0;
     page_records = 0;
-    by_class = Hashtbl.create 16;
     max_pool_index = Hashtbl.create 16;
     steps = 0;
     output = [];
     static_dispatches = 0;
     virtual_dispatches = 0;
-    intrinsic_dispatches = 0;
     ic_hits = 0;
     ic_misses = 0;
-    mix = Array.make (Array.length mix_labels) 0;
     m_calls = [||];
     m_ic_hits = [||];
     m_ic_misses = [||];
@@ -106,11 +78,9 @@ let note_ic_miss t mx =
 
 let method_calls t mx = if mx < Array.length t.m_calls then t.m_calls.(mx) else 0
 
-let note_alloc t ~cls ~is_data =
+let note_alloc t ~is_data =
   t.heap_objects <- t.heap_objects + 1;
-  if is_data then t.data_objects <- t.data_objects + 1;
-  let c = Option.value ~default:0 (Hashtbl.find_opt t.by_class cls) in
-  Hashtbl.replace t.by_class cls (c + 1)
+  if is_data then t.data_objects <- t.data_objects + 1
 
 let note_record t = t.page_records <- t.page_records + 1
 
@@ -122,16 +92,13 @@ let zero t =
   t.heap_objects <- 0;
   t.data_objects <- 0;
   t.page_records <- 0;
-  Hashtbl.reset t.by_class;
   Hashtbl.reset t.max_pool_index;
   t.steps <- 0;
   t.output <- [];
   t.static_dispatches <- 0;
   t.virtual_dispatches <- 0;
-  t.intrinsic_dispatches <- 0;
   t.ic_hits <- 0;
   t.ic_misses <- 0;
-  Array.fill t.mix 0 (Array.length t.mix) 0;
   Array.fill t.m_calls 0 (Array.length t.m_calls) 0;
   Array.fill t.m_ic_hits 0 (Array.length t.m_ic_hits) 0;
   Array.fill t.m_ic_misses 0 (Array.length t.m_ic_misses) 0;
@@ -148,9 +115,7 @@ let zero t =
 let copy t =
   {
     t with
-    by_class = Hashtbl.copy t.by_class;
     max_pool_index = Hashtbl.copy t.max_pool_index;
-    mix = Array.copy t.mix;
     m_calls = Array.copy t.m_calls;
     m_ic_hits = Array.copy t.m_ic_hits;
     m_ic_misses = Array.copy t.m_ic_misses;
@@ -166,11 +131,6 @@ let merge dst src =
   dst.data_objects <- dst.data_objects + src.data_objects;
   dst.page_records <- dst.page_records + src.page_records;
   Hashtbl.iter
-    (fun cls n ->
-      let c = Option.value ~default:0 (Hashtbl.find_opt dst.by_class cls) in
-      Hashtbl.replace dst.by_class cls (c + n))
-    src.by_class;
-  Hashtbl.iter
     (fun type_id idx ->
       let m = Option.value ~default:(-1) (Hashtbl.find_opt dst.max_pool_index type_id) in
       if idx > m then Hashtbl.replace dst.max_pool_index type_id idx)
@@ -179,10 +139,8 @@ let merge dst src =
   dst.output <- src.output @ dst.output;
   dst.static_dispatches <- dst.static_dispatches + src.static_dispatches;
   dst.virtual_dispatches <- dst.virtual_dispatches + src.virtual_dispatches;
-  dst.intrinsic_dispatches <- dst.intrinsic_dispatches + src.intrinsic_dispatches;
   dst.ic_hits <- dst.ic_hits + src.ic_hits;
   dst.ic_misses <- dst.ic_misses + src.ic_misses;
-  Array.iteri (fun i n -> dst.mix.(i) <- dst.mix.(i) + n) src.mix;
   ensure_methods dst (Array.length src.m_calls);
   Array.iteri (fun i n -> dst.m_calls.(i) <- dst.m_calls.(i) + n) src.m_calls;
   Array.iteri (fun i n -> dst.m_ic_hits.(i) <- dst.m_ic_hits.(i) + n) src.m_ic_hits;
@@ -198,8 +156,3 @@ let merge dst src =
   dst.osr_entries <- dst.osr_entries + src.osr_entries
 
 let output_lines t = List.rev t.output
-
-let class_count t cls = Option.value ~default:0 (Hashtbl.find_opt t.by_class cls)
-
-let instr_mix t =
-  Array.to_list (Array.mapi (fun i n -> (mix_labels.(i), n)) t.mix)

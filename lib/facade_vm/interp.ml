@@ -161,9 +161,7 @@ let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value
               let arr =
                 { Value.aty = ety; elems = Array.make len (Value.default_of ety); aid = new_oid st }
               in
-              Exec_stats.note_alloc st.stats
-                ~cls:(Layout.name_of_type_id rt.layout tid)
-                ~is_data:false;
+              Exec_stats.note_alloc st.stats ~is_data:false;
               Hashtbl.replace visited ai (Value.Arr arr);
               for i = 0 to len - 1 do
                 let offset = Store.array_elem_offset ~elem_bytes:eb ~index:i in
@@ -186,7 +184,7 @@ let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value
                   oid = new_oid st;
                 }
               in
-              Exec_stats.note_alloc st.stats ~cls:c.R.c_name ~is_data:false;
+              Exec_stats.note_alloc st.stats ~is_data:false;
               Hashtbl.replace visited ai (Value.Obj o);
               Array.iter
                 (fun ((fs : Layout.field_slot), oslot) ->
@@ -287,7 +285,6 @@ and run_tier2 (st : st) midx f frame =
 and exec st mx (frame : Value.t array) ins =
   let stats = st.stats in
   charge st;
-  stats.Exec_stats.mix.(R.category ins) <- stats.Exec_stats.mix.(R.category ins) + 1;
   match ins with
   | R.Rconst (d, v) -> frame.(d) <- v
   | R.Rmove (d, s) -> frame.(d) <- frame.(s)
@@ -399,10 +396,8 @@ and exec st mx (frame : Value.t array) ins =
           flush_ctx st
       | Object_mode -> ())
   | R.Rrun_thread op ->
-      st.stats.Exec_stats.intrinsic_dispatches <- st.stats.Exec_stats.intrinsic_dispatches + 1;
       run_thread st (operand frame op)
   | R.Rintrinsic (ret, i, ops) ->
-      st.stats.Exec_stats.intrinsic_dispatches <- st.stats.Exec_stats.intrinsic_dispatches + 1;
       exec_intrinsic st frame ret i ops
   | R.Rerror msg -> raise (Vm_error msg)
   | R.Rcall_virtual_ic (ret, mid, r, args, ic) ->
@@ -497,15 +492,12 @@ and exec st mx (frame : Value.t array) ins =
       charge st;
       frame.(d) <- arith_src add_swapped Ir.Add p frame.(z)
   | R.Rget (d, a, p, off) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       frame.(d) <- store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off
   | R.Rset (a, p, off, src) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       store_set rt a (addr_of (check_nonnull frame.(p))) ~offset:off (operand frame src)
   | R.Raget (d, a, p, eb, idx) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(p)) in
       let i = as_int (operand frame idx) in
@@ -514,7 +506,6 @@ and exec st mx (frame : Value.t array) ins =
       frame.(d) <-
         store_get rt a addr ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
   | R.Raset (a, p, eb, idx, src) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(p)) in
       let i = as_int (operand frame idx) in
@@ -524,13 +515,11 @@ and exec st mx (frame : Value.t array) ins =
         ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
         (operand frame src)
   | R.Rget_bin (d, a, p, off, op, s, sw) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let x = store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off in
       charge st;
       frame.(d) <- arith_src sw op x (operand frame s)
   | R.Rrmw (a, p, off, op, s, sw) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(p)) in
       let x = store_get rt a addr ~offset:off in
@@ -539,7 +528,6 @@ and exec st mx (frame : Value.t array) ins =
       charge st;
       store_set rt a addr ~offset:off v
   | R.Raget_get (d, arr, eb, idx, a, off) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr = addr_of (check_nonnull frame.(arr)) in
       let i = as_int (operand frame idx) in
@@ -552,7 +540,6 @@ and exec st mx (frame : Value.t array) ins =
       charge st;
       frame.(d) <- store_get rt a (addr_of (check_nonnull w)) ~offset:off
   | R.Raget_aget (d, a, arr1, eb1, idx, arr2, eb2) ->
-      stats.Exec_stats.intrinsic_dispatches <- stats.Exec_stats.intrinsic_dispatches + 1;
       let rt = the_rt st in
       let addr1 = addr_of (check_nonnull frame.(arr1)) in
       let i = as_int (operand frame idx) in

@@ -54,7 +54,7 @@ val run_object_linked :
 
     Tier 2 runs if and only if [?tier] is given: each method is compiled
     to closures at its first call, with deoptimization back to the
-    interpreter. Results, output, step counts, instruction mix and heap
+    interpreter. Results, output, step counts, dispatch counts and heap
     totals are identical to tier 1. *)
 
 val make_tier : ?feedback:Compile_tier.feedback -> Resolved.program -> Vm_state.tier

@@ -132,7 +132,7 @@ let new_oid st =
 let alloc_obj st cls =
   let l = layout_of st cls in
   let data = is_data st cls in
-  Exec_stats.note_alloc st.stats ~cls ~is_data:data;
+  Exec_stats.note_alloc st.stats ~is_data:data;
   charge_heap_obj st ~cls ~bytes:(java_object_bytes st cls) ~data;
   Value.Obj
     { Value.ocls = cls; ocid = -1; fields = Array.copy l.l_defaults; oid = new_oid st }
@@ -145,7 +145,7 @@ let alloc_arr st ety len =
     | Jtype.Prim _ | Jtype.Array _ -> false
   in
   let cls = Jtype.to_string (Jtype.Array ety) in
-  Exec_stats.note_alloc st.stats ~cls ~is_data:data;
+  Exec_stats.note_alloc st.stats ~is_data:data;
   charge_heap_obj st ~cls
     ~bytes:(Heapsim.Obj_model.array_bytes ~elem_bytes:(java_field_bytes ety) ~length:len)
     ~data;
@@ -348,7 +348,7 @@ let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value
               let arr =
                 { Value.aty = ety; elems = Array.make len (Value.default_of ety); aid = new_oid st }
               in
-              Exec_stats.note_alloc st.stats ~cls:name ~is_data:false;
+              Exec_stats.note_alloc st.stats ~is_data:false;
               Hashtbl.replace visited ai (Value.Arr arr);
               for i = 0 to len - 1 do
                 let offset = Store.array_elem_offset ~elem_bytes:(elem_width ety) ~index:i in
@@ -366,7 +366,7 @@ let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value
                   oid = new_oid st;
                 }
               in
-              Exec_stats.note_alloc st.stats ~cls:name ~is_data:false;
+              Exec_stats.note_alloc st.stats ~is_data:false;
               Hashtbl.replace visited ai (Value.Obj o);
               List.iter
                 (fun (slot : Layout.field_slot) ->

@@ -303,7 +303,6 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
                   (match ety with
                   | Jtype.Ref c -> is_data c
                   | Jtype.Prim _ | Jtype.Array _ -> false);
-                na_cls = Jtype.to_string (Jtype.Array ety);
               },
               slot len )
       | Ir.Field_load (b, a, f) ->

@@ -8,8 +8,8 @@
      them that way);
    - promotion of once-assigned entry-block constant slots into
      immediates ([Rbinop_imm], [Oconst] operands);
-   - fused superinstructions for the hot pairs the instruction-mix
-     counters surface: mul+add ([Rmul_add], array indexing),
+   - fused superinstructions for the hot pairs (found with an
+     instruction-mix count the VM no longer keeps): mul+add ([Rmul_add], array indexing),
      getfield+arith ([Rget_bin]) and compare+branch ([Rcmp_branch], when
      the condition slot is read nowhere else);
    - jump threading through empty blocks.

@@ -73,7 +73,6 @@ type newarr = {
   na_default : Value.t;
   na_elem_bytes : int;   (* Java element width, for the heap charge *)
   na_is_data : bool;
-  na_cls : string;       (* "Elem[]", for per-class stats *)
 }
 
 type instr =
@@ -227,27 +226,6 @@ let block_succs b =
 
 let instr_count m =
   Array.fold_left (fun acc b -> acc + Array.length b.code) 0 m.m_body
-
-(* Instruction-mix category (the [Exec_stats.cat_] constants), used by the
-   interpreter's per-step accounting. *)
-let category = function
-  | Rconst _ -> Exec_stats.cat_const
-  | Rmove _ -> Exec_stats.cat_move
-  | Rbinop _ | Rneg _ | Rnot _ | Rbinop_imm _ | Rmul_add _ | Rmul_add_imm _ ->
-      Exec_stats.cat_arith
-  | Rnew _ | Rnew_array _ -> Exec_stats.cat_alloc
-  | Rfield_load_ic _ | Rfield_store_ic _ -> Exec_stats.cat_field
-  | Rstatic_load _ | Rstatic_store _ -> Exec_stats.cat_static
-  | Rarray_load _ | Rarray_store _ | Rarray_length _ -> Exec_stats.cat_array
-  | Rcall _ -> Exec_stats.cat_call_direct
-  | Rcall_virtual_ic _ -> Exec_stats.cat_call_virtual
-  | Rinstance_of _ | Rcast _ -> Exec_stats.cat_typetest
-  | Rmonitor_enter _ | Rmonitor_exit _ -> Exec_stats.cat_monitor
-  | Riter_start | Riter_end -> Exec_stats.cat_iter
-  | Rintrinsic _ | Rrun_thread _ | Rget _ | Rset _ | Raget _ | Raset _
-  | Rget_bin _ | Rrmw _ | Raget_get _ | Raget_aget _ ->
-      Exec_stats.cat_intrinsic
-  | Rerror _ -> Exec_stats.cat_other
 
 (* Source instructions an instruction stands for: a fused form charges
    every step of the pair (or triple) it replaced, so step counts, and

@@ -74,7 +74,6 @@ type newarr = {
   na_default : Value.t;
   na_elem_bytes : int;
   na_is_data : bool;
-  na_cls : string;
 }
 
 type instr =
@@ -218,9 +217,6 @@ val block_succs : block -> int list
 
 val instr_count : meth -> int
 (** Total instructions across a method's blocks (compile-size budget). *)
-
-val category : instr -> int
-(** Instruction-mix category ({!Exec_stats.cat_const} etc.). *)
 
 val weight : instr -> int
 (** Source instructions [instr] stands for, and so the steps it charges:

@@ -251,14 +251,14 @@ let new_oid st = Atomic.fetch_and_add st.oid 1 + 1
 
 let alloc_obj st cid =
   let c = st.rp.R.classes.(cid) in
-  Exec_stats.note_alloc st.stats ~cls:c.R.c_name ~is_data:c.R.c_is_data;
+  Exec_stats.note_alloc st.stats ~is_data:c.R.c_is_data;
   charge_heap_obj st ~bytes:c.R.c_java_bytes ~data:c.R.c_is_data;
   Value.Obj
     { Value.ocls = c.R.c_name; ocid = cid; fields = Array.copy c.R.c_defaults; oid = new_oid st }
 
 let alloc_arr st (na : R.newarr) len =
   if len < 0 then vm_err "NegativeArraySizeException";
-  Exec_stats.note_alloc st.stats ~cls:na.R.na_cls ~is_data:na.R.na_is_data;
+  Exec_stats.note_alloc st.stats ~is_data:na.R.na_is_data;
   charge_heap_obj st
     ~bytes:(Heapsim.Obj_model.array_bytes ~elem_bytes:na.R.na_elem_bytes ~length:len)
     ~data:na.R.na_is_data;

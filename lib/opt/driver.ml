@@ -44,25 +44,31 @@ let report_to_json r =
           (fun (c, m) -> Printf.sprintf "[%s,%s]" (json_str c) (json_str m))
           r.tier_leaves))
 
-(* The accumulator carries the program's instruction count, so each pass
-   counts only its output: its input count is the previous pass's. *)
-let run_pass name metric enabled f (p, before, deltas) =
-  if not enabled then (p, before, deltas)
+let delta name metric before after count =
+  { Delta.pass = name; instrs_before = before; instrs_after = after; metric; count }
+
+(* [instrs] is the program's instruction count, which the passes' change
+   reports keep current, so a pass's input count is its predecessor's
+   output count and nothing walks the whole program between passes. *)
+let run_pass ~instrs name metric enabled f ((p, deltas) as acc) =
+  if not enabled then acc
   else begin
+    let before = !instrs in
     let p', count = f p in
-    let after = Program.total_instrs p' in
-    ( p',
-      after,
-      { Delta.pass = name; instrs_before = before; instrs_after = after; metric; count }
-      :: deltas )
+    (p', delta name metric before !instrs count :: deltas)
   end
 
 let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) p =
   let instrs_before = Program.total_instrs p in
   (* (class, method) pairs some pass has rewritten so far. *)
   let touched = Hashtbl.create 64 in
-  let changed cls name = Hashtbl.replace touched (cls, name) () in
-  let acc = (p, instrs_before, []) in
+  let instrs = ref instrs_before in
+  let changed cls (m : Ir.meth) (m' : Ir.meth) =
+    Hashtbl.replace touched (cls, m.Ir.mname) ();
+    instrs := !instrs + Ir.instr_count m' - Ir.instr_count m
+  in
+  let run_pass = run_pass ~instrs in
+  let acc = (p, []) in
   let acc = run_pass "const_fold" "folded" config.Config.const_fold (Const_fold.run ~changed) acc in
   let acc = run_pass "copy_prop" "copies" config.Config.copy_prop (Copy_prop.run ~changed) acc in
   let acc = run_pass "dce" "removed" config.Config.dce (Dce.run ~changed) acc in
@@ -81,18 +87,22 @@ let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) 
   let acc =
     if config.Config.inline then begin
       let only cls name = Hashtbl.mem touched (cls, name) in
-      let acc = run_pass "copy_prop'" "copies" config.Config.copy_prop (Copy_prop.run ~only) acc in
-      let acc = run_pass "const_fold'" "folded" config.Config.const_fold (Const_fold.run ~only) acc in
-      run_pass "dce'" "removed" config.Config.dce (Dce.run ~only) acc
+      let acc =
+        run_pass "copy_prop'" "copies" config.Config.copy_prop (Copy_prop.run ~only ~changed) acc
+      in
+      let acc =
+        run_pass "const_fold'" "folded" config.Config.const_fold (Const_fold.run ~only ~changed) acc
+      in
+      run_pass "dce'" "removed" config.Config.dce (Dce.run ~only ~changed) acc
     end
     else acc
   in
-  let p', instrs_after, deltas = acc in
+  let p', deltas = acc in
   ( p',
     {
       deltas = List.rev deltas;
       instrs_before;
-      instrs_after;
+      instrs_after = !instrs;
       tier_mono = Devirt.monomorphic_names p';
       tier_leaves = Inline.leaf_candidates p';
     } )
@@ -125,7 +135,9 @@ let invariant_findings (pl : Pipeline.t) p' =
   @ lint_errs
 
 (* [extra_passes] exists for the regression tests: inject a deliberately
-   invariant-breaking pass and watch the driver refuse it. *)
+   invariant-breaking pass and watch the driver refuse it. Such a pass
+   may rewrite anything, so its output is counted by a whole-program
+   walk. *)
 let optimize_pipeline ?(config = Config.default)
     ?(extra_passes : (string * (Program.t -> Program.t)) list = [])
     (pl : Pipeline.t) =
@@ -133,7 +145,10 @@ let optimize_pipeline ?(config = Config.default)
   let p', rep = optimize_program ~config ~may_inline pl.Pipeline.transformed in
   let p', instrs_after, deltas =
     List.fold_left
-      (fun acc (name, f) -> run_pass name "changed" true (fun p -> (f p, 0)) acc)
+      (fun (p, before, deltas) (name, f) ->
+        let p' = f p in
+        let after = Program.total_instrs p' in
+        (p', after, delta name "changed" before after 0 :: deltas))
       (p', rep.instrs_after, List.rev rep.deltas) extra_passes
   in
   let rep = { rep with deltas = List.rev deltas; instrs_after } in

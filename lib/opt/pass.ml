@@ -16,11 +16,12 @@ type t = {
    rewrites little allocates little and the unchanged parts of the
    program stay shared with its input. [only] restricts the rewrite to a
    subset of (class, method) pairs — the rest are kept as they are;
-   [changed] hears of every method [f] reported as rewritten. The driver
-   uses the pair to run its cleanup round on exactly the methods an
-   earlier pass touched. Both rest on every pass reporting every rewrite
-   it makes. *)
-let map_methods ?(only = fun _ _ -> true) ?(changed = fun _ _ -> ()) f p =
+   [changed cls m m'] hears of every method [f] reported as rewritten,
+   before and after. The driver uses the pair to run its cleanup round
+   on exactly the methods an earlier pass touched, and counts each
+   pass's output from the rewritten methods alone. Both rest on every
+   pass reporting every rewrite it makes. *)
+let map_methods ?(only = fun _ _ -> true) ?(changed = fun _ _ _ -> ()) f p =
   List.fold_left
     (fun acc (c : Ir.cls) ->
       let cls = c.Ir.cname in
@@ -32,7 +33,7 @@ let map_methods ?(only = fun _ _ -> true) ?(changed = fun _ _ -> ()) f p =
             else begin
               let m', did = f ~cls m in
               if did then begin
-                changed cls m.Ir.mname;
+                changed cls m m';
                 any := true;
                 m'
               end

@@ -139,6 +139,19 @@ let test_manager_release_recycles () =
     (Invalid_argument "Page_manager.alloc: released manager") (fun () ->
       ignore (Mgr.alloc m ~bytes:16))
 
+(* A manager releases its pages newest first onto the pool's LIFO free
+   list, so the next manager gets the same page ids in the order the
+   first one took them. *)
+let test_manager_recycles_in_taken_order () =
+  let pool = Pool.create () in
+  (* Over half a page each, so every record opens its own page. *)
+  let pages m = List.init 4 (fun _ -> Addr.page (Mgr.alloc m ~bytes:20_000)) in
+  let m = Mgr.create pool in
+  let first = pages m in
+  Mgr.release_all m;
+  let again = pages (Mgr.create pool) in
+  Alcotest.(check (list int)) "same ids, same order" first again
+
 let test_manager_tree_release () =
   let pool = Pool.create () in
   let parent = Mgr.create pool in
@@ -671,6 +684,7 @@ let () =
           Alcotest.test_case "large on empty pages" `Quick test_manager_large_records_on_empty_pages;
           Alcotest.test_case "never spans" `Quick test_manager_never_spans_pages;
           Alcotest.test_case "release recycles" `Quick test_manager_release_recycles;
+          Alcotest.test_case "recycles in taken order" `Quick test_manager_recycles_in_taken_order;
           Alcotest.test_case "tree release" `Quick test_manager_tree_release;
           Alcotest.test_case "oversize early release" `Quick test_manager_oversize_early_release;
         ] );

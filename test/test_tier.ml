@@ -55,9 +55,8 @@ let fingerprint ?workers ?(tier2 = false) pl =
     Printf.sprintf "facades=%d locks_peak=%d" o.I.facades_allocated o.I.locks_peak;
     Printf.sprintf "page_records=%d steps=%d" o.I.stats.Stats.page_records
       o.I.stats.Stats.steps;
-    Printf.sprintf "dispatches static=%d virtual=%d intrinsic=%d"
-      o.I.stats.Stats.static_dispatches o.I.stats.Stats.virtual_dispatches
-      o.I.stats.Stats.intrinsic_dispatches;
+    Printf.sprintf "dispatches static=%d virtual=%d" o.I.stats.Stats.static_dispatches
+      o.I.stats.Stats.virtual_dispatches;
     Printf.sprintf "store_records=%d live_pages=%d" records live;
     Printf.sprintf "heap_objects=%d heap_bytes=%d" gs.Heapsim.Gc_stats.objects_allocated
       gs.Heapsim.Gc_stats.bytes_allocated;
@@ -530,17 +529,11 @@ let run_outcome ?workers ?tier pl =
       Ok
         ( Exact.exact_result o.I.result,
           Stats.output_lines o.I.stats,
-          o.I.stats.Stats.steps,
-          Stats.instr_mix o.I.stats )
+          o.I.stats.Stats.steps )
   | exception I.Vm_error e -> Error e
 
-let outcome_t =
-  Alcotest.(
-    result
-      (pair (pair string (list string)) (pair int (list (pair string int))))
-      string)
-
-let flat = Result.map (fun (r, o, s, m) -> ((r, o), (s, m)))
+let outcome_t = Alcotest.(result (pair (pair string (list string)) int) string)
+let flat = Result.map (fun (r, o, s) -> ((r, o), s))
 
 (* The linked entry method holds an instruction [pred] accepts — the
    kernel under test runs compiled, not delegated. *)
@@ -689,7 +682,7 @@ let test_mixed_operands () =
     [ Ir.Add; Ir.Sub; Ir.Mul ];
   let t1 = run_outcome pl in
   (match t1 with
-  | Ok (r, out, _, _) ->
+  | Ok (r, out, _) ->
       Alcotest.(check string) "tier 1 result" "0x1.4p+2" r;
       Alcotest.(check int) "tier 1 printed each round" 5 (List.length out)
   | Error e -> Alcotest.fail e);
@@ -861,7 +854,7 @@ let test_reentrant () =
   (* sum_{i<40} i^2 = 20540: one sum in main, six per worker, plus
      6 * (0+1+2+3) of worker bias. *)
   (match t1 with
-  | Ok (r, _, _, _) -> Alcotest.(check string) "tier 1 result" "513536" r
+  | Ok (r, _, _) -> Alcotest.(check string) "tier 1 result" "513536" r
   | Error e -> Alcotest.fail e);
   Alcotest.check outcome_t "sequential tier 2 == tier 1" (flat t1)
     (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
@@ -1001,7 +994,7 @@ let test_typed_traps () =
       let t1 = run_outcome pl in
       Alcotest.(check (result string string))
         (name ^ ": tier 1") expect
-        (Result.map (fun (r, _, _, _) -> r) t1);
+        (Result.map (fun (r, _, _) -> r) t1);
       Alcotest.check outcome_t (name ^ ": tier 2 == tier 1") (flat t1)
         (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
       if Result.is_ok expect then
@@ -1216,7 +1209,7 @@ let test_leaf_pinned () =
   (match retired.Facade_vm.Vm_state.t_code.(val_) with
   | Facade_vm.Vm_state.T_fn _ -> ()
   | _ -> Alcotest.fail "the retired leaf did not run its own compiled code");
-  let steps = match t1 with Ok (_, _, s, _) -> s | Error e -> Alcotest.fail e in
+  let steps = match t1 with Ok (_, _, s) -> s | Error e -> Alcotest.fail e in
   let run ?tier budget =
     match I.run_facade ~max_steps:budget ?tier pl with
     | o -> Ok (Exact.exact_result o.I.result)
@@ -1391,7 +1384,7 @@ let test_alloc_native () =
     (o.I.stats.Stats.tier2_int_slots >= 2);
   (* Every budget that expires inside the loop, on either side of each
      allocation, stops both tiers at the same instruction. *)
-  let steps = match t1 with Ok (_, _, s, _) -> s | Error e -> Alcotest.fail e in
+  let steps = match t1 with Ok (_, _, s) -> s | Error e -> Alcotest.fail e in
   for budget = 0 to steps do
     Alcotest.(check (result string string))
       (Printf.sprintf "budget %d" budget)
