@@ -98,10 +98,11 @@ module VP = Facade_compiler.Pipeline
 
 (* Time whole executions, interleaved: the candidates take turns in small
    rounds and each is credited its median block time per run. The first
-   run of each (outside timing) pays for linking and cache fills, and
-   sizes the candidate's timed block: enough runs that a block lasts
-   [block_s], so the clock's microsecond resolution stays under 0.1% of
-   a reading even for a run of a few microseconds.
+   run of each (outside timing) pays for linking, cache fills and tier-2
+   compiles; the fastest of the next three sizes the candidate's timed
+   block: enough warm runs that a block lasts [block_s], so the clock's
+   microsecond resolution stays under 0.1% of a reading even for a run
+   of a few microseconds.
    Interleaving matters on shared machines — background load varies
    slowly, so back-to-back legs would see different CPU weather. Blocks
    this long nearly all hold a timer tick or a collection, so the
@@ -114,17 +115,26 @@ let block_s = 1e-3
 
 let vm_time_interleaved ~min_time ~min_runs (cands : (unit -> Facade_vm.Interp.outcome) array) =
   let n = Array.length cands in
-  let first =
+  let steps_per_run =
     Array.map
       (fun run ->
-        let t0 = Unix.gettimeofday () in
         let o : Facade_vm.Interp.outcome = run () in
-        (o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps, Unix.gettimeofday () -. t0))
+        o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.steps)
       cands
   in
-  let steps_per_run = Array.map fst first in
+  let warm_dt run =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Unix.gettimeofday () in
+      ignore (run () : Facade_vm.Interp.outcome);
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
   let rpr =
-    Array.map (fun (_, dt) -> max 1 (int_of_float (Float.ceil (block_s /. Float.max dt 1e-6)))) first
+    Array.map
+      (fun run -> max 1 (int_of_float (Float.ceil (block_s /. Float.max (warm_dt run) 1e-6))))
+      cands
   in
   let fewest = Array.fold_left min max_int rpr in
   let times = Array.make n [] in

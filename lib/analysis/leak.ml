@@ -25,6 +25,10 @@ let page_ref_producers =
     Rt_names.string_literal;
   ]
 
+let rec is_page_ref_producer n = function
+  | [] -> false
+  | x :: rest -> String.equal x n || is_page_ref_producer n rest
+
 let is_conversion n =
   String.equal n Rt_names.convert_to || String.equal n Rt_names.convert_from
 
@@ -58,7 +62,7 @@ let check_method cl ~where ~declaring (m : Ir.meth) =
           declared_data d
       | Ir.Call (Some r, _, _, _, _, _) -> declared_data r
       | Ir.Intrinsic (Some _, n, _) ->
-          (not (is_conversion n)) && List.mem n page_ref_producers
+          (not (is_conversion n)) && is_page_ref_producer n page_ref_producers
       | Ir.Const _ | Ir.Binop _ | Ir.Unop _ | Ir.Array_length _ | Ir.Instance_of _
       | Ir.Call (None, _, _, _, _, _) | Ir.Intrinsic (None, _, _)
       | Ir.Field_store _ | Ir.Static_store _ | Ir.Array_store _ | Ir.Monitor_enter _

@@ -447,9 +447,9 @@ let infer_layout ~object_mode (m : R.meth) =
     (fun ins ->
       let ok = typed_capable ~object_mode ins in
       Option.iter (touch ok) (Quicken.rdef ins);
-      List.iter (touch ok) (Quicken.ruses ins))
+      Quicken.iter_uses (touch ok) ins)
     instrs;
-  Array.iter (fun (b : R.block) -> List.iter (touch true) (Quicken.term_uses b.R.term)) m.R.m_body;
+  Array.iter (fun (b : R.block) -> Quicken.iter_term_uses (touch true) b.R.term) m.R.m_body;
   let ni = ref 0 and nf = ref 0 in
   let locs =
     Array.init n (fun s ->
@@ -1603,11 +1603,13 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
 (* ---------- installation ---------- *)
 
 (* Compile method [mx] and install it as [T_fn]; oversized or abstract
-   methods retire to [T_dead]. Safe to race from several domains — both
-   winners install semantically identical code, and any thread may run
-   either tier at any moment, because correctness never depends on when
-   (or whether) compilation happens. *)
-let compile_into (t : tier) (cst : st) mx =
+   methods retire to [T_dead]. A cold method compiles under the tier's
+   compile mutex, and the state is read again once it is held: of
+   several domains that found the method cold, one compiles, installs
+   and counts it in its stats, and the rest find it installed, so a
+   parallel run counts the compiles, slots and tier-2 entries a
+   sequential run does. Installed code is only read without the lock. *)
+let compile_cold (t : tier) (cst : st) mx =
   match t.t_code.(mx) with
   | T_fn _ | T_dead -> ()
   | T_cold ->
@@ -1632,6 +1634,11 @@ let compile_into (t : tier) (cst : st) mx =
             ();
         t.t_code.(mx) <- T_fn (wrap_blocks t mx code)
       end
+
+let compile_into (t : tier) (cst : st) mx =
+  match t.t_code.(mx) with
+  | T_fn _ | T_dead -> ()
+  | T_cold -> Mutex.protect t.t_compile_mu (fun () -> compile_cold t cst mx)
 
 (* ---------- tier construction ---------- *)
 
@@ -1694,6 +1701,7 @@ let make ?(feedback = no_feedback) ~hooks (rp : R.program) : tier =
   in
   {
     t_code = Array.make nm T_cold;
+    t_compile_mu = Mutex.create ();
     t_fail = Array.make nm 0;
     t_hooks = hooks;
     t_leaves;

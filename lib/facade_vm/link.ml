@@ -74,6 +74,72 @@ let string_constants (p : Program.t) =
     (Program.classes p);
   Array.of_list (List.rev !rev)
 
+(* ---------- intrinsic classification ---------- *)
+
+let acc_of_suffix = function
+  | "i8" -> Some R.A_i8
+  | "i16" -> Some R.A_i16
+  | "i32" -> Some R.A_i32
+  | "i64" | "ref" -> Some R.A_i64
+  | "f32" -> Some R.A_f32
+  | "f64" -> Some R.A_f64
+  | _ -> None
+
+(* Intrinsics with a fixed name, with the arity each takes. *)
+let fixed_intrinsics =
+  [
+    (Rt.alloc, (2, R.I_alloc));
+    (Rt.alloc_array, (3, R.I_alloc_array));
+    (Rt.alloc_array_oversize, (3, R.I_alloc_array_oversize));
+    (Rt.free_oversize, (1, R.I_free_oversize));
+    (Rt.array_length, (1, R.I_array_length));
+    (Rt.type_id, (1, R.I_type_id));
+    (Rt.is_type, (2, R.I_is_type));
+    (Rt.checkcast, (2, R.I_checkcast));
+    (Rt.string_literal, (1, R.I_string_literal));
+    (Rt.pool_param, (2, R.I_pool_param));
+    (Rt.pool_receiver, (1, R.I_pool_receiver));
+    (Rt.pool_resolve, (1, R.I_pool_resolve));
+    (Rt.facade_bind, (2, R.I_facade_bind));
+    (Rt.facade_read, (1, R.I_facade_read));
+    (Rt.lock_enter, (1, R.I_lock_enter));
+    (Rt.lock_exit, (1, R.I_lock_exit));
+    (Rt.convert_from, (2, R.I_convert_from));
+    (Rt.convert_to, (2, R.I_convert_to));
+    (Rt.print, (1, R.I_print));
+    (Rt.current_thread, (0, R.I_current_thread));
+    (Rt.arraycopy, (5, R.I_arraycopy));
+    (Rt.io_read, (1, R.I_io_read));
+  ]
+
+(* Page accessors, by name prefix: the suffix names the access kind. *)
+let accessor_intrinsics =
+  [
+    ("rt.get_", 2, fun a -> R.I_get a);
+    ("rt.set_", 3, fun a -> R.I_set a);
+    ("rt.aget_", 3, fun a -> R.I_aget a);
+    ("rt.aset_", 4, fun a -> R.I_aset a);
+  ]
+
+(* The intrinsic an [name]/[n] site binds to, or the message of the
+   [Rerror] it lowers to. *)
+let classify_intrinsic name n =
+  let unknown () = Error (Printf.sprintf "unknown intrinsic %s/%d" name n) in
+  let has_prefix (pre, _, _) =
+    String.length name > String.length pre && String.starts_with ~prefix:pre name
+  in
+  match List.find_opt (fun (nm, _) -> String.equal nm name) fixed_intrinsics with
+  | Some (_, (arity, i)) -> if n = arity then Ok i else unknown ()
+  | None -> (
+      match List.find_opt has_prefix accessor_intrinsics with
+      | Some (pre, arity, k) when n = arity -> (
+          let l = String.length pre in
+          let suffix = String.sub name l (String.length name - l) in
+          match acc_of_suffix suffix with
+          | Some a -> Ok (k a)
+          | None -> Error (Printf.sprintf "unknown access kind %s" suffix))
+      | Some _ | None -> unknown ())
+
 (* ---------- the link ---------- *)
 
 let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
@@ -169,19 +235,19 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
         t
   in
 
-  let acc_of_suffix = function
-    | "i8" -> Some R.A_i8
-    | "i16" -> Some R.A_i16
-    | "i32" -> Some R.A_i32
-    | "i64" | "ref" -> Some R.A_i64
-    | "f32" -> Some R.A_f32
-    | "f64" -> Some R.A_f64
-    | _ -> None
+  (* Each distinct (name, arity) of an intrinsic site is classified once. *)
+  let intrinsic_kinds : (string * int, (R.intrinsic, string) result) Hashtbl.t =
+    Hashtbl.create 32
   in
-  let has_prefix s pre =
-    String.length s > String.length pre && String.sub s 0 (String.length pre) = pre
+  let intrinsic_kind name n =
+    let key = (name, n) in
+    match Hashtbl.find_opt intrinsic_kinds key with
+    | Some k -> k
+    | None ->
+        let k = classify_intrinsic name n in
+        Hashtbl.add intrinsic_kinds key k;
+        k
   in
-  let suffix_of s pre = String.sub s (String.length pre) (String.length s - String.length pre) in
 
   (* ---------- method-body lowering ---------- *)
 
@@ -230,60 +296,9 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
       | Ir.Imm c -> R.Oconst (Value.of_const c)
     in
     let intrinsic ret name ops =
-      let n = List.length ops in
-      let bind i = R.Rintrinsic (Option.map slot ret, i, Array.of_list (List.map operand ops)) in
-      let unknown () = R.Rerror (Printf.sprintf "unknown intrinsic %s/%d" name n) in
-      let acc_or pre k =
-        match acc_of_suffix (suffix_of name pre) with
-        | Some a -> bind (k a)
-        | None -> R.Rerror (Printf.sprintf "unknown access kind %s" (suffix_of name pre))
-      in
-      if String.equal name Rt.alloc then if n = 2 then bind R.I_alloc else unknown ()
-      else if String.equal name Rt.alloc_array then
-        if n = 3 then bind R.I_alloc_array else unknown ()
-      else if String.equal name Rt.alloc_array_oversize then
-        if n = 3 then bind R.I_alloc_array_oversize else unknown ()
-      else if String.equal name Rt.free_oversize then
-        if n = 1 then bind R.I_free_oversize else unknown ()
-      else if String.equal name Rt.array_length then
-        if n = 1 then bind R.I_array_length else unknown ()
-      else if String.equal name Rt.type_id then if n = 1 then bind R.I_type_id else unknown ()
-      else if String.equal name Rt.is_type then if n = 2 then bind R.I_is_type else unknown ()
-      else if String.equal name Rt.checkcast then
-        if n = 2 then bind R.I_checkcast else unknown ()
-      else if String.equal name Rt.string_literal then
-        if n = 1 then bind R.I_string_literal else unknown ()
-      else if String.equal name Rt.pool_param then
-        if n = 2 then bind R.I_pool_param else unknown ()
-      else if String.equal name Rt.pool_receiver then
-        if n = 1 then bind R.I_pool_receiver else unknown ()
-      else if String.equal name Rt.pool_resolve then
-        if n = 1 then bind R.I_pool_resolve else unknown ()
-      else if String.equal name Rt.facade_bind then
-        if n = 2 then bind R.I_facade_bind else unknown ()
-      else if String.equal name Rt.facade_read then
-        if n = 1 then bind R.I_facade_read else unknown ()
-      else if String.equal name Rt.lock_enter then
-        if n = 1 then bind R.I_lock_enter else unknown ()
-      else if String.equal name Rt.lock_exit then if n = 1 then bind R.I_lock_exit else unknown ()
-      else if String.equal name Rt.convert_from then
-        if n = 2 then bind R.I_convert_from else unknown ()
-      else if String.equal name Rt.convert_to then
-        if n = 2 then bind R.I_convert_to else unknown ()
-      else if String.equal name Rt.print then if n = 1 then bind R.I_print else unknown ()
-      else if String.equal name Rt.current_thread then
-        if n = 0 then bind R.I_current_thread else unknown ()
-      else if String.equal name Rt.arraycopy then if n = 5 then bind R.I_arraycopy else unknown ()
-      else if String.equal name Rt.io_read then if n = 1 then bind R.I_io_read else unknown ()
-      else if has_prefix name "rt.get_" then
-        if n = 2 then acc_or "rt.get_" (fun a -> R.I_get a) else unknown ()
-      else if has_prefix name "rt.set_" then
-        if n = 3 then acc_or "rt.set_" (fun a -> R.I_set a) else unknown ()
-      else if has_prefix name "rt.aget_" then
-        if n = 3 then acc_or "rt.aget_" (fun a -> R.I_aget a) else unknown ()
-      else if has_prefix name "rt.aset_" then
-        if n = 4 then acc_or "rt.aset_" (fun a -> R.I_aset a) else unknown ()
-      else unknown ()
+      match intrinsic_kind name (List.length ops) with
+      | Ok i -> R.Rintrinsic (Option.map slot ret, i, Array.of_list (List.map operand ops))
+      | Error msg -> R.Rerror msg
     in
     let lower_instr = function
       | Ir.Const (v, c) -> R.Rconst (slot v, Value.of_const c)

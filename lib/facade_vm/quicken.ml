@@ -63,12 +63,15 @@ let rdef = function
   | R.Rrun_thread _ | R.Rset _ | R.Raset _ | R.Rrmw _ | R.Rerror _ ->
       None
 
-let op_slots = function R.Oslot s -> [ s ] | R.Oconst _ -> []
+let iter_op f = function R.Oslot s -> f s | R.Oconst _ -> ()
 
-let ruses = function
+(* [iter_uses f ins] calls [f] on every slot [ins] reads, in operand
+   order, and [iter_term_uses] likewise for a terminator; neither builds
+   a list. *)
+let iter_uses f = function
   | R.Rconst _ | R.Rnew _ | R.Rstatic_load _ | R.Riter_start | R.Riter_end
   | R.Rerror _ ->
-      []
+      ()
   | R.Rmove (_, s)
   | R.Rneg (_, s)
   | R.Rnot (_, s)
@@ -82,81 +85,166 @@ let ruses = function
   | R.Rmonitor_exit s
   | R.Rbinop_imm (_, _, s, _, _)
   | R.Rget (_, _, s, _) ->
-      [ s ]
-  | R.Rbinop (_, _, x, y) | R.Rfield_store_ic (x, _, y, _) -> [ x; y ]
-  | R.Rarray_load (_, a, i) -> [ a; i ]
-  | R.Rarray_store (a, i, s) -> [ a; i; s ]
-  | R.Rmul_add (_, x, y, z) -> [ x; y; z ]
-  | R.Rmul_add_imm (_, x, _, z, _, _) -> [ x; z ]
+      f s
+  | R.Rbinop (_, _, x, y)
+  | R.Rfield_store_ic (x, _, y, _)
+  | R.Rarray_load (_, x, y)
+  | R.Rmul_add_imm (_, x, _, y, _, _) ->
+      f x;
+      f y
+  | R.Rarray_store (x, y, z) | R.Rmul_add (_, x, y, z) ->
+      f x;
+      f y;
+      f z
   | R.Rcall (_, _, recv, args) ->
-      Option.to_list recv @ Array.to_list args
-  | R.Rcall_virtual_ic (_, _, r, args, _) -> r :: Array.to_list args
-  | R.Rrun_thread op -> op_slots op
-  | R.Rintrinsic (_, _, ops) -> Array.to_list ops |> List.concat_map op_slots
-  | R.Rset (_, p, _, src) -> p :: op_slots src
-  | R.Raget (_, _, p, _, idx) -> p :: op_slots idx
-  | R.Raset (_, p, _, idx, src) -> p :: (op_slots idx @ op_slots src)
-  | R.Rget_bin (_, _, p, _, _, s, _) -> p :: op_slots s
-  | R.Rrmw (_, p, _, _, s, _) -> p :: op_slots s
-  | R.Raget_get (_, arr, _, idx, _, _) -> arr :: op_slots idx
-  | R.Raget_aget (_, _, arr1, _, idx, arr2, _) -> arr1 :: arr2 :: op_slots idx
+      Option.iter f recv;
+      Array.iter f args
+  | R.Rcall_virtual_ic (_, _, r, args, _) ->
+      f r;
+      Array.iter f args
+  | R.Rrun_thread op -> iter_op f op
+  | R.Rintrinsic (_, _, ops) -> Array.iter (iter_op f) ops
+  | R.Rset (_, p, _, src) ->
+      f p;
+      iter_op f src
+  | R.Raget (_, _, p, _, idx) ->
+      f p;
+      iter_op f idx
+  | R.Raset (_, p, _, idx, src) ->
+      f p;
+      iter_op f idx;
+      iter_op f src
+  | R.Rget_bin (_, _, p, _, _, s, _)
+  | R.Rrmw (_, p, _, _, s, _)
+  | R.Raget_get (_, p, _, s, _, _) ->
+      f p;
+      iter_op f s
+  | R.Raget_aget (_, _, arr1, _, idx, arr2, _) ->
+      f arr1;
+      f arr2;
+      iter_op f idx
 
-let term_uses = function
-  | R.Rret s -> [ s ]
-  | R.Rbranch (s, _, _) -> [ s ]
-  | R.Rcmp_branch (_, x, y, _, _) -> op_slots x @ op_slots y
-  | R.Rret_void | R.Rjump _ -> []
+let iter_term_uses f = function
+  | R.Rret s | R.Rbranch (s, _, _) -> f s
+  | R.Rcmp_branch (_, x, y, _, _) ->
+      iter_op f x;
+      iter_op f y
+  | R.Rret_void | R.Rjump _ -> ()
 
 (* Operand swap is only safe where [Interp.arith] is symmetric. *)
 let commutative = function
   | Ir.Add | Ir.Mul | Ir.And | Ir.Or | Ir.Xor -> true
   | _ -> false
 
-let succs = function
-  | R.Rret_void | R.Rret _ -> []
-  | R.Rjump t -> [ t ]
-  | R.Rbranch (_, t, e) | R.Rcmp_branch (_, _, _, t, e) -> [ t; e ]
+let iter_succs f = function
+  | R.Rret_void | R.Rret _ -> ()
+  | R.Rjump t -> f t
+  | R.Rbranch (_, t, e) | R.Rcmp_branch (_, _, _, t, e) ->
+      f t;
+      f e
 
-(* Backward liveness over slots, for the compare+branch fusion: the
-   condition slot's write may be dropped only where the slot is dead at
-   the block exit. Slot reuse across unrelated temporaries makes any
-   whole-body read count useless here. *)
+let has_succs = function
+  | R.Rret_void | R.Rret _ -> false
+  | R.Rjump _ | R.Rbranch _ | R.Rcmp_branch _ -> true
+
+(* Backward liveness over slots, for the compare+branch and pair
+   fusions: a slot's write may be dropped only where the slot is dead
+   after it. Slot reuse across unrelated temporaries makes any
+   whole-body read count useless here. Each block's upward-exposed reads
+   (which seed its live-in) and its writes are found once; the fixpoint
+   then only ORs byte sets. A block without successors has nothing live
+   after it and gets the empty set, so a method without a successor edge
+   (most of P′: one block that returns) solves nothing. *)
 let live_out_sets nslots (body : R.block array) =
   let nb = Array.length body in
-  let live_in = Array.init nb (fun _ -> Array.make nslots false) in
-  let live_out = Array.init nb (fun _ -> Array.make nslots false) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = nb - 1 downto 0 do
-      let b = body.(bi) in
-      let out = live_out.(bi) in
-      List.iter
-        (fun s ->
-          let si = live_in.(s) in
+  if not (Array.exists (fun (b : R.block) -> has_succs b.R.term) body) then
+    Array.make nb Bytes.empty
+  else begin
+    let live_in = Array.make nb Bytes.empty and kill = Array.make nb Bytes.empty in
+    Array.iteri
+      (fun bi (b : R.block) ->
+        let gen = Bytes.make nslots '\000' and k = Bytes.make nslots '\000' in
+        let read s = Bytes.set gen s '\001' in
+        iter_term_uses read b.R.term;
+        for i = Array.length b.R.code - 1 downto 0 do
+          (match rdef b.R.code.(i) with
+          | Some d ->
+              Bytes.set gen d '\000';
+              Bytes.set k d '\001'
+          | None -> ());
+          iter_uses read b.R.code.(i)
+        done;
+        live_in.(bi) <- gen;
+        kill.(bi) <- k)
+      body;
+    let live_out =
+      Array.map
+        (fun (b : R.block) ->
+          if has_succs b.R.term then Bytes.make nslots '\000' else Bytes.empty)
+        body
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for bi = nb - 1 downto 0 do
+        let out = live_out.(bi) in
+        if Bytes.length out > 0 then begin
+          iter_succs
+            (fun s ->
+              let si = live_in.(s) in
+              for k = 0 to nslots - 1 do
+                if Bytes.get si k <> '\000' then Bytes.set out k '\001'
+              done)
+            body.(bi).R.term;
+          let li = live_in.(bi) and kl = kill.(bi) in
           for k = 0 to nslots - 1 do
-            if si.(k) && not out.(k) then begin
-              out.(k) <- true;
+            if Bytes.get out k <> '\000' && Bytes.get kl k = '\000' && Bytes.get li k = '\000'
+            then begin
+              Bytes.set li k '\001';
               changed := true
             end
-          done)
-        (succs b.R.term);
-      let cur = Array.copy out in
-      List.iter (fun s -> cur.(s) <- true) (term_uses b.R.term);
-      for i = Array.length b.R.code - 1 downto 0 do
-        (match rdef b.R.code.(i) with Some d -> cur.(d) <- false | None -> ());
-        List.iter (fun s -> cur.(s) <- true) (ruses b.R.code.(i))
-      done;
-      let li = live_in.(bi) in
-      for k = 0 to nslots - 1 do
-        if cur.(k) && not li.(k) then begin
-          li.(k) <- true;
-          changed := true
+          done
         end
       done
-    done
-  done;
-  live_out
+    done;
+    live_out
+  end
+
+let live_at_exit live_out bi s =
+  let o = live_out.(bi) in
+  Bytes.length o > 0 && Bytes.get o s <> '\000'
+
+(* Whether slot [s] is live just before [code.(j)] in block [bi]: the
+   first instruction from [j] on that touches [s] decides — a read keeps
+   it live, a write kills it — and past the last one the terminator's
+   reads and the block's live-out do. This is what a backward walk from
+   the block's exit gives, asked for one slot at one point, so the pair
+   fusion needs no per-instruction copy of the live set. *)
+let live_from live_out bi (b : R.block) j s =
+  let code = b.R.code in
+  let n = Array.length code in
+  let reads_s = ref false in
+  let read u = if u = s then reads_s := true in
+  let rec go j =
+    if j >= n then begin
+      iter_term_uses read b.R.term;
+      !reads_s || live_at_exit live_out bi s
+    end
+    else begin
+      iter_uses read code.(j);
+      if !reads_s then true
+      else
+        match rdef code.(j) with Some d when d = s -> false | Some _ | None -> go (j + 1)
+    end
+  in
+  go j
+
+(* Whether some instruction matching [head] is directly followed by one
+   matching [tail]; a pair fusion has nothing to do in a block without. *)
+let has_pair head tail code =
+  let n = Array.length code in
+  let rec go i = i + 1 < n && ((head code.(i) && tail code.(i + 1)) || go (i + 1)) in
+  go 0
 
 let quicken_meth (m : R.meth) =
   if Array.length m.R.m_body = 0 then m
@@ -177,28 +265,37 @@ let quicken_meth (m : R.meth) =
           | R.Rret_void | R.Rret _ | R.Rjump _ -> false)
         m.R.m_body
     in
-    let defs = Array.make nslots 0 in
-    Array.iter
-      (fun (b : R.block) ->
-        Array.iter
-          (fun i -> match rdef i with Some d -> defs.(d) <- defs.(d) + 1 | None -> ())
-          b.R.code)
-      m.R.m_body;
     let const_val = Hashtbl.create 8 in
-    if not entry_is_target then
+    let candidate = function R.Rconst (d, _) -> d >= nparams | _ -> false in
+    if (not entry_is_target) && Array.exists candidate m.R.m_body.(0).R.code then begin
+      let defs = Array.make nslots 0 in
+      Array.iter
+        (fun (b : R.block) ->
+          Array.iter
+            (fun i -> match rdef i with Some d -> defs.(d) <- defs.(d) + 1 | None -> ())
+            b.R.code)
+        m.R.m_body;
       Array.iter
         (function
           | R.Rconst (d, v) when d >= nparams && defs.(d) = 1 ->
               Hashtbl.replace const_val d v
           | _ -> ())
-        m.R.m_body.(0).R.code;
-    (* Pass 1: immediates and specialized accessors. *)
+        m.R.m_body.(0).R.code
+    end;
+    let promotes = Hashtbl.length const_val > 0 in
+    (* Pass 1: immediates and specialized accessors. Past the entry block
+       every promoted constant is set; inside it, each one is from its
+       [Rconst] on. *)
+    let entry_active = Hashtbl.create 8 in
+    let no_const _ = None in
     let body =
       Array.mapi
         (fun bi (b : R.block) ->
-          let active = Hashtbl.create 8 in
-          if bi > 0 then Hashtbl.iter (Hashtbl.replace active) const_val;
-          let cval s = Hashtbl.find_opt active s in
+          let cval =
+            if not promotes then no_const
+            else if bi > 0 then Hashtbl.find_opt const_val
+            else Hashtbl.find_opt entry_active
+          in
           let promote op =
             match op with
             | R.Oslot s -> (
@@ -235,8 +332,8 @@ let quicken_meth (m : R.meth) =
                   | _ -> ins
                 in
                 (match ins with
-                | R.Rconst (d, v) when bi = 0 && Hashtbl.mem const_val d ->
-                    Hashtbl.replace active d v
+                | R.Rconst (d, v) when bi = 0 && promotes && Hashtbl.mem const_val d ->
+                    Hashtbl.replace entry_active d v
                 | _ -> ());
                 ins)
               b.R.code
@@ -247,29 +344,36 @@ let quicken_meth (m : R.meth) =
     (* Pass 2: fuse adjacent pairs. The first instruction's destination is
        overwritten by the second, so the intermediate value is
        unobservable; operand evaluation order is preserved. *)
+    let pass2_head = function
+      | R.Rbinop (_, Ir.Mul, _, _) | R.Rbinop_imm (_, Ir.Mul, _, _, _) | R.Rget _ -> true
+      | _ -> false
+    in
+    let pass2_tail = function R.Rbinop _ | R.Rbinop_imm _ -> true | _ -> false in
+    let rec fuse = function
+      | R.Rbinop (d, Ir.Mul, x, y) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
+        when d2 = d && a2 = d && b2 <> d ->
+          R.Rmul_add (d, x, y, b2) :: fuse rest
+      | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
+        when d2 = d && a2 = d && b2 <> d ->
+          R.Rmul_add_imm (d, x, v, b2, sw, false) :: fuse rest
+      | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
+        when d2 = d && b2 = d && a2 <> d ->
+          R.Rmul_add_imm (d, x, v, a2, sw, true) :: fuse rest
+      | R.Rget (d, acc, p, off) :: R.Rbinop (d2, op, a2, b2) :: rest
+        when d2 = d && a2 = d && b2 <> d ->
+          R.Rget_bin (d, acc, p, off, op, R.Oslot b2, false) :: fuse rest
+      | R.Rget (d, acc, p, off) :: R.Rbinop_imm (d2, op, x2, v, sw) :: rest
+        when d2 = d && x2 = d ->
+          R.Rget_bin (d, acc, p, off, op, R.Oconst v, sw) :: fuse rest
+      | i :: rest -> i :: fuse rest
+      | [] -> []
+    in
     let body =
       Array.map
         (fun (b : R.block) ->
-          let rec fuse = function
-            | R.Rbinop (d, Ir.Mul, x, y) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
-              when d2 = d && a2 = d && b2 <> d ->
-                R.Rmul_add (d, x, y, b2) :: fuse rest
-            | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
-              when d2 = d && a2 = d && b2 <> d ->
-                R.Rmul_add_imm (d, x, v, b2, sw, false) :: fuse rest
-            | R.Rbinop_imm (d, Ir.Mul, x, v, sw) :: R.Rbinop (d2, Ir.Add, a2, b2) :: rest
-              when d2 = d && b2 = d && a2 <> d ->
-                R.Rmul_add_imm (d, x, v, a2, sw, true) :: fuse rest
-            | R.Rget (d, acc, p, off) :: R.Rbinop (d2, op, a2, b2) :: rest
-              when d2 = d && a2 = d && b2 <> d ->
-                R.Rget_bin (d, acc, p, off, op, R.Oslot b2, false) :: fuse rest
-            | R.Rget (d, acc, p, off) :: R.Rbinop_imm (d2, op, x2, v, sw) :: rest
-              when d2 = d && x2 = d ->
-                R.Rget_bin (d, acc, p, off, op, R.Oconst v, sw) :: fuse rest
-            | i :: rest -> i :: fuse rest
-            | [] -> []
-          in
-          { b with R.code = Array.of_list (fuse (Array.to_list b.R.code)) })
+          if has_pair pass2_head pass2_tail b.R.code then
+            { b with R.code = Array.of_list (fuse (Array.to_list b.R.code)) }
+          else b)
         body
     in
     (* Pass 3: compare+branch fusion when the condition slot is dead at
@@ -277,6 +381,7 @@ let quicken_meth (m : R.meth) =
        directly (their values are unchanged between the two points), and
        the dead write is dropped. *)
     let live_out = live_out_sets nslots body in
+    let body3 = body in
     let promote_g op =
       match op with
       | R.Oslot s -> (
@@ -291,14 +396,14 @@ let quicken_meth (m : R.meth) =
           let n = Array.length b.R.code in
           match (if n > 0 then Some b.R.code.(n - 1) else None), b.R.term with
           | Some (R.Rbinop (c, op, x, y)), R.Rbranch (c', t, e)
-            when c' = c && not live_out.(bi).(c) ->
+            when c' = c && not (live_at_exit live_out bi c) ->
               {
                 R.code = Array.sub b.R.code 0 (n - 1);
                 term =
                   R.Rcmp_branch (op, promote_g (R.Oslot x), promote_g (R.Oslot y), t, e);
               }
           | Some (R.Rbinop_imm (c, op, x, v, sw)), R.Rbranch (c', t, e)
-            when c' = c && not live_out.(bi).(c) ->
+            when c' = c && not (live_at_exit live_out bi c) ->
               (* both operands may be constants here, so the source order
                  comes back *)
               let x = promote_g (R.Oslot x) and v = R.Oconst v in
@@ -309,27 +414,28 @@ let quicken_meth (m : R.meth) =
     in
     (* Pass 4: liveness-based pair fusion over dead intermediates —
        get_bin+set on the same page/offset becomes a read-modify-write,
-       aget_ref+get becomes a double indirection. Liveness is recomputed
-       per instruction (backward within each block from the block's
-       live-out) because the intermediate slot is usually a reused
-       temporary. *)
-    let live_out = live_out_sets nslots body in
+       aget_ref+get becomes a double indirection. Liveness is asked per
+       candidate pair ([live_from], on the block's live-out) because the
+       intermediate slot is usually a reused temporary. The live-out is
+       pass 3's unless pass 3 fused some block's branch, which changes
+       that block's reads. *)
+    let live_out =
+      if Array.for_all2 ( == ) body body3 then live_out else live_out_sets nslots body
+    in
+    let pass4_head = function R.Rget_bin _ | R.Raget _ | R.Rget _ -> true | _ -> false in
+    let pass4_tail = function
+      | R.Rset _ | R.Rget _ | R.Raget _ | R.Rbinop _ | R.Rbinop_imm _ -> true
+      | _ -> false
+    in
     let body =
       Array.mapi
         (fun bi (b : R.block) ->
           let code = b.R.code in
           let n = Array.length code in
-          if n < 2 then b
+          if not (has_pair pass4_head pass4_tail code) then b
           else begin
-            (* live_after.(i) = slots live just after instruction i *)
-            let live_after = Array.make n [||] in
-            let cur = Array.copy live_out.(bi) in
-            List.iter (fun s -> cur.(s) <- true) (term_uses b.R.term);
-            for i = n - 1 downto 0 do
-              live_after.(i) <- Array.copy cur;
-              (match rdef code.(i) with Some d -> cur.(d) <- false | None -> ());
-              List.iter (fun s -> cur.(s) <- true) (ruses code.(i))
-            done;
+            (* dead_after i s: slot s is dead just after instruction i *)
+            let dead_after i s = not (live_from live_out bi b (i + 1) s) in
             let rec fuse i acc =
               if i >= n then List.rev acc
               else if i + 1 >= n then fuse (i + 1) (code.(i) :: acc)
@@ -341,19 +447,19 @@ let quicken_meth (m : R.meth) =
                 | ( R.Rget_bin (d, a, p, off, op, s, sw),
                     R.Rset (a2, p2, off2, R.Oslot sd) )
                   when a2 = a && p2 = p && off2 = off && sd = d && p <> d
-                       && not live_after.(i + 1).(d) ->
+                       && dead_after (i + 1) d ->
                     fuse (i + 2) (R.Rrmw (a, p, off, op, s, sw) :: acc)
                 (* w = arr[idx] (ref read); d = w[off]; w dead after. *)
                 | ( R.Raget (w, R.A_i64, arr, eb, idx),
                     R.Rget (d, a, w2, off) )
-                  when w2 = w && not live_after.(i + 1).(w) ->
+                  when w2 = w && dead_after (i + 1) w ->
                     fuse (i + 2) (R.Raget_get (d, arr, eb, idx, a, off) :: acc)
                 (* t = arr1[idx] (i32 index read); d = arr2[t]; t dead
                    after. arr2 must differ from t, else the second aget
                    would address the freshly read value. *)
                 | ( R.Raget (t, R.A_i32, arr1, eb1, idx),
                     R.Raget (d, a, arr2, eb2, R.Oslot t2) )
-                  when t2 = t && arr2 <> t && not live_after.(i + 1).(t) ->
+                  when t2 = t && arr2 <> t && dead_after (i + 1) t ->
                     fuse (i + 2)
                       (R.Raget_aget (d, a, arr1, eb1, idx, arr2, eb2) :: acc)
                 (* d = page[off]; d2 = d op y (or y op d, op symmetric);
@@ -361,14 +467,14 @@ let quicken_meth (m : R.meth) =
                    fusion, where the arith result lands elsewhere. *)
                 | R.Rget (d, a, p, off), R.Rbinop (d2, op, x, y)
                   when x = d && y <> d
-                       && (d2 = d || not live_after.(i + 1).(d)) ->
+                       && (d2 = d || dead_after (i + 1) d) ->
                     fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot y, false) :: acc)
                 | R.Rget (d, a, p, off), R.Rbinop (d2, op, x, y)
                   when y = d && x <> d && commutative op
-                       && (d2 = d || not live_after.(i + 1).(d)) ->
+                       && (d2 = d || dead_after (i + 1) d) ->
                     fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oslot x, true) :: acc)
                 | R.Rget (d, a, p, off), R.Rbinop_imm (d2, op, x, v, sw)
-                  when x = d && (d2 = d || not live_after.(i + 1).(d)) ->
+                  when x = d && (d2 = d || dead_after (i + 1) d) ->
                     fuse (i + 2) (R.Rget_bin (d2, a, p, off, op, R.Oconst v, sw) :: acc)
                 | ins, _ -> fuse (i + 1) (ins :: acc)
             in

@@ -113,13 +113,16 @@ type st = {
 }
 
 (* Tier-2 state. Installed code is indexed by resolved method index; a
-   method compiles at its first call. Failure counters are plain ints
-   shared across domains — racy updates only skew *when* a method
-   retires, never what it computes, because compiled code is
+   method compiles at its first call, under [t_compile_mu], so of two
+   domains that reach a cold method together one compiles and counts it
+   and the other waits and runs the installed code. Failure counters are
+   plain ints shared across domains — racy updates only skew *when* a
+   method retires, never what it computes, because compiled code is
    semantically identical to the interpreter and any thread can safely
    run either tier at any moment. *)
 and tier = {
   t_code : tcode array;
+  t_compile_mu : Mutex.t;   (* held while a cold method compiles *)
   t_fail : int array;       (* deopts per method; retire at the limit *)
   t_hooks : hooks;
   t_leaves : bool array;    (* method idx: inlinable leaf body *)

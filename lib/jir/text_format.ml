@@ -232,18 +232,33 @@ let tokenize ~line s ~pos ~stop:n =
       i := !j
     end
     else begin
-      let two = if !i + 1 < n then String.sub s !i 2 else "" in
-      match two with
-      | "<=" | ">=" | "==" | "!=" | "<<" | ">>" ->
-          push (Tsym two);
-          i := !i + 2
-      | _ -> (
+      let next = if !i + 1 < n then s.[!i + 1] else ' ' in
+      let two =
+        match ch, next with
+        | '<', '=' -> "<="
+        | '>', '=' -> ">="
+        | '=', '=' -> "=="
+        | '!', '=' -> "!="
+        | '<', '<' -> "<<"
+        | '>', '>' -> ">>"
+        | _ -> ""
+      in
+      if two <> "" then begin
+        push (Tsym two);
+        i := !i + 2
+      end
+      else begin
+        let one =
           match ch with
-          | '{' | '}' | '(' | ')' | '[' | ']' | ':' | ';' | ',' | '=' | '@' | '+' | '-'
-          | '*' | '/' | '%' | '<' | '>' | '&' | '|' | '^' | '!' ->
-              push (Tsym (String.make 1 ch));
-              incr i
-          | _ -> fail (Printf.sprintf "unexpected character %c" ch))
+          | '{' -> "{" | '}' -> "}" | '(' -> "(" | ')' -> ")" | '[' -> "[" | ']' -> "]"
+          | ':' -> ":" | ';' -> ";" | ',' -> "," | '=' -> "=" | '@' -> "@" | '+' -> "+"
+          | '-' -> "-" | '*' -> "*" | '/' -> "/" | '%' -> "%" | '<' -> "<" | '>' -> ">"
+          | '&' -> "&" | '|' -> "|" | '^' -> "^" | '!' -> "!"
+          | _ -> fail (Printf.sprintf "unexpected character %c" ch)
+        in
+        push (Tsym one);
+        incr i
+      end
     end
   done;
   List.rev !toks

@@ -189,7 +189,26 @@ type stats = {
   mutable jumps : int;  (* branches with equal arms made jumps — not reported *)
 }
 
-let run_meth stats (m : Ir.meth) =
+(* Early exit: a one-block method with no [Const] and no equal-arm
+   branch, in which no local is read before the block writes it. Only a
+   [Const] or a local's entry default makes a cell Known, so every cell
+   stays Varying: nothing folds, the branch (if any) keeps both arms and
+   the one block is reachable. *)
+let nothing_to_rewrite (m : Ir.meth) =
+  Array.length m.Ir.body = 1
+  &&
+  let blk = m.Ir.body.(0) in
+  let rec written_first l = function
+    | [] -> not (Analysis.Defuse.term_reads blk.Ir.term l)
+    | ins :: rest ->
+        (not (Analysis.Defuse.reads ins l))
+        && (Analysis.Defuse.defines ins l || written_first l rest)
+  in
+  (match blk.Ir.term with Ir.Branch (_, t, e) -> t <> e | Ir.Ret _ | Ir.Jump _ -> true)
+  && (not (List.exists (function Ir.Const _ -> true | _ -> false) blk.Ir.instrs))
+  && List.for_all (fun (l, _) -> written_first l blk.Ir.instrs) m.Ir.locals
+
+let solve stats (m : Ir.meth) =
   let nb = Array.length m.Ir.body in
   if nb = 0 then m
   else begin
@@ -337,6 +356,8 @@ let run_meth stats (m : Ir.meth) =
       { m with Ir.body }
     end
   end
+
+let run_meth stats m = if nothing_to_rewrite m then m else solve stats m
 
 let reported s = s.folded + s.branches_folded + s.blocks_removed
 

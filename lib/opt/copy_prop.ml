@@ -63,7 +63,17 @@ let block_out (blk : Ir.block) env =
   | Unreached -> Unreached
   | Env e -> Env (List.fold_left transfer_instr e blk.Ir.instrs)
 
-let run_meth count (m : Ir.meth) =
+(* Early exit: only a [Move] creates a [Copy_of] cell, so in a method
+   without one every lookup returns its own variable and [solve] would
+   rewrite nothing. *)
+let nothing_to_rewrite (m : Ir.meth) =
+  not
+    (Array.exists
+       (fun (blk : Ir.block) ->
+         List.exists (function Ir.Move _ -> true | _ -> false) blk.Ir.instrs)
+       m.Ir.body)
+
+let solve count (m : Ir.meth) =
   let nb = Array.length m.Ir.body in
   if nb = 0 then m
   else begin
@@ -99,6 +109,8 @@ let run_meth count (m : Ir.meth) =
     in
     { m with Ir.body }
   end
+
+let run_meth count m = if nothing_to_rewrite m then m else solve count m
 
 let pass () =
   let count = ref 0 in

@@ -29,7 +29,39 @@ let removable (m : Ir.meth) ins =
       | _ -> is_prim (Ir.var_type m x) && is_prim (Ir.var_type m y))
   | _ -> false
 
-let run_meth count (m : Ir.meth) =
+(* Early exit: every def a [removable]-kind instruction makes is read
+   later in its own block — by a later instruction or the terminator —
+   before any redefinition. Walking each block back from its end, every
+   such def is then live whatever the block's live-out, so the first
+   sweep drops nothing; instructions of other kinds are never dropped,
+   so no later sweep runs. *)
+let rec read_later term d = function
+  | [] -> Analysis.Defuse.term_reads term d
+  | ins :: rest ->
+      Analysis.Defuse.reads ins d
+      || ((not (Analysis.Defuse.defines ins d)) && read_later term d rest)
+
+let nothing_to_rewrite (m : Ir.meth) =
+  Array.for_all
+    (fun (blk : Ir.block) ->
+      let rec all_read = function
+        | [] -> true
+        | ins :: rest ->
+            (match ins with
+            | Ir.Const (d, _)
+            | Ir.Move (d, _)
+            | Ir.Instance_of (d, _, _)
+            | Ir.Static_load (d, _, _)
+            | Ir.Unop (d, _, _)
+            | Ir.Binop (d, _, _, _) ->
+                read_later blk.Ir.term d rest
+            | _ -> true)
+            && all_read rest
+      in
+      all_read blk.Ir.instrs)
+    m.Ir.body
+
+let solve count (m : Ir.meth) =
   let changed = ref true in
   let m = ref m in
   while !changed do
@@ -78,6 +110,8 @@ let run_meth count (m : Ir.meth) =
     m := { cur with Ir.body }
   done;
   !m
+
+let run_meth count m = if nothing_to_rewrite m then m else solve count m
 
 let pass () =
   let count = ref 0 in

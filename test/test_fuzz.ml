@@ -348,6 +348,18 @@ let prop_opt_exact =
       Opt_reference.check ~name:"fuzz" ~spec (program_of_ops ops);
       true)
 
+(* The optimizer's early exits on random programs, P and P′ ({!Exits}). *)
+let prop_opt_exits =
+  QCheck.Test.make ~name:"random programs: opt exits only where solve is a no-op" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 60) op_gen))
+    (fun ops ->
+      let p = program_of_ops ops in
+      ignore (Exits.check_program ~name:"P" p : int);
+      ignore (Exits.check_pipeline ~name:"P′" (Facade_compiler.Pipeline.compile ~spec p) : int);
+      true)
+
 (* Observables both tiers must agree on. *)
 let tier_key (o : Facade_vm.Interp.outcome) =
   ( Exact.exact_result o.Facade_vm.Interp.result,
@@ -607,6 +619,7 @@ let () =
           Alcotest.test_case "directed" `Quick test_directed_cases;
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_opt_exact;
+          QCheck_alcotest.to_alcotest prop_opt_exits;
         ] );
       ( "tier",
         [

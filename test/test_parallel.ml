@@ -504,6 +504,35 @@ let test_lock_samples_pinned () =
       ("threads", "201", 2430, 1);
     ]
 
+(* Tier 2 on a shared pool: when two domains reach a method still cold
+   at the same time, only one compiles it, and the other runs what that
+   one installed. So each of 30 parallel runs of pagerank-par, every one
+   on a fresh tier, reports the sequential run's compile, entry and slot
+   counts. *)
+let test_tier2_counts_once () =
+  let s = Samples.pagerank_par in
+  let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+  let rp = Facade_vm.Link.facade_program pl in
+  let counts ?pool () =
+    let tier = Facade_vm.Interp.make_tier rp in
+    let st = (Facade_vm.Interp.run_facade ?pool ~tier pl).Facade_vm.Interp.stats in
+    Stats.
+      [
+        st.tier2_compiles;
+        st.tier2_entries;
+        st.tier2_int_slots;
+        st.tier2_float_slots;
+        st.tier2_boxed_slots;
+      ]
+  in
+  let seq = counts () in
+  Pool.with_pool ~workers:2 (fun pool ->
+      for run = 1 to 30 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "run %d: compiles, entries, int/float/boxed slots" run)
+          seq (counts ~pool ())
+      done)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -541,5 +570,7 @@ let () =
           Alcotest.test_case "lock samples pinned" `Quick test_lock_samples_pinned;
           Alcotest.test_case "every sample: parallel == sequential" `Quick
             test_parallel_differential;
+          Alcotest.test_case "tier 2 compiles each method once" `Quick
+            test_tier2_counts_once;
         ] );
     ]

@@ -120,6 +120,27 @@ let test_special_floats () =
   in
   ignore (roundtrip_fixpoint "special floats" p)
 
+(* Every operator symbol the tokenizer knows, one and two characters
+   wide, survives a round trip; a character it does not know is named. *)
+let test_operator_symbols () =
+  let open Jir in
+  let module B = Builder in
+  let int_t = Jtype.Prim Jtype.Int in
+  let m = B.create ~static:true "main" ~params:[ ("a", int_t); ("b", int_t) ] ~ret:int_t in
+  let blk = B.entry m in
+  let x = B.fresh m int_t in
+  List.iter
+    (fun op -> B.binop blk x op "a" "b")
+    Ir.[ Add; Sub; Mul; Div; Rem; Lt; Le; Gt; Ge; Eq; Ne; And; Or; Xor; Shl; Shr ];
+  B.add blk (Ir.Unop (x, Ir.Neg, "a"));
+  B.add blk (Ir.Unop (x, Ir.Not, "a"));
+  B.ret blk (Some x);
+  ignore
+    (roundtrip_fixpoint "operators"
+       (Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ B.finish m ] ]));
+  Alcotest.(check (pair int string)) "unknown character" (2, "unexpected character ~")
+    (parse_error "class A {\n  field int x ~;\n}\n")
+
 let prop_synthetic_roundtrip =
   QCheck.Test.make ~name:"synthetic programs round-trip" ~count:15
     QCheck.(pair (int_range 1 10) (int_range 1 5))
@@ -161,5 +182,6 @@ let () =
             test_end_of_input_reports_last_line;
           Alcotest.test_case "errors in source order" `Quick test_errors_in_source_order;
           Alcotest.test_case "hand-written source" `Quick test_parse_minimal;
+          Alcotest.test_case "operator symbols" `Quick test_operator_symbols;
         ] );
     ]

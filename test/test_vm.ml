@@ -420,6 +420,53 @@ let test_link_slot_order () =
     (List.map shape (Array.to_list blk.R.code));
   Alcotest.(check bool) "return d" true (blk.R.term = R.Rret d)
 
+(* The linker lowers an intrinsic site it cannot bind to an [Rerror]
+   that raises only if reached; each distinct name and arity is
+   classified once per link, and a repeated site gets the same message. *)
+let test_link_intrinsic_errors () =
+  let open Jir in
+  let module B = Builder in
+  let zeros n = List.init n (fun _ -> Ir.Imm (Ir.Cint 0)) in
+  let sites =
+    [
+      ("rt.alloc", 3);
+      ("rt.get_i33", 2);
+      ("rt.get_i32", 3);
+      ("rt.get_", 2);
+      ("no.such", 0);
+      ("rt.aset_f64", 4);
+      ("rt.alloc", 3);
+      ("sys.print", 1);
+    ]
+  in
+  let main =
+    let m = B.create ~static:true "main" in
+    let b = B.entry m in
+    List.iter (fun (name, n) -> B.add b (Ir.Intrinsic (None, name, zeros n))) sites;
+    B.ret b None;
+    B.finish m
+  in
+  let p = Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ main ] ] in
+  let rp = Facade_vm.Link.object_program p in
+  let m = Option.get (Array.find_opt (fun (m : R.meth) -> m.R.m_name = "main") rp.R.methods) in
+  let lowered = function
+    | R.Rerror msg -> msg
+    | R.Rintrinsic _ | R.Raset _ -> "bound"
+    | _ -> Alcotest.fail "unexpected instruction"
+  in
+  Alcotest.(check (list string)) "lowered sites"
+    [
+      "unknown intrinsic rt.alloc/3";
+      "unknown access kind i33";
+      "unknown intrinsic rt.get_i32/3";
+      "unknown intrinsic rt.get_/2";
+      "unknown intrinsic no.such/0";
+      "bound";
+      "unknown intrinsic rt.alloc/3";
+      "bound";
+    ]
+    (List.map lowered (Array.to_list m.R.m_body.(0).R.code))
+
 let () =
   Alcotest.run "facade_vm"
     [
@@ -433,6 +480,7 @@ let () =
           Alcotest.test_case "step budget exhaustion" `Quick test_max_steps_exhaustion;
           Alcotest.test_case "div and rem by zero" `Quick test_arith_by_zero;
           Alcotest.test_case "link slot order" `Quick test_link_slot_order;
+          Alcotest.test_case "link intrinsic errors" `Quick test_link_intrinsic_errors;
         ] );
       ("transformed-verifies", verify_cases);
       ( "object-bounds",
