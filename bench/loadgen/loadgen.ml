@@ -1,10 +1,12 @@
-(* Load generator for [facade_cli serve].
+(* Load generator for a running [facade_cli serve] daemon.
 
    Simulated clients are state machines, not threads: each tenant gets
    one driver thread and one connection, multiplexing as many logical
    clients as asked (thousands are cheap — the protocol is
    submit-then-poll, so a driver sweep services every client in turn).
-   Two phases, after a warmup run that pays the tier-2 compile:
+   Every job is a sequential run of the [pagerank] sample with the
+   server's default page and heap asks. Two phases, after a warmup run
+   that pays the tier-2 compile:
 
    - closed loop: [--clients] logical clients per tenant, each keeping
      exactly one job in flight until it has completed [--requests];
@@ -14,60 +16,50 @@
      from the *scheduled* arrival, so a saturated server shows queueing
      delay instead of coordinated omission.
 
-   Emits BENCH_service.json (p50/p90/p99 latency, throughput, per-tenant
-   and aggregate counts, warm-tier check) and exits non-zero if any
-   post-warmup job recompiled (the shared warm tier must make repeats
-   free) or if [--probe-overquota] did not draw a structured
-   quota rejection. *)
+   Writes BENCH_service.json (p50/p90/p99 latency, throughput, per-tenant
+   and aggregate counts, warm-tier check, over-quota probe) and is the
+   one check of the service gates; it exits 1, naming each failed gate,
+   unless
+   - every phase has completions and a positive p50, p99 and throughput;
+   - every reported tenant's peak pages and peak heap stay within its
+     quota;
+   - no post-warmup job compiled a method (the shared warm tier must
+     make repeats free);
+   - with [--probe-overquota], the probe's page ask was rejected with
+     the code [quota_pages]. *)
 
 let socket_path = ref "facade.sock"
-let in_process = ref false
-let pool_workers = ref 2
-let runners = ref 2
-let program = ref "pagerank"
-let workers = ref 0
 let tenants = ref "alpha,beta"
 let clients = ref 50
 let requests = ref 4
 let rate = ref 200.0
 let duration = ref 2.0
-let job_pages = ref 0
-let job_heap_mb = ref 0
-let skip_open = ref false
-let skip_closed = ref false
 let probe_overquota = ref 0
 let probe_tenant = ref "small"
-let trace_dir = ref ""
 let out_file = ref "BENCH_service.json"
 let do_shutdown = ref false
 
 let args =
   [
     ("--socket", Arg.Set_string socket_path, "PATH daemon socket (default facade.sock)");
-    ("--in-process", Arg.Set in_process, " start the daemon inside this process");
-    ("--pool-workers", Arg.Set_int pool_workers, "N in-process daemon pool size");
-    ("--runners", Arg.Set_int runners, "N in-process daemon runner threads");
-    ("--program", Arg.Set_string program, "NAME sample to submit (default pagerank)");
-    ("--workers", Arg.Set_int workers, "N per-job worker request (0 = sequential)");
     ("--tenants", Arg.Set_string tenants, "A,B comma-separated tenant names");
     ("--clients", Arg.Set_int clients, "N closed-loop logical clients per tenant");
     ("--requests", Arg.Set_int requests, "N requests per closed-loop client");
     ("--rate", Arg.Set_float rate, "R open-loop arrivals/s per tenant");
     ("--duration", Arg.Set_float duration, "S open-loop phase length in seconds");
-    ("--job-pages", Arg.Set_int job_pages, "N explicit per-job page ask (0 = server default)");
-    ("--job-heap-mb", Arg.Set_int job_heap_mb, "MB explicit per-job heap ask");
-    ("--skip-open", Arg.Set skip_open, " skip the open-loop phase");
-    ("--skip-closed", Arg.Set skip_closed, " skip the closed-loop phase");
     ( "--probe-overquota",
       Arg.Set_int probe_overquota,
       "PAGES submit one PAGES-page ask for --probe-tenant and require a quota rejection" );
     ("--probe-tenant", Arg.Set_string probe_tenant, "NAME tenant for the over-quota probe");
-    ("--trace-dir", Arg.Set_string trace_dir, "DIR per-tenant trace export (in-process only)");
     ("--out", Arg.Set_string out_file, "FILE output JSON (default BENCH_service.json)");
     ("--shutdown", Arg.Set do_shutdown, " send Shutdown to the daemon when done");
   ]
 
 let usage = "loadgen: drive a facade_cli serve daemon with simulated tenants"
+
+(* Every job runs this sample, sequentially, with the server's default
+   page and heap asks. *)
+let program = "pagerank"
 
 (* {2 Measurement} *)
 
@@ -77,7 +69,6 @@ type phase_stats = {
   mutable failed : int;
   mutable latencies : float list;  (* seconds *)
   mutable compiles : int;  (* tier-2 compiles reported by completed jobs *)
-  mutable recompiles : int;
   mutable t_start : float;
   mutable t_end : float;
 }
@@ -89,7 +80,6 @@ let fresh_stats () =
     failed = 0;
     latencies = [];
     compiles = 0;
-    recompiles = 0;
     t_start = 0.;
     t_end = 0.;
   }
@@ -112,17 +102,16 @@ let summary st =
 let note_outcome st t0 (oc : Service.Proto.outcome) =
   st.completed <- st.completed + 1;
   st.latencies <- (Unix.gettimeofday () -. t0) :: st.latencies;
-  st.compiles <- st.compiles + oc.Service.Proto.oc_tier2_compiles;
-  st.recompiles <- st.recompiles + oc.Service.Proto.oc_tier2_recompiles
+  st.compiles <- st.compiles + oc.Service.Proto.oc_tier2_compiles
 
 let submission tenant =
   {
     Service.Proto.sb_tenant = tenant;
-    sb_prog = Sample !program;
+    sb_prog = Sample program;
     sb_entry = "";
-    sb_workers = !workers;
-    sb_pages = !job_pages;
-    sb_heap_bytes = !job_heap_mb lsl 20;
+    sb_workers = 0;
+    sb_pages = 0;
+    sb_heap_bytes = 0;
   }
 
 (* {2 Closed loop} *)
@@ -231,63 +220,72 @@ let open_loop_driver tenant st =
   st.t_end <- Unix.gettimeofday ();
   Service.Client.close conn
 
-(* {2 JSON output} *)
+(* {2 Output and gates} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* One phase over all its tenants: the merged latencies and completions,
+   over the span from the first tenant's start to the last one's end. *)
+let phase_total per_tenant =
+  let sum f = List.fold_left (fun a (_, st) -> a + f st) 0 per_tenant in
+  {
+    (fresh_stats ()) with
+    completed = sum (fun st -> st.completed);
+    compiles = sum (fun st -> st.compiles);
+    latencies = List.concat_map (fun (_, st) -> st.latencies) per_tenant;
+    t_start = List.fold_left (fun a (_, st) -> min a st.t_start) infinity per_tenant;
+    t_end = List.fold_left (fun a (_, st) -> max a st.t_end) 0. per_tenant;
+  }
 
-let phase_json name per_tenant =
-  let tenant_objs =
-    List.map
-      (fun (tenant, st) ->
-        let p50, p90, p99, thr = summary st in
-        Printf.sprintf
-          "      {\"tenant\": \"%s\", \"completed\": %d, \"rejected\": %d, \
-           \"failed\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \"p99_ms\": %.3f, \
-           \"throughput_jps\": %.2f}"
-          (json_escape tenant) st.completed st.rejected st.failed p50 p90 p99 thr)
-      per_tenant
+let stats_json st =
+  let p50, p90, p99, thr = summary st in
+  Obs.Json.
+    [
+      ("completed", of_int st.completed); ("p50_ms", rounded 3 p50); ("p90_ms", rounded 3 p90);
+      ("p99_ms", rounded 3 p99); ("throughput_jps", rounded 2 thr);
+    ]
+
+let phase_json per_tenant =
+  let tenant (name, st) =
+    Obs.Json.(
+      Obj
+        ((("tenant", Str name) :: stats_json st)
+        @ [ ("rejected", of_int st.rejected); ("failed", of_int st.failed) ]))
   in
-  let all_lat = List.concat_map (fun (_, st) -> st.latencies) per_tenant in
-  let sorted = Array.of_list all_lat in
-  Array.sort compare sorted;
-  let t0 = List.fold_left (fun a (_, st) -> min a st.t_start) infinity per_tenant in
-  let t1 = List.fold_left (fun a (_, st) -> max a st.t_end) 0. per_tenant in
-  let completed = List.fold_left (fun a (_, st) -> a + st.completed) 0 per_tenant in
-  let thr = if t1 > t0 then float_of_int completed /. (t1 -. t0) else 0. in
-  Printf.sprintf
-    "  \"%s\": {\n\
-    \    \"completed\": %d,\n\
-    \    \"p50_ms\": %.3f,\n\
-    \    \"p90_ms\": %.3f,\n\
-    \    \"p99_ms\": %.3f,\n\
-    \    \"throughput_jps\": %.2f,\n\
-    \    \"tenants\": [\n%s\n    ]\n  }"
-    name completed
-    (percentile sorted 0.50 *. 1e3)
-    (percentile sorted 0.90 *. 1e3)
-    (percentile sorted 0.99 *. 1e3)
-    thr
-    (String.concat ",\n" tenant_objs)
+  Obs.Json.Obj
+    (stats_json (phase_total per_tenant)
+    @ [ ("tenants", Obs.Json.List (List.map tenant per_tenant)) ])
 
 let tenant_report_json (r : Service.Proto.tenant_report) =
-  Printf.sprintf
-    "    {\"tenant\": \"%s\", \"done\": %d, \"failed\": %d, \"rejected\": %d, \
-     \"peak_pages\": %d, \"peak_heap_bytes\": %d, \"quota_pages\": %d, \
-     \"quota_heap_bytes\": %d, \"total_steps\": %d, \"total_records\": %d}"
-    (json_escape r.Service.Proto.tn_name)
-    r.tn_done r.tn_failed r.tn_rejected r.tn_peak_pages r.tn_peak_heap r.tn_quota_pages
-    r.tn_quota_heap r.tn_total_steps r.tn_total_records
+  Obs.Json.(
+    Obj
+      [
+        ("tenant", Str r.tn_name); ("done", of_int r.tn_done); ("failed", of_int r.tn_failed);
+        ("rejected", of_int r.tn_rejected); ("peak_pages", of_int r.tn_peak_pages);
+        ("peak_heap_bytes", of_int r.tn_peak_heap); ("quota_pages", of_int r.tn_quota_pages);
+        ("quota_heap_bytes", of_int r.tn_quota_heap); ("total_steps", of_int r.tn_total_steps);
+        ("total_records", of_int r.tn_total_records);
+      ])
+
+let fail fmt = Printf.ksprintf Option.some fmt
+
+let phase_failures (name, per_tenant) =
+  let total = phase_total per_tenant in
+  let p50, _, p99, thr = summary total in
+  if total.completed = 0 then [ Printf.sprintf "phase gate: %s has no completions" name ]
+  else
+    List.filter_map
+      (fun (what, v) ->
+        if v > 0. then None else fail "phase gate: %s %s is %g, not > 0" name what v)
+      [ ("p50_ms", p50); ("p99_ms", p99); ("throughput_jps", thr) ]
+
+let quota_failures (r : Service.Proto.tenant_report) =
+  List.filter_map
+    (fun (what, peak, quota) ->
+      if peak <= quota then None
+      else fail "quota gate: tenant %s peak %s %d > quota %d" r.tn_name what peak quota)
+    [
+      ("pages", r.tn_peak_pages, r.tn_quota_pages);
+      ("heap bytes", r.tn_peak_heap, r.tn_quota_heap);
+    ]
 
 let () =
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
@@ -296,21 +294,6 @@ let () =
     |> List.filter (fun s -> s <> "")
   in
   if tenant_names = [] then failwith "loadgen: no tenants";
-  let server =
-    if not !in_process then None
-    else
-      Some
-        (Service.Server.start
-           {
-             Service.Server.socket_path = !socket_path;
-             pool_workers = !pool_workers;
-             sched_config =
-               { Service.Scheduler.default_config with c_runners = max 1 !runners };
-             tenants = [];
-             default_quota = Some Service.Tenant.default_quota;
-             trace_dir = (if !trace_dir = "" then None else Some !trace_dir);
-           })
-  in
   let ctl = Service.Client.connect !socket_path in
   (* Warmup: one run pays the tier-2 compiles; everything after must hit
      the shared warm tier. *)
@@ -332,17 +315,13 @@ let () =
     List.iter Thread.join threads;
     per_tenant
   in
-  let closed = if !skip_closed then [] else run_phase closed_loop_driver in
-  let opened = if !skip_open then [] else run_phase open_loop_driver in
+  let phases =
+    [ ("closed_loop", run_phase closed_loop_driver); ("open_loop", run_phase open_loop_driver) ]
+  in
   let probe =
     if !probe_overquota <= 0 then None
     else
-      let ask =
-        {
-          (submission !probe_tenant) with
-          Service.Proto.sb_pages = !probe_overquota;
-        }
-      in
+      let ask = { (submission !probe_tenant) with Service.Proto.sb_pages = !probe_overquota } in
       match Service.Client.submit ctl ask with
       | Ok _ -> Some (Error "over-quota probe was accepted")
       | Error (`Rejected rj) -> Some (Ok rj)
@@ -358,74 +337,70 @@ let () =
   let srv_report = Service.Client.server_report ctl in
   if !do_shutdown then ignore (Service.Client.shutdown ctl);
   Service.Client.close ctl;
-  Option.iter Service.Server.wait server;
-  (* Aggregate the warm-tier check across both phases. *)
-  let phase_compiles =
-    List.fold_left (fun a (_, st) -> a + st.compiles) 0 (closed @ opened)
+  let phase_compiles = (phase_total (List.concat_map snd phases)).compiles in
+  let json =
+    let open Obs.Json in
+    Obj
+      (List.map (fun (name, per_tenant) -> (name, phase_json per_tenant)) phases
+      @ [
+          ( "warm_tier",
+            Obj
+              [
+                ("warmup_compiles", of_int warmup_compiles);
+                ("phase_compiles", of_int phase_compiles);
+              ] );
+        ]
+      @ (match probe with
+        | None -> []
+        | Some (Ok rj) ->
+            [
+              ( "overquota_probe",
+                Obj
+                  [
+                    ("tenant", Str !probe_tenant); ("code", Str rj.rj_code);
+                    ("used", of_int rj.rj_used); ("limit", of_int rj.rj_limit);
+                  ] );
+            ]
+        | Some (Error m) ->
+            [ ("overquota_probe", Obj [ ("tenant", Str !probe_tenant); ("error", Str m) ]) ])
+      @ [ ("tenant_reports", List (List.map tenant_report_json reports)) ]
+      @ (match srv_report with
+        | Ok s ->
+            [
+              ( "server",
+                Obj
+                  [
+                    ("done", of_int s.sv_done); ("failed", of_int s.sv_failed);
+                    ("rejected", of_int s.sv_rejected); ("programs", of_int s.sv_programs);
+                    ("pool_workers", of_int s.sv_pool_workers);
+                  ] );
+            ]
+        | Error _ -> [])
+      @ [
+          ( "config",
+            Obj
+              [
+                ("program", Str program); ("tenants", of_int (List.length tenant_names));
+                ("clients", of_int !clients); ("requests", of_int !requests); ("rate", Num !rate);
+                ("duration", Num !duration);
+              ] );
+        ])
+    |> to_string
   in
-  let phase_recompiles =
-    List.fold_left (fun a (_, st) -> a + st.recompiles) 0 (closed @ opened)
-  in
-  let sections =
-    (if closed = [] then [] else [ phase_json "closed_loop" closed ])
-    @ (if opened = [] then [] else [ phase_json "open_loop" opened ])
-    @ [
-        Printf.sprintf
-          "  \"warm_tier\": {\"warmup_compiles\": %d, \"phase_compiles\": %d, \
-           \"phase_recompiles\": %d}"
-          warmup_compiles phase_compiles phase_recompiles;
-      ]
-    @ (match probe with
-      | None -> []
-      | Some (Ok rj) ->
-          [
-            Printf.sprintf
-              "  \"overquota_probe\": {\"tenant\": \"%s\", \"code\": \"%s\", \
-               \"used\": %d, \"limit\": %d}"
-              (json_escape !probe_tenant)
-              (json_escape rj.Service.Proto.rj_code)
-              rj.Service.Proto.rj_used rj.Service.Proto.rj_limit;
-          ]
-      | Some (Error m) ->
-          [
-            Printf.sprintf "  \"overquota_probe\": {\"tenant\": \"%s\", \"error\": \"%s\"}"
-              (json_escape !probe_tenant) (json_escape m);
-          ])
-    @ [
-        Printf.sprintf "  \"tenant_reports\": [\n%s\n  ]"
-          (String.concat ",\n" (List.map tenant_report_json reports));
-      ]
-    @ (match srv_report with
-      | Ok s ->
-          [
-            Printf.sprintf
-              "  \"server\": {\"done\": %d, \"failed\": %d, \"rejected\": %d, \
-               \"programs\": %d, \"pool_workers\": %d}"
-              s.Service.Proto.sv_done s.sv_failed s.sv_rejected s.sv_programs
-              s.sv_pool_workers;
-          ]
-      | Error _ -> [])
-    @ [
-        Printf.sprintf
-          "  \"config\": {\"program\": \"%s\", \"workers\": %d, \"tenants\": %d, \
-           \"clients\": %d, \"requests\": %d, \"rate\": %.1f, \"duration\": %.1f}"
-          (json_escape !program) !workers (List.length tenant_names) !clients !requests
-          !rate !duration;
-      ]
-  in
-  let json = "{\n" ^ String.concat ",\n" sections ^ "\n}\n" in
-  let oc = open_out !out_file in
-  output_string oc json;
-  close_out oc;
-  print_string json;
-  let warm_ok = phase_compiles = 0 && phase_recompiles = 0 in
-  let probe_ok =
+  Out_channel.with_open_text !out_file (fun oc -> output_string oc (json ^ "\n"));
+  print_endline json;
+  let failures =
+    List.concat_map phase_failures phases
+    @ List.concat_map quota_failures reports
+    @ Option.to_list
+        (if phase_compiles = 0 then None
+         else fail "warm-tier gate: post-warmup jobs compiled %d methods" phase_compiles)
+    @
     match probe with
-    | None -> true
+    | None | Some (Ok { Service.Proto.rj_code = "quota_pages"; _ }) -> []
     | Some (Ok rj) ->
-        rj.Service.Proto.rj_code = "quota_pages" || rj.Service.Proto.rj_code = "quota_heap"
-    | Some (Error _) -> false
+        Option.to_list (fail "probe gate: probe rejected with %s, not quota_pages" rj.rj_code)
+    | Some (Error m) -> [ "probe gate: " ^ m ]
   in
-  if not warm_ok then prerr_endline "loadgen: FAIL: post-warmup jobs compiled tier-2 code";
-  if not probe_ok then prerr_endline "loadgen: FAIL: over-quota probe was not rejected";
-  exit (if warm_ok && probe_ok then 0 else 1)
+  List.iter (fun m -> prerr_endline ("loadgen: FAIL: " ^ m)) failures;
+  exit (if failures = [] then 0 else 1)

@@ -587,7 +587,7 @@ let strict_flag =
    across runs. *)
 let emit_findings ~file ~json ~strict findings =
   let findings = Analysis.Finding.sort findings in
-  if json then print_endline (Analysis.Finding.list_to_json ~file findings)
+  if json then print_endline (Obs.Json.to_string (Analysis.Finding.list_to_json ~file findings))
   else List.iter (fun f -> print_endline (Analysis.Finding.to_string f)) findings;
   let threshold =
     if strict then Analysis.Finding.Warning else Analysis.Finding.Error
@@ -661,13 +661,22 @@ let opt_report_cmd =
         let rp = Facade_vm.Link.facade_program pl' in
         let c = Facade_vm.Quicken.counts rp in
         if json then
-          Printf.printf
-            {|{"sample":%S,"opt":%s,"quicken":{"ic_virtual_sites":%d,"ic_field_sites":%d,"specialized_accessors":%d,"fused_pairs":%d,"imm_ops":%d}}|}
-            name
-            (Opt.Driver.report_to_json rep)
-            c.Facade_vm.Quicken.ic_virtual_sites c.Facade_vm.Quicken.ic_field_sites
-            c.Facade_vm.Quicken.specialized_accessors c.Facade_vm.Quicken.fused_pairs
-            c.Facade_vm.Quicken.imm_ops
+          let open Obs.Json in
+          let quicken =
+            Facade_vm.Quicken.
+              [
+                ("ic_virtual_sites", c.ic_virtual_sites); ("ic_field_sites", c.ic_field_sites);
+                ("specialized_accessors", c.specialized_accessors);
+                ("fused_pairs", c.fused_pairs); ("imm_ops", c.imm_ops);
+              ]
+          in
+          print_string
+            (to_string
+               (Obj
+                  [
+                    ("sample", Str name); ("opt", Opt.Driver.report_to_json rep);
+                    ("quicken", Obj (List.map (fun (k, n) -> (k, of_int n)) quicken));
+                  ]))
         else begin
           Printf.printf "%s: %d -> %d instructions after optimization\n" name
             rep.Opt.Driver.instrs_before rep.Opt.Driver.instrs_after;

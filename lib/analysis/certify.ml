@@ -108,24 +108,3 @@ let validate_runtime t ~max_pool_index ~facades_allocated =
         facades_allocated t.per_thread
       :: !errs;
   match List.rev !errs with [] -> Ok () | es -> Error es
-
-let to_json layout t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf
-       {|{"receivers":%d,"per_thread":%d,"paper_per_thread":%d,"params":[|}
-       t.receivers t.per_thread t.paper_per_thread);
-  let first = ref true in
-  Array.iteri
-    (fun id bound ->
-      if bound > 0 then begin
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Buffer.add_string b
-          (Printf.sprintf {|{"type":%s,"id":%d,"bound":%d}|}
-             (Finding.json_string (Fc.Layout.name_of_type_id layout id))
-             id bound)
-      end)
-    t.params;
-  Buffer.add_string b "]}";
-  Buffer.contents b

@@ -24,5 +24,3 @@ val validate_runtime :
   t -> max_pool_index:(int * int) list -> facades_allocated:int -> (unit, string list) result
 (** Check observed per-type pool peaks (type id, max slot index) and the
     VM's total facade allocation against the certificate. *)
-
-val to_json : Facade_compiler.Layout.t -> t -> string

@@ -44,41 +44,20 @@ let to_string f =
   else if f.index < 0 then Printf.sprintf "%s: b%d: [%s] %s" f.where f.block f.analysis f.what
   else Printf.sprintf "%s: b%d/%d: [%s] %s" f.where f.block f.index f.analysis f.what
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let to_json f =
-  Printf.sprintf
-    {|{"analysis":%s,"severity":%s,"where":%s,"block":%d,"index":%d,"what":%s}|}
-    (json_string f.analysis)
-    (json_string (severity_label f.severity))
-    (json_string f.where) f.block f.index (json_string f.what)
+  Obs.Json.(
+    Obj
+      [
+        ("analysis", Str f.analysis); ("severity", Str (severity_label f.severity));
+        ("where", Str f.where); ("block", of_int f.block); ("index", of_int f.index);
+        ("what", Str f.what);
+      ])
 
 let list_to_json ?file findings =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  (match file with
-  | Some f -> Buffer.add_string b (Printf.sprintf {|"file":%s,|} (json_string f))
-  | None -> ());
-  Buffer.add_string b (Printf.sprintf {|"count":%d,"findings":[|} (List.length findings));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (to_json f))
-    findings;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Obs.Json.(
+    Obj
+      (Option.fold ~none:[] ~some:(fun f -> [ ("file", Str f) ]) file
+      @ [
+          ("count", of_int (List.length findings));
+          ("findings", List (List.map to_json findings));
+        ]))

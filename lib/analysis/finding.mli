@@ -45,11 +45,9 @@ val sort : t list -> t list
 
 val to_string : t -> string
 
-val json_string : string -> string
-(** JSON string literal escaping, shared by the other emitters. *)
+val to_json : t -> Obs.Json.t
+(** [{"analysis", "severity", "where", "block", "index", "what"}]. *)
 
-val to_json : t -> string
-
-val list_to_json : ?file:string -> t list -> string
+val list_to_json : ?file:string -> t list -> Obs.Json.t
 (** A JSON object [{"file": ..., "count": n, "findings": [...]}]; the
     [file] key is omitted when not provided. *)

@@ -3,7 +3,7 @@ module T = Tracer
 (* ---------- Chrome trace_event JSON ---------- *)
 
 let arg_json = function
-  | T.Aint n -> Json.Num (float_of_int n)
+  | T.Aint n -> Json.of_int n
   | T.Afloat x -> Json.Num x
   | T.Astr s -> Json.Str s
 
@@ -16,7 +16,7 @@ let event_json ~tid (ev : T.event) =
         Json.Str (match ev.ph with T.Begin -> "B" | T.End -> "E" | T.Instant -> "i") );
       ("ts", Json.Num (ev.ts *. 1e6));
       ("pid", Json.Num 1.);
-      ("tid", Json.Num (float_of_int tid));
+      ("tid", Json.of_int tid);
     ]
   in
   let base = match ev.ph with T.Instant -> base @ [ ("s", Json.Str "t") ] | _ -> base in
@@ -33,7 +33,7 @@ let lane_jsons t lid =
         ("name", Json.Str "thread_name");
         ("ph", Json.Str "M");
         ("pid", Json.Num 1.);
-        ("tid", Json.Num (float_of_int lid));
+        ("tid", Json.of_int lid);
         ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "domain %d" lid)) ]);
       ]
   in

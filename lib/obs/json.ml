@@ -27,10 +27,15 @@ let escape buf s =
   Buffer.add_char buf '"'
 
 let add_num buf x =
-  if Float.is_nan x then Buffer.add_string buf "null"
+  if not (Float.is_finite x) then Buffer.add_string buf "null"
   else if Float.is_integer x && Float.abs x < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" x)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  else
+    (* The shortest of 15-17 significant digits that reads back as [x]. *)
+    let s = Printf.sprintf "%.15g" x in
+    let s = if float_of_string s = x then s else Printf.sprintf "%.16g" x in
+    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    Buffer.add_string buf s
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
@@ -60,6 +65,12 @@ let to_string v =
   let buf = Buffer.create 256 in
   add buf v;
   Buffer.contents buf
+
+let of_int n = Num (float_of_int n)
+
+let rounded d x =
+  let k = 10. ** float_of_int d in
+  Num (Float.round (x *. k) /. k)
 
 (* ---------- parsing ---------- *)
 

@@ -14,8 +14,19 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact rendering. Integral floats print without a decimal point;
-    strings are escaped per RFC 8259. *)
+(** Compact rendering. Integral floats print without a decimal point,
+    other numbers with the fewest digits (15 to 17) that read back
+    exactly, and NaN and the infinities as [null]; strings are escaped
+    per RFC 8259. This is the one JSON printer: findings, optimizer
+    reports, traces and the bench harnesses' result files all go
+    through it. *)
+
+val of_int : int -> t
+(** [Num] of an integer. *)
+
+val rounded : int -> float -> t
+(** [rounded d x] is [Num x] rounded to [d] decimals, so a result file
+    carries the digits its table prints. *)
 
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the full value grammar (objects, arrays,

@@ -20,6 +20,10 @@ let to_string d =
 (* "instrs_removed" for the shrinkage, so a pass whose own metric is
    "removed" (dce) cannot produce a duplicate key *)
 let to_json d =
-  Printf.sprintf
-    {|{"pass":"%s","instrs_before":%d,"instrs_after":%d,"instrs_removed":%d,"%s":%d}|}
-    d.pass d.instrs_before d.instrs_after (removed d) d.metric d.count
+  Obs.Json.(
+    Obj
+      [
+        ("pass", Str d.pass); ("instrs_before", of_int d.instrs_before);
+        ("instrs_after", of_int d.instrs_after); ("instrs_removed", of_int (removed d));
+        (d.metric, of_int d.count);
+      ])

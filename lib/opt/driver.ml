@@ -31,18 +31,19 @@ type report = {
           tier-2 compiler widens its inline budget for these *)
 }
 
-let json_str s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
-
 let report_to_json r =
-  Printf.sprintf
-    {|{"instrs_before":%d,"instrs_after":%d,"passes":[%s],"tier_feedback":{"monomorphic":[%s],"leaves":[%s]}}|}
-    r.instrs_before r.instrs_after
-    (String.concat "," (List.map Delta.to_json r.deltas))
-    (String.concat "," (List.map json_str r.tier_mono))
-    (String.concat ","
-       (List.map
-          (fun (c, m) -> Printf.sprintf "[%s,%s]" (json_str c) (json_str m))
-          r.tier_leaves))
+  let open Obs.Json in
+  Obj
+    [
+      ("instrs_before", of_int r.instrs_before); ("instrs_after", of_int r.instrs_after);
+      ("passes", List (List.map Delta.to_json r.deltas));
+      ( "tier_feedback",
+        Obj
+          [
+            ("monomorphic", List (List.map (fun m -> Str m) r.tier_mono));
+            ("leaves", List (List.map (fun (c, m) -> List [ Str c; Str m ]) r.tier_leaves));
+          ] );
+    ]
 
 let delta name metric before after count =
   { Delta.pass = name; instrs_before = before; instrs_after = after; metric; count }

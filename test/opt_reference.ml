@@ -83,7 +83,7 @@ let pipeline ?config (pl : Facade_compiler.Pipeline.t) =
     ~may_inline:(D.boundary_may_inline pl.Facade_compiler.Pipeline.classification)
     pl.Facade_compiler.Pipeline.transformed
 
-let text (p, r) = (Text_format.to_string p, D.report_to_json r)
+let text (p, r) = (Text_format.to_string p, Obs.Json.to_string (D.report_to_json r))
 
 (* Both entry points against the reference, on P and on P′. *)
 let check ?config ~name ~spec p =

@@ -460,10 +460,27 @@ let test_finding_json () =
   let f = A.Finding.make ~analysis:"def-assign" ~where:"Main.main" ~block:2 ~index:0 "x \"quoted\"" in
   Alcotest.(check string) "json escaping"
     {|{"analysis":"def-assign","severity":"error","where":"Main.main","block":2,"index":0,"what":"x \"quoted\""}|}
-    (A.Finding.to_json f);
+    (Obs.Json.to_string (A.Finding.to_json f));
   Alcotest.(check string) "list wrapper"
     {|{"file":"a.jir","count":1,"findings":[{"analysis":"def-assign","severity":"error","where":"Main.main","block":2,"index":0,"what":"x \"quoted\""}]}|}
-    (A.Finding.list_to_json ~file:"a.jir" [ f ])
+    (Obs.Json.to_string (A.Finding.list_to_json ~file:"a.jir" [ f ]));
+  (* Control characters and backslashes: the exact bytes, and a parse
+     that gives back the original strings. *)
+  let what = "back\\slash\nnew line\ttab \001 byte" and where = "A.f\"" in
+  let g = A.Finding.make ~analysis:"race" ~where ~severity:A.Finding.Warning what in
+  let js = Obs.Json.to_string (A.Finding.list_to_json [ g ]) in
+  Alcotest.(check string) "control characters"
+    {|{"count":1,"findings":[{"analysis":"race","severity":"warning","where":"A.f\"","block":-1,"index":-1,"what":"back\\slash\nnew line\ttab \u0001 byte"}]}|}
+    js;
+  let field k j = Option.bind (Obs.Json.member k j) Obs.Json.to_str in
+  match Obs.Json.parse js with
+  | Error m -> Alcotest.fail ("findings JSON does not parse: " ^ m)
+  | Ok j -> (
+      match Option.bind (Obs.Json.member "findings" j) Obs.Json.to_list with
+      | Some [ fj ] ->
+          Alcotest.(check (option string)) "what round-trips" (Some what) (field "what" fj);
+          Alcotest.(check (option string)) "where round-trips" (Some where) (field "where" fj)
+      | _ -> Alcotest.fail "expected one finding")
 
 let () =
   Alcotest.run "analysis"

@@ -368,12 +368,8 @@ let test_certificate_8_domains () =
       | None -> ())
     [ (Samples.pagerank_par_large, None); (Samples.locking_large, Some 2) ]
 
-let test_certificate_json () =
-  let pl = compile Samples.threads in
-  let cert = A.Certify.of_pipeline pl in
-  let js = A.Certify.to_json pl.P.layout cert in
-  Alcotest.(check bool) "json mentions per_thread" true
-    (String.length js > 0 && js.[0] = '{');
+let test_certificate_per_thread () =
+  let cert = A.Certify.of_pipeline (compile Samples.threads) in
   Alcotest.(check bool) "per-thread covers receivers" true
     (cert.A.Certify.per_thread >= cert.A.Certify.receivers)
 
@@ -468,7 +464,8 @@ let () =
           Alcotest.test_case "iteration-local sites" `Quick
             test_escape_iteration_local;
         ] );
-      ("certificate", Alcotest.test_case "json shape" `Quick test_certificate_json
+      ("certificate", Alcotest.test_case "per-thread covers receivers" `Quick
+                        test_certificate_per_thread
                       :: Alcotest.test_case "8-domain pool, sharded accounting"
                            `Quick test_certificate_8_domains
                       :: List.map certificate_case Samples.all);

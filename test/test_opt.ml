@@ -659,7 +659,7 @@ let opt_digest p spec =
     (fun config ->
       let pl', rep = Opt.Driver.optimize_pipeline ~config pl in
       Buffer.add_string buf (Text_format.to_string pl'.P.transformed);
-      Buffer.add_string buf (Opt.Driver.report_to_json rep))
+      Buffer.add_string buf (Obs.Json.to_string (Opt.Driver.report_to_json rep)))
     pinned_configs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -703,6 +703,42 @@ let check_pinned which digest () =
   let want = List.map (fun (name, o, l) -> (name, which (o, l))) pinned in
   Alcotest.(check (list (pair string string))) "digests" want got
 
+(* ---------- report JSON ---------- *)
+
+(* The printed report parses back, with one [passes] entry per delta and
+   the tier feedback the report carries. *)
+let test_report_json () =
+  List.iter
+    (fun (s : Samples.sample) ->
+      let pl = P.compile ~spec:s.Samples.spec s.Samples.program in
+      let _, rep = Opt.Driver.optimize_pipeline pl in
+      let name = s.Samples.name in
+      match Obs.Json.parse (Obs.Json.to_string (Opt.Driver.report_to_json rep)) with
+      | Error m -> Alcotest.fail (name ^ ": report does not parse: " ^ m)
+      | Ok j ->
+          let get path =
+            List.fold_left (fun v k -> Option.bind v (Obs.Json.member k)) (Some j) path
+          in
+          let list path = Option.value ~default:[] (Option.bind (get path) Obs.Json.to_list) in
+          let str v = Option.get (Obs.Json.to_str v) in
+          Alcotest.(check int) (name ^ ": one pass entry per delta")
+            (List.length rep.Opt.Driver.deltas)
+            (List.length (list [ "passes" ]));
+          Alcotest.(check (list string)) (name ^ ": pass names")
+            (List.map (fun d -> d.Opt.Delta.pass) rep.Opt.Driver.deltas)
+            (List.map (fun d -> str (Option.get (Obs.Json.member "pass" d))) (list [ "passes" ]));
+          Alcotest.(check (list string)) (name ^ ": monomorphic") rep.Opt.Driver.tier_mono
+            (List.map str (list [ "tier_feedback"; "monomorphic" ]));
+          Alcotest.(check (list (pair string string))) (name ^ ": leaves")
+            rep.Opt.Driver.tier_leaves
+            (List.map
+               (fun l ->
+                 match Obs.Json.to_list l with
+                 | Some [ c; m ] -> (str c, str m)
+                 | _ -> Alcotest.fail (name ^ ": a leaf is not a [class, method] pair"))
+               (list [ "tier_feedback"; "leaves" ])))
+    Samples.all
+
 let () =
   Alcotest.run "opt"
     [
@@ -739,6 +775,7 @@ let () =
             test_exits_synthetic;
           Alcotest.test_case "near misses do not exit" `Quick test_exits_near_misses;
         ] );
+      ("report", [ Alcotest.test_case "JSON parses back" `Quick test_report_json ]);
       ( "pinned",
         [
           Alcotest.test_case "optimized P′ and report" `Quick (check_pinned fst opt_digest);
