@@ -439,8 +439,9 @@ let engine_run_json r =
     ]
 
 let run_scalability ~quick =
-  print_endline "== scalability: 1/2/4/8 OCaml domains, measured wall-clock ==";
   let sweep = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
+  Printf.printf "== scalability: %s OCaml domains, measured wall-clock ==\n"
+    (String.concat "/" (List.map string_of_int sweep));
   let engine_runs = ref [] in
   let sweep_engine ~workload ~engine ~mode run1 =
     let base = ref 0.0 in
@@ -609,15 +610,12 @@ let run_scalability ~quick =
   List.iter
     (fun r ->
       if r.sr_workload = "pagerank" && r.sr_mode = "facade" && r.sr_workers = 4 then
-        Printf.printf "facade pagerank speedup at 4 domains: %.2fx %s\n" r.sr_speedup
-          (if r.sr_speedup >= 2.0 then "(>= 2.0x: OK)" else "(< 2.0x!)"))
+        Printf.printf "facade pagerank speedup at 4 domains: %.2fx\n" r.sr_speedup)
     engine_runs;
   List.iter
     (fun (name, w, _, _, sp, _, _, _) ->
       if name = "pagerank-par-large" && w = 8 then
-        Printf.printf "vm facade pagerank-par-large speedup at 8 domains: %.2fx %s\n"
-          sp
-          (if sp >= 4.0 then "(>= 4.0x: OK)" else "(< 4.0x!)"))
+        Printf.printf "vm facade pagerank-par-large speedup at 8 domains: %.2fx\n" sp)
     vm_runs;
   (* Scalability regression gate: at 4 workers no VM workload may fall
      below 0.9x of its own 1-worker wall clock. A sub-0.9 point means the

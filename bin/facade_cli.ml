@@ -76,7 +76,8 @@ let workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Execute spawned threads on a pool of $(docv) OCaml domains \
-           (work-stealing scheduler). Without it, the sequential engine runs.")
+           (work-stealing scheduler). Without it, each spawned thread runs inline \
+           where it is spawned.")
 
 let trace_arg =
   Arg.(

@@ -70,14 +70,14 @@ type t = {
 let artifact t = t.artifact
 let set_artifact t a = t.artifact <- Some a
 
-let compile ?(devirtualize = true) ?oversize_static_threshold ~spec p =
+let compile ?(devirtualize = true) ~spec p =
   let t0 = Unix.gettimeofday () in
   let cl = Classify.classify p spec in
   Assumptions.check_or_fail p cl;
   let p = if devirtualize then Optimize.devirtualize p else p in
   let layout = Layout.compute p cl in
   let bounds = Bounds.compute p cl layout in
-  let r = Transform.run p cl layout bounds ?oversize_static_threshold () in
+  let r = Transform.run p cl layout bounds () in
   (match validate_transformed cl bounds r.Transform.program with
   | [] -> ()
   | errs -> raise (Invalid_transform errs));

@@ -40,7 +40,6 @@ val set_artifact : t -> artifact -> unit
 
 val compile :
   ?devirtualize:bool ->
-  ?oversize_static_threshold:int ->
   spec:Classify.spec ->
   Jir.Program.t ->
   t

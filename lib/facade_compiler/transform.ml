@@ -35,11 +35,14 @@ type ctx = {
   cl : Classify.t;
   layout : Layout.t;
   bounds : Bounds.t;
-  oversize : int;
   conversions : (string, unit) Hashtbl.t;
 }
 
 let imm_i n = Ir.Imm (Ir.Cint n)
+
+(* An array whose static size exceeds a 32 KiB page gets an oversize
+   page of its own. *)
+let oversize_static_threshold = 32 * 1024
 
 let is_data_class ctx c = Classify.is_data_class ctx.cl c
 let is_boundary ctx c = Classify.is_boundary_class ctx.cl c
@@ -273,7 +276,7 @@ let transform_instr env ~const_env ins =
       let static_len = Hashtbl.find_opt const_env n in
       let op =
         match static_len with
-        | Some len when (len * eb) + Pagestore.Layout_rt.array_header_bytes > ctx.oversize ->
+        | Some len when (len * eb) + Pagestore.Layout_rt.array_header_bytes > oversize_static_threshold ->
             Rt_names.alloc_array_oversize
         | Some _ | None -> Rt_names.alloc_array
       in
@@ -642,10 +645,8 @@ let live_original_methods p ~kept =
   done;
   live
 
-let run p cl layout bounds ?(oversize_static_threshold = 32 * 1024) () =
-  let ctx =
-    { p; cl; layout; bounds; oversize = oversize_static_threshold; conversions = Hashtbl.create 8 }
-  in
+let run p cl layout bounds () =
+  let ctx = { p; cl; layout; bounds; conversions = Hashtbl.create 8 } in
   let classes = Program.classes p in
   (* Interfaces needing facades: in the data set, or implemented by a data
      class. *)

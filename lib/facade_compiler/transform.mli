@@ -64,7 +64,6 @@ val run :
   Classify.t ->
   Layout.t ->
   Bounds.t ->
-  ?oversize_static_threshold:int ->
   unit ->
   result
 (** Transform the data path of a verified program. The output program
@@ -72,6 +71,5 @@ val run :
     interfaces, untouched control classes, and each data class's original
     with its fields and only the methods control-side code can call (see
     {!is_kept_original}); the entry point is remapped when it lives in a
-    transformed class. [oversize_static_threshold]
-    (default: the 32 KiB page size) routes statically-large array
-    allocations to oversize pages. *)
+    transformed class. An array allocation whose static size exceeds
+    the 32 KiB page size goes to an oversize page. *)

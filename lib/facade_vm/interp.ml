@@ -48,7 +48,8 @@ let rec convert_from st rt (visited : (int, int) Hashtbl.t) (v : Value.t) : int 
           (match c with
           | Some c when c.R.c_tid >= 0 ->
               let addr =
-                st_alloc_record st rt ~type_id:c.R.c_tid ~data_bytes:c.R.c_data_bytes
+                Store.local_alloc_record (the_ctx st).tc_local ~type_id:c.R.c_tid
+                  ~data_bytes:c.R.c_data_bytes
               in
               Exec_stats.note_record st.stats;
               let ai = Addr.to_int addr in
@@ -61,7 +62,7 @@ let rec convert_from st rt (visited : (int, int) Hashtbl.t) (v : Value.t) : int 
                   in
                   write_slot st rt visited addr ~offset:fs.Layout.offset ~jty:fs.Layout.jty fv)
                 c.R.c_conv;
-              sync_native st;
+              sync_native st rt;
               ai
           | Some _ | None -> vm_err "convertFrom: %s is not a data class" o.Value.ocls))
   | Value.Arr a -> (
@@ -76,7 +77,9 @@ let rec convert_from st rt (visited : (int, int) Hashtbl.t) (v : Value.t) : int 
           in
           let eb = Layout.elem_bytes ety in
           let len = Array.length a.Value.elems in
-          let addr = st_alloc_array st rt ~type_id:tid ~elem_bytes:eb ~length:len in
+          let addr =
+            Store.local_alloc_array (the_ctx st).tc_local ~type_id:tid ~elem_bytes:eb ~length:len
+          in
           Exec_stats.note_record st.stats;
           let ai = Addr.to_int addr in
           Hashtbl.replace visited a.Value.aid ai;
@@ -85,7 +88,7 @@ let rec convert_from st rt (visited : (int, int) Hashtbl.t) (v : Value.t) : int 
               let offset = Store.array_elem_offset ~elem_bytes:eb ~index:i in
               write_slot st rt visited addr ~offset ~jty:ety x)
             a.Value.elems;
-          sync_native st;
+          sync_native st rt;
           ai)
   | Value.Int _ | Value.Float _ | Value.Facade _ ->
       vm_err "convertFrom: not a heap data value: %s" (Value.to_string v)
@@ -106,8 +109,8 @@ and write_slot st rt visited addr ~offset ~jty v =
 and intern_string st rt s =
   (* Program string constants were interned at setup; the frozen table is
      never written after that, so this lookup is lock-free. Genuinely
-     dynamic strings go to a per-domain table (snapshot-copied from the
-     spawner at spawn, merged first-wins at joins), so no lock is taken
+     dynamic strings go to the thread's own view (the spawner's at spawn,
+     merged first-wins at joins), so no lock is taken
      on this path either. The caveat: two domains racing to intern the
      same *dynamic* string each allocate their own record; no shipped
      workload does this, and the differential suite would catch the heap
@@ -115,25 +118,18 @@ and intern_string st rt s =
   match Hashtbl.find_opt rt.intern_frozen s with
   | Some addr -> addr
   | None -> (
-      match st.ctx with
-      | Some c -> (
-          match Hashtbl.find_opt c.dc_intern s with
-          | Some addr -> addr
-          | None -> intern_dynamic st rt c.dc_intern c.dc_strings s)
-      | None -> (
-          match Hashtbl.find_opt rt.string_intern s with
-          | Some addr -> addr
-          | None -> intern_dynamic st rt rt.string_intern rt.strings s))
-
-and intern_dynamic st rt intern strings s =
-  let tid = Layout.type_id rt.layout Jtype.string_class in
-  let addr = st_alloc_record st rt ~type_id:tid ~data_bytes:0 in
-  Exec_stats.note_record st.stats;
-  sync_native st;
-  let ai = Addr.to_int addr in
-  Hashtbl.replace intern s ai;
-  Hashtbl.replace strings ai s;
-  ai
+      let c = the_ctx st in
+      match Smap.find_opt s c.tc_intern with
+      | Some addr -> addr
+      | None ->
+          let tid = Layout.type_id rt.layout Jtype.string_class in
+          let addr = Store.local_alloc_record c.tc_local ~type_id:tid ~data_bytes:0 in
+          Exec_stats.note_record st.stats;
+          sync_native st rt;
+          let ai = Addr.to_int addr in
+          c.tc_intern <- Smap.add s ai c.tc_intern;
+          c.tc_strings <- Imap.add ai s c.tc_strings;
+          ai)
 
 let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value.t =
   if ai = 0 then Value.Null
@@ -144,10 +140,7 @@ let rec convert_to st rt (visited : (int, Value.t) Hashtbl.t) (ai : int) : Value
         let interned =
           match Hashtbl.find_opt rt.strings_frozen ai with
           | Some _ as s -> s
-          | None -> (
-              match st.ctx with
-              | Some c -> Hashtbl.find_opt c.dc_strings ai
-              | None -> Hashtbl.find_opt rt.strings ai)
+          | None -> Imap.find_opt ai (the_ctx st).tc_strings
         in
         match interned with
         | Some s -> Value.Str s
@@ -367,10 +360,7 @@ and exec st mx (frame : Value.t array) ins =
       | Some h -> heap_locked st (fun () -> Heap.iteration_start h)
       | None -> ());
       match st.mode with
-      | Facade_mode rt -> (
-          match st.ctx with
-          | Some c -> Store.local_iteration_start c.dc_local
-          | None -> Store.iteration_start rt.store ~thread:st.thread)
+      | Facade_mode (_, c) -> Store.local_iteration_start c.tc_local
       | Object_mode -> ())
   | R.Riter_end -> (
       if Obs.Trace.on () then Obs.Trace.instant ~cat:"vm" "iter_end";
@@ -386,13 +376,11 @@ and exec st mx (frame : Value.t array) ins =
       | Some h -> heap_locked st (fun () -> Heap.iteration_end h)
       | None -> ());
       match st.mode with
-      | Facade_mode rt ->
-          (match st.ctx with
-          | Some c -> Store.local_iteration_end c.dc_local
-          | None -> Store.iteration_end rt.store ~thread:st.thread);
-          sync_native st;
-          (* With a ctx the bulk release's native/page deltas are published
-             by a (shard-empty) flush instead. *)
+      | Facade_mode (rt, c) ->
+          Store.local_iteration_end c.tc_local;
+          sync_native st rt;
+          (* In a pool run the bulk release's native/page deltas are
+             published by a (shard-empty) flush instead. *)
           flush_ctx st
       | Object_mode -> ())
   | R.Rrun_thread op ->
@@ -564,7 +552,7 @@ and exec st mx (frame : Value.t array) ins =
    own pools (facade pools are never shared across threads). *)
 and resolve_run_receiver st v =
   match st.mode, v with
-  | Facade_mode rt, Value.Int r when r <> 0 ->
+  | Facade_mode (rt, _), Value.Int r when r <> 0 ->
       let rtid = Store.type_id rt.store (Addr.of_int r) in
       let f = FP.receiver (pools_of st rt) ~type_id:rtid in
       FP.bind f (Addr.of_int r);
@@ -583,87 +571,71 @@ and run_the_run st recv =
   f.(0) <- recv;
   ignore (run_method st midx f)
 
+(* A fresh logical thread runs obj.run() to completion. *)
 and run_thread st v =
-  (* A fresh logical thread: own page manager (child of the spawning
-     thread's current iteration, 3.6) and own facade pools; runs
-     obj.run() to completion. With a worker pool attached (facade mode
-     only), the runnable is enqueued on the domains instead of executing
-     inline; the spawner joins it at the next barrier. *)
-  match st.par, st.mode with
-  | Some _, Facade_mode rt -> spawn_thread_parallel st rt v
-  | _ ->
-      let tid = Atomic.fetch_and_add st.next_thread 1 in
-      if Obs.Trace.on () then
-        Obs.Trace.instant ~cat:"vm" ~args:[ ("tid", Obs.Tracer.Aint tid) ] "thread_spawn";
-      let parent = st.thread in
-      (match st.mode with
-      | Facade_mode rt -> Store.register_thread ~parent rt.store tid
-      | Object_mode -> ());
-      st.thread <- tid;
-      run_the_run st (resolve_run_receiver st v);
-      (* The thread terminates: its default page manager is released (the
-         paper's per-thread reclamation). *)
-      (match st.mode with
-      | Facade_mode rt -> Store.release_thread rt.store tid
-      | Object_mode -> ());
-      st.thread <- parent
-
-and spawn_thread_parallel st rt v =
-  let shared = Option.get st.par in
   let tid = Atomic.fetch_and_add st.next_thread 1 in
   if Obs.Trace.on () then
     Obs.Trace.instant ~cat:"vm" ~args:[ ("tid", Obs.Tracer.Aint tid) ] "thread_spawn";
-  (* Register on the spawner's domain so the child's default manager
-     hangs off the spawner's *current* iteration manager, exactly as the
-     sequential path does. *)
+  match st.mode with
+  | Object_mode -> run_the_run { st with thread = tid; join = None } v
+  | Facade_mode (rt, pc) -> spawn_facade st rt pc tid v
+
+(* The facade spawn. The child gets its own page manager (a child of the
+   spawner's current iteration manager, 3.6) and its own context. A pool
+   changes only where it runs — inline and joined at once, or enqueued
+   and joined at the spawner's next barrier — and, with that, whether
+   its Exec_stats and heap charges are shards. Inline children keep the
+   spawner's stats, so [max_steps] stays one budget for the whole run. *)
+and spawn_facade st rt pc tid v =
   Store.register_thread ~parent:st.thread rt.store tid;
   let ctx =
     {
-      dc_pools = None;
-      dc_local = Store.local rt.store ~thread:tid;
-      dc_shard = Heap.Shard.create ();
-      (* Dynamic-string snapshot: everything the spawner has interned so
-         far is visible to the child without a lock; what the child adds
-         merges back (first-wins) at the join barrier. *)
-      dc_strings =
-        (match st.ctx with Some pc -> Hashtbl.copy pc.dc_strings | None -> Hashtbl.create 8);
-      dc_intern =
-        (match st.ctx with Some pc -> Hashtbl.copy pc.dc_intern | None -> Hashtbl.create 8);
+      tc_pools = None;
+      tc_local = Store.local rt.store ~thread:tid;
+      tc_strings = pc.tc_strings;
+      tc_intern = pc.tc_intern;
     }
   in
-  let child_stats = Exec_stats.create () in
-  Exec_stats.ensure_methods child_stats (Array.length st.rp.R.methods);
-  let child_st = { st with stats = child_stats; thread = tid; join = None; ctx = Some ctx } in
-  let j =
-    match st.join with
-    | Some j -> j
-    | None ->
-        let j = { group = Parallel.Sched.group shared.pool; children = [] } in
-        st.join <- Some j;
-        j
+  let child stats shard =
+    { st with mode = Facade_mode (rt, ctx); stats; shard; thread = tid; join = None }
   in
-  j.children <-
-    {
-      c_stats = child_st.stats;
-      c_shard = ctx.dc_shard;
-      c_ctx = ctx;
-      c_anchor = st.stats.Exec_stats.output;
-    }
-    :: j.children;
-  Parallel.Sched.spawn j.group (fun () ->
-      run_the_run child_st (resolve_run_receiver child_st v);
-      (* Grandchildren must finish before this thread's manager subtree
-         is released. *)
-      join_children child_st;
-      (* Publish the record count now (it's order-independent); the heap
-         shard stays pending for the parent to merge at the join, so heap
-         charges always land through happens-before edges. *)
-      Store.local_flush ctx.dc_local;
-      Store.release_thread rt.store tid)
+  let body cst () =
+    run_the_run cst (resolve_run_receiver cst v);
+    (* Grandchildren must finish before this thread's manager subtree
+       is released. *)
+    join_children cst;
+    (* Publish the record count now (it's order-independent); a pool
+       child's heap shard stays pending for the parent to merge at the
+       join, so heap charges always land through happens-before edges. *)
+    Store.local_flush ctx.tc_local;
+    (* The thread terminates: its default page manager is released (the
+       paper's per-thread reclamation). *)
+    Store.release_thread rt.store tid
+  in
+  match st.par with
+  | None ->
+      body (child st.stats None) ();
+      absorb_strings pc ctx
+  | Some shared ->
+      let stats = Exec_stats.create () in
+      Exec_stats.ensure_methods stats (Array.length st.rp.R.methods);
+      let shard = Heap.Shard.create () in
+      let j =
+        match st.join with
+        | Some j -> j
+        | None ->
+            let j = { group = Parallel.Sched.group shared.pool; children = [] } in
+            st.join <- Some j;
+            j
+      in
+      j.children <-
+        { c_stats = stats; c_shard = shard; c_ctx = ctx; c_anchor = st.stats.Exec_stats.output }
+        :: j.children;
+      Parallel.Sched.spawn j.group (body (child stats (Some shard)))
 
 (* Splice a joined child's output at its spawn point. Both lists are
    newest-first; the anchor is a physical suffix of the parent's current
-   output, so the sequential print order is reproduced exactly. *)
+   output, so the inline print order is reproduced exactly. *)
 and splice_output (st : st) (c : child) =
   let rec cut acc l =
     if l == c.c_anchor then acc
@@ -676,7 +648,7 @@ and splice_output (st : st) (c : child) =
       (c.c_stats.Exec_stats.output @ c.c_anchor)
       newer_oldest_first
 
-(* The join barrier: wait for every child this thread has spawned, then
+(* The join barrier: wait for every child this thread has enqueued, then
    fold their stat shards in. Children are spliced most-recent-first so
    each anchor is still a physical suffix when its turn comes. *)
 and join_children st =
@@ -696,27 +668,15 @@ and join_children st =
           c.c_stats.Exec_stats.output <- [];
           Exec_stats.merge st.stats c.c_stats)
         cs;
-      (match st.ctx with
-      | Some c ->
-          (* Absorb the children's heap shards and dynamic-string tables
-             in spawn order, mirroring the Exec_stats merge above.
-             First-wins on strings: the spawn-order-earliest interning of
-             an address (or string) is the one every later reader sees,
-             matching what the locked shared table used to produce. *)
-          List.iter
-            (fun ch ->
-              Heap.Shard.merge ~dst:c.dc_shard ~src:ch.c_shard;
-              Hashtbl.iter
-                (fun ai s ->
-                  if not (Hashtbl.mem c.dc_strings ai) then Hashtbl.replace c.dc_strings ai s)
-                ch.c_ctx.dc_strings;
-              Hashtbl.iter
-                (fun s ai ->
-                  if not (Hashtbl.mem c.dc_intern s) then Hashtbl.replace c.dc_intern s ai)
-                ch.c_ctx.dc_intern)
-            (List.rev cs);
-          if Obs.Trace.on () && cs <> [] then Obs.Trace.instant ~cat:"vm" "shard_merge"
-      | None -> ())
+      (* Absorb the children's heap shards and dynamic-string tables in
+         spawn order, mirroring the Exec_stats merge above. *)
+      let pc = the_ctx st in
+      List.iter
+        (fun ch ->
+          Option.iter (fun dst -> Heap.Shard.merge ~dst ~src:ch.c_shard) st.shard;
+          absorb_strings pc ch.c_ctx)
+        (List.rev cs);
+      if Obs.Trace.on () && cs <> [] then Obs.Trace.instant ~cat:"vm" "shard_merge"
 
 and exec_intrinsic st frame ret i (ops : R.operand array) =
   let v k = operand frame ops.(k) in
@@ -736,12 +696,8 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
       set (Value.Int (rt_alloc_array st rt ~oversize ~type_id ~elem_bytes ~length))
   | R.I_free_oversize ->
       let rt = the_rt st in
-      (match st.ctx with
-      | Some c -> Store.local_free_oversize_early c.dc_local (addr_of (check_nonnull (v 0)))
-      | None ->
-          Store.free_oversize_early rt.store ~thread:st.thread
-            (addr_of (check_nonnull (v 0))));
-      sync_native st
+      Store.local_free_oversize_early (the_ctx st).tc_local (addr_of (check_nonnull (v 0)));
+      sync_native st rt
   | R.I_array_length ->
       let rt = the_rt st in
       set (Value.Int (Store.array_length rt.store (addr_of (check_nonnull (v 0)))))
@@ -831,12 +787,7 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
       let units = as_int (v 0) in
       if units < 0 then vm_err "sys.io_read: negative latency";
       let sim = float_of_int units *. 1e-6 in
-      (match st.ctx, st.heap with
-      | Some c, Some _ -> Heap.Shard.charge_io c.dc_shard ~seconds:sim
-      | _, Some h ->
-          heap_locked st (fun () ->
-              Heapsim.Sim_clock.charge (Heap.clock h) Heapsim.Sim_clock.Load sim)
-      | _, None -> ());
+      charge_io st ~seconds:sim;
       if st.io_scale > 0.0 then Parallel.Measure.io_wait (sim *. st.io_scale);
       set (Value.Int units)
   | R.I_arraycopy -> (
@@ -893,15 +844,15 @@ let hooks : Vm_state.hooks =
 let finish st =
   let store_stats, facades, locks_peak =
     match st.mode with
-    | Facade_mode rt ->
+    | Facade_mode (rt, _) ->
         ( Some (Store.stats rt.store),
-          Hashtbl.fold (fun _ p acc -> acc + FP.total_facades p) rt.pools 0,
+          Atomic.get rt.facades,
           Pagestore.Lock_pool.peak_locks_in_use rt.locks )
     | Object_mode -> (None, 0, 0)
   in
   { result = None; stats = st.stats; store_stats; facades_allocated = facades; locks_peak }
 
-let run_entry st ~entry_args =
+let run_entry st =
   if st.rp.R.entry < 0 then begin
     let cls, mname = Program.entry st.rp.R.src in
     vm_err "NoSuchMethodError: %s.%s" cls mname
@@ -909,12 +860,9 @@ let run_entry st ~entry_args =
   let m = st.rp.R.methods.(st.rp.R.entry) in
   if Array.length m.R.m_body = 0 then
     vm_err "AbstractMethodError: %s.%s" m.R.m_cls m.R.m_name;
-  if List.length entry_args <> m.R.m_nparams then
-    vm_err "arity mismatch calling %s.%s (%d args)" m.R.m_cls m.R.m_name
-      (List.length entry_args);
-  let f = Array.copy m.R.m_frame in
-  List.iteri (fun i a -> f.(i + 1) <- a) entry_args;
-  let result = run_method st st.rp.R.entry f in
+  if m.R.m_nparams <> 0 then
+    vm_err "arity mismatch calling %s.%s (0 args)" m.R.m_cls m.R.m_name;
+  let result = run_method st st.rp.R.entry (Array.copy m.R.m_frame) in
   (* Final barrier: top-level threads spawned outside any iteration. *)
   join_children st;
   flush_ctx st;
@@ -930,6 +878,7 @@ let make_st ?par ?(io_scale = 0.0) rp mode heap max_steps thread =
     rp;
     mode;
     heap;
+    shard = Option.map (fun _ -> Heap.Shard.create ()) par;
     stats;
     globals = Array.copy rp.R.globals_init;
     monitors = Hashtbl.create 16;
@@ -940,7 +889,6 @@ let make_st ?par ?(io_scale = 0.0) rp mode heap max_steps thread =
     next_thread = Atomic.make 1;
     par;
     join = None;
-    ctx = None;
     tier = None;
     tret = Value.Null;
   }
@@ -955,9 +903,9 @@ let make_tier ?feedback rp = Compile_tier.make ?feedback ~hooks rp
 
 (* Intern every string constant the linker collected, before execution
    starts: afterwards the frozen tables are read-only, so the hot path
-   never takes str_mu for a program literal. Setup is single-threaded, so
-   the plain store path is safe here even in parallel mode. *)
-let pre_intern_strings st rt =
+   never takes a lock for a program literal. Setup is single-threaded, so
+   its heap charges are synced directly, with or without a pool. *)
+let pre_intern_strings st rt c =
   if Array.length st.rp.R.string_consts > 0 then
     match Layout.type_id rt.layout Jtype.string_class with
     | exception Not_found -> ()
@@ -965,25 +913,22 @@ let pre_intern_strings st rt =
         Array.iter
           (fun s ->
             if not (Hashtbl.mem rt.intern_frozen s) then begin
-              let addr =
-                Store.alloc_record rt.store ~thread:st.thread ~type_id:tid ~data_bytes:0
-              in
+              let addr = Store.local_alloc_record c.tc_local ~type_id:tid ~data_bytes:0 in
               Exec_stats.note_record st.stats;
-              sync_native st;
+              Option.iter (sync_store_heap rt) st.heap;
               let ai = Addr.to_int addr in
               Hashtbl.replace rt.intern_frozen s ai;
               Hashtbl.replace rt.strings_frozen ai s
             end)
           st.rp.R.string_consts
 
-let run_object_linked ?heap ?(max_steps = default_max_steps) ?(entry_args = []) ?tier rp =
+let run_object_linked ?heap ?(max_steps = default_max_steps) ?tier rp =
   let st = make_st rp Object_mode heap max_steps 0 in
   st.tier <- tier;
-  run_entry st ~entry_args
+  run_entry st
 
 let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?pool ?page_quota
-    ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?quicken:_ ?tier
-    (pl : Facade_compiler.Pipeline.t) =
+    ?heap_budget ?(io_scale = 0.0) ?quicken:_ ?tier (pl : Facade_compiler.Pipeline.t) =
   let rp = Link.facade_program pl in
   let store = Store.create ?page_bytes () in
   (* Tenant resource caps: enforced by the store on every allocation. *)
@@ -994,38 +939,35 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?pool ?page_qu
   let thread = 0 in
   Store.register_thread store thread;
   let bounds = Facade_compiler.Bounds.as_array pl.Facade_compiler.Pipeline.bounds in
-  let pools = Hashtbl.create 4 in
-  Hashtbl.replace pools 0 (FP.create ~bounds);
+  let pools = FP.create ~bounds in
   let rt =
     {
       store;
-      pools;
       bounds;
+      facades = Atomic.make (FP.total_facades pools);
       locks = Pagestore.Lock_pool.create ();
       layout = pl.Facade_compiler.Pipeline.layout;
       strings_frozen = Hashtbl.create 16;
       intern_frozen = Hashtbl.create 16;
-      strings = Hashtbl.create 16;
-      string_intern = Hashtbl.create 16;
       last_native = 0;
       last_pages = 0;
     }
   in
-  (* [?pool] selects the parallel path. The run borrows the pool —
-     external waiters park without helping, so concurrent runs coexist —
-     and never shuts it down. *)
-  let par =
-    Option.map
-      (fun p ->
-        {
-          pool = p;
-          pools_mu = Mutex.create ();
-          mon_mu = Mutex.create ();
-          heap_mu = Mutex.create ();
-        })
-      pool
+  let ctx =
+    {
+      tc_pools = Some pools;
+      tc_local = Store.local store ~thread;
+      tc_strings = Imap.empty;
+      tc_intern = Smap.empty;
+    }
   in
-  let st = make_st ?par ~io_scale rp (Facade_mode rt) heap max_steps thread in
+  (* [?pool] runs spawned threads on its domains. The run borrows the
+     pool — external waiters park without helping, so concurrent runs
+     coexist — and never shuts it down. *)
+  let par =
+    Option.map (fun p -> { pool = p; mon_mu = Mutex.create (); heap_mu = Mutex.create () }) pool
+  in
+  let st = make_st ?par ~io_scale rp (Facade_mode (rt, ctx)) heap max_steps thread in
   (* Tier-2 facade code is store-independent (every page access resolves
      the pool through [st]), so a pre-built warm tier from {!make_tier}
      is as sound here as in object mode. *)
@@ -1033,21 +975,9 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?pool ?page_qu
   (* The facade pools themselves are heap objects — the paper's O(t·n). *)
   (match heap with
   | Some h ->
-      for _ = 1 to FP.total_facades (Hashtbl.find pools 0) do
+      for _ = 1 to FP.total_facades pools do
         Heap.alloc h ~lifetime:Heap.Permanent ~bytes:32
       done
   | None -> ());
-  (* Setup is still sequential (ctx unset), so these charges sync exactly
-     as in a sequential run. *)
-  pre_intern_strings st rt;
-  if Option.is_some par then
-    st.ctx <-
-      Some
-        {
-          dc_pools = Some (Hashtbl.find pools 0);
-          dc_local = Store.local store ~thread;
-          dc_shard = Heap.Shard.create ();
-          dc_strings = Hashtbl.create 16;
-          dc_intern = Hashtbl.create 16;
-        };
-  run_entry st ~entry_args
+  pre_intern_strings st rt ctx;
+  run_entry st

@@ -43,7 +43,6 @@ type outcome = {
 val run_object_linked :
   ?heap:Heapsim.Heap.t ->
   ?max_steps:int ->
-  ?entry_args:Value.t list ->
   ?tier:Vm_state.tier ->
   Resolved.program ->
   outcome
@@ -77,7 +76,6 @@ val run_facade :
   ?page_quota:int ->
   ?heap_budget:int ->
   ?io_scale:float ->
-  ?entry_args:Value.t list ->
   ?quicken:bool ->
   ?tier:Vm_state.tier ->
   Facade_compiler.Pipeline.t ->
@@ -91,27 +89,36 @@ val run_facade :
     {!run_object_linked}; build it with {!make_tier} over
     [Link.facade_program pl].
 
-    The run is parallel if and only if [?pool] is given: spawned logical
-    threads run on that pool's domains ({!Parallel.Pool.with_pool} makes
-    a private one). The run borrows the pool and never shuts it down, so
-    several concurrent runs may share one long-lived pool — which is how
-    the service daemon amortizes [Domain.spawn] to zero. Each [run_thread]
-    enqueues the runnable onto work-stealing deques, and the spawner joins
-    its children at the next iteration end (before the iteration's pages
-    are bulk-released), at its own termination, and at entry exit. Every
-    logical thread accumulates its accounting privately — an [Exec_stats]
-    shard, a {!Heapsim.Heap.Shard} of heap charges, and a buffered
-    {!Pagestore.Store.local} handle — so the allocation hot path takes no
-    lock; shards drain into the shared structures only at iteration
+    Every logical thread — the root and each spawned one — runs on its
+    own context: its facade pools, a buffered {!Pagestore.Store.local}
+    handle on its page managers, and its own view of the dynamic strings, so
+    allocation, pool and interning paths take no lock.
+
+    Without [?pool], each [run_thread] runs its child inline to
+    completion, on the spawner's [Exec_stats] (so [max_steps] is one
+    budget for the whole run), and every heap charge reaches [?heap] at
+    the operation that makes it.
+
+    With [?pool], spawned threads run on that pool's domains
+    ({!Parallel.Pool.with_pool} makes a private one). The run borrows the
+    pool and never shuts it down, so several concurrent runs may share
+    one long-lived pool — which is how the service daemon amortizes
+    [Domain.spawn] to zero. Each [run_thread] enqueues the runnable onto
+    work-stealing deques, and the spawner joins its children at the next
+    iteration end (before the iteration's pages are bulk-released), at
+    its own termination, and at entry exit. Each enqueued thread also
+    keeps an [Exec_stats] shard and a {!Heapsim.Heap.Shard} of heap
+    charges, which drain into the shared structures only at iteration
     boundaries and joins, merged in spawn order. Results, output, facade
-    counts, records allocated, final heap totals (objects/bytes allocated,
-    native and live populations), page-store totals, and lock-pool peaks
-    are identical to the sequential run for programs whose threads are
-    data-race-free (the differential suite asserts this for every shipped
-    sample). The step budget is enforced per logical thread in this mode,
-    and because batching moves GC trigger points, simulated GC pause
-    {e counts} remain approximate under parallelism. A tier is shared
-    across worker domains (racing compilations are benign).
+    counts, records allocated, final heap totals (objects/bytes
+    allocated, native and live populations), page-store totals, and
+    lock-pool peaks are identical to the run without a pool for programs
+    whose threads are data-race-free (the differential suite asserts
+    this for every shipped sample). The step budget is enforced per
+    logical thread in this mode, and because batching moves GC trigger
+    points, simulated GC pause {e counts} remain approximate under
+    parallelism. A tier is shared across worker domains (racing
+    compilations are benign).
 
     [?page_quota] (max live pages) and [?heap_budget] (max native page
     bytes) install {!Pagestore.Store.set_limits} caps on this run's

@@ -822,15 +822,14 @@ let finish st : Interp.outcome =
     locks_peak;
   }
 
-let run_entry st ~entry_args =
+let run_entry st =
   let cls, mname = Program.entry st.p in
   init_globals st;
-  let result = exec_call st ~kind:Ir.Static ~cls ~mname ~recv:None ~argv:entry_args in
+  let result = exec_call st ~kind:Ir.Static ~cls ~mname ~recv:None ~argv:[] in
   let o = finish st in
   { o with Interp.result }
 
-let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = Interp.default_max_steps)
-    ?(entry_args = []) p =
+let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = Interp.default_max_steps) p =
   let st =
     {
       p;
@@ -846,9 +845,9 @@ let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = Interp.default_ma
       next_thread = 1;
     }
   in
-  run_entry st ~entry_args
+  run_entry st
 
-let run_facade ?heap ?(max_steps = Interp.default_max_steps) ?page_bytes ?(entry_args = [])
+let run_facade ?heap ?(max_steps = Interp.default_max_steps) ?page_bytes
     (pl : Facade_compiler.Pipeline.t) =
   let store = Store.create ?page_bytes () in
   let thread = 0 in
@@ -897,4 +896,4 @@ let run_facade ?heap ?(max_steps = Interp.default_max_steps) ?page_bytes ?(entry
      match Layout.type_id rt.layout Jtype.string_class with
      | exception Not_found -> ()
      | _ -> Array.iter (fun s -> ignore (intern_string st rt s)) consts);
-  run_entry st ~entry_args
+  run_entry st

@@ -10,7 +10,6 @@ val run_object :
   ?heap:Heapsim.Heap.t ->
   ?is_data:(string -> bool) ->
   ?max_steps:int ->
-  ?entry_args:Value.t list ->
   Jir.Program.t ->
   Interp.outcome
 
@@ -18,6 +17,5 @@ val run_facade :
   ?heap:Heapsim.Heap.t ->
   ?max_steps:int ->
   ?page_bytes:int ->
-  ?entry_args:Value.t list ->
   Facade_compiler.Pipeline.t ->
   Interp.outcome

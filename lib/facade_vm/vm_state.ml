@@ -13,6 +13,8 @@ module Addr = Pagestore.Addr
 module Store = Pagestore.Store
 module Layout = Facade_compiler.Layout
 module Heap = Heapsim.Heap
+module Imap = Map.Make (Int)
+module Smap = Map.Make (String)
 
 exception Vm_error of string
 
@@ -27,8 +29,8 @@ exception Tier_deopt of int * int * string
 
 type facade_rt = {
   store : Store.t;
-  pools : (int, FP.t) Hashtbl.t;  (* per-thread facade pools (3.4, Fig. 3) *)
   bounds : int array;
+  facades : int Atomic.t;  (* facades in every thread's pools so far *)
   locks : Pagestore.Lock_pool.t;
   layout : Layout.t;
   strings_frozen : (int, string) Hashtbl.t;  (* pre-interned at setup from
@@ -36,51 +38,49 @@ type facade_rt = {
                                                 read-only afterwards, so safe
                                                 to consult without a lock *)
   intern_frozen : (string, int) Hashtbl.t;
-  strings : (int, string) Hashtbl.t;       (* dynamic: addr -> contents *)
-  string_intern : (string, int) Hashtbl.t;
   mutable last_native : int;
   mutable last_pages : int;
 }
 
-type mode = Object_mode | Facade_mode of facade_rt
+(* What one logical thread of a facade run owns (paper 3.4, 3.6): its
+   facade pools (created at first use), a page-store handle pinned to its
+   page managers, and its view of the dynamic strings, which starts as
+   the spawner's view at spawn and is merged back (first-wins, spawn
+   order) when the spawner joins it. The views are persistent maps, so a
+   spawn copies nothing. Every thread of a facade run has a context —
+   the root, children run inline, children run on a pool — so the
+   allocation, pool and interning paths consult nothing shared and take
+   no lock. *)
+type thread_ctx = {
+  mutable tc_pools : FP.t option;
+  tc_local : Store.local;
+  mutable tc_strings : string Imap.t;  (* dynamic: addr -> contents *)
+  mutable tc_intern : int Smap.t;      (* and back; always updated together *)
+}
 
-(* Shared state of a parallel run (tentpole of the multicore layer): the
-   domain pool plus the mutexes guarding the structures that logical
-   threads share. Page managers, facade pools, and dynamic-string tables
-   stay thread-local; the store and lock pool are domain-safe internally;
-   everything else that both parent and children touch is serialized
-   here. Lock order (outer first): pools_mu / mon_mu → heap_mu. *)
+(* Per logical thread: a facade thread carries the run's shared runtime
+   and its own context. *)
+type mode = Object_mode | Facade_mode of facade_rt * thread_ctx
+
+(* Shared state of a parallel run: the domain pool plus the mutexes
+   guarding the structures that logical threads share. Page managers,
+   facade pools, and dynamic-string tables are in each thread's context;
+   the store and lock pool are domain-safe internally; everything else
+   that both parent and children touch is serialized here. Lock order
+   (outer first): mon_mu → heap_mu. *)
 type par_shared = {
   pool : Parallel.Pool.t;
-  pools_mu : Mutex.t;  (* facade_rt.pools *)
   mon_mu : Mutex.t;    (* st.monitors (object monitors on control objects) *)
   heap_mu : Mutex.t;   (* the heapsim Heap and last_native/last_pages *)
 }
 
-(* Everything one logical thread accumulates privately while running on a
-   domain: its facade pools (created lazily, as in sequential mode), a
-   pinned page-store handle, a heap shard, and — since the str_mu elision
-   — its view of the dynamic-string tables, seeded from the spawner's at
-   spawn time and merged back (first-wins, spawn order) at joins. Nothing
-   here is shared, so the allocation and interning hot paths touch no
-   mutex; the shard drains into the global heap only at iteration
-   boundaries and joins ([flush_ctx]), and a child's shard is merged into
-   its parent's at [join_children], in spawn order, exactly like the
-   [Exec_stats] shards. *)
-type domain_ctx = {
-  mutable dc_pools : FP.t option;
-  dc_local : Store.local;
-  dc_shard : Heap.Shard.t;
-  dc_strings : (int, string) Hashtbl.t;    (* dynamic: addr -> contents *)
-  dc_intern : (string, int) Hashtbl.t;
-}
-
+(* A child enqueued on the pool, until its spawner joins it. *)
 type child = {
   c_stats : Exec_stats.t;
-  c_shard : Heapsim.Heap.Shard.t;
+  c_shard : Heap.Shard.t;
       (* the child's unflushed heap charges, merged into the parent's
          shard at join (spawn order) *)
-  c_ctx : domain_ctx;
+  c_ctx : thread_ctx;
       (* for the dynamic-string tables, merged at join like the shard *)
   c_anchor : string list;
       (* the parent's (reversed) output at spawn time — a physical suffix
@@ -95,17 +95,18 @@ type st = {
   rp : R.program;
   mode : mode;
   heap : Heap.t option;
+  shard : Heap.Shard.t option;
+      (* Some exactly in a pool run: this thread's pending heap charges *)
   stats : Exec_stats.t;
   globals : Value.t array;
   monitors : (int, int) Hashtbl.t;        (* object-mode oid -> entries *)
-  oid : int Atomic.t;           (* shared with children in parallel mode *)
+  oid : int Atomic.t;           (* shared with child threads *)
   max_steps : int;
   io_scale : float;             (* real seconds slept per simulated I/O second *)
-  mutable thread : int;
-  next_thread : int Atomic.t;   (* shared with children in parallel mode *)
+  thread : int;
+  next_thread : int Atomic.t;   (* shared with child threads *)
   par : par_shared option;
   mutable join : join_st option;
-  mutable ctx : domain_ctx option;  (* Some exactly when par is Some (facade mode) *)
   mutable tier : tier option;   (* the tier-2 state, shared by reference
                                    across the per-thread st copies *)
   mutable tret : Value.t;       (* per-thread return-value cell for
@@ -151,10 +152,16 @@ and hooks = {
   h_call : st -> int -> Value.t array -> Value.t option;
 }
 
-(* ---------- heap accounting ---------- *)
+(* ---------- heap accounting ----------
 
-(* The heap simulator is single-threaded; serialize charges when running
-   on domains. *)
+   Heap charging is the one accounting path a pool changes. The heap
+   simulator is not domain-safe, so in a pool run each logical thread
+   buffers its charges in its own [st.shard], and the shards drain into
+   the heap under heap_mu only at iteration boundaries and joins
+   ([flush_ctx]). A run without a pool charges the heap at each
+   operation, in program order, so its whole GC history is exact, not
+   only its totals. *)
+
 let heap_locked st f =
   match st.par with
   | None -> f ()
@@ -174,9 +181,18 @@ let charge_heap_obj st ~bytes ~data =
   | None -> ()
   | Some h -> (
       let lifetime = if data then Heap.Iteration else Heap.Control in
-      match st.ctx with
-      | Some c -> Heap.Shard.alloc c.dc_shard ~lifetime ~bytes
-      | None -> heap_locked st (fun () -> Heap.alloc h ~lifetime ~bytes))
+      match st.shard with
+      | Some s -> Heap.Shard.alloc s ~lifetime ~bytes
+      | None -> Heap.alloc h ~lifetime ~bytes)
+
+(* Simulated I/O time, charged to the heap's clock as Load. *)
+let charge_io st ~seconds =
+  match st.heap with
+  | None -> ()
+  | Some h -> (
+      match st.shard with
+      | Some s -> Heap.Shard.charge_io s ~seconds
+      | None -> Heapsim.Sim_clock.charge (Heap.clock h) Heapsim.Sim_clock.Load seconds)
 
 (* Page wrappers are control heap objects; native pages count toward the
    process footprint. The cursors are shared, so the caller must hold
@@ -193,62 +209,39 @@ let sync_store_heap rt h =
   done;
   rt.last_pages <- s.Store.pages_created
 
-(* Sequentially, sync after every store operation that can allocate; with
-   a domain_ctx the sync is deferred to the next shard flush. *)
-let sync_native st =
-  match st.ctx with
-  | Some _ -> ()
-  | None -> (
-      match st.mode, st.heap with
-      | Facade_mode rt, Some h -> heap_locked st (fun () -> sync_store_heap rt h)
-      | (Facade_mode _ | Object_mode), _ -> ())
+(* Without a pool, sync after every store operation that can allocate or
+   free; a pool run defers the sync to the next shard flush. *)
+let sync_native st rt =
+  match st.shard, st.heap with
+  | None, Some h -> sync_store_heap rt h
+  | Some _, _ | None, None -> ()
 
-(* Drain this thread's shard into the shared structures: publish the
-   pending page-store record count, then (one heap_mu acquisition) replay
-   the heap charges and resync native/page-wrapper deltas. Called at
-   iteration boundaries and joins — the happens-before edges the race
-   detector models — so sequential and parallel runs agree on every
-   additive total. *)
+(* Drain this facade thread's accounting into the shared structures:
+   publish the pending page-store record count, then, in a pool run, (one
+   heap_mu acquisition) replay the shard's heap charges and resync
+   native/page-wrapper deltas. Called at iteration boundaries and joins —
+   the happens-before edges the race detector models — so runs with and
+   without a pool agree on every additive total. *)
 let flush_ctx st =
-  match st.ctx with
-  | None -> ()
-  | Some c -> (
-      Store.local_flush c.dc_local;
-      match st.heap with
-      | None -> ()
-      | Some h ->
+  match st.mode with
+  | Object_mode -> ()
+  | Facade_mode (rt, c) -> (
+      Store.local_flush c.tc_local;
+      match st.shard, st.heap with
+      | Some s, Some h ->
           let trace = Obs.Trace.on () in
-          let objs, bytes = Heap.Shard.pending c.dc_shard in
-          let worth = not (Heap.Shard.is_empty c.dc_shard) in
+          let objs, bytes = Heap.Shard.pending s in
+          let worth = not (Heap.Shard.is_empty s) in
           if trace && worth then Obs.Trace.span_begin ~cat:"vm" "shard_flush";
           heap_locked st (fun () ->
-              Heap.Shard.flush h c.dc_shard;
-              match st.mode with
-              | Facade_mode rt -> sync_store_heap rt h
-              | Object_mode -> ());
+              Heap.Shard.flush h s;
+              sync_store_heap rt h);
           if trace && worth then
             Obs.Trace.span_end
               ~args:
                 [ ("objects", Obs.Tracer.Aint objs); ("bytes", Obs.Tracer.Aint bytes) ]
-              ())
-
-(* Record/array allocation, routed through the thread's buffered handle
-   when one exists (parallel mode) — no mutex, no shared atomic. *)
-let st_alloc_record st rt ~type_id ~data_bytes =
-  match st.ctx with
-  | Some c -> Store.local_alloc_record c.dc_local ~type_id ~data_bytes
-  | None -> Store.alloc_record rt.store ~thread:st.thread ~type_id ~data_bytes
-
-let st_alloc_array st rt ~type_id ~elem_bytes ~length =
-  match st.ctx with
-  | Some c -> Store.local_alloc_array c.dc_local ~type_id ~elem_bytes ~length
-  | None -> Store.alloc_array rt.store ~thread:st.thread ~type_id ~elem_bytes ~length
-
-let st_alloc_array_oversize st rt ~type_id ~elem_bytes ~length =
-  match st.ctx with
-  | Some c -> Store.local_alloc_array_oversize c.dc_local ~type_id ~elem_bytes ~length
-  | None ->
-      Store.alloc_array_oversize rt.store ~thread:st.thread ~type_id ~elem_bytes ~length
+              ()
+      | (Some _ | None), _ -> ())
 
 let new_oid st = Atomic.fetch_and_add st.oid 1 + 1
 
@@ -343,73 +336,67 @@ let as_facade = function
 
 let the_rt st =
   match st.mode with
-  | Facade_mode rt -> rt
+  | Facade_mode (rt, _) -> rt
+  | Object_mode -> vm_err "runtime intrinsic outside facade mode"
+
+let the_ctx st =
+  match st.mode with
+  | Facade_mode (_, c) -> c
   | Object_mode -> vm_err "runtime intrinsic outside facade mode"
 
 (* Facade pools are strictly thread-local (paper 3.4): each logical thread
-   gets its own Pools instance on first use. With a domain_ctx the pool
-   handle lives in thread-private state, so after the first use the lookup
-   is lock-free; only the registration in the shared registry (read by
-   [finish]) takes the mutex. *)
+   creates its own at first use, in its context. *)
 let pools_of st rt =
-  match st.ctx with
-  | Some c -> (
-      match c.dc_pools with
-      | Some p -> p
-      | None ->
-          let p = FP.create ~bounds:rt.bounds in
-          (match st.par with
-          | Some sh ->
-              Mutex.lock sh.pools_mu;
-              Hashtbl.replace rt.pools st.thread p;
-              Mutex.unlock sh.pools_mu
-          | None -> Hashtbl.replace rt.pools st.thread p);
-          c.dc_pools <- Some p;
-          (* The pool facades are heap objects — the paper's O(t·n). *)
-          (match st.heap with
-          | Some _ ->
-              Heap.Shard.alloc_many c.dc_shard ~lifetime:Heap.Permanent
-                ~bytes_each:32 ~count:(FP.total_facades p)
-          | None -> ());
-          p)
-  | None -> (
-      (* [find], not [find_opt]: a hit allocates no option *)
-      match Hashtbl.find rt.pools st.thread with
-      | p -> p
-      | exception Not_found ->
-          let p = FP.create ~bounds:rt.bounds in
-          Hashtbl.replace rt.pools st.thread p;
-          (match st.heap with
-          | Some h ->
-              Heap.alloc_many h ~lifetime:Heap.Permanent ~bytes_each:32
-                ~count:(FP.total_facades p)
-          | None -> ());
-          p)
+  let c = the_ctx st in
+  match c.tc_pools with
+  | Some p -> p
+  | None ->
+      let p = FP.create ~bounds:rt.bounds in
+      c.tc_pools <- Some p;
+      let count = FP.total_facades p in
+      ignore (Atomic.fetch_and_add rt.facades count);
+      (* The pool facades are heap objects — the paper's O(t·n). *)
+      (match st.heap, st.shard with
+      | Some _, Some s -> Heap.Shard.alloc_many s ~lifetime:Heap.Permanent ~bytes_each:32 ~count
+      | Some h, None -> Heap.alloc_many h ~lifetime:Heap.Permanent ~bytes_each:32 ~count
+      | None, _ -> ());
+      p
+
+(* Fold a joined child's dynamic-string tables into its spawner's,
+   first-wins: the spawn-order-earliest interning of an address (or
+   string) is the one every later reader sees. *)
+let absorb_strings into (ch : thread_ctx) =
+  (* A child that interned nothing still holds the view it started with. *)
+  if ch.tc_strings != into.tc_strings then begin
+    let first_wins _ mine _ = Some mine in
+    into.tc_strings <- Imap.union first_wins into.tc_strings ch.tc_strings;
+    into.tc_intern <- Smap.union first_wins into.tc_intern ch.tc_intern
+  end
 
 (* ---------- allocation and facade-pool intrinsics ----------
 
    The bodies of rt.alloc, rt.alloc_array(_oversize), pool.receiver,
    facade.bind and facade.read, shared by tier 1's [exec_intrinsic] and
-   tier 2's templates: both allocate through the same per-thread path
-   (the buffered [dc_local] handle in parallel runs) and fail with the
-   same quota and operand errors. Callers resolve [rt] with [the_rt]
+   tier 2's templates: both allocate through the thread's buffered
+   [tc_local] handle and fail with the same quota and operand errors. Callers resolve [rt] with [the_rt]
    first and then coerce the operands last to first, the order tier 1's
    argument evaluation has always had. Addresses travel as plain ints,
    so compiled code keeps them unboxed. *)
 
 let rt_alloc st rt ~type_id ~data_bytes =
-  let addr = st_alloc_record st rt ~type_id ~data_bytes in
+  let addr = Store.local_alloc_record (the_ctx st).tc_local ~type_id ~data_bytes in
   Exec_stats.note_record st.stats;
-  sync_native st;
+  sync_native st rt;
   Addr.to_int addr
 
 let rt_alloc_array st rt ~oversize ~type_id ~elem_bytes ~length =
+  let l = (the_ctx st).tc_local in
   let addr =
-    if oversize then st_alloc_array_oversize st rt ~type_id ~elem_bytes ~length
-    else st_alloc_array st rt ~type_id ~elem_bytes ~length
+    if oversize then Store.local_alloc_array_oversize l ~type_id ~elem_bytes ~length
+    else Store.local_alloc_array l ~type_id ~elem_bytes ~length
   in
   Exec_stats.note_record st.stats;
-  sync_native st;
+  sync_native st rt;
   Addr.to_int addr
 
 let pool_receiver st rt ~type_id = FP.receiver (pools_of st rt) ~type_id

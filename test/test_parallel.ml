@@ -533,6 +533,59 @@ let test_tier2_counts_once () =
           seq (counts ~pool ())
       done)
 
+(* A run without a pool charges the simulated heap at every operation, in
+   program order, so its whole GC history is fixed, not only its totals:
+   the outcome (or the Out_of_memory payload), minor and major GC counts,
+   objects allocated, simulated GC time and native bytes. Pinned for the
+   threaded and page-heavy samples at two small heaps. *)
+let heap_effects name heap_bytes =
+  let s = List.find (fun (s : Samples.sample) -> s.Samples.name = name) Samples.all in
+  let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+  let heap = Heap.create (Heapsim.Hconfig.make ~heap_bytes ()) in
+  let outcome =
+    match Facade_vm.Interp.run_facade ~heap pl with
+    | o -> "result=" ^ Exact.exact_result o.Facade_vm.Interp.result
+    | exception Heap.Out_of_memory { at_seconds; live_bytes } ->
+        Printf.sprintf "Out_of_memory(%.17g, %d)" at_seconds live_bytes
+  in
+  let gs = Heap.stats heap in
+  Printf.sprintf "%s minor=%d major=%d objects=%d gc_seconds=%.17g native=%d" outcome
+    gs.Heapsim.Gc_stats.minor_gcs gs.Heapsim.Gc_stats.major_gcs
+    gs.Heapsim.Gc_stats.objects_allocated gs.Heapsim.Gc_stats.gc_seconds
+    (Heap.native_bytes heap)
+
+let test_heap_effects_pinned () =
+  List.iter
+    (fun (name, kib, expect) ->
+      Alcotest.(check string) (Printf.sprintf "%s at %d KiB" name kib) expect
+        (heap_effects name (kib * 1024)))
+    [
+      ( "pagerank-par",
+        16,
+        "result=0x1p+0 minor=3 major=0 objects=427 gc_seconds=0.0096784000000000002 native=65536" );
+      ( "pagerank-par",
+        64,
+        "result=0x1p+0 minor=0 major=0 objects=427 gc_seconds=0 native=65536" );
+      ( "pagerank-par-large",
+        16,
+        "Out_of_memory(0.58996528000000015, 16384) minor=4 major=1 objects=510 gc_seconds=0.02996528 native=131072" );
+      ( "pagerank-par-large",
+        64,
+        "result=0x1p+0 minor=1 major=0 objects=837 gc_seconds=0.0068991999999999994 native=131072" );
+      ( "locking-large",
+        16,
+        "result=6400 minor=1 major=0 objects=183 gc_seconds=0.0032120000000000004 native=98304" );
+      ( "locking-large",
+        64,
+        "result=6400 minor=0 major=0 objects=183 gc_seconds=0 native=98304" );
+      ( "threads",
+        16,
+        "result=201 minor=0 major=0 objects=52 gc_seconds=0 native=32768" );
+      ( "threads",
+        64,
+        "result=201 minor=0 major=0 objects=52 gc_seconds=0 native=32768" );
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -572,5 +625,7 @@ let () =
             test_parallel_differential;
           Alcotest.test_case "tier 2 compiles each method once" `Quick
             test_tier2_counts_once;
+          Alcotest.test_case "heap effects without a pool pinned" `Quick
+            test_heap_effects_pinned;
         ] );
     ]
