@@ -97,6 +97,69 @@ let prop_pr_modes_agree =
       let f = Gps.App_pagerank.run (P.default_config P.Facade_mode) g in
       o.P.output = f.P.output)
 
+(* The analytic path's figures, pinned to their recorded values: times
+   as %h (every bit of the double), peak memory, GC counts, object and
+   record counts, supersteps and completion, for both modes of PR, RW and
+   k-means on the suite's small inputs, and of PR at heaps small enough
+   for GC to run. *)
+let analytic_figures (m : P.metrics) =
+  Printf.sprintf
+    "et=%h gt=%h peak_mb=%h minor=%d major=%d data=%d records=%d supersteps=%d \
+     completed=%b"
+    m.P.et m.P.gt m.P.peak_memory_mb m.P.minor_gcs m.P.major_gcs m.P.data_objects
+    m.P.page_records m.P.supersteps m.P.completed
+
+let test_analytic_pinned () =
+  let g = graph () in
+  let pts = Workloads.Points_gen.generate ~seed:8 ~n:2000 ~dims:3 ~clusters:4 in
+  let pr_at heap_gb mode =
+    (Gps.App_pagerank.run { (P.default_config mode) with P.heap_gb } g).P.metrics
+  in
+  let pr mode = (Gps.App_pagerank.run (P.default_config mode) g).P.metrics in
+  let rw mode = (Gps.App_random_walk.run ~seed:3 (P.default_config mode) g).P.metrics in
+  let km mode = (Gps.App_kmeans.run ~k:4 (P.default_config mode) pts).P.metrics in
+  List.iter
+    (fun (name, run, mode, expect) ->
+      Alcotest.(check string) name expect (analytic_figures (run mode)))
+    [
+      ( "PR object",
+        pr,
+        P.Object_mode,
+        "et=0x1.520c49ba5e354p+3 gt=0x0p+0 peak_mb=0x1.b4eb9p+8 minor=0 major=0 data=3101 records=0 supersteps=10 completed=true" );
+      ( "PR facade",
+        pr,
+        P.Facade_mode,
+        "et=0x1.60e5604189375p+3 gt=0x0p+0 peak_mb=0x1.735a68p+8 minor=0 major=0 data=0 records=111 supersteps=10 completed=true" );
+      ( "PR object, 0.6 GB",
+        pr_at 0.6,
+        P.Object_mode,
+        "et=0x1.52cbade8dbf71p+3 gt=0x1.7ec85cfb83998p-6 peak_mb=0x1.92215p+8 minor=2 major=0 data=3101 records=0 supersteps=10 completed=true" );
+      ( "PR facade, 0.6 GB",
+        pr_at 0.6,
+        P.Facade_mode,
+        "et=0x1.614a431a3103bp+3 gt=0x1.938b629f31891p-7 peak_mb=0x1.735a68p+8 minor=1 major=0 data=0 records=111 supersteps=10 completed=true" );
+      ( "PR object, 0.3 GB",
+        pr_at 0.3,
+        P.Object_mode,
+        "et=0x1.9f8193687d17p+1 gt=0x1.3b275de7e7b05p-4 peak_mb=0x1.2b1a5p+8 minor=4 major=1 data=701 records=0 supersteps=3 completed=false" );
+      ( "RW object",
+        rw,
+        P.Object_mode,
+        "et=0x1.41810624dd2f1p+3 gt=0x0p+0 peak_mb=0x1.15774p+8 minor=0 major=0 data=351 records=0 supersteps=10 completed=true" );
+      ( "RW facade",
+        rw,
+        P.Facade_mode,
+        "et=0x1.516872b020c49p+3 gt=0x0p+0 peak_mb=0x1.5a2d18p+8 minor=0 major=0 data=0 records=111 supersteps=10 completed=true" );
+      ( "k-means object",
+        km,
+        P.Object_mode,
+        "et=0x1.4309bf9c62a1bp+3 gt=0x0p+0 peak_mb=0x1.1e9fp+8 minor=0 major=0 data=701 records=0 supersteps=10 completed=true" );
+      ( "k-means facade",
+        km,
+        P.Facade_mode,
+        "et=0x1.52d81adea8975p+3 gt=0x0p+0 peak_mb=0x1.5c7708p+8 minor=0 major=0 data=0 records=211 supersteps=10 completed=true" );
+    ]
+
 let () =
   Alcotest.run "gps"
     [
@@ -120,5 +183,6 @@ let () =
           Alcotest.test_case "modes agree" `Quick test_kmeans_modes_agree;
           Alcotest.test_case "converges" `Quick test_kmeans_converges_to_blobs;
           Alcotest.test_case "rejects bad k" `Quick test_kmeans_rejects_bad_k;
+          Alcotest.test_case "analytic path pinned" `Quick test_analytic_pinned;
         ] );
     ]

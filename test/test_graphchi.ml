@@ -137,6 +137,47 @@ let prop_modes_agree_on_random_graphs =
       let r2 = E.run (E.default_config E.Facade_mode) c V.pagerank in
       r1.E.values = r2.E.values)
 
+(* The analytic path's figures, pinned to their recorded values: times
+   as %h (every bit of the double), peak memory, GC counts, object and
+   record counts, and completion, for both modes of pagerank on the
+   small graph, at the default heap and at the small heaps where GC runs
+   and object mode dies. *)
+let analytic_figures mode heap_gb =
+  let cfg = { (E.default_config mode) with E.heap_gb } in
+  let m = (E.run cfg (csr ()) V.pagerank).E.metrics in
+  Printf.sprintf
+    "et=%h ut=%h lt=%h gt=%h peak_mb=%h minor=%d major=%d heap_objects=%d data=%d \
+     records=%d completed=%b"
+    m.E.et m.E.ut m.E.lt m.E.gt m.E.peak_memory_mb m.E.minor_gcs m.E.major_gcs
+    m.E.heap_objects_allocated m.E.data_objects m.E.page_records m.E.completed
+
+let test_analytic_pinned () =
+  List.iter
+    (fun (name, mode, heap_gb, expect) ->
+      Alcotest.(check string) name expect (analytic_figures mode heap_gb))
+    [
+      ( "object",
+        E.Object_mode,
+        8.0,
+        "et=0x1.3666666666666p+1 ut=0x1.2p+0 lt=0x1.4cccccccccccdp+0 gt=0x0p+0 peak_mb=0x1.f3fb1ep+10 minor=0 major=0 heap_objects=60526 data=27500 records=0 completed=true" );
+      ( "facade",
+        E.Facade_mode,
+        8.0,
+        "et=0x1.d93dfb0d51f7ep+0 ut=0x1.b33333333333p-1 lt=0x1.f333333333331p-1 gt=0x1.82b1f687b139cp-6 peak_mb=0x1.0d0a448p+11 minor=1 major=0 heap_objects=77893 data=0 records=7500 completed=true" );
+      ( "object, 1.5 GB",
+        E.Object_mode,
+        1.5,
+        "et=0x1.5e374439ebb41p+1 ut=0x1.2p+0 lt=0x1.4cccccccccccdp+0 gt=0x1.3e86ee9c2a6dap-2 peak_mb=0x1.3d2a56p+10 minor=5 major=0 heap_objects=60526 data=27500 records=0 completed=true" );
+      ( "facade, 1.5 GB",
+        E.Facade_mode,
+        1.5,
+        "et=0x1.de5625a682b5fp+0 ut=0x1.b33333333333p-1 lt=0x1.f333333333331p-1 gt=0x1.645e4e69f05eap-5 peak_mb=0x1.5bf332p+9 minor=7 major=0 heap_objects=77893 data=0 records=7500 completed=true" );
+      ( "object, 0.25 GB",
+        E.Object_mode,
+        0.25,
+        "et=0x1.2ea29540c46b5p-3 ut=0x0p+0 lt=0x0p+0 gt=0x1.2ea29540c46b5p-3 peak_mb=0x1.f3f06p+7 minor=4 major=1 heap_objects=4734 data=0 records=0 completed=false" );
+    ]
+
 let () =
   Alcotest.run "graphchi"
     [
@@ -161,5 +202,8 @@ let () =
           Alcotest.test_case "throughput" `Quick test_throughput_positive;
           Alcotest.test_case "sub-iterations" `Quick test_sub_iterations_counted;
         ]
-        @ [ QCheck_alcotest.to_alcotest prop_modes_agree_on_random_graphs ] );
+        @ [
+            QCheck_alcotest.to_alcotest prop_modes_agree_on_random_graphs;
+            Alcotest.test_case "analytic path pinned" `Quick test_analytic_pinned;
+          ] );
     ]

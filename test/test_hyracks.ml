@@ -119,6 +119,36 @@ let prop_es_sorted_and_agree =
           a.ES.first = b.ES.first && List.sort String.compare a.ES.first = a.ES.first
       | _ -> false)
 
+(* The analytic path's figures, pinned to their recorded values: times
+   as %h (every bit of the double), peak memory, GC counts, object and
+   record counts, and completion, for both modes of WC and ES on the
+   small corpus. *)
+let analytic_figures (m : En.metrics) =
+  Printf.sprintf
+    "et=%h gt=%h peak_mb=%h minor=%d major=%d heap_objects=%d data=%d records=%d \
+     completed=%b"
+    m.En.et m.En.gt m.En.peak_memory_mb m.En.minor_gcs m.En.major_gcs m.En.heap_objects
+    m.En.data_objects m.En.page_records m.En.completed
+
+let test_analytic_pinned () =
+  let c = corpus () in
+  List.iter
+    (fun (name, run, expect) -> Alcotest.(check string) name expect (analytic_figures (run c)))
+    [
+      ( "WC object",
+        (fun c -> (WC.run (cfg En.Object_mode) c).En.metrics),
+        "et=0x1.42d6f89fb96e3p+0 gt=0x1.19121fbd34a95p-6 peak_mb=0x1.f3ff83p+10 minor=1 major=0 heap_objects=51285 data=3029 records=0 completed=true" );
+      ( "WC facade",
+        (fun c -> (WC.run (cfg En.Facade_mode) c).En.metrics),
+        "et=0x1.7e72b020c49bap+0 gt=0x0p+0 peak_mb=0x1.27da48p+9 minor=0 major=0 heap_objects=8600 data=0 records=343 completed=true" );
+      ( "ES object",
+        (fun c -> (ES.run (cfg En.Object_mode) c).En.metrics),
+        "et=0x1.17707df495067p+1 gt=0x1.63cedc71857e5p-5 peak_mb=0x1.f4p+10 minor=1 major=0 heap_objects=64765 data=2000 records=0 completed=true" );
+      ( "ES facade",
+        (fun c -> (ES.run (cfg En.Facade_mode) c).En.metrics),
+        "et=0x1.ec0897e930f68p+0 gt=0x0p+0 peak_mb=0x1.22b0fep+10 minor=0 major=0 heap_objects=10265 data=0 records=1001 completed=true" );
+    ]
+
 let () =
   Alcotest.run "hyracks"
     [
@@ -138,5 +168,8 @@ let () =
           Alcotest.test_case "sorts" `Quick test_es_actually_sorts;
           Alcotest.test_case "global minimum" `Quick test_es_smallest_element_global;
         ]
-        @ [ QCheck_alcotest.to_alcotest prop_es_sorted_and_agree ] );
+        @ [
+            QCheck_alcotest.to_alcotest prop_es_sorted_and_agree;
+            Alcotest.test_case "analytic path pinned" `Quick test_analytic_pinned;
+          ] );
     ]
