@@ -393,142 +393,41 @@ let run_vm ~quick =
     !gate_ratio;
   enforce (vm_gate_failures rows !gate_ratio)
 
-(* ---------- scalability: domain-parallel engines and VM ---------- *)
+(* ---------- scalability: the domain-parallel facade-mode VM ---------- *)
 
-(* Sweep 1/2/4/8 real OCaml domains over the engines' measured-parallelism
-   paths (facade-mode pagerank on GraphChi PSW, word count on Hyracks, in
-   both object and facade modes) and over the parallel facade-mode VM, and
-   write the speedup curves to BENCH_scalability.json.
+(* Sweep 1/2/4/8 real OCaml domains (1/2/4 under --quick) over the
+   parallel facade-mode VM and write the speedup curves to
+   BENCH_scalability.json. Spawned logical threads run on pool domains,
+   each accumulating into its private heap/pagestore/stats shards. The
+   swept samples carry [sys.io_read] quanta that the VM realizes as real
+   blocking waits ([io_scale] real seconds per simulated second), so
+   their supersteps overlap across domains and the curves are genuine
+   wall-clock even on a single-core host; the compute between the waits
+   only scales with physical cores. *)
 
-   The engine curves measure I/O overlap: each worker's share of the
-   phase's simulated disk I/O is realized as a real blocking wait on its
-   domain (see DESIGN.md §8), so the curves are genuine wall-clock even on
-   a single-core host. The VM curve is CPU-bound and only scales with
-   physical cores. *)
-
-module PSW = Graphchi.Psw_engine
-module Hyr = Hyracks.Engine
-
-type scal_run = {
-  sr_workload : string;
-  sr_engine : string;
-  sr_mode : string;
-  sr_workers : int;
-  sr_wall : float;
-  sr_speedup : float;
-  sr_sim_et : float;
-  sr_completed : bool;
-  sr_per_thread : (int * int * int) list;
-}
-
-(* Threads that never allocated (facade runs register every logical
-   thread id up front, most of which only touch facades) are dropped:
-   they carried ~80% of the array as zero-filled padding and say nothing
-   the reader can't infer from their absence. *)
-let engine_run_json r =
-  let open Obs.Json in
-  let thread (t, n, b) = Obj [ ("thread", of_int t); ("records", of_int n); ("bytes", of_int b) ] in
-  Obj
-    [
-      ("workload", Str r.sr_workload); ("engine", Str r.sr_engine); ("mode", Str r.sr_mode);
-      ("workers", of_int r.sr_workers); ("wall_seconds", rounded 4 r.sr_wall);
-      ("speedup_vs_1", rounded 3 r.sr_speedup); ("sim_et", rounded 2 r.sr_sim_et);
-      ("completed", Bool r.sr_completed);
-      ( "per_thread_records",
-        List (List.map thread (List.filter (fun (_, n, b) -> n <> 0 || b <> 0) r.sr_per_thread)) );
-    ]
+(* Real seconds slept per simulated I/O second, and runs per point. The
+   pipeline is compiled once per sample (link and layout are load-time
+   costs) and each point is the best of [scal_reps] runs: the minimum
+   discards scheduler spikes, which matters for the 0.9x gate below. *)
+let scal_io_scale = 1.0
+let scal_reps = 2
 
 let run_scalability ~quick =
   let sweep = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  Printf.printf "== scalability: %s OCaml domains, measured wall-clock ==\n"
+  Printf.printf "== scalability: facade-mode VM on %s OCaml domains, measured wall-clock ==\n"
     (String.concat "/" (List.map string_of_int sweep));
-  let engine_runs = ref [] in
-  let sweep_engine ~workload ~engine ~mode run1 =
-    let base = ref 0.0 in
-    List.iter
-      (fun w ->
-        let wall, sim_et, completed, per_thread = run1 w in
-        if w = 1 then base := wall;
-        engine_runs :=
-          {
-            sr_workload = workload;
-            sr_engine = engine;
-            sr_mode = mode;
-            sr_workers = w;
-            sr_wall = wall;
-            sr_speedup = (if wall > 0.0 then !base /. wall else 0.0);
-            sr_sim_et = sim_et;
-            sr_completed = completed;
-            sr_per_thread = per_thread;
-          }
-          :: !engine_runs)
-      sweep
-  in
-  (* GraphChi PSW pagerank: out-of-core graph processing, 8 sub-iteration
-     intervals each split into contiguous per-domain chunks. *)
-  let g = Workloads.Graph_gen.generate ~seed:7 ~vertices:20_000 ~edges:100_000 in
-  let csr = Graphchi.Sharder.build g in
-  let prog = Graphchi.Vertex_program.pagerank in
-  let psw_mode name mode =
-    sweep_engine ~workload:"pagerank" ~engine:"graphchi-psw" ~mode:name (fun w ->
-        let cfg =
-          {
-            (PSW.default_config mode) with
-            PSW.iterations = (if quick then 1 else 3);
-            facade_intervals = 8;
-            workers = Some w;
-            io_scale = 0.1;
-          }
-        in
-        let r = PSW.run cfg csr prog in
-        ( r.PSW.metrics.PSW.wall_seconds,
-          r.PSW.metrics.PSW.et,
-          r.PSW.metrics.PSW.completed,
-          r.PSW.metrics.PSW.per_thread_records ))
-  in
-  psw_mode "object" PSW.Object_mode;
-  psw_mode "facade" PSW.Facade_mode;
-  (* Hyracks word count: tokens hash-partitioned across domains, the scan's
-     disk reads realized as blocking waits. *)
-  let corpus =
-    Workloads.Text_gen.generate ~seed:11
-      ~bytes_target:(if quick then 200_000 else 800_000)
-      ()
-  in
-  let wc_mode name mode =
-    sweep_engine ~workload:"word-count" ~engine:"hyracks" ~mode:name (fun w ->
-        let cfg =
-          { (Hyr.default_config mode) with Hyr.workers = Some w; io_scale = 5.0e-3 }
-        in
-        let r = Hyracks.App_word_count.run cfg corpus in
-        ( r.Hyr.metrics.Hyr.wall_seconds,
-          r.Hyr.metrics.Hyr.et,
-          r.Hyr.metrics.Hyr.completed,
-          r.Hyr.metrics.Hyr.per_thread_records ))
-  in
-  wc_mode "object" Hyr.Object_mode;
-  wc_mode "facade" Hyr.Facade_mode;
-  let engine_runs = List.rev !engine_runs in
-  (* Parallel facade-mode VM: spawned logical threads run on pool domains,
-     each accumulating into its private heap/pagestore/stats shards. The
-     swept workloads carry [sys.io_read] quanta realized as real blocking
-     waits ([io_scale]), so their supersteps overlap across domains and the
-     curves are genuine wall-clock even on a single-core host. The pipeline
-     is compiled once per sample (link and layout are load-time costs) and
-     each point is the best of [reps] runs — the minimum discards scheduler
-     spikes, which matters for the 0.9x regression gate below. *)
   let vm_runs = ref [] in
-  let vm_sweep ?(io_scale = 0.0) ?(reps = 2) (s : Samples.sample) =
+  let vm_sweep (s : Samples.sample) =
     let pl = VP.compile ~spec:s.Samples.spec s.Samples.program in
     let base = ref 0.0 in
     List.iter
       (fun w ->
         let best_wall = ref infinity and last = ref None in
-        for _ = 1 to reps do
+        for _ = 1 to scal_reps do
           let t0 = Unix.gettimeofday () in
           let o =
             Parallel.Pool.with_pool ~workers:w (fun pool ->
-                Facade_vm.Interp.run_facade ~pool ~io_scale pl)
+                Facade_vm.Interp.run_facade ~pool ~io_scale:scal_io_scale pl)
           in
           let wall = Unix.gettimeofday () -. t0 in
           if wall < !best_wall then best_wall := wall;
@@ -545,7 +444,6 @@ let run_scalability ~quick =
         vm_runs :=
           ( s.Samples.name,
             w,
-            io_scale,
             wall,
             (if wall > 0.0 then !base /. wall else 0.0),
             o.Facade_vm.Interp.locks_peak,
@@ -554,33 +452,18 @@ let run_scalability ~quick =
           :: !vm_runs)
       sweep
   in
-  vm_sweep ~io_scale:1.0 Samples.pagerank_par_large;
-  vm_sweep ~io_scale:1.0 Samples.locking_large;
+  vm_sweep Samples.pagerank_par_large;
+  vm_sweep Samples.locking_large;
   let vm_runs = List.rev !vm_runs in
-  let table =
-    Metrics.Table.create
-      ~headers:[ "Workload"; "Mode"; "Domains"; "Wall (s)"; "Speedup"; "Sim ET (s)" ]
-  in
+  let table = Metrics.Table.create ~headers:[ "Sample"; "Domains"; "Wall (s)"; "Speedup" ] in
   List.iter
-    (fun r ->
+    (fun (name, w, wall, sp, _, _, _) ->
       Metrics.Table.add_row table
         [
-          r.sr_workload; r.sr_mode;
-          string_of_int r.sr_workers;
-          Metrics.Table.cell_float ~decimals:3 r.sr_wall;
-          Metrics.Table.cell_float ~decimals:2 r.sr_speedup;
-          Metrics.Table.cell_float ~decimals:1 r.sr_sim_et;
-        ])
-    engine_runs;
-  List.iter
-    (fun (name, w, _, wall, sp, _, _, _) ->
-      Metrics.Table.add_row table
-        [
-          "vm:" ^ name; "facade";
+          name;
           string_of_int w;
           Metrics.Table.cell_float ~decimals:3 wall;
           Metrics.Table.cell_float ~decimals:2 sp;
-          "-";
         ])
     vm_runs;
   Metrics.Table.print table;
@@ -590,30 +473,23 @@ let run_scalability ~quick =
         [
           ("host_cores", of_int (Domain.recommended_domain_count ())); ("quick", Bool quick);
           ("workers_swept", List (List.map of_int sweep));
-          ("engine_runs", List (List.map engine_run_json engine_runs));
           ( "vm_runs",
             List
               (List.map
-                 (fun (name, w, io_scale, wall, sp, locks_peak, records, live) ->
+                 (fun (name, w, wall, sp, locks_peak, records, live) ->
                    Obj
                      [
                        ("sample", Str name); ("mode", Str "facade"); ("workers", of_int w);
-                       ("io_scale", rounded 3 io_scale); ("wall_seconds", rounded 4 wall);
+                       ("io_scale", rounded 3 scal_io_scale); ("wall_seconds", rounded 4 wall);
                        ("speedup_vs_1", rounded 3 sp); ("locks_peak", of_int locks_peak);
                        ("records_allocated", of_int records); ("live_pages", of_int live);
                      ])
                  vm_runs) );
         ]);
-  (* The headline claims: facade-mode pagerank at 4 domains on the PSW
-     engine, and VM-level facade pagerank at 8 domains under sharded
-     accounting. *)
+  (* The headline claim: VM-level facade pagerank at 8 domains under
+     sharded accounting. *)
   List.iter
-    (fun r ->
-      if r.sr_workload = "pagerank" && r.sr_mode = "facade" && r.sr_workers = 4 then
-        Printf.printf "facade pagerank speedup at 4 domains: %.2fx\n" r.sr_speedup)
-    engine_runs;
-  List.iter
-    (fun (name, w, _, _, sp, _, _, _) ->
+    (fun (name, w, _, sp, _, _, _) ->
       if name = "pagerank-par-large" && w = 8 then
         Printf.printf "vm facade pagerank-par-large speedup at 8 domains: %.2fx\n" sp)
     vm_runs;
@@ -623,7 +499,7 @@ let run_scalability ~quick =
      catches it. *)
   enforce
     (List.filter_map
-       (fun (name, w, _, _, sp, _, _, _) ->
+       (fun (name, w, _, sp, _, _, _) ->
          if w = 4 && sp < 0.9 then
            fail "scalability gate: vm %s at 4 workers is %.2fx < 0.9x of 1 worker" name sp
          else None)

@@ -782,13 +782,12 @@ and exec_intrinsic st frame ret i (ops : R.operand array) =
       (* Simulated blocking read: the argument is microseconds of device
          latency. Charged to the sim clock as Load; with a nonzero
          io_scale the latency is also realized as a real sleep, which is
-         what lets domains overlap I/O even on few cores (the same
-         mechanism the engine layers use). *)
+         what lets domains overlap I/O even on few cores. *)
       let units = as_int (v 0) in
       if units < 0 then vm_err "sys.io_read: negative latency";
       let sim = float_of_int units *. 1e-6 in
       charge_io st ~seconds:sim;
-      if st.io_scale > 0.0 then Parallel.Measure.io_wait (sim *. st.io_scale);
+      if st.io_scale > 0.0 && units > 0 then Unix.sleepf (sim *. st.io_scale);
       set (Value.Int units)
   | R.I_arraycopy -> (
       let src = v 0 and dst = v 2 in

@@ -129,5 +129,4 @@ val run_facade :
     [?io_scale] (default [0.], i.e. off) sets the real seconds slept per
     simulated second of [sys.io_read] latency: with it the VM realizes
     simulated reads as actual blocking waits, which overlap across worker
-    domains — the same mechanism (and typical scale, [5e-3]) the
-    graphchi/hyracks/gps engines use for their scalability curves. *)
+    domains. [bench/main.exe scalability] runs its VM sweep at [1.0]. *)

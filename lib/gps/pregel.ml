@@ -9,12 +9,6 @@ type config = {
   heap_gb : float;
   machines : int;
   cost : Gcost.t;
-  workers : int option;
-      (* [Some n]: each superstep's message traffic is sharded across [n]
-         tasks on [n] real OCaml domains, delivery is realized as blocking
-         waits, and the superstep is charged measured wall-clock. [None]
-         (default): analytic path. *)
-  io_scale : float;  (* real seconds slept per simulated I/O second *)
 }
 
 let scaled_gb = 1 lsl 20
@@ -25,8 +19,6 @@ let default_config mode =
     heap_gb = 15.0;
     machines = 10;
     cost = Gcost.default;
-    workers = None;
-    io_scale = 5.0e-3;
   }
 
 type metrics = {
@@ -40,8 +32,6 @@ type metrics = {
   supersteps : int;
   completed : bool;
   oom_at : float;
-  wall_seconds : float;
-  per_thread_records : (int * int * int) list;
 }
 
 type 'a outcome = {
@@ -54,14 +44,11 @@ type ctx = {
   heap_ : Heap.t;
   clock_ : Clock.t;
   store_ : Store.t option;
-  pool_ : Parallel.Pool.t option;
-  nw_ : int;  (* pool size; 0 on the analytic path *)
   mutable data_objects : int;
   mutable page_records : int;
   mutable steps : int;
   mutable last_native : int;
   mutable last_pages : int;
-  mutable wall_ : float;
 }
 
 let store c = c.store_
@@ -112,73 +99,11 @@ let load_graph c ~vertices ~edges =
       c.page_records <- c.page_records + 1;
       sync_native c
 
-(* The [~workers] path: the machine's message traffic is sharded across
-   the pool's domains; delivery (network receive + deserialize) is
-   realized as a blocking wait per shard, and the superstep is charged
-   the batch's measured wall-clock. In facade mode each shard's message
-   buffer is a page array on that worker's own store thread. *)
-let superstep_parallel c pool ~msgs =
-  let cost = c.config.cost in
-  let nw = c.nw_ in
-  let shard t = ((msgs * (t + 1)) / nw) - ((msgs * t) / nw) in
-  let per_msg_sim =
-    match c.config.mode with
-    | Object_mode -> cost.Gcost.compute_per_msg +. cost.Gcost.msg_overhead_object
-    | Facade_mode -> cost.Gcost.compute_per_msg +. cost.Gcost.msg_overhead_facade
-  in
-  let fixed =
-    match c.config.mode with
-    | Object_mode -> cost.Gcost.superstep_fixed
-    | Facade_mode -> cost.Gcost.superstep_fixed +. cost.Gcost.facade_fixed_per_superstep
-  in
-  (match c.store_ with
-  | Some s ->
-      for t = 0 to nw do
-        Store.iteration_start s ~thread:t
-      done
-  | None -> ());
-  Heap.iteration_start c.heap_;
-  let task t () =
-    (match c.store_ with
-    | Some s ->
-        ignore (Store.alloc_array s ~thread:(t + 1) ~type_id:3 ~elem_bytes:8 ~length:(max 1 (shard t)))
-    | None -> ());
-    Parallel.Measure.io_wait (float_of_int (shard t) *. per_msg_sim *. c.config.io_scale)
-  in
-  let w = Parallel.Measure.run_timed pool (List.init nw task) in
-  c.wall_ <- c.wall_ +. w;
-  Clock.charge c.clock_ Clock.Update (fixed +. (w /. c.config.io_scale));
-  let fmsgs = float_of_int msgs in
-  (match c.config.mode with
-  | Object_mode ->
-      let msg_objs = int_of_float (fmsgs *. cost.Gcost.msg_objects_fraction) in
-      Heap.alloc_many c.heap_ ~lifetime:Heap.Iteration
-        ~bytes_each:cost.Gcost.msg_object_bytes ~count:msg_objs;
-      c.data_objects <- c.data_objects + msg_objs;
-      Heap.alloc_many c.heap_ ~lifetime:Heap.Temp ~bytes_each:cost.Gcost.temp_bytes
-        ~count:(int_of_float (fmsgs *. cost.Gcost.temps_per_msg_object))
-  | Facade_mode ->
-      c.page_records <- c.page_records + nw;
-      Heap.alloc_many c.heap_ ~lifetime:Heap.Temp ~bytes_each:cost.Gcost.temp_bytes
-        ~count:(int_of_float (fmsgs *. cost.Gcost.temps_per_msg_facade));
-      sync_native c);
-  Heap.iteration_end c.heap_;
-  match c.store_ with
-  | Some s ->
-      for t = nw downto 0 do
-        Store.iteration_end s ~thread:t
-      done;
-      sync_native c
-  | None -> ()
-
 let superstep c ~msgs =
   let cost = c.config.cost in
   c.steps <- c.steps + 1;
   let msgs = (msgs + c.config.machines - 1) / c.config.machines in
   let fmsgs = float_of_int msgs in
-  match c.pool_ with
-  | Some pool -> superstep_parallel c pool ~msgs
-  | None -> (
   match c.config.mode with
   | Object_mode ->
       Clock.charge c.clock_ Clock.Update
@@ -208,49 +133,38 @@ let superstep c ~msgs =
       sync_native c;
       Heap.iteration_end c.heap_;
       Store.iteration_end s ~thread:0;
-      sync_native c)
+      sync_native c
 
 let with_run config body =
   let heap_bytes = int_of_float (config.heap_gb *. float_of_int scaled_gb) in
   let clock_ = Clock.create () in
   let heap_ = Heap.create ~clock:clock_ (Heapsim.Hconfig.make ~heap_bytes ()) in
-  let nw_ = match config.workers with Some w -> max 1 w | None -> 0 in
   let store_ =
     match config.mode with
     | Object_mode -> None
     | Facade_mode ->
         let s = Store.create () in
         Store.register_thread s 0;
-        for t = 1 to nw_ do
-          Store.register_thread s t
-        done;
         Some s
   in
-  let pool_ = if nw_ > 0 then Some (Parallel.Pool.create ~workers:nw_) else None in
   let c =
     {
       config;
       heap_;
       clock_;
       store_;
-      pool_;
-      nw_;
       data_objects = 0;
       page_records = 0;
       steps = 0;
       last_native = 0;
       last_pages = 0;
-      wall_ = 0.0;
     }
   in
   Heap.alloc_many heap_ ~lifetime:Heap.Permanent ~bytes_each:512 ~count:512;
   let output, completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool_)
-      (fun () ->
-        match body c with
-        | v -> (Some v, true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds))
+    match body c with
+    | v -> (Some v, true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds)
   in
   sync_native c;
   let hs = Heap.stats heap_ in
@@ -267,17 +181,6 @@ let with_run config body =
       supersteps = c.steps;
       completed;
       oom_at;
-      wall_seconds = c.wall_;
-      per_thread_records =
-        (match store_ with
-        | None -> []
-        | Some s ->
-            List.concat_map
-              (fun t ->
-                match Store.thread_totals s ~thread:t with
-                | Some tt -> [ (t, tt.Store.thread_records, tt.Store.thread_bytes) ]
-                | None -> [])
-              (List.init (nw_ + 1) Fun.id));
     }
   in
   { output = (if completed then output else None); metrics }

@@ -15,19 +15,10 @@ type config = {
   heap_gb : float;
   machines : int;  (** the graph is hash-partitioned across the cluster *)
   cost : Gcost.t;
-  workers : int option;
-      (** [Some n]: each superstep's message traffic is sharded over [n]
-          tasks on [n] real OCaml domains — delivery realized as blocking
-          waits, the superstep charged measured wall-clock, and (in facade
-          mode) each shard's message buffer allocated on that worker's own
-          store thread. [None] (default): the analytic path. *)
-  io_scale : float;
-      (** real seconds slept per simulated I/O second on the measured path *)
 }
 
 val default_config : mode -> config
-(** 15 scaled-GB heap per machine, 10 machines (the paper's EC2 setup),
-    analytic parallelism ([workers = None]), [io_scale = 5e-3]. *)
+(** 15 scaled-GB heap per machine, 10 machines (the paper's EC2 setup). *)
 
 type metrics = {
   et : float;
@@ -40,12 +31,6 @@ type metrics = {
   supersteps : int;
   completed : bool;
   oom_at : float;
-  wall_seconds : float;
-      (** measured wall-clock over all superstep batches; 0.0 on the
-          analytic path *)
-  per_thread_records : (int * int * int) list;
-      (** facade mode: per store-thread (id, records, bytes) page-manager
-          totals *)
 }
 
 type 'a outcome = {

@@ -11,13 +11,6 @@ type config = {
   cost : Cost_model.t;
   facade_intervals : int;
   threads : int;  (* worker threads sharing the facade run (paper: 2 pools x 16) *)
-  workers : int option;
-      (* [Some n]: process each interval as [n] contiguous vertex chunks on
-         [n] real OCaml domains, realize the load phase's disk I/O as
-         blocking waits, and charge measured wall-clock instead of the
-         analytic per-edge sums. [None] (default): sequential analytic
-         path. *)
-  io_scale : float;  (* real seconds slept per simulated I/O second *)
 }
 
 let default_config mode =
@@ -28,8 +21,6 @@ let default_config mode =
     cost = Cost_model.default;
     facade_intervals = 32;
     threads = 32;
-    workers = None;
-    io_scale = 5.0e-3;
   }
 
 type metrics = {
@@ -49,8 +40,6 @@ type metrics = {
   throughput_eps : float;
   completed : bool;
   oom_at : float;
-  wall_seconds : float;
-  per_thread_records : (int * int * int) list;
 }
 
 type run_result = {
@@ -86,11 +75,6 @@ let sync_native heap fs =
     Heap.alloc_many heap ~lifetime:Heap.Control ~bytes_each:48 ~count:dp;
   fs.last_pages <- s.Store.pages_created
 
-(* Contiguous [k]-way split of [lo, hi) for the domain-parallel path. *)
-let chunk_ranges lo hi k =
-  let len = hi - lo in
-  List.init k (fun t -> (lo + (len * t / k), lo + (len * (t + 1) / k)))
-
 let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
   let cost = cfg.cost in
   let heap_bytes = int_of_float (cfg.heap_gb *. float_of_int Cost_model.scaled_gb) in
@@ -101,10 +85,6 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
   let data_objects = ref 0 in
   let sub_iterations = ref 0 in
   let edges_processed = ref 0 in
-  let nw = match cfg.workers with Some w -> max 1 w | None -> 0 in
-  let pool = if nw > 0 then Some (Parallel.Pool.create ~workers:nw) else None in
-  let wall = ref 0.0 in
-  let nthreads = max cfg.threads nw in
   let fs =
     match cfg.mode with
     | Object_mode -> None
@@ -116,7 +96,7 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
         (* Thread 0 is the main thread; workers get their own page
            managers and facade pools (paper 3.4, Figure 3). *)
         Store.register_thread store 0;
-        for t = 1 to nthreads do
+        for t = 1 to cfg.threads do
           Store.register_thread store t
         done;
         Some { store; last_native = 0; last_pages = 0 }
@@ -136,7 +116,7 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
         (* The per-thread facade pools: 11 facades in each of the worker
            threads and the main thread (paper 4.1's 11 x (16x2 + 1)). *)
         Heap.alloc_many heap ~lifetime:Heap.Permanent ~bytes_each:32
-          ~count:(facades_per_thread * (nthreads + 1))
+          ~count:(facades_per_thread * (cfg.threads + 1))
     | None -> ());
     let intervals =
       match cfg.mode with
@@ -183,52 +163,22 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
         ~bytes_each:cost.Cost_model.edge_object_bytes ~count:e;
       data_objects := !data_objects + (hi - lo) + e;
       control_churn ();
-      let load_sim =
-        (float_of_int e_load *. cost.Cost_model.io_per_edge)
-        +. (float_of_int e *. cost.Cost_model.object_alloc_per_edge)
-      in
-      let update_sim =
-        float_of_int e
+      Clock.charge clock Clock.Load
+        ((float_of_int e_load *. cost.Cost_model.io_per_edge)
+        +. (float_of_int e *. cost.Cost_model.object_alloc_per_edge));
+      for v = lo to hi - 1 do
+        let acc = gather_range prog.Vertex_program.init_acc v (csr.Sharder.in_start, csr.Sharder.in_nbr) in
+        let acc =
+          if use_out then gather_range acc v (csr.Sharder.out_start, csr.Sharder.out_nbr)
+          else acc
+        in
+        next_values.(v) <- prog.Vertex_program.apply ~acc ~old_value:values.(v)
+      done;
+      Clock.charge clock Clock.Update
+        (float_of_int e
         *. (cost.Cost_model.compute_per_edge
            +. (cost.Cost_model.deref_per_edge_object
-              *. prog.Vertex_program.object_deref_factor))
-      in
-      let update_range a b =
-        for v = a to b - 1 do
-          let acc = gather_range prog.Vertex_program.init_acc v (csr.Sharder.in_start, csr.Sharder.in_nbr) in
-          let acc =
-            if use_out then gather_range acc v (csr.Sharder.out_start, csr.Sharder.out_nbr)
-            else acc
-          in
-          next_values.(v) <- prog.Vertex_program.apply ~acc ~old_value:values.(v)
-        done
-      in
-      (match pool with
-      | None ->
-          Clock.charge clock Clock.Load load_sim;
-          update_range lo hi;
-          Clock.charge clock Clock.Update update_sim
-      | Some p ->
-          (* Measured path: each chunk's disk reads become a real blocking
-             wait on its domain; the wall-clock of the batch replaces the
-             analytic per-edge sums, split between LOAD and UPDATE in
-             their analytic proportion. *)
-          let tasks =
-            List.map
-              (fun (a, b) () ->
-                let el = Sharder.interval_edges csr ~use_out:false ~lo:a ~hi:b in
-                Parallel.Measure.io_wait
-                  (float_of_int el *. cost.Cost_model.io_per_edge *. cfg.io_scale);
-                update_range a b)
-              (chunk_ranges lo hi nw)
-          in
-          let w = Parallel.Measure.run_timed p tasks in
-          wall := !wall +. w;
-          let sim = w /. cfg.io_scale in
-          let tot = load_sim +. update_sim in
-          let fl = if tot > 0.0 then load_sim /. tot else 0.5 in
-          Clock.charge clock Clock.Load (sim *. fl);
-          Clock.charge clock Clock.Update (sim *. (1.0 -. fl)));
+              *. prog.Vertex_program.object_deref_factor)));
       temps e cost.Cost_model.temps_per_edge_object;
       edges_processed := !edges_processed + e;
       Heap.iteration_end heap
@@ -237,7 +187,7 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
     let process_facade_interval fs (lo, hi) =
       Heap.iteration_start heap;
       Store.iteration_start fs.store ~thread:0;
-      for t = 1 to nthreads do
+      for t = 1 to cfg.threads do
         Store.iteration_start fs.store ~thread:t
       done;
       incr sub_iterations;
@@ -247,7 +197,8 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
       let vrecs = Array.make (hi - lo) Pagestore.Addr.null in
       let nbvals = Array.make (hi - lo) Pagestore.Addr.null in
       let nbdegs = Array.make (hi - lo) Pagestore.Addr.null in
-      let fill ~thread v =
+      let fill v =
+        let thread = worker_of v in
         let deg_in = csr.Sharder.in_start.(v + 1) - csr.Sharder.in_start.(v) in
         let deg_out =
           if use_out then csr.Sharder.out_start.(v + 1) - csr.Sharder.out_start.(v) else 0
@@ -285,82 +236,45 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
         nbvals.(v - lo) <- nv;
         nbdegs.(v - lo) <- nd
       in
-      let update_range a b =
-        (* Gather over the paged edge arrays, write back to the
-           vertex-value file. Each chunk only touches records its own fill
-           produced, plus its disjoint slice of [next_values]. *)
-        for v = a to b - 1 do
-          let nv = nbvals.(v - lo) and nd = nbdegs.(v - lo) in
-          let len = Store.array_length fs.store nv in
-          let acc = ref prog.Vertex_program.init_acc in
-          for i = 0 to len - 1 do
-            let value =
-              Store.get_f64 fs.store nv ~offset:(Store.array_elem_offset ~elem_bytes:8 ~index:i)
-            in
-            let deg =
-              Store.get_i32 fs.store nd ~offset:(Store.array_elem_offset ~elem_bytes:4 ~index:i)
-            in
-            acc := prog.Vertex_program.gather ~acc:!acc ~nb_value:value ~nb_out_degree:deg
-          done;
-          let vr = vrecs.(v - lo) in
-          let old_value = Store.get_f64 fs.store vr ~offset:vertex_value_off in
-          Store.set_f64 fs.store vr ~offset:vertex_value_off
-            (prog.Vertex_program.apply ~acc:!acc ~old_value);
-          next_values.(v) <- Store.get_f64 fs.store vr ~offset:vertex_value_off
-        done
-      in
-      let load_sim =
-        (float_of_int e_load *. cost.Cost_model.io_per_edge)
+      for v = lo to hi - 1 do
+        fill v
+      done;
+      control_churn ();
+      sync_native heap fs;
+      Clock.charge clock Clock.Load
+        ((float_of_int e_load *. cost.Cost_model.io_per_edge)
         +. (float_of_int e_load
            *. cost.Cost_model.page_write_per_edge
-           *. prog.Vertex_program.facade_write_factor)
-      in
-      let update_sim =
-        float_of_int e
+           *. prog.Vertex_program.facade_write_factor));
+      (* Gather over the paged edge arrays, write back to the vertex-value
+         file. *)
+      for v = lo to hi - 1 do
+        let nv = nbvals.(v - lo) and nd = nbdegs.(v - lo) in
+        let len = Store.array_length fs.store nv in
+        let acc = ref prog.Vertex_program.init_acc in
+        for i = 0 to len - 1 do
+          let value =
+            Store.get_f64 fs.store nv ~offset:(Store.array_elem_offset ~elem_bytes:8 ~index:i)
+          in
+          let deg =
+            Store.get_i32 fs.store nd ~offset:(Store.array_elem_offset ~elem_bytes:4 ~index:i)
+          in
+          acc := prog.Vertex_program.gather ~acc:!acc ~nb_value:value ~nb_out_degree:deg
+        done;
+        let vr = vrecs.(v - lo) in
+        let old_value = Store.get_f64 fs.store vr ~offset:vertex_value_off in
+        Store.set_f64 fs.store vr ~offset:vertex_value_off
+          (prog.Vertex_program.apply ~acc:!acc ~old_value);
+        next_values.(v) <- Store.get_f64 fs.store vr ~offset:vertex_value_off
+      done;
+      Clock.charge clock Clock.Update
+        (float_of_int e
         *. (cost.Cost_model.compute_per_edge
            +. (cost.Cost_model.access_per_edge_page
-              *. prog.Vertex_program.facade_access_factor))
-      in
-      (match pool with
-      | None ->
-          for v = lo to hi - 1 do
-            fill ~thread:(worker_of v) v
-          done;
-          control_churn ();
-          sync_native heap fs;
-          Clock.charge clock Clock.Load load_sim;
-          update_range lo hi;
-          Clock.charge clock Clock.Update update_sim
-      | Some p ->
-          (* Measured path: chunk [t] loads and updates its vertex range on
-             store thread [t + 1]; the shard's disk reads are realized as a
-             blocking wait on the chunk's domain. Wall-clock replaces the
-             analytic sums, split between LOAD and UPDATE in their
-             analytic proportion. *)
-          let tasks =
-            List.mapi
-              (fun t (a, b) () ->
-                for v = a to b - 1 do
-                  fill ~thread:(t + 1) v
-                done;
-                let el = Sharder.interval_edges csr ~use_out:false ~lo:a ~hi:b in
-                Parallel.Measure.io_wait
-                  (float_of_int el *. cost.Cost_model.io_per_edge *. cfg.io_scale);
-                update_range a b)
-              (chunk_ranges lo hi nw)
-          in
-          let w = Parallel.Measure.run_timed p tasks in
-          wall := !wall +. w;
-          control_churn ();
-          sync_native heap fs;
-          let sim = w /. cfg.io_scale in
-          let tot = load_sim +. update_sim in
-          let fl = if tot > 0.0 then load_sim /. tot else 0.5 in
-          Clock.charge clock Clock.Load (sim *. fl);
-          Clock.charge clock Clock.Update (sim *. (1.0 -. fl)));
+              *. prog.Vertex_program.facade_access_factor)));
       temps e cost.Cost_model.temps_per_edge_facade;
       edges_processed := !edges_processed + e;
-      for t = 1 to nthreads do
+      for t = 1 to cfg.threads do
         Store.iteration_end fs.store ~thread:t
       done;
       Store.iteration_end fs.store ~thread:0;
@@ -375,12 +289,9 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
     done
   in
   let completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-      (fun () ->
-        match run_body () with
-        | () -> (true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (false, at_seconds))
+    match run_body () with
+    | () -> (true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (false, at_seconds)
   in
   let hs = Heap.stats heap in
   let store_stats = Option.map (fun fs -> Store.stats fs.store) fs in
@@ -401,23 +312,12 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
         (match store_stats with Some s -> s.Store.records_allocated | None -> 0);
       pages_created = (match store_stats with Some s -> s.Store.pages_created | None -> 0);
       facades =
-        (match fs with Some _ -> facades_per_thread * (nthreads + 1) | None -> 0);
+        (match fs with Some _ -> facades_per_thread * (cfg.threads + 1) | None -> 0);
       sub_iterations = !sub_iterations;
       throughput_eps =
         (if et > 0.0 then float_of_int !edges_processed /. et else 0.0);
       completed;
       oom_at;
-      wall_seconds = !wall;
-      per_thread_records =
-        (match fs with
-        | None -> []
-        | Some fs ->
-            List.concat_map
-              (fun t ->
-                match Store.thread_totals fs.store ~thread:t with
-                | Some tt -> [ (t, tt.Store.thread_records, tt.Store.thread_bytes) ]
-                | None -> [])
-              (List.init (nthreads + 1) Fun.id));
     }
   in
   { values = (if completed then Some values else None); metrics }

@@ -25,22 +25,11 @@ type config = {
                                (data-determined loading; DESIGN.md E1) *)
   threads : int;           (** worker threads in facade mode, each with its
                                own page manager and 11-facade pool (§3.4) *)
-  workers : int option;
-      (** [Some n]: each interval is processed as [n] contiguous vertex
-          chunks on [n] real OCaml domains (chunk [t] allocating on store
-          thread [t+1]); the load phase's disk I/O is realized as blocking
-          waits and LOAD/UPDATE are charged from the batch's measured
-          wall-clock instead of the analytic per-edge sums. [None]
-          (default): the sequential analytic path. *)
-  io_scale : float;
-      (** real seconds slept per simulated I/O second on the measured
-          path (also converts measured wall back to simulated seconds) *)
 }
 
 val default_config : mode -> config
 (** 8 paper-GB, 5 iterations, default costs, 32 facade intervals, 32
-    worker threads (the paper's two 16-thread pools), analytic
-    parallelism ([workers = None]), [io_scale = 5e-3]. *)
+    worker threads (the paper's two 16-thread pools). *)
 
 type metrics = {
   et : float;   (** total execution time, simulated seconds (ET) *)
@@ -59,12 +48,6 @@ type metrics = {
   throughput_eps : float;  (** edges processed per simulated second *)
   completed : bool;        (** false when the run died with OOM *)
   oom_at : float;          (** simulated seconds at OOM (when not completed) *)
-  wall_seconds : float;
-      (** measured wall-clock over all parallel batches; 0.0 on the
-          analytic path *)
-  per_thread_records : (int * int * int) list;
-      (** facade mode: per store-thread (id, records, bytes) page-manager
-          totals over the whole run *)
 }
 
 type run_result = {

@@ -20,123 +20,8 @@ let top_k k counts =
   let sorted = List.sort cmp all in
   List.filteri (fun i _ -> i < k) sorted
 
-(* The [~workers] path: tokens are hash-partitioned across [nw] tasks, each
-   with a private group table (and, in facade mode, a private store thread
-   whose page manager holds its group records). The scan's disk I/O is
-   realized as a blocking wait inside each task, so the measured wall-clock
-   reflects I/O overlap across domains; heap charging stays on the calling
-   domain (the heap simulator is not domain-safe) using per-task tallies. *)
-let run_parallel c config (corpus : Workloads.Text_gen.t) =
-  let cost = (Engine.cfg c).Engine.cost in
-  let nw = max 1 (Option.get config.Engine.workers) in
-  let words = Engine.machine_slice config corpus.Workloads.Text_gen.words in
-  let n = Array.length words in
-  (match Engine.store c with
-  | Some s ->
-      for t = 1 to nw do
-        Engine.register_store_thread c t
-      done;
-      for t = 0 to nw do
-        Store.iteration_start s ~thread:t
-      done
-  | None -> ());
-  let parts = Array.make nw [] in
-  for j = n - 1 downto 0 do
-    let b = Hashtbl.hash words.(j) mod nw in
-    parts.(b) <- words.(j) :: parts.(b)
-  done;
-  let counts = Array.init nw (fun _ -> Hashtbl.create 256) in
-  let records : (string, Pagestore.Addr.t) Hashtbl.t array =
-    Array.init nw (fun _ -> Hashtbl.create 256)
-  in
-  let task t () =
-    let my = parts.(t) in
-    (match Engine.store c with
-    | None ->
-        List.iter
-          (fun w ->
-            match Hashtbl.find_opt counts.(t) w with
-            | Some k -> Hashtbl.replace counts.(t) w (k + 1)
-            | None -> Hashtbl.replace counts.(t) w 1)
-          my
-    | Some store ->
-        List.iter
-          (fun w ->
-            match Hashtbl.find_opt records.(t) w with
-            | Some addr ->
-                let k = Store.get_i64 store addr ~offset:count_off in
-                Store.set_i64 store addr ~offset:count_off (k + 1)
-            | None ->
-                let len = String.length w in
-                let addr =
-                  Store.alloc_record store ~thread:(t + 1) ~type_id:entry_type
-                    ~data_bytes:(cost.Hcost.entry_overhead_facade + len)
-                in
-                Store.set_i64 store addr ~offset:count_off 1;
-                String.iteri
-                  (fun i ch ->
-                    Store.set_i8 store addr ~offset:(count_off + 8 + i) (Char.code ch))
-                  w;
-                Hashtbl.replace records.(t) w addr)
-          my);
-    (* The scan's disk reads for this partition, as real blocking time. *)
-    Engine.io_wait c (float_of_int (List.length my) *. cost.Hcost.scan_per_token)
-  in
-  Engine.run_measured c Clock.Update (List.init nw task);
-  (* Post-join heap accounting, equivalent to the sequential path's. *)
-  let distinct = Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 counts in
-  let distinct =
-    match Engine.store c with
-    | None -> distinct
-    | Some _ -> Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 records
-  in
-  let temps_per_token =
-    match config.Engine.mode with
-    | Engine.Object_mode -> cost.Hcost.temps_per_token_object
-    | Engine.Facade_mode -> cost.Hcost.temps_per_token_facade
-  in
-  Engine.alloc_temps c ~count:(int_of_float (float_of_int n *. temps_per_token));
-  (match Engine.store c with
-  | None ->
-      Heap.alloc_many (Engine.heap c) ~lifetime:Heap.Permanent
-        ~bytes_each:(cost.Hcost.entry_bytes_object / 2)
-        ~count:(2 * distinct);
-      Engine.note_data_objects c ((2 * distinct) + (2 * n))
-  | Some _ ->
-      Heap.alloc_many (Engine.heap c) ~lifetime:Heap.Permanent ~bytes_each:16
-        ~count:distinct;
-      Engine.note_records c distinct;
-      Engine.sync_native c);
-  Engine.note_distinct c distinct;
-  (* Shuffle the local aggregates and reduce ([nw]-way parallel). *)
-  Engine.charge c Clock.Update
-    (float_of_int (corpus.Workloads.Text_gen.total_bytes / config.Engine.machines)
-    *. cost.Hcost.shuffle_per_byte);
-  Engine.charge c Clock.Update
-    (float_of_int distinct *. cost.Hcost.reduce_per_key /. float_of_int nw);
-  let final_counts =
-    match Engine.store c with
-    | None -> Seq.concat_map Hashtbl.to_seq (Array.to_seq counts)
-    | Some store ->
-        Seq.concat_map
-          (fun recs ->
-            Seq.map
-              (fun (w, addr) -> (w, Store.get_i64 store addr ~offset:count_off))
-              (Hashtbl.to_seq recs))
-          (Array.to_seq records)
-  in
-  let top = top_k 20 final_counts in
-  (match Engine.store c with
-  | Some s ->
-      for t = nw downto 0 do
-        Store.iteration_end s ~thread:t
-      done;
-      Engine.sync_native c
-  | None -> ());
-  { top; total_tokens = n; distinct }
-
-let run_sequential c config (corpus : Workloads.Text_gen.t) =
-  (
+let run config (corpus : Workloads.Text_gen.t) =
+  Engine.with_run config (fun c ->
       let cost = (Engine.cfg c).Engine.cost in
       let words = Engine.machine_slice config corpus.Workloads.Text_gen.words in
       let n = Array.length words in
@@ -249,9 +134,3 @@ let run_sequential c config (corpus : Workloads.Text_gen.t) =
           Engine.sync_native c
       | None -> ());
       { top; total_tokens = n; distinct })
-
-let run config (corpus : Workloads.Text_gen.t) =
-  Engine.with_run config (fun c ->
-      match Engine.pool c with
-      | Some _ -> run_parallel c config corpus
-      | None -> run_sequential c config corpus)

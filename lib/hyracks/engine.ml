@@ -11,8 +11,6 @@ type config = {
   workers_per_machine : int;
   cost : Hcost.t;
   total_budget_gb : float;
-  workers : int option;
-  io_scale : float;
 }
 
 let default_config mode =
@@ -23,8 +21,6 @@ let default_config mode =
     workers_per_machine = 8;
     cost = Hcost.default;
     total_budget_gb = 8.0;
-    workers = None;
-    io_scale = 5.0e-3;
   }
 
 type metrics = {
@@ -40,8 +36,6 @@ type metrics = {
   distinct_keys : int;
   completed : bool;
   oom_at : float;
-  wall_seconds : float;
-  per_thread_records : (int * int * int) list;
 }
 
 type 'a outcome = {
@@ -54,14 +48,11 @@ type ctx = {
   heap_ : Heap.t;
   clock_ : Clock.t;
   store_ : Store.t option;
-  pool_ : Parallel.Pool.t option;
   mutable data_objects : int;
   mutable page_records : int;
   mutable distinct : int;
   mutable last_native : int;
   mutable last_pages : int;
-  mutable wall_ : float;
-  mutable store_threads : int;  (* highest registered store thread id *)
 }
 
 let scaled_gb = 1 lsl 20
@@ -103,29 +94,6 @@ let sync_native c =
 
 let parallel_time c t = t /. float_of_int c.config.workers_per_machine
 
-(* ---------- measured parallelism (the [~workers:n] path) ---------- *)
-
-let pool c = c.pool_
-
-let io_wait c sim_seconds = Parallel.Measure.io_wait (sim_seconds *. c.config.io_scale)
-
-let run_measured c cat tasks =
-  match c.pool_ with
-  | None -> invalid_arg "Engine.run_measured: config.workers is None"
-  | Some pool ->
-      let wall = Parallel.Measure.run_timed pool tasks in
-      c.wall_ <- c.wall_ +. wall;
-      Clock.charge c.clock_ cat (wall /. c.config.io_scale)
-
-let register_store_thread c t =
-  match c.store_ with
-  | None -> ()
-  | Some s ->
-      Store.register_thread s t;
-      if t > c.store_threads then c.store_threads <- t
-
-let note_records c n = c.page_records <- c.page_records + n
-
 let with_run config body =
   let heap_bytes = int_of_float (config.heap_gb *. float_of_int scaled_gb) in
   let clock_ = Clock.create () in
@@ -138,34 +106,25 @@ let with_run config body =
         Store.register_thread s 0;
         Some s
   in
-  let pool_ =
-    Option.map (fun w -> Parallel.Pool.create ~workers:(max 1 w)) config.workers
-  in
   let c =
     {
       config;
       heap_;
       clock_;
       store_;
-      pool_;
       data_objects = 0;
       page_records = 0;
       distinct = 0;
       last_native = 0;
       last_pages = 0;
-      wall_ = 0.0;
-      store_threads = 0;
     }
   in
   (* Framework-permanent state: frame pools, job metadata, thread pools. *)
   Heap.alloc_many heap_ ~lifetime:Heap.Permanent ~bytes_each:1024 ~count:256;
   let output, completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool_)
-      (fun () ->
-        match body c with
-        | v -> (Some v, true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds))
+    match body c with
+    | v -> (Some v, true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds)
   in
   sync_native c;
   let peak = Heap.peak_memory_bytes heap_ in
@@ -191,17 +150,6 @@ let with_run config body =
       distinct_keys = c.distinct;
       completed;
       oom_at;
-      wall_seconds = c.wall_;
-      per_thread_records =
-        (match store_ with
-        | None -> []
-        | Some s ->
-            List.concat_map
-              (fun t ->
-                match Store.thread_totals s ~thread:t with
-                | Some tt -> [ (t, tt.Store.thread_records, tt.Store.thread_bytes) ]
-                | None -> [])
-              (List.init (c.store_threads + 1) Fun.id));
     }
   in
   { output = (if completed then output else None); metrics }

@@ -21,21 +21,10 @@ type config = {
   total_budget_gb : float;
       (** fairness cap for P′: heap + native beyond this counts as an
           out-of-memory failure (paper §4.2) *)
-  workers : int option;
-      (** [Some n]: worker-parallel phases run as [n] tasks on [n] real
-          OCaml domains, the phase's simulated I/O is realized as
-          blocking waits, and the clock is charged measured wall-clock
-          (scaled by [io_scale]) instead of the analytic division by
-          [workers_per_machine]. [None] (default): analytic path. *)
-  io_scale : float;
-      (** real seconds slept per simulated I/O second on the measured
-          path (and the factor converting measured wall back to
-          simulated seconds) *)
 }
 
 val default_config : mode -> config
-(** 8 GB heap, 10 machines × 8 workers, 8 GB total budget, analytic
-    parallelism ([workers = None]), [io_scale = 5e-3]. *)
+(** 8 GB heap, 10 machines × 8 workers, 8 GB total budget. *)
 
 type metrics = {
   et : float;
@@ -50,12 +39,6 @@ type metrics = {
   distinct_keys : int;      (** WC group cardinality on the machine *)
   completed : bool;
   oom_at : float;           (** the paper's OME(n) seconds *)
-  wall_seconds : float;
-      (** measured wall-clock accumulated by {!run_measured} batches;
-          0.0 on the analytic path *)
-  per_thread_records : (int * int * int) list;
-      (** facade mode: per store-thread (id, records, bytes) page-manager
-          totals, covering every registered worker thread *)
 }
 
 type 'a outcome = {
@@ -88,24 +71,4 @@ val note_record : ctx -> unit
 val note_distinct : ctx -> int -> unit
 val sync_native : ctx -> unit
 val parallel_time : ctx -> float -> float
-(** Divide worker-parallel compute across the machine's workers — the
-    analytic path, used when [config.workers] is [None]. *)
-
-val pool : ctx -> Parallel.Pool.t option
-(** The domain pool, when [config.workers] is [Some _]. *)
-
-val io_wait : ctx -> float -> unit
-(** Realize [sim_seconds] of simulated I/O as a blocking sleep of
-    [sim_seconds *. io_scale] real seconds. Called from inside tasks. *)
-
-val run_measured : ctx -> Heapsim.Sim_clock.category -> (unit -> unit) list -> unit
-(** Run a worker-parallel phase's tasks on the domain pool, measure its
-    wall-clock, accumulate it into [metrics.wall_seconds], and charge
-    [cat] with [wall /. io_scale] simulated seconds. Raises
-    [Invalid_argument] on the analytic path. *)
-
-val register_store_thread : ctx -> int -> unit
-(** Register a worker's logical thread with the store (no-op in object
-    mode); its page-manager totals appear in [metrics.per_thread_records]. *)
-
-val note_records : ctx -> int -> unit
+(** Divide worker-parallel compute across the machine's workers. *)

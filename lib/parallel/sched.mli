@@ -18,10 +18,10 @@ val wait : ?help:bool -> group -> unit
     nested spawns. Re-raises the first captured task exception.
 
     [~help:false] parks the caller instead of helping, so tasks run on
-    pool domains only — required when measuring pool parallelism (see
-    {!Measure.run_timed}). Waiters on worker domains always help,
-    whatever [help] says, because a parked worker could deadlock a
-    1-worker pool. *)
+    pool domains only and the calling domain leaves the CPU to them (the
+    VM's join barrier uses it while children sit in simulated I/O
+    waits). Waiters on worker domains always help, whatever [help] says,
+    because a parked worker could deadlock a 1-worker pool. *)
 
 val run_list : Pool.t -> (unit -> unit) list -> unit
 (** [run_list pool fs] runs every thunk to completion; equivalent to a
