@@ -2,10 +2,13 @@
    first call, out of the interpreter's dispatch loop into
    directly-composed OCaml closures — one closure per instruction,
    pre-composed per basic block, with accessor/arith/operand dispatch
-   hoisted to compile time. Inline caches already warm at compile time
-   (a linked program that ran before) are monomorphized against their
-   snapshot; leaf callees are devirtualized and run through
-   pre-compiled bodies. Every guard that might fail raises
+   hoisted to compile time: a template whose operands are all pinned
+   (below) is selected for its access width and operator when it is
+   compiled, and its closure reads and writes the unboxed slots
+   directly (see "pinned templates"). Inline caches already warm at
+   compile time (a linked program that ran before) are monomorphized
+   against their snapshot; leaf callees are devirtualized and run
+   through pre-compiled bodies. Every guard that might fail raises
    {!Vm_state.Tier_deopt} *before* the faulting instruction's step
    accounting, so the interpreter resume at (block, pc) — on the same
    slot-indexed frame array — replays it exactly once and the two tiers
@@ -21,7 +24,9 @@
    deopt handler writes every pinned value back, and a value return
    boxes its operand. Everything else — call arguments and results,
    delegated instructions, IC sites, object and array accesses — keeps
-   using the boxed frame, exactly as tier 1 does. The allocation and
+   using the boxed frame, exactly as tier 1 does; a template with a
+   boxed operand addresses its operands through direct codes, which
+   test at run time where each lives. The allocation and
    facade-pool intrinsics (rt.alloc, rt.alloc_array(_oversize),
    pool.receiver, facade.bind, facade.read) run here, through the
    {!Vm_state} bodies tier 1 runs, and an address they produce is an
@@ -91,23 +96,18 @@ let compile_limit = 4096
    closures a plain indirect call: OCaml applies a closure of unknown
    arity to two or more arguments through [caml_applyN], which re-checks
    the arity on every call, and a compiled block makes several such
-   calls per instruction. [pool] starts as [no_pool]; the first facade
-   segment an activation runs resolves it from the run's store, so
-   compiled code stays store-independent and a warm tier can be shared
-   across facade runs exactly like object-mode tiers. *)
-type act = {
-  st : st;
-  frame : Value.t array;
-  mutable pool : Page_pool.t;
-  ints : int array;
-  flts : floatarray;
-}
+   calls per instruction. [pool] is resolved from the running thread's
+   store when the activation is made ({!entry_pool}), so compiled code
+   stays store-independent and a warm tier can be shared across facade
+   runs exactly like object-mode tiers. *)
+type act = { st : st; frame : Value.t array; pool : Page_pool.t; ints : int array; flts : floatarray }
 
-(* A pool no run uses: every table slot is the dead-page sentinel, so an
-   access through an unresolved activation would trap, never read. *)
+(* A pool no run uses: every table slot is the dead-page sentinel, so a
+   page access in an object-mode activation would trap, never read.
+   Page templates delegate there, so none runs. *)
 let no_pool = Page_pool.create ()
 
-let[@inline never] resolve_pool a = a.pool <- Store.pool (the_rt a.st).store
+let entry_pool st = match st.mode with Facade_mode (rt, _) -> Store.pool rt.store | Object_mode -> no_pool
 
 (* ---------- hot kernels ----------
 
@@ -118,7 +118,17 @@ let[@inline never] resolve_pool a = a.pool <- Store.pool (the_rt a.st).store
    restated over what does inline across modules — compiler primitives
    (array and bigstring access), constructors, exposed record fields and
    values — and each hands its failure case to the owning module's
-   function, so errors come from the same code as tier-1's. *)
+   function, so errors come from the same code as tier-1's.
+
+   Within this module the native compiler, built without flambda, does
+   inline an [@inline always] function applied to known arguments, and
+   when an argument is a constant constructor it folds the function's
+   [match] on it. It never specializes a closure on a value the closure
+   captures, nor inlines a function that builds a closure. So a kernel
+   below that takes an access width or an operator ([pg_ld], [fop],
+   [iarith]) runs its [match] each time it is called with a captured
+   one, and is free of it where a pinned template's selector calls it
+   with a constructor. *)
 
 (* Frame slots come from the linker, which sized each method's frame to
    cover every slot it emits, so compiled code reads them unchecked (the
@@ -407,7 +417,7 @@ type layout = {
   flt_slots : int array;  (* [flts] index -> frame slot *)
   mutable int_init : int array;
       (* entry values of [ints]: the pinned slots' template values, then
-         the int constants {!icode} interned *)
+         the int constants {!icode} and {!pin} interned *)
   mutable flt_init : floatarray;
 }
 
@@ -501,28 +511,33 @@ let[@inline always] wr_v a d v =
   | L_flt k -> Float.Array.unsafe_set a.flts k (as_float v)
   | L_imm _ -> assert false
 
-(* Direct codes: a typed template addresses an operand by one int, an
-   index into [ints] (or [flts]) when [>= 0] and the boxed frame slot
-   [-1 - c] otherwise, so a read costs one sign test on a constant
-   where a {!loc} match costs a jump table. Constants are interned into
-   the arrays after the pinned slots; only the pinned slots are copied
-   per activation, so a method with none shares its constants. A
-   location with no direct code — a pinned float read as an int, a
-   constant of the other kind — takes the generic path. *)
+(* Direct codes: a typed template with a boxed operand addresses each
+   operand by one int, an index into [ints] (or [flts]) when [>= 0] and
+   the boxed frame slot [-1 - c] otherwise, so a read costs one sign
+   test on a constant where a {!loc} match costs a jump table.
+   Constants are interned into the arrays after the pinned slots; only
+   arrays holding pinned slots are copied per activation, so
+   a method with none shares its constants. A location with no direct
+   code — a pinned float read as an int, a constant of the other kind —
+   takes the generic path. *)
+let intern_int lay n =
+  lay.int_init <- Array.append lay.int_init [| n |];
+  Array.length lay.int_init - 1
+
+let intern_flt lay x =
+  lay.flt_init <- Float.Array.append lay.flt_init (Float.Array.make 1 x);
+  Float.Array.length lay.flt_init - 1
+
 let icode lay = function
   | L_int k -> Some k
   | L_box s -> Some (-1 - s)
-  | L_imm (Value.Int n) ->
-      lay.int_init <- Array.append lay.int_init [| n |];
-      Some (Array.length lay.int_init - 1)
+  | L_imm (Value.Int n) -> Some (intern_int lay n)
   | L_flt _ | L_imm _ -> None
 
 let fcode lay = function
   | L_flt k -> Some k
   | L_box s -> Some (-1 - s)
-  | L_imm (Value.Float x) ->
-      lay.flt_init <- Float.Array.append lay.flt_init (Float.Array.make 1 x);
-      Some (Float.Array.length lay.flt_init - 1)
+  | L_imm (Value.Float x) -> Some (intern_flt lay x)
   | L_int _ | L_imm _ -> None
 
 (* The code of an operand whose kind is numeric, read as a float:
@@ -536,27 +551,33 @@ let ncode lay k l =
    first: inlining binds a non-trivial argument without its float type,
    and such a binding stays boxed — one allocation per execution — when
    a branch of the bound expression is a call. *)
-let[@inline always] ri a c =
-  if c >= 0 then Array.unsafe_get a.ints c else as_int (fg a.frame (-1 - c))
-
-let[@inline always] rf a c =
-  if c >= 0 then Float.Array.unsafe_get a.flts c else as_float (fg a.frame (-1 - c))
+let[@inline always] gi a c = Array.unsafe_get a.ints c
+let[@inline always] gf a c = Float.Array.unsafe_get a.flts c
+let[@inline always] si a c n = Array.unsafe_set a.ints c n
+let[@inline always] sf a c x = Float.Array.unsafe_set a.flts c x
+let[@inline always] ri a c = if c >= 0 then gi a c else as_int (fg a.frame (-1 - c))
+let[@inline always] rf a c = if c >= 0 then gf a c else as_float (fg a.frame (-1 - c))
 
 let[@inline always] rn a i c = if i then float_of_int (ri a c) else rf a c
 
 (* A page reference: [addr_nn] of the slot's value. *)
-let[@inline always] raddr a c =
-  if c >= 0 then begin
-    let ad = Array.unsafe_get a.ints c in
-    if ad <> 0 then ad else bad_ref (Value.Int 0)
-  end
-  else addr_nn (fg a.frame (-1 - c))
+let[@inline always] gref a c =
+  let ad = gi a c in
+  if ad <> 0 then ad else bad_ref (Value.Int 0)
 
-let[@inline always] wi a c n =
-  if c >= 0 then Array.unsafe_set a.ints c n else fs a.frame (-1 - c) (of_int n)
+let[@inline always] raddr a c = if c >= 0 then gref a c else addr_nn (fg a.frame (-1 - c))
+let[@inline always] wi a c n = if c >= 0 then si a c n else fs a.frame (-1 - c) (of_int n)
+let[@inline always] wf a c x = if c >= 0 then sf a c x else fs a.frame (-1 - c) (Value.Float x)
 
-let[@inline always] wf a c x =
-  if c >= 0 then Float.Array.unsafe_set a.flts c x else fs a.frame (-1 - c) (Value.Float x)
+(* Operand access by placement, for template bodies shared by both
+   kinds of closure: [pn] is a constant at every call, true for an
+   operand pinned in the kind read (no test), false for a direct code. *)
+let[@inline always] rdi pn a c = if pn then gi a c else ri a c
+let[@inline always] rdf pn a c = if pn then gf a c else rf a c
+let[@inline always] rdn pn a i c = if i then float_of_int (rdi pn a c) else rdf pn a c
+let[@inline always] wri pn a c n = if pn then si a c n else wi a c n
+let[@inline always] wrf pn a c x = if pn then sf a c x else wf a c x
+let[@inline always] rref pn a c = if pn then gref a c else raddr a c
 
 (* [arith] on two ints, every op: Div/Rem by zero raise through [arith]
    itself, so the text is tier 1's. *)
@@ -591,6 +612,277 @@ let[@inline always] fcmp (op : Ir.binop) (x : float) (y : float) =
   | Ir.Ge -> x >= y
   | Ir.Eq -> x = y
   | _ -> x <> y
+
+(* ---------- pinned templates ----------
+
+   A template each operand of which is pinned in the kind the template
+   reads it in — a slot of [ints] or [flts], or a constant interned
+   there — needs none of the tests above. Its builder calls a selector
+   here: a compile-time [match] on the access width or the operator
+   whose every arm is a closure over one [@inline always] body, applied
+   to that arm's constructor. Inlining a body at a constructor folds
+   its [match acc] and [match op], so each closure reads and writes
+   [a.ints]/[a.flts] directly, with its width and operator fixed, and
+   tests nothing its compiler already knew. *)
+
+(* Whether [l] can be read pinned in kind [k]: a slot of that kind, or a
+   constant, which {!pin} interns converted — exact, since [arith]
+   converts an int operand of a float op with [float_of_int]. Eq and Ne
+   never convert (an int never equals a float), so their callers ask for
+   operands of one kind. *)
+let pinnable k l =
+  match k, l with
+  | K_int, (L_int _ | L_imm (Value.Int _)) | K_flt, (L_flt _ | L_imm (Value.Int _ | Value.Float _)) ->
+      true
+  | _ -> false
+
+let pin lay k = function
+  | L_int i | L_flt i -> i
+  | L_imm v when k = K_int -> intern_int lay (as_int v)
+  | L_imm v -> intern_flt lay (as_float v)
+  | L_box _ -> invalid_arg "Compile_tier.pin"
+
+let[@inline always] icmp (op : Ir.binop) (p : int) q =
+  match op with
+  | Ir.Lt -> p < q
+  | Ir.Le -> p <= q
+  | Ir.Gt -> p > q
+  | Ir.Ge -> p >= q
+  | Ir.Eq -> p = q
+  | _ -> p <> q
+
+let[@inline always] t_ibin op d x y a = si a d (iarith op (gi a x) (gi a y))
+
+let[@inline always] t_fbin op d x y a =
+  let p = gf a x and q = gf a y in
+  sf a d (fop op p q)
+
+let[@inline always] t_fcmp op d x y a =
+  let p = gf a x and q = gf a y in
+  si a d (if fcmp op p q then 1 else 0)
+
+(* [d = x op y] on two ints, every op. *)
+let ibin_p (op : Ir.binop) d x y : act -> unit =
+  match op with
+  | Ir.Add -> fun a -> t_ibin Ir.Add d x y a
+  | Ir.Sub -> fun a -> t_ibin Ir.Sub d x y a
+  | Ir.Mul -> fun a -> t_ibin Ir.Mul d x y a
+  | Ir.Div -> fun a -> t_ibin Ir.Div d x y a
+  | Ir.Rem -> fun a -> t_ibin Ir.Rem d x y a
+  | Ir.And -> fun a -> t_ibin Ir.And d x y a
+  | Ir.Or -> fun a -> t_ibin Ir.Or d x y a
+  | Ir.Xor -> fun a -> t_ibin Ir.Xor d x y a
+  | Ir.Shl -> fun a -> t_ibin Ir.Shl d x y a
+  | Ir.Shr -> fun a -> t_ibin Ir.Shr d x y a
+  | Ir.Lt -> fun a -> t_ibin Ir.Lt d x y a
+  | Ir.Le -> fun a -> t_ibin Ir.Le d x y a
+  | Ir.Gt -> fun a -> t_ibin Ir.Gt d x y a
+  | Ir.Ge -> fun a -> t_ibin Ir.Ge d x y a
+  | Ir.Eq -> fun a -> t_ibin Ir.Eq d x y a
+  | Ir.Ne -> fun a -> t_ibin Ir.Ne d x y a
+
+(* [d = x op y] on two floats: an arithmetic op into a float, a
+   comparison into an int. *)
+let fbin_p (op : Ir.binop) d x y : act -> unit =
+  match op with
+  | Ir.Add -> fun a -> t_fbin Ir.Add d x y a
+  | Ir.Sub -> fun a -> t_fbin Ir.Sub d x y a
+  | Ir.Mul -> fun a -> t_fbin Ir.Mul d x y a
+  | Ir.Div -> fun a -> t_fbin Ir.Div d x y a
+  | Ir.Rem -> fun a -> t_fbin Ir.Rem d x y a
+  | Ir.Lt -> fun a -> t_fcmp Ir.Lt d x y a
+  | Ir.Le -> fun a -> t_fcmp Ir.Le d x y a
+  | Ir.Gt -> fun a -> t_fcmp Ir.Gt d x y a
+  | Ir.Ge -> fun a -> t_fcmp Ir.Ge d x y a
+  | Ir.Eq -> fun a -> t_fcmp Ir.Eq d x y a
+  | Ir.Ne -> fun a -> t_fcmp Ir.Ne d x y a
+  | Ir.And | Ir.Or | Ir.Xor | Ir.Shl | Ir.Shr -> invalid_arg "Compile_tier.fbin_p"
+
+let[@inline always] t_ibr op x y t e a = if icmp op (gi a x) (gi a y) then t else e
+
+let[@inline always] t_fbr op x y t e a =
+  let p = gf a x and q = gf a y in
+  if fcmp op p q then t else e
+
+(* Compare-and-branch on two ints or on two floats. *)
+let br_p k (op : Ir.binop) x y t e : act -> int =
+  match k, op with
+  | K_int, Ir.Lt -> fun a -> t_ibr Ir.Lt x y t e a
+  | K_int, Ir.Le -> fun a -> t_ibr Ir.Le x y t e a
+  | K_int, Ir.Gt -> fun a -> t_ibr Ir.Gt x y t e a
+  | K_int, Ir.Ge -> fun a -> t_ibr Ir.Ge x y t e a
+  | K_int, Ir.Eq -> fun a -> t_ibr Ir.Eq x y t e a
+  | K_int, _ -> fun a -> t_ibr Ir.Ne x y t e a
+  | _, Ir.Lt -> fun a -> t_fbr Ir.Lt x y t e a
+  | _, Ir.Le -> fun a -> t_fbr Ir.Le x y t e a
+  | _, Ir.Gt -> fun a -> t_fbr Ir.Gt x y t e a
+  | _, Ir.Ge -> fun a -> t_fbr Ir.Ge x y t e a
+  | _, Ir.Eq -> fun a -> t_fbr Ir.Eq x y t e a
+  | _ -> fun a -> t_fbr Ir.Ne x y t e a
+
+(* The page templates' bodies, each shared by its pinned closures
+   ([pn] true, [acc] and [op] constructors) and its direct-code closure
+   ([pn] false, [acc] and [op] captured, so matched at run time).
+
+   A page read into, and a page write from, an operand of the access's
+   kind. *)
+let[@inline always] pg_ld pn (acc : R.acc) a d p i =
+  match acc with
+  | R.A_i64 -> wri pn a d (read_i64 p i)
+  | R.A_i32 -> wri pn a d (read_i32 p i)
+  | R.A_i8 -> wri pn a d (Page.read_u8 p i)
+  | R.A_i16 -> wri pn a d (Page.read_u16 p i)
+  | R.A_f64 ->
+      let x = read_f64 p i in
+      wrf pn a d x
+  | R.A_f32 ->
+      let x = read_f32 p i in
+      wrf pn a d x
+
+let[@inline always] pg_st pn (acc : R.acc) a c p i =
+  match acc with
+  | R.A_i64 -> write_i64 p i (rdi pn a c)
+  | R.A_i32 -> write_i32 p i (rdi pn a c)
+  | R.A_i8 -> Page.write_u8 p i (rdi pn a c land 0xff)
+  | R.A_i16 -> Page.write_u16 p i (rdi pn a c)
+  | R.A_f64 ->
+      let x = rdf pn a c in
+      write_f64 p i x
+  | R.A_f32 ->
+      let x = rdf pn a c in
+      write_f32 p i x
+
+(* The byte index of element [i] of the array at [b] on [pg], after its
+   bounds test. *)
+let[@inline always] elem pg b eb i =
+  check_index pg b i;
+  b + LR.array_header_bytes + (eb * i)
+
+let[@inline always] t_get pn acc d p off a =
+  let ad = rref pn a p in
+  pg_ld pn acc a d (page_in a.pool ad) (offset ad + off)
+
+let[@inline always] t_set pn acc p off c a =
+  let ad = rref pn a p in
+  pg_st pn acc a c (page_in a.pool ad) (offset ad + off)
+
+let[@inline always] t_aget pn acc d p eb ix a =
+  let ad = rref pn a p in
+  let pg = page_in a.pool ad in
+  pg_ld pn acc a d pg (elem pg (offset ad) eb (rdi pn a ix))
+
+let[@inline always] t_aset pn acc p eb ix c a =
+  let ad = rref pn a p in
+  let pg = page_in a.pool ad in
+  pg_st pn acc a c pg (elem pg (offset ad) eb (rdi pn a ix))
+
+let[@inline always] t_aget_get pn acc d arr eb ix off a =
+  let ad = rref pn a arr in
+  let pg = page_in a.pool ad in
+  let w = read_i64 pg (elem pg (offset ad) eb (rdi pn a ix)) in
+  let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
+  pg_ld pn acc a d (page_in a.pool ad2) (offset ad2 + off)
+
+let[@inline always] t_aget_aget pn acc d a1 eb1 ix a2 eb2 a =
+  let ad1 = rref pn a a1 in
+  let pg1 = page_in a.pool ad1 in
+  let j = read_i32 pg1 (elem pg1 (offset ad1) eb1 (rdi pn a ix)) in
+  let ad2 = rref pn a a2 in
+  let pg2 = page_in a.pool ad2 in
+  pg_ld pn acc a d pg2 (elem pg2 (offset ad2) eb2 j)
+
+(* [d = p.off op s] with a float result, and [p.off = p.off op s] on an
+   f64; [si]: [s] is an int read as a float. *)
+let[@inline always] t_get_bin_f pn acc op si d p off s a =
+  let ad = rref pn a p in
+  let x = pg_read_f acc (page_in a.pool ad) (offset ad + off) in
+  let y = rdn pn a si s in
+  let r = fop op x y in
+  wrf pn a d r
+
+let[@inline always] t_rmw_f64 pn op si p off s a =
+  let ad = rref pn a p in
+  let pg = page_in a.pool ad in
+  let i = offset ad + off in
+  let x = read_f64 pg i in
+  let y = rdn pn a si s in
+  let r = fop op x y in
+  write_f64 pg i r
+
+(* [d = p.off], [p.off = c], [d = p[ix]], [p[ix] = c], [d = arr[ix].off]
+   and [d = a2[a1[ix]]], one closure per width. *)
+let get_p (acc : R.acc) d p off : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_get true R.A_i8 d p off a
+  | R.A_i16 -> fun a -> t_get true R.A_i16 d p off a
+  | R.A_i32 -> fun a -> t_get true R.A_i32 d p off a
+  | R.A_i64 -> fun a -> t_get true R.A_i64 d p off a
+  | R.A_f32 -> fun a -> t_get true R.A_f32 d p off a
+  | R.A_f64 -> fun a -> t_get true R.A_f64 d p off a
+
+let set_p (acc : R.acc) p off c : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_set true R.A_i8 p off c a
+  | R.A_i16 -> fun a -> t_set true R.A_i16 p off c a
+  | R.A_i32 -> fun a -> t_set true R.A_i32 p off c a
+  | R.A_i64 -> fun a -> t_set true R.A_i64 p off c a
+  | R.A_f32 -> fun a -> t_set true R.A_f32 p off c a
+  | R.A_f64 -> fun a -> t_set true R.A_f64 p off c a
+
+let aget_p (acc : R.acc) d p eb ix : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_aget true R.A_i8 d p eb ix a
+  | R.A_i16 -> fun a -> t_aget true R.A_i16 d p eb ix a
+  | R.A_i32 -> fun a -> t_aget true R.A_i32 d p eb ix a
+  | R.A_i64 -> fun a -> t_aget true R.A_i64 d p eb ix a
+  | R.A_f32 -> fun a -> t_aget true R.A_f32 d p eb ix a
+  | R.A_f64 -> fun a -> t_aget true R.A_f64 d p eb ix a
+
+let aset_p (acc : R.acc) p eb ix c : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_aset true R.A_i8 p eb ix c a
+  | R.A_i16 -> fun a -> t_aset true R.A_i16 p eb ix c a
+  | R.A_i32 -> fun a -> t_aset true R.A_i32 p eb ix c a
+  | R.A_i64 -> fun a -> t_aset true R.A_i64 p eb ix c a
+  | R.A_f32 -> fun a -> t_aset true R.A_f32 p eb ix c a
+  | R.A_f64 -> fun a -> t_aset true R.A_f64 p eb ix c a
+
+let aget_get_p (acc : R.acc) d arr eb ix off : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_aget_get true R.A_i8 d arr eb ix off a
+  | R.A_i16 -> fun a -> t_aget_get true R.A_i16 d arr eb ix off a
+  | R.A_i32 -> fun a -> t_aget_get true R.A_i32 d arr eb ix off a
+  | R.A_i64 -> fun a -> t_aget_get true R.A_i64 d arr eb ix off a
+  | R.A_f32 -> fun a -> t_aget_get true R.A_f32 d arr eb ix off a
+  | R.A_f64 -> fun a -> t_aget_get true R.A_f64 d arr eb ix off a
+
+let aget_aget_p (acc : R.acc) d a1 eb1 ix a2 eb2 : act -> unit =
+  match acc with
+  | R.A_i8 -> fun a -> t_aget_aget true R.A_i8 d a1 eb1 ix a2 eb2 a
+  | R.A_i16 -> fun a -> t_aget_aget true R.A_i16 d a1 eb1 ix a2 eb2 a
+  | R.A_i32 -> fun a -> t_aget_aget true R.A_i32 d a1 eb1 ix a2 eb2 a
+  | R.A_i64 -> fun a -> t_aget_aget true R.A_i64 d a1 eb1 ix a2 eb2 a
+  | R.A_f32 -> fun a -> t_aget_aget true R.A_f32 d a1 eb1 ix a2 eb2 a
+  | R.A_f64 -> fun a -> t_aget_aget true R.A_f64 d a1 eb1 ix a2 eb2 a
+
+(* The fused f64 forms PageRank's scatter and gather loops run:
+   [d = p.off op s] and [p.off = p.off op s], one closure per float
+   op. *)
+let get_bin_f64_p (op : Ir.binop) d p off s : act -> unit =
+  match op with
+  | Ir.Add -> fun a -> t_get_bin_f true R.A_f64 Ir.Add false d p off s a
+  | Ir.Sub -> fun a -> t_get_bin_f true R.A_f64 Ir.Sub false d p off s a
+  | Ir.Mul -> fun a -> t_get_bin_f true R.A_f64 Ir.Mul false d p off s a
+  | Ir.Div -> fun a -> t_get_bin_f true R.A_f64 Ir.Div false d p off s a
+  | _ -> fun a -> t_get_bin_f true R.A_f64 Ir.Rem false d p off s a
+
+let rmw_f64_p (op : Ir.binop) p off s : act -> unit =
+  match op with
+  | Ir.Add -> fun a -> t_rmw_f64 true Ir.Add false p off s a
+  | Ir.Sub -> fun a -> t_rmw_f64 true Ir.Sub false p off s a
+  | Ir.Mul -> fun a -> t_rmw_f64 true Ir.Mul false p off s a
+  | Ir.Div -> fun a -> t_rmw_f64 true Ir.Div false p off s a
+  | _ -> fun a -> t_rmw_f64 true Ir.Rem false p off s a
 
 (* ---------- allocation and facade-pool intrinsics ---------- *)
 
@@ -679,8 +971,9 @@ let rec run_from (blocks : (act -> int) array) a bi =
   if bi < 0 then bi else run_from blocks a (blocks.(bi) a)
 
 (* Entry is always block 0 of a fresh frame, so the pinned slots start
-   from the template. A method with no pinned slot has nothing to write
-   back and runs without a handler. *)
+   from the template. An array with no pinned slot holds only constants
+   and is shared. A method with no pinned slot has nothing to
+   write back and runs without a handler. *)
 let run_blocks st pool (c : code) frame =
   let l = c.lay in
   let a =
@@ -688,8 +981,12 @@ let run_blocks st pool (c : code) frame =
       st;
       frame;
       pool;
-      ints = (if Array.length l.int_slots = 0 then l.int_init else Array.copy l.int_init);
-      flts = (if Array.length l.flt_slots = 0 then l.flt_init else Float.Array.copy l.flt_init);
+      ints =
+        (if Array.length l.int_slots = 0 then l.int_init
+         else Array.copy l.int_init);
+      flts =
+        (if Array.length l.flt_slots = 0 then l.flt_init
+         else Float.Array.copy l.flt_init);
     }
   in
   let r =
@@ -720,7 +1017,7 @@ let note_deopt reason =
    call is an exact-arity one. *)
 let wrap_blocks (t : tier) mx code =
   let entry st frame =
-    try run_blocks st no_pool code frame
+    try run_blocks st (entry_pool st) code frame
     with Tier_deopt (dbi, dpc, reason) ->
       st.stats.Exec_stats.tier2_deopts <- st.stats.Exec_stats.tier2_deopts + 1;
       t.t_fail.(mx) <- t.t_fail.(mx) + 1;
@@ -837,12 +1134,15 @@ let compile_term lay (term : R.term) : act -> int =
       let lx = oloc lay x and ly = oloc lay y in
       if not (pinned lx || pinned ly) then boxed_branch op x y t e
       else if is_cmp op && kx = K_int && ky = K_int then
-        int_branch op (Option.get (icode lay lx)) (Option.get (icode lay ly)) t e
+        if pinnable K_int lx && pinnable K_int ly then br_p K_int op (pin lay K_int lx) (pin lay K_int ly) t e
+        else int_branch op (Option.get (icode lay lx)) (Option.get (icode lay ly)) t e
       else if is_cmp op && is_num kx && is_num ky then
         if (op = Ir.Eq || op = Ir.Ne) && kx <> ky then
           (* an int never equals a float *)
           let r = if op = Ir.Eq then e else t in
           fun _ -> r
+        else if pinnable K_flt lx && pinnable K_flt ly then
+          br_p K_flt op (pin lay K_flt lx) (pin lay K_flt ly) t e
         else
           let xi, x = ncode lay kx lx and yi, y = ncode lay ky ly in
           fun a ->
@@ -857,52 +1157,49 @@ let compile_term lay (term : R.term) : act -> int =
    (step accounting hoisted into the enclosing segment) or a
    self-charging action (guards, calls, allocation intrinsics,
    delegations) that runs its own budget precheck so a deopt lands
-   before its accounting. [S_store] is bulk work that reads the
-   activation's page pool (a facade page access), which its segment
-   resolves on entry. *)
-type step = S_bulk of (act -> unit) | S_store of (act -> unit) | S_self of (act -> unit)
+   before its accounting. *)
+type step = S_bulk of (act -> unit) | S_self of (act -> unit)
 
 (* A segment's entry: the budget precheck, which deopts to the
-   segment's start [pc] before anything is charged, its [k] steps at
-   once, and the page-pool resolve when a body reads pages. *)
-let[@inline always] seg_enter a k bi pc pages =
+   segment's start [pc] before anything is charged, then its [k] steps
+   at once. *)
+let[@inline always] seg_enter a k bi pc =
   let st = a.st in
   let stats = st.stats in
   if stats.Exec_stats.steps + k > st.max_steps then raise (Tier_deopt (bi, pc, "budget"));
-  stats.Exec_stats.steps <- stats.Exec_stats.steps + k;
-  if pages && a.pool == no_pool then resolve_pool a
+  stats.Exec_stats.steps <- stats.Exec_stats.steps + k
 
 (* A segment as one closure: its entry, then its bodies in order. Up to
    eight bodies are called straight-line, which spares the loop and its
    array loads; all but one of the segments a warm facade PageRank job
    runs have 1 to 7. *)
-let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
+let segment k bi pc (fs : (act -> unit) array) : act -> unit =
   match fs with
   | [| f0 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a
   | [| f0; f1 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a
   | [| f0; f1; f2 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a
   | [| f0; f1; f2; f3 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a;
         f3 a
   | [| f0; f1; f2; f3; f4 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a;
@@ -910,7 +1207,7 @@ let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
         f4 a
   | [| f0; f1; f2; f3; f4; f5 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a;
@@ -919,7 +1216,7 @@ let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
         f5 a
   | [| f0; f1; f2; f3; f4; f5; f6 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a;
@@ -929,7 +1226,7 @@ let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
         f6 a
   | [| f0; f1; f2; f3; f4; f5; f6; f7 |] ->
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         f0 a;
         f1 a;
         f2 a;
@@ -941,41 +1238,12 @@ let segment k bi pc pages (fs : (act -> unit) array) : act -> unit =
   | _ ->
       let n = Array.length fs in
       fun a ->
-        seg_enter a k bi pc pages;
+        seg_enter a k bi pc;
         for i = 0 to n - 1 do
           (Array.unsafe_get fs i) a
         done
 
 (* ---------- the instruction templates ---------- *)
-
-(* A page read into destination code [d] — an int code for the int
-   widths, a float code for the float ones. *)
-let[@inline always] pg_load a (acc : R.acc) d p i =
-  match acc with
-  | R.A_i64 -> wi a d (read_i64 p i)
-  | R.A_f64 ->
-      let x = read_f64 p i in
-      wf a d x
-  | R.A_i32 -> wi a d (read_i32 p i)
-  | R.A_i8 -> wi a d (Page.read_u8 p i)
-  | R.A_i16 -> wi a d (Page.read_u16 p i)
-  | R.A_f32 ->
-      let x = read_f32 p i in
-      wf a d x
-
-(* [pg_write] of the operand at code [c], of the access's kind. *)
-let[@inline always] pg_store a (acc : R.acc) p i c =
-  match acc with
-  | R.A_i64 -> write_i64 p i (ri a c)
-  | R.A_f64 ->
-      let x = rf a c in
-      write_f64 p i x
-  | R.A_i32 -> write_i32 p i (ri a c)
-  | R.A_i8 -> Page.write_u8 p i (ri a c land 0xff)
-  | R.A_i16 -> Page.write_u16 p i (ri a c)
-  | R.A_f32 ->
-      let x = rf a c in
-      write_f32 p i x
 
 (* The direct code of a value of access [acc]'s kind at [l]. *)
 let acode lay (acc : R.acc) l = if acc_kind acc = K_flt then fcode lay l else icode lay l
@@ -1012,8 +1280,22 @@ let boxed_binop ~sw op d x y : act -> unit =
    boxed operands otherwise — so anything unusual stays exact by
    construction. *)
 let binop_code lay ~sw op d x kx y ky : act -> unit =
+  let all kd k = pinnable kd d && pinnable k x && pinnable k y in
+  let pins kd k = (pin lay kd d, pin lay k x, pin lay k y) in
   match binop_kind op kx ky with
   | _ when not (pinned d || pinned x || pinned y) -> boxed_binop ~sw op d x y
+  | K_int when kx = K_int && ky = K_int && all K_int K_int ->
+      let d, x, y = pins K_int K_int in
+      ibin_p op d x y
+  | K_int
+    when is_cmp op && (kx = K_flt || ky = K_flt)
+         && (kx = ky || (op <> Ir.Eq && op <> Ir.Ne))
+         && all K_int K_flt ->
+      let d, x, y = pins K_int K_flt in
+      fbin_p op d x y
+  | K_flt when all K_flt K_flt ->
+      let d, x, y = pins K_flt K_flt in
+      fbin_p op d x y
   | K_int when kx = K_int && ky = K_int -> (
       let d = Option.get (icode lay d) in
       let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
@@ -1057,6 +1339,18 @@ let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> un
         | vx, vy, vz ->
             let p = arith_src mul_swapped Ir.Mul vx vy in
             wr_v a d (arith_src add_swapped Ir.Add p vz))
+  | K_int when List.for_all (pinnable K_int) [ d; x; y; z ] ->
+      let d = pin lay K_int d and x = pin lay K_int x and y = pin lay K_int y in
+      let z = pin lay K_int z in
+      fun a -> si a d ((gi a x * gi a y) + gi a z)
+  | K_flt when km = K_int && pinnable K_int x && pinnable K_int y && pinnable K_flt z && pinnable K_flt d ->
+      let d = pin lay K_flt d and z = pin lay K_flt z in
+      let x = pin lay K_int x and y = pin lay K_int y in
+      fun a -> sf a d (float_of_int (gi a x * gi a y) +. gf a z)
+  | K_flt when km = K_flt && List.for_all (pinnable K_flt) [ d; x; y; z ] ->
+      let d = pin lay K_flt d and x = pin lay K_flt x and y = pin lay K_flt y in
+      let z = pin lay K_flt z in
+      fun a -> sf a d ((gf a x *. gf a y) +. gf a z)
   | K_int ->
       let d = Option.get (icode lay d) in
       let x = Option.get (icode lay x) and y = Option.get (icode lay y) in
@@ -1083,6 +1377,12 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   let deleg () = S_self (fun a -> delegate t a.st mx a.frame ins) in
   let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
   let loc = loc_of lay and kind s = lay.kinds.(s) in
+  (* pinned reads of slot references and int operands, and of values
+     of an access's kind *)
+  let pr s = pinnable K_int (loc s) and pi o = pinnable K_int (oloc lay o) in
+  let pa acc l = pinnable (acc_kind acc) l in
+  let ref_ s = pin lay K_int (loc s) and int_ o = pin lay K_int (oloc lay o) in
+  let val_ acc l = pin lay (acc_kind acc) l in
   match ins with
   | R.Rconst (d, v) -> (
       match loc d, v with
@@ -1093,6 +1393,8 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Rmove (d, s) -> (
       match loc d, loc s, kind s with
       | L_box d, L_box s, _ -> S_bulk (fun a -> fs a.frame d (fg a.frame s))
+      | L_int d, L_int s, _ -> S_bulk (fun a -> si a d (gi a s))
+      | L_flt d, L_flt s, _ -> S_bulk (fun a -> sf a d (gf a s))
       | dl, sl, K_int ->
           let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
           S_bulk (fun a -> wi a d (ri a s))
@@ -1115,14 +1417,16 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
         (mul_add_code lay ~sw:(msw, asw) (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v)
            (loc z) (kind z))
   | R.Rneg (d, s) -> (
-      match kind s with
-      | K_int ->
+      match loc d, loc s, kind s with
+      | L_int d, L_int s, _ -> S_bulk (fun a -> si a d (-gi a s))
+      | L_flt d, L_flt s, _ -> S_bulk (fun a -> sf a d (-.gf a s))
+      | _, _, K_int ->
           let d = Option.get (icode lay (loc d)) and s = Option.get (icode lay (loc s)) in
           S_bulk (fun a -> wi a d (-ri a s))
-      | K_flt ->
+      | _, _, K_flt ->
           let d = Option.get (fcode lay (loc d)) and s = Option.get (fcode lay (loc s)) in
           S_bulk (fun a -> wf a d (-.rf a s))
-      | K_bot | K_box ->
+      | _, _, (K_bot | K_box) ->
           let dl = loc d and sl = loc s in
           S_bulk (fun a ->
               match rd_v a sl with
@@ -1130,6 +1434,10 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               | Value.Float x -> wr_v a dl (Value.Float (-.x))
               | w -> vm_err "neg of %s" (Value.to_string w)))
   | R.Rnot (d, s) -> (
+      match loc d, loc s with
+      | L_int d, L_int s -> S_bulk (fun a -> si a d (if gi a s <> 0 then 0 else 1))
+      | L_int d, L_flt _ -> S_bulk (fun a -> si a d 0)
+      | _ -> (
       let d = Option.get (icode lay (loc d)) in
       match kind s with
       | K_flt -> S_bulk (fun a -> wi a d 0) (* every float is truthy *)
@@ -1138,7 +1446,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           S_bulk (fun a -> wi a d (if ri a s <> 0 then 0 else 1))
       | K_bot | K_box ->
           let sl = loc s in
-          S_bulk (fun a -> wi a d (if truthy (rd_v a sl) then 0 else 1)))
+          S_bulk (fun a -> wi a d (if truthy (rd_v a sl) then 0 else 1))))
   | R.Rnew (d, cid) -> S_bulk (fun a -> fs a.frame d (alloc_obj a.st cid))
   | R.Rnew_array (d, na, len) ->
       S_bulk (fun a -> fs a.frame d (alloc_arr a.st na (as_int (fg a.frame len))))
@@ -1237,41 +1545,46 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
   | R.Raget_aget _
     when object_mode ->
       deleg ()
+  | R.Rget (d, acc, p, off) when pr p && pa acc (loc d) ->
+      S_bulk (get_p acc (val_ acc (loc d)) (ref_ p) off)
+  | R.Rset (acc, p, off, src) when pr p && pa acc (oloc lay src) ->
+      S_bulk (set_p acc (ref_ p) off (val_ acc (oloc lay src)))
+  | R.Raget (d, acc, p, eb, idx) when pr p && pi idx && pa acc (loc d) ->
+      S_bulk (aget_p acc (val_ acc (loc d)) (ref_ p) eb (int_ idx))
+  | R.Raset (acc, p, eb, idx, src) when pr p && pi idx && pa acc (oloc lay src) ->
+      S_bulk (aset_p acc (ref_ p) eb (int_ idx) (val_ acc (oloc lay src)))
+  | R.Raget_get (d, arr, eb, idx, acc, off) when pr arr && pi idx && pa acc (loc d) ->
+      S_bulk (aget_get_p acc (val_ acc (loc d)) (ref_ arr) eb (int_ idx) off)
+  | R.Raget_aget (d, acc, arr1, eb1, idx, arr2, eb2)
+    when pr arr1 && pi idx && pr arr2 && pa acc (loc d) ->
+      S_bulk (aget_aget_p acc (val_ acc (loc d)) (ref_ arr1) eb1 (int_ idx) (ref_ arr2) eb2)
+  | R.Rget_bin (d, R.A_f64, p, off, op, s, _)
+    when is_float_op op && pr p && pinnable K_flt (oloc lay s) && pinnable K_flt (loc d) ->
+      S_bulk (get_bin_f64_p op (pin lay K_flt (loc d)) (ref_ p) off (pin lay K_flt (oloc lay s)))
+  | R.Rrmw (R.A_f64, p, off, op, s, _) when is_float_op op && pr p && pinnable K_flt (oloc lay s) ->
+      S_bulk (rmw_f64_p op (ref_ p) off (pin lay K_flt (oloc lay s)))
   | R.Rget (d, acc, p, off) -> (
       match icode lay (loc p), acode lay acc (loc d) with
-      | Some p, Some d ->
-          S_store (fun a ->
-              let ad = raddr a p in
-              pg_load a acc d (page_in a.pool ad) (offset ad + off))
+      | Some p, Some d -> S_bulk (fun a -> t_get false acc d p off a)
       | _ ->
           let pl = loc p and dl = loc d in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               wr_v a dl (pg_read acc (page_in a.pool ad) (offset ad + off))))
   | R.Rset (acc, p, off, src) -> (
       match icode lay (loc p), acode lay acc (oloc lay src) with
-      | Some p, Some c ->
-          S_store (fun a ->
-              let ad = raddr a p in
-              pg_store a acc (page_in a.pool ad) (offset ad + off) c)
+      | Some p, Some c -> S_bulk (fun a -> t_set false acc p off c a)
       | _ ->
           let pl = loc p and sl = oloc lay src in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               pg_write acc (page_in a.pool ad) (offset ad + off) (rd_v a sl)))
   | R.Raget (d, acc, p, eb, idx) -> (
       match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (loc d) with
-      | Some p, Some ix, Some d ->
-          S_store (fun a ->
-              let ad = raddr a p in
-              let pg = page_in a.pool ad in
-              let b = offset ad in
-              let i = ri a ix in
-              check_index pg b i;
-              pg_load a acc d pg (b + LR.array_header_bytes + (eb * i)))
+      | Some p, Some ix, Some d -> S_bulk (fun a -> t_aget false acc d p eb ix a)
       | _ ->
           let pl = loc p and il = oloc lay idx and dl = loc d in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1280,17 +1593,10 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               wr_v a dl (pg_read acc pg (b + LR.array_header_bytes + (eb * i)))))
   | R.Raset (acc, p, eb, idx, src) -> (
       match icode lay (loc p), icode lay (oloc lay idx), acode lay acc (oloc lay src) with
-      | Some p, Some ix, Some c ->
-          S_store (fun a ->
-              let ad = raddr a p in
-              let pg = page_in a.pool ad in
-              let b = offset ad in
-              let i = ri a ix in
-              check_index pg b i;
-              pg_store a acc pg (b + LR.array_header_bytes + (eb * i)) c)
+      | Some p, Some ix, Some c -> S_bulk (fun a -> t_aset false acc p eb ix c a)
       | _ ->
           let pl = loc p and il = oloc lay idx and sl = oloc lay src in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1303,21 +1609,16 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       match icode lay (loc p), binop_kind op ka ks with
       | Some p, K_flt ->
           let d = Option.get (fcode lay dl) and si, s = ncode lay ks sl in
-          S_store (fun a ->
-              let ad = raddr a p in
-              let x = pg_read_f acc (page_in a.pool ad) (offset ad + off) in
-              let y = rn a si s in
-              let r = fop op x y in
-              wf a d r)
+          S_bulk (fun a -> t_get_bin_f false acc op si d p off s a)
       | Some p, K_int when ka = K_int && ks = K_int ->
           let d = Option.get (icode lay dl) and s = Option.get (icode lay sl) in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = raddr a p in
               let x = pg_read_i acc (page_in a.pool ad) (offset ad + off) in
               wi a d (iarith op x (ri a s)))
       | _ ->
           let pl = loc p in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let x = pg_read acc (page_in a.pool ad) (offset ad + off) in
               wr_v a dl (arith_src sw op x (rd_v a sl))))
@@ -1326,17 +1627,10 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       match icode lay (loc p) with
       | Some p when acc = R.A_f64 && is_float_op op && is_num ks ->
           let si, s = ncode lay ks sl in
-          S_store (fun a ->
-              let ad = raddr a p in
-              let pg = page_in a.pool ad in
-              let i = offset ad + off in
-              let x = read_f64 pg i in
-              let y = rn a si s in
-              let r = fop op x y in
-              write_f64 pg i r)
+          S_bulk (fun a -> t_rmw_f64 false op si p off s a)
       | Some p when acc = R.A_i64 && is_int_op op && ks = K_int ->
           let s = Option.get (icode lay sl) in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = raddr a p in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
@@ -1344,26 +1638,17 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
               write_i64 pg i (iop op x (ri a s)))
       | _ ->
           let pl = loc p in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a pl) in
               let pg = page_in a.pool ad in
               let i = offset ad + off in
               pg_write acc pg i (arith_src sw op (pg_read acc pg i) (rd_v a sl))))
   | R.Raget_get (d, arr, eb, idx, acc, off) -> (
       match icode lay (loc arr), icode lay (oloc lay idx), acode lay acc (loc d) with
-      | Some arr, Some ix, Some d ->
-          S_store (fun a ->
-              let ad = raddr a arr in
-              let pg = page_in a.pool ad in
-              let b = offset ad in
-              let i = ri a ix in
-              check_index pg b i;
-              let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
-              let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
-              pg_load a acc d (page_in a.pool ad2) (offset ad2 + off))
+      | Some arr, Some ix, Some d -> S_bulk (fun a -> t_aget_get false acc d arr eb ix off a)
       | _ ->
           let al = loc arr and il = oloc lay idx and dl = loc d in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad = addr_nn (rd_v a al) in
               let pg = page_in a.pool ad in
               let b = offset ad in
@@ -1383,21 +1668,10 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           acode lay acc (loc d) )
       with
       | Some a1, Some ix, Some a2, Some d ->
-          S_store (fun a ->
-              let ad1 = raddr a a1 in
-              let pg1 = page_in a.pool ad1 in
-              let b1 = offset ad1 in
-              let i = ri a ix in
-              check_index pg1 b1 i;
-              let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
-              let ad2 = raddr a a2 in
-              let pg2 = page_in a.pool ad2 in
-              let b2 = offset ad2 in
-              check_index pg2 b2 j;
-              pg_load a acc d pg2 (b2 + LR.array_header_bytes + (eb2 * j)))
+          S_bulk (fun a -> t_aget_aget false acc d a1 eb1 ix a2 eb2 a)
       | _ ->
           let l1 = loc arr1 and il = oloc lay idx and l2 = loc arr2 and dl = loc d in
-          S_store (fun a ->
+          S_bulk (fun a ->
               let ad1 = addr_nn (rd_v a l1) in
               let pg1 = page_in a.pool ad1 in
               let b1 = offset ad1 in
@@ -1541,15 +1815,14 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
         for pc = start_pc to start_pc + Array.length items - 1 do
           k := !k + R.weight code.(pc)
         done;
-        let pages = Array.exists (function S_store _ -> true | _ -> false) items in
-        let fns = Array.map (function S_bulk f | S_store f -> f | S_self _ -> assert false) items in
-        acts := segment !k bi start_pc pages fns :: !acts;
+        let fns = Array.map (function S_bulk f -> f | S_self _ -> assert false) items in
+        acts := segment !k bi start_pc fns :: !acts;
         group := []
   in
   Array.iteri
     (fun pc s ->
       match s with
-      | S_bulk _ | S_store _ ->
+      | S_bulk _ ->
           if !group = [] then group_start := pc;
           group := s :: !group
       | S_self f ->

@@ -51,10 +51,6 @@ type ctx = {
   mutable last_pages : int;
 }
 
-let store c = c.store_
-let heap c = c.heap_
-let mode c = c.config.mode
-
 let sync_native c =
   match c.store_ with
   | None -> ()

@@ -42,10 +42,6 @@ type ctx
 
 val with_run : config -> (ctx -> 'a) -> 'a outcome
 
-val store : ctx -> Pagestore.Store.t option
-val heap : ctx -> Heapsim.Heap.t
-val mode : ctx -> mode
-
 val load_graph : ctx -> vertices:int -> edges:int -> unit
 (** Charge one machine's share of the resident graph representation:
     per-vertex objects in P; page records (really allocated) in P′.

@@ -67,7 +67,6 @@ let machine_slice config arr =
   Array.of_list !mine
 
 let heap c = c.heap_
-let clock c = c.clock_
 let store c = c.store_
 let cfg c = c.config
 let charge c cat s = Clock.charge c.clock_ cat s

@@ -59,7 +59,6 @@ val with_run : config -> (ctx -> 'a) -> 'a outcome
 (** Accessors for job implementations. *)
 
 val heap : ctx -> Heapsim.Heap.t
-val clock : ctx -> Heapsim.Sim_clock.t
 val store : ctx -> Pagestore.Store.t option
 (** [Some] in facade mode. *)
 

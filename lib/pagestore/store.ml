@@ -3,23 +3,18 @@ type thread = int
 type thread_state = {
   default_mgr : Page_manager.t;
   mutable stack : Page_manager.t list;  (* innermost iteration first *)
-  mutable t_records : int;  (* cumulative; owner-thread writes only *)
-  mutable t_bytes : int;
 }
-
-type thread_totals = { thread_records : int; thread_bytes : int }
 
 module Imap = Map.Make (Int)
 
 type t = {
   pool : Page_pool.t;
-  mu : Mutex.t;  (* serializes registration: [threads] updates and [retired] *)
+  mu : Mutex.t;  (* serializes registration: [threads] updates *)
   threads : thread_state Imap.t Atomic.t;
       (* The live threads, as an immutable map: writers build the next
          map while holding [mu] and publish it with [Atomic.set], so the
          allocation path finds its thread with one atomic read and a
          map descent — no mutex, no allocation. *)
-  retired : (thread, thread_totals) Hashtbl.t;
   records : int Atomic.t;
   (* Resource limits for multi-tenant runs; 0 means unlimited. Plain int
      reads on the allocation path — the unset check is a single compare. *)
@@ -45,7 +40,6 @@ let create ?page_bytes () =
     pool = Page_pool.create ?page_bytes ();
     mu = Mutex.create ();
     threads = Atomic.make Imap.empty;
-    retired = Hashtbl.create 16;
     records = Atomic.make 0;
     max_live_pages = 0;
     max_native_bytes = 0;
@@ -114,21 +108,12 @@ let register_thread ?parent t id =
         | Some m -> Page_manager.create_child m
       in
       Atomic.set t.threads
-        (Imap.add id { default_mgr; stack = []; t_records = 0; t_bytes = 0 } threads))
+        (Imap.add id { default_mgr; stack = [] } threads))
 
 let release_thread t id =
   let st = thread_state t id in
   Page_manager.release_all st.default_mgr;
-  with_mu t (fun () ->
-      Hashtbl.replace t.retired id
-        { thread_records = st.t_records; thread_bytes = st.t_bytes };
-      Atomic.set t.threads (Imap.remove id (Atomic.get t.threads)))
-
-let thread_totals t ~thread =
-  with_mu t (fun () ->
-      match Imap.find_opt thread (Atomic.get t.threads) with
-      | Some st -> Some { thread_records = st.t_records; thread_bytes = st.t_bytes }
-      | None -> Hashtbl.find_opt t.retired thread)
+  with_mu t (fun () -> Atomic.set t.threads (Imap.remove id (Atomic.get t.threads)))
 
 let iteration_start t ~thread =
   let st = thread_state t thread in
@@ -154,8 +139,6 @@ let alloc_record_st t st ~type_id ~data_bytes =
   let bytes = Layout_rt.record_header_bytes + data_bytes in
   let addr = Page_manager.alloc (current_mgr st) ~bytes in
   check_limits t;
-  st.t_records <- st.t_records + 1;
-  st.t_bytes <- st.t_bytes + bytes;
   Page.write_u16 (page_of t addr) (Addr.offset addr + Layout_rt.type_id_offset) type_id;
   addr
 
@@ -164,8 +147,6 @@ let alloc_array_st alloc t st ~type_id ~elem_bytes ~length =
   let bytes = Layout_rt.array_header_bytes + (elem_bytes * length) in
   let addr = alloc (current_mgr st) ~bytes in
   check_limits t;
-  st.t_records <- st.t_records + 1;
-  st.t_bytes <- st.t_bytes + bytes;
   let p = page_of t addr and off = Addr.offset addr in
   Page.write_u16 p (off + Layout_rt.type_id_offset) type_id;
   Page.write_i32 p (off + Layout_rt.length_offset) length;

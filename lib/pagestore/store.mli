@@ -121,13 +121,6 @@ type stats = {
 
 val stats : t -> stats
 
-type thread_totals = { thread_records : int; thread_bytes : int }
-(** Cumulative per-logical-thread allocation counters (records and bytes
-    requested), surviving {!release_thread}. *)
-
-val thread_totals : t -> thread:thread -> thread_totals option
-(** [None] when the thread was never registered. *)
-
 val live_page_objects : t -> int
 (** The number of page wrapper objects currently on the (simulated) managed
     heap: the [p] of the paper's O(t·n + p) bound. *)
@@ -137,10 +130,9 @@ val live_page_objects : t -> int
     A [local] pins one logical thread's state so the hot allocation path
     touches no mutex and no shared atomic: the thread registry is consulted
     once at creation, and the global record counter is updated only at
-    {!local_flush} (iteration boundaries and joins). Per-thread totals
-    ([thread_totals]) stay exact throughout because they were always
-    owner-thread-only; {!stats}[.records_allocated] lags by at most the
-    pending count until the owner flushes. The usual thread-affinity rule
+    {!local_flush} (iteration boundaries and joins), so
+    {!stats}[.records_allocated] lags by at most the pending count until
+    the owner flushes. The usual thread-affinity rule
     applies: a [local] must only ever be driven by the one domain running
     its logical thread. *)
 

@@ -556,12 +556,8 @@ let test_store_register_while_allocating () =
         (fun i a ->
           Alcotest.(check int) "record intact" ((thread * 100000) + i)
             (Store.get_i32 s a ~offset:4))
-        addrs;
-      Alcotest.(check (option int)) "per-thread total" (Some 3000)
-        (Option.map (fun t -> t.Store.thread_records) (Store.thread_totals s ~thread)))
+        addrs)
     [ (1, a1); (2, a2) ];
-  Alcotest.(check (option int)) "a churned thread retired with its record" (Some 1)
-    (Option.map (fun t -> t.Store.thread_records) (Store.thread_totals s ~thread:1_000));
   Alcotest.(check int) "all records counted" (6000 + n1 + n2)
     (Store.stats s).Store.records_allocated
 

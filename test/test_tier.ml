@@ -1659,6 +1659,165 @@ let test_call_in_loop_budgets () =
     ~tier1:(fun max_steps -> I.run_object_linked ~max_steps rp)
     ~tier2:(fun max_steps -> I.run_object_linked ~max_steps ~tier:(I.make_tier rp) rp)
 
+(* ---------- pinned templates at their faults ----------
+
+   A template whose every operand is pinned runs a closure built for
+   its width and operator, with no test of where an operand lives (the
+   int [Rget_bin] and [Rrmw] keep their direct-code closures, checked
+   here with every operand pinned too). Each program below leaves every slot of its entry pinned (0 boxed in
+   [tier2 slots]) and reaches one such template with an operand that
+   faults: a null page reference, an index of -1 or of the array's
+   length, an int division by zero. Every slot the entry's code touches
+   is pinned: [tier2 slots] counts them all as int or float (the rest
+   of the frame is slots fusion left unused). [prog v] puts [v] where
+   the fault comes from; [safe] gives the same program, with the same slot kinds,
+   that runs to its end. Baseline, tier 1 and tier 2 agree on the safe
+   run's result, output and steps, and at every step budget up to the
+   fault on the outcome and its error text. *)
+
+(* The slots the linked entry's instructions and terminators name. *)
+let touched_slots pl =
+  let module Q = Facade_vm.Quicken in
+  let rp = Facade_vm.Link.facade_program pl in
+  let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
+  let seen = Hashtbl.create 16 in
+  let add s = Hashtbl.replace seen s () in
+  Array.iter
+    (fun (b : Facade_vm.Resolved.block) ->
+      Array.iter
+        (fun ins ->
+          Option.iter add (Q.rdef ins);
+          Q.iter_uses add ins)
+        b.Facade_vm.Resolved.code;
+      Q.iter_term_uses add b.Facade_vm.Resolved.term)
+    m.Facade_vm.Resolved.m_body;
+  Hashtbl.length seen
+
+let cell_all =
+  "class Cell {\n\
+  \  field int v;\n\
+  \  field double w;\n\
+  \  method <init>() {\n\
+  \    b0:\n\
+  \      return;\n\
+  \  }\n\
+   }\n\n"
+
+(* [cs] holds one cell, at index 0; [c = cs[k]] at [k = v] reads it,
+   or a null reference for [v = 1]. *)
+let cell_prog ~locals body v =
+  main_blocks ~classes:cell_all ~ret:"int"
+    ~locals:([ "n: int"; "k: int"; "x: int"; "y: int"; "c: Cell"; "cs: Cell[]" ] @ locals)
+    [
+      ( "b0",
+        [ "n = 2;"; "cs = new Cell[n];"; "k = 0;"; "c = new Cell;"; "cs[k] = c;";
+          "x = 6;"; "c.v = x;"; "k = " ^ v ^ ";"; "c = cs[k];" ]
+        @ body );
+    ]
+
+let arr_prog body =
+  main_blocks ~ret:"int"
+    ~locals:[ "n: int"; "k: int"; "j: int"; "x: int"; "idx: int[]"; "vals: int[]" ]
+    [
+      ( "b0",
+        [ "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "x = 3;"; "k = 1;"; "vals[k] = x;" ]
+        @ body );
+    ]
+
+let pinned_fault_cases =
+  let module R = Facade_vm.Resolved in
+  let null = "NullPointerException: null page reference" in
+  let oob v = "ArrayIndexOutOfBoundsException: " ^ v in
+  let is_int_op op = function R.Rbinop (_, o, _, _) -> o = op | _ -> false in
+  let cells = [ "Cell"; "Main" ] in
+  [
+    ( "Rget", cells,
+      cell_prog ~locals:[] [ "x = c.v;"; "y = c.v;"; "x = x + y;"; "return x;" ],
+      "0", [ ("1", null) ], function R.Rget (_, R.A_i32, _, _) -> true | _ -> false );
+    ( "Rset", cells,
+      cell_prog ~locals:[] [ "c.v = n;"; "x = c.v;"; "return x;" ],
+      "0", [ ("1", null) ], function R.Rset (R.A_i32, _, _, _) -> true | _ -> false );
+    ( "Rget_bin f64", cells,
+      cell_prog ~locals:[ "f: double"; "g: double" ]
+        [ "g = 0x1.8p+1;"; "f = c.w;"; "f = f * g;"; "c.w = g;"; "x = c.v;"; "return x;" ],
+      "0", [ ("1", null) ],
+      function R.Rget_bin (_, R.A_f64, _, _, Ir.Mul, _, _) -> true | _ -> false );
+    ( "Rrmw f64", cells,
+      cell_prog ~locals:[ "f: double"; "g: double" ]
+        [ "g = 0x1.8p+1;"; "f = c.w;"; "f = f + g;"; "c.w = f;"; "x = c.v;"; "return x;" ],
+      "0", [ ("1", null) ],
+      function R.Rrmw (R.A_f64, _, _, Ir.Add, _, _) -> true | _ -> false );
+    ( "Raget_get", cells,
+      cell_prog ~locals:[] [ "x = c.v;"; "return x;" ],
+      "0", [ ("1", null) ], function R.Raget_get _ -> true | _ -> false );
+    ( "Rget_bin int Div", cells,
+      (fun v ->
+        cell_prog ~locals:[ "z: int" ]
+          [ "z = " ^ v ^ ";"; "x = c.v;"; "x = x / z;"; "y = c.v;"; "x = x + y;"; "return x;" ]
+          "0"),
+      "2", [ ("0", "ArithmeticException: / by zero") ],
+      function R.Rget_bin (_, R.A_i32, _, _, Ir.Div, _, _) -> true | _ -> false );
+    ( "Rrmw int Rem", cells,
+      (fun v ->
+        cell_prog ~locals:[ "z: int" ]
+          [ "z = " ^ v ^ ";"; "x = c.v;"; "x = x % z;"; "c.v = x;"; "x = c.v;"; "return x;" ]
+          "0"),
+      "4", [ ("0", "ArithmeticException: % by zero") ],
+      function R.Rrmw (R.A_i32, _, _, Ir.Rem, _, _) -> true | _ -> false );
+    ( "Raget", [ "Main" ],
+      (fun v -> arr_prog [ "k = " ^ v ^ ";"; "x = vals[k];"; "return x;" ]),
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget _ -> true | _ -> false );
+    ( "Raset", [ "Main" ],
+      (fun v -> arr_prog [ "k = " ^ v ^ ";"; "vals[k] = n;"; "x = n + k;"; "return x;" ]),
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raset _ -> true | _ -> false );
+    ( "Raget_aget outer index", [ "Main" ],
+      (fun v -> arr_prog [ "k = " ^ v ^ ";"; "j = idx[k];"; "x = vals[j];"; "return x;" ]),
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget_aget _ -> true | _ -> false );
+    ( "Raget_aget inner index", [ "Main" ],
+      (fun v ->
+        arr_prog [ "j = " ^ v ^ ";"; "k = 2;"; "idx[k] = j;"; "j = idx[k];"; "x = vals[j];"; "return x;" ]),
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget_aget _ -> true | _ -> false );
+    ( "int Div and Rem", [ "Main" ],
+      (fun v -> arr_prog [ "k = " ^ v ^ ";"; "j = n / k;"; "x = n % k;"; "x = x + j;"; "return x;" ]),
+      "3", [ ("0", "ArithmeticException: / by zero") ], is_int_op Ir.Rem );
+    ( "float divided by an int", [ "Main" ],
+      (fun v ->
+        main_blocks ~ret:"double" ~locals:[ "f: double"; "g: double"; "k: int"; "t: int" ]
+          [
+            ( "b0",
+              [ "f = 0x1p+0;"; "t = 3;"; "k = " ^ v ^ ";"; "g = f / t;"; "f = g / k;"; "return f;" ] );
+          ]),
+      "3", [], function R.Rbinop_imm (_, Ir.Div, _, _, _) -> true | _ -> false );
+  ]
+
+let test_pinned_faults () =
+  let base_outcome pl =
+    match Facade_vm.Interp_baseline.run_facade pl with
+    | o -> Ok (Exact.exact_result o.I.result, Stats.output_lines o.I.stats, o.I.stats.Stats.steps)
+    | exception I.Vm_error e -> Error e
+  in
+  List.iter
+    (fun (name, data, prog, safe, faults, pred) ->
+      let pl = facade_pl ~data (prog safe) in
+      Alcotest.(check bool) (name ^ ": in the linked entry") true (entry_has pl pred);
+      let t1 = run_outcome pl in
+      Alcotest.(check bool) (name ^ ": the safe twin runs") true (Result.is_ok t1);
+      Alcotest.check outcome_t (name ^ ": baseline == tier 1") (flat (base_outcome pl)) (flat t1);
+      Alcotest.check outcome_t (name ^ ": tier 2 == tier 1") (flat t1)
+        (flat (run_outcome ~tier:(Vm_runs.facade_tier pl) pl));
+      let st = (I.run_facade ~tier:(Vm_runs.facade_tier pl) pl).I.stats in
+      Alcotest.(check int) (name ^ ": every touched slot pinned") (touched_slots pl)
+        (st.Stats.tier2_int_slots + st.Stats.tier2_float_slots);
+      List.iter
+        (fun (v, expect) ->
+          let pl = facade_pl ~data (prog v) in
+          let base max_steps = Facade_vm.Interp_baseline.run_facade ~max_steps pl in
+          sweep_each ~label:(name ^ " at " ^ v) ~upto:60 ~expect ~base
+            ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
+            ~tier2:(fun max_steps -> I.run_facade ~max_steps ~tier:(Vm_runs.facade_tier pl) pl))
+        faults)
+    pinned_fault_cases
+
 let () =
   Alcotest.run "tier"
     [
@@ -1700,6 +1859,7 @@ let () =
             test_pinned_budget_sweep;
           Alcotest.test_case "pinned leaf, inlined and retired" `Quick test_leaf_pinned;
           Alcotest.test_case "pagerank main's pinned slots" `Quick test_pagerank_slots;
+          Alcotest.test_case "pinned templates at their faults" `Quick test_pinned_faults;
         ] );
       ( "swapped-ops",
         [
