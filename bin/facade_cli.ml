@@ -10,7 +10,8 @@
    facade_cli inspect NAME [--original]     - pretty-print a sample (P' by default)
    facade_cli check FILE [--json]           - verify + flow-sensitive analyses
    facade_cli lint FILE [--data ...]        - full FACADE invariant lint
-   facade_cli opt-report NAME [--json]      - per-pass optimizer + quickening deltas *)
+   facade_cli opt-report NAME [--json]      - per-pass optimizer deltas + link and
+                                              tier-2 fusion site counts *)
 
 open Cmdliner
 
@@ -37,7 +38,9 @@ let no_tier2 =
   Arg.(
     value & flag
     & info [ "no-tier2" ]
-        ~doc:"Keep execution on the interpreter (tier 1): no tier-2 closure compiler.")
+        ~doc:
+          "Keep execution on the interpreter (tier 1): no tier-2 closure compiler, \
+           so every instruction runs unfused, one jir instruction per step.")
 
 let tier_feedback (rep : Opt.Driver.report option) =
   Option.map
@@ -694,7 +697,7 @@ let opt_report_cmd =
             rep.Opt.Driver.deltas;
           Printf.printf
             "quicken: %d IC virtual sites, %d IC field sites, %d specialized \
-             accessors, %d fused pairs, %d immediate ops\n"
+             accessors, %d fused pairs (tier 2), %d immediate ops\n"
             c.Facade_vm.Quicken.ic_virtual_sites c.Facade_vm.Quicken.ic_field_sites
             c.Facade_vm.Quicken.specialized_accessors c.Facade_vm.Quicken.fused_pairs
             c.Facade_vm.Quicken.imm_ops;
@@ -720,8 +723,10 @@ let opt_report_cmd =
        ~doc:
          "Compile a sample, run the optimizer pipeline over P', and print the \
           per-pass IR deltas (instructions removed, copies propagated, sites \
-          devirtualized, calls inlined) plus the linked program's quickening \
-          site counts.")
+          devirtualized, calls inlined) plus the linked program's site counts: \
+          inline caches, specialized page accessors and constant operands from \
+          the link, and the windows tier 2 fuses when it compiles each \
+          method.")
     Term.(ret (const run $ sample_arg $ json_flag))
 
 let serve_cmd =

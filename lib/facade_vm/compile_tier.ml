@@ -1,6 +1,8 @@
 (* The tier-2 closure compiler: translates each resolved method, at its
    first call, out of the interpreter's dispatch loop into
-   directly-composed OCaml closures — one closure per instruction,
+   directly-composed OCaml closures. It first fuses the method's
+   one-for-one linked body into superinstructions ({!Fuse}), then
+   builds one closure per fused instruction,
    pre-composed per basic block, with accessor/arith/operand dispatch
    hoisted to compile time: each template is built either pinned or
    boxed (see "pinned templates"), and a pinned one is selected for its
@@ -37,13 +39,17 @@
      would expire inside the run, so tier-1 reproduces the exact error
      point; otherwise the step count advances by its precomputed delta
      and the closures run, straight-line for a segment of up to eight
-     (see [segment]). The step delta is the sum of the instructions'
-     weights ({!Resolved.weight}: a fused form charges the source
-     instructions it replaced), plus a fused compare's step when the
-     segment ends its block;
+     (see [segment]). The step delta is the total length of the
+     segment's source windows ({!Fuse}: a fused instruction charges
+     every source instruction it replaced), plus a fused compare's step
+     when the segment ends its block;
    - guards and calls charge one step themselves after their own budget
      precheck, and so does a fused compare after a block's last
      self-charging action;
+   - every deopt names the source pc of its window's first instruction
+     (a fused compare's, the compare's own pc, or the [Rjump] jump
+     threading copied it past), so tier 1, which runs the linked body
+     one instruction per step, resumes exactly there;
    - anything else is delegated, instruction by instruction, to the
      interpreter's [h_exec], which self-accounts, and counted in
      [Exec_stats.tier2_delegated]: iteration start/end,
@@ -51,8 +57,9 @@
      (rt.free_oversize, rt.array_length,
      rt.type_id/is_type/checkcast, rt.string_literal,
      pool.param/pool.resolve, lock.enter/exit, convert.to/from, the
-     sys.* calls other than sys.print, and the page accessors
-     quickening did not specialize), IC misses at monomorphic sites,
+     sys.* calls other than sys.print, and the page accessors whose
+     offset or element width the link could not fix), IC misses at
+     monomorphic sites,
      field-IC misses, and the first execution of a virtual site whose
      cache was cold at compile time.
    The only divergence is unobservable: a [Vm_error] thrown mid-segment
@@ -64,6 +71,7 @@ open Vm_state
 module Page = Pagestore.Page
 module Page_pool = Pagestore.Page_pool
 module LR = Pagestore.Layout_rt
+module F = Fuse
 
 type feedback = {
   fb_mono : string list;
@@ -230,14 +238,13 @@ let[@inline always] pg_write (a : R.acc) p i v =
       write_f32 p i x
 
 (* [arith] with the int and float cases of Add/Sub/Mul inline. Mixed or
-   invalid operands go to [arith]: same coercions, same errors — in
-   source order for the commutative ones, which quickening may have
-   [sw]apped. *)
-let[@inline] add_v sw p q =
+   invalid operands go to [arith]: same coercions, same errors. Every
+   caller passes its operands in source order. *)
+let[@inline] add_v p q =
   match p, q with
   | Value.Int x, Value.Int y -> of_int (x + y)
   | Value.Float x, Value.Float y -> Value.Float (x +. y)
-  | _ -> arith_src sw Ir.Add p q
+  | _ -> arith Ir.Add p q
 
 let[@inline] sub_v p q =
   match p, q with
@@ -245,11 +252,11 @@ let[@inline] sub_v p q =
   | Value.Float x, Value.Float y -> Value.Float (x -. y)
   | _ -> arith Ir.Sub p q
 
-let[@inline] mul_v sw p q =
+let[@inline] mul_v p q =
   match p, q with
   | Value.Int x, Value.Int y -> of_int (x * y)
   | Value.Float x, Value.Float y -> Value.Float (x *. y)
-  | _ -> arith_src sw Ir.Mul p q
+  | _ -> arith Ir.Mul p q
 
 let[@inline never] cmp_slow op p q t e = if truthy (arith op p q) then t else e
 
@@ -328,26 +335,23 @@ let binop_kind op kx ky =
   | (K_int | K_flt), (K_int | K_flt) when is_float_op op -> K_flt
   | _ -> K_box
 
-(* The kind an instruction writes to its destination. *)
-let def_kind (k : kind array) = function
-  | R.Rconst (_, v) -> kind_of_value v
-  | R.Rmove (_, s) | R.Rneg (_, s) -> k.(s)
-  | R.Rnot _ -> K_int
-  | R.Rbinop (_, op, x, y) -> binop_kind op k.(x) k.(y)
-  | R.Rbinop_imm (_, op, x, v, _) -> binop_kind op k.(x) (kind_of_value v)
-  | R.Rmul_add (_, x, y, z) -> binop_kind Ir.Add (binop_kind Ir.Mul k.(x) k.(y)) k.(z)
-  | R.Rmul_add_imm (_, x, v, z, _, _) ->
-      binop_kind Ir.Add (binop_kind Ir.Mul k.(x) (kind_of_value v)) k.(z)
-  | R.Rget (_, acc, _, _)
-  | R.Raget (_, acc, _, _, _)
-  | R.Raget_get (_, _, _, _, acc, _)
-  | R.Raget_aget (_, acc, _, _, _, _, _) ->
+(* The kind a fused instruction writes to its destination. *)
+let def_kind (k : kind array) =
+  let ok = function R.Oslot s -> k.(s) | R.Oconst v -> kind_of_value v in
+  function
+  | F.One (R.Rconst (_, v)) -> kind_of_value v
+  | F.One (R.Rmove (_, s) | R.Rneg (_, s)) -> k.(s)
+  | F.One (R.Rnot _) -> K_int
+  | F.One (R.Rbinop (_, op, x, y)) -> binop_kind op (ok x) (ok y)
+  | F.Mul_add (_, x, y, z, _) -> binop_kind Ir.Add (binop_kind Ir.Mul (ok x) (ok y)) k.(z)
+  | F.One (R.Rget (_, acc, _, _) | R.Raget (_, acc, _, _, _))
+  | F.Aget_get (_, _, _, _, acc, _)
+  | F.Aget_aget (_, acc, _, _, _, _, _) ->
       acc_kind acc
-  | R.Rget_bin (_, acc, _, _, op, s, _) ->
-      binop_kind op (acc_kind acc)
-        (match s with R.Oslot s -> k.(s) | R.Oconst v -> kind_of_value v)
-  | R.Rintrinsic
-      (_, (R.I_alloc | R.I_alloc_array | R.I_alloc_array_oversize | R.I_facade_read), _) ->
+  | F.Get_bin (_, acc, _, _, op, s, _) -> binop_kind op (acc_kind acc) (ok s)
+  | F.One
+      (R.Rintrinsic
+        (_, (R.I_alloc | R.I_alloc_array | R.I_alloc_array_oversize | R.I_facade_read), _)) ->
       K_int (* a page address *)
   | _ -> K_box
 
@@ -362,14 +366,12 @@ let native_intrinsic = function
 (* The templates that can read and write a slot unboxed. Facade page
    templates delegate in object mode, so there they cannot. *)
 let typed_capable ~object_mode = function
-  | R.Rconst _ | R.Rmove _ | R.Rbinop _ | R.Rbinop_imm _ | R.Rmul_add _ | R.Rmul_add_imm _
-  | R.Rneg _ | R.Rnot _ ->
-      true
-  | R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _ | R.Rget_bin _ | R.Rrmw _ | R.Raget_get _
-  | R.Raget_aget _ ->
+  | F.One (R.Rconst _ | R.Rmove _ | R.Rbinop _ | R.Rneg _ | R.Rnot _) | F.Mul_add _ -> true
+  | F.One (R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _)
+  | F.Get_bin _ | F.Rmw _ | F.Aget_get _ | F.Aget_aget _ ->
       not object_mode
-  | R.Rintrinsic (_, i, _) -> native_intrinsic i
-  | _ -> false
+  | F.One (R.Rintrinsic (_, i, _)) -> native_intrinsic i
+  | F.One _ -> false
 
 (* Where compiled code finds an operand. *)
 type loc =
@@ -394,21 +396,21 @@ let no_flts = Float.Array.create 0
 (* Slot-kind inference and pinning. Kinds start from the frame template
    (params and [this] are boxed: arguments overwrite them) and rise to
    a fixpoint over every definition. A slot is pinned when its kind is
-   int or float and every instruction touching it is typed-capable;
-   terminators all are. *)
-let infer_layout ~object_mode (m : R.meth) =
+   int or float and every fused instruction touching it is
+   typed-capable; terminators all are. *)
+let infer_layout ~object_mode (m : R.meth) (body : F.block array) =
   let n = Array.length m.R.m_frame in
   let k = Array.map kind_of_value m.R.m_frame in
   for s = 0 to min (n - 1) m.R.m_nparams do
     k.(s) <- K_box
   done;
-  let instrs = Array.concat (List.map (fun (b : R.block) -> b.R.code) (Array.to_list m.R.m_body)) in
+  let instrs = Array.concat (List.map (fun (b : F.block) -> b.F.code) (Array.to_list body)) in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun ins ->
-        match Quicken.rdef ins with
+        match F.def ins with
         | Some d ->
             let j = join k.(d) (def_kind k ins) in
             if j <> k.(d) then begin
@@ -424,10 +426,10 @@ let infer_layout ~object_mode (m : R.meth) =
   Array.iter
     (fun ins ->
       let ok = typed_capable ~object_mode ins in
-      Option.iter (touch ok) (Quicken.rdef ins);
-      Quicken.iter_uses (touch ok) ins)
+      Option.iter (touch ok) (F.def ins);
+      F.iter_uses (touch ok) ins)
     instrs;
-  Array.iter (fun (b : R.block) -> Quicken.iter_term_uses (touch true) b.R.term) m.R.m_body;
+  Array.iter (fun (b : F.block) -> F.iter_term_uses (touch true) b.F.term) body;
   let ni = ref 0 and nf = ref 0 in
   let locs =
     Array.init n (fun s ->
@@ -455,8 +457,8 @@ let infer_layout ~object_mode (m : R.meth) =
        else Float.Array.map_from_array (fun s -> as_float m.R.m_frame.(s)) flt_slots);
   }
 
-let layout_for (cst : st) m =
-  infer_layout ~object_mode:(match cst.mode with Object_mode -> true | Facade_mode _ -> false) m
+let layout_for (cst : st) m body =
+  infer_layout ~object_mode:(match cst.mode with Object_mode -> true | Facade_mode _ -> false) m body
 
 let loc_of (l : layout) s = l.locs.(s)
 let oloc (l : layout) = function R.Oslot s -> l.locs.(s) | R.Oconst v -> L_imm v
@@ -526,7 +528,7 @@ let[@inline always] fcmp (op : Ir.binop) (x : float) (y : float) =
    [match acc] and [match op], so each closure reads and writes
    [a.ints]/[a.flts] directly, with its width and operator fixed, and
    tests nothing its compiler already knew — where an operand lives
-   least of all. (The int [Rget_bin] and a float op that converts an
+   least of all. (The int [Get_bin] and a float op that converts an
    int slot fix how each operand is read, but match their operator at
    run time.) Any other template is *boxed*: it reads and writes each
    operand through [rd_v]/[wr_v] and computes through [arith], so
@@ -1067,10 +1069,10 @@ let boxed_branch (op : Ir.binop) x y t e : act -> int =
         | p, q -> cmp_slow op p q t e)
   | _ -> fun a -> cmp_slow op (opv a.frame x) (opv a.frame y) t e
 
-let compile_term lay (term : R.term) : act -> int =
+let compile_term lay (term : F.term) : act -> int =
   match term with
-  | R.Rret_void -> fun _ -> -1
-  | R.Rret s -> (
+  | F.Term R.Rret_void -> fun _ -> -1
+  | F.Term (R.Rret s) -> (
       match loc_of lay s with
       | L_box s ->
           fun a ->
@@ -1080,14 +1082,14 @@ let compile_term lay (term : R.term) : act -> int =
           fun a ->
             a.st.tret <- rd_v a l;
             -2)
-  | R.Rjump t -> fun _ -> t
-  | R.Rbranch (s, t, e) -> (
+  | F.Term (R.Rjump t) -> fun _ -> t
+  | F.Term (R.Rbranch (s, t, e)) -> (
       match loc_of lay s with
       | L_int k -> fun a -> if Array.unsafe_get a.ints k <> 0 then t else e
       | L_flt _ -> fun _ -> t (* every float is truthy, 0.0 included *)
       | L_box s -> fun a -> if truthy (fg a.frame s) then t else e
       | L_imm v -> if truthy v then fun _ -> t else fun _ -> e)
-  | R.Rcmp_branch (op, x, y, t, e) ->
+  | F.Cmp_branch (op, x, y, t, e) ->
       let kx = okind lay x and ky = okind lay y in
       let lx = oloc lay x and ly = oloc lay y in
       if not (pinned lx || pinned ly) then boxed_branch op x y t e
@@ -1192,35 +1194,38 @@ let segment k bi pc (fs : (act -> unit) array) : act -> unit =
 
 (* [d = x op y] through [arith] on boxed operands. With no pinned slot
    involved — the common case in object mode — the frame is read
-   directly, which spares [rd_v]'s match on each operand's location.
-   [sw]: a commutative op quickening swapped (see [arith_src]). *)
-let boxed_binop ~sw op d x y : act -> unit =
+   directly, which spares [rd_v]'s match on each operand's location. *)
+let boxed_binop op d x y : act -> unit =
   match d, x, y with
   | L_box d, L_box x, L_box y -> (
       match op with
-      | Ir.Add -> fun a -> fs a.frame d (add_v sw (fg a.frame x) (fg a.frame y))
+      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) (fg a.frame y))
       | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) (fg a.frame y))
-      | Ir.Mul -> fun a -> fs a.frame d (mul_v sw (fg a.frame x) (fg a.frame y))
-      | _ when sw -> fun a -> fs a.frame d (arith_src true op (fg a.frame x) (fg a.frame y))
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) (fg a.frame y))
       | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) (fg a.frame y)))
   | L_box d, L_box x, L_imm v -> (
       match op with
-      | Ir.Add -> fun a -> fs a.frame d (add_v sw (fg a.frame x) v)
+      | Ir.Add -> fun a -> fs a.frame d (add_v (fg a.frame x) v)
       | Ir.Sub -> fun a -> fs a.frame d (sub_v (fg a.frame x) v)
-      | Ir.Mul -> fun a -> fs a.frame d (mul_v sw (fg a.frame x) v)
-      | _ when sw -> fun a -> fs a.frame d (arith_src true op (fg a.frame x) v)
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v (fg a.frame x) v)
       | _ -> fun a -> fs a.frame d (arith op (fg a.frame x) v))
+  | L_box d, L_imm v, L_box y -> (
+      match op with
+      | Ir.Add -> fun a -> fs a.frame d (add_v v (fg a.frame y))
+      | Ir.Sub -> fun a -> fs a.frame d (sub_v v (fg a.frame y))
+      | Ir.Mul -> fun a -> fs a.frame d (mul_v v (fg a.frame y))
+      | _ -> fun a -> fs a.frame d (arith op v (fg a.frame y)))
   | _ -> (
       match op with
-      | Ir.Add -> fun a -> wr_v a d (add_v sw (rd_v a x) (rd_v a y))
+      | Ir.Add -> fun a -> wr_v a d (add_v (rd_v a x) (rd_v a y))
       | Ir.Sub -> fun a -> wr_v a d (sub_v (rd_v a x) (rd_v a y))
-      | Ir.Mul -> fun a -> wr_v a d (mul_v sw (rd_v a x) (rd_v a y))
-      | _ -> fun a -> wr_v a d (arith_src sw op (rd_v a x) (rd_v a y)))
+      | Ir.Mul -> fun a -> wr_v a d (mul_v (rd_v a x) (rd_v a y))
+      | _ -> fun a -> wr_v a d (arith op (rd_v a x) (rd_v a y)))
 
 (* [d = x op y] over operands of kinds [kx] and [ky]: pinned when the
    kinds decide which case of [arith] runs and every operand is pinned,
    boxed otherwise. *)
-let binop_code lay ~sw op d x kx y ky : act -> unit =
+let binop_code lay op d x kx y ky : act -> unit =
   match binop_kind op kx ky with
   | K_int when pinnable K_int d && pinnable K_int x && pinnable K_int y ->
       ibin_p op (pin lay K_int d) (pin lay K_int x) (pin lay K_int y)
@@ -1230,11 +1235,16 @@ let binop_code lay ~sw op d x kx y ky : act -> unit =
       fbin_p op (pin lay K_int d) (npin lay x) (npin lay y)
   | K_flt when pinnable K_flt d && fnum x && fnum y ->
       fbin_p op (pin lay K_flt d) (npin lay x) (npin lay y)
-  | _ -> boxed_binop ~sw op d x y
+  | _ -> boxed_binop op d x y
+
+(* [arith op], its operands in source order: [left] says whether the
+   source wrote the fused value [v] as the op's left operand. The side is
+   fixed when the template is built. *)
+let arith_side ~left op = if left then fun v s -> arith op v s else fun v s -> arith op s v
 
 (* [d = x*y + z], the product rounded before the sum as tier 1's two
-   [arith] calls do; [sw] holds the product's and the sum's swaps. *)
-let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> unit =
+   [arith] calls do, and added on the side the source wrote it. *)
+let mul_add_code lay ~left d x kx y ky z kz : act -> unit =
   let km = binop_kind Ir.Mul kx ky in
   match binop_kind Ir.Add km kz with
   | K_int when List.for_all (pinnable K_int) [ d; x; y; z ] ->
@@ -1250,23 +1260,99 @@ let mul_add_code lay ~sw:(mul_swapped, add_swapped) d x kx y ky z kz : act -> un
       let z = pin lay K_flt z in
       fun a -> sf a d ((gf a x *. gf a y) +. gf a z)
   | _ -> (
+      let add = arith_side ~left Ir.Add in
       fun a ->
         match rd_v a x, rd_v a y, rd_v a z with
         | Value.Int p, Value.Int q, Value.Int r -> wr_v a d (of_int ((p * q) + r))
-        | vx, vy, vz ->
-            let p = arith_src mul_swapped Ir.Mul vx vy in
-            wr_v a d (arith_src add_swapped Ir.Add p vz))
+        | vx, vy, vz -> wr_v a d (add (arith Ir.Mul vx vy) vz))
 
-let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
-  let deleg () = S_self (fun a -> delegate t a.st mx a.frame ins) in
+(* Pinned reads of slot references and int operands, and of values of
+   an access's kind. *)
+let pr lay s = pinnable K_int (loc_of lay s)
+let pi lay o = pinnable K_int (oloc lay o)
+let pa acc l = pinnable (acc_kind acc) l
+let ref_ lay s = pin lay K_int (loc_of lay s)
+let int_ lay o = pin lay K_int (oloc lay o)
+let val_ lay acc l = pin lay (acc_kind acc) l
+
+(* A fused instruction. Where one can raise, it evaluates its operands
+   in source order: the side its flag names is fixed when it is built,
+   as [fbin_p] fixes the converted side. The pinned [Get_bin] and [Rmw]
+   forms ignore the flag, since a page value reaches an op from the
+   right only where the op commutes and then they cannot raise. The page
+   forms run only in facade mode; elsewhere [deleg] hands their source
+   window to tier 1, whose first page access fails as it does unfused. *)
+let compile_fused ~object_mode ~deleg lay (ins : F.instr) : step =
+  let loc = loc_of lay in
+  match ins with
+  | F.One _ -> invalid_arg "Compile_tier.compile_fused"
+  | F.Mul_add (d, x, y, z, left) ->
+      S_bulk
+        (mul_add_code lay ~left (loc d) (oloc lay x) (okind lay x) (oloc lay y) (okind lay y)
+           (loc z) lay.kinds.(z))
+  | F.Get_bin _ | F.Rmw _ | F.Aget_get _ | F.Aget_aget _ when object_mode -> deleg ()
+  | F.Aget_get (d, arr, eb, idx, acc, off) when pr lay arr && pi lay idx && pa acc (loc d) ->
+      S_bulk (aget_get_p acc (val_ lay acc (loc d)) (ref_ lay arr) eb (int_ lay idx) off)
+  | F.Aget_aget (d, acc, arr1, eb1, idx, arr2, eb2)
+    when pr lay arr1 && pi lay idx && pr lay arr2 && pa acc (loc d) ->
+      S_bulk
+        (aget_aget_p acc (val_ lay acc (loc d)) (ref_ lay arr1) eb1 (int_ lay idx) (ref_ lay arr2)
+           eb2)
+  | F.Get_bin (d, R.A_f64, p, off, op, s, _)
+    when is_float_op op && pr lay p && pinnable K_flt (oloc lay s) && pinnable K_flt (loc d) ->
+      S_bulk
+        (get_bin_f64_p op (pin lay K_flt (loc d)) (ref_ lay p) off (pin lay K_flt (oloc lay s)))
+  | F.Rmw (R.A_f64, p, off, op, s, _)
+    when is_float_op op && pr lay p && pinnable K_flt (oloc lay s) ->
+      S_bulk (rmw_f64_p op (ref_ lay p) off (pin lay K_flt (oloc lay s)))
+  | F.Get_bin (d, acc, p, off, op, s, _)
+    when acc_kind acc = K_int && pr lay p && pi lay s && pa acc (loc d) ->
+      S_bulk (get_bin_i_p acc op (val_ lay acc (loc d)) (ref_ lay p) off (int_ lay s))
+  | F.Get_bin (d, acc, p, off, op, s, left) ->
+      let pl = loc p and dl = loc d and sl = oloc lay s and f = arith_side ~left op in
+      S_bulk (fun a ->
+          let ad = addr_nn (rd_v a pl) in
+          let x = pg_read acc (page_in a.pool ad) (offset ad + off) in
+          wr_v a dl (f x (rd_v a sl)))
+  | F.Rmw (acc, p, off, op, s, left) ->
+      let pl = loc p and sl = oloc lay s and f = arith_side ~left op in
+      S_bulk (fun a ->
+          let ad = addr_nn (rd_v a pl) in
+          let pg = page_in a.pool ad in
+          let i = offset ad + off in
+          pg_write acc pg i (f (pg_read acc pg i) (rd_v a sl)))
+  | F.Aget_get (d, arr, eb, idx, acc, off) ->
+      let al = loc arr and il = oloc lay idx and dl = loc d in
+      S_bulk (fun a ->
+          let ad = addr_nn (rd_v a al) in
+          let pg = page_in a.pool ad in
+          let b = offset ad in
+          let i = as_int (rd_v a il) in
+          check_index pg b i;
+          let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
+          let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
+          wr_v a dl (pg_read acc (page_in a.pool ad2) (offset ad2 + off)))
+  | F.Aget_aget (d, acc, arr1, eb1, idx, arr2, eb2) ->
+      (* [arr2[arr1[idx]]]: the ref-chasing shape ([edges[k]] indexing
+         [verts]) is the hottest superinstruction on the graph
+         workloads. *)
+      let l1 = loc arr1 and il = oloc lay idx and l2 = loc arr2 and dl = loc d in
+      S_bulk (fun a ->
+          let ad1 = addr_nn (rd_v a l1) in
+          let pg1 = page_in a.pool ad1 in
+          let b1 = offset ad1 in
+          let i = as_int (rd_v a il) in
+          check_index pg1 b1 i;
+          let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
+          let ad2 = addr_nn (rd_v a l2) in
+          let pg2 = page_in a.pool ad2 in
+          let b2 = offset ad2 in
+          check_index pg2 b2 j;
+          wr_v a dl (pg_read acc pg2 (b2 + LR.array_header_bytes + (eb2 * j))))
+
+let rec compile_instr t (cst : st) mx ~depth lay bi pc ~deleg (ins : R.instr) : step =
   let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
-  let loc = loc_of lay and kind s = lay.kinds.(s) in
-  (* pinned reads of slot references and int operands, and of values
-     of an access's kind *)
-  let pr s = pinnable K_int (loc s) and pi o = pinnable K_int (oloc lay o) in
-  let pa acc l = pinnable (acc_kind acc) l in
-  let ref_ s = pin lay K_int (loc s) and int_ o = pin lay K_int (oloc lay o) in
-  let val_ acc l = pin lay (acc_kind acc) l in
+  let loc = loc_of lay in
   match ins with
   | R.Rconst (d, v) -> (
       match loc d, v with
@@ -1281,17 +1367,7 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
       | L_flt d, L_flt s -> S_bulk (fun a -> sf a d (gf a s))
       | dl, sl -> S_bulk (fun a -> wr_v a dl (rd_v a sl)))
   | R.Rbinop (d, op, x, y) ->
-      S_bulk (binop_code lay ~sw:false op (loc d) (loc x) (kind x) (loc y) (kind y))
-  | R.Rbinop_imm (d, op, x, v, sw) ->
-      S_bulk (binop_code lay ~sw op (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v))
-  | R.Rmul_add (d, x, y, z) ->
-      S_bulk
-        (mul_add_code lay ~sw:(false, false) (loc d) (loc x) (kind x) (loc y) (kind y) (loc z)
-           (kind z))
-  | R.Rmul_add_imm (d, x, v, z, msw, asw) ->
-      S_bulk
-        (mul_add_code lay ~sw:(msw, asw) (loc d) (loc x) (kind x) (L_imm v) (kind_of_value v)
-           (loc z) (kind z))
+      S_bulk (binop_code lay op (loc d) (oloc lay x) (okind lay x) (oloc lay y) (okind lay y))
   | R.Rneg (d, s) -> (
       match loc d, loc s with
       | L_int d, L_int s -> S_bulk (fun a -> si a d (-gi a s))
@@ -1398,32 +1474,17 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           | _ -> delegate t st mx f ins)
   (* ---- offset-specialized page access (facade mode): each template
      resolves the backing page once and works relative to it; the fused
-     forms look a page up once where the interpreter's Store calls look
-     it up per access ---- *)
-  | R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _ | R.Rget_bin _ | R.Rrmw _ | R.Raget_get _
-  | R.Raget_aget _
-    when object_mode ->
-      deleg ()
-  | R.Rget (d, acc, p, off) when pr p && pa acc (loc d) ->
-      S_bulk (get_p acc (val_ acc (loc d)) (ref_ p) off)
-  | R.Rset (acc, p, off, src) when pr p && pa acc (oloc lay src) ->
-      S_bulk (set_p acc (ref_ p) off (val_ acc (oloc lay src)))
-  | R.Raget (d, acc, p, eb, idx) when pr p && pi idx && pa acc (loc d) ->
-      S_bulk (aget_p acc (val_ acc (loc d)) (ref_ p) eb (int_ idx))
-  | R.Raset (acc, p, eb, idx, src) when pr p && pi idx && pa acc (oloc lay src) ->
-      S_bulk (aset_p acc (ref_ p) eb (int_ idx) (val_ acc (oloc lay src)))
-  | R.Raget_get (d, arr, eb, idx, acc, off) when pr arr && pi idx && pa acc (loc d) ->
-      S_bulk (aget_get_p acc (val_ acc (loc d)) (ref_ arr) eb (int_ idx) off)
-  | R.Raget_aget (d, acc, arr1, eb1, idx, arr2, eb2)
-    when pr arr1 && pi idx && pr arr2 && pa acc (loc d) ->
-      S_bulk (aget_aget_p acc (val_ acc (loc d)) (ref_ arr1) eb1 (int_ idx) (ref_ arr2) eb2)
-  | R.Rget_bin (d, R.A_f64, p, off, op, s, _)
-    when is_float_op op && pr p && pinnable K_flt (oloc lay s) && pinnable K_flt (loc d) ->
-      S_bulk (get_bin_f64_p op (pin lay K_flt (loc d)) (ref_ p) off (pin lay K_flt (oloc lay s)))
-  | R.Rrmw (R.A_f64, p, off, op, s, _) when is_float_op op && pr p && pinnable K_flt (oloc lay s) ->
-      S_bulk (rmw_f64_p op (ref_ p) off (pin lay K_flt (oloc lay s)))
-  | R.Rget_bin (d, acc, p, off, op, s, _) when acc_kind acc = K_int && pr p && pi s && pa acc (loc d) ->
-      S_bulk (get_bin_i_p acc op (val_ acc (loc d)) (ref_ p) off (int_ s))
+     forms ([compile_fused]) look a page up once where the interpreter's
+     Store calls look it up per access ---- *)
+  | R.Rget _ | R.Rset _ | R.Raget _ | R.Raset _ when object_mode -> deleg ()
+  | R.Rget (d, acc, p, off) when pr lay p && pa acc (loc d) ->
+      S_bulk (get_p acc (val_ lay acc (loc d)) (ref_ lay p) off)
+  | R.Rset (acc, p, off, src) when pr lay p && pa acc (oloc lay src) ->
+      S_bulk (set_p acc (ref_ lay p) off (val_ lay acc (oloc lay src)))
+  | R.Raget (d, acc, p, eb, idx) when pr lay p && pi lay idx && pa acc (loc d) ->
+      S_bulk (aget_p acc (val_ lay acc (loc d)) (ref_ lay p) eb (int_ lay idx))
+  | R.Raset (acc, p, eb, idx, src) when pr lay p && pi lay idx && pa acc (oloc lay src) ->
+      S_bulk (aset_p acc (ref_ lay p) eb (int_ lay idx) (val_ lay acc (oloc lay src)))
   | R.Rget (d, acc, p, off) ->
       let pl = loc p and dl = loc d in
       S_bulk (fun a ->
@@ -1452,47 +1513,6 @@ let rec compile_instr t (cst : st) mx ~depth lay bi pc (ins : R.instr) : step =
           let i = as_int (rd_v a il) in
           check_index pg b i;
           pg_write acc pg (b + LR.array_header_bytes + (eb * i)) (rd_v a sl))
-  | R.Rget_bin (d, acc, p, off, op, s, sw) ->
-      let pl = loc p and dl = loc d and sl = oloc lay s in
-      S_bulk (fun a ->
-          let ad = addr_nn (rd_v a pl) in
-          let x = pg_read acc (page_in a.pool ad) (offset ad + off) in
-          wr_v a dl (arith_src sw op x (rd_v a sl)))
-  | R.Rrmw (acc, p, off, op, s, sw) ->
-      let pl = loc p and sl = oloc lay s in
-      S_bulk (fun a ->
-          let ad = addr_nn (rd_v a pl) in
-          let pg = page_in a.pool ad in
-          let i = offset ad + off in
-          pg_write acc pg i (arith_src sw op (pg_read acc pg i) (rd_v a sl)))
-  | R.Raget_get (d, arr, eb, idx, acc, off) ->
-      let al = loc arr and il = oloc lay idx and dl = loc d in
-      S_bulk (fun a ->
-          let ad = addr_nn (rd_v a al) in
-          let pg = page_in a.pool ad in
-          let b = offset ad in
-          let i = as_int (rd_v a il) in
-          check_index pg b i;
-          let w = read_i64 pg (b + LR.array_header_bytes + (eb * i)) in
-          let ad2 = if w = 0 then bad_ref (Value.Int 0) else w in
-          wr_v a dl (pg_read acc (page_in a.pool ad2) (offset ad2 + off)))
-  | R.Raget_aget (d, acc, arr1, eb1, idx, arr2, eb2) ->
-      (* [arr2[arr1[idx]]]: the ref-chasing shape ([edges[k]] indexing
-         [verts]) is the hottest superinstruction on the graph
-         workloads. *)
-      let l1 = loc arr1 and il = oloc lay idx and l2 = loc arr2 and dl = loc d in
-      S_bulk (fun a ->
-          let ad1 = addr_nn (rd_v a l1) in
-          let pg1 = page_in a.pool ad1 in
-          let b1 = offset ad1 in
-          let i = as_int (rd_v a il) in
-          check_index pg1 b1 i;
-          let j = read_i32 pg1 (b1 + LR.array_header_bytes + (eb1 * i)) in
-          let ad2 = addr_nn (rd_v a l2) in
-          let pg2 = page_in a.pool ad2 in
-          let b2 = offset ad2 in
-          check_index pg2 b2 j;
-          wr_v a dl (pg_read acc pg2 (b2 + LR.array_header_bytes + (eb2 * j))))
   | R.Rintrinsic (ret, i, ops) when native_intrinsic i ->
       S_self (intrinsic_code lay bi pc ret i ops)
   (* ---- everything stateful or rare runs through the interpreter,
@@ -1589,29 +1609,48 @@ and mk_virtual_dyn t (cst : st) mx bi pc ret mid r args (ic : R.ic) ins =
    single block compiled eagerly, one level deep. *)
 and leaf_body t (cst : st) ~depth midx =
   let m = cst.rp.R.methods.(midx) in
-  if depth = 0 && t.t_leaves.(midx) && Array.length m.R.m_body > 0 then
-    Some (compile_meth t cst midx m ~depth:(depth + 1) (layout_for cst m))
+  if depth = 0 && t.t_leaves.(midx) && Array.length m.R.m_body > 0 then begin
+    let body = F.meth m in
+    Some (compile_meth t cst midx m body ~depth:(depth + 1) (layout_for cst m body))
+  end
   else None
 
-and compile_meth t (cst : st) mx (m : R.meth) ~depth lay =
-  { blocks = Array.mapi (fun bi b -> compile_block t cst mx ~depth lay bi b) m.R.m_body; lay }
+and compile_meth t (cst : st) mx (m : R.meth) body ~depth lay =
+  let block bi b = compile_block t cst mx ~depth lay bi m.R.m_body.(bi).R.code b in
+  { blocks = Array.mapi block body; lay }
 
-(* Pre-compose a basic block: compile each instruction, then fuse
-   maximal runs of bulk-chargeable steps into segments whose step count
-   is precomputed and charged at once after a single budget precheck. A fused
-   compare's step goes into the segment that ends the block, if there
-   is one: nothing runs between it and the branch, so a budget expiring
-   at the compare deopts to the segment's start and tier 1 replays the
-   block up to the compare. Charged in an earlier segment, it would
-   let a call in between run one step ahead. Otherwise the terminator
-   charges it after its own precheck. The fold spares a typical loop
-   block that second precheck on every trip. A block of up to four
-   actions (segments and self-charging instructions) calls them and its
-   terminator straight-line, as [segment] does its bodies. *)
-and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
-  let code = b.R.code in
-  let steps = Array.mapi (fun pc ins -> compile_instr t cst mx ~depth lay bi pc ins) code in
-  let cmp_step = match b.R.term with R.Rcmp_branch _ -> 1 | _ -> 0 in
+(* Pre-compose a fused basic block: compile each fused instruction
+   ([src] is the linked block, whose source windows a delegated fused
+   instruction runs), then fuse maximal runs of bulk-chargeable steps
+   into segments whose step count — the length of their windows — is
+   charged at once after a single budget precheck. A fused compare's
+   step goes into the segment that ends the block, if there is one:
+   nothing runs between it and the branch, so a budget expiring at the
+   compare deopts to the segment's start and tier 1 replays the block up
+   to the compare. Charged in an earlier segment, it would let a call in
+   between run one step ahead. Otherwise the terminator charges it after
+   its own precheck, which deopts to the compare's source pc. The fold
+   spares a typical loop block that second precheck on every trip. A
+   block of up to four actions (segments and self-charging instructions)
+   calls them and its terminator straight-line, as [segment] does its
+   bodies. *)
+and compile_block t (cst : st) mx ~depth lay bi (src : R.instr array) (b : F.block) : act -> int =
+  let pcs = b.F.pcs in
+  let object_mode = match cst.mode with Object_mode -> true | Facade_mode _ -> false in
+  let compile i ins =
+    let pc = pcs.(i) and pc1 = pcs.(i + 1) in
+    let deleg () =
+      S_self (fun a ->
+          for j = pc to pc1 - 1 do
+            delegate t a.st mx a.frame src.(j)
+          done)
+    in
+    match ins with
+    | F.One ins -> compile_instr t cst mx ~depth lay bi pc ~deleg ins
+    | _ -> compile_fused ~object_mode ~deleg lay ins
+  in
+  let steps = Array.mapi compile b.F.code in
+  let cmp_step = match b.F.term with F.Cmp_branch _ -> 1 | F.Term _ -> 0 in
   let acts = ref [] in
   let group = ref [] in
   let group_start = ref 0 in
@@ -1620,20 +1659,17 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
     | [] -> ()
     | g ->
         let items = Array.of_list (List.rev g) in
-        let start_pc = !group_start in
-        let k = ref extra in
-        for pc = start_pc to start_pc + Array.length items - 1 do
-          k := !k + R.weight code.(pc)
-        done;
+        let i0 = !group_start in
+        let k = extra + pcs.(i0 + Array.length items) - pcs.(i0) in
         let fns = Array.map (function S_bulk f -> f | S_self _ -> assert false) items in
-        acts := segment !k bi start_pc fns :: !acts;
+        acts := segment k bi pcs.(i0) fns :: !acts;
         group := []
   in
   Array.iteri
-    (fun pc s ->
+    (fun i s ->
       match s with
       | S_bulk _ ->
-          if !group = [] then group_start := pc;
+          if !group = [] then group_start := i;
           group := s :: !group
       | S_self f ->
           flush ~extra:0;
@@ -1642,14 +1678,16 @@ and compile_block t (cst : st) mx ~depth lay bi (b : R.block) : act -> int =
   let trailing = !group <> [] in
   flush ~extra:cmp_step;
   let actions = Array.of_list (List.rev !acts) in
-  let term = compile_term lay b.R.term in
+  let term = compile_term lay b.F.term in
   let term =
     if cmp_step = 0 || trailing then term
-    else fun a ->
-      let st = a.st in
-      precheck st bi (Array.length code);
-      st.stats.Exec_stats.steps <- st.stats.Exec_stats.steps + 1;
-      term a
+    else
+      let cmp_pc = pcs.(Array.length b.F.code) in
+      fun a ->
+        let st = a.st in
+        precheck st bi cmp_pc;
+        st.stats.Exec_stats.steps <- st.stats.Exec_stats.steps + 1;
+        term a
   in
   match actions with
   | [||] -> term
@@ -1702,8 +1740,9 @@ let compile_cold (t : tier) (cst : st) mx =
       else begin
         let trace = Obs.Trace.on () in
         if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-        let lay = layout_for cst m in
-        let code = compile_meth t cst mx m ~depth:0 lay in
+        let body = F.meth m in
+        let lay = layout_for cst m body in
+        let code = compile_meth t cst mx m body ~depth:0 lay in
         let stats = cst.stats in
         let ni = Array.length lay.int_slots and nf = Array.length lay.flt_slots in
         stats.Exec_stats.tier2_compiles <- stats.Exec_stats.tier2_compiles + 1;
@@ -1732,6 +1771,8 @@ let leaf_safe_instr = function
       false
   | _ -> true
 
+(* The budget counts the leaf's jir instructions, so [make] fuses
+   nothing: only a method that compiles is fused. *)
 let is_leaf (m : R.meth) ~budget =
   Array.length m.R.m_body = 1
   && R.instr_count m <= budget

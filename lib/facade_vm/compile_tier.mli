@@ -2,7 +2,9 @@
     the interpreter (tier 1).
 
     Each resolved method is translated at its first call into
-    directly-composed OCaml closures: one closure per instruction,
+    directly-composed OCaml closures. Its one-for-one linked body is
+    first fused into superinstructions ({!Fuse}); then there is one
+    closure per fused instruction,
     pre-composed per basic block, with operator/accessor/operand
     dispatch hoisted to compile time, virtual calls monomorphized
     against inline-cache snapshots already warm at compile time (a
@@ -20,8 +22,9 @@
     compiled code — the guard raises {!Vm_state.Tier_deopt} {e before}
     the faulting instruction's accounting; the compiled activation
     writes its unboxed locals back into the slot-indexed frame array,
-    and the handler resumes tier-1 execution at the equivalent (block,
-    pc) on that frame, recording a [tier_deopt] obs instant. A
+    and the handler resumes tier-1 execution on that frame at the block
+    and the source pc of the faulting window's first instruction,
+    recording a [tier_deopt] obs instant. A
     method that deopts {!deopt_limit} times retires to tier-1. *)
 
 type feedback = {

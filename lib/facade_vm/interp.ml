@@ -210,8 +210,9 @@ let[@inline] charge (st : st) =
 
 (* Entry at an arbitrary (block, pc) is what tier-2 deopt resumes
    through: the compiled code raised {!Vm_state.Tier_deopt} before the
-   faulting instruction's accounting, so replaying from exactly there on
-   the very same frame array reproduces tier-1's history bit for bit. *)
+   faulting instruction's accounting, naming its source pc (a linked pc
+   is a jir instruction index), so replaying from exactly there on the
+   very same frame array reproduces tier-1's history bit for bit. *)
 let rec run_body_from st mx (m : R.meth) (frame : Value.t array) bi0 pc0 :
     Value.t option =
   let body = m.R.m_body in
@@ -226,12 +227,6 @@ let rec run_body_from st mx (m : R.meth) (frame : Value.t array) bi0 pc0 :
     | R.Rret s -> Some frame.(s)
     | R.Rjump t -> go t 0
     | R.Rbranch (s, t, e) -> go (if Value.truthy frame.(s) then t else e) 0
-    | R.Rcmp_branch (op, x, y, t, e) ->
-        charge st;
-        go
-          (if Value.truthy (arith op (operand frame x) (operand frame y)) then t
-           else e)
-          0
   in
   go bi0 pc0
 
@@ -281,7 +276,7 @@ and exec st mx (frame : Value.t array) ins =
   match ins with
   | R.Rconst (d, v) -> frame.(d) <- v
   | R.Rmove (d, s) -> frame.(d) <- frame.(s)
-  | R.Rbinop (d, op, x, y) -> frame.(d) <- arith op frame.(x) frame.(y)
+  | R.Rbinop (d, op, x, y) -> frame.(d) <- arith op (operand frame x) (operand frame y)
   | R.Rneg (d, s) -> (
       match frame.(s) with
       | Value.Int n -> frame.(d) <- Value.Int (-n)
@@ -465,20 +460,6 @@ and exec st mx (frame : Value.t array) ins =
           ob.Value.fields.(slot) <- frame.(s)
       | Value.Null -> vm_err "NullPointerException: .%s" st.rp.R.field_names.(fid)
       | w -> vm_err "field store to %s" (Value.to_string w))
-  | R.Rbinop_imm (d, op, x, v, sw) -> frame.(d) <- arith_src sw op frame.(x) v
-  (* A fused form charges each further source instruction it stands for
-     just before running that instruction's part, so the budget expires
-     and faults fire at the baseline's exact step. *)
-  | R.Rmul_add (d, x, y, z) ->
-      (* z <> d is guaranteed by the fuser, so reading z after the
-         intermediate product would see the same value either way. *)
-      let p = arith Ir.Mul frame.(x) frame.(y) in
-      charge st;
-      frame.(d) <- arith Ir.Add p frame.(z)
-  | R.Rmul_add_imm (d, x, v, z, mul_swapped, add_swapped) ->
-      let p = arith_src mul_swapped Ir.Mul frame.(x) v in
-      charge st;
-      frame.(d) <- arith_src add_swapped Ir.Add p frame.(z)
   | R.Rget (d, a, p, off) ->
       let rt = the_rt st in
       frame.(d) <- store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off
@@ -502,50 +483,6 @@ and exec st mx (frame : Value.t array) ins =
       store_set rt a addr
         ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
         (operand frame src)
-  | R.Rget_bin (d, a, p, off, op, s, sw) ->
-      let rt = the_rt st in
-      let x = store_get rt a (addr_of (check_nonnull frame.(p))) ~offset:off in
-      charge st;
-      frame.(d) <- arith_src sw op x (operand frame s)
-  | R.Rrmw (a, p, off, op, s, sw) ->
-      let rt = the_rt st in
-      let addr = addr_of (check_nonnull frame.(p)) in
-      let x = store_get rt a addr ~offset:off in
-      charge st;
-      let v = arith_src sw op x (operand frame s) in
-      charge st;
-      store_set rt a addr ~offset:off v
-  | R.Raget_get (d, arr, eb, idx, a, off) ->
-      let rt = the_rt st in
-      let addr = addr_of (check_nonnull frame.(arr)) in
-      let i = as_int (operand frame idx) in
-      if i < 0 || i >= Store.array_length rt.store addr then
-        vm_err "ArrayIndexOutOfBoundsException: %d" i;
-      let w =
-        store_get rt R.A_i64 addr
-          ~offset:(Store.array_elem_offset ~elem_bytes:eb ~index:i)
-      in
-      charge st;
-      frame.(d) <- store_get rt a (addr_of (check_nonnull w)) ~offset:off
-  | R.Raget_aget (d, a, arr1, eb1, idx, arr2, eb2) ->
-      let rt = the_rt st in
-      let addr1 = addr_of (check_nonnull frame.(arr1)) in
-      let i = as_int (operand frame idx) in
-      if i < 0 || i >= Store.array_length rt.store addr1 then
-        vm_err "ArrayIndexOutOfBoundsException: %d" i;
-      let t =
-        store_get rt R.A_i32 addr1
-          ~offset:(Store.array_elem_offset ~elem_bytes:eb1 ~index:i)
-      in
-      charge st;
-      let addr2 = addr_of (check_nonnull frame.(arr2)) in
-      let j = as_int t in
-      if j < 0 || j >= Store.array_length rt.store addr2 then
-        vm_err "ArrayIndexOutOfBoundsException: %d" j;
-      frame.(d) <-
-        store_get rt a addr2
-          ~offset:(Store.array_elem_offset ~elem_bytes:eb2 ~index:j)
-
 
 (* Resolve the value handed to a fresh thread into the [run()] receiver:
    in facade mode a record address is rebound through the new thread's

@@ -2,10 +2,11 @@
 
     Programs are first lowered by {!Link} — names interned to integer
     ids, frames slot-indexed, vtables and field layouts precomputed,
-    then quickened — and the interpreter executes that one form with no
-    string lookup on the per-instruction path. Every instruction charges
-    the steps of the source instructions it stands for, so step counts
-    and [max_steps] mean the same here, in tier 2 and in
+    then quickened one-for-one — and the interpreter executes that one
+    form, one jir instruction per step, with no string lookup on the
+    per-instruction path. Tier 2 fuses instructions when it compiles a
+    method and charges every step of a fused window, so step counts and
+    [max_steps] mean the same here, in tier 2 and in
     {!Interp_baseline}. The original tree-walking interpreter survives
     as {!Interp_baseline} for differential testing and benchmarking.
 
@@ -83,7 +84,7 @@ val run_facade :
 (** Execute a compiled pipeline's transformed program in facade mode,
     on the resolved program {!Link.facade_program} caches on the
     pipeline. [quicken] is ignored, as on {!Link.facade_program}: it stays
-    only until the benchmark harness stops passing it.
+    only because the benchmark harness under [perfbench/] passes it.
 
     Tier 2 runs if and only if [?tier] is given, as for
     {!run_object_linked}; build it with {!make_tier} over

@@ -1,9 +1,10 @@
 (* The linker: one pass over a jir program that interns every name to a
    dense integer id and lowers method bodies to the resolved form the
    interpreter executes, each then quickened ({!Quicken}): there is no
-   other form. Anything that cannot be resolved statically becomes an
-   [Rerror] that raises only if reached, so linking never rejects a
-   program the name-based interpreter would have run. *)
+   other form. Lowering and quickening both map one jir instruction to
+   one resolved instruction. Anything that cannot be resolved statically
+   becomes an [Rerror] that raises only if reached, so linking never
+   rejects a program the name-based interpreter would have run. *)
 
 open Jir
 module R = Resolved
@@ -303,7 +304,7 @@ let link ?(is_data = fun _ -> false) ?layout (p : Program.t) : R.program =
     let lower_instr = function
       | Ir.Const (v, c) -> R.Rconst (slot v, Value.of_const c)
       | Ir.Move (a, b) -> R.Rmove (slot a, slot b)
-      | Ir.Binop (v, op, x, y) -> R.Rbinop (slot v, op, slot x, slot y)
+      | Ir.Binop (v, op, x, y) -> R.Rbinop (slot v, op, R.Oslot (slot x), R.Oslot (slot y))
       | Ir.Unop (v, Ir.Neg, x) -> R.Rneg (slot v, slot x)
       | Ir.Unop (v, Ir.Not, x) -> R.Rnot (slot v, slot x)
       | Ir.New (v, cls) -> R.Rnew (slot v, intern cids cls)

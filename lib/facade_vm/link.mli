@@ -2,7 +2,9 @@
     names interned to dense ids, method bodies as instruction arrays over
     slot-indexed frames, vtables / field layouts / type-test outcomes /
     intrinsic bindings precomputed, each method then rewritten by
-    {!Quicken}. Unresolvable references lower to [Rerror] instructions
+    {!Quicken}. The result is one-for-one with the jir: each linked block
+    holds one instruction per jir instruction and a terminator of the
+    same kind. Unresolvable references lower to [Rerror] instructions
     that raise only when executed, so linking accepts everything the
     name-based interpreter would have run. *)
 
@@ -15,8 +17,9 @@ val object_program :
 (** Link a program for object-mode execution. The [is_data] predicate is
     baked into allocation sites (it drives heap-lifetime charging), so a
     fresh link is produced per predicate. [quicken] is ignored: there is
-    one link form, and it is always {!Quicken}ed. The argument stays only
-    until the benchmark harness stops passing it. *)
+    one link form, and it is always {!Quicken}ed (one-for-one rewrites
+    only; tier 2 fuses at compile time). The argument stays only because
+    the benchmark harness under [perfbench/] passes it. *)
 
 val facade_program :
   ?quicken:bool -> Facade_compiler.Pipeline.t -> Resolved.program

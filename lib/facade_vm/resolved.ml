@@ -3,7 +3,8 @@
    statics, and locals are integer ids assigned by the linker — and every
    decision that depends only on the program text (method resolution for
    static/special calls, field offsets, intrinsic identity, type-test
-   outcomes per class, allocation sizes) has already been taken. *)
+   outcomes per class, allocation sizes) has already been taken. Each
+   instruction stands for exactly one jir instruction. *)
 
 open Jir
 
@@ -78,7 +79,7 @@ type newarr = {
 type instr =
   | Rconst of slot * Value.t
   | Rmove of slot * slot
-  | Rbinop of slot * Ir.binop * slot * slot
+  | Rbinop of slot * Ir.binop * operand * operand
   | Rneg of slot * slot
   | Rnot of slot * slot
   | Rnew of slot * int                      (* dst, cid *)
@@ -109,47 +110,19 @@ type instr =
   | Rfield_load_ic of slot * slot * int * ic
       (* dst, obj, fid, caching (cid, field slot) *)
   | Rfield_store_ic of slot * int * slot * ic  (* obj, fid, src *)
-  (* ---- quickened forms, rewritten by {!Quicken} while linking ---- *)
-  | Rbinop_imm of slot * Ir.binop * slot * Value.t * bool
-      (* right operand promoted from a once-assigned constant slot; the
-         flag marks a commutative op whose constant was the source's
-         left operand, so an error names the operands in source order *)
-  | Rmul_add of slot * slot * slot * slot
-      (* fused [d = x*y; d = d+z] — the array-indexing idiom *)
-  | Rmul_add_imm of slot * slot * Value.t * slot * bool * bool
-      (* [d = x*imm + z], the same idiom after the stride was promoted
-         to an immediate; the flags mark the product's and the sum's
-         operands as held in the other order than the source's *)
+  (* ---- one-for-one rewrites {!Quicken} applies while linking ---- *)
   | Rget of slot * acc * slot * int
       (* offset-specialized rt.get_*: dst, access, page slot, byte offset *)
   | Rset of acc * slot * int * operand
   | Raget of slot * acc * slot * int * operand
       (* dst, access, page slot, elem bytes, index *)
   | Raset of acc * slot * int * operand * operand
-  | Rget_bin of slot * acc * slot * int * Ir.binop * operand * bool
-      (* fused getfield+arith: d = get(page, off) op operand; the flag
-         marks a commutative op the source wrote [operand op get] *)
-  | Rrmw of acc * slot * int * Ir.binop * operand * bool
-      (* fused accumulate: page[off] = page[off] op operand, from a
-         get_bin+set pair over the same page and offset whose destination
-         slot is dead *)
-  | Raget_get of slot * slot * int * operand * acc * int
-      (* fused aget_ref+get over a dead intermediate:
-         d = get(arr[idx], off); fields: dst, array page, elem bytes,
-         index, inner access, inner offset *)
-  | Raget_aget of slot * acc * slot * int * operand * slot * int
-      (* fused index-chase over a dead intermediate:
-         d = arr2[arr1[idx]]; fields: dst, outer access, arr1 page,
-         arr1 elem bytes, idx, arr2 page, arr2 elem bytes *)
 
 type term =
   | Rret_void
   | Rret of slot
   | Rjump of int
   | Rbranch of slot * int * int
-  | Rcmp_branch of Ir.binop * operand * operand * int * int
-      (* fused compare+branch over a dead condition slot (quickened);
-         charges the one step of the compare it absorbed *)
 
 type block = {
   code : instr array;
@@ -214,23 +187,77 @@ type program = {
 
 let n_classes p = Array.length p.classes
 
-(* Basic-block view used by the tier-2 closure compiler: successor block
-   indices of a block's terminator, and a method's total instruction
-   count (its compile-size budget). *)
-let block_succs b =
-  match b.term with
-  | Rret_void | Rret _ -> []
-  | Rjump t -> [ t ]
-  | Rbranch (_, t, f) | Rcmp_branch (_, _, _, t, f) ->
-      if t = f then [ t ] else [ t; f ]
-
 let instr_count m =
   Array.fold_left (fun acc b -> acc + Array.length b.code) 0 m.m_body
 
-(* Source instructions an instruction stands for: a fused form charges
-   every step of the pair (or triple) it replaced, so step counts, and
-   with them [max_steps], do not depend on what quickening fused. *)
-let weight = function
-  | Rmul_add _ | Rmul_add_imm _ | Rget_bin _ | Raget_get _ | Raget_aget _ -> 2
-  | Rrmw _ -> 3
-  | _ -> 1
+let iter_op f = function Oslot s -> f s | Oconst _ -> ()
+
+let def = function
+  | Rconst (d, _)
+  | Rmove (d, _)
+  | Rbinop (d, _, _, _)
+  | Rneg (d, _)
+  | Rnot (d, _)
+  | Rnew (d, _)
+  | Rnew_array (d, _, _)
+  | Rfield_load_ic (d, _, _, _)
+  | Rstatic_load (d, _)
+  | Rarray_load (d, _, _)
+  | Rarray_length (d, _)
+  | Rinstance_of (d, _, _)
+  | Rcast (d, _, _)
+  | Rget (d, _, _, _)
+  | Raget (d, _, _, _, _) ->
+      Some d
+  | Rcall (ret, _, _, _) | Rcall_virtual_ic (ret, _, _, _, _) | Rintrinsic (ret, _, _) -> ret
+  | Rfield_store_ic _ | Rstatic_store _ | Rarray_store _ | Rmonitor_enter _ | Rmonitor_exit _
+  | Riter_start | Riter_end | Rrun_thread _ | Rset _ | Raset _ | Rerror _ ->
+      None
+
+(* Every slot an instruction or terminator reads, in operand order;
+   neither builds a list. *)
+let iter_uses f = function
+  | Rconst _ | Rnew _ | Rstatic_load _ | Riter_start | Riter_end | Rerror _ -> ()
+  | Rmove (_, s)
+  | Rneg (_, s)
+  | Rnot (_, s)
+  | Rnew_array (_, _, s)
+  | Rfield_load_ic (_, s, _, _)
+  | Rstatic_store (_, s)
+  | Rarray_length (_, s)
+  | Rinstance_of (_, s, _)
+  | Rcast (_, s, _)
+  | Rmonitor_enter s
+  | Rmonitor_exit s
+  | Rget (_, _, s, _) ->
+      f s
+  | Rbinop (_, _, x, y) ->
+      iter_op f x;
+      iter_op f y
+  | Rfield_store_ic (x, _, y, _) | Rarray_load (_, x, y) ->
+      f x;
+      f y
+  | Rarray_store (x, y, z) ->
+      f x;
+      f y;
+      f z
+  | Rcall (_, _, recv, args) ->
+      Option.iter f recv;
+      Array.iter f args
+  | Rcall_virtual_ic (_, _, r, args, _) ->
+      f r;
+      Array.iter f args
+  | Rrun_thread op -> iter_op f op
+  | Rintrinsic (_, _, ops) -> Array.iter (iter_op f) ops
+  | Rset (_, p, _, src) ->
+      f p;
+      iter_op f src
+  | Raget (_, _, p, _, idx) ->
+      f p;
+      iter_op f idx
+  | Raset (_, p, _, idx, src) ->
+      f p;
+      iter_op f idx;
+      iter_op f src
+
+let iter_term_uses f = function Rret s | Rbranch (s, _, _) -> f s | Rret_void | Rjump _ -> ()

@@ -3,7 +3,10 @@
     {!Link}, method bodies become instruction arrays over slot-indexed
     frames, and per-class tables (vtables, field layouts, type-test
     outcomes, allocation sizes) are precomputed so that nothing on the
-    per-instruction path looks up a string. *)
+    per-instruction path looks up a string. The form is one-for-one with
+    the jir: each linked block holds one instruction per jir instruction
+    and a terminator of the same kind, so a pc is a source instruction
+    index and every instruction is one step. *)
 
 open Jir
 
@@ -79,7 +82,7 @@ type newarr = {
 type instr =
   | Rconst of slot * Value.t
   | Rmove of slot * slot
-  | Rbinop of slot * Ir.binop * slot * slot
+  | Rbinop of slot * Ir.binop * operand * operand
   | Rneg of slot * slot
   | Rnot of slot * slot
   | Rnew of slot * int  (** dst, cid *)
@@ -110,17 +113,7 @@ type instr =
   | Rfield_load_ic of slot * slot * int * ic
       (** dst, obj, fid, caching (cid, field slot) *)
   | Rfield_store_ic of slot * int * slot * ic  (** obj, fid, src *)
-  (* quickened forms, rewritten by {!Quicken} while linking: *)
-  | Rbinop_imm of slot * Ir.binop * slot * Value.t * bool
-      (** right operand promoted from a once-assigned constant slot; the
-          flag marks a commutative op whose constant was the source's
-          left operand, so an error names the operands in source order *)
-  | Rmul_add of slot * slot * slot * slot
-      (** fused [d = x*y; d = d+z] — the array-indexing idiom *)
-  | Rmul_add_imm of slot * slot * Value.t * slot * bool * bool
-      (** [d = x*imm + z], the same idiom after the stride was promoted
-          to an immediate; the flags mark the product's and the sum's
-          operands as held in the other order than the source's *)
+  (* one-for-one rewrites {!Quicken} applies while linking: *)
   | Rget of slot * acc * slot * int
       (** offset-specialized [rt.get_*]: dst, access, page slot, byte
           offset *)
@@ -128,30 +121,12 @@ type instr =
   | Raget of slot * acc * slot * int * operand
       (** dst, access, page slot, elem bytes, index *)
   | Raset of acc * slot * int * operand * operand
-  | Rget_bin of slot * acc * slot * int * Ir.binop * operand * bool
-      (** fused getfield+arith: [d = get(page, off) op operand]; the flag
-          marks a commutative op the source wrote [operand op get] *)
-  | Rrmw of acc * slot * int * Ir.binop * operand * bool
-      (** fused accumulate: [page[off] = page[off] op operand], from a
-          get_bin+set pair over the same page and offset whose
-          destination slot is dead *)
-  | Raget_get of slot * slot * int * operand * acc * int
-      (** fused aget_ref+get over a dead intermediate:
-          [d = get(arr[idx], off)]; fields: dst, array page, elem bytes,
-          index, inner access, inner offset *)
-  | Raget_aget of slot * acc * slot * int * operand * slot * int
-      (** fused index-chase over a dead intermediate:
-          [d = arr2[arr1[idx]]]; fields: dst, outer access, arr1 page,
-          arr1 elem bytes, idx, arr2 page, arr2 elem bytes *)
 
 type term =
   | Rret_void
   | Rret of slot
   | Rjump of int
   | Rbranch of slot * int * int
-  | Rcmp_branch of Ir.binop * operand * operand * int * int
-      (** fused compare+branch over a dead condition slot (quickened);
-          charges the one step of the compare it absorbed *)
 
 type block = { code : instr array; term : term }
 
@@ -210,15 +185,19 @@ type program = {
 
 val n_classes : program -> int
 
-val block_succs : block -> int list
-(** Successor block indices of a block's terminator (basic-block view
-    for the tier-2 closure compiler). Empty for returns; a conditional
-    whose arms coincide yields one successor. *)
-
 val instr_count : meth -> int
-(** Total instructions across a method's blocks (compile-size budget). *)
+(** Total instructions across a method's blocks, which is its jir
+    instruction count (tier 2's compile-size and leaf budgets). *)
 
-val weight : instr -> int
-(** Source instructions [instr] stands for, and so the steps it charges:
-    2 for [Rmul_add], [Rmul_add_imm], [Rget_bin], [Raget_get] and
-    [Raget_aget], 3 for [Rrmw], 1 for everything else. *)
+val iter_op : (slot -> unit) -> operand -> unit
+(** Calls the function on the operand's slot, if it has one. *)
+
+val def : instr -> slot option
+(** The slot an instruction writes, if any. *)
+
+val iter_uses : (slot -> unit) -> instr -> unit
+(** Calls the function on every slot the instruction reads, in operand
+    order. *)
+
+val iter_term_uses : (slot -> unit) -> term -> unit
+(** Likewise for a terminator. *)

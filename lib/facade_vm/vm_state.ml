@@ -22,8 +22,9 @@ let vm_err fmt = Printf.ksprintf (fun s -> raise (Vm_error s)) fmt
 
 exception Tier_deopt of int * int * string
 (* [(block, pc, reason)]: a tier-2 guard failed. Raised *before* the
-   faulting instruction's step accounting, so the tier-1 resume at the
-   equivalent pc replays it exactly once. Reasons: "polymorphic" (IC
+   faulting instruction's step accounting and naming the source pc of
+   its window's first instruction, so the tier-1 resume there replays
+   it exactly once. Reasons: "polymorphic" (IC
    receiver mismatch), "monitor" (object-monitor contention region),
    "budget" (the step budget would expire inside compiled code). *)
 
@@ -310,14 +311,6 @@ and cmp_num fi ff a b =
   | Value.Int x, Value.Float y -> Value.Int (if ff (float_of_int x) y then 1 else 0)
   | Value.Float x, Value.Int y -> Value.Int (if ff x (float_of_int y) then 1 else 0)
   | x, y -> vm_err "bad comparison operands: %s, %s" (Value.to_string x) (Value.to_string y)
-
-(* Quickening may hold a commutative op's operands in the other order
-   than the source's — a constant moved to the right, a fused pair read
-   the other way round — and marks such an instruction [swapped]. The
-   value is the same either way; a failure re-runs the op in source
-   order, so its error names the operands as {!Interp_baseline} does.
-   The flag is read only on that path. *)
-let arith_src swapped op x y = try arith op x y with Vm_error _ when swapped -> arith op y x
 
 (* ---------- coercions ---------- *)
 

@@ -534,10 +534,10 @@ let mixed_outcome run =
 
 (* The name-based baseline, tier 1 and tier 2 agree exactly — result,
    output, steps and error text — on the program and on the facade
-   transform's program. The linked form fuses pairs, but a fused form
-   charges every step it replaced, and a bad-operands message names the
-   operands in source order even where quickening swapped a commutative
-   op's constant to the right. The program and its facade transform
+   transform's program. Tier 2 fuses pairs, but a fused form charges
+   every step it replaced, and a bad-operands message names the
+   operands in source order, whichever side a constant or a fused value
+   stands on. The program and its facade transform
    (P and P') agree on result, output and error text; their steps
    differ, since the transform adds instructions. *)
 let run_mixed case =

@@ -13,6 +13,7 @@
 open Jir
 module B = Builder
 module I = Facade_vm.Interp
+module F = Facade_vm.Fuse
 module Stats = Facade_vm.Exec_stats
 module Store = Pagestore.Store
 module Heap = Heapsim.Heap
@@ -544,6 +545,19 @@ let entry_has pl pred =
     (fun (b : Facade_vm.Resolved.block) -> Array.exists pred b.Facade_vm.Resolved.code)
     m.Facade_vm.Resolved.m_body
 
+(* What the tier-2 fuser makes of the linked entry method's body. *)
+let fused_entry pl =
+  let rp = Facade_vm.Link.facade_program pl in
+  F.meth rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry)
+
+(* The fused entry holds an instruction [pred] accepts — the kernel
+   under test runs compiled in that form. [one] lifts a predicate on a
+   linked instruction tier 2 keeps unfused. *)
+let fused_entry_has pl pred =
+  Array.exists (fun (b : F.block) -> Array.exists pred b.F.code) (fused_entry pl)
+
+let one pred = function F.One i -> pred i | _ -> false
+
 let main_only ~locals body =
   Printf.sprintf
     "class Cell {\n\
@@ -570,12 +584,12 @@ let error_cases =
     ( "Raget index at the length",
       main_only ~locals:(int_locals @ [ "arr: int[]" ])
         [ "n = 4;"; "arr = new int[n];"; "i = 4;"; "x = arr[i];"; "return x;" ],
-      (function R.Raget _ -> true | _ -> false),
+      one (function R.Raget _ -> true | _ -> false),
       "ArrayIndexOutOfBoundsException: 4" );
     ( "Raset negative index",
       main_only ~locals:(int_locals @ [ "arr: int[]" ])
         [ "n = 4;"; "arr = new int[n];"; "i = -1;"; "arr[i] = n;"; "x = arr[n];"; "return x;" ],
-      (function R.Raset _ -> true | _ -> false),
+      one (function R.Raset _ -> true | _ -> false),
       "ArrayIndexOutOfBoundsException: -1" );
     ( "Raget_aget outer index",
       main_only
@@ -584,7 +598,7 @@ let error_cases =
           "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 4;"; "j = idx[k];";
           "x = vals[j];"; "return x;";
         ],
-      (function R.Raget_aget _ -> true | _ -> false),
+      (function F.Aget_aget _ -> true | _ -> false),
       "ArrayIndexOutOfBoundsException: 4" );
     ( "Raget_aget inner index",
       main_only
@@ -593,19 +607,19 @@ let error_cases =
           "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 0;"; "big = 4;";
           "idx[k] = big;"; "j = idx[k];"; "x = vals[j];"; "return x;";
         ],
-      (function R.Raget_aget _ -> true | _ -> false),
+      (function F.Aget_aget _ -> true | _ -> false),
       "ArrayIndexOutOfBoundsException: 4" );
     ( "null page reference",
       main_only ~locals:(int_locals @ [ "c: Cell" ])
         [ "c = null;"; "x = c.v;"; "return x;" ],
-      (function R.Rget _ | R.Rget_bin _ -> true | _ -> false),
+      (function F.One (R.Rget _) | F.Get_bin _ -> true | _ -> false),
       "NullPointerException: null page reference" );
     ( "int divide by zero",
       main_only ~locals:(int_locals @ [ "arr: int[]" ])
         [
           "n = 4;"; "arr = new int[n];"; "k = 0;"; "i = arr[k];"; "x = n / i;"; "return x;";
         ],
-      (function R.Rbinop (_, Ir.Div, _, _) -> true | _ -> false),
+      one (function R.Rbinop (_, Ir.Div, _, _) -> true | _ -> false),
       "ArithmeticException: / by zero" );
     (* The page templates' boxed form: the reference or array is boxed,
        since a delegated intrinsic reads it (an [instanceof] test or an
@@ -613,12 +627,12 @@ let error_cases =
     ( "Rget through a boxed null reference",
       main_only ~locals:(int_locals @ [ "c: Cell" ])
         [ "c = null;"; "x = c.v;"; "k = c instanceof Cell;"; "return x;" ],
-      (function R.Rget _ | R.Rget_bin _ -> true | _ -> false),
+      (function F.One (R.Rget _) | F.Get_bin _ -> true | _ -> false),
       "NullPointerException: null page reference" );
     ( "Rset through a boxed null reference",
       main_only ~locals:(int_locals @ [ "c: Cell" ])
         [ "c = null;"; "n = 4;"; "c.v = n;"; "k = c instanceof Cell;"; "return n;" ],
-      (function R.Rset _ -> true | _ -> false),
+      one (function R.Rset _ -> true | _ -> false),
       "NullPointerException: null page reference" );
   ]
   @ List.concat_map
@@ -634,15 +648,15 @@ let error_cases =
         [
           ( "Raget at " ^ i ^ ", boxed array",
             boxed "arr" [ "x = arr[k];" ],
-            (function R.Raget _ -> true | _ -> false),
+            one (function R.Raget _ -> true | _ -> false),
             oob );
           ( "Raset at " ^ i ^ ", boxed array",
             boxed "arr" [ "arr[k] = n;"; "x = n;" ],
-            (function R.Raset _ -> true | _ -> false),
+            one (function R.Raset _ -> true | _ -> false),
             oob );
           ( "Raget_aget outer index " ^ i ^ ", boxed array",
             boxed "idx" [ "j = idx[k];"; "x = arr[j];" ],
-            (function R.Raget_aget _ -> true | _ -> false),
+            (function F.Aget_aget _ -> true | _ -> false),
             oob );
         ])
       [ "-1"; "4" ]
@@ -652,7 +666,7 @@ let test_kernel_errors () =
     (fun (name, text, pred, expect) ->
       let pl = facade_pl ~data:[ "Cell"; "Main" ] text in
       Alcotest.(check bool) (name ^ ": kernel is in the compiled entry") true
-        (entry_has pl pred);
+        (fused_entry_has pl pred);
       let t1 = run_outcome pl in
       Alcotest.check outcome_t (name ^ ": tier 1 raises") (Error expect) (flat t1);
       Alcotest.check outcome_t (name ^ ": tier 2 raises tier 1's error") (flat t1)
@@ -705,18 +719,14 @@ let mixed_program =
 let test_mixed_operands () =
   let module R = Facade_vm.Resolved in
   let pl = facade_pl ~data:[ "Main" ] mixed_program in
-  let rp = Facade_vm.Link.facade_program pl in
-  let m = rp.R.methods.(rp.R.entry) in
   Alcotest.(check bool) "compare-and-branch is fused" true
     (Array.exists
-       (fun (b : R.block) -> match b.R.term with R.Rcmp_branch _ -> true | _ -> false)
-       m.R.m_body);
+       (fun (b : F.block) -> match b.F.term with F.Cmp_branch _ -> true | F.Term _ -> false)
+       (fused_entry pl));
   List.iter
     (fun op ->
       Alcotest.(check bool) "specialized binop present" true
-        (entry_has pl (function
-          | R.Rbinop (_, o, _, _) | R.Rbinop_imm (_, o, _, _, _) -> o = op
-          | _ -> false)))
+        (entry_has pl (function R.Rbinop (_, o, _, _) -> o = op | _ -> false)))
     [ Ir.Add; Ir.Sub; Ir.Mul ];
   let t1 = run_outcome pl in
   (match t1 with
@@ -1274,13 +1284,13 @@ let test_pagerank_slots () =
     "int, float, boxed slots" (20, 6, 7)
     (st.Stats.tier2_int_slots, st.Stats.tier2_float_slots, st.Stats.tier2_boxed_slots)
 
-(* ---------- operands quickening swapped ----------
+(* ---------- operands in source order ----------
 
-   Quickening moves a commutative op's constant operand to the right,
-   and fuses a page read into the op that reads it from either side.
-   The value is the same; a bad-operands error must still name the
-   operands in source order, as the name-based baseline does, in tier 1
-   and in tier 2. One case per form that carries a swap. *)
+   A constant operand may stand on either side of a commutative op, and
+   tier 2 fuses a page read into the op that reads it from either side.
+   A bad-operands error must name the operands in source order, as the
+   name-based baseline does, in tier 1 and in tier 2. One case per form
+   whose fused value or constant can stand on the right. *)
 
 let cell_f64 =
   "class Cell {\n\
@@ -1296,35 +1306,36 @@ let swap_locals = [ "p: Cell"; "c: int"; "k: int"; "f: double"; "x: double"; "r:
 
 let swap_cases =
   let module R = Facade_vm.Resolved in
-  let in_code pred (b : R.block) = Array.exists pred b.R.code in
+  let in_code pred (b : F.block) = Array.exists pred b.F.code in
   [
-    ( "a constant left operand (Rbinop_imm)",
+    ( "a constant left operand (Rbinop)",
       [ ("b0", new_cell); ("b1", [ "f = 0x1.4p+1;"; "r = c & f;"; "return r;" ]) ],
-      in_code (function R.Rbinop_imm (_, Ir.And, _, _, true) -> true | _ -> false),
+      in_code
+        (one (function R.Rbinop (_, Ir.And, R.Oconst _, R.Oslot _) -> true | _ -> false)),
       "bad operands for binop: 5, 2.5" );
-    ( "a constant left operand of a fused branch (Rcmp_branch)",
+    ( "a constant left operand of a fused branch (Cmp_branch)",
       [
         ("b0", new_cell);
         ("b1", [ "f = 0x1.4p+1;"; "r = c & f;"; "if r goto b2 else b3;" ]);
         ("b2", [ "return c;" ]);
         ("b3", [ "k = 3;"; "return k;" ]);
       ],
-      (fun (b : R.block) ->
-        match b.R.term with
-        | R.Rcmp_branch (Ir.And, R.Oconst _, R.Oslot _, _, _) -> true
+      (fun (b : F.block) ->
+        match b.F.term with
+        | F.Cmp_branch (Ir.And, R.Oconst _, R.Oslot _, _, _) -> true
         | _ -> false),
       "bad operands for binop: 5, 2.5" );
-    ( "a page read as the right operand (Rget_bin)",
+    ( "a page read as the right operand (Get_bin)",
       [ ("b0", new_cell); ("b1", [ "k = 3;"; "x = p.w;"; "r = k & x;"; "return r;" ]) ],
-      in_code (function R.Rget_bin (_, _, _, _, Ir.And, R.Oslot _, true) -> true | _ -> false),
+      in_code (function F.Get_bin (_, _, _, _, Ir.And, R.Oslot _, false) -> true | _ -> false),
       "bad operands for binop: 3, 0" );
-    ( "a constant left operand of a page read (Rget_bin)",
+    ( "a constant left operand of a page read (Get_bin)",
       [ ("b0", new_cell); ("b1", [ "x = p.w;"; "x = c & x;"; "return c;" ]) ],
-      in_code (function R.Rget_bin (_, _, _, _, Ir.And, R.Oconst _, true) -> true | _ -> false),
+      in_code (function F.Get_bin (_, _, _, _, Ir.And, R.Oconst _, false) -> true | _ -> false),
       "bad operands for binop: 5, 0" );
-    ( "a constant left operand of a read-modify-write (Rrmw)",
+    ( "a constant left operand of a read-modify-write (Rmw)",
       [ ("b0", new_cell); ("b1", [ "x = p.w;"; "x = c & x;"; "p.w = x;"; "return c;" ]) ],
-      in_code (function R.Rrmw (_, _, _, Ir.And, R.Oconst _, true) -> true | _ -> false),
+      in_code (function F.Rmw (_, _, _, Ir.And, R.Oconst _, false) -> true | _ -> false),
       "bad operands for binop: 5, 0" );
   ]
 
@@ -1335,10 +1346,8 @@ let test_swapped_operands () =
         facade_pl ~data:[ "Cell"; "Main" ]
           (main_blocks ~classes:cell_f64 ~ret:"int" ~locals:swap_locals blocks)
       in
-      let rp = Facade_vm.Link.facade_program pl in
-      let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
-      Alcotest.(check bool) (name ^ ": the swapped form is linked") true
-        (Array.exists pred m.Facade_vm.Resolved.m_body);
+      Alcotest.(check bool) (name ^ ": the source-order form is compiled") true
+        (Array.exists pred (fused_entry pl));
       let baseline =
         match Facade_vm.Interp_baseline.run_facade pl with
         | _ -> Ok ()
@@ -1604,23 +1613,22 @@ let sweep_each ~label ~upto ~expect ~base ~tier1 ~tier2 =
    so tier 1 must charge the second step before running the second
    half, and tier 2's deopt must land there too. *)
 let fused_fault_cases =
-  let module R = Facade_vm.Resolved in
   let cell = [ "c = new Cell;"; "special c.Cell.<init>();" ] in
   [
     ( "Rget_bin",
       main_only ~locals:(int_locals @ [ "c: Cell" ])
         (cell @ [ "k = 0;"; "x = c.v;"; "x = x / k;"; "return x;" ]),
-      (function R.Rget_bin (_, _, _, _, Ir.Div, _, _) -> true | _ -> false),
+      (function F.Get_bin (_, _, _, _, Ir.Div, _, _) -> true | _ -> false),
       "ArithmeticException: / by zero" );
     ( "Rrmw",
       main_only ~locals:(int_locals @ [ "c: Cell" ])
         (cell @ [ "k = 0;"; "x = c.v;"; "x = x / k;"; "c.v = x;"; "return k;" ]),
-      (function R.Rrmw (_, _, _, Ir.Div, _, _) -> true | _ -> false),
+      (function F.Rmw (_, _, _, Ir.Div, _, _) -> true | _ -> false),
       "ArithmeticException: / by zero" );
     ( "Raget_get",
       main_only ~locals:(int_locals @ [ "c: Cell"; "cs: Cell[]" ])
         [ "n = 4;"; "cs = new Cell[n];"; "k = 0;"; "c = cs[k];"; "x = c.v;"; "return x;" ],
-      (function R.Raget_get _ -> true | _ -> false),
+      (function F.Aget_get _ -> true | _ -> false),
       "NullPointerException: null page reference" );
     ( "Raget_aget",
       main_only
@@ -1629,7 +1637,7 @@ let fused_fault_cases =
           "n = 4;"; "idx = new int[n];"; "vals = new int[n];"; "k = 0;"; "big = 4;";
           "idx[k] = big;"; "j = idx[k];"; "x = vals[j];"; "return x;";
         ],
-      (function R.Raget_aget _ -> true | _ -> false),
+      (function F.Aget_aget _ -> true | _ -> false),
       "ArrayIndexOutOfBoundsException: 4" );
   ]
 
@@ -1637,7 +1645,8 @@ let test_fused_fault_budgets () =
   List.iter
     (fun (name, text, pred, expect) ->
       let pl = facade_pl ~data:[ "Cell"; "Main" ] text in
-      Alcotest.(check bool) (name ^ ": fused in the linked entry") true (entry_has pl pred);
+      Alcotest.(check bool) (name ^ ": fused in the compiled entry") true
+        (fused_entry_has pl pred);
       let base max_steps = Facade_vm.Interp_baseline.run_facade ~max_steps pl in
       sweep_each ~label:name ~upto:40 ~expect ~base
         ~tier1:(fun max_steps -> I.run_facade ~max_steps pl)
@@ -1648,8 +1657,12 @@ let test_fused_fault_budgets () =
    tier 2 charges the compare in the trailing segment, after the call.
    Charged any earlier, the callee would run one step ahead of the
    baseline, and the budget that reaches its division by zero on the
-   fourth trip would stop it one step early. *)
-let call_in_loop_program =
+   fourth trip would stop it one step early. In the second loop the
+   call is the block's last action, so the terminator charges the
+   compare after its own precheck, whose deopt must resume tier 1 at
+   the compare: resumed past it, tier 1 would branch on the condition
+   slot tier 2 never wrote and leave the loop with no step charged. *)
+let call_in_loop_program loop =
   "class Main {\n\
   \  static method g(x: int) : int {\n\
   \    local z: int;\n\
@@ -1676,12 +1689,9 @@ let call_in_loop_program =
   \      one = 1;\n\
   \      s = 0;\n\
   \      goto b1;\n\
-  \    b1:\n\
-  \      s = s + i;\n\
-  \      t = static Main.g(s);\n\
-  \      i = i + one;\n\
-  \      c = i < n;\n\
-  \      if c goto b1 else b2;\n\
+  \    b1:\n"
+  ^ String.concat "" (List.map (fun l -> "      " ^ l ^ "\n") loop)
+  ^ "      if c goto b1 else b2;\n\
   \    b2:\n\
   \      return t;\n\
   \  }\n\
@@ -1690,24 +1700,35 @@ let call_in_loop_program =
 
 let test_call_in_loop_budgets () =
   let module R = Facade_vm.Resolved in
-  let p = Text_format.parse call_in_loop_program in
-  let rp = Facade_vm.Link.object_program p in
-  let loop = rp.R.methods.(method_index rp "Main" "main").R.m_body.(1) in
-  Alcotest.(check bool) "segment, call, segment, fused compare" true
-    (match loop.R.code, loop.R.term with
-    | [| R.Rbinop _; R.Rcall _; R.Rbinop_imm _ |], R.Rcmp_branch _ -> true
-    | _ -> false);
-  let base max_steps = Facade_vm.Interp_baseline.run_object ~max_steps p in
-  sweep_each ~label:"call in loop" ~upto:60 ~expect:"ArithmeticException: / by zero" ~base
-    ~tier1:(fun max_steps -> I.run_object_linked ~max_steps rp)
-    ~tier2:(fun max_steps -> I.run_object_linked ~max_steps ~tier:(I.make_tier rp) rp)
+  List.iter
+    (fun (label, loop, shape) ->
+      let p = Text_format.parse (call_in_loop_program loop) in
+      let rp = Facade_vm.Link.object_program p in
+      let b1 = (F.meth rp.R.methods.(method_index rp "Main" "main")).(1) in
+      Alcotest.(check bool) label true (shape (b1.F.code, b1.F.term));
+      let base max_steps = Facade_vm.Interp_baseline.run_object ~max_steps p in
+      sweep_each ~label ~upto:60 ~expect:"ArithmeticException: / by zero" ~base
+        ~tier1:(fun max_steps -> I.run_object_linked ~max_steps rp)
+        ~tier2:(fun max_steps -> I.run_object_linked ~max_steps ~tier:(I.make_tier rp) rp))
+    [
+      ( "segment, call, segment, fused compare",
+        [ "s = s + i;"; "t = static Main.g(s);"; "i = i + one;"; "c = i < n;" ],
+        function
+        | [| F.One (R.Rbinop _); F.One (R.Rcall _); F.One (R.Rbinop _) |], F.Cmp_branch _ -> true
+        | _ -> false );
+      ( "segment, call, fused compare",
+        [ "s = s + i;"; "i = i + one;"; "t = static Main.g(s);"; "c = t < n;" ],
+        function
+        | [| F.One (R.Rbinop _); F.One (R.Rbinop _); F.One (R.Rcall _) |], F.Cmp_branch _ -> true
+        | _ -> false );
+    ]
 
 (* ---------- pinned templates at their faults ----------
 
    A template whose every operand is pinned runs a closure built for
    its width and operator, with no test of where an operand lives (the
-   int [Rget_bin] fixes only its width and matches its operator at run
-   time; an int [Rrmw], like the one below, runs the boxed form even
+   int [Get_bin] fixes only its width and matches its operator at run
+   time; an int [Rmw], like the one below, runs the boxed form even
    with every operand pinned). Each program below leaves every slot of its entry pinned (0 boxed in
    [tier2 slots]) and reaches one such template with an operand that
    faults: a null page reference, an index of -1 or of the array's
@@ -1719,22 +1740,19 @@ let test_call_in_loop_budgets () =
    run's result, output and steps, and at every step budget up to the
    fault on the outcome and its error text. *)
 
-(* The slots the linked entry's instructions and terminators name. *)
+(* The slots the fused entry's instructions and terminators name. *)
 let touched_slots pl =
-  let module Q = Facade_vm.Quicken in
-  let rp = Facade_vm.Link.facade_program pl in
-  let m = rp.Facade_vm.Resolved.methods.(rp.Facade_vm.Resolved.entry) in
   let seen = Hashtbl.create 16 in
   let add s = Hashtbl.replace seen s () in
   Array.iter
-    (fun (b : Facade_vm.Resolved.block) ->
+    (fun (b : F.block) ->
       Array.iter
         (fun ins ->
-          Option.iter add (Q.rdef ins);
-          Q.iter_uses add ins)
-        b.Facade_vm.Resolved.code;
-      Q.iter_term_uses add b.Facade_vm.Resolved.term)
-    m.Facade_vm.Resolved.m_body;
+          Option.iter add (F.def ins);
+          F.iter_uses add ins)
+        b.F.code;
+      F.iter_term_uses add b.F.term)
+    (fused_entry pl);
   Hashtbl.length seen
 
 let cell_all =
@@ -1772,55 +1790,61 @@ let pinned_fault_cases =
   let module R = Facade_vm.Resolved in
   let null = "NullPointerException: null page reference" in
   let oob v = "ArrayIndexOutOfBoundsException: " ^ v in
-  let is_int_op op = function R.Rbinop (_, o, _, _) -> o = op | _ -> false in
+  let is_int_op op = one (function R.Rbinop (_, o, _, _) -> o = op | _ -> false) in
   let cells = [ "Cell"; "Main" ] in
   [
     ( "Rget", cells,
       cell_prog ~locals:[] [ "x = c.v;"; "y = c.v;"; "x = x + y;"; "return x;" ],
-      "0", [ ("1", null) ], function R.Rget (_, R.A_i32, _, _) -> true | _ -> false );
+      "0", [ ("1", null) ], one (function R.Rget (_, R.A_i32, _, _) -> true | _ -> false) );
     ( "Rset", cells,
       cell_prog ~locals:[] [ "c.v = n;"; "x = c.v;"; "return x;" ],
-      "0", [ ("1", null) ], function R.Rset (R.A_i32, _, _, _) -> true | _ -> false );
+      "0", [ ("1", null) ], one (function R.Rset (R.A_i32, _, _, _) -> true | _ -> false) );
     ( "Rget_bin f64", cells,
       cell_prog ~locals:[ "f: double"; "g: double" ]
         [ "g = 0x1.8p+1;"; "f = c.w;"; "f = f * g;"; "c.w = g;"; "x = c.v;"; "return x;" ],
       "0", [ ("1", null) ],
-      function R.Rget_bin (_, R.A_f64, _, _, Ir.Mul, _, _) -> true | _ -> false );
+      function F.Get_bin (_, R.A_f64, _, _, Ir.Mul, _, _) -> true | _ -> false );
     ( "Rrmw f64", cells,
       cell_prog ~locals:[ "f: double"; "g: double" ]
         [ "g = 0x1.8p+1;"; "f = c.w;"; "f = f + g;"; "c.w = f;"; "x = c.v;"; "return x;" ],
       "0", [ ("1", null) ],
-      function R.Rrmw (R.A_f64, _, _, Ir.Add, _, _) -> true | _ -> false );
+      function F.Rmw (R.A_f64, _, _, Ir.Add, _, _) -> true | _ -> false );
+    (* the sum is returned, so it is live after the store and the pair
+       must stay a [Get_bin] and an [Rset] *)
+    ( "Get_bin and Rset, the sum read after", cells,
+      cell_prog ~locals:[] [ "x = c.v;"; "x = x + n;"; "c.v = x;"; "return x;" ],
+      "0", [ ("1", null) ],
+      function F.Get_bin (_, R.A_i32, _, _, Ir.Add, _, true) -> true | _ -> false );
     ( "Raget_get", cells,
       cell_prog ~locals:[] [ "x = c.v;"; "return x;" ],
-      "0", [ ("1", null) ], function R.Raget_get _ -> true | _ -> false );
+      "0", [ ("1", null) ], function F.Aget_get _ -> true | _ -> false );
     ( "Rget_bin int Div", cells,
       (fun v ->
         cell_prog ~locals:[ "z: int" ]
           [ "z = " ^ v ^ ";"; "x = c.v;"; "x = x / z;"; "y = c.v;"; "x = x + y;"; "return x;" ]
           "0"),
       "2", [ ("0", "ArithmeticException: / by zero") ],
-      function R.Rget_bin (_, R.A_i32, _, _, Ir.Div, _, _) -> true | _ -> false );
+      function F.Get_bin (_, R.A_i32, _, _, Ir.Div, _, _) -> true | _ -> false );
     ( "Rrmw int Rem", cells,
       (fun v ->
         cell_prog ~locals:[ "z: int" ]
           [ "z = " ^ v ^ ";"; "x = c.v;"; "x = x % z;"; "c.v = x;"; "x = c.v;"; "return x;" ]
           "0"),
       "4", [ ("0", "ArithmeticException: % by zero") ],
-      function R.Rrmw (R.A_i32, _, _, Ir.Rem, _, _) -> true | _ -> false );
+      function F.Rmw (R.A_i32, _, _, Ir.Rem, _, _) -> true | _ -> false );
     ( "Raget", [ "Main" ],
       (fun v -> arr_prog [ "k = " ^ v ^ ";"; "x = vals[k];"; "return x;" ]),
-      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget _ -> true | _ -> false );
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], one (function R.Raget _ -> true | _ -> false) );
     ( "Raset", [ "Main" ],
       (fun v -> arr_prog [ "k = " ^ v ^ ";"; "vals[k] = n;"; "x = n + k;"; "return x;" ]),
-      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raset _ -> true | _ -> false );
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], one (function R.Raset _ -> true | _ -> false) );
     ( "Raget_aget outer index", [ "Main" ],
       (fun v -> arr_prog [ "k = " ^ v ^ ";"; "j = idx[k];"; "x = vals[j];"; "return x;" ]),
-      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget_aget _ -> true | _ -> false );
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function F.Aget_aget _ -> true | _ -> false );
     ( "Raget_aget inner index", [ "Main" ],
       (fun v ->
         arr_prog [ "j = " ^ v ^ ";"; "k = 2;"; "idx[k] = j;"; "j = idx[k];"; "x = vals[j];"; "return x;" ]),
-      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function R.Raget_aget _ -> true | _ -> false );
+      "1", [ ("-1", oob "-1"); ("4", oob "4") ], function F.Aget_aget _ -> true | _ -> false );
     ( "int Div and Rem", [ "Main" ],
       (fun v -> arr_prog [ "k = " ^ v ^ ";"; "j = n / k;"; "x = n % k;"; "x = x + j;"; "return x;" ]),
       "3", [ ("0", "ArithmeticException: / by zero") ], is_int_op Ir.Rem );
@@ -1831,7 +1855,7 @@ let pinned_fault_cases =
             ( "b0",
               [ "f = 0x1p+0;"; "t = 3;"; "k = " ^ v ^ ";"; "g = f / t;"; "f = g / k;"; "return f;" ] );
           ]),
-      "3", [], function R.Rbinop_imm (_, Ir.Div, _, _, _) -> true | _ -> false );
+      "3", [], one (function R.Rbinop (_, Ir.Div, _, R.Oconst _) -> true | _ -> false) );
   ]
 
 let test_pinned_faults () =
@@ -1843,7 +1867,7 @@ let test_pinned_faults () =
   List.iter
     (fun (name, data, prog, safe, faults, pred) ->
       let pl = facade_pl ~data (prog safe) in
-      Alcotest.(check bool) (name ^ ": in the linked entry") true (entry_has pl pred);
+      Alcotest.(check bool) (name ^ ": in the compiled entry") true (fused_entry_has pl pred);
       let t1 = run_outcome pl in
       Alcotest.(check bool) (name ^ ": the safe twin runs") true (Result.is_ok t1);
       Alcotest.check outcome_t (name ^ ": baseline == tier 1") (flat (base_outcome pl)) (flat t1);

@@ -126,8 +126,9 @@ let test_single_thread_single_pool () =
 (* The two interpreters must be observationally identical: same result,
    same output, and the same step count and allocation stats, in both
    modes, in tier 1 and tier 2, on the program as written and on the
-   optimizer's output. Steps agree because every linked instruction
-   charges the source instructions it stands for. *)
+   optimizer's output. Steps agree because every linked instruction is
+   one source instruction, and tier 2 charges every source instruction
+   of a fused window. *)
 let check_differential (s : Samples.sample) () =
   let pl = compile s in
   let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
@@ -407,14 +408,14 @@ let test_link_slot_order () =
   let p, q, c, a, b, d = (1, 2, 3, 4, 5, 6) in
   Alcotest.(check int) "frame size" 8 (Array.length m.R.m_frame);
   let blk = m.R.m_body.(0) in
+  let slots = function R.Oslot s -> [ s ] | R.Oconst _ -> [] in
   let shape = function
     | R.Rconst (dst, _) -> [ dst ]
-    | R.Rbinop (dst, _, x, y) -> [ dst; x; y ]
-    | R.Rbinop_imm (dst, _, x, _, _) -> [ dst; x ]
+    | R.Rbinop (dst, _, x, y) -> (dst :: slots x) @ slots y
     | _ -> Alcotest.fail "unexpected instruction"
   in
   (* Linking quickens: [a] is a once-assigned constant, so [c = b + a]
-     reads it as an immediate. *)
+     reads it as a constant operand. *)
   Alcotest.(check (list (list int))) "slots"
     [ [ a ]; [ b; p; q ]; [ c; b ]; [ d; c; c ]; [ p; p; p ] ]
     (List.map shape (Array.to_list blk.R.code));
@@ -467,6 +468,58 @@ let test_link_intrinsic_errors () =
     ]
     (List.map lowered (Array.to_list m.R.m_body.(0).R.code))
 
+(* The link is one-for-one with the jir: every linked block holds as many
+   instructions as its jir block, and a terminator of the same kind with
+   the same targets — so a tier-1 pc is a source instruction index. Checked
+   for every sample's P in object mode and its P′ in facade mode, each
+   as written and optimized. *)
+let test_link_one_for_one () =
+  let same_term (t : Jir.Ir.terminator) (r : R.term) =
+    match t, r with
+    | Jir.Ir.Ret None, R.Rret_void | Jir.Ir.Ret (Some _), R.Rret _ -> true
+    | Jir.Ir.Jump a, R.Rjump b -> a = b
+    | Jir.Ir.Branch (_, a, b), R.Rbranch (_, a', b') -> a = a' && b = b'
+    | _ -> false
+  in
+  let check label (p : Jir.Program.t) (rp : R.program) =
+    let meths =
+      List.concat_map
+        (fun (c : Jir.Ir.cls) -> List.map (fun m -> (c.Jir.Ir.cname, m)) c.Jir.Ir.cmethods)
+        (Jir.Program.classes p)
+    in
+    Alcotest.(check int) (label ^ ": methods") (List.length meths) (Array.length rp.R.methods);
+    List.iteri
+      (fun i (cname, (m : Jir.Ir.meth)) ->
+        let rm = rp.R.methods.(i) in
+        let where = Printf.sprintf "%s: %s.%s" label cname m.Jir.Ir.mname in
+        Alcotest.(check (pair string string)) where (cname, m.Jir.Ir.mname)
+          (rm.R.m_cls, rm.R.m_name);
+        Alcotest.(check int) (where ^ " blocks") (Array.length m.Jir.Ir.body)
+          (Array.length rm.R.m_body);
+        Array.iteri
+          (fun bi (b : Jir.Ir.block) ->
+            let rb = rm.R.m_body.(bi) in
+            let at = Printf.sprintf "%s b%d" where bi in
+            Alcotest.(check int) (at ^ " instructions") (List.length b.Jir.Ir.instrs)
+              (Array.length rb.R.code);
+            Alcotest.(check bool) (at ^ " terminator") true (same_term b.Jir.Ir.term rb.R.term))
+          m.Jir.Ir.body)
+      meths
+  in
+  List.iter
+    (fun (s : Samples.sample) ->
+      let name = s.Samples.name in
+      let pl = compile s in
+      let is_data c = Facade_compiler.Classify.is_data_class pl.P.classification c in
+      let p_opt, _ = Opt.Driver.optimize_program s.Samples.program in
+      let pl_opt, _ = Opt.Driver.optimize_pipeline pl in
+      check (name ^ " P") s.Samples.program
+        (Facade_vm.Link.object_program ~is_data s.Samples.program);
+      check (name ^ " optimized P") p_opt (Facade_vm.Link.object_program ~is_data p_opt);
+      check (name ^ " P'") pl.P.transformed (Facade_vm.Link.facade_program pl);
+      check (name ^ " optimized P'") pl_opt.P.transformed (Facade_vm.Link.facade_program pl_opt))
+    vm_samples
+
 let () =
   Alcotest.run "facade_vm"
     [
@@ -481,6 +534,7 @@ let () =
           Alcotest.test_case "div and rem by zero" `Quick test_arith_by_zero;
           Alcotest.test_case "link slot order" `Quick test_link_slot_order;
           Alcotest.test_case "link intrinsic errors" `Quick test_link_intrinsic_errors;
+          Alcotest.test_case "linking is one-for-one" `Quick test_link_one_for_one;
         ] );
       ("transformed-verifies", verify_cases);
       ( "object-bounds",
