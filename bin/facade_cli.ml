@@ -87,7 +87,7 @@ let workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Execute spawned threads on a pool of $(docv) OCaml domains \
-           (work-stealing scheduler). Without it, each spawned thread runs inline \
+           that share one task queue. Without it, each spawned thread runs inline \
            where it is spawned.")
 
 let trace_arg =

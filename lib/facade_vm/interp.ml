@@ -561,14 +561,14 @@ and spawn_facade st rt pc tid v =
         match st.join with
         | Some j -> j
         | None ->
-            let j = { group = Parallel.Sched.group shared.pool; children = [] } in
+            let j = { group = Parallel.Pool.group shared.pool; children = [] } in
             st.join <- Some j;
             j
       in
       j.children <-
         { c_stats = stats; c_shard = shard; c_ctx = ctx; c_anchor = st.stats.Exec_stats.output }
         :: j.children;
-      Parallel.Sched.spawn j.group (body (child stats (Some shard)))
+      Parallel.Pool.spawn j.group (body (child stats (Some shard)))
 
 (* Splice a joined child's output at its spawn point. Both lists are
    newest-first; the anchor is a physical suffix of the parent's current
@@ -592,11 +592,10 @@ and join_children st =
   match st.join with
   | None -> ()
   | Some j ->
-      (* [~help:false]: an external waiter (the main domain) parks instead
-         of busy-helping, so the CPU belongs to the workers while children
-         sit in simulated I/O waits. Workers calling in (children joining
-         grandchildren) still help regardless of the flag. *)
-      Parallel.Sched.wait ~help:false j.group;
+      (* A spawner outside the pool parks here, so the CPU belongs to
+         the workers while children sit in simulated I/O waits; a child
+         joining its own children runs on a worker and helps. *)
+      Parallel.Pool.wait j.group;
       let cs = j.children in
       j.children <- [];
       List.iter
@@ -898,8 +897,8 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?pool ?page_qu
     }
   in
   (* [?pool] runs spawned threads on its domains. The run borrows the
-     pool — external waiters park without helping, so concurrent runs
-     coexist — and never shuts it down. *)
+     pool — external waiters park, so concurrent runs coexist — and
+     never shuts it down. *)
   let par =
     Option.map (fun p -> { pool = p; mon_mu = Mutex.create (); heap_mu = Mutex.create () }) pool
   in

@@ -104,8 +104,8 @@ val run_facade :
     ({!Parallel.Pool.with_pool} makes a private one). The run borrows the
     pool and never shuts it down, so several concurrent runs may share
     one long-lived pool — which is how the service daemon amortizes
-    [Domain.spawn] to zero. Each [run_thread] enqueues the runnable onto
-    work-stealing deques, and the spawner joins its children at the next
+    [Domain.spawn] to zero. Each [run_thread] enqueues the runnable on the
+    pool's queue, and the spawner joins its children at the next
     iteration end (before the iteration's pages are bulk-released), at
     its own termination, and at entry exit. Each enqueued thread also
     keeps an [Exec_stats] shard and a {!Heapsim.Heap.Shard} of heap

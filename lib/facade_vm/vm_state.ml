@@ -90,7 +90,7 @@ type child = {
 
 (* Per-logical-thread join state: one group per spawner, children listed
    most-recent-first. *)
-type join_st = { group : Parallel.Sched.group; mutable children : child list }
+type join_st = { group : Parallel.Pool.group; mutable children : child list }
 
 type st = {
   rp : R.program;

@@ -57,7 +57,7 @@ let set_limits t ?max_live_pages ?max_native_bytes () =
    may briefly hold one page past the quota, but the allocation that
    needed it never completes, so no record is ever written beyond the
    budget. Raising here propagates through the VM (and, in parallel
-   runs, through the [Sched] join) and fails only the offending run —
+   runs, through the pool's join) and fails only the offending run —
    co-tenants hold their own stores. *)
 let[@inline] check_limits t =
   if t.max_live_pages > 0 then begin

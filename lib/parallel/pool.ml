@@ -1,154 +1,110 @@
-(* Fixed-size Domain worker pool.
+(* Fixed-size Domain worker pool over one mutex-guarded FIFO, with
+   fork/join groups.
 
-   Each worker domain owns a Chase–Lev deque; tasks submitted from a
-   worker go to its own deque (LIFO for locality), tasks submitted from
-   outside the pool go to a mutex-guarded injector queue. Idle workers
-   drain their own deque, then the injector, then steal from siblings;
-   when nothing is found they park on a condition variable guarded by a
-   version stamp so a concurrent submit can never be missed.
+   Every submission, from a worker or from outside, lands in the one
+   queue; idle workers park on [nonempty] and each submit signals one of
+   them. The VM schedules a few coarse logical threads per superstep, so
+   hand-off is not where its time goes: a work-stealing pool measured no
+   better here (DESIGN §8).
 
-   Tasks must not raise: the worker loop swallows escaping exceptions to
-   keep the domain alive. {!Sched} wraps every task to capture the first
-   exception and re-raise it at the join point, so user code never relies
-   on this backstop. *)
+   A join ([wait]) parks when called from a domain outside the pool and
+   helps (runs queued tasks) when called from one of its workers. A
+   parked caller leaves the CPU to the workers, so a 1-worker pool has
+   exactly one executor; a worker must help, since a parked worker could
+   deadlock a 1-worker pool whose queued children it alone can run.
+
+   Tasks must not raise: [exec] swallows escaping exceptions to keep the
+   domain alive. [spawn] wraps every task to capture the first exception
+   and re-raise it at the join, so user code never relies on this
+   backstop. *)
 
 type task = unit -> unit
 
 type t = {
   id : int;
-  deques : task Deque.t array;
-  injector : task Queue.t; (* guarded by [mu] *)
+  queue : task Queue.t; (* guarded by [mu] *)
   mu : Mutex.t;
-  cond : Condition.t;
-  version : int Atomic.t; (* bumped on every submit *)
-  stop : bool Atomic.t;
+  nonempty : Condition.t; (* signalled by every submit, broadcast by shutdown *)
+  mutable stop : bool; (* guarded by [mu] *)
   mutable domains : unit Domain.t list;
 }
 
 let next_id = Atomic.make 0
 
-(* Identifies the current domain as worker [i] of pool [id]. *)
-let worker_key : (int * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* The id of the pool the current domain works for, or -1. *)
+let worker_of : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
-let my_index t =
-  match Domain.DLS.get worker_key with
-  | Some (pid, i) when pid = t.id -> i
-  | _ -> -1
-
-let on_worker t = my_index t >= 0
-
-let size t = Array.length t.deques
-
-let take_injector t =
-  Mutex.lock t.mu;
-  let r = Queue.take_opt t.injector in
-  Mutex.unlock t.mu;
-  r
-
-(* [self] is the caller's worker index, or -1 for an external thread. *)
-let find_task t ~self =
-  let own = if self >= 0 then Deque.pop t.deques.(self) else None in
-  match own with
-  | Some _ as r -> r
-  | None -> (
-      match take_injector t with
-      | Some _ as r ->
-          if Obs.Trace.on () then Obs.Trace.instant ~cat:"par" "injector_take";
-          r
-      | None ->
-          let n = Array.length t.deques in
-          let start = if self >= 0 then self + 1 else 0 in
-          let rec sweep k =
-            if k >= n then None
-            else
-              match Deque.steal t.deques.((start + k) mod n) with
-              | Some _ as r ->
-                  if Obs.Trace.on () then
-                    Obs.Trace.instant ~cat:"par"
-                      ~args:
-                        [ ("victim", Obs.Tracer.Aint ((start + k) mod n)) ]
-                      "task_steal";
-                  r
-              | None -> sweep (k + 1)
-          in
-          sweep 0)
+let on_worker t = Domain.DLS.get worker_of = t.id
 
 let exec task =
   if Obs.Trace.on () then
     Obs.Trace.with_span ~cat:"par" "task" (fun () -> try task () with _ -> ())
   else try task () with _ -> ()
 
-let rec worker_loop t i =
-  match find_task t ~self:i with
+(* Take the next task, parking while the queue is empty; [None] once the
+   pool is stopped and drained. *)
+let next_task t =
+  Mutex.lock t.mu;
+  let rec take () =
+    match Queue.take_opt t.queue with
+    | Some _ as r -> r
+    | None when t.stop -> None
+    | None ->
+        if Obs.Trace.on () then Obs.Trace.instant ~cat:"par" "worker_park";
+        Condition.wait t.nonempty t.mu;
+        take ()
+  in
+  let r = take () in
+  Mutex.unlock t.mu;
+  r
+
+let rec worker_loop t =
+  match next_task t with
   | Some task ->
       exec task;
-      worker_loop t i
-  | None ->
-      let v = Atomic.get t.version in
-      (* Rescan after reading the stamp: a submit that completed in
-         between bumped [version], so the park below will fall through. *)
-      (match find_task t ~self:i with
-      | Some task ->
-          exec task;
-          worker_loop t i
-      | None ->
-          if not (Atomic.get t.stop) then begin
-            if Obs.Trace.on () then Obs.Trace.instant ~cat:"par" "worker_park";
-            Mutex.lock t.mu;
-            while Atomic.get t.version = v && not (Atomic.get t.stop) do
-              Condition.wait t.cond t.mu
-            done;
-            Mutex.unlock t.mu;
-            worker_loop t i
-          end)
+      worker_loop t
+  | None -> ()
 
 let create ~workers =
   if workers < 1 then invalid_arg "Pool.create: workers < 1";
   let t =
     {
       id = Atomic.fetch_and_add next_id 1;
-      deques = Array.init workers (fun _ -> Deque.create ());
-      injector = Queue.create ();
+      queue = Queue.create ();
       mu = Mutex.create ();
-      cond = Condition.create ();
-      version = Atomic.make 0;
-      stop = Atomic.make false;
+      nonempty = Condition.create ();
+      stop = false;
       domains = [];
     }
   in
   t.domains <-
-    List.init workers (fun i ->
+    List.init workers (fun _ ->
         Domain.spawn (fun () ->
-            Domain.DLS.set worker_key (Some (t.id, i));
-            worker_loop t i));
+            Domain.DLS.set worker_of t.id;
+            worker_loop t));
   t
 
 let submit t task =
-  let self = my_index t in
-  if self >= 0 then Deque.push t.deques.(self) task
-  else begin
-    Mutex.lock t.mu;
-    Queue.push task t.injector;
-    Mutex.unlock t.mu
-  end;
-  if Obs.Trace.on () then Obs.Trace.instant ~cat:"par" "task_submit";
-  Atomic.incr t.version;
   Mutex.lock t.mu;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mu
+  Queue.push task t.queue;
+  Condition.signal t.nonempty;
+  Mutex.unlock t.mu;
+  if Obs.Trace.on () then Obs.Trace.instant ~cat:"par" "task_submit"
 
 let try_help t =
-  match find_task t ~self:(my_index t) with
+  Mutex.lock t.mu;
+  let r = Queue.take_opt t.queue in
+  Mutex.unlock t.mu;
+  match r with
   | Some task ->
       exec task;
       true
   | None -> false
 
 let shutdown t =
-  Atomic.set t.stop true;
   Mutex.lock t.mu;
-  Condition.broadcast t.cond;
+  t.stop <- true;
+  Condition.broadcast t.nonempty;
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- []
@@ -156,3 +112,62 @@ let shutdown t =
 let with_pool ~workers f =
   let t = create ~workers in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+(* ---------- fork/join groups ---------- *)
+
+type group = {
+  pool : t;
+  remaining : int Atomic.t;
+  first_exn : exn option Atomic.t;
+  gmu : Mutex.t;
+  drained : Condition.t;
+}
+
+let group pool =
+  {
+    pool;
+    remaining = Atomic.make 0;
+    first_exn = Atomic.make None;
+    gmu = Mutex.create ();
+    drained = Condition.create ();
+  }
+
+let spawn g f =
+  Atomic.incr g.remaining;
+  submit g.pool (fun () ->
+      (try f ()
+       with e -> ignore (Atomic.compare_and_set g.first_exn None (Some e)));
+      (* The last task to finish wakes parked waiters. The broadcast is
+         taken under [gmu] so a waiter that just observed [remaining > 0]
+         is already inside [Condition.wait] when we get the lock. *)
+      if Atomic.fetch_and_add g.remaining (-1) = 1 then begin
+        Mutex.lock g.gmu;
+        Condition.broadcast g.drained;
+        Mutex.unlock g.gmu
+      end)
+
+(* A worker runs queued tasks until the group drains, spinning while the
+   tasks it waits for run on other domains. *)
+let rec help g =
+  if Atomic.get g.remaining > 0 then begin
+    if not (try_help g.pool) then Domain.cpu_relax ();
+    help g
+  end
+
+let park g =
+  Mutex.lock g.gmu;
+  while Atomic.get g.remaining > 0 do
+    Condition.wait g.drained g.gmu
+  done;
+  Mutex.unlock g.gmu
+
+let wait g =
+  let traced = Obs.Trace.on () && Atomic.get g.remaining > 0 in
+  if traced then Obs.Trace.span_begin ~cat:"par" "join_wait";
+  if on_worker g.pool then help g else park g;
+  if traced then Obs.Trace.span_end ();
+  match Atomic.get g.first_exn with
+  | Some e ->
+      Atomic.set g.first_exn None;
+      raise e
+  | None -> ()

@@ -1,11 +1,9 @@
-(** Fixed-size pool of OCaml 5 [Domain] workers with work-stealing.
+(** Fixed-size pool of OCaml 5 [Domain] workers over one mutex-guarded
+    FIFO, with fork/join groups.
 
-    Submissions from a worker go to that worker's own deque (LIFO); ones
-    from outside land in a shared injector queue. Idle workers steal.
-    Tasks must not let exceptions escape — use {!Sched} groups, which
-    capture the first exception and re-raise it at the join. *)
+    A group counts outstanding tasks; {!wait} blocks until the count
+    drains to zero, then re-raises the first exception any task threw. *)
 
-type task = unit -> unit
 type t
 
 val create : workers:int -> t
@@ -15,20 +13,20 @@ val with_pool : workers:int -> (t -> 'a) -> 'a
 (** [with_pool ~workers f] runs [f] on a fresh pool of [workers] domains
     and shuts the pool down when [f] returns or raises. *)
 
-val size : t -> int
-(** Number of worker domains. *)
-
-val submit : t -> task -> unit
-(** Enqueue a task; any domain may call this. *)
-
-val try_help : t -> bool
-(** Run one queued task on the calling domain if any is available.
-    Returns [false] when nothing runnable was found (possibly spuriously,
-    under a steal race). Safe from workers and external threads alike. *)
-
-val on_worker : t -> bool
-(** Whether the calling domain is one of this pool's workers. *)
-
 val shutdown : t -> unit
-(** Stop and join all workers. Pending queued tasks may be dropped; only
-    call once every join has completed. *)
+(** Stop and join all workers. Only call once every join has completed. *)
+
+type group
+
+val group : t -> group
+
+val spawn : group -> (unit -> unit) -> unit
+(** Enqueue [f] on the pool and count it in the group. May be called from
+    inside a group task (nested fork). *)
+
+val wait : group -> unit
+(** Block until every spawned task has finished, then re-raise the first
+    captured task exception. A caller outside the pool parks, so tasks
+    run on pool domains only. A caller on one of the pool's workers runs
+    queued tasks until the group drains, so nested groups never deadlock,
+    even on a 1-worker pool. *)
