@@ -115,6 +115,55 @@ let test_verify_duplicate_method () =
        (fun (e : Verify.error) -> e.Verify.what = "duplicate method twice")
        (Verify.check_program p))
 
+(* The complete error list, in order, for errors in two classes and
+   three methods: a count or an [exists] would let a change that reorders
+   or drops a finding pass. *)
+let test_verify_ordered_errors () =
+  let meth ?(params = []) ?(locals = []) name instrs =
+    {
+      Ir.mname = name;
+      mstatic = true;
+      params;
+      mret = None;
+      locals;
+      body = [| { Ir.instrs; term = Ir.Ret None } |];
+    }
+  in
+  let a =
+    B.cls "A"
+      ~fields:[ B.field ~static:true "s" int_t ]
+      ~methods:
+        [
+          meth "f" ~params:[ ("p", int_t) ] ~locals:[ ("p", int_t); ("x", int_t) ]
+            [ Ir.Move ("x", "q"); Ir.Static_load ("x", "A", "nope") ];
+          meth "g" ~locals:[ ("y", int_t) ]
+            [ Ir.Static_store ("A", "gone", "y"); Ir.Call (None, Ir.Static, "A", "h", None, []) ];
+        ]
+  in
+  let main =
+    B.cls "Main"
+      ~methods:
+        [
+          meth "main" ~locals:[ ("r", int_t); ("r", int_t) ]
+            [ Ir.Call (Some "r", Ir.Static, "Main", "nope", None, [ "u" ]); Ir.Move ("r", "w") ];
+        ]
+  in
+  let p = mk_program [ a; main ] in
+  Alcotest.(check (list (pair string string)))
+    "ordered errors"
+    [
+      ("A.g", "unknown method A.h");
+      ("A.g", "unknown static field A.gone");
+      ("A.f", "unknown static field A.nope");
+      ("A.f", "undeclared variable q");
+      ("A.f", "duplicate variable p");
+      ("Main.main", "undeclared variable w");
+      ("Main.main", "unknown method Main.nope");
+      ("Main.main", "undeclared variable u");
+      ("Main.main", "duplicate variable r");
+    ]
+    (List.map (fun (e : Verify.error) -> (e.Verify.where, e.Verify.what)) (Verify.check_program p))
+
 let hierarchy_fixture () =
   let a = B.cls "A" in
   let b = B.cls "B" ~super:"A" in
@@ -218,6 +267,7 @@ let () =
           Alcotest.test_case "duplicate variable" `Quick test_verify_duplicate_variable;
           Alcotest.test_case "duplicate method" `Quick test_verify_duplicate_method;
           Alcotest.test_case "samples verify" `Quick test_samples_verify;
+          Alcotest.test_case "ordered errors" `Quick test_verify_ordered_errors;
         ] );
       ( "hierarchy",
         [
