@@ -79,10 +79,16 @@ let check_method cl ~where ~declaring (m : Ir.meth) =
       let s = List.fold_left (fun s (v, _) -> seed s v) Vset.empty m.Ir.params in
       if m.Ir.mstatic then s else seed s "this"
     in
-    let cfg = Cfg.of_method m in
-    let r =
-      S.solve ~dir:Dataflow.Forward ~cfg ~init:entry ~bottom:Vset.empty
-        ~transfer:(fun b st -> List.fold_left step st m.Ir.body.(b).Ir.instrs)
+    (* A lone block that returns is entered only with [entry]: most
+       methods are one such block, and need no fixpoint. *)
+    let inb =
+      match m.Ir.body with
+      | [| { Ir.term = Ir.Ret _; _ } |] -> [| entry |]
+      | _ ->
+          let cfg = Cfg.of_method m in
+          (S.solve ~dir:Dataflow.Forward ~cfg ~init:entry ~bottom:Vset.empty
+             ~transfer:(fun b st -> List.fold_left step st m.Ir.body.(b).Ir.instrs))
+            .S.inb
     in
     let findings = ref [] in
     let report block index what =
@@ -121,7 +127,7 @@ let check_method cl ~where ~declaring (m : Ir.meth) =
     in
     Array.iteri
       (fun b (blk : Ir.block) ->
-        let st = ref r.S.inb.(b) in
+        let st = ref inb.(b) in
         List.iteri
           (fun i ins ->
             sink !st b i ins;

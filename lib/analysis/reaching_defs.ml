@@ -6,10 +6,15 @@ type site = {
   var : Ir.var;
 }
 
+(* The order polymorphic [compare] gave: record fields in declaration
+   order, strings bytewise. *)
 module Sset = Set.Make (struct
   type t = site
 
-  let compare = compare
+  let compare a b =
+    match Int.compare a.block b.block with
+    | 0 -> ( match Int.compare a.index b.index with 0 -> String.compare a.var b.var | c -> c)
+    | c -> c
 end)
 
 module S = Dataflow.Solver (struct

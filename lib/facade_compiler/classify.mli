@@ -16,8 +16,8 @@ type spec = {
 }
 
 type t = {
-  data : (string, unit) Hashtbl.t;      (** all data classes, detected included *)
-  boundary_fields : (string, string list) Hashtbl.t;
+  data : unit Jir.Stbl.t;      (** all data classes, detected included *)
+  boundary_fields : string list Jir.Stbl.t;
   detected : string list;               (** data classes not in the user's roots *)
 }
 

@@ -8,12 +8,19 @@ type field_slot = {
   width : int;
 }
 
+(* A data class's slots in layout order, and by name (the first slot of
+   each name, as a scan of the list would find it). *)
+type record = {
+  ordered : field_slot list;
+  by_name : field_slot Stbl.t;
+  data_bytes : int;
+}
+
 type t = {
-  ids : (string, int) Hashtbl.t;
-  names : (int, string) Hashtbl.t;
-  arrays : (int, unit) Hashtbl.t;
-  slots : (string, field_slot list) Hashtbl.t;
-  data_bytes : (string, int) Hashtbl.t;
+  ids : int Stbl.t;
+  names : string array;  (* type id -> name *)
+  arrays : bool array;  (* type id -> is an array type *)
+  records : record Stbl.t;
   n_data_classes : int;
 }
 
@@ -24,19 +31,17 @@ let field_width = function
 let elem_bytes = field_width
 
 let compute p cl =
-  let ids = Hashtbl.create 64 in
-  let names = Hashtbl.create 64 in
-  let arrays = Hashtbl.create 16 in
+  let ids = Stbl.create 64 in
+  let assigned = ref [] in  (* (name, is array), most recent first *)
   let next = ref 0 in
   let assign ?(array = false) name =
-    if not (Hashtbl.mem ids name) then begin
+    if not (Stbl.mem ids name) then begin
       let id = !next in
       if id > Pagestore.Layout_rt.max_type_id then
         failwith "Layout.compute: more than 2^15 data types";
       incr next;
-      Hashtbl.replace ids name id;
-      Hashtbl.replace names id name;
-      if array then Hashtbl.replace arrays id ()
+      Stbl.replace ids name id;
+      assigned := (name, array) :: !assigned
     end
   in
   let data = Classify.data_classes cl in
@@ -69,8 +74,13 @@ let compute p cl =
             m)
         c.Ir.cmethods)
     (Program.classes p);
-  let slots = Hashtbl.create 64 in
-  let data_bytes = Hashtbl.create 64 in
+  let names = Array.make !next "" and arrays = Array.make !next false in
+  List.iteri
+    (fun i (name, array) ->
+      names.(!next - 1 - i) <- name;
+      arrays.(!next - 1 - i) <- array)
+    !assigned;
+  let records = Stbl.create 64 in
   List.iter
     (fun c ->
       let fields = Hierarchy.all_instance_fields p c in
@@ -86,12 +96,20 @@ let compute p cl =
             slot)
           fields
       in
-      Hashtbl.replace slots c layout;
-      Hashtbl.replace data_bytes c (!off - Pagestore.Layout_rt.record_header_bytes))
+      let by_name = Stbl.create 8 in
+      List.iter
+        (fun s -> if not (Stbl.mem by_name s.name) then Stbl.replace by_name s.name s)
+        layout;
+      Stbl.replace records c
+        {
+          ordered = layout;
+          by_name;
+          data_bytes = !off - Pagestore.Layout_rt.record_header_bytes;
+        })
     data;
-  { ids; names; arrays; slots; data_bytes; n_data_classes = List.length data }
+  { ids; names; arrays; records; n_data_classes = List.length data }
 
-let type_id t name = Hashtbl.find t.ids name
+let type_id t name = Stbl.find t.ids name
 
 let rec type_key = function
   | Jtype.Ref c -> c
@@ -105,20 +123,21 @@ and type_key_elem = function
 
 let type_id_of_jtype t ty = type_id t (type_key ty)
 
-let name_of_type_id t id = Hashtbl.find t.names id
+let name_of_type_id t id =
+  if id < 0 || id >= Array.length t.names then raise Not_found else t.names.(id)
 
-let is_array_type_id t id = Hashtbl.mem t.arrays id
+let is_array_type_id t id = id >= 0 && id < Array.length t.arrays && t.arrays.(id)
 
-let fields t c = match Hashtbl.find_opt t.slots c with Some s -> s | None -> []
+let fields t c = match Stbl.find_opt t.records c with Some r -> r.ordered | None -> []
 
 let field_slot t ~cls ~field =
-  match List.find_opt (fun s -> String.equal s.name field) (fields t cls) with
-  | Some s -> s
+  match Stbl.find_opt t.records cls with
+  | Some r -> Stbl.find r.by_name field
   | None -> raise Not_found
 
 let record_data_bytes t c =
-  match Hashtbl.find_opt t.data_bytes c with Some b -> b | None -> 0
+  match Stbl.find_opt t.records c with Some r -> r.data_bytes | None -> 0
 
-let num_types t = Hashtbl.length t.ids
+let num_types t = Array.length t.names
 
 let data_class_count t = t.n_data_classes

@@ -42,7 +42,7 @@ let rec convert_from st rt (visited : (int, int) Hashtbl.t) (v : Value.t) : int 
             if o.Value.ocid >= 0 then o.Value.ocid
             else
               Option.value ~default:(-1)
-                (Hashtbl.find_opt st.rp.R.cid_of_name o.Value.ocls)
+                (Stbl.find_opt st.rp.R.cid_of_name o.Value.ocls)
           in
           let c = if cid >= 0 then Some st.rp.R.classes.(cid) else None in
           (match c with

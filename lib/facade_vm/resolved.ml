@@ -162,7 +162,7 @@ type cls = {
 type program = {
   src : Program.t;                   (* for slow paths (array subtyping) *)
   classes : cls array;
-  cid_of_name : (string, int) Hashtbl.t;  (* link- and conversion-time only *)
+  cid_of_name : int Stbl.t;  (* link- and conversion-time only *)
   methods : meth array;
   method_names : string array;       (* method-name id -> name *)
   field_names : string array;        (* field-name id -> name *)

@@ -161,7 +161,7 @@ type cls = {
 type program = {
   src : Program.t;  (** for slow paths (array subtyping) *)
   classes : cls array;
-  cid_of_name : (string, int) Hashtbl.t;
+  cid_of_name : int Stbl.t;
       (** link- and conversion-time only; never on the instruction path *)
   methods : meth array;
   method_names : string array;

@@ -404,7 +404,7 @@ let dispatch_cid st v mname =
   | Value.Obj o ->
       if o.Value.ocid >= 0 then o.Value.ocid
       else (
-        match Hashtbl.find_opt st.rp.R.cid_of_name o.Value.ocls with
+        match Stbl.find_opt st.rp.R.cid_of_name o.Value.ocls with
         | Some cid -> cid
         | None -> vm_err "NoSuchMethodError: %s.%s" o.Value.ocls mname)
   | Value.Str _ ->

@@ -83,7 +83,7 @@ let resolve_method p ~cls ~name =
 let method_table p c =
   let chain = List.rev (super_chain p c) @ [ c ] in
   let order = ref [] in
-  let impl = Hashtbl.create 16 in
+  let impl = Stbl.create 16 in
   List.iter
     (fun name ->
       match Program.find_class p name with
@@ -91,11 +91,11 @@ let method_table p c =
       | Some cls ->
           List.iter
             (fun (m : Ir.meth) ->
-              if not (Hashtbl.mem impl m.Ir.mname) then order := m.Ir.mname :: !order;
-              Hashtbl.replace impl m.Ir.mname (name, m))
+              if not (Stbl.mem impl m.Ir.mname) then order := m.Ir.mname :: !order;
+              Stbl.replace impl m.Ir.mname (name, m))
             cls.Ir.cmethods)
     chain;
-  List.rev_map (fun n -> Hashtbl.find impl n) !order
+  List.rev_map (fun n -> Stbl.find impl n) !order
 
 let concrete_subtype p name =
   match Program.find_class p name with

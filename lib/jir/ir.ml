@@ -76,10 +76,44 @@ type cls = {
   cinterface : bool;
 }
 
+let rec assoc_var v = function
+  | [] -> None
+  | (x, t) :: rest -> if String.equal x v then Some t else assoc_var v rest
+
 let var_type m v =
-  match List.assoc_opt v m.params with
-  | Some t -> Some t
-  | None -> List.assoc_opt v m.locals
+  match assoc_var v m.params with Some t -> Some t | None -> assoc_var v m.locals
+
+let iter_vars f = function
+  | Const (v, _) | New (v, _) | Static_load (v, _, _) -> f v
+  | Move (v, s)
+  | Unop (v, _, s)
+  | Array_length (v, s)
+  | Instance_of (v, s, _)
+  | Cast (v, s, _)
+  | New_array (v, _, s)
+  | Field_load (v, s, _) ->
+      f v;
+      f s
+  | Binop (v, _, x, y) | Array_load (v, x, y) ->
+      f v;
+      f x;
+      f y
+  | Static_store (_, _, s) | Monitor_enter s | Monitor_exit s -> f s
+  | Field_store (o, _, s) ->
+      f o;
+      f s
+  | Array_store (a, i, s) ->
+      f a;
+      f i;
+      f s
+  | Call (ret, _, _, _, recv, args) ->
+      Option.iter f ret;
+      Option.iter f recv;
+      List.iter f args
+  | Intrinsic (ret, _, ops) ->
+      Option.iter f ret;
+      List.iter (function Var v -> f v | Imm _ -> ()) ops
+  | Iter_start | Iter_end -> ()
 
 let instr_count m =
   Array.fold_left (fun acc b -> acc + List.length b.instrs + 1) 0 m.body

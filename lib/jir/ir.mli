@@ -98,6 +98,10 @@ type cls = {
 val var_type : meth -> var -> Jtype.t option
 (** Declared type of a parameter or local. *)
 
+val iter_vars : (var -> unit) -> instr -> unit
+(** Every variable an instruction names, in order: the variable it
+    defines first, then the ones it reads, each as often as it appears. *)
+
 val instr_count : meth -> int
 val method_instr_count : cls -> int
 

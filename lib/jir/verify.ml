@@ -3,30 +3,6 @@ type error = {
   what : string;
 }
 
-let instr_vars = function
-  | Ir.Const (v, _) -> [ v ]
-  | Ir.Move (a, b) -> [ a; b ]
-  | Ir.Binop (v, _, x, y) -> [ v; x; y ]
-  | Ir.Unop (v, _, x) -> [ v; x ]
-  | Ir.New (v, _) -> [ v ]
-  | Ir.New_array (v, _, n) -> [ v; n ]
-  | Ir.Field_load (b, a, _) -> [ b; a ]
-  | Ir.Field_store (a, _, b) -> [ a; b ]
-  | Ir.Static_load (b, _, _) -> [ b ]
-  | Ir.Static_store (_, _, b) -> [ b ]
-  | Ir.Array_load (b, a, i) -> [ b; a; i ]
-  | Ir.Array_store (a, i, b) -> [ a; i; b ]
-  | Ir.Array_length (b, a) -> [ b; a ]
-  | Ir.Call (ret, _, _, _, recv, args) ->
-      Option.to_list ret @ Option.to_list recv @ args
-  | Ir.Instance_of (t, a, _) -> [ t; a ]
-  | Ir.Cast (a, b, _) -> [ a; b ]
-  | Ir.Monitor_enter v | Ir.Monitor_exit v -> [ v ]
-  | Ir.Iter_start | Ir.Iter_end -> []
-  | Ir.Intrinsic (ret, _, ops) ->
-      Option.to_list ret
-      @ List.filter_map (function Ir.Var v -> Some v | Ir.Imm _ -> None) ops
-
 let field_exists p ~cls ~field ~static =
   if static then
     match Program.find_class p cls with
@@ -57,18 +33,19 @@ let check_method p (c : Ir.cls) (m : Ir.meth) =
   let where = c.Ir.cname ^ "." ^ m.Ir.mname in
   let errs = ref [] in
   let err what = errs := { where; what } :: !errs in
-  let declared = Hashtbl.create 16 in
+  let declared = Stbl.create 16 in
   (* Duplicate declarations across params and locals would silently shadow
      each other in the VM's single frame environment. *)
-  List.iter
-    (fun (v, _) ->
-      if Hashtbl.mem declared v then err (Printf.sprintf "duplicate variable %s" v)
-      else Hashtbl.replace declared v ())
-    (m.Ir.params @ m.Ir.locals);
-  if not m.Ir.mstatic then Hashtbl.replace declared "this" ();
+  let declare (v, _) =
+    if Stbl.mem declared v then err (Printf.sprintf "duplicate variable %s" v)
+    else Stbl.replace declared v ()
+  in
+  List.iter declare m.Ir.params;
+  List.iter declare m.Ir.locals;
+  if not m.Ir.mstatic then Stbl.replace declared "this" ();
   let nblocks = Array.length m.Ir.body in
   let check_var v =
-    if not (Hashtbl.mem declared v) then err (Printf.sprintf "undeclared variable %s" v)
+    if not (Stbl.mem declared v) then err (Printf.sprintf "undeclared variable %s" v)
   in
   let check_target b =
     if b < 0 || b >= nblocks then err (Printf.sprintf "branch to missing block b%d" b)
@@ -77,7 +54,7 @@ let check_method p (c : Ir.cls) (m : Ir.meth) =
     (fun (blk : Ir.block) ->
       List.iter
         (fun ins ->
-          List.iter check_var (instr_vars ins);
+          Ir.iter_vars check_var ins;
           match ins with
           | Ir.New (_, cls) ->
               if not (Program.mem p cls) then err (Printf.sprintf "new of unknown class %s" cls)
@@ -116,12 +93,12 @@ let check_class p (c : Ir.cls) =
   | None -> ());
   (* Method lookup is by name, so a second method of the same name within
      a class is unreachable — reject it instead of silently shadowing. *)
-  let seen = Hashtbl.create 8 in
+  let seen = Stbl.create 8 in
   List.iter
     (fun (m : Ir.meth) ->
-      if Hashtbl.mem seen m.Ir.mname then
+      if Stbl.mem seen m.Ir.mname then
         err (Printf.sprintf "duplicate method %s" m.Ir.mname)
-      else Hashtbl.replace seen m.Ir.mname ())
+      else Stbl.replace seen m.Ir.mname ())
     c.Ir.cmethods;
   List.iter (fun m -> errs := check_method p c m @ !errs) c.Ir.cmethods;
   !errs

@@ -61,11 +61,16 @@ let run_pass ~instrs name metric enabled f ((p, deltas) as acc) =
 
 let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) p =
   let instrs_before = Program.total_instrs p in
-  (* (class, method) pairs some pass has rewritten so far. *)
-  let touched = Hashtbl.create 64 in
+  (* The methods some pass has rewritten so far, by class. *)
+  let touched : unit Stbl.t Stbl.t = Stbl.create 64 in
   let instrs = ref instrs_before in
   let changed cls (m : Ir.meth) (m' : Ir.meth) =
-    Hashtbl.replace touched (cls, m.Ir.mname) ();
+    (match Stbl.find_opt touched cls with
+    | Some names -> Stbl.replace names m.Ir.mname ()
+    | None ->
+        let names = Stbl.create 8 in
+        Stbl.replace names m.Ir.mname ();
+        Stbl.replace touched cls names);
     instrs := !instrs + Ir.instr_count m' - Ir.instr_count m
   in
   let run_pass = run_pass ~instrs in
@@ -87,7 +92,9 @@ let optimize_program ?(config = Config.default) ?(may_inline = fun _ _ -> true) 
      each cleanup pass would return it unchanged with a zero count. *)
   let acc =
     if config.Config.inline then begin
-      let only cls name = Hashtbl.mem touched (cls, name) in
+      let only cls name =
+        match Stbl.find_opt touched cls with Some names -> Stbl.mem names name | None -> false
+      in
       let acc =
         run_pass "copy_prop'" "copies" config.Config.copy_prop (Copy_prop.run ~only ~changed) acc
       in

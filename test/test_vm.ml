@@ -520,6 +520,33 @@ let test_link_one_for_one () =
       check (name ^ " optimized P'") pl_opt.P.transformed (Facade_vm.Link.facade_program pl_opt))
     vm_samples
 
+(* The linked record-cast matrix answers, for every pair of layout type
+   ids, what its definition says: a type casts to itself, and a class
+   type to every class type [Hierarchy.is_subclass] puts above it. *)
+let test_link_cast_matrix () =
+  let module L = Facade_compiler.Layout in
+  List.iter
+    (fun (s : Samples.sample) ->
+      let pl = compile s in
+      let rp = Facade_vm.Link.facade_program pl in
+      let l = pl.P.layout and p = pl.P.transformed in
+      let n = rp.R.n_tids in
+      for a = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          let expect =
+            a = t
+            || (not (L.is_array_type_id l a))
+               && (not (L.is_array_type_id l t))
+               && Jir.Hierarchy.is_subclass p ~sub:(L.name_of_type_id l a)
+                    ~super:(L.name_of_type_id l t)
+          in
+          if rp.R.tid_cast_ok.((a * n) + t) <> expect then
+            Alcotest.failf "%s: cast %s -> %s linked as %b" s.Samples.name (L.name_of_type_id l a)
+              (L.name_of_type_id l t) (not expect)
+        done
+      done)
+    vm_samples
+
 let () =
   Alcotest.run "facade_vm"
     [
@@ -535,6 +562,7 @@ let () =
           Alcotest.test_case "link slot order" `Quick test_link_slot_order;
           Alcotest.test_case "link intrinsic errors" `Quick test_link_intrinsic_errors;
           Alcotest.test_case "linking is one-for-one" `Quick test_link_one_for_one;
+          Alcotest.test_case "link cast matrix" `Quick test_link_cast_matrix;
         ] );
       ("transformed-verifies", verify_cases);
       ( "object-bounds",
