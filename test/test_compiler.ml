@@ -129,6 +129,21 @@ let test_layout_superclass_fields_first () =
   Alcotest.(check int) "A.x same offset" 4
     (FC.Layout.field_slot layout ~cls:"A" ~field:"x").FC.Layout.offset
 
+(* A subclass field that reuses a superclass field's name gets its own
+   slot; [field_slot] answers with the first one in layout order, the
+   superclass's, as a scan of [fields] would. *)
+let test_layout_shadowed_field () =
+  let a = B.cls "A" ~fields:[ B.field "x" int_t ] in
+  let b = B.cls "B" ~super:"A" ~fields:[ B.field "x" (Jtype.Prim Jtype.Double) ] in
+  let p = Program.make [ a; b; B.cls "Main" ] in
+  let cl = FC.Classify.classify p (spec [ "B" ]) in
+  let layout = FC.Layout.compute p cl in
+  let slot = FC.Layout.field_slot layout ~cls:"B" ~field:"x" in
+  Alcotest.(check (pair string int)) "first x in layout order" ("A", 4)
+    (slot.FC.Layout.declaring, slot.FC.Layout.offset);
+  Alcotest.(check (list int)) "both slots laid out" [ 4; 8 ]
+    (List.map (fun (s : FC.Layout.field_slot) -> s.FC.Layout.offset) (FC.Layout.fields layout "B"))
+
 let test_layout_type_ids_distinct () =
   let _, cl, layout = layout_fixture () in
   let ids = List.map (FC.Layout.type_id layout) (FC.Classify.data_classes cl) in
@@ -546,6 +561,7 @@ let () =
           Alcotest.test_case "ids distinct" `Quick test_layout_type_ids_distinct;
           Alcotest.test_case "array types" `Quick test_layout_array_types;
           Alcotest.test_case "prim widths" `Quick test_layout_prim_widths;
+          Alcotest.test_case "shadowed field" `Quick test_layout_shadowed_field;
         ] );
       ( "bounds",
         [
