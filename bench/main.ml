@@ -536,13 +536,49 @@ let run_scalability ~quick =
    result through the same public calls as perfbench's compile-cold
    workload, and reports per phase the wall time, the words allocated in
    the minor heap, the words promoted to the major heap, and the major
-   collections that ended inside it. Promoted words and major collections
-   are the GC work an op leaves behind; minor words are the mutator's.
-   Measured wall-clock, no gate. *)
+   collections that ended inside it, and the milliseconds the collector
+   spent inside it in minor collections and in major slices, read from the
+   runtime's own event ring ([Runtime_events]). Promoted words and major
+   collections are the GC work an op leaves behind; minor words are the
+   mutator's; the GC milliseconds say how much of a phase's wall time was
+   collection. Measured wall-clock, no gate. *)
 
 let cold_phases = [| "parse"; "compile"; "opt"; "link"; "make_tier"; "first_run" |]
 
-type cold_sample = { c_ms : float; c_minor : float; c_promoted : float; c_majors : int }
+type cold_sample = {
+  c_ms : float;
+  c_minor : float;
+  c_promoted : float;
+  c_majors : int;
+  c_minor_gc_ms : float;
+  c_major_gc_ms : float;
+}
+
+(* The nanoseconds this process has spent in minor collections and in
+   major slices so far, as the runtime's event ring reports them. Starting
+   the ring creates [<pid>.events] in the working directory; the runtime
+   removes it when the process exits normally. *)
+let gc_clock () =
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let minor = ref 0L and major = ref 0L in
+  let minor_since = ref 0L and major_since = ref 0L in
+  let ns ts = Runtime_events.Timestamp.to_int64 ts in
+  let runtime_begin _ ts = function
+    | Runtime_events.EV_MINOR -> minor_since := ns ts
+    | Runtime_events.EV_MAJOR_SLICE -> major_since := ns ts
+    | _ -> ()
+  in
+  let runtime_end _ ts = function
+    | Runtime_events.EV_MINOR -> minor := Int64.add !minor (Int64.sub (ns ts) !minor_since)
+    | Runtime_events.EV_MAJOR_SLICE ->
+        major := Int64.add !major (Int64.sub (ns ts) !major_since)
+    | _ -> ()
+  in
+  let callbacks = Runtime_events.Callbacks.create ~runtime_begin ~runtime_end () in
+  fun () ->
+    ignore (Runtime_events.read_poll cursor callbacks None : int);
+    (!minor, !major)
 
 let run_cold ~quick =
   let ops = if quick then 3 else 15 in
@@ -559,34 +595,48 @@ let run_cold ~quick =
     Metrics.Table.create
       ~headers:
         ([ "Program"; "Op" ] @ Array.to_list (Array.map (fun p -> p ^ " ms") cold_phases)
-        @ [ "Total ms"; "Minor kw"; "Promoted kw"; "Major GCs" ])
+        @ [ "Total ms"; "GC ms"; "Minor kw"; "Promoted kw"; "Major GCs" ])
   in
   let summary =
     Metrics.Table.create
-      ~headers:[ "Program"; "Phase"; "ms p50"; "Minor kw p50"; "Promoted kw p50"; "Major GCs/op" ]
+      ~headers:
+        [
+          "Program"; "Phase"; "ms p50"; "Minor GC ms p50"; "Major slice ms p50"; "Minor kw p50";
+          "Promoted kw p50"; "Major GCs/op";
+        ]
   in
+  let gc_ns = gc_clock () in
+  let ms_between a b = Int64.to_float (Int64.sub b a) /. 1e6 in
   List.iter
     (fun (name, text, spec) ->
       let samples =
         Array.make_matrix (Array.length cold_phases) ops
-          { c_ms = 0.; c_minor = 0.; c_promoted = 0.; c_majors = 0 }
+          {
+            c_ms = 0.; c_minor = 0.; c_promoted = 0.; c_majors = 0; c_minor_gc_ms = 0.;
+            c_major_gc_ms = 0.;
+          }
       in
       for op = 0 to ops - 1 do
         let phase i f =
           (* [Gc.minor_words] counts the words allocated so far; the
              promotion and collection counters move only when a
-             collection runs, so they charge the phase it ran in. *)
+             collection runs, so they charge the phase it ran in. The
+             event ring is read outside the measured window. *)
+          let minor0, major0 = gc_ns () in
           let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
           let r = f () in
           let t1 = Unix.gettimeofday () in
           let g1 = Gc.quick_stat () and w1 = Gc.minor_words () in
+          let minor1, major1 = gc_ns () in
           samples.(i).(op) <-
             {
               c_ms = (t1 -. t0) *. 1e3;
               c_minor = w1 -. w0;
               c_promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words;
               c_majors = g1.Gc.major_collections - g0.Gc.major_collections;
+              c_minor_gc_ms = ms_between minor0 minor1;
+              c_major_gc_ms = ms_between major0 major1;
             };
           r
         in
@@ -607,6 +657,8 @@ let run_cold ~quick =
           @ Array.to_list (Array.map (Metrics.Table.cell_float ~decimals:2) (col (fun c -> c.c_ms)))
           @ [
               Metrics.Table.cell_float ~decimals:2 (sum (col (fun c -> c.c_ms)));
+              Metrics.Table.cell_float ~decimals:2
+                (sum (col (fun c -> c.c_minor_gc_ms +. c.c_major_gc_ms)));
               Metrics.Table.cell_float ~decimals:1 (sum (col (fun c -> c.c_minor)) /. 1e3);
               Metrics.Table.cell_float ~decimals:1 (sum (col (fun c -> c.c_promoted)) /. 1e3);
               Metrics.Table.cell_int (Array.fold_left ( + ) 0 (col (fun c -> c.c_majors)));
@@ -620,6 +672,8 @@ let run_cold ~quick =
               name;
               phase_name;
               Metrics.Table.cell_float ~decimals:2 (f (fun c -> c.c_ms));
+              Metrics.Table.cell_float ~decimals:2 (f (fun c -> c.c_minor_gc_ms));
+              Metrics.Table.cell_float ~decimals:2 (f (fun c -> c.c_major_gc_ms));
               Metrics.Table.cell_float ~decimals:1 (f (fun c -> c.c_minor) /. 1e3);
               Metrics.Table.cell_float ~decimals:1 (f (fun c -> c.c_promoted) /. 1e3);
               Metrics.Table.cell_float ~decimals:2

@@ -515,8 +515,8 @@ let transform_cmd =
   let run input data_roots output run_it =
     let source = In_channel.with_open_text input In_channel.input_all in
     match Jir.Text_format.parse source with
-    | exception Jir.Text_format.Parse_error { line; message } ->
-        `Error (false, Printf.sprintf "%s:%d: %s" input line message)
+    | exception Jir.Text_format.Parse_error { pos = { line; col }; message } ->
+        `Error (false, Printf.sprintf "%s:%d:%d: %s" input line col message)
     | program -> (
         match Jir.Verify.check_program program with
         | _ :: _ as errs ->
@@ -615,10 +615,10 @@ let emit_findings ~file ~json ~strict findings =
 let findings_of_file file analyze =
   let source = In_channel.with_open_text file In_channel.input_all in
   match Jir.Text_format.parse source with
-  | exception Jir.Text_format.Parse_error { line; message } ->
+  | exception Jir.Text_format.Parse_error { pos = { line; col }; message } ->
       [
         Analysis.Finding.make ~analysis:"parse"
-          ~where:(Printf.sprintf "%s:%d" file line)
+          ~where:(Printf.sprintf "%s:%d:%d" file line col)
           message;
       ]
   | program -> (

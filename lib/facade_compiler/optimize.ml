@@ -58,7 +58,11 @@ let possible_targets t ~cls ~name =
   List.sort_uniq String.compare
     (List.filter_map (declaring t.prog ~name) (concrete_subtypes t cls))
 
-let devirtualize_meth ?(count = ref 0) t (m : Ir.meth) =
+(* Early exit: [m] has no virtual call, so nothing can be devirtualized. *)
+let no_virtual_call m =
+  not (Ir.exists_instr (function Ir.Call (_, Ir.Virtual, _, _, _, _) -> true | _ -> false) m)
+
+let devirtualize_sites ?(count = ref 0) t (m : Ir.meth) =
   Ir.map_blocks
     (fun _ blk ->
       let instrs =
@@ -77,12 +81,18 @@ let devirtualize_meth ?(count = ref 0) t (m : Ir.meth) =
       { blk with Ir.instrs })
     m
 
+let devirtualize_meth ?count t m =
+  if no_virtual_call m then m else devirtualize_sites ?count t m
+
+(* A class none of whose sites changed is kept as it is. *)
 let devirtualize p =
   let t = cha p in
+  let count = ref 0 in
   List.fold_left
     (fun acc (c : Ir.cls) ->
-      let c' = { c with Ir.cmethods = List.map (devirtualize_meth t) c.Ir.cmethods } in
-      Program.replace_class acc c')
+      let before = !count in
+      let cmethods = List.map (devirtualize_meth ~count t) c.Ir.cmethods in
+      if !count = before then acc else Program.replace_class acc { c with Ir.cmethods })
     p (Program.classes p)
 
 let count_kinds p =

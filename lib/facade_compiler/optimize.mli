@@ -36,11 +36,21 @@ val possible_targets : cha -> cls:string -> name:string -> string list
     [cls]-typed receiver can dispatch to — the CHA core shared with
     [lib/opt]'s devirtualization pass and [Analysis.Callgraph]. *)
 
-val devirtualize_meth : ?count:int ref -> cha -> Jir.Ir.meth -> Jir.Ir.meth
+val no_virtual_call : Jir.Ir.meth -> bool
+(** The method has no [Virtual] call, so {!devirtualize_meth} returns it
+    as itself. *)
+
+val devirtualize_sites : ?count:int ref -> cha -> Jir.Ir.meth -> Jir.Ir.meth
 (** Turns each virtual site of the method with exactly one possible
     target into a [Special] call, adding one to [count] per site. *)
 
+val devirtualize_meth : ?count:int ref -> cha -> Jir.Ir.meth -> Jir.Ir.meth
+(** {!devirtualize_sites}, except that a method {!no_virtual_call}
+    admits comes back as itself. *)
+
 val devirtualize : Jir.Program.t -> Jir.Program.t
+(** Devirtualizes every method; a class none of whose sites changed is
+    kept as it is. *)
 
 val devirtualized_calls : Jir.Program.t -> Jir.Program.t -> int
 (** Number of call sites whose kind changed between the two programs. *)

@@ -126,5 +126,13 @@ let map_blocks f m = { m with body = Array.mapi f m.body }
 let iter_instrs f m =
   Array.iter (fun b -> List.iter f b.instrs) m.body
 
+(* A loop rather than [Array.exists] over a closure, which would be
+   allocated on every call: the optimizer's early exits ask this of every
+   method. *)
+let rec exists_from f body b =
+  b < Array.length body && (List.exists f body.(b).instrs || exists_from f body (b + 1))
+
+let exists_instr f m = exists_from f m.body 0
+
 let iteri_instrs f m =
   Array.iteri (fun b blk -> List.iteri (fun i ins -> f b i ins) blk.instrs) m.body

@@ -108,6 +108,9 @@ val method_instr_count : cls -> int
 val map_blocks : (int -> block -> block) -> meth -> meth
 val iter_instrs : (instr -> unit) -> meth -> unit
 
+val exists_instr : (instr -> bool) -> meth -> bool
+(** Some instruction of the method (terminators aside) satisfies the test. *)
+
 val iteri_instrs : (int -> int -> instr -> unit) -> meth -> unit
 (** [iteri_instrs f m] calls [f block index instr] for every instruction,
     with positions matching {!Analysis} finding coordinates. *)

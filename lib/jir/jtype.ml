@@ -44,7 +44,7 @@ let rec to_string = function
 
 let rec of_name name =
   let n = String.length name in
-  if n > 2 && String.equal (String.sub name (n - 2) 2) "[]" then
+  if n > 2 && name.[n - 2] = '[' && name.[n - 1] = ']' then
     Array (of_name (String.sub name 0 (n - 2)))
   else
     match name with

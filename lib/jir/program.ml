@@ -1,23 +1,26 @@
 module Smap = Map.Make (String)
 
+(* [classes] is kept in insertion order next to the map, so reading it
+   costs nothing; [make], [add_class] and [replace_class] keep the two in
+   step. *)
 type t = {
   by_name : Ir.cls Smap.t;
-  order : string list;  (* insertion order, reversed *)
+  classes : Ir.cls list;
   entry : string * string;
 }
 
 let make ?(entry = ("Main", "main")) classes =
-  let by_name, order =
+  let by_name =
     List.fold_left
-      (fun (m, o) (c : Ir.cls) ->
+      (fun m (c : Ir.cls) ->
         if Smap.mem c.Ir.cname m then
           invalid_arg (Printf.sprintf "Program.make: duplicate class %s" c.Ir.cname);
-        (Smap.add c.Ir.cname c m, c.Ir.cname :: o))
-      (Smap.empty, []) classes
+        Smap.add c.Ir.cname c m)
+      Smap.empty classes
   in
-  { by_name; order; entry }
+  { by_name; classes; entry }
 
-let classes t = List.rev_map (fun n -> Smap.find n t.by_name) t.order
+let classes t = t.classes
 
 let entry t = t.entry
 
@@ -36,14 +39,21 @@ let find_method t ~cls ~name =
 let add_class t c =
   if Smap.mem c.Ir.cname t.by_name then
     invalid_arg (Printf.sprintf "Program.add_class: duplicate class %s" c.Ir.cname);
-  { t with by_name = Smap.add c.Ir.cname c t.by_name; order = c.Ir.cname :: t.order }
+  { t with by_name = Smap.add c.Ir.cname c t.by_name; classes = t.classes @ [ c ] }
+
+(* The list with [c] in place of its namesake; the tail after it is
+   shared. *)
+let rec swap (c : Ir.cls) = function
+  | [] -> []
+  | (c' : Ir.cls) :: rest ->
+      if String.equal c'.Ir.cname c.Ir.cname then c :: rest else c' :: swap c rest
 
 let replace_class t c =
   if not (Smap.mem c.Ir.cname t.by_name) then
     invalid_arg (Printf.sprintf "Program.replace_class: unknown class %s" c.Ir.cname);
-  { t with by_name = Smap.add c.Ir.cname c t.by_name }
+  { t with by_name = Smap.add c.Ir.cname c t.by_name; classes = swap c t.classes }
 
 let total_instrs t =
   Smap.fold (fun _ c acc -> acc + Ir.method_instr_count c) t.by_name 0
 
-let fold f t acc = List.fold_left (fun acc c -> f c acc) acc (classes t)
+let fold f t acc = List.fold_left (fun acc c -> f c acc) acc t.classes

@@ -31,21 +31,27 @@
     [iterstart], [iterend], [\[x =\] @intrinsic(arg, ...)];
     terminators: [return \[x\]], [goto bN], [if x goto bN else bM]. *)
 
-exception Parse_error of { line : int; message : string }
+type pos = { line : int; col : int }
+(** A source position: 1-based line and column (a byte offset into the
+    line). *)
+
+exception Parse_error of { pos : pos; message : string }
 
 val to_string : Program.t -> string
 (** Serialize a program; the output parses back to an equal program. *)
 
 val parse : string -> Program.t
 (** Parse the textual format. Raises {!Parse_error} with a 1-based line
-    number on malformed input. The result is *not* verified; run
-    {!Verify.check_program} separately.
+    and column on malformed input, a class declared twice included. The
+    result is *not* verified; run {!Verify.check_program} separately.
 
-    Parsing streams: the source is scanned by offset and each line is
-    tokenized only when the parser reaches it, so no line is copied out
-    of the source and a line's tokens are garbage once its declaration or
-    statement is built. Errors therefore come out in source order: the
-    first malformed line is the one reported, whether the fault is a bad
-    character or a bad statement. Input that ends inside a class or a
-    method body is reported at the source's last line (a final newline
-    does not start a new line). *)
+    Parsing streams: a scanner reads the source in place, one token ahead,
+    and the parser builds the program's [Ir] directly from it, so no line
+    or token list is built and no line is copied out of the source. Each
+    name is interned once per parse from its source span, so every
+    occurrence of a name in the parsed program is one string. Errors come
+    out in source order: the first malformed line is the one reported.
+    Within a line, a bad character anywhere outranks a syntax error, and a
+    missing final [;] outranks any other syntax error. Input that ends
+    inside a class or a method body is reported just past the end of the
+    source's last line (a final newline does not start a new line). *)

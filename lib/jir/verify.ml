@@ -29,11 +29,11 @@ let method_exists p ~cls ~name ~kind =
              && Program.find_method p ~cls:c.Ir.cname ~name <> None))
         p false
 
-let check_method p (c : Ir.cls) (m : Ir.meth) =
-  let where = c.Ir.cname ^ "." ^ m.Ir.mname in
+(* [declared] is one table for the whole program, emptied per method. *)
+let check_method declared p (c : Ir.cls) (m : Ir.meth) =
   let errs = ref [] in
-  let err what = errs := { where; what } :: !errs in
-  let declared = Stbl.create 16 in
+  let err what = errs := { where = c.Ir.cname ^ "." ^ m.Ir.mname; what } :: !errs in
+  Stbl.clear declared;
   (* Duplicate declarations across params and locals would silently shadow
      each other in the VM's single frame environment. *)
   let declare (v, _) =
@@ -81,7 +81,7 @@ let check_method p (c : Ir.cls) (m : Ir.meth) =
     m.Ir.body;
   !errs
 
-let check_class p (c : Ir.cls) =
+let check_class declared p (c : Ir.cls) =
   let errs = ref [] in
   let err what = errs := { where = c.Ir.cname; what } :: !errs in
   (match c.Ir.super with
@@ -100,11 +100,11 @@ let check_class p (c : Ir.cls) =
         err (Printf.sprintf "duplicate method %s" m.Ir.mname)
       else Stbl.replace seen m.Ir.mname ())
     c.Ir.cmethods;
-  List.iter (fun m -> errs := check_method p c m @ !errs) c.Ir.cmethods;
+  List.iter (fun m -> errs := check_method declared p c m @ !errs) c.Ir.cmethods;
   !errs
 
 let check_program p =
-  List.concat_map (check_class p) (Program.classes p)
+  List.concat_map (check_class (Stbl.create 16) p) (Program.classes p)
 
 let check_or_fail p =
   match check_program p with

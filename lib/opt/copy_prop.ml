@@ -66,12 +66,7 @@ let block_out (blk : Ir.block) env =
 (* Early exit: only a [Move] creates a [Copy_of] cell, so in a method
    without one every lookup returns its own variable and [solve] would
    rewrite nothing. *)
-let nothing_to_rewrite (m : Ir.meth) =
-  not
-    (Array.exists
-       (fun (blk : Ir.block) ->
-         List.exists (function Ir.Move _ -> true | _ -> false) blk.Ir.instrs)
-       m.Ir.body)
+let nothing_to_rewrite m = not (Ir.exists_instr (function Ir.Move _ -> true | _ -> false) m)
 
 let solve count (m : Ir.meth) =
   let nb = Array.length m.Ir.body in

@@ -15,18 +15,18 @@ open Jir
    these names, the dispatch is delegated instead of deoptimizing the
    whole method, since the miss cannot change the target. *)
 let monomorphic_names p =
-  let impls = Hashtbl.create 16 in
+  let impls = Stbl.create 16 in
   List.iter
     (fun (c : Ir.cls) ->
       List.iter
         (fun (m : Ir.meth) ->
           if not m.Ir.mstatic then
-            Hashtbl.replace impls m.Ir.mname
-              (1 + Option.value ~default:0 (Hashtbl.find_opt impls m.Ir.mname)))
+            Stbl.replace impls m.Ir.mname
+              (1 + Option.value ~default:0 (Stbl.find_opt impls m.Ir.mname)))
         c.Ir.cmethods)
     (Program.classes p);
-  Hashtbl.fold (fun n count acc -> if count = 1 then n :: acc else acc) impls []
-  |> List.sort compare
+  Stbl.fold (fun n count acc -> if count = 1 then n :: acc else acc) impls []
+  |> List.sort String.compare
 
 let pass p =
   let cha = Facade_compiler.Optimize.cha p in

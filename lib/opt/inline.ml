@@ -36,7 +36,12 @@ let leaf_candidates ?(budget = 8) p =
         c.Ir.cmethods)
     (Program.classes p)
 
-let try_inline p ~budget ~may_inline ~caller_cls ~next_id ~extra_locals ins =
+(* The callee [try_inline] splices in at [ins], if any: a direct call
+   across an allowed boundary to a single straight-line block of at most
+   [budget] inlinable instructions that returns what the site expects.
+   The pass's early exit asks the same question, so the two cannot
+   drift. *)
+let inline_target p ~budget ~may_inline ~caller_cls ins =
   match ins with
   | Ir.Call (ret, ((Ir.Static | Ir.Special) as kind), cls, name, recv, args)
     when may_inline caller_cls cls -> (
@@ -49,40 +54,53 @@ let try_inline p ~budget ~may_inline ~caller_cls ~next_id ~extra_locals ins =
                 | _ -> (not callee.Ir.mstatic) && recv <> None)
              && List.length callee.Ir.body.(0).Ir.instrs <= budget
              && List.for_all inlinable_instr callee.Ir.body.(0).Ir.instrs -> (
-          let blk = callee.Ir.body.(0) in
-          match blk.Ir.term, ret with
+          match callee.Ir.body.(0).Ir.term, ret with
           | (Ir.Jump _ | Ir.Branch _), _ -> None
           | Ir.Ret None, Some _ -> None (* site expects a value *)
-          | Ir.Ret rv, _ ->
-              let id = next_id () in
-              let rn = Hashtbl.create 8 in
-              let bind v = Hashtbl.replace rn v (Printf.sprintf "$inl%d$%s" id v) in
-              List.iter (fun (v, _) -> bind v) callee.Ir.params;
-              List.iter (fun (v, _) -> bind v) callee.Ir.locals;
-              if not callee.Ir.mstatic then bind "this";
-              let f v = match Hashtbl.find_opt rn v with Some v' -> v' | None -> v in
-              List.iter
-                (fun (v, t) -> extra_locals := (f v, t) :: !extra_locals)
-                (callee.Ir.params @ callee.Ir.locals);
-              if not callee.Ir.mstatic then
-                extra_locals := (f "this", Jtype.Ref cls) :: !extra_locals;
-              let moves =
-                (match recv with
-                | Some r when not callee.Ir.mstatic -> [ Ir.Move (f "this", r) ]
-                | _ -> [])
-                @ List.map2 (fun (pv, _) a -> Ir.Move (f pv, a)) callee.Ir.params args
-              in
-              let body = List.map (Subst.rename_instr f) blk.Ir.instrs in
-              let ret_move =
-                match rv, ret with
-                | Some r, Some d -> [ Ir.Move (d, f r) ]
-                | _ -> []
-              in
-              Some (moves @ body @ ret_move))
+          | Ir.Ret _, _ -> Some callee)
       | _ -> None)
   | _ -> None
 
-let run_meth p ~budget ~may_inline ~caller_cls ~next_id count (m : Ir.meth) =
+let try_inline p ~budget ~may_inline ~caller_cls ~next_id ~extra_locals ins =
+  match inline_target p ~budget ~may_inline ~caller_cls ins, ins with
+  | Some callee, Ir.Call (ret, _, cls, _, recv, args) ->
+      let blk = callee.Ir.body.(0) in
+      let rv = match blk.Ir.term with Ir.Ret rv -> rv | Ir.Jump _ | Ir.Branch _ -> None in
+      let id = next_id () in
+      let rn = Stbl.create 8 in
+      let bind v = Stbl.replace rn v (Printf.sprintf "$inl%d$%s" id v) in
+      List.iter (fun (v, _) -> bind v) callee.Ir.params;
+      List.iter (fun (v, _) -> bind v) callee.Ir.locals;
+      if not callee.Ir.mstatic then bind "this";
+      let f v = match Stbl.find_opt rn v with Some v' -> v' | None -> v in
+      List.iter
+        (fun (v, t) -> extra_locals := (f v, t) :: !extra_locals)
+        (callee.Ir.params @ callee.Ir.locals);
+      if not callee.Ir.mstatic then
+        extra_locals := (f "this", Jtype.Ref cls) :: !extra_locals;
+      let moves =
+        (match recv with
+        | Some r when not callee.Ir.mstatic -> [ Ir.Move (f "this", r) ]
+        | _ -> [])
+        @ List.map2 (fun (pv, _) a -> Ir.Move (f pv, a)) callee.Ir.params args
+      in
+      let body = List.map (Subst.rename_instr f) blk.Ir.instrs in
+      let ret_move =
+        match rv, ret with
+        | Some r, Some d -> [ Ir.Move (d, f r) ]
+        | _ -> []
+      in
+      Some (moves @ body @ ret_move)
+  | _ -> None
+
+(* Early exit: no instruction of [m] is a site [try_inline] would take. *)
+let nothing_to_rewrite p ~budget ~may_inline ~caller_cls m =
+  not
+    (Ir.exists_instr
+       (fun ins -> Option.is_some (inline_target p ~budget ~may_inline ~caller_cls ins))
+       m)
+
+let solve p ~budget ~may_inline ~caller_cls ~next_id count (m : Ir.meth) =
   let extra_locals = ref [] in
   let body =
     Array.map
@@ -104,6 +122,10 @@ let run_meth p ~budget ~may_inline ~caller_cls ~next_id count (m : Ir.meth) =
       m.Ir.body
   in
   { m with Ir.body; Ir.locals = m.Ir.locals @ List.rev !extra_locals }
+
+let run_meth p ~budget ~may_inline ~caller_cls ~next_id count m =
+  if nothing_to_rewrite p ~budget ~may_inline ~caller_cls m then m
+  else solve p ~budget ~may_inline ~caller_cls ~next_id count m
 
 (* Callees are looked up in [p], the pass's input, and inlined copies are
    numbered in the order the methods are rewritten. *)

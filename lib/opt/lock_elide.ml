@@ -26,27 +26,31 @@ let as_monitor ins =
       Some v
   | _ -> None
 
-(* Drops every monitor whose (method, variable) pair [keep] rejects. *)
+(* Early exit: [m] has no monitor site, so no [keep] can drop one. *)
+let nothing_to_rewrite m = not (Ir.exists_instr (fun ins -> Option.is_some (as_monitor ins)) m)
+
+(* Drops every monitor of [m] whose (method, variable) pair [keep]
+   rejects, adding one to [count] per site. *)
+let solve keep count ~cls (m : Ir.meth) =
+  let mkey = A.Callgraph.key ~cls ~name:m.Ir.mname in
+  Ir.map_blocks
+    (fun _ (blk : Ir.block) ->
+      let instrs =
+        List.filter
+          (fun ins ->
+            match as_monitor ins with
+            | Some v when not (keep mkey v) ->
+                incr count;
+                false
+            | Some _ | None -> true)
+          blk.Ir.instrs
+      in
+      { blk with Ir.instrs })
+    m
+
 let strip keep =
   let count = ref 0 in
-  let strip_meth ~cls (m : Ir.meth) =
-    let mkey = A.Callgraph.key ~cls ~name:m.Ir.mname in
-    Ir.map_blocks
-      (fun _ (blk : Ir.block) ->
-        let instrs =
-          List.filter
-            (fun ins ->
-              match as_monitor ins with
-              | Some v when not (keep mkey v) ->
-                  incr count;
-                  false
-              | Some _ | None -> true)
-            blk.Ir.instrs
-        in
-        { blk with Ir.instrs })
-      m
-  in
-  Pass.counted count strip_meth
+  Pass.counted count (fun ~cls m -> if nothing_to_rewrite m then m else solve keep count ~cls m)
 
 let pass p =
   if not (A.Races.has_spawn p) then strip (fun _ _ -> false)

@@ -1,10 +1,9 @@
-(* The optimizer's early exits against the full solves they skip.
-   Wherever a per-method pass's [nothing_to_rewrite] holds, the pass's
-   full [solve] must return the method unchanged with a zero count.
-   [check_program] asks this of every method of every program the
-   optimizer's default pass sequence passes through, round 1 and the
-   cleanup round alike, so each predicate meets each method as every
-   pass sees it. *)
+(* The optimizer's early exits against the full rewrites they skip.
+   Wherever a pass's exit predicate holds, the pass's full rewrite must
+   return the method unchanged with a zero count. [check_program] asks
+   this of every method of every program the optimizer's default pass
+   sequence passes through, round 1 and the cleanup round alike, so each
+   predicate meets each method as every pass sees it. *)
 
 open Jir
 
@@ -27,12 +26,41 @@ let exits =
     ("dce", Opt.Dce.nothing_to_rewrite, counted Opt.Dce.solve);
   ]
 
+let budget = Opt.Config.default.Opt.Config.inline_budget
+
+(* The exits of the passes that read the whole program, for the methods
+   of [p]: the inliner's (no site it would take), lock elision's (no
+   monitor site; its rewrite here drops every monitor, the most any
+   escape verdict could) and devirtualization's (no virtual call). *)
+let program_exits ~may_inline p =
+  let cha = Facade_compiler.Optimize.cha p in
+  let next_id () = 0 in
+  [
+    ( "inline",
+      (fun ~cls m -> Opt.Inline.nothing_to_rewrite p ~budget ~may_inline ~caller_cls:cls m),
+      fun ~cls ->
+        counted (fun count ->
+            Opt.Inline.solve p ~budget ~may_inline ~caller_cls:cls ~next_id count) );
+    ( "lock_elide",
+      (fun ~cls:_ m -> Opt.Lock_elide.nothing_to_rewrite m),
+      fun ~cls -> counted (fun count -> Opt.Lock_elide.solve (fun _ _ -> false) count ~cls) );
+    ( "devirt",
+      (fun ~cls:_ m -> Facade_compiler.Optimize.no_virtual_call m),
+      fun ~cls:_ ->
+        counted (fun count -> Facade_compiler.Optimize.devirtualize_sites ~count cha) );
+  ]
+
+let method_exits =
+  List.map
+    (fun (pass, exits, solve) -> (pass, (fun ~cls:_ m -> exits m), fun ~cls:_ m -> solve m))
+    exits
+
 (* How many (pass, method) exits fired; fails on one the solve refutes. *)
-let check_method ~where (m : Ir.meth) =
+let check_method ?(exits = method_exits) ~cls ~where (m : Ir.meth) =
   List.fold_left
     (fun fired (pass, exits, solve) ->
-      if exits m then begin
-        let m', count = solve m in
+      if exits ~cls m then begin
+        let m', count = solve ~cls m in
         (* [compare], not [=]: a NaN constant must equal itself. *)
         if count <> 0 || compare m m' <> 0 then
           Alcotest.failf "%s exits on %s, but its full solve rewrites it" pass where;
@@ -50,7 +78,7 @@ let stages ~may_inline p =
   let p4 = fst (Opt.Devirt.run p3) in
   let p5 = fst (Opt.Lock_elide.run p4) in
   let p6 =
-    fst (Opt.Inline.run ~budget:Opt.Config.default.Opt.Config.inline_budget ~may_inline p5)
+    fst (Opt.Inline.run ~budget ~may_inline p5)
   in
   let p7 = fst (Opt.Copy_prop.run p6) in
   let p8 = fst (Opt.Const_fold.run p7) in
@@ -60,12 +88,15 @@ let stages ~may_inline p =
 let check_program ?(may_inline = fun _ _ -> true) ~name p =
   List.fold_left
     (fun fired p ->
+      let exits = method_exits @ program_exits ~may_inline p in
       List.fold_left
         (fun fired (c : Ir.cls) ->
           List.fold_left
             (fun fired (m : Ir.meth) ->
               fired
-              + check_method ~where:(Printf.sprintf "%s: %s.%s" name c.Ir.cname m.Ir.mname) m)
+              + check_method ~exits ~cls:c.Ir.cname
+                  ~where:(Printf.sprintf "%s: %s.%s" name c.Ir.cname m.Ir.mname)
+                  m)
             fired c.Ir.cmethods)
         fired (Program.classes p))
     0 (stages ~may_inline p)

@@ -570,6 +570,46 @@ let run_mixed case =
           [ ("baseline", base); ("tier1", t1); ("tier2", t2); ("facade baseline", fbase);
             ("facade tier1", f1); ("facade tier2", f2) ]))
 
+(* Random programs re-serialize to the same text after a parse: the
+   data-path programs as P, P′ and optimized P′ (constructor calls
+   "x.C.<init>", dotted call targets, intrinsics with immediates, hex
+   floats), the mixed-kind programs (negative and 19-digit immediates,
+   -0.0, 1e308), and a string constant of arbitrary bytes, which needs
+   escapes. *)
+let prop_text_roundtrip =
+  let module TF = Text_format in
+  let same p =
+    let s = TF.to_string p in
+    String.equal s (TF.to_string (TF.parse s))
+    || QCheck.Test.fail_reportf "text changed by a parse:\n%s" s
+  in
+  QCheck.Test.make ~name:"random programs: text round-trips through the parser" ~count:100
+    (QCheck.make
+       ~print:(fun (ops, (mops, _, _), s) ->
+         Printf.sprintf "<%d ops, %d mixed ops, %S>" (List.length ops) (List.length mops) s)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 40) op_gen)
+           (triple (list_size (int_range 1 24) mop_gen) (int_range 1 4) (int_bound 6))
+           (string_size (int_range 0 12))))
+    (fun (ops, mixed, text) ->
+      let p = program_of_ops ops in
+      let pl = Facade_compiler.Pipeline.compile ~spec p in
+      let pl', _ = Opt.Driver.optimize_pipeline pl in
+      let str =
+        let m = B.create ~static:true "main" in
+        let b = B.entry m in
+        let x = B.fresh m (Jtype.Ref Jtype.string_class) in
+        B.add b (Ir.Const (x, Ir.Cstr text));
+        B.ret b None;
+        Program.make [ B.cls "Main" ~methods:[ B.finish m ] ]
+      in
+      List.for_all same
+        [
+          p; pl.Facade_compiler.Pipeline.transformed; pl'.Facade_compiler.Pipeline.transformed;
+          mixed_program mixed; str;
+        ])
+
 let prop_mixed_kinds =
   QCheck.Test.make ~name:"mixed int/double arithmetic: baseline = tier1 = tier2" ~count:300
     (QCheck.make
@@ -628,4 +668,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_warm_differential;
           QCheck_alcotest.to_alcotest prop_mixed_kinds;
         ] );
+      ("text", [ QCheck_alcotest.to_alcotest prop_text_roundtrip ]);
     ]

@@ -232,6 +232,29 @@ let test_program_duplicates () =
   Alcotest.check_raises "duplicate class" (Invalid_argument "Program.make: duplicate class A")
     (fun () -> ignore (mk_program [ B.cls "A"; B.cls "A" ]))
 
+(* [Program.classes] keeps its list next to the map. Against the
+   definition it replaces, the declared names in insertion order each
+   looked up in the map: a class added goes last, a class replaced keeps
+   its place and its new body. *)
+let prop_program_class_order =
+  QCheck.Test.make ~name:"class order after add_class/replace_class" ~count:200
+    QCheck.(pair (int_range 1 6) (list (pair bool (int_bound 9))))
+    (fun (initial, edits) ->
+      let cls name k = B.cls name ~super:(Printf.sprintf "S%d" k) in
+      let names = List.init initial (fun i -> Printf.sprintf "C%d" i) in
+      let p = Program.make (List.map (fun n -> cls n 0) names) in
+      let p, order =
+        List.fold_left
+          (fun (p, order) (add, k) ->
+            let name = Printf.sprintf "C%d" k in
+            if Program.mem p name then
+              if add then (p, order) else (Program.replace_class p (cls name k), order)
+            else if add then (Program.add_class p (cls name k), order @ [ name ])
+            else (p, order))
+          (p, names) edits
+      in
+      List.equal ( == ) (Program.classes p) (List.map (Program.get_class p) order))
+
 let test_pretty_smoke () =
   let s = Pretty.program_to_string Samples.fig2.Samples.program in
   Alcotest.(check bool) "prints classes" true (String.length s > 200)
@@ -282,5 +305,6 @@ let () =
         [
           Alcotest.test_case "duplicates" `Quick test_program_duplicates;
           Alcotest.test_case "pretty" `Quick test_pretty_smoke;
+          QCheck_alcotest.to_alcotest prop_program_class_order;
         ] );
     ]

@@ -609,15 +609,40 @@ let test_exits_near_misses () =
     B.ret b1 (Some z);
     B.finish m
   in
-  List.iter2
-    (fun (pass, exits, solve) m ->
-      ignore (Exits.check_method ~where:m.Ir.mname m : int);
-      Alcotest.(check bool) (pass ^ " does not exit") false (exits m);
-      let m', count = solve m in
-      Alcotest.(check bool) (pass ^ " rewrites the near miss") true
-        (count > 0 || compare m m' <> 0))
-    Exits.exits
-    [ fold_unwritten_local; copy_in_later_block; dce_redefined ]
+  let near_miss (pass, exits, solve) m =
+    ignore (Exits.check_method ~cls:"Main" ~where:m.Ir.mname m : int);
+    Alcotest.(check bool) (pass ^ " does not exit") false (exits ~cls:"Main" m);
+    let m', count = solve ~cls:"Main" m in
+    Alcotest.(check bool) (pass ^ " rewrites the near miss") true
+      (count > 0 || compare m m' <> 0)
+  in
+  List.iter2 near_miss Exits.method_exits
+    [ fold_unwritten_local; copy_in_later_block; dce_redefined ];
+  (* One site each for the program-level exits: a direct call to a leaf
+     (inline), a monitor (lock_elide), a virtual call with one target
+     (devirt). *)
+  let a_recv body =
+    let m = B.create ~static:true "k" ~params:[ ("a", Jtype.Ref "A") ] ~ret:int_t in
+    let b = B.entry m in
+    let r = B.fresh m int_t in
+    body b r;
+    B.ret b (Some r);
+    B.finish m
+  in
+  let leaf_call kind =
+    a_recv (fun b r -> B.call b ~ret:r ~recv:"a" ~kind ~cls:"A" ~name:"leaf" [ "a" ])
+  in
+  let p = leafy_program () in
+  List.iter2 near_miss
+    (Exits.program_exits ~may_inline:(fun _ _ -> true) p)
+    [
+      leaf_call Ir.Special;
+      a_recv (fun b r ->
+          B.monitor_enter b "a";
+          B.const_i b r 1;
+          B.monitor_exit b "a");
+      leaf_call Ir.Virtual;
+    ]
 
 (* ---------- pinned cold-path output ---------- *)
 

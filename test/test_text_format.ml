@@ -8,8 +8,8 @@ let roundtrip_fixpoint name program =
   let s1 = TF.to_string program in
   let p2 =
     try TF.parse s1
-    with TF.Parse_error { line; message } ->
-      Alcotest.failf "%s: parse error at line %d: %s\n%s" name line message s1
+    with TF.Parse_error { pos = { line; col }; message } ->
+      Alcotest.failf "%s: parse error at %d:%d: %s\n%s" name line col message s1
   in
   let s2 = TF.to_string p2 in
   Alcotest.(check string) (name ^ ": serialize . parse fixpoint") s1 s2;
@@ -47,32 +47,160 @@ let test_parsed_program_runs () =
 let parse_error src =
   match TF.parse src with
   | _ -> Alcotest.fail "expected a parse error"
-  | exception TF.Parse_error { line; message } -> (line, message)
+  | exception TF.Parse_error { pos = { line; col }; message } -> (line, col, message)
+
+let pos_msg = Alcotest.(triple int int string)
 
 let test_parse_error_reports_line () =
-  (* missing ';' on line 2 *)
-  Alcotest.(check int) "line number" 2
-    (fst (parse_error "class A {\n  field int x\n}\nentry A.main\n"))
+  (* missing ';' on line 2, just past the line's last token *)
+  Alcotest.check pos_msg "position" (2, 14, "missing ';'")
+    (parse_error "class A {\n  field int x\n}\nentry A.main\n")
 
-(* A truncated file fails at its last line, whether or not a newline ends
-   it, not at a line 0 no editor shows. *)
+(* A truncated file fails just past the end of its last line, whether or
+   not a newline ends it, not at a line 0 no editor shows. *)
 let test_end_of_input_reports_last_line () =
-  let check name src line =
-    Alcotest.(check (pair int string)) name (line, "unexpected end of input") (parse_error src)
+  let check name src line col =
+    Alcotest.check pos_msg name (line, col, "unexpected end of input") (parse_error src)
   in
-  check "class cut after a field" "class A {\n  field int x;\n" 2;
-  check "no final newline" "class A {\n  field int x;" 2;
-  check "method body cut" "class A {\n  method m() {\n    b0:\n      return;\n\n" 5
+  check "class cut after a field" "class A {\n  field int x;\n" 2 15;
+  check "no final newline" "class A {\n  field int x;" 2 15;
+  check "method body cut" "class A {\n  method m() {\n    b0:\n      return;\n\n" 5 1
 
-(* Lines are tokenized as the parser reaches them, so the first error in
-   the source is the one reported: the missing ';' on line 3 wins over the
-   bad character on line 5. *)
+(* Errors come out in source order: the missing ';' on line 3 wins over
+   the bad character on line 5. Within a line, a bad character wins over
+   a syntax error and a missing ';' wins over trailing tokens. *)
 let test_errors_in_source_order () =
   let src =
     "class A {\n  field int x;\n  field int y\n  method m() {\n    local z: int ~;\n"
     ^ "    b0:\n      return;\n  }\n}\nentry A.m\n"
   in
-  Alcotest.(check (pair int string)) "first error" (3, "missing ';'") (parse_error src)
+  Alcotest.check pos_msg "first error" (3, 14, "missing ';'") (parse_error src);
+  Alcotest.check pos_msg "bad character before a syntax error" (1, 11, "unexpected character ~")
+    (parse_error "class A { ~\n}\n");
+  Alcotest.check pos_msg "bad character after a syntax error" (1, 13, "unexpected character ~")
+    (parse_error "class { A } ~\n");
+  Alcotest.check pos_msg "missing ';' over trailing tokens" (3, 15, "missing ';'")
+    (parse_error "class A {\n  method m() {\n    x = y[z] w\n  }\n}\n")
+
+(* One malformed input per message the parser can report, with the
+   position each is reported at: the offending token, or for a missing
+   ';' just past the line's last token. *)
+let in_method stmt =
+  "class A {\n  method m() {\n    local x: int;\n    b0:\n      " ^ stmt
+  ^ "\n      return;\n  }\n}\n"
+
+let test_error_positions () =
+  List.iter
+    (fun (src, expected) -> Alcotest.check pos_msg src expected (parse_error src))
+    [
+      (in_method "x = \"abc;", (5, 11, "unterminated string literal"));
+      (in_method "x = \"\\q\";", (5, 11, "bad string literal \"\\q\""));
+      (in_method "x = #foo;", (5, 11, "bad # token"));
+      (in_method "x = 1.2.3;", (5, 11, "bad float literal 1.2.3"));
+      (in_method "x = 12abc;", (5, 11, "bad int literal 12abc"));
+      ("class A {\n  field int x ~;\n}\n", (2, 15, "unexpected character ~"));
+      (in_method "x = ;", (5, 11, "unexpected end of line"));
+      (in_method "x = static C.m(1);", (5, 22, "expected an identifier"));
+      (in_method "x = static Cf;", (5, 18, "expected a dotted name, got Cf"));
+      (in_method "goto x7;", (5, 12, "expected a block label, got x7"));
+      (in_method "goto bx;", (5, 12, "bad block label bx"));
+      (in_method "x = @f(-y);", (5, 15, "expected a number after '-'"));
+      (in_method "x = @f(=);", (5, 14, "bad intrinsic operand"));
+      (in_method "x = static C.(x);", (5, 18, "dangling '.' in call target"));
+      (in_method "x = virtual C.m(x);", (5, 19, "virtual/special call needs a receiver"));
+      (in_method "x = -=;", (5, 12, "bad negation"));
+      (in_method "x = new int;", (5, 15, "bad new expression"));
+      (in_method "x = static;", (5, 17, "bad static expression"));
+      (in_method "x = a.b.c;", (5, 11, "dotted receiver"));
+      (in_method "x = y z;", (5, 13, "bad right-hand side"));
+      (in_method "static C.f;", (5, 14, "bad static statement"));
+      (in_method "x;", (5, 8, "bad statement"));
+      (in_method "return (;", (5, 14, "bad return"));
+      (in_method "if x else b1;", (5, 12, "expected 'goto'"));
+      (in_method "if x goto b1 b2;", (5, 20, "expected 'else'"));
+      (in_method "x = (int y;", (5, 16, "expected ')'"));
+      (in_method "x[y] y;", (5, 12, "expected '='"));
+      ("class A {\n  field int x;\n", (2, 15, "unexpected end of input"));
+      ("class A {\n  field int x\n}\n", (2, 14, "missing ';'"));
+      ("class A {\n  field int x = y;\n}\n", (2, 17, "bad initializer"));
+      ("class A {\n  method m() (\n}\n", (2, 14, "expected '{' or ';'"));
+      ( "class A {\n  method m() {\n    b0:\n      x = y;\n    b1:\n      return;\n  }\n}\n",
+        (5, 5, "block has no terminator") );
+      ( "class A {\n  method m() {\n    b0:\n      return;\n      x = y;\n  }\n}\n",
+        (5, 7, "statement after terminator") );
+      (in_method "x = y[z] w;", (5, 16, "trailing tokens"));
+      ("class A {\n  local x: int;\n}\n", (2, 3, "expected a field, method, or '}'"));
+      ("klass A {\n}\n", (1, 1, "expected a class, interface, or entry declaration"));
+      ("class A extends {\n}\n", (1, 17, "expected an identifier"));
+    ]
+
+(* A class declared twice is a parse error at the second declaration,
+   reported before anything after it. *)
+let test_duplicate_class () =
+  Alcotest.check pos_msg "second declaration" (5, 7, "duplicate class A")
+    (parse_error "class A {\n}\nclass B {\n}\nclass A {\n  field int x ~;\n}\n")
+
+(* Random single-byte edits of every sample's text (P and P′) either
+   parse or fail with a [Parse_error] positioned inside the text; no
+   other exception escapes. *)
+let prop_edits_fail_with_position =
+  let texts =
+    lazy
+      (Array.of_list
+         (List.concat_map
+            (fun (s : Samples.sample) ->
+              let pl = Facade_compiler.Pipeline.compile ~spec:s.Samples.spec s.Samples.program in
+              [
+                TF.to_string s.Samples.program;
+                TF.to_string pl.Facade_compiler.Pipeline.transformed;
+              ])
+            Samples.all))
+  in
+  let alphabet = " \t\n;:{}()[]<>=!+-*/%&|^@#\".,0123456789abexp_$~\\" in
+  QCheck.Test.make ~name:"edited samples parse or fail with a position" ~count:1000
+    QCheck.(
+      quad (int_bound 1000) (int_bound 1_000_000) (int_bound 2)
+        (int_bound (String.length alphabet - 1)))
+    (fun (which, at, edit, b) ->
+      let texts = Lazy.force texts in
+      let src = texts.(which mod Array.length texts) in
+      let n = String.length src in
+      let i = at mod n in
+      let c = String.make 1 alphabet.[b] in
+      let src =
+        match edit with
+        | 0 -> String.sub src 0 i ^ c ^ String.sub src (i + 1) (n - i - 1)
+        | 1 -> String.sub src 0 i ^ String.sub src (i + 1) (n - i - 1)
+        | _ -> String.sub src 0 i ^ c ^ String.sub src i (n - i)
+      in
+      let lines = List.length (String.split_on_char '\n' src) in
+      match TF.parse src with
+      | _ -> true
+      | exception TF.Parse_error { pos = { line; col }; message } ->
+          (line >= 1 && line <= lines && col >= 1)
+          || QCheck.Test.fail_reportf "%s at %d:%d outside the text" message line col)
+
+(* Every occurrence of a name in a parsed program is one string. *)
+let test_names_interned () =
+  let p = TF.parse (TF.to_string Samples.fig2.Samples.program) in
+  let vars = ref [] in
+  List.iter
+    (fun (c : Jir.Ir.cls) ->
+      List.iter
+        (fun (m : Jir.Ir.meth) ->
+          List.iter (fun (v, _) -> vars := v :: !vars) (m.Jir.Ir.params @ m.Jir.Ir.locals);
+          Jir.Ir.iter_instrs (Jir.Ir.iter_vars (fun v -> vars := v :: !vars)) m)
+        c.Jir.Ir.cmethods)
+    (Jir.Program.classes p);
+  let repeated =
+    List.filter (fun v -> List.length (List.filter (String.equal v) !vars) > 1) !vars
+  in
+  Alcotest.(check bool) "some name repeats" true (repeated <> []);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (v ^ " is one string") true
+        (List.for_all (fun w -> (not (String.equal v w)) || v == w) !vars))
+    repeated
 
 let test_parse_minimal () =
   let src =
@@ -138,7 +266,7 @@ let test_operator_symbols () =
   ignore
     (roundtrip_fixpoint "operators"
        (Program.make ~entry:("Main", "main") [ B.cls "Main" ~methods:[ B.finish m ] ]));
-  Alcotest.(check (pair int string)) "unknown character" (2, "unexpected character ~")
+  Alcotest.check pos_msg "unknown character" (2, 15, "unexpected character ~")
     (parse_error "class A {\n  field int x ~;\n}\n")
 
 let prop_synthetic_roundtrip =
@@ -181,7 +309,11 @@ let () =
           Alcotest.test_case "end of input names the last line" `Quick
             test_end_of_input_reports_last_line;
           Alcotest.test_case "errors in source order" `Quick test_errors_in_source_order;
+          Alcotest.test_case "error positions" `Quick test_error_positions;
+          Alcotest.test_case "duplicate class" `Quick test_duplicate_class;
+          Alcotest.test_case "names interned" `Quick test_names_interned;
           Alcotest.test_case "hand-written source" `Quick test_parse_minimal;
           Alcotest.test_case "operator symbols" `Quick test_operator_symbols;
+          QCheck_alcotest.to_alcotest prop_edits_fail_with_position;
         ] );
     ]
